@@ -3,7 +3,20 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-check bench-compare profile vet figures clean
+# PR names the recording the bench targets work on: bench-json writes
+# BENCH_$(PR).json, bench-check reads it, bench-compare diffs
+# BENCH_$(PREV).json against it. `make bench-json PR=14` starts the next
+# entry of the trail; the default is the newest one committed.
+PR ?= 10
+PREV ?= $(shell expr $(PR) - 1)
+
+# bench-e2e: the seed, the set it writes and the recorded set it is
+# compared against (see benchmark/README.md).
+SEED ?= 12
+E2E_OUT ?= .bench_build/e2e.json
+E2E_BASE ?= benchmark/results/BENCH_12.a.json
+
+.PHONY: all build test race fmt-check bench bench-json bench-check bench-compare bench-e2e profile vet figures clean
 
 all: build test
 
@@ -25,12 +38,14 @@ test: build
 # while the sharded windowed datapath is feeding, racing the registry's
 # readers against every mirror write; the Trace/Journal suites hammer
 # the span rings and the flight recorder from concurrent writers and
-# scrape /debug/trace + /debug/events mid-run). The suites force
+# scrape /debug/trace + /debug/events mid-run; the Source suite runs
+# every source shape through the pools and the pump, and checks a
+# failing source leaves no worker behind). The suites force
 # GOMAXPROCS >= 4 internally so the parallel paths run even on a
 # single-core host. -short skips the longest stall-injection cases; run
 # without it before a release.
 race:
-	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal' ./...
+	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal|TestSource' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1s -run XXX .
@@ -52,19 +67,27 @@ bench-json:
 	{ $(GO) test -bench 'BenchmarkShardedDatapath|BenchmarkFabricDatapath|BenchmarkWindowedDatapath|BenchmarkObsOverhead|BenchmarkTraceOverhead' -benchtime 2s -benchmem -run XXX . && \
 	  $(GO) test -bench 'BenchmarkWorkersTransport' -benchtime 1s -benchmem -run XXX ./internal/shard && \
 	  $(GO) test -bench 'BenchmarkFoldEval' -benchtime 1s -benchmem -run XXX ./internal/fold ; } \
-	| $(GO) run ./cmd/benchjson -out BENCH_10.json
-	$(GO) run ./cmd/benchjson -check BENCH_10.json
-	@cat BENCH_10.json
+	| $(GO) run ./cmd/benchjson -out BENCH_$(PR).json
+	$(GO) run ./cmd/benchjson -check BENCH_$(PR).json
+	@cat BENCH_$(PR).json
 
 # Guard the recorded trajectory: fail if any multi-shard entry of the
 # newest recording claims procs: 1 on a multi-CPU host (the harness bug
 # that made the BENCH_3..5 scaling series fiction). CI runs this.
 bench-check:
-	$(GO) run ./cmd/benchjson -check BENCH_10.json
+	$(GO) run ./cmd/benchjson -check BENCH_$(PR).json
 
 # Benchstat-style diff of the newest recording against the previous one.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/benchjson -compare BENCH_$(PREV).json BENCH_$(PR).json
+
+# The end-to-end + per-layer benchmark (benchmark/): one full set — six
+# workloads through the public facade, then their traced runs — written
+# to $(E2E_OUT) and compared metric by metric, against the recorded
+# dispersion, with $(E2E_BASE). Exits non-zero on a `worse` row.
+bench-e2e:
+	bash benchmark/run.sh -seed $(SEED) -out $(E2E_OUT)
+	bash benchmark/run.sh -compare $(E2E_BASE) $(E2E_OUT)
 
 # Hot-path diagnosis: run the reference EWMA query over a DC trace with
 # CPU and heap profiles; inspect with `go tool pprof cpu.prof`.
@@ -75,6 +98,10 @@ profile: build
 
 vet:
 	$(GO) vet ./...
+
+# gofmt cleanliness, nested benchmark module included. CI runs this.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l is not clean:"; echo "$$out"; exit 1; fi
 
 # The paper's evaluation at CI scale.
 figures:

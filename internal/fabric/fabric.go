@@ -34,7 +34,6 @@ package fabric
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -401,56 +400,29 @@ func (f *Fabric) Process(rec *trace.Record) {
 	f.route[sw].Process(rec)
 }
 
-// Run streams a whole source through the fabric and flushes every
-// switch. When a second processor is available (and Config.Serial is
-// unset), one worker goroutine per switch drains its SPSC record ring,
-// filled by a single demultiplexing feeder (the same pump the windowed
-// runtime barriers at epoch boundaries) — per-switch arrival order (and
+// Run streams a whole source through Feed and flushes every switch, so
+// slice, file and live sources all take the path Feed picks: when a
+// second processor is available (and Config.Serial is unset), one
+// worker goroutine per switch drains its SPSC record ring, filled by a
+// single demultiplexing feeder (the same pump the windowed runtime
+// barriers at epoch boundaries) — per-switch arrival order (and
 // therefore every store's state trajectory) is identical to the serial
 // path, so the two modes produce bit-identical results. At GOMAXPROCS=1
 // records are applied inline instead: the pump hop costs throughput and
-// can buy no parallelism.
+// can buy no parallelism. A source error is returned verbatim once
+// every record read before it has been applied; the caches are then
+// left unflushed.
 func (f *Fabric) Run(src trace.Source) error {
-	if f.serialPath() {
-		if err := eachRecord(src, f.Process); err != nil {
-			return err
-		}
-		f.Flush()
+	err := trace.EachBatch(src, func(recs []trace.Record) error {
+		f.Feed(recs)
 		return nil
-	}
-	if f.pump == nil {
-		f.startPump()
-	}
-	err := eachRecord(src, f.feed)
+	})
 	f.EndFeed()
 	if err != nil {
 		return err
 	}
 	f.Flush()
 	return nil
-}
-
-// eachRecord drives fn over a source, using the bulk slice path when
-// available.
-func eachRecord(src trace.Source, fn func(*trace.Record)) error {
-	if ss, ok := src.(*trace.SliceSource); ok {
-		rest := ss.Rest()
-		for i := range rest {
-			fn(&rest[i])
-		}
-		return nil
-	}
-	var rec trace.Record
-	for {
-		err := src.Next(&rec)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		fn(&rec)
-	}
 }
 
 // Flush evicts every switch's cache-resident entries into its backing

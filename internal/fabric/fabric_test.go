@@ -4,13 +4,13 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"perfq/internal/compiler"
 	"perfq/internal/exec"
 	"perfq/internal/kvstore"
 	"perfq/internal/lang"
 	"perfq/internal/netsim"
+	"perfq/internal/obs"
 	"perfq/internal/switchsim"
 	"perfq/internal/topo"
 	"perfq/internal/trace"
@@ -181,19 +181,17 @@ func TestFabricSerialFastPath(t *testing.T) {
 	}
 }
 
-// TestFabricSerialThroughputRegression guards the fabric's serial tax:
-// routing a record through the fabric (dense switch table + per-switch
-// datapath) must stay within a constant factor of feeding the same
-// stream straight into a single datapath of the same total geometry.
-// The bound is deliberately loose — it catches a relapse into per-record
-// map probing or an accidental pump hop (the 8.0M → 6.8M pkts/s PR-5
-// regression), not scheduler noise. Skipped under -short and race.
-func TestFabricSerialThroughputRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	if raceEnabled {
-		t.Skip("timing test (race instrumentation skews the ratio)")
+// TestFabricSerialStructure guards the fabric's serial tax structurally
+// (its wall-clock predecessor flaked under package-level test
+// parallelism; speed is fabric_multi's job in the benchmark): a Serial
+// fabric with processors to spare must start no pump, move no transport
+// batch, and — once the caches are warm — allocate nothing per record.
+// Those are the three ways the PR-5 regression (8.0M → 6.8M pkts/s) and
+// its per-record-map-probe cousin can come back.
+func TestFabricSerialStructure(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2) // so only Config.Serial keeps the pump off
+		defer runtime.GOMAXPROCS(prev)
 	}
 	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
 	recs, err := netsim.GenWorkload(tp, netsim.Workload{Seed: 12, Flows: 600})
@@ -201,40 +199,34 @@ func TestFabricSerialThroughputRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := compile(t, `R = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple`)
-
-	runOnce := func(run func()) float64 {
-		start := time.Now()
-		run()
-		return float64(len(recs)) / time.Since(start).Seconds()
+	f, err := New(plan, tp, Config{
+		Switch: switchsim.Config{
+			Geometry: kvstore.SetAssociative(1<<16, 8), // holds every key: the warm pass only hits
+			Metrics:  obs.NewRegistry(),
+		},
+		Serial: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var base, fab float64
-	for i := 0; i < 3; i++ { // best of 3 absorbs one-off scheduling hiccups
-		b := runOnce(func() {
-			dp, err := switchsim.New(plan, switchsim.Config{Geometry: kvstore.SetAssociative(1<<14, 8)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dp.Run(&trace.SliceSource{Records: recs}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		f := runOnce(func() {
-			fb, err := New(plan, tp, Config{
-				Switch: switchsim.Config{Geometry: kvstore.SetAssociative(1<<14, 8)},
-				Serial: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fb.Run(&trace.SliceSource{Records: recs}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		base, fab = max(base, b), max(fab, f)
+	if err := f.Run(&trace.SliceSource{Records: recs}); err != nil {
+		t.Fatal(err)
 	}
-	if ratio := fab / base; ratio < 0.45 {
-		t.Fatalf("fabric serial runs at %.0f%% of the single-datapath rate (%.2fM vs %.2fM pkts/s); the serial path is paying per-record overhead again",
-			100*ratio, fab/1e6, base/1e6)
+	f.Feed(recs)
+	if f.pump != nil {
+		t.Fatal("serial fabric started the pump")
+	}
+	if n := f.obs.tm.Batches.Value(); n != 0 {
+		t.Fatalf("serial fabric moved %d transport batches", n)
+	}
+	if f.Packets() != uint64(2*len(recs)) {
+		t.Fatalf("packets = %d, want %d", f.Packets(), 2*len(recs))
+	}
+	if raceEnabled {
+		return // the race runtime allocates on its own
+	}
+	if allocs := testing.AllocsPerRun(3, func() { f.Feed(recs) }); allocs != 0 {
+		t.Fatalf("warm serial feed: %.0f allocs per %d records, want 0", allocs, len(recs))
 	}
 }
 

@@ -41,10 +41,13 @@ func GroundTruth(plan *compiler.Plan, t *topo.Topology, src trace.Source) (map[s
 		engines[id] = eng
 		srcs[i] = engineSource{plan: plan, eng: eng}
 	}
-	err := eachRecord(src, func(rec *trace.Record) {
-		if eng, ok := engines[rec.QID.Switch()]; ok {
-			eng.ProcessRecord(rec)
+	err := trace.EachBatch(src, func(recs []trace.Record) error {
+		for i := range recs {
+			if eng, ok := engines[recs[i].QID.Switch()]; ok {
+				eng.ProcessRecord(&recs[i])
+			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

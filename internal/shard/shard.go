@@ -23,8 +23,6 @@
 package shard
 
 import (
-	"io"
-
 	"perfq/internal/obs"
 	"perfq/internal/packet"
 	"perfq/internal/trace"
@@ -306,29 +304,16 @@ func (p *Pool) Barrier() { p.workers.Barrier() }
 func (p *Pool) Close() { p.workers.Close() }
 
 // Run streams an entire source through a fresh pool and waits for the
-// workers to finish. It returns the number of records fed.
+// workers to finish. It returns the number of records fed (every record
+// read, when the source fails) and the source's error.
 func Run(cfg Config, src trace.Source, process ProcessFunc) (uint64, error) {
 	p := NewPool(cfg, process)
-	if ss, ok := src.(*trace.SliceSource); ok {
-		// Bulk replay from memory: feed records in place; Feed copies
-		// into the batch either way, so Next's extra copy is pure loss.
-		rest := ss.Rest()
-		for i := range rest {
-			p.Feed(&rest[i])
+	err := trace.EachBatch(src, func(recs []trace.Record) error {
+		for i := range recs {
+			p.Feed(&recs[i])
 		}
-		p.Close()
-		return p.fed, nil
-	}
-	var rec trace.Record
-	for {
-		err := src.Next(&rec)
-		if err != nil {
-			p.Close()
-			if err == io.EOF {
-				return p.fed, nil
-			}
-			return p.fed, err
-		}
-		p.Feed(&rec)
-	}
+		return nil
+	})
+	p.Close()
+	return p.fed, err
 }

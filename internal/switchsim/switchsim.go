@@ -27,7 +27,6 @@ package switchsim
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -120,8 +119,8 @@ type Datapath struct {
 	shards  []*shardState
 	selStgs []*compiler.Stage // select-over-T stages, in plan order
 	routing shard.Config
-	router  *shard.Router // inline Process path's router (Run's pool owns its own)
-	pool    *shard.Pool   // persistent sharded feeder of the streaming/windowed path
+	router  *shard.Router // inline Process/Feed path's router (the pool owns its own)
+	pool    *shard.Pool   // Feed's lazily started sharded worker pool
 	packets uint64
 	masks   []uint64 // scratch per-shard masks for the inline Process path
 
@@ -337,8 +336,9 @@ func (sh *shardState) process(d *Datapath, rec *trace.Record, mask uint64, all b
 // Process applies one packet observation to every switch-resident stage,
 // on the calling goroutine. With Shards > 1 the record is routed to the
 // owning shards' state inline with the same mask computation the
-// parallel workers see (serial but shard-equivalent); bulk replay
-// should prefer Run, which streams through the parallel workers.
+// parallel workers see (serial but shard-equivalent). It is the entry of
+// callers that own a datapath one record at a time (the fabric's demux);
+// anything holding a run of records should Feed it.
 func (d *Datapath) Process(rec *trace.Record) {
 	d.packets++
 	if len(d.shards) == 1 {
@@ -373,61 +373,18 @@ func (d *Datapath) serialFeed() bool {
 	return d.pool == nil && runtime.GOMAXPROCS(0) < 2
 }
 
-// Run streams a whole source and flushes. With Shards > 1 the stream is
-// hash-partitioned across one worker goroutine per shard (applied
-// inline at GOMAXPROCS=1, where workers could not run in parallel).
+// Run streams a whole source through Feed and flushes — so a slice, a
+// pqt file and a live source all take the path Feed picks: the columnar
+// block path on one shard, the worker pool (or the inline router at
+// GOMAXPROCS=1) on several. A source error is returned verbatim once
+// every record read before it has been applied; the caches are then
+// left unflushed.
 func (d *Datapath) Run(src trace.Source) error {
-	if len(d.shards) == 1 {
-		if ss, ok := src.(*trace.SliceSource); ok {
-			// Bulk replay from memory: run the columnar block path over
-			// the records in place instead of copying each through Next.
-			rest := ss.Rest()
-			d.shards[0].processBlocks(d, rest)
-			d.packets += uint64(len(rest))
-			d.Flush()
-			return nil
-		}
-		var rec trace.Record
-		for {
-			err := src.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			d.Process(&rec)
-		}
-		d.Flush()
+	err := trace.EachBatch(src, func(recs []trace.Record) error {
+		d.Feed(recs)
 		return nil
-	}
-	if d.serialFeed() {
-		if ss, ok := src.(*trace.SliceSource); ok {
-			rest := ss.Rest()
-			for i := range rest {
-				d.Process(&rest[i])
-			}
-			d.Flush()
-			return nil
-		}
-		var rec trace.Record
-		for {
-			err := src.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			d.Process(&rec)
-		}
-		d.Flush()
-		return nil
-	}
-	fed, err := shard.Run(d.routing, src, func(s int, rec *trace.Record, mask uint64) {
-		d.shards[s].process(d, rec, mask, false)
 	})
-	d.packets += fed
+	d.EndFeed()
 	if err != nil {
 		return err
 	}

@@ -64,10 +64,11 @@ func (w *Writer) Count() int64 { return w.count }
 // Flush drains buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader streams records from a pqt file. It implements Source.
+// Reader streams records from a pqt file. It implements Source and
+// BatchSource; the two pulls may be mixed on one Reader.
 type Reader struct {
-	r   *bufio.Reader
-	buf [recordSize]byte
+	r    *bufio.Reader
+	recs []Record // NextBatch's reused run (allocated on first use)
 }
 
 // NewReader validates the file header and returns a Reader.
@@ -89,17 +90,54 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
+// errMidRecord is what both pulls return when the file ends inside a
+// record.
+var errMidRecord = fmt.Errorf("%w: mid-record", ErrTruncated)
+
+// peek returns the next record's bytes, in place in the read buffer.
+// Nothing is consumed, so a failed pull repeats its error.
+func (r *Reader) peek() ([]byte, error) {
+	b, err := r.r.Peek(recordSize)
+	switch {
+	case err == nil:
+		return b, nil
+	case !errors.Is(err, io.EOF):
+		return nil, err
+	case len(b) == 0:
+		return nil, io.EOF
+	default:
+		return nil, errMidRecord
+	}
+}
+
 // Next implements Source.
 func (r *Reader) Next(rec *Record) error {
-	if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: mid-record", ErrTruncated)
-		}
+	b, err := r.peek()
+	if err != nil {
 		return err
 	}
-	UnmarshalRecord(r.buf[:], rec)
+	UnmarshalRecord(b, rec)
+	r.r.Discard(recordSize)
 	return nil
+}
+
+// NextBatch implements BatchSource: every whole record already in the
+// read buffer (at least one, at most batchLen), decoded straight out of
+// it into the Reader's reused run. A file cut mid-record yields its
+// whole records first and ErrTruncated on the following call, exactly
+// where Next reports it.
+func (r *Reader) NextBatch() ([]Record, error) {
+	if _, err := r.peek(); err != nil {
+		return nil, err
+	}
+	if r.recs == nil {
+		r.recs = make([]Record, batchLen)
+	}
+	n := min(r.r.Buffered()/recordSize, len(r.recs))
+	b, _ := r.r.Peek(n * recordSize)
+	for i := range r.recs[:n] {
+		UnmarshalRecord(b[i*recordSize:], &r.recs[i])
+	}
+	r.r.Discard(n * recordSize)
+	return r.recs[:n], nil
 }

@@ -134,13 +134,15 @@ func (s *SliceSource) Next(rec *Record) error {
 // Reset rewinds the source to the first record.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// Rest returns the unconsumed records and marks the source drained — the
-// bulk-replay fast path: consumers that can iterate a slice directly
-// skip the per-record copy Next performs. Reset rewinds as usual.
-func (s *SliceSource) Rest() []Record {
+// NextBatch implements BatchSource: the whole unconsumed remainder, in
+// place. Reset rewinds as usual.
+func (s *SliceSource) NextBatch() ([]Record, error) {
+	if s.pos >= len(s.Records) {
+		return nil, io.EOF
+	}
 	rest := s.Records[s.pos:]
 	s.pos = len(s.Records)
-	return rest
+	return rest, nil
 }
 
 // SliceSink collects records into memory.

@@ -35,7 +35,6 @@ package window
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"perfq/internal/exec"
@@ -161,10 +160,6 @@ type Finisher interface {
 	EndFeed()
 }
 
-// feedBatch is the record-buffer granularity of the generic (non-slice)
-// source path.
-const feedBatch = 512
-
 // Stream drives src through r under the spec's window schedule, calling
 // emit after every window close (including the final partial window and
 // any empty windows a time gap produces). It returns the number of
@@ -182,10 +177,15 @@ func Stream(src trace.Source, spec Spec, r Runner, emit func(*Result) error) (in
 			f.EndFeed()
 		}
 	}()
-	if ss, ok := src.(*trace.SliceSource); ok {
-		return s.runSlice(ss.Rest())
+	if err := trace.EachBatch(src, s.feed); err != nil {
+		return s.closed, err
 	}
-	return s.runStream(src)
+	if s.c.started {
+		if err := s.closeTo(s.c.cur + 1); err != nil {
+			return s.closed, err
+		}
+	}
+	return s.closed, nil
 }
 
 // scheduler is Stream's per-invocation state.
@@ -266,71 +266,34 @@ func (s *scheduler) closeTo(target int64) error {
 	return nil
 }
 
-// runSlice feeds window-aligned subslices directly — no buffering copy.
-func (s *scheduler) runSlice(recs []trace.Record) (int64, error) {
+// feed cuts one pulled batch at the window boundaries inside it and
+// hands the runner each window-aligned piece in place, closing the
+// windows between them — records never straddle a close, whatever the
+// source's batch length.
+func (s *scheduler) feed(recs []trace.Record) error {
 	lo := 0
 	for i := range recs {
 		w := s.c.next(&recs[i])
 		if w > s.c.cur {
-			s.r.Feed(recs[lo:i])
-			s.winRecs += int64(i - lo)
+			s.feedWindow(recs[lo:i])
 			lo = i
 			if err := s.closeTo(w); err != nil {
-				return s.closed, err
+				return err
 			}
 			s.c.cur = w
 		}
 	}
-	s.r.Feed(recs[lo:])
-	s.winRecs += int64(len(recs) - lo)
-	if s.c.started {
-		if err := s.closeTo(s.c.cur + 1); err != nil {
-			return s.closed, err
-		}
-	}
-	return s.closed, nil
+	s.feedWindow(recs[lo:])
+	return nil
 }
 
-// runStream buffers up to feedBatch records between Feed calls. The
-// buffer is flushed at every window boundary, so records never straddle
-// a close.
-func (s *scheduler) runStream(src trace.Source) (int64, error) {
-	buf := make([]trace.Record, 0, feedBatch)
-	flush := func() {
-		s.r.Feed(buf)
-		s.winRecs += int64(len(buf))
-		buf = buf[:0]
+// feedWindow feeds a piece of the open window (empty when a boundary
+// falls on a batch edge).
+func (s *scheduler) feedWindow(recs []trace.Record) {
+	if len(recs) > 0 {
+		s.r.Feed(recs)
+		s.winRecs += int64(len(recs))
 	}
-	var rec trace.Record
-	for {
-		err := src.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			flush()
-			return s.closed, err
-		}
-		w := s.c.next(&rec)
-		if w > s.c.cur {
-			flush()
-			if cerr := s.closeTo(w); cerr != nil {
-				return s.closed, cerr
-			}
-			s.c.cur = w
-		}
-		buf = append(buf, rec)
-		if len(buf) == cap(buf) {
-			flush()
-		}
-	}
-	flush()
-	if s.c.started {
-		if err := s.closeTo(s.c.cur + 1); err != nil {
-			return s.closed, err
-		}
-	}
-	return s.closed, nil
 }
 
 // Slices returns each window's [start, end) record-index range over recs

@@ -80,6 +80,20 @@ func TestObsScrapeWhileFeeding(t *testing.T) {
 			blockRecs, scalarRecs, packets)
 	}
 
+	// Path attribution: the same records as a pqt file on one shard reach
+	// the columnar block path through the batch pull — not one record
+	// takes the scalar twin, and the scrape says so.
+	fm := NewMetrics()
+	if _, err := q.Run(pqtSource(t, recs), WithCache(256, 8), WithMetrics(fm)); err != nil {
+		t.Fatal(err)
+	}
+	fileBlock, _ := fm.Value("perfq_path_block_records_total")
+	fileScalar, _ := fm.Value("perfq_path_scalar_records_total")
+	if fileBlock != float64(len(recs)) || fileScalar != 0 {
+		t.Errorf("file-sourced serial run: %.0f block + %.0f scalar records, want %d + 0",
+			fileBlock, fileScalar, len(recs))
+	}
+
 	// Evictions: the mirror is the same cumulative kvstore counter the
 	// Results read.
 	ev, _ := m.Value("perfq_cache_evictions_total")
