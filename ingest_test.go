@@ -192,7 +192,14 @@ def nonmt((maxseq, nm_count), tcpseq):
 R1 = SELECT 5tuple, ewma GROUPBY 5tuple
 R2 = SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == 6
 R3 = SELECT qid, tin, pkt_len WHERE pkt_len > 1400
+R4 = SELECT srcip, COUNT GROUPBY srcip WHERE pkt_len > 100
+R5 = SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip, srcport, dstport, proto, qid
 `)
+	// R4 groups by a different key than R1/R2, so a sharded run hands each
+	// shard sparse, disjoint lanes of a block; R5's key is a digest.
+	if q.plan.Programs[len(q.plan.Programs)-1].Key.Packed {
+		t.Fatal("R5's key packs into 128 bits; no digest-key program in the plan")
+	}
 
 	genCfg := tracegen.DCConfig(21, time.Hour)
 	genCfg.MaxPackets = 9000

@@ -35,6 +35,7 @@ package fabric
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"perfq/internal/compiler"
@@ -71,15 +72,12 @@ type Fabric struct {
 	cfg   Config
 	swGeo kvstore.Geometry // each switch's actual cache slice
 	ids   []uint16
-	dps   map[uint16]*switchsim.Datapath
 
-	// route and widx are the per-record routing tables, dense over switch
-	// ID so the hot loops index a slice instead of probing a map (the map
-	// lookup was ~20% of the serial replay): route[sw] is the switch's
-	// datapath (nil for IDs outside the topology) and widx[sw] its pump
-	// worker index (-1 likewise).
-	route []*switchsim.Datapath
-	widx  []int32
+	// table is the one switch table, dense over switch ID so the demux
+	// indexes a slice instead of probing a map: table[sw] holds the
+	// switch's datapath (nil for IDs outside the topology) and its
+	// position in ids, which is also its pump worker.
+	table []swEntry
 
 	packets  uint64
 	unrouted uint64
@@ -107,6 +105,12 @@ type Fabric struct {
 	obs *fabObs // fabric-level metric mirrors (nil = off)
 }
 
+// swEntry is one switch's row of the demux table.
+type swEntry struct {
+	dp  *switchsim.Datapath
+	idx int32
+}
+
 // pumpItem is one demuxed record in flight to its switch's worker, with
 // the span the demux began for it when sampled (zero otherwise).
 type pumpItem struct {
@@ -114,16 +118,16 @@ type pumpItem struct {
 	Span obs.SpanRef
 }
 
+// dp returns the datapath of the i-th switch in ids order.
+func (f *Fabric) dp(i int) *switchsim.Datapath { return f.table[f.ids[i]].dp }
+
 // serialPath reports whether records should bypass the pump and be
 // applied inline: configured serial, a single switch, or no second
 // processor to run a worker on (the pump hop at GOMAXPROCS=1 is pure
-// overhead — the PR 5 regression). A pump that is already running keeps
-// the stream on it regardless, so mid-stream GOMAXPROCS changes cannot
-// split one window across the two paths.
+// overhead — the PR 5 regression). Only consulted while no pump is
+// running: a live pump keeps the stream on it regardless, so mid-stream
+// GOMAXPROCS changes cannot split one window across the two paths.
 func (f *Fabric) serialPath() bool {
-	if f.pump != nil {
-		return false
-	}
 	return f.cfg.Serial || len(f.ids) == 1 || runtime.GOMAXPROCS(0) < 2
 }
 
@@ -132,67 +136,80 @@ func (f *Fabric) serialPath() bool {
 // worker is the sole owner of that switch's plain counters, so the
 // batch boundary is the race-free publication point.
 func (f *Fabric) startPump() {
-	dps := make([]*switchsim.Datapath, len(f.ids))
-	for i, id := range f.ids {
-		dps[i] = f.dps[id]
+	o := f.obs
+	var tm *obs.TransportMetrics
+	if o != nil {
+		tm = o.tm
 	}
-	// consume applies one batch to its switch. With tracing on, each
-	// sampled item's span gets its transport hop and is parked in the
-	// datapath's span mailboxes around the inline Process call so cache
-	// hops land on it; the slot is cleared before the batch returns.
-	var consume func(dp *switchsim.Datapath, items []pumpItem)
-	if f.tr != nil {
-		consume = func(dp *switchsim.Datapath, items []pumpItem) {
-			for j := range items {
-				if sp := items[j].Span; sp.Live() {
-					sp.Hop(obs.HopTransport, obs.OutcomeOK, uint64(len(items)))
-					dp.SetTraceSpan(sp)
-					dp.Process(&items[j].Rec)
-					dp.SetTraceSpan(obs.SpanRef{})
-				} else {
-					dp.Process(&items[j].Rec)
-				}
-			}
+	f.pump = shard.NewWorkersObs(len(f.ids), batch, tm, func(i int, items []pumpItem) {
+		var t0 time.Time
+		if o != nil {
+			t0 = time.Now()
 		}
-	} else {
-		consume = func(dp *switchsim.Datapath, items []pumpItem) {
-			for j := range items {
-				dp.Process(&items[j].Rec)
-			}
+		dp := f.dp(i)
+		for j := range items {
+			consume(dp, &items[j].Rec, items[j].Span, len(items))
 		}
-	}
-	if o := f.obs; o != nil {
-		f.pump = shard.NewWorkersObs(len(f.ids), batch, o.tm, func(i int, items []pumpItem) {
-			t0 := time.Now()
-			dp := dps[i]
-			consume(dp, items)
+		if o != nil {
 			o.swNs[i].Record(uint64(time.Since(t0)))
 			dp.PublishMetrics()
-		})
-		o.pump.Store(f.pump)
-		return
-	}
-	f.pump = shard.NewWorkers(len(f.ids), batch, func(i int, items []pumpItem) {
-		consume(dps[i], items)
+		}
 	})
+	if o != nil {
+		o.pump.Store(f.pump)
+	}
 }
 
-// feed routes one record into the pump's batches (copying it), counting
-// unrouted switch IDs exactly like the serial Process path.
-func (f *Fabric) feed(rec *trace.Record) {
+// demux resolves the record's switch: the one place records are counted
+// (routed or unrouted) and sampled. It returns the switch's table row
+// (dp == nil for a switch ID outside the topology) and the route span it
+// began for a sampled record.
+func (f *Fabric) demux(rec *trace.Record) (swEntry, obs.SpanRef) {
 	sw := rec.QID.Switch()
-	if int(sw) >= len(f.widx) || f.widx[sw] < 0 {
+	if int(sw) >= len(f.table) || f.table[sw].dp == nil {
 		f.unrouted++
-		return
+		return swEntry{}, obs.SpanRef{}
 	}
 	f.packets++
+	e := f.table[sw]
 	var span obs.SpanRef
 	if f.trMask != obs.NoSample {
 		if key := compiler.FiveTupleKey(rec); key.Hash()&f.trMask == 0 {
-			span = f.tr.Begin(int(f.widx[sw]), key, obs.HopRoute, obs.OutcomeOK)
+			span = f.tr.Begin(int(e.idx), key, obs.HopRoute, obs.OutcomeOK)
 		}
 	}
-	f.pump.Feed(int(f.widx[sw]), pumpItem{Rec: *rec, Span: span})
+	return e, span
+}
+
+// consume lands one demuxed record on its switch — on the switch's pump
+// worker, or inline on the feeder (a batch of one). A sampled record's
+// span gets its transport hop (arg = the batch it travelled in) and is
+// parked in the datapath's span mailboxes around the Process call so the
+// cache hops land on it.
+func consume(dp *switchsim.Datapath, rec *trace.Record, span obs.SpanRef, batch int) {
+	if !span.Live() {
+		dp.Process(rec)
+		return
+	}
+	span.Hop(obs.HopTransport, obs.OutcomeOK, uint64(batch))
+	dp.SetTraceSpan(span)
+	dp.Process(rec)
+	dp.SetTraceSpan(obs.SpanRef{})
+}
+
+// Process routes one record to its owning switch's datapath: into the
+// pump when it is running (the record is copied), else inline on the
+// calling goroutine. Like Datapath.Process, the record's effect is
+// visible after Sync or Flush.
+func (f *Fabric) Process(rec *trace.Record) {
+	sw, span := f.demux(rec)
+	switch {
+	case sw.dp == nil:
+	case f.pump != nil:
+		f.pump.Feed(int(sw.idx), pumpItem{Rec: *rec, Span: span})
+	default:
+		consume(sw.dp, rec, span, 1)
+	}
 }
 
 // Feed processes a run of records without ending the window. When a
@@ -201,27 +218,19 @@ func (f *Fabric) feed(rec *trace.Record) {
 // barrier at a window boundary and EndFeed when the stream ends. Records
 // are copied before Feed returns.
 func (f *Fabric) Feed(recs []trace.Record) {
-	if f.serialPath() {
-		for i := range recs {
-			f.Process(&recs[i])
-		}
-		f.publishFab()
-		return
-	}
-	if f.pump == nil {
+	if f.pump == nil && !f.serialPath() {
 		f.startPump()
 	}
-	if o := f.obs; o != nil {
-		t0 := time.Now()
-		for i := range recs {
-			f.feed(&recs[i])
-		}
-		o.demuxNs.Record(uint64(time.Since(t0)))
-		f.publishFab()
-		return
+	var t0 time.Time
+	if f.obs != nil {
+		t0 = time.Now()
 	}
 	for i := range recs {
-		f.feed(&recs[i])
+		f.Process(&recs[i])
+	}
+	if f.obs != nil {
+		f.obs.demuxNs.Record(uint64(time.Since(t0)))
+		f.publishFab()
 	}
 }
 
@@ -232,6 +241,16 @@ func (f *Fabric) Sync() {
 	if f.pump != nil {
 		f.pump.Barrier()
 		f.journal.Append(obs.EvBarrier, int64(f.packets), int64(len(f.ids)), "fabric-pump")
+	}
+	f.settle()
+}
+
+// settle has every switch apply what it holds staged (the caller owns
+// them all: no live pump, or just past its barrier) and refreshes the
+// fabric's mirrors.
+func (f *Fabric) settle() {
+	for i := range f.ids {
+		f.dp(i).Sync()
 	}
 	f.publishFab()
 }
@@ -245,8 +264,8 @@ func (f *Fabric) EndFeed() {
 		if f.obs != nil {
 			f.obs.pump.Store(nil)
 		}
-		f.publishFab()
 	}
+	f.settle()
 }
 
 // CloseWindow ends the current measurement window network-wide: it
@@ -279,14 +298,14 @@ func (f *Fabric) CloseWindow(carry bool) (map[string]*exec.Table, []switchsim.Ac
 		// since the previous boundary, summed across switches) — the
 		// within-switch temporal stability metric; the spatial merge has
 		// no per-window notion of its own.
-		for _, id := range f.ids {
-			wv, wt := f.dps[id].WindowAccuracy(i)
+		for s := range f.ids {
+			wv, wt := f.dp(s).WindowAccuracy(i)
 			acc[i].WinValid += wv
 			acc[i].WinTotal += wt
 		}
 	}
-	for _, id := range f.ids {
-		dp := f.dps[id]
+	for s := range f.ids {
+		dp := f.dp(s)
 		if carry {
 			dp.BeginWindow()
 		} else {
@@ -323,7 +342,8 @@ func New(plan *compiler.Plan, t *topo.Topology, cfg Config) (*Fabric, error) {
 	swCfg.Geometry = cfg.Switch.Geometry.Split(len(ids))
 	f := &Fabric{
 		plan: plan, topo: t, cfg: cfg, swGeo: swCfg.Geometry,
-		ids: ids, dps: make(map[uint16]*switchsim.Datapath, len(ids)),
+		ids:     ids,
+		table:   make([]swEntry, int(slices.Max(ids))+1),
 		tr:      cfg.Switch.Trace,
 		trMask:  cfg.Switch.Trace.HashMask(),
 		journal: cfg.Switch.Journal,
@@ -335,7 +355,7 @@ func New(plan *compiler.Plan, t *topo.Topology, cfg Config) (*Fabric, error) {
 		}
 		f.obs = newFabObs(cfg.Switch.Metrics, cfg.Switch.MetricsLabels, names)
 	}
-	for _, id := range ids {
+	for i, id := range ids {
 		// Each switch's datapath registers its families under its own
 		// switch label — the /debug/perfq per-switch drill-down.
 		if swCfg.Metrics != nil {
@@ -346,22 +366,7 @@ func New(plan *compiler.Plan, t *topo.Topology, cfg Config) (*Fabric, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fabric: switch %d (%s): %w", id, t.SwitchName(id), err)
 		}
-		f.dps[id] = dp
-	}
-	maxID := ids[0]
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	f.route = make([]*switchsim.Datapath, int(maxID)+1)
-	f.widx = make([]int32, int(maxID)+1)
-	for i := range f.widx {
-		f.widx[i] = -1
-	}
-	for i, id := range ids {
-		f.route[id] = f.dps[id]
-		f.widx[id] = int32(i)
+		f.table[id] = swEntry{dp: dp, idx: int32(i)}
 	}
 	return f, nil
 }
@@ -373,7 +378,12 @@ func (f *Fabric) Switches() []uint16 { return f.ids }
 func (f *Fabric) SwitchName(sw uint16) string { return f.topo.SwitchName(sw) }
 
 // Datapath returns the datapath deployed on a switch (nil if unknown).
-func (f *Fabric) Datapath(sw uint16) *switchsim.Datapath { return f.dps[sw] }
+func (f *Fabric) Datapath(sw uint16) *switchsim.Datapath {
+	if int(sw) >= len(f.table) {
+		return nil
+	}
+	return f.table[sw].dp
+}
 
 // SwitchGeometry returns the cache slice each switch actually received —
 // the configured total after Split, which rounds bucket counts down to a
@@ -387,18 +397,6 @@ func (f *Fabric) Packets() uint64 { return f.packets }
 // Unrouted returns how many records carried a switch ID absent from the
 // topology (skipped; a trace/topology mismatch).
 func (f *Fabric) Unrouted() uint64 { return f.unrouted }
-
-// Process routes one record to its owning switch's datapath, inline on
-// the calling goroutine.
-func (f *Fabric) Process(rec *trace.Record) {
-	sw := rec.QID.Switch()
-	if int(sw) >= len(f.route) || f.route[sw] == nil {
-		f.unrouted++
-		return
-	}
-	f.packets++
-	f.route[sw].Process(rec)
-}
 
 // Run streams a whole source through Feed and flushes every switch, so
 // slice, file and live sources all take the path Feed picks: when a
@@ -428,8 +426,8 @@ func (f *Fabric) Run(src trace.Source) error {
 // Flush evicts every switch's cache-resident entries into its backing
 // stores and invalidates any memoized collector state.
 func (f *Fabric) Flush() {
-	for _, id := range f.ids {
-		f.dps[id].Flush()
+	for i := range f.ids {
+		f.dp(i).Flush()
 	}
 	f.netTabs, f.netAcc = nil, nil
 	f.publishFab()
@@ -440,8 +438,8 @@ func (f *Fabric) Flush() {
 // collector use, so their float arithmetic associates identically.
 func (f *Fabric) sources() []switchSource {
 	srcs := make([]switchSource, len(f.ids))
-	for i, id := range f.ids {
-		srcs[i] = f.dps[id]
+	for i := range f.ids {
+		srcs[i] = f.dp(i)
 	}
 	return srcs
 }
@@ -477,8 +475,8 @@ func (f *Fabric) Collect() (map[string]*exec.Table, error) {
 // — the per-switch view of the query (downstream stages evaluated over
 // that switch's tables).
 func (f *Fabric) SwitchTables(sw uint16) (map[string]*exec.Table, error) {
-	dp, ok := f.dps[sw]
-	if !ok {
+	dp := f.Datapath(sw)
+	if dp == nil {
 		return nil, fmt.Errorf("fabric: unknown switch %d", sw)
 	}
 	return dp.Collect()
@@ -497,8 +495,8 @@ func (f *Fabric) Accuracy(i int) (valid, total int) {
 // Stats sums per-program cache statistics across all switches.
 func (f *Fabric) Stats() []kvstore.Stats {
 	out := make([]kvstore.Stats, len(f.plan.Programs))
-	for _, id := range f.ids {
-		for i, s := range f.dps[id].Stats() {
+	for sw := range f.ids {
+		for i, s := range f.dp(sw).Stats() {
 			out[i] = out[i].Add(s)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 type fabObs struct {
 	packets  *obs.Counter // stripe 0: feeder-owned mirror of f.packets
 	unrouted *obs.Counter
-	demuxNs  obs.Hist   // wall time demuxing one fed batch into rings
+	demuxNs  obs.Hist   // feeder wall time of one fed batch
 	mergeNs  obs.Hist   // wall time of one network-wide reconciliation
 	swNs     []obs.Hist // per pump worker: batch processing wall time
 	tm       *obs.TransportMetrics
@@ -43,7 +43,7 @@ func newFabObs(reg *obs.Registry, labels string, switchNames []string) *fabObs {
 	reg.CounterVal("perfq_fabric_unrouted_total",
 		"Records whose switch ID is absent from the topology", labels, o.unrouted)
 	reg.HistVal("perfq_fabric_demux_ns",
-		"Wall time demultiplexing one fed batch across switch rings, nanoseconds",
+		"Feeder wall time of one fed batch: the demux into the switch rings, plus inline application on the serial path, nanoseconds",
 		labels, &o.demuxNs)
 	reg.HistVal("perfq_fabric_merge_ns",
 		"Wall time of one network-wide collector reconciliation, nanoseconds",

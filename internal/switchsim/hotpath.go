@@ -9,21 +9,21 @@ import (
 	"perfq/internal/trace"
 )
 
-// This file holds the datapath's per-record hot path: plan-wide compiled
-// metadata built once in New (hotPath) and the per-shard scratch that
-// keeps the steady-state loop allocation-free (see shardState.process in
-// switchsim.go). Three properties matter:
+// This file holds what the block loop (processBlock in blockpath.go)
+// runs on: plan-wide compiled metadata built once in New (hotPath) and
+// the per-shard scratch that keeps the steady-state loop
+// allocation-free. Three properties matter:
 //
 //   - No IR tree-walking: WHERE predicates, SELECT columns and fold
 //     bodies run as fold bytecode (compiled by the plan compiler; the
 //     tree interpreter remains only as a fallback for codes the VM
 //     cannot hold).
-//   - One field extraction per record: the union of raw fields every
-//     compiled code and key spec reads is extracted once into a dense
-//     vector; bytecode field reads and key packing index it directly.
+//   - One field extraction pass per field per block: the union of raw
+//     fields every compiled code reads is extracted into a field-major
+//     block that vectorized bytecode indexes directly.
 //   - One key computation per distinct GROUPBY key: programs sharing a
 //     key spec form a key group whose packed key is computed lazily, at
-//     most once per record.
+//     most once per (group, lane).
 
 // selectHot is one select-over-T stage, compiled.
 type selectHot struct {
@@ -39,7 +39,9 @@ type keyGroup struct {
 	fiveTuple bool // pack with compiler.FiveTupleKey inline
 }
 
-// progHot is one switch program's per-record metadata.
+// progHot is one switch program's per-record metadata. A record enters
+// the program's store if any member's guard admits it — the match half
+// of the match-action entry.
 type progHot struct {
 	sp     *compiler.SwitchProgram
 	wheres []*fold.Code // compiled member guards, aligned with sp.Members
@@ -47,43 +49,18 @@ type progHot struct {
 	always bool         // some member is unguarded: every record matches
 }
 
-// matches reports whether any member's guard admits the record — the
-// match half of the match-action entry.
-func (ph *progHot) matches(in *fold.Input) bool {
-	if ph.always {
-		return true
-	}
-	for i, w := range ph.wheres {
-		if w != nil {
-			if w.EvalBool(in, nil) {
-				return true
-			}
-			continue
-		}
-		if p := ph.sp.Members[i].Where; p != nil {
-			if fold.EvalPred(p, in, nil) {
-				return true
-			}
-			continue
-		}
-		return true // unguarded member admits everything
-	}
-	return false
-}
-
-// hotPath is the compiled per-record schedule, shared read-only by every
+// hotPath is the compiled per-block schedule, shared read-only by every
 // shard.
 type hotPath struct {
 	fields  []trace.FieldID // dense-extraction list (plan-wide union)
 	selects []selectHot
 	groups  []keyGroup
 	progs   []progHot
-	selBit  uint64 // mask bit of the select-over-T targets
 }
 
 // newHotPath builds the schedule for a compiled plan.
 func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) *hotPath {
-	hp := &hotPath{selBit: 1 << uint(len(plan.Programs))}
+	hp := &hotPath{}
 	var mask uint32
 	codeMask := func(c *fold.Code) {
 		if c != nil {
@@ -140,7 +117,7 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) *hotPath {
 
 // routing builds the shard routing config: one key extractor per distinct
 // key group, with every program mapped onto its group's entry.
-func (hp *hotPath) routing(shards, batch int) shard.Config {
+func (hp *hotPath) routing(shards int) shard.Config {
 	keys := make([]shard.KeyFunc, len(hp.groups))
 	for g := range hp.groups {
 		keys[g] = hp.groups[g].spec.Of
@@ -151,11 +128,10 @@ func (hp *hotPath) routing(shards, batch int) shard.Config {
 	}
 	var freeMask uint64
 	if len(hp.selects) > 0 {
-		freeMask = hp.selBit
+		freeMask = 1 << uint(len(hp.progs)) // the selects' shared target, one bit past the programs'
 	}
 	return shard.Config{
 		Shards:   shards,
-		Batch:    batch,
 		Keys:     keys,
 		Targets:  targets,
 		FreeMask: freeMask,
@@ -163,21 +139,20 @@ func (hp *hotPath) routing(shards, batch int) shard.Config {
 }
 
 // shardScratch is the per-shard mutable hot-path state. Everything here
-// exists so the steady-state per-record path performs zero heap
-// allocations: the Input (with its dense field vector) is reused across
-// records, key packing scratch lives per group, and select rows /
-// key-component copies are carved from a chunked slab. The blk/bregs/
-// gkeys/gmask quartet is the columnar-path equivalent: a field-major
-// block, the block register file, and per-group packed keys with a
-// computed-lanes mask.
+// exists so the steady-state block loop performs zero heap allocations:
+// a field-major block and the block register file, per-target owned-lane
+// masks, per-group packed keys with a computed-lanes mask, the
+// record-major Input (with its dense field vector) that sparse SELECT
+// column evaluation gathers a lane into, and a chunked slab that select
+// rows / key-component copies are carved from.
 type shardScratch struct {
 	in     fold.Input
 	fields [trace.NumFields]float64
-	keys   []packet.Key128 // per key group
 	slab   floatSlab
 
 	blk   fold.InputBlock
 	bregs fold.BlockRegs
+	own   []uint64                        // per routing target: lanes this shard owns this block
 	gkeys [][fold.BlockSize]packet.Key128 // per key group, per lane
 	gmask []uint64                        // per key group: lanes packed this block
 
@@ -193,7 +168,7 @@ func (sc *shardScratch) init(hp *hotPath) {
 	if hp.fields != nil {
 		sc.in.Fields = sc.fields[:]
 	}
-	sc.keys = make([]packet.Key128, len(hp.groups))
+	sc.own = make([]uint64, len(hp.progs)+1)
 	sc.gkeys = make([][fold.BlockSize]packet.Key128, len(hp.groups))
 	sc.gmask = make([]uint64, len(hp.groups))
 }

@@ -11,15 +11,15 @@ import (
 // Datapath instrumentation. The hot loop keeps its existing plain
 // (non-atomic) counters — d.packets, per-shard path counters, the
 // kvstore/backing stat structs — and this file mirrors them into
-// striped atomic cells at batch boundaries: every pubBlocks blocks on
-// the columnar path, after every consumed ring batch on the sharded
+// striped atomic cells at batch boundaries: every pubBlocks blocks of
+// an in-place Feed, after every consumed ring batch on the sharded
 // path (shard.Config.AfterBatch), and at every Feed/Sync/Flush/
 // CloseWindow edge. The scraper reads only the mirrors, so enabling
 // metrics adds zero work per record and the whole surface is clean
 // under -race.
 
-// pubBlocks is the mirror cadence of the columnar block path: one
-// publish per 256 blocks ≈ one per 16k records.
+// pubBlocks is the mirror cadence of a single-shard Feed: one publish
+// per 256 blocks ≈ one per 16k records.
 const pubBlocks = 256
 
 // progObs mirrors one program's cache + store counters, striped per
@@ -38,8 +38,8 @@ type progObs struct {
 // dpObs is one datapath's mirror set.
 type dpObs struct {
 	packets    *obs.Counter // stripe 0: feeder-owned
-	blockRecs  *obs.Counter // per shard: records through the block path
-	scalarRecs *obs.Counter // per shard: records through the scalar path
+	blockRecs  *obs.Counter // per shard: records the block loop has applied
+	stagedRecs *obs.Counter // per shard: of those, records that came through the staging copy
 	progs      []progObs
 
 	// pool mirrors the datapath's lazily-started worker pool for the
@@ -54,15 +54,15 @@ func newDpObs(reg *obs.Registry, labels string, nShards, nProgs int) *dpObs {
 	o := &dpObs{
 		packets:    obs.NewCounter(1),
 		blockRecs:  obs.NewCounter(nShards),
-		scalarRecs: obs.NewCounter(nShards),
+		stagedRecs: obs.NewCounter(nShards),
 		progs:      make([]progObs, nProgs),
 	}
 	reg.CounterVal("perfq_packets_total",
 		"Records processed by the datapath", labels, o.packets)
 	reg.CounterVal("perfq_path_block_records_total",
-		"Records processed by the columnar block path", labels, o.blockRecs)
-	reg.CounterVal("perfq_path_scalar_records_total",
-		"Records processed by the scalar (routed) path", labels, o.scalarRecs)
+		"Records applied by the block loop, once per owning shard (equals perfq_packets_total after a Sync while every program shares one GROUPBY key)", labels, o.blockRecs)
+	reg.CounterVal("perfq_path_staged_records_total",
+		"Records that reached the block loop through a shard's staging copy (block - staged = run in place by Feed)", labels, o.stagedRecs)
 	for p := range o.progs {
 		po := &o.progs[p]
 		pl := obs.JoinLabels(labels, `prog="`+strconv.Itoa(p)+`"`)
@@ -106,7 +106,7 @@ func (d *Datapath) publishShard(s int) {
 	}
 	sh := d.shards[s]
 	o.blockRecs.Store(s, sh.nBlockRecs)
-	o.scalarRecs.Store(s, sh.nScalarRecs)
+	o.stagedRecs.Store(s, sh.nStagedRecs)
 	for pi, ps := range sh.progs {
 		po := &o.progs[pi]
 		cs := ps.cache.Stats()

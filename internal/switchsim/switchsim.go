@@ -62,9 +62,6 @@ type Config struct {
 	// Shards is the number of parallel datapath shards; values < 2 run
 	// the serial single-owner datapath (exactly today's behavior).
 	Shards int
-	// ShardBatch overrides the records-per-batch granularity of the
-	// sharded router (0 selects shard.DefaultBatch). Exposed for tests.
-	ShardBatch int
 	// Metrics, when non-nil, registers this datapath's metric families
 	// (packets, path mix, per-program cache/store counters, transport)
 	// into the registry. The hot loop is untouched: plain counters are
@@ -98,18 +95,24 @@ type progState struct {
 
 // shardState is the per-shard slice of datapath state: one store
 // instance per switch program, the mirrored rows of select-over-T stages
-// this shard was assigned (selRows[i] parallels Datapath.selStgs), and
-// the reused per-record scratch that keeps the hot loop allocation-free.
+// this shard was assigned (selRows[i] parallels Datapath.selStgs), the
+// reused scratch that keeps the block loop allocation-free, and the
+// staging block record-at-a-time entries fill (see stageRec).
 type shardState struct {
 	progs   []*progState
 	selRows [][][]float64
 	scratch shardScratch
 
+	// Staged records and their routing masks, not yet applied.
+	stage     [fold.BlockSize]trace.Record
+	stageMask [fold.BlockSize]uint64
+	nStage    int
+
 	// Plain path-mix counters, owned by the shard's processing
 	// goroutine and mirrored by publishShard at batch boundaries.
-	nBlockRecs  uint64
-	nScalarRecs uint64
-	sincePub    int // blocks since the last periodic publish
+	nBlockRecs  uint64 // records the block loop has applied
+	nStagedRecs uint64 // of those, records that arrived through the staging copy
+	sincePub    int    // blocks since the last periodic publish
 }
 
 // Datapath executes a plan's switch-resident stages.
@@ -119,10 +122,10 @@ type Datapath struct {
 	shards  []*shardState
 	selStgs []*compiler.Stage // select-over-T stages, in plan order
 	routing shard.Config
-	router  *shard.Router // inline Process/Feed path's router (the pool owns its own)
+	router  *shard.Router // the inline path's router (the pool owns its own)
 	pool    *shard.Pool   // Feed's lazily started sharded worker pool
 	packets uint64
-	masks   []uint64 // scratch per-shard masks for the inline Process path
+	masks   []uint64 // scratch per-shard masks for the inline path
 
 	accBuf []Acc         // CloseWindow's reused accuracy snapshot (borrowed by callers)
 	tscr   tablesScratch // Tables' reused materialization scratch
@@ -213,7 +216,7 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 
 	d.tr = cfg.Trace
 	d.journal = cfg.Journal
-	d.routing = d.hot.routing(n, cfg.ShardBatch)
+	d.routing = d.hot.routing(n)
 	if cfg.Trace != nil {
 		d.routing.Trace = cfg.Trace
 		slots := make([]*obs.SpanSlot, n)
@@ -247,117 +250,42 @@ func (d *Datapath) Shards() int { return len(d.shards) }
 // Packets returns how many records the datapath has processed.
 func (d *Datapath) Packets() uint64 { return d.packets }
 
-// process applies one routed record to the targets this shard owns.
-// all bypasses the mask (the serial datapath owns every target, and
-// masks cannot represent plans beyond shard.MaxTargets programs).
-//
-// This is the datapath's innermost loop — the software stand-in for the
-// paper's one-update-per-clock pipeline stage — and it is allocation-free
-// in the steady state: the Input and its dense field vector are per-shard
-// scratch, WHERE/SELECT/fold execution is flat bytecode, each distinct
-// GROUPBY key is packed at most once per record, and the rows it does
-// retain (mirrored SELECT output, digest-key component values) come from
-// a chunked slab.
-func (sh *shardState) process(d *Datapath, rec *trace.Record, mask uint64, all bool) {
-	sh.nScalarRecs++
-	hp := d.hot
-	sc := &sh.scratch
-	sc.in.Rec = rec
-	for _, f := range hp.fields {
-		sc.fields[f] = float64(rec.Field(f))
-	}
-	in := &sc.in
-
-	// Mirror matching records for select-over-T stages.
-	if (all || mask&hp.selBit != 0) && len(hp.selects) > 0 {
-		for si := range hp.selects {
-			sel := &hp.selects[si]
-			if sel.where != nil {
-				if !sel.where.EvalBool(in, nil) {
-					continue
-				}
-			} else if sel.st.Where != nil && !fold.EvalPred(sel.st.Where, in, nil) {
-				continue
-			}
-			row := sc.slab.take(len(sel.st.Cols))
-			for i := range row {
-				if c := sel.cols[i]; c != nil {
-					row[i] = c.Eval(in, nil)
-				} else {
-					row[i] = fold.EvalExpr(sel.st.Cols[i], in, nil)
-				}
-			}
-			sh.selRows[si] = append(sh.selRows[si], row)
-		}
-	}
-
-	// Key-value store programs. A record enters a program's store if it
-	// matches any member's guard; the fused fold's internal guards keep
-	// per-member state exact. Programs sharing a GROUPBY key share one
-	// key computation (computed tracks which groups are packed).
-	var computed uint64
-	for pi := range hp.progs {
-		if !all && mask&(1<<uint(pi)) == 0 {
-			continue
-		}
-		ph := &hp.progs[pi]
-		if !ph.matches(in) {
-			continue
-		}
-		g := ph.group
-		if computed&(1<<uint(g)) == 0 {
-			if kg := &hp.groups[g]; kg.fiveTuple {
-				sc.keys[g] = compiler.FiveTupleKey(rec) // inlines
-			} else {
-				sc.keys[g] = kg.spec.Of(rec)
-			}
-			computed |= 1 << uint(g)
-		}
-		ps := sh.progs[pi]
-		inserted := ps.cache.Process(sc.keys[g], in)
-		if inserted && ps.keyVals != nil {
-			// Digest-mode keys are irreversible, so component values ride
-			// alongside. Recording only on insert keeps map traffic off
-			// the hit path entirely (the pre-existing version consulted
-			// the map once per packet); the containment check makes
-			// re-inserts after eviction idempotent so slab rows aren't
-			// duplicated.
-			key := sc.keys[g]
-			if _, ok := ps.keyVals[key]; !ok {
-				kg := &hp.groups[g]
-				var kv [8]float64
-				kg.spec.Values(rec, kv[:kg.nk])
-				ps.keyVals[key] = sc.slab.copyOf(kv[:kg.nk])
-			}
-		}
-	}
-}
-
-// Process applies one packet observation to every switch-resident stage,
-// on the calling goroutine. With Shards > 1 the record is routed to the
-// owning shards' state inline with the same mask computation the
-// parallel workers see (serial but shard-equivalent). It is the entry of
-// callers that own a datapath one record at a time (the fabric's demux);
-// anything holding a run of records should Feed it.
+// Process applies one packet observation to every switch-resident stage
+// — the record-at-a-time entry of callers that own a datapath one record
+// at a time (the fabric's demux); anything holding a run of records
+// should Feed it. The record is copied into the staging block of each
+// shard that owns a target for it (through the worker pool when one is
+// running, else inline with the same routing masks — serial but
+// shard-equivalent) and applied when that block fills: its effect is
+// visible after Sync or Flush, not necessarily on return.
 func (d *Datapath) Process(rec *trace.Record) {
 	d.packets++
-	if len(d.shards) == 1 {
-		d.shards[0].process(d, rec, 0, true)
-		return
-	}
-	d.router.Route(rec, d.masks)
-	for s, m := range d.masks {
-		if m != 0 {
-			d.shards[s].process(d, rec, m, false)
+	d.route(rec)
+}
+
+// route hands one record to the shards that own targets for it.
+func (d *Datapath) route(rec *trace.Record) {
+	switch {
+	case d.pool != nil:
+		d.pool.Feed(rec)
+	case len(d.shards) == 1:
+		d.shards[0].stageRec(d, rec, 0)
+	default:
+		d.router.Route(rec, d.masks)
+		for s, m := range d.masks {
+			if m != 0 {
+				d.shards[s].stageRec(d, rec, m)
+			}
 		}
 	}
 }
 
 // SetTraceSpan parks a span in every shard's trace mailbox — the hook an
-// upstream serial feeder (the fabric pump, whose demux does the
-// sampling) uses so inline Process calls land their cache hops on the
-// record's span. Call with the zero SpanRef to clear. Only meaningful
-// while the caller owns the datapath serially (no live worker pool).
+// upstream serial feeder (the fabric, whose demux does the sampling)
+// uses so the next Process call applies its record at once and lands
+// the cache hops on the record's span. Call with the zero SpanRef to
+// clear. Only meaningful while the caller owns the datapath serially
+// (no live worker pool).
 func (d *Datapath) SetTraceSpan(ref obs.SpanRef) {
 	for _, sh := range d.shards {
 		sh.scratch.spanSlot.Ref = ref
@@ -367,11 +295,8 @@ func (d *Datapath) SetTraceSpan(ref obs.SpanRef) {
 // serialFeed reports whether a sharded stream should skip the worker
 // pool and apply records inline through the router: with no second
 // processor the pool hop is pure overhead, and the inline path is
-// bit-identical (same routing masks, same per-shard arrival order). A
-// pool that is already running keeps the stream on it regardless.
-func (d *Datapath) serialFeed() bool {
-	return d.pool == nil && runtime.GOMAXPROCS(0) < 2
-}
+// bit-identical (same routing masks, same per-shard arrival order).
+func serialFeed() bool { return runtime.GOMAXPROCS(0) < 2 }
 
 // Run streams a whole source through Feed and flushes — so a slice, a
 // pqt file and a live source all take the path Feed picks: the columnar
@@ -392,87 +317,79 @@ func (d *Datapath) Run(src trace.Source) error {
 	return nil
 }
 
-// publishAll mirrors everything when the caller owns the datapath (no
-// live pool, or just past a barrier). Used at the synchronization
-// edges of every path.
-func (d *Datapath) publishAll() {
-	if d.obs != nil {
-		d.PublishMetrics()
+// settle applies every staged record and refreshes the metric mirrors
+// wholesale — the synchronization edge of every path. The caller must
+// own the whole datapath: no live pool, or just past a barrier.
+func (d *Datapath) settle() {
+	for _, sh := range d.shards {
+		sh.drain(d)
 	}
+	d.PublishMetrics()
 }
 
-// Flush evicts all cache-resident entries into the backing stores (end of
-// a measurement window, or the paper's periodic refresh).
+// Flush applies what is staged and evicts all cache-resident entries
+// into the backing stores (end of a measurement window, or the paper's
+// periodic refresh). It requires sole ownership of the caches: sharded
+// callers Sync first.
 func (d *Datapath) Flush() {
 	for _, sh := range d.shards {
+		sh.drain(d)
 		for _, ps := range sh.progs {
 			ps.cache.Flush()
 		}
 	}
-	// Flush already requires sole ownership of the caches (sharded
-	// callers sync first), so the mirrors can be refreshed wholesale.
-	d.publishAll()
+	d.PublishMetrics()
 }
 
 // Feed processes a run of records without ending the window — the
-// streaming half of the epoch runtime. With Shards > 1 (and a second
-// processor to run workers on) a persistent worker pool is started
-// lazily and records are hash-routed into it; call Sync to barrier at a
-// window boundary and EndFeed when the stream ends. Feed copies records
-// before returning, so callers may reuse recs.
+// streaming half of the epoch runtime. A single shard runs the slice
+// through the block loop in place, behind anything Process staged. With
+// Shards > 1 (and a second processor to run workers on) a persistent
+// worker pool is started lazily and records are hash-routed into it;
+// call Sync to barrier at a window boundary and EndFeed when the stream
+// ends. Feed copies what it retains before returning, so callers may
+// reuse recs.
 func (d *Datapath) Feed(recs []trace.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	d.packets += uint64(len(recs))
 	if len(d.shards) == 1 {
+		d.shards[0].drain(d)
 		d.shards[0].processBlocks(d, recs)
 		d.publishPackets()
 		return
 	}
-	if d.serialFeed() {
-		for i := range recs {
-			rec := &recs[i]
-			d.router.Route(rec, d.masks)
-			for s, m := range d.masks {
-				if m != 0 {
-					d.shards[s].process(d, rec, m, false)
-				}
-			}
-		}
-		d.publishPackets()
-		return
-	}
-	if d.pool == nil {
+	if d.pool == nil && !serialFeed() {
 		d.pool = shard.NewPool(d.routing, func(s int, rec *trace.Record, mask uint64) {
-			d.shards[s].process(d, rec, mask, false)
+			d.shards[s].stageRec(d, rec, mask)
 		})
 		if d.obs != nil {
 			d.obs.pool.Store(d.pool)
 		}
 	}
 	for i := range recs {
-		d.pool.Feed(&recs[i])
+		d.route(&recs[i])
 	}
 	d.publishPackets()
 }
 
-// Sync blocks until every record handed to Feed has been applied to its
-// shard's stores — the per-shard half of epoch-boundary alignment. A
-// no-op on the serial datapath, which applies records synchronously.
+// Sync blocks until every record handed to Feed or Process has been
+// applied to its shard's stores — the per-shard half of epoch-boundary
+// alignment: a barrier through the worker pool when one is running, then
+// whatever the shards still hold staged.
 func (d *Datapath) Sync() {
 	if d.pool != nil {
 		d.pool.Barrier()
 		d.journal.Append(obs.EvBarrier, int64(d.pool.Fed()), int64(len(d.shards)), "shard-pool")
 	}
-	// Past the barrier the feeder owns every shard's plain counters
-	// (happens-before via the barrier WaitGroup), so refresh the
-	// mirrors wholesale — the consistency point the scrape tests pin.
-	d.publishAll()
+	// Past the barrier the feeder owns every shard (happens-before via
+	// the barrier WaitGroup) — the consistency point the scrape tests pin.
+	d.settle()
 }
 
 // EndFeed stops the streaming worker pool (idempotent; a later Feed
-// restarts it). Outstanding records are drained first.
+// restarts it). Outstanding records are applied first.
 func (d *Datapath) EndFeed() {
 	if d.pool != nil {
 		d.pool.Close()
@@ -480,8 +397,8 @@ func (d *Datapath) EndFeed() {
 		if d.obs != nil {
 			d.obs.pool.Store(nil)
 		}
-		d.publishAll()
 	}
+	d.settle()
 }
 
 // Acc is a per-program accuracy snapshot at a window close. Valid/Total
@@ -532,7 +449,7 @@ func (d *Datapath) CloseWindow(carry bool) (map[string]*exec.Table, []Acc, error
 	}
 	// Re-publish after the boundary so the store-keys gauge reflects
 	// the reset rather than the pre-close state until the next batch.
-	d.publishAll()
+	d.PublishMetrics()
 	return tables, acc, nil
 }
 

@@ -1,10 +1,14 @@
 package switchsim
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"perfq/internal/backing"
 	"perfq/internal/compiler"
 	"perfq/internal/exec"
 	"perfq/internal/kvstore"
@@ -251,47 +255,145 @@ func TestEvictionObserver(t *testing.T) {
 	}
 }
 
-// TestProcessInlineShardedMatchesRun pins the "serial but
-// shard-equivalent" contract of the single-record Process path: driving
-// a sharded datapath record by record must produce the same tables as
-// streaming through Run's parallel workers.
+// TestProcessInlineShardedMatchesRun pins the contract of the
+// record-at-a-time entry: however a stream reaches a datapath — Run over
+// the whole source, Process record by record, or Process and Feed
+// interleaved in runs one short of, exactly, and one past the block
+// length (so staged records must drain before a Feed's slice runs) — on
+// workers or inline at GOMAXPROCS=1, every table, every program's cache
+// and store statistics and its accuracy are bit-identical, and the
+// tables equal exec ground truth. The plans cover what the block loop
+// does under routing masks: programs that group by different keys next
+// to a select-over-T (sparse, disjoint lane masks and the free-mask
+// bit), guarded programs (ownership AND-ed into the match mask), and a
+// digest-mode key (component values recorded on insert).
 func TestProcessInlineShardedMatchesRun(t *testing.T) {
-	plan := compilePlan(t, `R1 = SELECT COUNT GROUPBY 5tuple
-R2 = SELECT qid, tin WHERE proto == 6`)
+	plans := []struct{ name, src string }{
+		{"shared-key+select", `R1 = SELECT COUNT GROUPBY 5tuple
+R2 = SELECT qid, tin WHERE proto == 6`},
+		{"two-keys+select", `R1 = SELECT COUNT, SUM(pkt_len) GROUPBY srcip WHERE proto == 6
+R2 = SELECT COUNT GROUPBY 5tuple
+R3 = SELECT qid, tin WHERE pkt_len > 1400`},
+		{"digest-key", `R1 = SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip, srcport, dstport, proto, qid WHERE pkt_len > 100`},
+	}
 	recs := testTrace(t)
-	cfg := Config{Geometry: kvstore.SetAssociative(1<<10, 8), Shards: 4}
 
-	viaRun, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
+	type observed struct {
+		tables map[string]*exec.Table
+		stats  []kvstore.Stats
+		stores []backing.Stats
+		acc    [][2]int
 	}
-	if err := viaRun.Run(&trace.SliceSource{Records: recs}); err != nil {
-		t.Fatal(err)
-	}
-
-	inline, err := New(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		inline.Process(&recs[i])
-	}
-	inline.Flush()
-	if inline.Packets() != viaRun.Packets() || inline.Packets() != uint64(len(recs)) {
-		t.Fatalf("packets: inline %d, run %d, want %d", inline.Packets(), viaRun.Packets(), len(recs))
-	}
-
-	want, got := viaRun.Tables(), inline.Tables()
-	for name, wt := range want {
-		gt := got[name]
-		if gt == nil || len(gt.Rows) != len(wt.Rows) {
-			t.Fatalf("table %s: inline rows %v, run rows %d", name, gt, len(wt.Rows))
+	observe := func(dp *Datapath) observed {
+		o := observed{tables: dp.Tables(), stats: dp.Stats(), stores: dp.StoreStats()}
+		for i := range o.stats {
+			v, tot := dp.Accuracy(i)
+			o.acc = append(o.acc, [2]int{v, tot})
 		}
-		for i := range wt.Rows {
-			for j := range wt.Rows[i] {
-				if math.Float64bits(gt.Rows[i][j]) != math.Float64bits(wt.Rows[i][j]) {
-					t.Fatalf("table %s row %d col %d: %v != %v", name, i, j, gt.Rows[i][j], wt.Rows[i][j])
+		return o
+	}
+	requireTables := func(label string, got, want map[string]*exec.Table) {
+		t.Helper()
+		for name, gt := range got {
+			wt := want[name]
+			if wt == nil || len(gt.Rows) != len(wt.Rows) {
+				t.Fatalf("%s: table %s has %d rows, want %v", label, name, len(gt.Rows), wt)
+			}
+			for i := range wt.Rows {
+				for j := range wt.Rows[i] {
+					if math.Float64bits(gt.Rows[i][j]) != math.Float64bits(wt.Rows[i][j]) {
+						t.Fatalf("%s: table %s row %d col %d: %v != %v", label, name, i, j, gt.Rows[i][j], wt.Rows[i][j])
+					}
 				}
+			}
+		}
+	}
+
+	// interleave alternates Process and Feed in runs of k records.
+	interleave := func(k int) func(*Datapath) {
+		return func(dp *Datapath) {
+			for lo, byProcess := 0, true; lo < len(recs); lo, byProcess = lo+k, !byProcess {
+				run := recs[lo:min(lo+k, len(recs))]
+				if !byProcess {
+					dp.Feed(run)
+					continue
+				}
+				for i := range run {
+					dp.Process(&run[i])
+				}
+			}
+			dp.EndFeed()
+			dp.Flush()
+		}
+	}
+	entries := []struct {
+		name  string
+		drive func(*Datapath)
+	}{
+		{"run", func(dp *Datapath) {
+			if err := dp.Run(&trace.SliceSource{Records: recs}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"process", func(dp *Datapath) {
+			for i := range recs {
+				dp.Process(&recs[i])
+			}
+			dp.Flush()
+		}},
+		{"interleave1", interleave(1)},
+		{"interleave63", interleave(63)},
+		{"interleave64", interleave(64)},
+		{"interleave65", interleave(65)},
+	}
+
+	for _, pl := range plans {
+		plan := compilePlan(t, pl.src)
+		if pl.name == "digest-key" && plan.Programs[0].Key.Packed {
+			t.Fatalf("%s: key packs into 128 bits; the keyVals path would not run", pl.name)
+		}
+		truth, err := exec.Run(plan, &trace.SliceSource{Records: recs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			var want *observed
+			for _, procs := range []int{4, 1} {
+				prev := runtime.GOMAXPROCS(procs)
+				for _, e := range entries {
+					label := fmt.Sprintf("%s/shards%d/procs%d/%s", pl.name, shards, procs, e.name)
+					dp, err := New(plan, Config{Geometry: kvstore.SetAssociative(1<<10, 8), Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.drive(dp)
+					if dp.Packets() != uint64(len(recs)) {
+						t.Fatalf("%s: %d packets, want %d", label, dp.Packets(), len(recs))
+					}
+					got := observe(dp)
+					if want == nil {
+						// The reference of this layout: exact against ground
+						// truth (integer-coefficient linear folds merge
+						// exactly), and not vacuously so.
+						requireTables(label+" vs ground truth", got.tables, truth)
+						for i, st := range got.stats {
+							if st.Evictions == 0 {
+								t.Fatalf("%s: program %d never evicted; the merge path is not exercised", label, i)
+							}
+							if rows := len(truth[plan.Programs[i].Members[0].Name].Rows); got.acc[i] != [2]int{rows, rows} {
+								t.Fatalf("%s: program %d accuracy %v, ground truth has %d keys", label, i, got.acc[i], rows)
+							}
+						}
+						want = &got
+						continue
+					}
+					requireTables(label, got.tables, want.tables)
+					if !slices.Equal(got.stats, want.stats) || !slices.Equal(got.stores, want.stores) || !slices.Equal(got.acc, want.acc) {
+						t.Fatalf("%s: cache stats %+v, store stats %+v, accuracy %v\nwant %+v, %+v, %v",
+							label, got.stats, got.stores, got.acc, want.stats, want.stores, want.acc)
+					}
+				}
+				runtime.GOMAXPROCS(prev)
 			}
 		}
 	}

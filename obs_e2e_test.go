@@ -64,8 +64,9 @@ func TestObsScrapeWhileFeeding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Packets: every fed record, counted once, through exactly one of
-	// the two paths.
+	// Packets: every fed record, counted once, and every one of them
+	// applied by the block loop — on a sharded run, through its shard's
+	// staging copy.
 	packets, ok := m.Value("perfq_packets_total")
 	if !ok {
 		t.Fatal("perfq_packets_total not registered")
@@ -74,24 +75,27 @@ func TestObsScrapeWhileFeeding(t *testing.T) {
 		t.Errorf("perfq_packets_total = %.0f, fed %d records", packets, len(recs))
 	}
 	blockRecs, _ := m.Value("perfq_path_block_records_total")
-	scalarRecs, _ := m.Value("perfq_path_scalar_records_total")
-	if blockRecs+scalarRecs != packets {
-		t.Errorf("path split %0.f block + %.0f scalar != %.0f packets",
-			blockRecs, scalarRecs, packets)
+	stagedRecs, ok := m.Value("perfq_path_staged_records_total")
+	if !ok {
+		t.Fatal("perfq_path_staged_records_total not registered")
+	}
+	if blockRecs != packets || stagedRecs != packets {
+		t.Errorf("sharded run: %.0f block, %.0f staged records, want both = %.0f packets",
+			blockRecs, stagedRecs, packets)
 	}
 
-	// Path attribution: the same records as a pqt file on one shard reach
-	// the columnar block path through the batch pull — not one record
-	// takes the scalar twin, and the scrape says so.
+	// Path attribution: the same records as a pqt file on one shard run
+	// through the block loop in place, straight from the batch pull — not
+	// one record is copied into staging, and the scrape says so.
 	fm := NewMetrics()
 	if _, err := q.Run(pqtSource(t, recs), WithCache(256, 8), WithMetrics(fm)); err != nil {
 		t.Fatal(err)
 	}
 	fileBlock, _ := fm.Value("perfq_path_block_records_total")
-	fileScalar, _ := fm.Value("perfq_path_scalar_records_total")
-	if fileBlock != float64(len(recs)) || fileScalar != 0 {
-		t.Errorf("file-sourced serial run: %.0f block + %.0f scalar records, want %d + 0",
-			fileBlock, fileScalar, len(recs))
+	fileStaged, _ := fm.Value("perfq_path_staged_records_total")
+	if fileBlock != float64(len(recs)) || fileStaged != 0 {
+		t.Errorf("file-sourced serial run: %.0f block, %.0f staged records, want %d and 0",
+			fileBlock, fileStaged, len(recs))
 	}
 
 	// Evictions: the mirror is the same cumulative kvstore counter the

@@ -280,6 +280,34 @@ func WithBackingPool(p *BackingPool) RunOption {
 	}
 }
 
+// engine is what the facade drives: a deployed query that takes a record
+// stream (whole, or window by window) and reports tables, cache
+// statistics and accuracy. *switchsim.Datapath is the single-switch
+// engine, *fabric.Fabric the network-wide one.
+type engine interface {
+	window.Runner
+	Run(src trace.Source) error
+	Collect() (map[string]*exec.Table, error)
+	Stats() []kvstore.Stats
+	Accuracy(i int) (valid, total int)
+}
+
+// deploy builds the engine the run options describe.
+func (q *Query) deploy(cfg *runConfig) (engine, error) {
+	if cfg.topo != nil {
+		fab, err := fabric.New(q.plan, cfg.topo, fabric.Config{Switch: cfg.sw})
+		if err != nil {
+			return nil, err
+		}
+		return fab, nil
+	}
+	dp, err := switchsim.New(q.plan, cfg.sw)
+	if err != nil {
+		return nil, err
+	}
+	return dp, nil
+}
+
 // Run executes the query on the full co-designed datapath: switch-stage
 // aggregations run through the cache + backing-store pipeline, downstream
 // stages on the collector. It returns every stage's table.
@@ -292,69 +320,45 @@ func (q *Query) Run(src Source, opts ...RunOption) (*Results, error) {
 	if cfg.win != nil {
 		return q.stream(src, &cfg, nil)
 	}
-	if cfg.topo != nil {
-		return q.runFabric(src, &cfg)
-	}
-	dp, err := switchsim.New(q.plan, cfg.sw)
+	eng, err := q.deploy(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := dp.Run(src); err != nil {
+	if err := eng.Run(src); err != nil {
 		return nil, err
 	}
-	tables, err := dp.Collect()
+	tables, err := eng.Collect()
 	if err != nil {
 		return nil, err
 	}
-	stats := dp.Stats()
-	var evictions, flushed uint64
-	for _, s := range stats {
-		evictions += s.Evictions
-		flushed += s.Flushed
-	}
-	r := &Results{tables: tables, q: q, Evictions: evictions, Flushed: flushed}
-	r.setAccuracy(dp.Accuracy)
+	r := &Results{q: q, tables: tables}
+	r.setTotals(eng, eng.Accuracy)
 	return r, nil
 }
 
-// setAccuracy fills the per-program accuracy list from a per-program
-// (valid, total) reader and its summed ValidKeys/TotalKeys headline.
-// Plans with no switch program report 1/1 (nothing can be invalid).
-func (r *Results) setAccuracy(read func(i int) (valid, total int)) {
+// setTotals fills the whole-run totals from the engine a run drove: the
+// eviction and flush counts (cumulative across windows), the fabric
+// handle behind the per-switch accessors, and the per-program accuracy
+// list with its summed ValidKeys/TotalKeys headline, read through acc.
+// Plans with no switch program, and runs with nothing to read accuracy
+// from (acc == nil), report 1/1: nothing can be invalid.
+func (r *Results) setTotals(eng engine, acc func(i int) (valid, total int)) {
+	for _, s := range eng.Stats() {
+		r.Evictions += s.Evictions
+		r.Flushed += s.Flushed
+	}
+	r.fab, _ = eng.(*fabric.Fabric)
 	n := len(r.q.plan.Programs)
-	if n == 0 {
+	if n == 0 || acc == nil {
 		r.ValidKeys, r.TotalKeys = 1, 1
 		return
 	}
 	r.accs = make([]switchsim.Acc, n)
 	for i := range r.accs {
-		r.accs[i].Valid, r.accs[i].Total = read(i)
+		r.accs[i].Valid, r.accs[i].Total = acc(i)
 		r.ValidKeys += r.accs[i].Valid
 		r.TotalKeys += r.accs[i].Total
 	}
-}
-
-// runFabric executes the query across a whole topology (WithFabric).
-func (q *Query) runFabric(src Source, cfg *runConfig) (*Results, error) {
-	fab, err := fabric.New(q.plan, cfg.topo, fabric.Config{Switch: cfg.sw})
-	if err != nil {
-		return nil, err
-	}
-	if err := fab.Run(src); err != nil {
-		return nil, err
-	}
-	tables, err := fab.Collect()
-	if err != nil {
-		return nil, err
-	}
-	var evictions, flushed uint64
-	for _, s := range fab.Stats() {
-		evictions += s.Evictions
-		flushed += s.Flushed
-	}
-	r := &Results{tables: tables, q: q, fab: fab, Evictions: evictions, Flushed: flushed}
-	r.setAccuracy(fab.Accuracy)
-	return r, nil
 }
 
 // WindowResult is one closed measurement window of a windowed run: its
@@ -464,36 +468,22 @@ func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) erro
 		wm.Register(cfg.metrics, "")
 		spec.Obs = wm
 	}
-	var (
-		runner window.Runner
-		stats  func() []kvstore.Stats
-		fab    *fabric.Fabric
-	)
-	if cfg.topo != nil {
-		f, err := fabric.New(q.plan, cfg.topo, fabric.Config{Switch: cfg.sw})
-		if err != nil {
-			return nil, err
-		}
-		runner, stats, fab = f, f.Stats, f
-	} else {
-		dp, err := switchsim.New(q.plan, cfg.sw)
-		if err != nil {
-			return nil, err
-		}
-		runner, stats = dp, dp.Stats
+	eng, err := q.deploy(cfg)
+	if err != nil {
+		return nil, err
 	}
 	evictions := func() uint64 {
 		var n uint64
-		for _, s := range stats() {
+		for _, s := range eng.Stats() {
 			n += s.Evictions
 		}
 		return n
 	}
 
-	res := &Results{q: q, fab: fab, windows: window.NewRing[*WindowResult](cfg.win.Keep)}
+	res := &Results{q: q, windows: window.NewRing[*WindowResult](cfg.win.Keep)}
 	var prevEv uint64
 	var prevDropped int64
-	_, err := window.Stream(src, spec, runner, func(wr *window.Result) error {
+	_, err = window.Stream(src, spec, eng, func(wr *window.Result) error {
 		ev := evictions()
 		out := &WindowResult{
 			Index:     wr.Index,
@@ -538,11 +528,11 @@ func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) erro
 	if err != nil {
 		return nil, err
 	}
-	res.Evictions = evictions()
 	if last, ok := res.windows.Last(); ok {
+		// The stores may have been reset by the final close; the last
+		// window's snapshot is the run's accuracy.
 		res.tables = last.tables
-		res.ValidKeys, res.TotalKeys = last.ValidKeys, last.TotalKeys
-		res.accs = last.accs
+		res.setTotals(eng, last.Accuracy)
 	} else {
 		// Zero windows closed (empty source). Keep Run's contract: every
 		// declared stage materializes, as an empty table.
@@ -550,7 +540,7 @@ func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) erro
 		for _, st := range q.plan.Stages {
 			res.tables[st.Name] = &exec.Table{Schema: st.Schema}
 		}
-		res.ValidKeys, res.TotalKeys = 1, 1
+		res.setTotals(eng, nil)
 	}
 	return res, nil
 }

@@ -3,9 +3,11 @@ package perfq
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"perfq/internal/kvstore"
 	"perfq/internal/queries"
 )
 
@@ -156,5 +158,57 @@ R2 = SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == 6
 	// Out-of-range probes stay benign.
 	if v, tot := res.Accuracy(99); v != 1 || tot != 1 {
 		t.Errorf("Accuracy(99) = %d/%d, want 1/1", v, tot)
+	}
+}
+
+// TestEvictionTotalsMatchObserver pins the Evictions/Flushed contract:
+// their sum is the eviction stream an OnEvict observer saw, whichever
+// driver ran the query — run-to-completion, windowed Run, Stream — on one
+// datapath or across a fabric. (Windowed runs used to report Flushed = 0:
+// every window close flushes, and none was counted.)
+func TestEvictionTotalsMatchObserver(t *testing.T) {
+	forceProcs(t) // the fabric's observers fire from its pump workers
+	q := MustCompile("SELECT COUNT GROUPBY 5tuple")
+	tp := equivFabric()
+	layouts := []struct {
+		name string
+		recs []Record
+		opts []RunOption
+	}{
+		{"datapath", churnTrace(t), []RunOption{WithCache(256, 8)}},
+		{"fabric", fabricTrace(t, tp, 200), []RunOption{WithCache(256, 8), WithFabric(tp)}},
+	}
+	for _, lay := range layouts {
+		window := WithWindow(WindowSpec{Count: int64(len(lay.recs) / 3)})
+		drivers := []struct {
+			name string
+			run  func(opts []RunOption) (*Results, error)
+		}{
+			{"Run", func(opts []RunOption) (*Results, error) { return q.Run(Records(lay.recs), opts...) }},
+			{"Run(WithWindow)", func(opts []RunOption) (*Results, error) {
+				return q.Run(Records(lay.recs), append(opts, window)...)
+			}},
+			{"Stream", func(opts []RunOption) (*Results, error) {
+				return q.Stream(Records(lay.recs), func(*WindowResult) error { return nil }, append(opts, window)...)
+			}},
+		}
+		for _, d := range drivers {
+			var offered atomic.Uint64
+			observer := func(c *runConfig) {
+				c.sw.OnEvict = func(int, *kvstore.Eviction) { offered.Add(1) }
+			}
+			res, err := d.run(append([]RunOption{observer}, lay.opts...))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", lay.name, d.name, err)
+			}
+			if res.Evictions == 0 || res.Flushed == 0 {
+				t.Errorf("%s/%s: Evictions=%d Flushed=%d; the run must produce both kinds",
+					lay.name, d.name, res.Evictions, res.Flushed)
+			}
+			if got := res.Evictions + res.Flushed; got != offered.Load() {
+				t.Errorf("%s/%s: Evictions+Flushed = %d+%d = %d, the observer saw %d",
+					lay.name, d.name, res.Evictions, res.Flushed, got, offered.Load())
+			}
+		}
 	}
 }

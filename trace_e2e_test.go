@@ -35,6 +35,15 @@ func sampledKeysAtHop(t *testing.T, tr *obs.Tracer, ringSlots int, hop string, r
 	if n := tr.Begun(); n == 0 || n > uint64(ringSlots) {
 		t.Fatalf("tracer began %d spans; want 1..%d so no ring slot was recycled", n, ringSlots)
 	}
+	keys := keysAtHop(tr, hop)
+	if len(keys) == 0 {
+		t.Fatalf("no %s hops sampled; sampling rate too coarse for this trace", hop)
+	}
+	return keys
+}
+
+// keysAtHop returns the keys of the retained spans that recorded hop.
+func keysAtHop(tr *obs.Tracer, hop string) map[string]bool {
 	keys := make(map[string]bool)
 	for _, s := range tr.Spans() {
 		for _, h := range s.Hops {
@@ -43,9 +52,6 @@ func sampledKeysAtHop(t *testing.T, tr *obs.Tracer, ringSlots int, hop string, r
 				break
 			}
 		}
-	}
-	if len(keys) == 0 {
-		t.Fatalf("no %s hops sampled; sampling rate too coarse for this trace", hop)
 	}
 	return keys
 }
@@ -114,7 +120,7 @@ func TestTraceDeterministicSampling(t *testing.T) {
 	// key-based sampling needs the key universe to be dense relative to
 	// the rate for any key to pass.
 	const kFab = 2
-	fabricSet := func(serial bool) map[string]bool {
+	fabricSet := func(serial bool) (evict, route map[string]bool) {
 		tr := obs.NewTracer(kFab, perRing)
 		fab, err := fabric.New(q.Plan(), tp, fabric.Config{
 			Switch: switchsim.Config{
@@ -128,20 +134,25 @@ func TestTraceDeterministicSampling(t *testing.T) {
 		}
 		defer fab.EndFeed()
 		// Compare at the evict hop: evict spans always begin fresh with
-		// the cache's own key, so the set is key-space-pure in both pump
-		// layouts (in the parallel pump, cache hops ride the demux's
-		// five-tuple-keyed route spans).
-		return sampledKeysAtHop(t, tr, perRing, "evict", func() {
+		// the cache's own key, so the set is key-space-pure (cache hops
+		// ride the demux's five-tuple-keyed route spans) — and at the
+		// route hop, which the one demux begins in both pump layouts.
+		evict = sampledKeysAtHop(t, tr, perRing, "evict", func() {
 			if err := fab.Run(Records(frecs)); err != nil {
 				t.Fatal(err)
 			}
 		})
+		return evict, keysAtHop(tr, "route")
 	}
-	fabSerial := fabricSet(true)
-	fabParallel := fabricSet(false)
-	if !sameKeySet(fabSerial, fabParallel) {
+	serialEvict, serialRoute := fabricSet(true)
+	parallelEvict, parallelRoute := fabricSet(false)
+	if !sameKeySet(serialEvict, parallelEvict) {
 		t.Errorf("fabric serial sampled %d cache keys, parallel sampled %d — sets differ",
-			len(fabSerial), len(fabParallel))
+			len(serialEvict), len(parallelEvict))
+	}
+	if len(serialRoute) == 0 || !sameKeySet(serialRoute, parallelRoute) {
+		t.Errorf("fabric serial began route spans for %d keys, parallel for %d — want the same non-empty set",
+			len(serialRoute), len(parallelRoute))
 	}
 }
 
