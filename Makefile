@@ -16,7 +16,7 @@ SEED ?= 12
 E2E_OUT ?= .bench_build/e2e.json
 E2E_BASE ?= benchmark/results/BENCH_12.a.json
 
-.PHONY: all build test race loc fmt-check bench bench-json bench-check bench-compare bench-e2e profile vet figures clean
+.PHONY: all build test race loc fmt-check oracle-check bench bench-json bench-check bench-compare bench-e2e profile vet figures clean
 
 all: build test
 
@@ -112,6 +112,17 @@ vet:
 # gofmt cleanliness, nested benchmark module included. CI runs this.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l is not clean:"; echo "$$out"; exit 1; fi
+
+# The tree interpreter (internal/fold/eval.go) defines fold semantics,
+# folds constants at compile time (constfold.go) and is the oracle the
+# differential suites compare bytecode against — nothing else: behind the
+# packet path the bytecode VM is the only evaluator. Fails if any other
+# non-test Go file calls EvalExpr, EvalPred or Program.Update. CI runs
+# this.
+oracle-check:
+	@out="$$(grep -rnE 'EvalExpr\(|EvalPred\(|Prog\.Update\(' --include='*.go' *.go cmd examples internal benchmark \
+		| grep -v '_test\.go:' | grep -vE '^internal/fold/(eval|constfold)\.go:')"; \
+	if [ -n "$$out" ]; then echo "tree interpreter called outside eval.go/constfold.go:"; echo "$$out"; exit 1; fi
 
 # The paper's evaluation at CI scale.
 figures:

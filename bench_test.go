@@ -425,6 +425,9 @@ func BenchmarkCacheUpdateExactMerge(b *testing.B) {
 func BenchmarkBackingMerge(b *testing.B) {
 	lat := fold.Bin{Op: fold.OpSub, L: fold.FieldRef(trace.FieldTout), R: fold.FieldRef(trace.FieldTin)}
 	f := fold.Ewma(lat, 0.125)
+	if err := f.EnsureCompiled(); err != nil { // no cache in front to do it
+		b.Fatal(err)
+	}
 	store := backing.New(f)
 	rec := trace.Record{Tin: 5, Tout: 17}
 	ev := kvstore.Eviction{

@@ -1,0 +1,139 @@
+package perfq
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+)
+
+// The fold VM has 16 registers and nothing runs behind it, so an
+// expression that needs a 17th is a compile error. This file pins that
+// boundary at every site query text can put an expression: the deepest
+// shape that fits compiles, runs and matches ground truth (and is diffed
+// against the tree interpreter by TestFig2VMMatchesInterpreter); one level
+// deeper is rejected with the stage and the limit in the message.
+
+// nest returns term + (term + ( … leaf)) nested depth levels. Each level
+// parks its left operand one register up, so the shape needs depth+1
+// registers.
+func nest(term, leaf string, depth int) string {
+	return strings.Repeat("("+term+" + ", depth) + leaf + strings.Repeat(")", depth)
+}
+
+// limitSite is one place an expression reaches the VM from query text.
+// Output projections over state are not in the table: the compiler
+// generates them (a state word, or AVG's sum/count), so no query text
+// makes one deep; compiler.TestOutputProjectionOverLimit covers the site.
+type limitSite struct {
+	name  string
+	stage string // the stage a rejection must name
+	where string // and the site within it
+	limit int    // deepest nesting that fits the register file
+	query func(depth int) string
+}
+
+var limitSites = []limitSite{
+	{"built-in fold argument", "_1", "fold body", 14, func(d int) string {
+		// SUM(e) lowers to s = s + e: one register more than e alone.
+		return "SELECT srcip, SUM(" + nest("pkt_len", "tin", d) + ") GROUPBY srcip\n"
+	}},
+	{"user-defined fold body", "_1", "fold body", 15, func(d int) string {
+		return "def deep(acc, (pkt_len)):\n    acc = " + nest("pkt_len", "acc", d) + "\nSELECT srcip, deep GROUPBY srcip\n"
+	}},
+	{"WHERE over T", "_1", "WHERE", 15, func(d int) string {
+		return "SELECT COUNT GROUPBY srcip WHERE " + nest("pkt_len", "tin", d) + " > 0\n"
+	}},
+	{"select-over-T column", "_1", "column 2", 15, func(d int) string {
+		return "SELECT srcip, " + nest("pkt_len", "tin", d) + " AS x WHERE proto == 6\n"
+	}},
+	{"derived-stage WHERE", "R2", "WHERE", 15, func(d int) string {
+		return "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT * FROM R1 WHERE " + nest("count", "count", d) + " > 0\n"
+	}},
+	{"JOIN predicate", "R3", "WHERE", 15, func(d int) string {
+		return "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT COUNT GROUPBY srcip WHERE proto == 6\n" +
+			"R3 = SELECT R2.count / R1.count AS x FROM R1 JOIN R2 ON srcip WHERE " + nest("R1.count", "R2.count", d) + " > 0\n"
+	}},
+	{"JOIN column", "R3", "column 1", 15, func(d int) string {
+		return "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT COUNT GROUPBY srcip WHERE proto == 6\n" +
+			"R3 = SELECT " + nest("R1.count", "R2.count", d) + " AS x FROM R1 JOIN R2 ON srcip\n"
+	}},
+}
+
+func TestCompileRejectsOverLimit(t *testing.T) {
+	var recs []Record
+	src := DCTrace(7, 300*time.Millisecond)
+	for r := (Record{}); src.Next(&r) == nil; {
+		recs = append(recs, r)
+	}
+	if len(recs) < 500 {
+		t.Fatalf("short trace: %d records", len(recs))
+	}
+	for _, site := range limitSites {
+		t.Run(site.name, func(t *testing.T) {
+			_, err := Compile(site.query(site.limit + 1))
+			if err == nil {
+				t.Fatalf("depth %d compiled; want a rejection", site.limit+1)
+			}
+			for _, frag := range []string{"stage " + site.stage + ":", site.where + ":", "more than 16 registers"} {
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("error %q does not mention %q", err, frag)
+				}
+			}
+
+			q, err := Compile(site.query(site.limit))
+			if err != nil {
+				t.Fatalf("depth %d (the limit): %v", site.limit, err)
+			}
+			got, err := q.Run(Records(recs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth, err := q.GroundTruth(Records(recs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := allTables(truth)
+			if want[q.Results()[0]].Len() == 0 {
+				t.Fatal("ground truth is empty; the query does not exercise the deep expression")
+			}
+			for name, tab := range allTables(got) {
+				requireTablesIdentical(t, name, tab, want[name])
+			}
+		})
+	}
+}
+
+// sumOfTerms is a SUM over a flat n-term sum: a left-deep chain n nodes
+// tall that needs two registers however long it gets.
+func sumOfTerms(n int) string {
+	return "SELECT srcip, SUM(pkt_len" + strings.Repeat(" + tin", n-1) + ") GROUPBY srcip\n"
+}
+
+// TestCompileLinearInExpressionSize: compile time must grow with the
+// size of the query text, not its square (constant folding used to
+// re-scan the whole subtree at every node: 7.4 s for these 8000 terms).
+func TestCompileLinearInExpressionSize(t *testing.T) {
+	start := time.Now()
+	if _, err := Compile(sumOfTerms(8000)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 3*time.Second {
+		t.Errorf("8000-term SUM argument took %v to compile, want < 3s", took)
+	}
+}
+
+func BenchmarkCompileTerms(b *testing.B) {
+	for _, n := range []int{1000, 8000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			src := sumOfTerms(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compile(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/term")
+		})
+	}
+}

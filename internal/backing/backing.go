@@ -89,7 +89,9 @@ type Store struct {
 }
 
 // New creates a store for the given fold. The fold's Merge kind selects
-// reconciliation behaviour.
+// reconciliation behaviour. First-packet merges replay the fold through
+// Func.Update, so f must be compiled (fold.Func.EnsureCompiled) — as every
+// fold that has been through plan compilation or kvstore.New is.
 func New(f *fold.Func) *Store {
 	m := f.StateLen()
 	s0 := make([]float64, m)

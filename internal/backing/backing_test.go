@@ -210,9 +210,20 @@ func TestLinearWithoutExactMergeFallsBack(t *testing.T) {
 	}
 }
 
-func TestRangeAndSortedKeys(t *testing.T) {
+// compiledCount is COUNT lowered to bytecode, for tests that hand the
+// store first-packet evictions without a cache (whose constructor would
+// have compiled the fold) in front of it.
+func compiledCount(t *testing.T) *fold.Func {
+	t.Helper()
 	f := fold.Count()
-	store := New(f)
+	if err := f.EnsureCompiled(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func TestRangeAndSortedKeys(t *testing.T) {
+	store := New(compiledCount(t))
 	r := randomRec(rand.New(rand.NewSource(33)))
 	for k := 0; k < 10; k++ {
 		store.HandleEviction(&kvstore.Eviction{
@@ -250,7 +261,7 @@ func TestRangeAndSortedKeys(t *testing.T) {
 }
 
 func TestEarlyRangeExit(t *testing.T) {
-	store := New(fold.Count())
+	store := New(compiledCount(t))
 	r := randomRec(rand.New(rand.NewSource(34)))
 	for k := 0; k < 5; k++ {
 		store.HandleEviction(&kvstore.Eviction{Key: keyN(k), State: []float64{1}, P: []float64{1}, FirstRec: r})

@@ -73,7 +73,10 @@ type Stage struct {
 	Member  int            // index of this stage within the program
 
 	// Bytecode lowerings of the per-row work above, filled once by
-	// Compile (nil entries fall back to the fold tree interpreter).
+	// Compile, which either lowers every expression or rejects the query.
+	// The invariant every reader relies on: a code is nil iff its
+	// expression is nil (no WHERE); the code slices are index-aligned with
+	// Cols / Out / JoinCols and hold no nil entry.
 	WhereCode     *fold.Code
 	ColCodes      []*fold.Code
 	OutCodes      []*fold.Code
@@ -103,8 +106,8 @@ type SwitchProgram struct {
 	Offsets []int
 	PresIdx []int
 	// MemberWhere[i] is member i's WHERE predicate compiled to bytecode
-	// (nil when the member matches every record, or on compile fallback —
-	// consult Members[i].Where then). Filled once by Compile.
+	// (Members[i].WhereCode); nil iff the member has no WHERE and so
+	// matches every record. Filled once by Compile.
 	MemberWhere []*fold.Code
 }
 
@@ -136,60 +139,85 @@ func Compile(chk *lang.Checked) (*Plan, error) {
 	if err := p.fuse(); err != nil {
 		return nil, err
 	}
-	p.compileCodes()
+	if err := p.compileCodes(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
 // compileCodes lowers every per-row expression in the plan — WHERE
 // predicates, SELECT/JOIN columns, output projections, fold bodies and
 // linear-in-state coefficients — to fold bytecode, exactly once, before
-// any record is processed. Lowering is best-effort: an expression the VM
-// cannot hold (deeper than its register file) keeps a nil code and the
-// evaluators fall back to the tree interpreter for it.
-func (p *Plan) compileCodes() {
-	compileExprs := func(exprs []fold.Expr) []*fold.Code {
-		if len(exprs) == 0 {
-			return nil
-		}
-		codes := make([]*fold.Code, len(exprs))
-		for i, e := range exprs {
-			codes[i], _ = fold.CompileExpr(e)
-		}
-		return codes
-	}
+// any record is processed. Lowering is total or the query is rejected:
+// bytecode is the only evaluator behind the packet path, so an expression
+// the VM cannot hold (deeper than its register file) is an error naming
+// the stage and the site.
+func (p *Plan) compileCodes() error {
 	for _, st := range p.Stages {
-		if st.Where != nil {
-			st.WhereCode, _ = fold.CompilePred(st.Where)
-		}
-		if st.JoinWhere != nil {
-			st.JoinWhereCode, _ = fold.CompilePred(st.JoinWhere)
-		}
-		st.ColCodes = compileExprs(st.Cols)
-		st.JoinColCodes = compileExprs(st.JoinCols)
-		if len(st.Out) > 0 {
-			st.OutCodes = make([]*fold.Code, len(st.Out))
-			st.OutStateIdx = make([]int, len(st.Out))
-			for i, oc := range st.Out {
-				st.OutCodes[i], _ = fold.CompileExpr(oc.Expr)
-				st.OutStateIdx[i] = -1
-				if sr, ok := oc.Expr.(fold.StateRef); ok {
-					st.OutStateIdx[i] = int(sr)
-				}
-			}
-		}
-		if st.Fold != nil {
-			st.Fold.EnsureCompiled()
+		if err := st.compileCodes(); err != nil {
+			return fmt.Errorf("stage %s: %w", st.Name, err)
 		}
 	}
 	for _, sp := range p.Programs {
-		sp.Fold.EnsureCompiled()
+		if err := sp.Fold.EnsureCompiled(); err != nil {
+			return fmt.Errorf("%s: %w", sp.Fold.Name(), err)
+		}
 		sp.MemberWhere = make([]*fold.Code, len(sp.Members))
 		for i, m := range sp.Members {
-			if m.Where != nil {
-				sp.MemberWhere[i], _ = fold.CompilePred(m.Where)
-			}
+			sp.MemberWhere[i] = m.WhereCode
 		}
 	}
+	return nil
+}
+
+// compileCodes lowers one stage's expressions.
+func (st *Stage) compileCodes() error {
+	var err error
+	if st.WhereCode, err = fold.CompilePred(st.Where); err != nil {
+		return fmt.Errorf("WHERE: %w", err)
+	}
+	if st.JoinWhereCode, err = fold.CompilePred(st.JoinWhere); err != nil {
+		return fmt.Errorf("WHERE: %w", err)
+	}
+	if st.ColCodes, err = compileExprs(st.Cols); err != nil {
+		return fmt.Errorf("column %w", err)
+	}
+	if st.JoinColCodes, err = compileExprs(st.JoinCols); err != nil {
+		return fmt.Errorf("column %w", err)
+	}
+	if len(st.Out) > 0 {
+		outs := make([]fold.Expr, len(st.Out))
+		st.OutStateIdx = make([]int, len(st.Out))
+		for i, oc := range st.Out {
+			outs[i] = oc.Expr
+			st.OutStateIdx[i] = -1
+			if sr, ok := oc.Expr.(fold.StateRef); ok {
+				st.OutStateIdx[i] = int(sr)
+			}
+		}
+		if st.OutCodes, err = compileExprs(outs); err != nil {
+			return fmt.Errorf("output column %w", err)
+		}
+	}
+	if st.Fold != nil {
+		return st.Fold.EnsureCompiled()
+	}
+	return nil
+}
+
+// compileExprs lowers a column list; the error names the 1-based column.
+func compileExprs(exprs []fold.Expr) ([]*fold.Code, error) {
+	if len(exprs) == 0 {
+		return nil, nil
+	}
+	codes := make([]*fold.Code, len(exprs))
+	for i, e := range exprs {
+		var err error
+		if codes[i], err = fold.CompileExpr(e); err != nil {
+			return nil, fmt.Errorf("%d: %w", i+1, err)
+		}
+	}
+	return codes, nil
 }
 
 type compilerCtx struct {
@@ -327,9 +355,6 @@ func (c *compilerCtx) compileGroup(cq *lang.CheckedQuery, st *Stage) (*Stage, er
 	if comb := concatCombine(funcs, offs); comb != nil {
 		st.Fold.Merge = fold.MergeAssoc
 		st.Fold.Combine = comb
-		if len(funcs) == 1 {
-			st.Fold.Native = funcs[0].Native
-		}
 	}
 	// Annotate with merge metadata; non-linear folds simply stay
 	// MergeNone (epoch semantics).
@@ -617,7 +642,6 @@ func (sp *SwitchProgram) build() error {
 	if single && sp.Members[0].Fold.Merge == fold.MergeAssoc {
 		sp.Fold.Merge = fold.MergeAssoc
 		sp.Fold.Combine = sp.Members[0].Fold.Combine
-		sp.Fold.Native = sp.Members[0].Fold.Native
 	}
 	_ = linear.Annotate(sp.Fold)
 	return nil

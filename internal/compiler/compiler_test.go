@@ -161,6 +161,32 @@ func TestAvgProjectsSumOverCount(t *testing.T) {
 	}
 }
 
+// TestOutputProjectionOverLimit: output projections are generated by the
+// compiler (a state word, or AVG's sum/count), so no query text makes one
+// deep; if one ever were, the stage would be rejected like every other
+// site rather than left without code.
+func TestOutputProjectionOverLimit(t *testing.T) {
+	plan := compile(t, "R1 = SELECT AVG(pkt_len) GROUPBY srcip\n")
+	st := plan.Stages[0]
+	if st.OutCodes[0] == nil || st.OutStateIdx[0] != -1 {
+		t.Fatalf("avg projection: code %v, state index %d; want a code and no direct state word", st.OutCodes[0], st.OutStateIdx[0])
+	}
+	var deep fold.Expr = fold.StateRef(0)
+	for i := 0; i < 16; i++ {
+		deep = fold.Bin{Op: fold.OpAdd, L: fold.StateRef(1), R: deep}
+	}
+	st.Out[0].Expr = deep
+	err := plan.compileCodes()
+	if err == nil {
+		t.Fatal("17-register output projection compiled")
+	}
+	for _, frag := range []string{"stage R1:", "output column 1:", "more than 16 registers"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q does not mention %q", err, frag)
+		}
+	}
+}
+
 func TestUserFoldLowering(t *testing.T) {
 	ex := queries.ByName("Latency EWMA")
 	plan := compile(t, ex.Source)

@@ -132,55 +132,32 @@ func (e *Engine) ProcessRecord(rec *trace.Record) {
 	}
 }
 
-// predCode evaluates a predicate, preferring its compiled code (nil
-// pred means match-all).
-func predCode(code *fold.Code, p fold.Pred, in *fold.Input) bool {
-	if code != nil {
-		return code.EvalBool(in, nil)
-	}
-	if p != nil {
-		return fold.EvalPred(p, in, nil)
-	}
-	return true
+// matches evaluates an optional compiled predicate (nil: no WHERE, every
+// row matches).
+func matches(where *fold.Code, in *fold.Input) bool {
+	return where == nil || where.EvalBool(in, nil)
 }
 
-// exprCode evaluates an expression, preferring its compiled code.
-func exprCode(code *fold.Code, e fold.Expr, in *fold.Input) float64 {
-	if code != nil {
-		return code.Eval(in, nil)
+// evalCols evaluates a compiled column list over one input row.
+func evalCols(cols []*fold.Code, in *fold.Input, out []float64) []float64 {
+	for _, c := range cols {
+		out = append(out, c.Eval(in, nil))
 	}
-	return fold.EvalExpr(e, in, nil)
-}
-
-// stageWhere evaluates a stage's WHERE, preferring the compiled code.
-func stageWhere(st *compiler.Stage, in *fold.Input) bool {
-	return predCode(st.WhereCode, st.Where, in)
-}
-
-// stageCol evaluates output column i, preferring the compiled code.
-func stageCol(st *compiler.Stage, i int, in *fold.Input) float64 {
-	var code *fold.Code
-	if st.ColCodes != nil {
-		code = st.ColCodes[i]
-	}
-	return exprCode(code, st.Cols[i], in)
+	return out
 }
 
 // processSelect streams one record through a select-over-T stage.
 func (e *Engine) processSelect(st *compiler.Stage, in *fold.Input) {
-	if !stageWhere(st, in) {
+	if !matches(st.WhereCode, in) {
 		return
 	}
-	row := make([]float64, len(st.Cols))
-	for i := range row {
-		row[i] = stageCol(st, i, in)
-	}
+	row := evalCols(st.ColCodes, in, make([]float64, 0, len(st.ColCodes)))
 	e.srows[st.Name] = append(e.srows[st.Name], row)
 }
 
 // processGroup streams one record through a group-over-T stage.
 func (e *Engine) processGroup(st *compiler.Stage, rec *trace.Record, in *fold.Input) {
-	if !stageWhere(st, in) {
+	if !matches(st.WhereCode, in) {
 		return
 	}
 	g := e.groups[st.Name]
@@ -283,14 +260,11 @@ func GroupRow(st *compiler.Stage, keyVals, state []float64) []float64 {
 // rows in a slab.
 func AppendOutCols(st *compiler.Stage, state, row []float64) []float64 {
 	var in fold.Input
-	for i, oc := range st.Out {
-		switch {
-		case st.OutStateIdx != nil && st.OutStateIdx[i] >= 0:
-			row = append(row, state[st.OutStateIdx[i]])
-		case st.OutCodes != nil && st.OutCodes[i] != nil:
+	for i, idx := range st.OutStateIdx {
+		if idx >= 0 {
+			row = append(row, state[idx])
+		} else {
 			row = append(row, st.OutCodes[i].Eval(&in, state))
-		default:
-			row = append(row, fold.EvalExpr(oc.Expr, &in, state))
 		}
 	}
 	return row
@@ -307,21 +281,17 @@ func (e *Engine) runDerived(st *compiler.Stage) (*Table, error) {
 	case compiler.KindSelect:
 		for _, row := range input.Rows {
 			in := fold.Input{Cols: row}
-			if !stageWhere(st, &in) {
+			if !matches(st.WhereCode, &in) {
 				continue
 			}
-			out := make([]float64, len(st.Cols))
-			for i := range out {
-				out[i] = stageCol(st, i, &in)
-			}
-			t.Rows = append(t.Rows, out)
+			t.Rows = append(t.Rows, evalCols(st.ColCodes, &in, make([]float64, 0, len(st.ColCodes))))
 		}
 	case compiler.KindGroup:
 		groups := map[packet.Key128]*groupEntry{}
 		nk := st.Key.NumComponents()
 		for _, row := range input.Rows {
 			in := fold.Input{Cols: row}
-			if !stageWhere(st, &in) {
+			if !matches(st.WhereCode, &in) {
 				continue
 			}
 			var kv [8]float64
@@ -372,19 +342,12 @@ func (e *Engine) runJoin(st *compiler.Stage) (*Table, error) {
 		combined = append(combined, lrow...)
 		combined = append(combined, rrow...)
 		in := fold.Input{Cols: combined}
-		if !predCode(st.JoinWhereCode, st.JoinWhere, &in) {
+		if !matches(st.JoinWhereCode, &in) {
 			continue
 		}
-		out := make([]float64, 0, k+len(st.JoinCols))
+		out := make([]float64, 0, k+len(st.JoinColCodes))
 		out = append(out, lrow[:k]...)
-		for i, c := range st.JoinCols {
-			var code *fold.Code
-			if st.JoinColCodes != nil {
-				code = st.JoinColCodes[i]
-			}
-			out = append(out, exprCode(code, c, &in))
-		}
-		t.Rows = append(t.Rows, out)
+		t.Rows = append(t.Rows, evalCols(st.JoinColCodes, &in, out))
 	}
 	t.Sort()
 	return t, nil

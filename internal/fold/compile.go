@@ -21,8 +21,9 @@ import (
 //     first) onto the same float64 operations, so results are
 //     bit-identical.
 //   - Subexpressions without input or state references are folded at
-//     compile time BY the interpreter itself (EvalExpr on the closed
-//     subtree), so folding cannot diverge from it.
+//     compile time BY the interpreter itself (constfold.go, one pass
+//     before lowering), so folding cannot diverge from it; lowering only
+//     looks for Const operands.
 //   - And/Or lower to both-sides evaluation: predicates are total and
 //     side-effect free, so skipping the interpreter's short circuit is
 //     unobservable.
@@ -35,16 +36,16 @@ type compiler struct {
 	err  error
 }
 
-// errTooDeep reports expression depth beyond the register file; callers
-// keep the tree interpreter for such programs.
-var errTooDeep = fmt.Errorf("fold: expression needs more than %d registers", maxRegs)
+// errTooDeep reports expression depth beyond the register file. There is
+// no other evaluator to fall back to: the plan compiler rejects the query.
+var errTooDeep = fmt.Errorf("expression too deeply nested: it needs more than %d registers, the fold VM's limit", maxRegs)
 
 // CompileProgram lowers a program body to bytecode. The returned code's
 // Run mutates a state vector exactly as Program.Update does.
 func CompileProgram(p *Program) (*Code, error) {
 	c := &compiler{}
 	c.code.name = p.Name
-	c.stmts(p.Body)
+	c.stmts(foldStmts(p.Body))
 	return c.finish()
 }
 
@@ -52,15 +53,19 @@ func CompileProgram(p *Program) (*Code, error) {
 func CompileExpr(e Expr) (*Code, error) {
 	c := &compiler{}
 	c.code.name = e.String()
-	c.expr(e, 0)
+	c.expr(foldExpr(e), 0)
 	return c.finish()
 }
 
-// CompilePred lowers a predicate; the 0/1 result lands in register 0.
+// CompilePred lowers a predicate; the 0/1 result lands in register 0. A
+// nil predicate (no WHERE: every row matches) has no code.
 func CompilePred(p Pred) (*Code, error) {
+	if p == nil {
+		return nil, nil
+	}
 	c := &compiler{}
 	c.code.name = p.String()
-	c.pred(p, 0)
+	c.pred(foldPred(p), 0)
 	return c.finish()
 }
 
@@ -162,16 +167,10 @@ func (c *compiler) stmts(stmts []Stmt) {
 	}
 }
 
-// expr lowers e into register dst, using registers above dst as
-// temporaries.
+// expr lowers the (constant-folded) e into register dst, using
+// registers above dst as temporaries.
 func (c *compiler) expr(e Expr, dst int) {
 	if c.err != nil {
-		return
-	}
-	// Closed subtrees fold at compile time using the interpreter itself,
-	// which makes folding exact by construction.
-	if e != nil && !exprHasRefs(e) {
-		c.loadConst(EvalExpr(e, nil, nil), dst)
 		return
 	}
 	switch e := e.(type) {
@@ -226,9 +225,9 @@ func (c *compiler) expr(e Expr, dst int) {
 
 // bin lowers a binary arithmetic node, fusing constant operands and
 // field-field subtraction into superinstructions. Evaluation-order
-// changes are unobservable (operands are pure and total) and constants
-// are folded by the interpreter itself, so results stay bit-identical to
-// EvalExpr.
+// changes are unobservable (operands are pure and total) and constant
+// operands were folded by the interpreter itself, so results stay
+// bit-identical to it.
 func (c *compiler) bin(e Bin, dst int) {
 	// lat-style field delta: one dispatch.
 	if e.Op == OpSub {
@@ -243,8 +242,7 @@ func (c *compiler) bin(e Bin, dst int) {
 		}
 	}
 	if validBinOp(e.Op) {
-		if !exprHasRefs(e.R) {
-			k := EvalExpr(e.R, nil, nil)
+		if k, ok := e.R.(Const); ok {
 			if e.Op == OpDiv && k == 0 {
 				// x/0 is 0 for every x (saturating ALU semantics).
 				c.loadConst(0, dst)
@@ -262,11 +260,10 @@ func (c *compiler) bin(e Bin, dst int) {
 				op = opDivK
 			}
 			c.expr(e.L, dst)
-			c.emit(op, dst, dst, c.constIdx(k))
+			c.emit(op, dst, dst, c.constIdx(float64(k)))
 			return
 		}
-		if !exprHasRefs(e.L) {
-			k := EvalExpr(e.L, nil, nil)
+		if k, ok := e.L.(Const); ok {
 			var op opcode
 			switch e.Op {
 			case OpAdd:
@@ -279,7 +276,7 @@ func (c *compiler) bin(e Bin, dst int) {
 				op = opKDiv
 			}
 			c.expr(e.R, dst)
-			c.emit(op, dst, dst, c.constIdx(k))
+			c.emit(op, dst, dst, c.constIdx(float64(k)))
 			return
 		}
 	}
@@ -349,16 +346,14 @@ var cmpSwap = map[CmpOp]CmpOp{
 // cmp lowers a comparison node, fusing constant operands.
 func (c *compiler) cmp(p Cmp, dst int) {
 	if validCmpOp(p.Op) {
-		if !exprHasRefs(p.R) {
-			k := EvalExpr(p.R, nil, nil)
+		if k, ok := p.R.(Const); ok {
 			c.expr(p.L, dst)
-			c.emit(cmpK[p.Op], dst, dst, c.constIdx(k))
+			c.emit(cmpK[p.Op], dst, dst, c.constIdx(float64(k)))
 			return
 		}
-		if !exprHasRefs(p.L) {
-			k := EvalExpr(p.L, nil, nil)
+		if k, ok := p.L.(Const); ok {
 			c.expr(p.R, dst)
-			c.emit(cmpK[cmpSwap[p.Op]], dst, dst, c.constIdx(k))
+			c.emit(cmpK[cmpSwap[p.Op]], dst, dst, c.constIdx(float64(k)))
 			return
 		}
 	}
@@ -383,91 +378,6 @@ func (c *compiler) cmp(p Cmp, dst int) {
 		return
 	}
 	c.emit(op, dst, dst, dst+1)
-}
-
-// exprHasRefs reports whether e reads the input row or state (false means
-// the subtree is a compile-time constant).
-func exprHasRefs(e Expr) bool {
-	switch e := e.(type) {
-	case nil, Const:
-		return false
-	case FieldRef, ColRef, StateRef:
-		return true
-	case Bin:
-		return exprHasRefs(e.L) || exprHasRefs(e.R)
-	case Neg:
-		return exprHasRefs(e.X)
-	case Call:
-		for _, a := range e.Args {
-			if exprHasRefs(a) {
-				return true
-			}
-		}
-		return false
-	case CondExpr:
-		return predHasRefs(e.P) || exprHasRefs(e.T) || exprHasRefs(e.E)
-	default:
-		return true // unknown nodes are conservatively non-constant
-	}
-}
-
-// exprReadsState reports whether e contains a StateRef.
-func exprReadsState(e Expr) bool {
-	switch e := e.(type) {
-	case nil, Const, FieldRef, ColRef:
-		return false
-	case StateRef:
-		return true
-	case Bin:
-		return exprReadsState(e.L) || exprReadsState(e.R)
-	case Neg:
-		return exprReadsState(e.X)
-	case Call:
-		for _, a := range e.Args {
-			if exprReadsState(a) {
-				return true
-			}
-		}
-		return false
-	case CondExpr:
-		return predReadsState(e.P) || exprReadsState(e.T) || exprReadsState(e.E)
-	default:
-		return true // unknown nodes conservatively depend on state
-	}
-}
-
-func predReadsState(p Pred) bool {
-	switch p := p.(type) {
-	case nil, BoolConst:
-		return false
-	case Cmp:
-		return exprReadsState(p.L) || exprReadsState(p.R)
-	case And:
-		return predReadsState(p.L) || predReadsState(p.R)
-	case Or:
-		return predReadsState(p.L) || predReadsState(p.R)
-	case Not:
-		return predReadsState(p.X)
-	default:
-		return true
-	}
-}
-
-func predHasRefs(p Pred) bool {
-	switch p := p.(type) {
-	case nil, BoolConst:
-		return false
-	case Cmp:
-		return exprHasRefs(p.L) || exprHasRefs(p.R)
-	case And:
-		return predHasRefs(p.L) || predHasRefs(p.R)
-	case Or:
-		return predHasRefs(p.L) || predHasRefs(p.R)
-	case Not:
-		return predHasRefs(p.X)
-	default:
-		return true
-	}
 }
 
 // FieldIDs expands a FieldMask into the field list it covers.

@@ -21,6 +21,18 @@ func rec(tin, tout int64, pktLen, payload uint32, seq uint32) *trace.Record {
 
 func in(r *trace.Record) *Input { return &Input{Rec: r} }
 
+// compiled lowers hand-built folds to bytecode the way plan compilation
+// and kvstore.New do, so Update and the coefficient evaluators can run.
+func compiled(t testing.TB, fs ...*Func) []*Func {
+	t.Helper()
+	for _, f := range fs {
+		if err := f.EnsureCompiled(); err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+	}
+	return fs
+}
+
 func TestEvalExprBasics(t *testing.T) {
 	r := rec(100, 350, 1500, 1448, 7)
 	state := []float64{5, -2}
@@ -127,28 +139,25 @@ func TestSequentialStatementSemantics(t *testing.T) {
 
 func TestBuiltinsMatchInterpreter(t *testing.T) {
 	lat := Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}
-	funcs := []*Func{
-		Count(), Sum(lat), Max(lat), Min(lat), Avg(lat), Ewma(lat, 0.25),
-	}
+	funcs := compiled(t, Count(), Sum(lat), Max(lat), Min(lat), Avg(lat), Ewma(lat, 0.25))
 	rng := rand.New(rand.NewSource(3))
 	for _, f := range funcs {
 		if err := f.Prog.Validate(); err != nil {
 			t.Fatalf("%s: %v", f.Name(), err)
 		}
-		native := make([]float64, f.StateLen())
+		updated := make([]float64, f.StateLen())
 		interp := make([]float64, f.StateLen())
-		f.Init(native)
+		f.Init(updated)
 		f.Init(interp)
-		g := f.Interpreted()
 		for i := 0; i < 200; i++ {
 			tin := rng.Int63n(1e6)
 			r := rec(tin, tin+rng.Int63n(1e5)+1, 64, 0, 0)
-			f.Update(native, in(r))
-			g.Update(interp, in(r))
+			f.Update(updated, in(r))
+			f.Prog.Update(interp, in(r))
 		}
-		for i := range native {
-			if math.Abs(native[i]-interp[i]) > 1e-9*math.Max(1, math.Abs(interp[i])) {
-				t.Errorf("%s: native %v vs interpreted %v", f.Name(), native, interp)
+		for i := range updated {
+			if math.Float64bits(updated[i]) != math.Float64bits(interp[i]) {
+				t.Errorf("%s: Update %v vs interpreted %v", f.Name(), updated, interp)
 			}
 		}
 	}
@@ -193,7 +202,7 @@ func TestLinearSpecRejectsStatefulCoefficients(t *testing.T) {
 func TestUpdateLinearMatchesDirect(t *testing.T) {
 	lat := Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}
 	rng := rand.New(rand.NewSource(5))
-	for _, f := range []*Func{Count(), Sum(lat), Avg(lat), Ewma(lat, 0.3)} {
+	for _, f := range compiled(t, Count(), Sum(lat), Avg(lat), Ewma(lat, 0.3)) {
 		m := f.StateLen()
 		direct := make([]float64, m)
 		viaAB := make([]float64, m)
@@ -225,7 +234,7 @@ func TestUpdateLinearMatchesDirect(t *testing.T) {
 func TestMergeEqualsGroundTruth(t *testing.T) {
 	lat := Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}
 	rng := rand.New(rand.NewSource(11))
-	funcs := []*Func{Count(), Sum(lat), Avg(lat), Ewma(lat, 0.125)}
+	funcs := compiled(t, Count(), Sum(lat), Avg(lat), Ewma(lat, 0.125))
 
 	for _, f := range funcs {
 		m := f.StateLen()
@@ -284,7 +293,7 @@ func TestMergeEqualsGroundTruth(t *testing.T) {
 func TestAssocMergeEqualsGroundTruth(t *testing.T) {
 	lat := Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}
 	rng := rand.New(rand.NewSource(13))
-	for _, f := range []*Func{Max(lat), Min(lat)} {
+	for _, f := range compiled(t, Max(lat), Min(lat)) {
 		for trial := 0; trial < 30; trial++ {
 			n := 1 + rng.Intn(100)
 			recs := make([]*trace.Record, n)
@@ -360,29 +369,5 @@ func TestInfinityMatchesTraceSentinel(t *testing.T) {
 	r2 := rec(0, 1<<52, 64, 0, 0)
 	if EvalExpr(FieldRef(trace.FieldTout), in(r2), nil) == Infinity {
 		t.Error("large finite timestamp collides with Infinity")
-	}
-}
-
-func BenchmarkInterpretedEwma(b *testing.B) {
-	f := Ewma(Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}, 0.25).Interpreted()
-	state := make([]float64, 1)
-	f.Init(state)
-	r := rec(100, 400, 1500, 1448, 0)
-	input := in(r)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Update(state, input)
-	}
-}
-
-func BenchmarkNativeEwma(b *testing.B) {
-	f := Ewma(Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}, 0.25)
-	state := make([]float64, 1)
-	f.Init(state)
-	r := rec(100, 400, 1500, 1448, 0)
-	input := in(r)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Update(state, input)
 	}
 }

@@ -38,18 +38,14 @@ func (m MergeKind) String() string {
 }
 
 // Func is a fold function ready for the datapath: the IR program (always
-// present, used for analysis and for the reference interpreter), an
-// optional native fast path, and merge metadata filled in by the
+// present: what the analyses read and what defines the fold's
+// semantics), its bytecode, and merge metadata filled in by the
 // linear-in-state analyzer or the built-in constructors.
 type Func struct {
 	Prog *Program
 	// Code is the program body compiled to bytecode (see vm.go), filled
-	// by EnsureCompiled. When non-nil it is the hot path; nil falls back
-	// to Native or the tree interpreter.
+	// by EnsureCompiled; it is the only thing Update runs.
 	Code *Code
-	// Native, when non-nil, is a hand-written update used instead of the
-	// interpreter on hot paths. It must be semantically identical to Prog.
-	Native func(state []float64, in *Input)
 	// Merge declares how evictions reconcile with the backing store.
 	Merge MergeKind
 	// Linear holds the coefficient matrices when Merge == MergeLinear.
@@ -67,49 +63,31 @@ func (f *Func) StateLen() int { return f.Prog.NumState }
 // Init fills state with the initial accumulator.
 func (f *Func) Init(state []float64) { f.Prog.Init(state) }
 
-// Update advances the accumulator by one input row.
-func (f *Func) Update(state []float64, in *Input) {
-	if f.Code != nil {
-		f.Code.Run(state, in)
-		return
-	}
-	if f.Native != nil {
-		f.Native(state, in)
-		return
-	}
-	f.Prog.Update(state, in)
-}
+// Update advances the accumulator by one input row. The fold must have
+// been through EnsureCompiled — plan compilation and kvstore.New both do
+// it — since the bytecode is the only evaluator behind this call.
+func (f *Func) Update(state []float64, in *Input) { f.Code.Run(state, in) }
 
 // EnsureCompiled lowers the program body (and the linear-in-state
-// coefficient expressions, when present) to bytecode. Compilation failure
-// — e.g. an expression deeper than the VM register file — is not an
-// error: the fold simply keeps its interpreter path. Idempotent; call
-// from single-threaded setup code (plan compilation, store construction),
+// coefficient expressions, when present) to bytecode, or reports why it
+// cannot — e.g. an expression deeper than the VM register file. A fold
+// that fails here has no way to run. Idempotent; call from
+// single-threaded setup code (plan compilation, store construction),
 // never concurrently with Update.
-func (f *Func) EnsureCompiled() {
+func (f *Func) EnsureCompiled() error {
 	if f.Code == nil {
-		if c, err := CompileProgram(f.Prog); err == nil {
-			f.Code = c
+		c, err := CompileProgram(f.Prog)
+		if err != nil {
+			return fmt.Errorf("fold body: %w", err)
 		}
+		f.Code = c
 	}
 	if f.Linear != nil {
-		f.Linear.EnsureCompiled()
+		if err := f.Linear.EnsureCompiled(); err != nil {
+			return fmt.Errorf("merge coefficient %w", err)
+		}
 	}
-}
-
-// Interpreted returns a copy of f with the compiled and native fast paths
-// removed, for differential testing against the reference interpreter.
-func (f *Func) Interpreted() *Func {
-	g := *f
-	g.Native = nil
-	g.Code = nil
-	if g.Linear != nil {
-		ls := *g.Linear
-		ls.aCoef, ls.bCoef, ls.bProg = nil, nil, nil
-		ls.aDiag = false
-		g.Linear = &ls
-	}
-	return &g
+	return nil
 }
 
 // Count builds the COUNT built-in: one state variable incremented per row.
@@ -121,9 +99,8 @@ func Count() *Func {
 		StateNames: []string{"count"},
 	}
 	return &Func{
-		Prog:   p,
-		Native: func(s []float64, _ *Input) { s[0]++ },
-		Merge:  MergeLinear,
+		Prog:  p,
+		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1)}},
 			B: []Expr{Const(1)},
@@ -140,10 +117,7 @@ func Sum(e Expr) *Func {
 		StateNames: []string{"sum"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			s[0] += EvalExpr(e, in, nil)
-		},
+		Prog:  p,
 		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1)}},
@@ -167,12 +141,7 @@ func Max(e Expr) *Func {
 		StateNames: []string{"max"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			if v := EvalExpr(e, in, nil); v > s[0] {
-				s[0] = v
-			}
-		},
+		Prog:  p,
 		Merge: MergeAssoc,
 		Combine: func(dst, src []float64) {
 			if src[0] > dst[0] {
@@ -197,12 +166,7 @@ func Min(e Expr) *Func {
 		StateNames: []string{"min"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			if v := EvalExpr(e, in, nil); v < s[0] {
-				s[0] = v
-			}
-		},
+		Prog:  p,
 		Merge: MergeAssoc,
 		Combine: func(dst, src []float64) {
 			if src[0] < dst[0] {
@@ -225,11 +189,7 @@ func Avg(e Expr) *Func {
 		StateNames: []string{"sum", "count"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			s[0] += EvalExpr(e, in, nil)
-			s[1]++
-		},
+		Prog:  p,
 		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1), nil}, {nil, Const(1)}},
@@ -254,10 +214,7 @@ func Ewma(e Expr, alpha float64) *Func {
 		StateNames: []string{"ewma"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			s[0] = (1-alpha)*s[0] + alpha*EvalExpr(e, in, nil)
-		},
+		Prog:  p,
 		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1 - alpha)}},

@@ -193,8 +193,29 @@ func (c Const) String() string {
 func (f FieldRef) String() string { return trace.FieldID(f).String() }
 func (c ColRef) String() string   { return fmt.Sprintf("$%d", int(c)) }
 func (s StateRef) String() string { return fmt.Sprintf("s%d", int(s)) }
-func (b Bin) String() string      { return fmt.Sprintf("(%v %v %v)", b.L, b.Op, b.R) }
 func (n Neg) String() string      { return fmt.Sprintf("(-%v)", n.X) }
+
+// String renders a chain of binary nodes through one builder: nesting
+// Sprintf would copy each operand's text once per ancestor, which is
+// quadratic on the left-deep chain a long sum parses to.
+func (b Bin) String() string {
+	var sb strings.Builder
+	writeBin(&sb, b)
+	return sb.String()
+}
+
+func writeBin(sb *strings.Builder, e Expr) {
+	b, ok := e.(Bin)
+	if !ok {
+		fmt.Fprint(sb, e)
+		return
+	}
+	sb.WriteByte('(')
+	writeBin(sb, b.L)
+	sb.WriteString(" " + b.Op.String() + " ")
+	writeBin(sb, b.R)
+	sb.WriteByte(')')
+}
 
 func (c Call) String() string {
 	args := make([]string, len(c.Args))

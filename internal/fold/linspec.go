@@ -30,18 +30,17 @@ type LinearSpec struct {
 	// cache entry's first packet to merge exactly (see MergeWithFirstRec).
 	NeedsFirstPacket bool
 
-	// Compiled coefficients (EnsureCompiled): one entry per A cell
-	// (row-major) and per B entry. A coef with code == nil is the
-	// constant val — the common case for A, which is fully constant for
-	// every built-in (EWMA's A is [1-α]) — so the per-packet EvalA of the
-	// exact-merge hot path degenerates to a copy.
+	// Compiled coefficients, filled by EnsureCompiled (which everything
+	// that evaluates the spec requires): one entry per A cell (row-major)
+	// and per B entry. A coef with code == nil is the constant val — the
+	// common case for A, which is fully constant for every built-in
+	// (EWMA's A is [1-α]) — so the per-packet EvalA of the exact-merge hot
+	// path degenerates to a copy.
 	aCoef []coef
 	bCoef []coef
 	// bProg evaluates the whole B vector in one bytecode run (results
 	// stored into the destination vector via the program's state slot).
-	// Built only when no B entry reads state — history-referencing
-	// coefficients must see the pre-update state, which the per-entry
-	// path provides.
+	// nil when a B entry reads state (see compileBProg).
 	bProg *Code
 	// aDiag is true when every off-diagonal A entry is the constant 0 —
 	// true for every fused builtin combination (EWMA+count, sum+count,
@@ -60,49 +59,50 @@ type coef struct {
 }
 
 // compileCoef lowers one coefficient expression (nil ⇒ the constant 0).
-// ok is false when the expression needs the tree interpreter.
-func compileCoef(e Expr) (coef, bool) {
+func compileCoef(e Expr) (coef, error) {
 	if e == nil {
-		return coef{}, true
+		return coef{}, nil
 	}
-	if !exprHasRefs(e) {
-		return coef{val: EvalExpr(e, nil, nil)}, true
+	e = foldExpr(e)
+	if k, ok := e.(Const); ok {
+		return coef{val: float64(k)}, nil
 	}
 	code, err := CompileExpr(e)
-	if err != nil {
-		return coef{}, false
-	}
-	return coef{code: code}, true
+	return coef{code: code}, err
 }
 
 // EnsureCompiled lowers every coefficient expression to bytecode (or a
-// folded constant). On any compilation failure the spec keeps the tree
-// interpreter for all coefficients — mixing paths would complicate the
-// differential story for no gain. Idempotent; call from single-threaded
-// setup code only.
-func (ls *LinearSpec) EnsureCompiled() {
+// folded constant), or reports the first one that cannot be. EvalA, EvalB,
+// UpdateLinear, Scalar and FieldMask all require it to have succeeded.
+// Idempotent; call from single-threaded setup code only.
+func (ls *LinearSpec) EnsureCompiled() error {
 	if ls.aCoef != nil {
-		return
+		return nil
 	}
 	m := ls.Dim()
 	a := make([]coef, 0, m*m)
 	b := make([]coef, 0, m)
-	for _, row := range ls.A {
-		for _, e := range row {
-			c, ok := compileCoef(e)
-			if !ok {
-				return
+	for i, row := range ls.A {
+		for j, e := range row {
+			c, err := compileCoef(e)
+			if err != nil {
+				return fmt.Errorf("A[%d][%d]: %w", i, j, err)
 			}
 			a = append(a, c)
 		}
 	}
-	for _, e := range ls.B {
-		c, ok := compileCoef(e)
-		if !ok {
-			return
+	for i, e := range ls.B {
+		c, err := compileCoef(e)
+		if err != nil {
+			return fmt.Errorf("B[%d]: %w", i, err)
 		}
 		b = append(b, c)
 	}
+	bProg, err := compileBProg(ls.B)
+	if err != nil {
+		return fmt.Errorf("B: %w", err)
+	}
+	ls.bProg = bProg
 	ls.aCoef, ls.bCoef = a, b
 	ls.aDiag = true
 	for i := 0; i < m && ls.aDiag; i++ {
@@ -113,37 +113,36 @@ func (ls *LinearSpec) EnsureCompiled() {
 			}
 		}
 	}
-	ls.compileBProg()
+	return nil
 }
 
 // compileBProg fuses the B entries into one program so the per-packet
-// hot path pays one VM invocation instead of one per entry.
-func (ls *LinearSpec) compileBProg() {
-	if len(ls.B) == 0 {
-		return
+// hot path pays one VM invocation instead of one per entry. It returns
+// nil when an entry reads state: history-referencing coefficients must
+// see the pre-update state, which only the per-entry codes provide.
+func compileBProg(b []Expr) (*Code, error) {
+	if len(b) == 0 {
+		return nil, nil
 	}
-	stmts := make([]Stmt, 0, len(ls.B))
-	for i, e := range ls.B {
+	stmts := make([]Stmt, 0, len(b))
+	for i, e := range b {
 		if e == nil {
 			e = Const(0)
 		}
-		if exprReadsState(e) {
-			return
+		if ReadsState(e) {
+			return nil, nil
 		}
 		stmts = append(stmts, Assign{Dst: i, RHS: e})
 	}
-	prog := &Program{Name: "B", NumState: len(ls.B), Body: stmts}
-	if code, err := CompileProgram(prog); err == nil {
-		ls.bProg = code
-	}
+	return CompileProgram(&Program{Name: "B", NumState: len(b), Body: stmts})
 }
 
 // Scalar exposes the fully-compiled 1×1 history-free form — constant A,
 // stateless B — so a caller on the per-packet path can fuse the whole
 // update (state' = a·state + b, P' = a·P) inline without going through
-// UpdateLinear. ok is false unless EnsureCompiled succeeded and the spec
-// has that shape. When bCode is nil the B term is the constant bConst;
-// otherwise evaluate bCode with a nil state (B reads none).
+// UpdateLinear. ok is false unless the spec has that shape. When bCode is
+// nil the B term is the constant bConst; otherwise evaluate bCode with a
+// nil state (B reads none).
 func (ls *LinearSpec) Scalar() (a float64, bCode *Code, bConst float64, ok bool) {
 	if !ls.aDiag || len(ls.bCoef) != 1 || ls.aCoef[0].code != nil || ls.NeedsFirstPacket {
 		return 0, nil, 0, false
@@ -176,13 +175,13 @@ func (ls *LinearSpec) IsCommutative() bool {
 				}
 				continue
 			}
-			if exprHasRefs(e) || EvalExpr(e, nil, nil) != want {
+			if k, ok := foldExpr(e).(Const); !ok || float64(k) != want {
 				return false
 			}
 		}
 	}
 	for _, e := range ls.B {
-		if findBadStateRef(e, nil) >= 0 {
+		if ReadsState(e) {
 			return false
 		}
 	}
@@ -190,7 +189,7 @@ func (ls *LinearSpec) IsCommutative() bool {
 }
 
 // FieldMask returns the union of raw-record fields the compiled
-// coefficients read (zero until EnsureCompiled succeeds).
+// coefficients read.
 func (ls *LinearSpec) FieldMask() uint32 {
 	var mask uint32
 	for _, c := range ls.aCoef {
@@ -243,6 +242,10 @@ func (ls *LinearSpec) Validate() error {
 	}
 	return nil
 }
+
+// ReadsState reports whether e contains a StateRef (unknown nodes
+// conservatively do).
+func ReadsState(e Expr) bool { return findBadStateRef(e, nil) >= 0 }
 
 // findBadStateRef returns the index of a StateRef in e not marked as a
 // history variable, or -1.
@@ -309,32 +312,14 @@ func findBadStateRefPred(p Pred, hist []bool) int {
 	}
 }
 
-// evalCoef evaluates a coefficient expression (nil ⇒ 0) against the
-// pre-update state (for history-variable references).
-func evalCoef(e Expr, in *Input, state []float64) float64 {
-	if e == nil {
-		return 0
-	}
-	return EvalExpr(e, in, state)
-}
-
 // EvalA fills dst (row-major m×m) with this packet's A matrix, evaluated
 // against the pre-update state.
 func (ls *LinearSpec) EvalA(in *Input, state, dst []float64) {
-	if ls.aCoef != nil {
-		for i := range ls.aCoef {
-			if c := &ls.aCoef[i]; c.code != nil {
-				dst[i] = c.code.Eval(in, state)
-			} else {
-				dst[i] = c.val
-			}
-		}
-		return
-	}
-	m := ls.Dim()
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			dst[i*m+j] = evalCoef(ls.A[i][j], in, state)
+	for i := range ls.aCoef {
+		if c := &ls.aCoef[i]; c.code != nil {
+			dst[i] = c.code.Eval(in, state)
+		} else {
+			dst[i] = c.val
 		}
 	}
 }
@@ -346,18 +331,12 @@ func (ls *LinearSpec) EvalB(in *Input, state, dst []float64) {
 		ls.bProg.Run(dst, in)
 		return
 	}
-	if ls.bCoef != nil {
-		for i := range ls.bCoef {
-			if c := &ls.bCoef[i]; c.code != nil {
-				dst[i] = c.code.Eval(in, state)
-			} else {
-				dst[i] = c.val
-			}
+	for i := range ls.bCoef {
+		if c := &ls.bCoef[i]; c.code != nil {
+			dst[i] = c.code.Eval(in, state)
+		} else {
+			dst[i] = c.val
 		}
-		return
-	}
-	for i := 0; i < ls.Dim(); i++ {
-		dst[i] = evalCoef(ls.B[i], in, state)
 	}
 }
 
@@ -459,13 +438,6 @@ func (ls *LinearSpec) UpdateLinear(state, p []float64, in *Input, aScratch, mScr
 	var ns, bs [MaxState]float64
 	ls.EvalA(in, state, aScratch)
 	ls.EvalB(in, state, bs[:m])
-	if m == 1 {
-		state[0] = aScratch[0]*state[0] + bs[0]
-		if p != nil {
-			p[0] = aScratch[0] * p[0]
-		}
-		return
-	}
 	for i := 0; i < m; i++ {
 		var acc float64
 		for k := 0; k < m; k++ {

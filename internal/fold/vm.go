@@ -14,14 +14,14 @@ import (
 // shape here: every Program, WHERE predicate and SELECT column expression
 // lowers once to a register-based bytecode whose Run loop contains no
 // interface values, no recursion and no allocation. The tree interpreter
-// in eval.go stays as the reference implementation — compile-time
-// constant folding reuses it verbatim, and the differential/fuzz suite
-// holds Run to bit-identical agreement with it.
+// in eval.go defines the semantics and nothing else runs it per record:
+// compile-time constant folding reuses it verbatim, and the
+// differential/fuzz suite holds Run to bit-identical agreement with it.
 
 // maxRegs is the register-file size. It bounds lowered expression depth;
-// programs that need more registers fail to compile and fall back to the
-// tree interpreter (Func.Code stays nil). Real queries use a handful; the
-// array is kept small because Run zeroes it on every call.
+// a program that needs more registers fails to compile and the query is
+// rejected — there is no second evaluator. Real queries use a handful;
+// the array is kept small because Run zeroes it on every call.
 const maxRegs = 16
 
 // opcode is one VM operation.

@@ -1,7 +1,9 @@
 package fold
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"perfq/internal/trace"
@@ -168,39 +170,107 @@ func TestVMDenseFieldsMatchDirect(t *testing.T) {
 	}
 }
 
-func TestVMRegisterOverflowFallsBack(t *testing.T) {
-	// Build an expression deeper than the register file: each level adds
-	// a right-leaning operand, consuming one more register.
-	var e Expr = Const(1)
-	for i := 0; i < maxRegs+2; i++ {
+// deepExpr nests n right-leaning additions over column 0: lowering it
+// needs n+1 registers (each level parks its left operand one register
+// up), and it evaluates to 2(n+1)+1 when the column holds 2.
+func deepExpr(n int) Expr {
+	var e Expr = ColRef(0)
+	for i := 0; i < n; i++ {
 		e = Bin{Op: OpAdd, L: ColRef(0), R: e}
 	}
-	if _, err := CompileExpr(e); err == nil {
-		t.Fatal("expected register overflow error")
-	}
-	f := &Func{Prog: &Program{Name: "deep", NumState: 1, Body: []Stmt{Assign{Dst: 0, RHS: e}}}}
-	f.EnsureCompiled()
-	if f.Code != nil {
-		t.Fatal("over-deep program should keep a nil Code")
-	}
-	// The interpreter still runs it.
+	return Bin{Op: OpAdd, L: e, R: Const(1)}
+}
+
+// TestVMRegisterOverflowRejected: an expression deeper than the register
+// file is a compile error at every entry — there is no evaluator to fall
+// back to — while the deepest shape that fits compiles and agrees with
+// the interpreter.
+func TestVMRegisterOverflowRejected(t *testing.T) {
 	in := Input{Cols: []float64{2}}
-	st := []float64{0}
-	f.Update(st, &in)
-	if want := float64(2*(maxRegs+2) + 1); st[0] != want {
-		t.Fatalf("interpreter fallback = %v, want %v", st[0], want)
+	fits := deepExpr(maxRegs - 1)
+	code, err := CompileExpr(fits)
+	if err != nil {
+		t.Fatalf("%d-register expression: %v", maxRegs, err)
+	}
+	if code.NumRegs() != maxRegs {
+		t.Fatalf("at-limit expression uses %d registers, want %d", code.NumRegs(), maxRegs)
+	}
+	if got, want := code.Eval(&in, nil), EvalExpr(fits, &in, nil); !eqBits(got, want) || got != 2*maxRegs+1 {
+		t.Fatalf("at-limit expression: vm=%v interp=%v", got, want)
+	}
+
+	deep := deepExpr(maxRegs)
+	if _, err := CompileExpr(deep); !errors.Is(err, errTooDeep) {
+		t.Fatalf("CompileExpr: err = %v, want errTooDeep", err)
+	}
+	if _, err := CompilePred(Cmp{Op: CmpGt, L: deep, R: ColRef(1)}); !errors.Is(err, errTooDeep) {
+		t.Fatalf("CompilePred: err = %v, want errTooDeep", err)
+	}
+	f := &Func{Prog: &Program{Name: "deep", NumState: 1, Body: []Stmt{Assign{Dst: 0, RHS: deep}}}}
+	if err := f.EnsureCompiled(); !errors.Is(err, errTooDeep) || f.Code != nil {
+		t.Fatalf("Func.EnsureCompiled: err = %v, code = %v; want errTooDeep and no code", err, f.Code)
+	}
+	ls := &LinearSpec{A: [][]Expr{{Const(1)}}, B: []Expr{deep}}
+	if err := ls.EnsureCompiled(); !errors.Is(err, errTooDeep) || !strings.Contains(err.Error(), "B[0]") {
+		t.Fatalf("LinearSpec.EnsureCompiled: err = %v, want errTooDeep naming B[0]", err)
+	}
+	lin := &Func{Prog: Count().Prog, Merge: MergeLinear, Linear: &LinearSpec{A: [][]Expr{{deep}}, B: []Expr{Const(1)}}}
+	if err := lin.EnsureCompiled(); !errors.Is(err, errTooDeep) || !strings.Contains(err.Error(), "A[0][0]") {
+		t.Fatalf("Func.EnsureCompiled (coefficient): err = %v, want errTooDeep naming A[0][0]", err)
 	}
 }
 
+// The tree-interpreter reference for the coefficient path: EvalExpr
+// applied directly to the spec's public A and B trees (nil ⇒ 0) against
+// the pre-update state, then the textbook S' = A·S + B, P' = A·P.
+func refCoef(e Expr, in *Input, state []float64) float64 {
+	if e == nil {
+		return 0
+	}
+	return EvalExpr(e, in, state)
+}
+
+func refEvalA(ls *LinearSpec, in *Input, state, dst []float64) {
+	m := ls.Dim()
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			dst[i*m+j] = refCoef(ls.A[i][j], in, state)
+		}
+	}
+}
+
+func refEvalB(ls *LinearSpec, in *Input, state, dst []float64) {
+	for i, e := range ls.B {
+		dst[i] = refCoef(e, in, state)
+	}
+}
+
+func refUpdateLinear(ls *LinearSpec, state, p []float64, in *Input) {
+	m := ls.Dim()
+	a, b, ns := make([]float64, m*m), make([]float64, m), make([]float64, m)
+	refEvalA(ls, in, state, a)
+	refEvalB(ls, in, state, b)
+	for i := range ns {
+		acc := a[i*m] * state[0]
+		for k := 1; k < m; k++ {
+			acc += a[i*m+k] * state[k]
+		}
+		ns[i] = acc + b[i]
+	}
+	copy(state, ns)
+	StepP(p, a, make([]float64, m*m), m)
+}
+
 // TestLinearCompiledCoefficients: compiled EvalA/EvalB/UpdateLinear match
-// the uncompiled spec bit for bit.
+// the tree interpreter over the spec's expression trees bit for bit.
 func TestLinearCompiledCoefficients(t *testing.T) {
 	lat := Bin{Op: OpSub, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)}
 	for _, f := range []*Func{Count(), Sum(lat), Avg(lat), Ewma(lat, 0.25)} {
 		m := f.StateLen()
-		compiled := *f.Linear
-		compiled.EnsureCompiled()
-		plain := f.Interpreted().Linear
+		compiled := f.Linear
+		if err := compiled.EnsureCompiled(); err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
 		for _, rec := range sampleRecords() {
 			rec := rec
 			in := Input{Rec: &rec}
@@ -210,18 +280,18 @@ func TestLinearCompiledCoefficients(t *testing.T) {
 			}
 			ac, ap := make([]float64, m*m), make([]float64, m*m)
 			compiled.EvalA(&in, state, ac)
-			plain.EvalA(&in, state, ap)
+			refEvalA(compiled, &in, state, ap)
 			bc, bp := make([]float64, m), make([]float64, m)
 			compiled.EvalB(&in, state, bc)
-			plain.EvalB(&in, state, bp)
+			refEvalB(compiled, &in, state, bp)
 			for i := range ac {
 				if !eqBits(ac[i], ap[i]) {
-					t.Fatalf("%s: A[%d] compiled=%v plain=%v", f.Name(), i, ac[i], ap[i])
+					t.Fatalf("%s: A[%d] compiled=%v interp=%v", f.Name(), i, ac[i], ap[i])
 				}
 			}
 			for i := range bc {
 				if !eqBits(bc[i], bp[i]) {
-					t.Fatalf("%s: B[%d] compiled=%v plain=%v", f.Name(), i, bc[i], bp[i])
+					t.Fatalf("%s: B[%d] compiled=%v interp=%v", f.Name(), i, bc[i], bp[i])
 				}
 			}
 
@@ -233,15 +303,15 @@ func TestLinearCompiledCoefficients(t *testing.T) {
 			IdentityP(pi, m)
 			scratchA, scratchM := make([]float64, m*m), make([]float64, m*m)
 			compiled.UpdateLinear(sc, pc, &in, scratchA, scratchM)
-			plain.UpdateLinear(si, pi, &in, scratchA, scratchM)
+			refUpdateLinear(compiled, si, pi, &in)
 			for i := range sc {
 				if !eqBits(sc[i], si[i]) {
-					t.Fatalf("%s: state[%d] compiled=%v plain=%v", f.Name(), i, sc[i], si[i])
+					t.Fatalf("%s: state[%d] compiled=%v interp=%v", f.Name(), i, sc[i], si[i])
 				}
 			}
 			for i := range pc {
 				if !eqBits(pc[i], pi[i]) {
-					t.Fatalf("%s: P[%d] compiled=%v plain=%v", f.Name(), i, pc[i], pi[i])
+					t.Fatalf("%s: P[%d] compiled=%v interp=%v", f.Name(), i, pc[i], pi[i])
 				}
 			}
 		}
@@ -253,7 +323,9 @@ func TestLinearCompiledCoefficients(t *testing.T) {
 func TestVMZeroAllocs(t *testing.T) {
 	lat := Bin{Op: OpSub, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)}
 	f := Ewma(lat, 0.125)
-	f.EnsureCompiled()
+	if err := f.EnsureCompiled(); err != nil {
+		t.Fatal(err)
+	}
 	rec := trace.Record{Tin: 3, Tout: 17}
 	in := Input{Rec: &rec}
 	st := []float64{0}
@@ -293,7 +365,9 @@ func BenchmarkFoldEval(b *testing.B) {
 		}
 	})
 	b.Run("vm", func(b *testing.B) {
-		f.EnsureCompiled()
+		if err := f.EnsureCompiled(); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			f.Code.Run(st, &in)

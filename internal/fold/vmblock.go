@@ -2,7 +2,6 @@ package fold
 
 import (
 	"math"
-	"math/bits"
 
 	"perfq/internal/trace"
 )
@@ -14,9 +13,9 @@ import (
 // to 1/BlockSize per record. The datapath uses this for WHERE
 // predicates, which are stateless and (by construction — see compile.go)
 // jump-free: And/Or/Cmp/Not lower to straight-line arithmetic over 0/1
-// values. Codes that do contain jumps (CondExpr/If) or read per-key
-// state fall back to the scalar loop lane by lane, bit-identical either
-// way.
+// values. Codes that contain jumps (CondExpr/If) or read per-key state
+// — fold bodies, merge coefficients, collector stages — run on the
+// scalar loop only.
 
 // BlockSize is the columnar batch width: 64 lanes, so a predicate's
 // result block packs into a single uint64 mask.
@@ -39,65 +38,29 @@ func (b *InputBlock) Lane(f trace.FieldID) []float64 {
 }
 
 // BlockRegs is the register file for block execution, owned by the
-// caller so repeated EvalBlock calls stay allocation-free.
+// caller so repeated EvalBoolBlock calls stay allocation-free.
 type BlockRegs [maxRegs][BlockSize]float64
 
-// Vectorizable reports whether the code runs on the columnar fast path:
-// no jumps (straight-line) and no per-key reads (state, derived-row
-// columns, state stores). EvalBlock works either way; this only selects
-// between the vector loop and the per-lane scalar fallback.
+// Vectorizable reports whether the code can run a block at a time: no
+// jumps (straight-line) and no per-key reads (state, derived-row
+// columns, state stores). Every WHERE over the raw table compiles to such
+// a code — the language has no conditional expression and no state there
+// — and the datapath checks it once at setup, not per block.
 func (c *Code) Vectorizable() bool { return !c.jumps && !c.scalar }
 
-// EvalBlock evaluates a compiled stateless expression or predicate over
-// the first n lanes of blk (n ≤ BlockSize), writing the per-lane results
-// to out[:n]. Results are bit-identical to calling Eval per record.
-func (c *Code) EvalBlock(blk *InputBlock, n int, regs *BlockRegs, out []float64) {
-	if c.Vectorizable() {
-		c.execBlock(blk, n, regs)
-		copy(out[:n], regs[0][:n])
-		return
-	}
-	c.evalLanes(blk, n, out)
-}
-
 // EvalBoolBlock evaluates a compiled predicate over the first n lanes of
-// blk and returns the results as a bitmask (bit l = lane l matched).
+// blk and returns the results as a bitmask (bit l = lane l matched),
+// bit-identical to EvalBool per record. The code must be Vectorizable.
 func (c *Code) EvalBoolBlock(blk *InputBlock, n int, regs *BlockRegs) uint64 {
+	c.execBlock(blk, n, regs)
 	var mask uint64
-	if c.Vectorizable() {
-		c.execBlock(blk, n, regs)
-		r0 := &regs[0]
-		for l := 0; l < n; l++ {
-			if r0[l] != 0 {
-				mask |= 1 << l
-			}
-		}
-		return mask
-	}
-	out := regs[0][:]
-	c.evalLanes(blk, n, out)
+	r0 := &regs[0]
 	for l := 0; l < n; l++ {
-		if out[l] != 0 {
+		if r0[l] != 0 {
 			mask |= 1 << l
 		}
 	}
 	return mask
-}
-
-// evalLanes is the scalar fallback: gather each lane's fields into a
-// dense record-major vector and run the ordinary exec loop. Handles
-// jumps; state and derived-row columns stay unsupported exactly as in
-// a stateless scalar Eval.
-func (c *Code) evalLanes(blk *InputBlock, n int, out []float64) {
-	var fields [trace.NumFields]float64
-	in := Input{Fields: fields[:]}
-	for l := 0; l < n; l++ {
-		for m := c.fields; m != 0; m &= m - 1 {
-			fi := bits.TrailingZeros32(m)
-			fields[fi] = blk.Fields[fi<<blockShift|l]
-		}
-		out[l] = c.Eval(&in, nil)
-	}
 }
 
 // execBlock is the vectorized dispatch loop: one instruction switch per

@@ -16,8 +16,8 @@ func fillBlock(blk *InputBlock, recs []trace.Record) int {
 	return len(recs)
 }
 
-// blockExprs covers both block paths: straight-line codes (the vector
-// loop) and a CondExpr (jumps → per-lane fallback).
+// blockExprs covers both sides of Vectorizable: straight-line codes (the
+// vector loop) and a CondExpr (jumps → scalar loop only).
 func blockExprs() []Expr {
 	lat := Bin{Op: OpSub, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)}
 	return []Expr{
@@ -49,9 +49,10 @@ func blockPreds() []Pred {
 	}
 }
 
-// TestEvalBlockMatchesScalar holds block evaluation to bit-identical
-// agreement with the scalar Eval path over every lane, for vectorizable
-// and jumpy codes alike.
+// TestEvalBlockMatchesScalar holds the vector loop to bit-identical
+// agreement with the scalar Eval path over every lane, for every
+// vectorizable code; the jumpy one must be reported as not vectorizable,
+// which is what keeps it off the vector loop (switchsim checks at setup).
 func TestEvalBlockMatchesScalar(t *testing.T) {
 	recs := sampleRecords()
 	// Pad past one lane-loop unroll boundary with varied records.
@@ -61,29 +62,34 @@ func TestEvalBlockMatchesScalar(t *testing.T) {
 	var blk InputBlock
 	n := fillBlock(&blk, recs)
 	var regs BlockRegs
-	out := make([]float64, BlockSize)
 
-	sawVec, sawLane := false, false
+	sawVec, sawJumps := false, false
 	for _, e := range blockExprs() {
 		code, err := CompileExpr(e)
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
-		if code.Vectorizable() {
-			sawVec = true
-		} else {
-			sawLane = true
+		if _, cond := e.(CondExpr); cond {
+			sawJumps = true
+			if code.Vectorizable() {
+				t.Errorf("%v: a code with jumps must not be vectorizable", e)
+			}
+			continue
 		}
-		code.EvalBlock(&blk, n, &regs, out)
+		if !code.Vectorizable() {
+			t.Fatalf("%v: straight-line field-only code should be vectorizable", e)
+		}
+		sawVec = true
+		code.execBlock(&blk, n, &regs)
 		for l := 0; l < n; l++ {
 			in := Input{Rec: &recs[l]}
-			if want := code.Eval(&in, nil); !eqBits(out[l], want) {
-				t.Errorf("%v: lane %d: block=%v scalar=%v", e, l, out[l], want)
+			if got, want := regs[0][l], code.Eval(&in, nil); !eqBits(got, want) {
+				t.Errorf("%v: lane %d: block=%v scalar=%v", e, l, got, want)
 			}
 		}
 	}
-	if !sawVec || !sawLane {
-		t.Fatalf("expression set must cover both paths: vector=%v fallback=%v", sawVec, sawLane)
+	if !sawVec || !sawJumps {
+		t.Fatalf("expression set must cover both sides: vector=%v jumps=%v", sawVec, sawJumps)
 	}
 
 	for _, p := range blockPreds() {
@@ -105,20 +111,22 @@ func TestEvalBlockMatchesScalar(t *testing.T) {
 }
 
 // TestEvalBlockZeroAllocs: block evaluation with caller-owned registers
-// must never touch the allocator, on either path.
+// must never touch the allocator.
 func TestEvalBlockZeroAllocs(t *testing.T) {
 	recs := sampleRecords()
 	var blk InputBlock
 	n := fillBlock(&blk, recs)
 	var regs BlockRegs
-	out := make([]float64, BlockSize)
 	for _, e := range blockExprs() {
 		code, err := CompileExpr(e)
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
-		if a := testing.AllocsPerRun(1000, func() { code.EvalBlock(&blk, n, &regs, out) }); a != 0 {
-			t.Errorf("%v: EvalBlock allocs %v, want 0 (vectorizable=%v)", e, a, code.Vectorizable())
+		if !code.Vectorizable() {
+			continue
+		}
+		if a := testing.AllocsPerRun(1000, func() { code.execBlock(&blk, n, &regs) }); a != 0 {
+			t.Errorf("%v: execBlock allocs %v, want 0", e, a)
 		}
 	}
 	for _, p := range blockPreds() {

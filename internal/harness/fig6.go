@@ -166,8 +166,8 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 // memberMatches applies the program's match predicates (proto == TCP for
 // the non-monotonic query).
 func memberMatches(sp *compiler.SwitchProgram, in *fold.Input) bool {
-	for _, st := range sp.Members {
-		if st.Where == nil || fold.EvalPred(st.Where, in, nil) {
+	for _, w := range sp.MemberWhere {
+		if w == nil || w.EvalBool(in, nil) {
 			return true
 		}
 	}

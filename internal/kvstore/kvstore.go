@@ -268,12 +268,14 @@ func New(cfg Config) (Cache, error) {
 	if cfg.ExactMerge && (cfg.Fold.Merge != fold.MergeLinear || cfg.Fold.Linear == nil) {
 		return nil, fmt.Errorf("kvstore: ExactMerge requires a linear-in-state fold (have %v)", cfg.Fold.Merge)
 	}
-	// Lower the fold (and its merge coefficients) to bytecode so Process
-	// never tree-walks IR. Plan-compiled folds arrive already lowered;
+	// Lower the fold (and its merge coefficients) to bytecode, the only
+	// form Process can run. Plan-compiled folds arrive already lowered;
 	// this covers folds constructed directly (tests, harnesses). New is
 	// setup code, so the mutation is safe: caches are never built
 	// concurrently with updates on a shared fold.
-	cfg.Fold.EnsureCompiled()
+	if err := cfg.Fold.EnsureCompiled(); err != nil {
+		return nil, fmt.Errorf("kvstore: %s: %w", cfg.Fold.Name(), err)
+	}
 	if g.Buckets == 1 {
 		return newFullLRU(cfg), nil
 	}

@@ -226,8 +226,26 @@ func opText(k Kind) string {
 	}
 }
 
+// String renders a chain of binary nodes through one builder: nesting
+// Sprintf would copy each operand's text once per ancestor, which is
+// quadratic on the left-deep chain a long sum parses to.
 func (e *BinExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, opText(e.Op), e.R)
+	var sb strings.Builder
+	writeBin(&sb, e)
+	return sb.String()
+}
+
+func writeBin(sb *strings.Builder, e Expr) {
+	b, ok := e.(*BinExpr)
+	if !ok {
+		sb.WriteString(e.String())
+		return
+	}
+	sb.WriteByte('(')
+	writeBin(sb, b.L)
+	sb.WriteString(" " + opText(b.Op) + " ")
+	writeBin(sb, b.R)
+	sb.WriteByte(')')
 }
 
 func (e *UnaryExpr) String() string {

@@ -66,12 +66,12 @@ func Analyze(prog *fold.Program) (*fold.LinearSpec, error) {
 		spec.A[i] = make([]fold.Expr, m)
 		for j := 0; j < m; j++ {
 			spec.A[i][j] = rows[i].coef[j]
-			if exprUsesState(rows[i].coef[j]) {
+			if fold.ReadsState(rows[i].coef[j]) {
 				needsFirst = true
 			}
 		}
 		spec.B[i] = rows[i].c
-		if exprUsesState(rows[i].c) {
+		if fold.ReadsState(rows[i].c) {
 			needsFirst = true
 		}
 	}
@@ -240,47 +240,4 @@ func sameExpr(a, b fold.Expr) bool {
 		return a == nil && b == nil
 	}
 	return a.String() == b.String()
-}
-
-// exprUsesState reports whether an emitted coefficient contains a (history)
-// state atom.
-func exprUsesState(e fold.Expr) bool {
-	switch e := e.(type) {
-	case nil, fold.Const, fold.FieldRef, fold.ColRef:
-		return false
-	case fold.StateRef:
-		return true
-	case fold.Bin:
-		return exprUsesState(e.L) || exprUsesState(e.R)
-	case fold.Neg:
-		return exprUsesState(e.X)
-	case fold.Call:
-		for _, a := range e.Args {
-			if exprUsesState(a) {
-				return true
-			}
-		}
-		return false
-	case fold.CondExpr:
-		return predUsesState(e.P) || exprUsesState(e.T) || exprUsesState(e.E)
-	default:
-		return true
-	}
-}
-
-func predUsesState(p fold.Pred) bool {
-	switch p := p.(type) {
-	case nil, fold.BoolConst:
-		return false
-	case fold.Cmp:
-		return exprUsesState(p.L) || exprUsesState(p.R)
-	case fold.And:
-		return predUsesState(p.L) || predUsesState(p.R)
-	case fold.Or:
-		return predUsesState(p.L) || predUsesState(p.R)
-	case fold.Not:
-		return predUsesState(p.X)
-	default:
-		return true
-	}
 }

@@ -161,11 +161,23 @@ func TestHistoryClassification(t *testing.T) {
 	}
 }
 
-func TestEwmaCoefficients(t *testing.T) {
-	spec, err := Analyze(ewmaProgram(0.25))
+// analyzeCompiled derives p's coefficients and lowers them to bytecode,
+// as Annotate followed by plan compilation does; the spec's evaluators
+// (EvalA, UpdateLinear, …) run compiled coefficients only.
+func analyzeCompiled(t *testing.T, p *fold.Program) *fold.LinearSpec {
+	t.Helper()
+	spec, err := Analyze(p)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", p.Name, err)
 	}
+	if err := spec.EnsureCompiled(); err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
+	return spec
+}
+
+func TestEwmaCoefficients(t *testing.T) {
+	spec := analyzeCompiled(t, ewmaProgram(0.25))
 	rng := rand.New(rand.NewSource(1))
 	var a [1]float64
 	for i := 0; i < 20; i++ {
@@ -189,10 +201,7 @@ func TestLinearUpdateMatchesDirect(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for _, p := range progs {
-		spec, err := Analyze(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
+		spec := analyzeCompiled(t, p)
 		m := p.NumState
 		for trial := 0; trial < 200; trial++ {
 			direct := make([]float64, m)
@@ -222,11 +231,11 @@ func TestLinearUpdateMatchesDirect(t *testing.T) {
 // uninterrupted fold.
 func TestOutOfSeqMergeEqualsGroundTruth(t *testing.T) {
 	prog := outOfSeqProgram()
-	spec, err := Analyze(prog)
-	if err != nil {
+	spec := analyzeCompiled(t, prog)
+	f := &fold.Func{Prog: prog, Merge: fold.MergeLinear, Linear: spec}
+	if err := f.EnsureCompiled(); err != nil {
 		t.Fatal(err)
 	}
-	f := &fold.Func{Prog: prog, Merge: fold.MergeLinear, Linear: spec}
 	m := prog.NumState
 	rng := rand.New(rand.NewSource(3))
 
@@ -362,10 +371,7 @@ func TestLinearWithPacketScaling(t *testing.T) {
 				R: fold.FieldRef(trace.FieldTin)}},
 		},
 	}
-	spec, err := Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := analyzeCompiled(t, p)
 	rng := rand.New(rand.NewSource(4))
 	in := &fold.Input{Rec: randomRec(rng)}
 	var a [1]float64
@@ -388,10 +394,7 @@ func TestSwapIsLinear(t *testing.T) {
 			fold.Assign{Dst: 1, RHS: fold.StateRef(0)},
 		},
 	}
-	spec, err := Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := analyzeCompiled(t, p)
 	rng := rand.New(rand.NewSource(5))
 	in := &fold.Input{Rec: randomRec(rng)}
 	st := []float64{3, 7}

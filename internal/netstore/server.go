@@ -41,6 +41,13 @@ func NewServer(addr string, folds ...*fold.Func) (*Server, error) {
 	if len(folds) == 0 {
 		return nil, fmt.Errorf("netstore: server needs at least one fold")
 	}
+	// The stores replay first packets through Func.Update, which runs
+	// bytecode only; plan folds arrive compiled, hand-built ones do not.
+	for i, f := range folds {
+		if err := f.EnsureCompiled(); err != nil {
+			return nil, fmt.Errorf("netstore: fold %d (%s): %w", i, f.Name(), err)
+		}
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -141,26 +141,14 @@ func (sh *shardState) processBlock(d *Datapath, recs []trace.Record, lanes []uin
 			mask := selOwn
 			if sel.where != nil {
 				mask &= sel.where.EvalBoolBlock(&sc.blk, n, &sc.bregs)
-			} else if sel.st.Where != nil {
-				for m := selOwn; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					in := fold.Input{Rec: &recs[l]}
-					if !fold.EvalPred(sel.st.Where, &in, nil) {
-						mask &^= 1 << uint(l)
-					}
-				}
 			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				sc.gatherLane(hp, l)
 				sc.in.Rec = &recs[l]
-				row := sc.slab.take(len(sel.st.Cols))
-				for i := range row {
-					if c := sel.cols[i]; c != nil {
-						row[i] = c.Eval(&sc.in, nil)
-					} else {
-						row[i] = fold.EvalExpr(sel.st.Cols[i], &sc.in, nil)
-					}
+				row := sc.slab.take(len(sel.cols))
+				for i, c := range sel.cols {
+					row[i] = c.Eval(&sc.in, nil)
 				}
 				sh.selRows[si] = append(sh.selRows[si], row)
 			}
@@ -184,19 +172,8 @@ func (sh *shardState) processBlock(d *Datapath, recs []trace.Record, lanes []uin
 		}
 		if !ph.always {
 			var match uint64
-			for i, w := range ph.wheres {
-				if w != nil {
-					match |= w.EvalBoolBlock(&sc.blk, n, &sc.bregs)
-				} else if p := ph.sp.Members[i].Where; p != nil {
-					for m := mask &^ match; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros64(m)
-						in := fold.Input{Rec: &recs[l]}
-						if fold.EvalPred(p, &in, nil) {
-							match |= 1 << uint(l)
-						}
-					}
-				}
-				if match == full {
+			for _, w := range ph.wheres {
+				if match |= w.EvalBoolBlock(&sc.blk, n, &sc.bregs); match == full {
 					break
 				}
 			}

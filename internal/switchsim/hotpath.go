@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"fmt"
+
 	"perfq/internal/compiler"
 	"perfq/internal/fold"
 	"perfq/internal/obs"
@@ -15,9 +17,8 @@ import (
 // allocation-free. Three properties matter:
 //
 //   - No IR tree-walking: WHERE predicates, SELECT columns and fold
-//     bodies run as fold bytecode (compiled by the plan compiler; the
-//     tree interpreter remains only as a fallback for codes the VM
-//     cannot hold).
+//     bodies run as fold bytecode and nothing else (the plan compiler
+//     lowers every expression or rejects the query).
 //   - One field extraction pass per field per block: the union of raw
 //     fields every compiled code reads is extracted into a field-major
 //     block that vectorized bytecode indexes directly.
@@ -27,8 +28,7 @@ import (
 
 // selectHot is one select-over-T stage, compiled.
 type selectHot struct {
-	st    *compiler.Stage
-	where *fold.Code // nil: match-all, or fall back to st.Where
+	where *fold.Code // nil: no WHERE, every record matches
 	cols  []*fold.Code
 }
 
@@ -43,8 +43,7 @@ type keyGroup struct {
 // the program's store if any member's guard admits it — the match half
 // of the match-action entry.
 type progHot struct {
-	sp     *compiler.SwitchProgram
-	wheres []*fold.Code // compiled member guards, aligned with sp.Members
+	wheres []*fold.Code // compiled member guards (SwitchProgram.MemberWhere)
 	group  int          // index into hotPath.groups
 	always bool         // some member is unguarded: every record matches
 }
@@ -58,8 +57,12 @@ type hotPath struct {
 	progs   []progHot
 }
 
-// newHotPath builds the schedule for a compiled plan.
-func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) *hotPath {
+// newHotPath builds the schedule for a compiled plan. The block loop
+// runs every WHERE through EvalBoolBlock without looking at the code
+// again, so this is where a predicate that is not block-evaluable is
+// refused — none the plan compiler produces is: a WHERE over the raw
+// table has only field references and no conditional.
+func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) (*hotPath, error) {
 	hp := &hotPath{}
 	var mask uint32
 	codeMask := func(c *fold.Code) {
@@ -67,19 +70,30 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) *hotPath {
 			mask |= c.FieldMask()
 		}
 	}
+	addWhere := func(st *compiler.Stage, w *fold.Code) error {
+		if w != nil && !w.Vectorizable() {
+			return fmt.Errorf("switchsim: stage %s: WHERE over the raw table is not block-evaluable", st.Name)
+		}
+		codeMask(w)
+		return nil
+	}
 	for _, st := range selStgs {
-		sel := selectHot{st: st, where: st.WhereCode, cols: st.ColCodes}
-		codeMask(sel.where)
+		sel := selectHot{where: st.WhereCode, cols: st.ColCodes}
+		if err := addWhere(st, sel.where); err != nil {
+			return nil, err
+		}
 		for _, c := range sel.cols {
 			codeMask(c)
 		}
 		hp.selects = append(hp.selects, sel)
 	}
 	for _, sp := range plan.Programs {
-		ph := progHot{sp: sp, wheres: sp.MemberWhere, group: -1}
+		ph := progHot{wheres: sp.MemberWhere, group: -1}
 		for i, w := range ph.wheres {
-			codeMask(w)
-			if w == nil && sp.Members[i].Where == nil {
+			if err := addWhere(sp.Members[i], w); err != nil {
+				return nil, err
+			}
+			if w == nil {
 				ph.always = true
 			}
 		}
@@ -112,7 +126,7 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) *hotPath {
 	if len(hp.selects) == 0 && len(hp.progs) == 1 && hp.progs[0].always {
 		hp.fields = nil
 	}
-	return hp
+	return hp, nil
 }
 
 // routing builds the shard routing config: one key extractor per distinct

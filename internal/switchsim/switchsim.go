@@ -199,7 +199,10 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 			d.selStgs = append(d.selStgs, st)
 		}
 	}
-	d.hot = newHotPath(plan, d.selStgs)
+	var err error
+	if d.hot, err = newHotPath(plan, d.selStgs); err != nil {
+		return nil, err
+	}
 
 	geo := cfg.Geometry.Split(n)
 	var evictMu *sync.Mutex

@@ -15,10 +15,12 @@ import (
 )
 
 // This file is the VM-vs-interpreter differential suite over the paper's
-// own workloads: for every Figure 2 query, every compiled artifact in
-// the plan — fold bodies, WHERE predicates, SELECT/output columns, and
-// linear-merge coefficient programs — must agree bit-for-bit with the
-// reference tree interpreter on a real record stream.
+// own workloads: for every Figure 2 query (and the deepest expression the
+// register file admits at every site query text can put one), every
+// compiled artifact in the plan — fold bodies, WHERE predicates,
+// SELECT/JOIN/output columns, and linear-merge coefficient programs —
+// must agree bit-for-bit with the reference tree interpreter on a real
+// record stream.
 
 func diffRecords(t *testing.T) []trace.Record {
 	t.Helper()
@@ -37,36 +39,44 @@ func diffRecords(t *testing.T) []trace.Record {
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestFig2VMMatchesInterpreter checks vm(program, record) ==
-// interpreter(program, record) across every Figure 2 query.
+// interpreter(program, record) across every Figure 2 query and every
+// at-the-register-limit query of compile_limit_test.go.
 func TestFig2VMMatchesInterpreter(t *testing.T) {
 	recs := diffRecords(t)
+	diff := func(name, src string) {
+		t.Run(name, func(t *testing.T) { diffPlan(t, MustCompile(src).Plan(), recs) })
+	}
 	for _, ex := range queries.Fig2 {
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			plan := q.Plan()
+		diff(ex.Name, ex.Source)
+	}
+	for _, site := range limitSites {
+		diff("at limit: "+site.name, site.query(site.limit))
+	}
+}
 
-			for _, sp := range plan.Programs {
-				f := sp.Fold
-				if f.Code == nil {
-					t.Fatalf("store %s: no compiled code", f.Name())
-				}
-				diffFold(t, f, recs)
-				if f.Linear != nil {
-					diffLinear(t, f, recs)
-				}
-			}
-			for _, st := range plan.Stages {
-				diffStageCodes(t, st, recs)
-			}
-		})
+// diffPlan holds every compiled artifact of a plan to the tree
+// interpreter over recs.
+func diffPlan(t *testing.T, plan *compiler.Plan, recs []trace.Record) {
+	t.Helper()
+	for _, sp := range plan.Programs {
+		f := sp.Fold
+		if f.Code == nil {
+			t.Fatalf("store %s: no compiled code", f.Name())
+		}
+		diffFold(t, f, recs)
+		if f.Linear != nil {
+			diffLinear(t, f, recs)
+		}
+	}
+	for _, st := range plan.Stages {
+		diffStageCodes(t, st, recs)
 	}
 }
 
 // diffFold replays the record stream through the compiled body and the
-// interpreter in lockstep.
+// interpreter (Program.Update on the fold's own IR) in lockstep.
 func diffFold(t *testing.T, f *fold.Func, recs []trace.Record) {
 	t.Helper()
-	interp := f.Interpreted()
 	sv := make([]float64, f.StateLen())
 	si := make([]float64, f.StateLen())
 	f.Init(sv)
@@ -74,7 +84,7 @@ func diffFold(t *testing.T, f *fold.Func, recs []trace.Record) {
 	for r := range recs {
 		in := fold.Input{Rec: &recs[r]}
 		f.Code.Run(sv, &in)
-		interp.Prog.Update(si, &in)
+		f.Prog.Update(si, &in)
 		for i := range sv {
 			if !bitsEq(sv[i], si[i]) {
 				t.Fatalf("%s: record %d state[%d]: vm=%v interp=%v", f.Name(), r, i, sv[i], si[i])
@@ -83,12 +93,40 @@ func diffFold(t *testing.T, f *fold.Func, recs []trace.Record) {
 	}
 }
 
-// diffLinear checks the compiled coefficient path against the
-// uncompiled spec on evolving state.
+// refUpdateLinear is the tree-interpreter reference for
+// LinearSpec.UpdateLinear: EvalExpr applied directly to the spec's public
+// A and B trees (nil ⇒ 0) against the pre-update state, then the textbook
+// S' = A·S + B, P' = A·P.
+func refUpdateLinear(ls *fold.LinearSpec, state, p []float64, in *fold.Input) {
+	m := ls.Dim()
+	coef := func(e fold.Expr) float64 {
+		if e == nil {
+			return 0
+		}
+		return fold.EvalExpr(e, in, state)
+	}
+	a, ns := make([]float64, m*m), make([]float64, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			a[i*m+j] = coef(ls.A[i][j])
+		}
+	}
+	for i := range ns {
+		acc := a[i*m] * state[0]
+		for k := 1; k < m; k++ {
+			acc += a[i*m+k] * state[k]
+		}
+		ns[i] = acc + coef(ls.B[i])
+	}
+	copy(state, ns)
+	fold.StepP(p, a, make([]float64, m*m), m)
+}
+
+// diffLinear checks the compiled coefficient path against the tree
+// interpreter over the spec's expression trees on evolving state.
 func diffLinear(t *testing.T, f *fold.Func, recs []trace.Record) {
 	t.Helper()
 	m := f.StateLen()
-	plain := f.Interpreted().Linear
 	sc := make([]float64, m)
 	si := make([]float64, m)
 	f.Init(sc)
@@ -98,51 +136,77 @@ func diffLinear(t *testing.T, f *fold.Func, recs []trace.Record) {
 	fold.IdentityP(pc, m)
 	fold.IdentityP(pi, m)
 	aS, mS := make([]float64, m*m), make([]float64, m*m)
-	aS2, mS2 := make([]float64, m*m), make([]float64, m*m)
-	for r := range recs[:2000] {
+	for r := range recs[:min(len(recs), 2000)] {
 		in := fold.Input{Rec: &recs[r]}
 		f.Linear.UpdateLinear(sc, pc, &in, aS, mS)
-		plain.UpdateLinear(si, pi, &in, aS2, mS2)
+		refUpdateLinear(f.Linear, si, pi, &in)
 		for i := range sc {
 			if !bitsEq(sc[i], si[i]) {
-				t.Fatalf("%s: record %d state[%d]: compiled=%v plain=%v", f.Name(), r, i, sc[i], si[i])
+				t.Fatalf("%s: record %d state[%d]: compiled=%v interp=%v", f.Name(), r, i, sc[i], si[i])
 			}
 		}
 		for i := range pc {
 			if !bitsEq(pc[i], pi[i]) {
-				t.Fatalf("%s: record %d P[%d]: compiled=%v plain=%v", f.Name(), r, i, pc[i], pi[i])
+				t.Fatalf("%s: record %d P[%d]: compiled=%v interp=%v", f.Name(), r, i, pc[i], pi[i])
 			}
 		}
 	}
 }
 
-// diffStageCodes checks a stage's compiled WHERE and column expressions
-// against the interpreter per record.
+// diffStageCodes checks a stage's compiled WHERE, column and output
+// projection codes against the interpreter per record, and the plan
+// invariant that a code is nil iff its expression is. Stages over the raw
+// table see the record; derived and join stages see a row of the width
+// their input schema has, filled from the record's fields (and a state
+// vector filled the same way for the projections).
 func diffStageCodes(t *testing.T, st *compiler.Stage, recs []trace.Record) {
 	t.Helper()
-	if st.Input != nil || st.Kind == compiler.KindJoin {
-		return // derived stages see rows, covered via the fold/col paths
+	where, whereCode, cols, colCodes := st.Where, st.WhereCode, st.Cols, st.ColCodes
+	width := 0
+	switch {
+	case st.Kind == compiler.KindJoin:
+		where, whereCode, cols, colCodes = st.JoinWhere, st.JoinWhereCode, st.JoinCols, st.JoinColCodes
+		width = len(st.Left.Schema) + len(st.Right.Schema)
+	case st.Input != nil:
+		width = len(st.Input.Schema)
 	}
-	n := len(recs)
-	if n > 2000 {
-		n = 2000
+	if (where == nil) != (whereCode == nil) {
+		t.Fatalf("stage %s: WHERE %v has code %v", st.Name, where, whereCode)
 	}
-	for r := 0; r < n; r++ {
+	if len(colCodes) != len(cols) || len(st.OutCodes) != len(st.Out) {
+		t.Fatalf("stage %s: %d column codes for %d columns, %d output codes for %d outputs",
+			st.Name, len(colCodes), len(cols), len(st.OutCodes), len(st.Out))
+	}
+	fill := func(dst []float64, rec *trace.Record) {
+		for j := range dst {
+			dst[j] = float64(rec.Field(trace.FieldID(1 + j%(trace.NumFields-1))))
+		}
+	}
+	row := make([]float64, width)
+	var state []float64
+	if st.Fold != nil {
+		state = make([]float64, st.Fold.StateLen())
+	}
+	for r := range recs[:min(len(recs), 2000)] {
 		in := fold.Input{Rec: &recs[r]}
-		if st.Where != nil {
-			if st.WhereCode == nil {
-				t.Fatalf("stage %s: WHERE not compiled", st.Name)
-			}
-			if got, want := st.WhereCode.EvalBool(&in, nil), fold.EvalPred(st.Where, &in, nil); got != want {
+		if width > 0 {
+			fill(row, &recs[r])
+			in = fold.Input{Cols: row}
+		}
+		if where != nil {
+			if got, want := whereCode.EvalBool(&in, nil), fold.EvalPred(where, &in, nil); got != want {
 				t.Fatalf("stage %s: record %d WHERE vm=%v interp=%v", st.Name, r, got, want)
 			}
 		}
-		for i, c := range st.Cols {
-			if st.ColCodes[i] == nil {
-				t.Fatalf("stage %s: col %d not compiled", st.Name, i)
-			}
-			if got, want := st.ColCodes[i].Eval(&in, nil), fold.EvalExpr(c, &in, nil); !bitsEq(got, want) {
+		for i, c := range cols {
+			if got, want := colCodes[i].Eval(&in, nil), fold.EvalExpr(c, &in, nil); !bitsEq(got, want) {
 				t.Fatalf("stage %s: record %d col %d vm=%v interp=%v", st.Name, r, i, got, want)
+			}
+		}
+		fill(state, &recs[r])
+		for i, oc := range st.Out {
+			if got, want := st.OutCodes[i].Eval(&in, state), fold.EvalExpr(oc.Expr, &in, state); !bitsEq(got, want) {
+				t.Fatalf("stage %s: record %d output %d vm=%v interp=%v", st.Name, r, i, got, want)
 			}
 		}
 	}
