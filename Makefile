@@ -27,24 +27,24 @@ build:
 test: build
 	$(GO) test ./...
 
-# The sharded datapath's, the fabric's and the windowed runtime's
-# concurrency contracts under the race detector (the fabric equivalence
-# suite runs one worker goroutine per switch; the windowed suite
-# barriers shard pools and the fabric pump at every epoch boundary; the
+# The partitioned datapath's and the windowed runtime's concurrency
+# contracts under the race detector (the fabric equivalence suite runs
+# one worker goroutine per shard of every switch behind one feeder; the
+# windowed suite barriers that one pool at every epoch boundary; the
 # Workers tests drive the SPSC ring transport directly, wrap-around and
 # sentinel slots included; the Chaos/Pool suites exercise the backing
 # pool's shipper goroutines, health probers and fault-injected
-# connections; the Obs suite scrapes /metrics + /debug/perfq over HTTP
-# while the sharded windowed datapath is feeding, racing the registry's
-# readers against every mirror write; the Trace/Journal suites hammer
-# the span rings and the flight recorder from concurrent writers and
-# scrape /debug/trace + /debug/events mid-run; the Source suite runs
-# every source shape through the pools and the pump, and checks a
-# failing source leaves no worker behind; ProcessInline interleaves
-# Process with Feed on a live worker pool). The suites force
-# GOMAXPROCS >= 4 internally so the parallel paths run even on a
-# single-core host. -short skips the longest stall-injection cases; run
-# without it before a release.
+# connections, and the routing pool's partition level; the Obs suite
+# scrapes /metrics + /debug/perfq over HTTP while the sharded windowed
+# datapath is feeding, racing the registry's readers against every mirror
+# write; the Trace/Journal suites hammer the span rings and the flight
+# recorder from concurrent writers and scrape /debug/trace +
+# /debug/events mid-run; the Source suite runs every source shape through
+# the pool, and checks a failing source leaves no worker behind;
+# ProcessInline interleaves Process with Feed on a live worker pool). The
+# suites force GOMAXPROCS >= 4 internally so the parallel paths run even
+# on a single-core host. -short skips the longest stall-injection cases;
+# run without it before a release.
 race:
 	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal|TestSource|TestProcessInline|TestEvictionTotals' ./...
 

@@ -351,12 +351,12 @@ func BenchmarkWindowedDatapath(b *testing.B) {
 }
 
 // BenchmarkFabricDatapath replays a leaf-spine fabric trace through the
-// network-wide deployment — one datapath per switch fed by the
-// demultiplexing feeder, then collector reconciliation — serial vs one
-// worker per switch (the parallel sub-benchmark runs at GOMAXPROCS =
-// min(switches, NumCPU); with only one processor it degenerates to the
-// serial fast path, and the procs metric says so). pkts/s counts
-// records of the merged stream.
+// network-wide deployment — the datapath partitioned by switch behind
+// one feeder, then the network-wide reconcile — serial (GOMAXPROCS 1:
+// the inline router) vs one worker per switch (the parallel
+// sub-benchmark runs at GOMAXPROCS = min(switches, NumCPU); with only
+// one processor it degenerates to the inline path, and the procs metric
+// says so). pkts/s counts records of the merged stream.
 func BenchmarkFabricDatapath(b *testing.B) {
 	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
 	recs, err := netsim.GenWorkload(tp, netsim.Workload{Seed: 12, Flows: 1200})
@@ -381,7 +381,6 @@ func BenchmarkFabricDatapath(b *testing.B) {
 			for done < b.N {
 				fab, err := fabric.New(q.Plan(), tp, fabric.Config{
 					Switch: switchsim.Config{Geometry: kvstore.SetAssociative(1<<14, 8)},
-					Serial: serial,
 				})
 				if err != nil {
 					b.Fatal(err)

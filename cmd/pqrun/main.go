@@ -344,7 +344,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		gtOpts := []perfq.RunOption{perfq.WithShards(*shards)}
+		var gtOpts []perfq.RunOption
 		if fabricTopo != nil {
 			gtOpts = append(gtOpts, perfq.WithFabric(fabricTopo))
 		}

@@ -21,6 +21,7 @@ package perfq
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"perfq/internal/fabric"
@@ -353,9 +354,13 @@ func TestFabricLossLocalization(t *testing.T) {
 	}
 }
 
-// TestFabricWithShardsInside composes the two parallel layers: each
-// switch datapath itself sharded. Results must stay bit-identical to the
-// unsharded fabric for a network-exact query.
+// TestFabricWithShardsInside composes the two partition levels: each
+// switch's stores themselves sharded. Results must stay bit-identical to
+// the unsharded fabric for a network-exact query, on workers (GOMAXPROCS
+// 4) and inline (GOMAXPROCS 1) alike — and the composition is one flat
+// transport, not a pool per switch behind a pump: a stream over K
+// switches × n shards runs exactly K·n workers behind the one feeder, and
+// none once it ends.
 func TestFabricWithShardsInside(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
@@ -365,12 +370,39 @@ func TestFabricWithShardsInside(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := q.Run(Records(recs), WithCache(1<<14, 8), WithFabric(tp), WithShards(4))
+	const shards = 4
+	tb := allTables(base)
+	for _, procs := range []int{4, 1} {
+		atProcs(procs, func() {
+			sharded, err := q.Run(Records(recs), WithCache(1<<14, 8), WithFabric(tp), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := allTables(sharded)
+			for name := range tb {
+				requireTablesIdentical(t, fmt.Sprintf("fabric+shards/procs%d/%s", procs, name), ts[name], tb[name])
+			}
+			if sharded.ValidKeys != base.ValidKeys || sharded.TotalKeys != base.TotalKeys {
+				t.Errorf("procs %d: accuracy %d/%d, unsharded fabric %d/%d",
+					procs, sharded.ValidKeys, sharded.TotalKeys, base.ValidKeys, base.TotalKeys)
+			}
+		})
+	}
+
+	idle := runtime.NumGoroutine()
+	workers := -1
+	_, err = q.Stream(Records(recs), func(w *WindowResult) error {
+		workers = runtime.NumGoroutine() - idle // mid-stream: the pool is live across closes
+		return nil
+	}, WithCache(1<<14, 8), WithFabric(tp), WithShards(shards),
+		WithWindow(WindowSpec{Count: int64(len(recs)/3 + 1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, ts := allTables(base), allTables(sharded)
-	for name := range tb {
-		requireTablesIdentical(t, "fabric+shards/"+name, ts[name], tb[name])
+	if want := len(tp.SwitchIDs()) * shards; workers != want {
+		t.Errorf("stream ran %d goroutines beside the feeder, want %d (switches × shards)", workers, want)
+	}
+	if n := runtime.NumGoroutine(); n != idle {
+		t.Errorf("%d goroutines left after the stream ended", n-idle)
 	}
 }

@@ -181,7 +181,7 @@ func requireSameRun(t *testing.T, label string, got, want shapeRun) {
 // single and sharded datapath, count and interval windows whose
 // boundaries fall inside runs, and the fabric.
 func TestSourceShapeEquivalence(t *testing.T) {
-	forceProcs(t) // worker pools and the fabric pump, not their inline bypass
+	forceProcs(t) // the worker pool, not its inline bypass
 	q := MustCompile(`const alpha = 0.125
 def ewma(lat_est, (tin, tout)):
     lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)

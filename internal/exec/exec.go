@@ -20,7 +20,6 @@ import (
 	"perfq/internal/compiler"
 	"perfq/internal/fold"
 	"perfq/internal/packet"
-	"perfq/internal/shard"
 	"perfq/internal/trace"
 )
 
@@ -183,15 +182,16 @@ func (e *Engine) processGroup(st *compiler.Stage, rec *trace.Record, in *fold.In
 
 // RangeGroup iterates an over-T group stage's accumulators: the packed
 // store key, key component values and raw state vector. Iteration order
-// is unspecified (each key appears exactly once); the fabric collector's
-// ground-truth path consumes this, mirroring Datapath.RangeMember.
-func (e *Engine) RangeGroup(name string, fn func(key packet.Key128, keyVals, state []float64) bool) {
+// is unspecified (each key appears exactly once); the fabric ground
+// truth consumes this as a switchsim.StateSource.
+func (e *Engine) RangeGroup(name string, fn func(key packet.Key128, keyVals, state []float64)) {
 	for key, ent := range e.groups[name] {
-		if !fn(key, ent.keyVals, ent.state) {
-			return
-		}
+		fn(key, ent.keyVals, ent.state)
 	}
 }
+
+// GroupLen returns how many keys an over-T group stage has accumulated.
+func (e *Engine) GroupLen(name string) int { return len(e.groups[name]) }
 
 // SelectRows returns the accumulated rows of a select-over-T stage (a
 // multiset; callers sort after merging).
@@ -380,97 +380,4 @@ func Run(plan *compiler.Plan, src trace.Source) (map[string]*Table, error) {
 		e.ProcessRecord(&rec)
 	}
 	return e.Finish()
-}
-
-// RunParallel evaluates the plan over a source with unbounded memory
-// across n hash-partitioned workers: each over-T GROUPBY stage's records
-// are routed by grouping key (internal/shard), so per-worker group
-// tables are disjoint and merge by concatenation; select-over-T rows are
-// spread round-robin and merged as a multiset. Derived stages and joins
-// run once over the merged (sorted) tables, exactly as the collector
-// does, which makes the output byte-identical to Run for every plan.
-func RunParallel(plan *compiler.Plan, src trace.Source, n int) (map[string]*Table, error) {
-	var groupStgs, selectStgs []*compiler.Stage
-	for _, st := range plan.Stages {
-		if st.Input != nil || st.Kind == compiler.KindJoin {
-			continue
-		}
-		switch st.Kind {
-		case compiler.KindGroup:
-			groupStgs = append(groupStgs, st)
-		case compiler.KindSelect:
-			selectStgs = append(selectStgs, st)
-		}
-	}
-	if n <= 1 || len(groupStgs)+1 > shard.MaxTargets {
-		return Run(plan, src)
-	}
-
-	workers := make([]*Engine, n)
-	for i := range workers {
-		workers[i] = New(plan)
-	}
-	// Stages sharing a GROUPBY key share one key extraction per record.
-	var keys []shard.KeyFunc
-	var keySpecs []*compiler.KeySpec
-	targets := make([]int, len(groupStgs))
-	for i, st := range groupStgs {
-		targets[i] = -1
-		for g, ks := range keySpecs {
-			if ks.Equal(st.Key) {
-				targets[i] = g
-				break
-			}
-		}
-		if targets[i] < 0 {
-			keySpecs = append(keySpecs, st.Key)
-			keys = append(keys, st.Key.Of)
-			targets[i] = len(keys) - 1
-		}
-	}
-	var freeMask uint64
-	if len(selectStgs) > 0 {
-		freeMask = 1 << uint(len(groupStgs))
-	}
-	_, err := shard.Run(shard.Config{Shards: n, Keys: keys, Targets: targets, FreeMask: freeMask}, src,
-		func(s int, rec *trace.Record, mask uint64) {
-			w := workers[s]
-			in := fold.Input{Rec: rec}
-			if mask&freeMask != 0 {
-				for _, st := range selectStgs {
-					w.processSelect(st, &in)
-				}
-			}
-			for i, st := range groupStgs {
-				if mask&(1<<uint(i)) != 0 {
-					w.processGroup(st, rec, &in)
-				}
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	// Merge the disjoint per-worker partials, then evaluate the derived
-	// stages once over the merged tables (the collector's own path).
-	final := New(plan)
-	for _, st := range groupStgs {
-		var rows [][]float64
-		for _, w := range workers {
-			rows = append(rows, materializeGroup(st, w.groups[st.Name])...)
-		}
-		t := &Table{Schema: st.Schema, Rows: rows}
-		t.Sort()
-		final.SetTable(st.Name, t)
-	}
-	for _, st := range selectStgs {
-		var rows [][]float64
-		for _, w := range workers {
-			rows = append(rows, w.srows[st.Name]...)
-		}
-		t := &Table{Schema: st.Schema, Rows: rows}
-		t.Sort()
-		final.SetTable(st.Name, t)
-	}
-	return final.Finish()
 }

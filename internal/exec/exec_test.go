@@ -158,47 +158,3 @@ func TestTableSortTotalWithNaN(t *testing.T) {
 		}
 	}
 }
-
-// TestRunParallelMatchesRun is the exec-level unit check under the
-// facade-level suite: parallel ground truth over a mixed plan (selects,
-// two group keys, a join) is bit-identical to serial.
-func TestRunParallelMatchesRun(t *testing.T) {
-	p := plan(t, `R1 = SELECT COUNT GROUPBY 5tuple
-R2 = SELECT COUNT GROUPBY 5tuple WHERE tout == infinity
-R3 = SELECT R2.count / R1.count AS lossrate FROM R1 JOIN R2 ON 5tuple
-R4 = SELECT qid, tin WHERE proto == 6`)
-	// A few hundred flows, every 7th packet dropped, so both group
-	// stages, the join and the select all carry rows.
-	var recs []trace.Record
-	for i := 0; i < 4000; i++ {
-		tout := int64(10 + i)
-		if i%7 == 0 {
-			tout = trace.Infinity
-		}
-		recs = append(recs, rec(byte(i%251), uint16(1000+i%13), int64(i), tout, 100))
-	}
-	serial, err := Run(p, &trace.SliceSource{Records: recs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunParallel(p, &trace.SliceSource{Records: recs}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("table sets differ: %d vs %d", len(serial), len(parallel))
-	}
-	for name, want := range serial {
-		got := parallel[name]
-		if got == nil || len(got.Rows) != len(want.Rows) {
-			t.Fatalf("table %s: rows %d vs %d", name, len(got.Rows), len(want.Rows))
-		}
-		for i := range want.Rows {
-			for j := range want.Rows[i] {
-				if math.Float64bits(got.Rows[i][j]) != math.Float64bits(want.Rows[i][j]) {
-					t.Fatalf("table %s row %d col %d: %v != %v", name, i, j, got.Rows[i][j], want.Rows[i][j])
-				}
-			}
-		}
-	}
-}

@@ -2,9 +2,7 @@ package fabric
 
 import (
 	"perfq/internal/compiler"
-	"perfq/internal/exec"
 	"perfq/internal/fold"
-	"perfq/internal/packet"
 	"perfq/internal/trace"
 )
 
@@ -93,103 +91,23 @@ func NetworkExact(plan *compiler.Plan) bool {
 	return true
 }
 
-// Accuracy is a (valid, total) network-wide key count per program.
-type Accuracy struct{ Valid, Total int }
-
-// switchSource is one switch's worth of per-member state — implemented
-// by *switchsim.Datapath (the real fabric) and by the exec-backed
-// ground-truth engine adapter.
-type switchSource interface {
-	RangeMember(pi, mi int, fn func(key packet.Key128, keyVals, state []float64, valid bool) bool)
-	SelectRows(name string) [][]float64
-}
-
-// netEntry accumulates one key's network-wide state during
-// reconciliation.
-type netEntry struct {
-	keyVals []float64
-	state   []float64
-	invalid bool
-}
-
-// networkTables reconciles per-switch sources (in the given order, which
-// must be deterministic — callers pass switch-ID order) into one table
-// per switch-resident stage, plus per-program spatial accuracy.
-//
-// Select-over-T stages are per-record mirrors: every record is owned by
-// exactly one switch, so the network-wide multiset is the concatenation
-// of per-switch rows, exact for every query. Group stages merge per
-// their MergeMode.
-func networkTables(plan *compiler.Plan, srcs []switchSource) (map[string]*exec.Table, []Accuracy) {
-	out := map[string]*exec.Table{}
-	acc := make([]Accuracy, len(plan.Programs))
-
-	for _, st := range plan.Stages {
-		if st.Kind == compiler.KindSelect && st.Input == nil {
-			var rows [][]float64
-			for _, s := range srcs {
-				rows = append(rows, s.SelectRows(st.Name)...)
+// mergeOf is the reconcile's reducer for a stage: how the states two
+// switches hold for one key combine, in switch-ID order. Union keys
+// cannot collide (the key pins the switch) and epoch folds have no sound
+// merge, so both return nil — the reconcile then drops a key held by
+// more than one switch rather than emit a wrong row.
+func mergeOf(st *compiler.Stage) func(dst, src []float64) {
+	switch ModeOf(st) {
+	case ModeAdd:
+		s0 := make([]float64, st.Fold.StateLen())
+		st.Fold.Init(s0)
+		return func(dst, src []float64) {
+			for i := range dst {
+				dst[i] += src[i] - s0[i]
 			}
-			t := &exec.Table{Schema: st.Schema, Rows: rows}
-			t.Sort()
-			out[st.Name] = t
 		}
+	case ModeAssoc:
+		return st.Fold.Combine
 	}
-
-	for pi, sp := range plan.Programs {
-		for mi, st := range sp.Members {
-			mode := ModeOf(st)
-			m := st.Fold.StateLen()
-			s0 := make([]float64, m)
-			st.Fold.Init(s0)
-			entries := map[packet.Key128]*netEntry{}
-			for _, s := range srcs {
-				s.RangeMember(pi, mi, func(key packet.Key128, keyVals, state []float64, valid bool) bool {
-					e := entries[key]
-					if e == nil {
-						e = &netEntry{keyVals: append([]float64(nil), keyVals...)}
-						entries[key] = e
-					}
-					switch {
-					case !valid:
-						// Untrustworthy within its own switch (multi-epoch
-						// key of a non-mergeable fold): untrustworthy
-						// network-wide too.
-						e.invalid = true
-					case e.state == nil:
-						e.state = append([]float64(nil), state...)
-					default:
-						switch mode {
-						case ModeAdd:
-							for i := range e.state {
-								e.state[i] += state[i] - s0[i]
-							}
-						case ModeAssoc:
-							st.Fold.Combine(e.state, state)
-						default:
-							// ModeEpoch: second switch, no sound merge.
-							// ModeUnion cannot collide (the key pins the
-							// switch); treat a collision as corruption and
-							// drop the key rather than emit a wrong row.
-							e.invalid = true
-						}
-					}
-					return true
-				})
-			}
-			rows := make([][]float64, 0, len(entries))
-			for _, e := range entries {
-				if e.invalid || e.state == nil {
-					continue
-				}
-				rows = append(rows, exec.GroupRow(st, e.keyVals, e.state))
-			}
-			acc[pi].Valid += len(rows)
-			acc[pi].Total += len(entries)
-			t := &exec.Table{Schema: st.Schema, Rows: rows}
-			t.Sort()
-			out[st.Name] = t
-		}
-	}
-	return out, acc
+	return nil
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -106,36 +107,44 @@ func TestFabricDemux(t *testing.T) {
 	}
 }
 
+// atProcs runs fn at the given GOMAXPROCS: 1 selects the inline router
+// (no second processor to run a worker on), anything above it the
+// worker pool.
+func atProcs(n int, fn func()) {
+	prev := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(prev)
+	fn()
+}
+
 // TestFabricSerialParallelIdentical: the worker-per-switch run must be
-// bit-identical to the serial demux (per-switch arrival order is
-// preserved either way).
+// bit-identical to the inline one (per-switch arrival order is preserved
+// either way), and a single-switch fabric must be the plain datapath.
 func TestFabricSerialParallelIdentical(t *testing.T) {
-	// Exercise the pump even on a single-core host, where the runtime
-	// would otherwise bypass it (see Fabric.serialPath).
-	if runtime.GOMAXPROCS(0) < 2 {
-		prev := runtime.GOMAXPROCS(4)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
 	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
 	recs := workload(t, tp)
 	plan := compile(t, `
 R1 = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple
 R2 = SELECT qid, tout - tin AS lat WHERE qin > 20000
 `)
-	run := func(serial bool) map[string]*exec.Table {
-		tabs, err := RunPlan(plan, tp, &trace.SliceSource{Records: recs},
-			Config{Serial: serial})
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(procs int) (tabs map[string]*exec.Table) {
+		atProcs(procs, func() {
+			var err error
+			if tabs, err = RunPlan(plan, tp, &trace.SliceSource{Records: recs}, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
 		return tabs
 	}
-	ser, par := run(true), run(false)
-	if len(ser) != len(par) {
-		t.Fatalf("table sets differ: %d vs %d", len(ser), len(par))
+	requireSameTables(t, run(1), run(4))
+}
+
+func requireSameTables(t *testing.T, want, got map[string]*exec.Table) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("table sets differ: %d vs %d", len(want), len(got))
 	}
-	for name, ws := range ser {
-		wp := par[name]
+	for name, ws := range want {
+		wp := got[name]
 		if wp == nil || len(wp.Rows) != len(ws.Rows) {
 			t.Fatalf("table %s diverged", name)
 		}
@@ -150,14 +159,84 @@ R2 = SELECT qid, tout - tin AS lat WHERE qin > 20000
 	}
 }
 
+// TestFabricOneSwitchIsPlainDatapath: a fabric whose whole stream
+// crosses one switch is the plain datapath on that switch's cache slice —
+// tables, cache and store statistics, accuracy and that switch's view are
+// those of a datapath that was never partitioned, at a geometry small
+// enough to churn. (Every topology constructor adds the host-NIC pseudo
+// switch, so "one switch" is Chain(1) with the NIC queues left idle; the
+// engine-level K = 1 case is a row of switchsim's
+// TestProcessInlineShardedMatchesRun.)
+func TestFabricOneSwitchIsPlainDatapath(t *testing.T) {
+	recs := workload(t, topo.LeafSpine(4, 2, 8, topo.Options{}))
+	tp := topo.Chain(1, topo.Options{})
+	const sw = 1 // Chain's only real switch; 0 is the host NICs
+	for i := range recs {
+		recs[i].QID = trace.MakeQueueID(sw, recs[i].QID.Queue())
+	}
+	plan := compile(t, `
+R1 = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple
+R2 = SELECT 5tuple, MAX(qin) GROUPBY 5tuple WHERE proto == 6
+R3 = SELECT qid, tout - tin AS lat WHERE qin > 20000
+`)
+	for _, shards := range []int{1, 4} {
+		cfg := switchsim.Config{Geometry: kvstore.SetAssociative(64, 8), Shards: shards}
+		f, err := New(plan, tp, Config{Switch: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Geometry = cfg.Geometry.Split(len(tp.SwitchIDs()))
+		dp, err := switchsim.New(plan, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := func() trace.Source { return &trace.SliceSource{Records: recs} }
+		if err := dp.Run(src()); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Run(src()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := dp.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTables(t, want, got)
+		if got, err = f.SwitchTables(sw); err != nil {
+			t.Fatal(err)
+		}
+		requireSameTables(t, want, got)
+		if !reflect.DeepEqual(dp.Stats(), f.Datapath(sw).Stats()) {
+			t.Errorf("shards=%d: switch view's stats %+v, want %+v", shards, f.Datapath(sw).Stats(), dp.Stats())
+		}
+		if !reflect.DeepEqual(dp.Stats(), f.Stats()) || !reflect.DeepEqual(dp.StoreStats(), f.StoreStats()) {
+			t.Errorf("shards=%d: stats diverge:\n%+v %+v\n%+v %+v", shards, dp.Stats(), dp.StoreStats(), f.Stats(), f.StoreStats())
+		}
+		if dp.Stats()[0].Evictions == 0 {
+			t.Fatal("no eviction churn; cache sizing broken")
+		}
+		for i := range plan.Programs {
+			wv, wt := dp.Accuracy(i)
+			if gv, gt := f.Accuracy(i); gv != wv || gt != wt {
+				t.Errorf("shards=%d program %d: accuracy %d/%d, plain datapath %d/%d", shards, i, gv, gt, wv, wt)
+			}
+		}
+		if f.Packets() != dp.Packets() || f.Unrouted() != 0 {
+			t.Errorf("shards=%d: routed %d (unrouted %d), want %d", shards, f.Packets(), f.Unrouted(), dp.Packets())
+		}
+	}
+}
+
 // TestFabricSerialFastPath pins the PR-5 regression fix: with one
-// processor the pump hop buys no parallelism, so Run and Feed must
-// apply records inline and never start the per-switch workers — and a
-// run that does go through the pump must still be bit-identical (the
-// equivalence half is TestFabricSerialParallelIdentical).
+// processor the transport hop buys no parallelism, so Run and Feed must
+// apply records inline and never start a worker — and a run that does go
+// through the pool must still be bit-identical (the equivalence half is
+// TestFabricSerialParallelIdentical).
 func TestFabricSerialFastPath(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
 	recs := workload(t, tp)
 	plan := compile(t, `R = SELECT COUNT GROUPBY 5tuple`)
@@ -165,17 +244,17 @@ func TestFabricSerialFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Feed(recs)
-	f.Sync()
-	if f.pump != nil {
-		t.Fatal("Feed started the pump at GOMAXPROCS=1")
-	}
-	if err := f.Run(&trace.SliceSource{Records: recs}); err != nil {
-		t.Fatal(err)
-	}
-	if f.pump != nil {
-		t.Fatal("Run started the pump at GOMAXPROCS=1")
-	}
+	atProcs(1, func() {
+		before := runtime.NumGoroutine()
+		f.Feed(recs)
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("Feed started %d goroutines at GOMAXPROCS=1", n-before)
+		}
+		f.Sync()
+		if err := f.Run(&trace.SliceSource{Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if f.Packets() != uint64(2*len(recs)) {
 		t.Fatalf("packets = %d, want %d", f.Packets(), 2*len(recs))
 	}
@@ -183,51 +262,50 @@ func TestFabricSerialFastPath(t *testing.T) {
 
 // TestFabricSerialStructure guards the fabric's serial tax structurally
 // (its wall-clock predecessor flaked under package-level test
-// parallelism; speed is fabric_multi's job in the benchmark): a Serial
-// fabric with processors to spare must start no pump, move no transport
-// batch, and — once the caches are warm — allocate nothing per record.
-// Those are the three ways the PR-5 regression (8.0M → 6.8M pkts/s) and
-// its per-record-map-probe cousin can come back.
+// parallelism; speed is fabric_multi's job in the benchmark): on one
+// processor the fabric must start no worker, move no transport batch,
+// and — once the caches are warm — allocate nothing per record. Those
+// are the three ways the PR-5 regression (8.0M → 6.8M pkts/s) and its
+// per-record-map-probe cousin can come back.
 func TestFabricSerialStructure(t *testing.T) {
-	if prev := runtime.GOMAXPROCS(0); prev < 2 {
-		runtime.GOMAXPROCS(2) // so only Config.Serial keeps the pump off
-		defer runtime.GOMAXPROCS(prev)
-	}
 	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
 	recs, err := netsim.GenWorkload(tp, netsim.Workload{Seed: 12, Flows: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := compile(t, `R = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple`)
+	reg := obs.NewRegistry()
 	f, err := New(plan, tp, Config{
 		Switch: switchsim.Config{
 			Geometry: kvstore.SetAssociative(1<<16, 8), // holds every key: the warm pass only hits
-			Metrics:  obs.NewRegistry(),
+			Metrics:  reg,
 		},
-		Serial: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Run(&trace.SliceSource{Records: recs}); err != nil {
-		t.Fatal(err)
-	}
-	f.Feed(recs)
-	if f.pump != nil {
-		t.Fatal("serial fabric started the pump")
-	}
-	if n := f.obs.tm.Batches.Value(); n != 0 {
-		t.Fatalf("serial fabric moved %d transport batches", n)
-	}
-	if f.Packets() != uint64(2*len(recs)) {
-		t.Fatalf("packets = %d, want %d", f.Packets(), 2*len(recs))
-	}
-	if raceEnabled {
-		return // the race runtime allocates on its own
-	}
-	if allocs := testing.AllocsPerRun(3, func() { f.Feed(recs) }); allocs != 0 {
-		t.Fatalf("warm serial feed: %.0f allocs per %d records, want 0", allocs, len(recs))
-	}
+	atProcs(1, func() {
+		before := runtime.NumGoroutine()
+		if err := f.Run(&trace.SliceSource{Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+		f.Feed(recs)
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("serial fabric started %d goroutines", n-before)
+		}
+		if n, _ := reg.Value("perfq_transport_batches_total"); n != 0 {
+			t.Fatalf("serial fabric moved %.0f transport batches", n)
+		}
+		if f.Packets() != uint64(2*len(recs)) {
+			t.Fatalf("packets = %d, want %d", f.Packets(), 2*len(recs))
+		}
+		if raceEnabled {
+			return // the race runtime allocates on its own
+		}
+		if allocs := testing.AllocsPerRun(3, func() { f.Feed(recs) }); allocs != 0 {
+			t.Fatalf("warm serial feed: %.0f allocs per %d records, want 0", allocs, len(recs))
+		}
+	})
 }
 
 // TestFabricGroundTruthSwitchCoverage: the exec-backed ground truth

@@ -4,30 +4,38 @@ import (
 	"perfq/internal/compiler"
 	"perfq/internal/exec"
 	"perfq/internal/packet"
+	"perfq/internal/switchsim"
 	"perfq/internal/topo"
 	"perfq/internal/trace"
 )
 
 // engineSource adapts an unbounded-memory exec engine (one switch's
-// sub-stream) to the collector's state-source interface. Every key is
+// sub-stream) to the reconcile's state-source interface. Every key is
 // trivially valid: with no cache there are no epochs.
 type engineSource struct {
 	plan *compiler.Plan
 	eng  *exec.Engine
 }
 
-func (s engineSource) RangeMember(pi, mi int, fn func(key packet.Key128, keyVals, state []float64, valid bool) bool) {
+func (s engineSource) Keys(pi int) (n int) {
+	for _, st := range s.plan.Programs[pi].Members {
+		n = max(n, s.eng.GroupLen(st.Name))
+	}
+	return n
+}
+
+func (s engineSource) RangeMember(pi, mi int, fn func(key packet.Key128, keyVals, state []float64, valid bool)) {
 	st := s.plan.Programs[pi].Members[mi]
-	s.eng.RangeGroup(st.Name, func(key packet.Key128, keyVals, state []float64) bool {
-		return fn(key, keyVals, state, true)
+	s.eng.RangeGroup(st.Name, func(key packet.Key128, keyVals, state []float64) {
+		fn(key, keyVals, state, true)
 	})
 }
 
-func (s engineSource) SelectRows(name string) [][]float64 { return s.eng.SelectRows(name) }
+func (s engineSource) SelectRows(st *compiler.Stage) [][]float64 { return s.eng.SelectRows(st.Name) }
 
 // GroundTruth evaluates the plan the way an infinite-memory fabric
 // would: records are demultiplexed to one unbounded exec engine per
-// switch, per-switch states are reconciled by the same collector the
+// switch, per-switch states are reconciled by the same Reconcile the
 // datapath uses (same merge modes, same switch order, same float
 // associativity), and downstream stages run over the merged tables. This
 // is the reference the fabric equivalence suite compares the cache +
@@ -35,7 +43,7 @@ func (s engineSource) SelectRows(name string) [][]float64 { return s.eng.SelectR
 func GroundTruth(plan *compiler.Plan, t *topo.Topology, src trace.Source) (map[string]*exec.Table, error) {
 	ids := t.SwitchIDs()
 	engines := make(map[uint16]*exec.Engine, len(ids))
-	srcs := make([]switchSource, len(ids))
+	srcs := make([]switchsim.StateSource, len(ids))
 	for i, id := range ids {
 		eng := exec.New(plan)
 		engines[id] = eng
@@ -52,7 +60,7 @@ func GroundTruth(plan *compiler.Plan, t *topo.Topology, src trace.Source) (map[s
 	if err != nil {
 		return nil, err
 	}
-	tabs, _ := networkTables(plan, srcs)
+	tabs, _ := switchsim.Reconcile(plan, srcs, mergeOf)
 	eng := exec.New(plan)
 	for name, tab := range tabs {
 		eng.SetTable(name, tab)

@@ -11,8 +11,8 @@ import (
 
 // Sampled packet tracing: a deterministic power-of-two sampler selects
 // keys by hash, and the layers a sampled record crosses append
-// timestamped hops to a span — shard router / fabric demux, ring
-// transport, cache hit/miss, eviction, netstore shipper. Spans live in
+// timestamped hops to a span — the shard router, the ring transport,
+// cache hit/miss, eviction, netstore shipper. Spans live in
 // preallocated fixed-size rings (no heap on the record path), so tracing
 // follows the same contract as the metric mirrors: the unsampled hot
 // path pays one mask test against a hash it already computed, and all
@@ -31,7 +31,7 @@ type Hop uint8
 
 // Hops, in datapath order.
 const (
-	// HopRoute: the shard router (or fabric demux) marked the record.
+	// HopRoute: the shard router marked the record.
 	HopRoute Hop = iota
 	// HopTransport: a worker dequeued the record from the ring transport.
 	HopTransport

@@ -1,10 +1,13 @@
-// Package shard implements the sharded parallel datapath fabric: it
-// hash-partitions a record stream by grouping key across N workers, each
-// of which owns an independent slice of per-program state (cache +
-// backing store, or a ground-truth engine). Because every record of a
-// given key is routed to the same worker, per-shard result tables are
-// disjoint and the merged output is a plain concatenation — sharding is
-// invisible in the final sorted tables.
+// Package shard implements the partitioned parallel transport under the
+// datapath: it hash-partitions a record stream by grouping key across N
+// workers, each of which owns an independent slice of per-program state
+// (cache + backing store). Because every record of a given key is routed
+// to the same worker, per-shard result tables are disjoint and the merged
+// output is a plain concatenation — sharding is invisible in the final
+// sorted tables. One level above the key hash sits an optional partition
+// (Config.Partition; the fabric's record → switch map): each partition is
+// its own routing domain of N shards, so K partitions are one flat array
+// of K·N workers behind one feeder.
 //
 // A plan can hold several switch programs with different GROUPBY keys, so
 // one record may belong to different shards for different programs. The
@@ -41,9 +44,11 @@ const MaxTargets = 64
 // KeyFunc extracts the partition key one target groups records by.
 type KeyFunc func(*trace.Record) packet.Key128
 
-// ProcessFunc consumes one routed record on a worker goroutine. mask has
-// bit t set when this shard owns target t for this record. It is called
-// from exactly one goroutine per shard value.
+// ProcessFunc consumes one routed record on its shard's goroutine (the
+// feeder's, for an inline pool). shard is the flat worker index
+// (partition × Shards + shard within the partition); mask has bit t set
+// when this shard owns target t for this record. It is called from
+// exactly one goroutine per shard value.
 type ProcessFunc func(shard int, rec *trace.Record, mask uint64)
 
 // Item is one routed record with the targets its shard owns for it.
@@ -57,9 +62,20 @@ type Item struct {
 	Span obs.SpanRef
 }
 
+// Partition is the routing level above the key hash: N independent
+// routing domains and the map from a record to its domain.
+type Partition struct {
+	// N is the number of partitions; values < 1 mean 1.
+	N int
+	// Of returns the record's partition in [0, N), or -1 for a record
+	// that belongs to none (the router's caller counts it; nothing
+	// processes it). nil places every record in partition 0.
+	Of func(*trace.Record) int
+}
+
 // Config describes a routing domain.
 type Config struct {
-	// Shards is the worker count; values < 1 mean 1.
+	// Shards is the worker count of each partition; values < 1 mean 1.
 	Shards int
 	// Batch is the records-per-send granularity; 0 selects DefaultBatch.
 	Batch int
@@ -74,11 +90,15 @@ type Config struct {
 	// FreeMask is OR-ed into one round-robin-chosen shard's mask for
 	// every record — the bits of order-insensitive targets.
 	FreeMask uint64
+	// Partition splits the stream above the key hash; the zero value is
+	// one partition holding every record.
+	Partition Partition
 
-	// Obs, when non-nil (sized for Shards workers), instruments the
-	// ring transport: batch-size histogram, park/wake counts. Nil means
-	// fully uninstrumented (one nil branch per batch).
-	Obs *obs.TransportMetrics
+	// Obs, when non-nil, instruments the ring transport with one set per
+	// partition, each sized for Shards workers: batch-size histogram,
+	// park/wake counts. Nil means fully uninstrumented (one nil branch
+	// per batch).
+	Obs []*obs.TransportMetrics
 	// AfterBatch, when non-nil, runs on the worker goroutine after each
 	// consumed batch — the datapath's hook for publishing its plain
 	// per-shard counters into atomic mirrors at batch granularity.
@@ -89,10 +109,10 @@ type Config struct {
 	// rides its Item through the transport. The router already hashes
 	// every key, so the sampling test is one AND+compare per key group.
 	Trace *obs.Tracer
-	// SpanSlots, when tracing, are the per-shard mailboxes the worker
-	// loop parks the in-flight item's span in so downstream consumers
-	// on the same goroutine (the shard's caches) can append to it.
-	// Sized for Shards; nil disables the handoff.
+	// SpanSlots, when tracing, are the per-worker mailboxes the pool
+	// parks the in-flight item's span in so downstream consumers on the
+	// same goroutine (the shard's caches) can append to it. Sized for
+	// every worker (Partition.N × Shards); nil disables tracing.
 	SpanSlots []*obs.SpanSlot
 }
 
@@ -102,9 +122,6 @@ type Config struct {
 // of the same hash (correlated bits would confine each shard's keys to
 // 1/n of its cache buckets).
 func Index(key packet.Key128, n int) int {
-	if n <= 1 {
-		return 0
-	}
 	return indexHash(key.Hash(), n)
 }
 
@@ -119,31 +136,25 @@ func indexHash(h uint64, n int) int {
 	return int(h % uint64(n))
 }
 
-// Router computes per-shard target masks for records — the one routing
-// algorithm, shared by the batched Pool and inline (feederless) callers
-// such as the datapath's single-record Process path. A Router is not
-// goroutine-safe; give each serial caller its own.
-type Router struct {
-	n       int
+// router computes, per record, its partition and that partition's
+// per-shard target masks — the one routing algorithm under Pool, ring
+// workers or inline. Not goroutine-safe: it belongs to the pool's feeder.
+type router struct {
+	n       int // shards per partition
+	part    func(*trace.Record) int
 	keys    []KeyFunc
 	targets []int
-	idx     []int // per-key shard index scratch
+	idx     []int  // per-key shard index scratch
+	all     uint64 // every target's bit: the mask of a one-shard partition
 	free    uint64
 	rr      int
 
-	// Sampling state for the record routed last (valid until the next
-	// Route call). trMask is obs.NoSample when no tracer is attached.
-	trMask  uint64
-	sampKey packet.Key128
-	sampled bool
+	// Sampling: trMask is obs.NoSample when no tracer is attached.
+	tr     *obs.Tracer
+	trMask uint64
 }
 
-// NewRouter builds a router from the routing-relevant Config fields.
-func NewRouter(cfg Config) *Router {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
+func newRouter(cfg Config) *router {
 	targets := cfg.Targets
 	if targets == nil {
 		targets = make([]int, len(cfg.Keys))
@@ -151,43 +162,62 @@ func NewRouter(cfg Config) *Router {
 			targets[t] = t
 		}
 	}
-	return &Router{
-		n:       n,
+	r := &router{
+		n:       max(cfg.Shards, 1),
+		part:    cfg.Partition.Of,
 		keys:    cfg.Keys,
 		targets: targets,
 		idx:     make([]int, len(cfg.Keys)),
+		all:     cfg.FreeMask,
 		free:    cfg.FreeMask,
+		tr:      cfg.Trace,
 		trMask:  cfg.Trace.HashMask(),
 	}
+	for t := range targets {
+		r.all |= 1 << uint(t)
+	}
+	return r
 }
 
-// Shards returns the shard count records are routed across.
-func (r *Router) Shards() int { return r.n }
-
-// Route fills masks (which must have length Shards) with each shard's
-// target bits for one record: one key extraction + hash per distinct
-// key, then a mask update per target. Free targets advance the
-// round-robin cursor, so route each record exactly once.
-func (r *Router) Route(rec *trace.Record, masks []uint64) {
-	for i := range masks {
-		masks[i] = 0
-	}
-	if r.trMask == obs.NoSample {
-		for k, kf := range r.keys {
-			r.idx[k] = Index(kf(rec), r.n)
+// route resolves the record's partition (-1: none; masks are then left
+// alone) and fills masks, which has length n, with the target bits of
+// each of that partition's shards. A partition of one shard owns every
+// target, so nothing is packed or hashed for it — per-record feeder work
+// does not grow with the number of partitions.
+//
+// With a tracer attached, route also begins the span of a sampled record
+// — sampled on the first selected group key, whose hash spread computes
+// anyway, or on the five-tuple when a one-shard partition packed none.
+func (r *router) route(rec *trace.Record, masks []uint64) (part int, span obs.SpanRef) {
+	if r.part != nil {
+		if part = r.part(rec); part < 0 {
+			return part, span
 		}
-	} else {
-		// Tracing: reuse each key's hash for the sampling test — the
-		// marked key (first sampled group) begins the record's span.
-		r.sampled = false
-		for k, kf := range r.keys {
-			key := kf(rec)
-			h := key.Hash()
-			r.idx[k] = indexHash(h, r.n)
-			if h&r.trMask == 0 && !r.sampled {
-				r.sampled = true
-				r.sampKey = key
-			}
+	}
+	if r.n > 1 {
+		return part, r.spread(rec, masks, part)
+	}
+	masks[0] = r.all
+	if r.tr != nil {
+		if key := rec.FlowKey().Pack(); key.Hash()&r.trMask == 0 {
+			span = r.tr.Begin(part, key, obs.HopRoute, obs.OutcomeOK)
+		}
+	}
+	return part, span
+}
+
+// spread hash-partitions one record across a partition's n > 1 shards:
+// one key extraction + hash per distinct key, then a mask update per
+// target. Free targets advance the round-robin cursor, so spread each
+// record exactly once.
+func (r *router) spread(rec *trace.Record, masks []uint64, part int) (span obs.SpanRef) {
+	clear(masks)
+	for k, kf := range r.keys {
+		key := kf(rec)
+		h := key.Hash()
+		r.idx[k] = indexHash(h, r.n)
+		if h&r.trMask == 0 && r.tr != nil && !span.Live() {
+			span = r.tr.Begin(part, key, obs.HopRoute, obs.OutcomeOK)
 		}
 	}
 	for t, k := range r.targets {
@@ -200,96 +230,108 @@ func (r *Router) Route(rec *trace.Record, masks []uint64) {
 			r.rr = 0
 		}
 	}
+	return span
 }
 
-// SampledKey returns the key that marked the last routed record for
-// tracing, if any. Valid until the next Route call.
-func (r *Router) SampledKey() (packet.Key128, bool) {
-	return r.sampKey, r.sampled
-}
-
-// Pool routes records from a single feeder to per-shard worker
-// goroutines (a Workers transport fed through the Router). Feed,
-// Barrier and Close must be called from one goroutine.
+// Pool routes records from a single feeder to the shards that own them:
+// through per-shard worker goroutines (NewPool — a Workers transport fed
+// through the router), or straight onto the feeder's own goroutine
+// (NewInline — same routing, same per-shard arrival order, no transport;
+// what a host without a second processor should run). Feed, Barrier and
+// Close must be called from one goroutine.
 type Pool struct {
-	router  *Router
-	workers *Workers[Item]
+	router  *router
+	workers *Workers // nil: inline
+	process ProcessFunc
+	after   func(worker int)
+	slots   []*obs.SpanSlot
 	masks   []uint64
 	fed     uint64
-	tr      *obs.Tracer
 }
 
-// NewPool starts one worker goroutine per shard, each draining its batch
-// channel through process.
+// NewInline builds a pool with no workers: Feed applies each record on
+// the calling goroutine, as a transport batch of one.
+func NewInline(cfg Config, process ProcessFunc) *Pool {
+	if cfg.SpanSlots == nil {
+		cfg.Trace = nil
+	}
+	r := newRouter(cfg)
+	return &Pool{
+		router:  r,
+		process: process,
+		after:   cfg.AfterBatch,
+		slots:   cfg.SpanSlots,
+		masks:   make([]uint64, r.n),
+	}
+}
+
+// NewPool starts one worker goroutine per shard of every partition, each
+// draining its batch ring through process.
 func NewPool(cfg Config, process ProcessFunc) *Pool {
-	router := NewRouter(cfg)
-	n := router.Shards()
-	p := &Pool{router: router, masks: make([]uint64, n)}
-	after := cfg.AfterBatch
-	consume := func(s int, items []Item) {
-		for i := range items {
-			process(s, &items[i].Rec, items[i].Mask)
-		}
-		if after != nil {
-			after(s)
-		}
-	}
-	if cfg.Trace != nil && cfg.SpanSlots != nil {
-		// Traced variant: park each item's span in the shard's mailbox so
-		// the caches process runs can append to it, and stamp the
-		// transport hop (arg = batch length) on spans that have one.
-		p.tr = cfg.Trace
-		slots := cfg.SpanSlots
-		consume = func(s int, items []Item) {
-			slot := slots[s]
-			for i := range items {
-				if sp := items[i].Span; sp.Live() {
-					sp.Hop(obs.HopTransport, obs.OutcomeOK, uint64(len(items)))
-					slot.Ref = sp
-				} else {
-					slot.Ref = obs.SpanRef{}
-				}
-				process(s, &items[i].Rec, items[i].Mask)
-			}
-			slot.Ref = obs.SpanRef{}
-			if after != nil {
-				after(s)
-			}
-		}
-	}
-	p.workers = NewWorkersObs(n, cfg.Batch, cfg.Obs, consume)
+	p := NewInline(cfg, process)
+	p.workers = NewWorkers(max(cfg.Partition.N, 1)*p.router.n, cfg.Batch, cfg.Obs, p.consume)
 	return p
 }
 
-// Transport returns the pool's transport metrics (nil when Config.Obs
-// was nil).
-func (p *Pool) Transport() *obs.TransportMetrics { return p.workers.Metrics() }
+// consume is the worker side of the transport: one batch, in ring order.
+func (p *Pool) consume(worker int, items []Item) {
+	for i := range items {
+		p.land(worker, &items[i].Rec, items[i].Mask, items[i].Span, len(items))
+	}
+	if p.after != nil {
+		p.after(worker)
+	}
+}
 
-// Occupancy is the pool's current ring backlog in slots (racy gauge).
-func (p *Pool) Occupancy() int { return p.workers.Occupancy() }
+// land applies one routed record on its shard — the one delivery step of
+// ring workers and the inline pool alike. A sampled record's span gets
+// its transport hop (arg = the batch it travelled in, 1 inline) and is
+// parked in the shard's mailbox around the call, so the hops process
+// records downstream land on it and on no other record.
+func (p *Pool) land(worker int, rec *trace.Record, mask uint64, span obs.SpanRef, batch int) {
+	if !span.Live() {
+		p.process(worker, rec, mask)
+		return
+	}
+	span.Hop(obs.HopTransport, obs.OutcomeOK, uint64(batch))
+	p.slots[worker].Ref = span
+	p.process(worker, rec, mask)
+	p.slots[worker].Ref = obs.SpanRef{}
+}
 
-// Shards returns the worker count.
-func (p *Pool) Shards() int { return p.router.Shards() }
+// Occupancy is one partition's current ring backlog in slots (racy
+// gauge; 0 for an inline pool).
+func (p *Pool) Occupancy(part int) int {
+	if p.workers == nil {
+		return 0
+	}
+	return p.workers.Occupancy(part*p.router.n, (part+1)*p.router.n)
+}
 
-// Fed returns how many records have been routed so far.
+// Fed returns how many records have been routed to a partition so far.
 func (p *Pool) Fed() uint64 { return p.fed }
 
-// Feed routes one record, copying it into the pending batch of every
-// shard that owns at least one target for it.
-func (p *Pool) Feed(rec *trace.Record) {
+// Feed routes one record: it is copied into the pending batch of every
+// shard of its partition that owns at least one target for it (inline:
+// applied there and then). Feed returns the record's partition, or -1
+// for a record no partition claims, which goes nowhere.
+func (p *Pool) Feed(rec *trace.Record) int {
+	part, span := p.router.route(rec, p.masks)
+	if part < 0 {
+		return part
+	}
 	p.fed++
-	p.router.Route(rec, p.masks)
-	var span obs.SpanRef
-	if p.tr != nil {
-		if key, ok := p.router.SampledKey(); ok {
-			span = p.tr.Begin(0, key, obs.HopRoute, obs.OutcomeOK)
-		}
-	}
+	base := part * len(p.masks)
 	for s, m := range p.masks {
-		if m != 0 {
-			p.workers.Feed(s, Item{Rec: *rec, Mask: m, Span: span})
+		switch {
+		case m == 0:
+		case p.workers != nil:
+			p.workers.Feed(base+s, rec, m, span)
+		default:
+			p.land(base+s, rec, m, span, 1)
 		}
 	}
+	return part
 }
 
 // Barrier flushes every pending batch and blocks until all records fed
@@ -297,23 +339,16 @@ func (p *Pool) Feed(rec *trace.Record) {
 // this is the window-boundary synchronization of the epoch runtime:
 // every worker must have applied window k's records before the caller
 // flushes caches and materializes window k's tables.
-func (p *Pool) Barrier() { p.workers.Barrier() }
+func (p *Pool) Barrier() {
+	if p.workers != nil {
+		p.workers.Barrier()
+	}
+}
 
-// Close flushes every pending batch, closes the channels and waits for
-// all workers to drain. The pool must not be fed afterwards.
-func (p *Pool) Close() { p.workers.Close() }
-
-// Run streams an entire source through a fresh pool and waits for the
-// workers to finish. It returns the number of records fed (every record
-// read, when the source fails) and the source's error.
-func Run(cfg Config, src trace.Source, process ProcessFunc) (uint64, error) {
-	p := NewPool(cfg, process)
-	err := trace.EachBatch(src, func(recs []trace.Record) error {
-		for i := range recs {
-			p.Feed(&recs[i])
-		}
-		return nil
-	})
-	p.Close()
-	return p.fed, err
+// Close flushes every pending batch, closes the rings and waits for all
+// workers to drain. The pool must not be fed afterwards.
+func (p *Pool) Close() {
+	if p.workers != nil {
+		p.workers.Close()
+	}
 }

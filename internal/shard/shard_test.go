@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -154,6 +155,74 @@ func TestPoolRouting(t *testing.T) {
 	}
 }
 
+// TestPoolPartitionedRouting covers the level above the key hash: with K
+// partitions of n shards a record lands on worker part·n + Index(key, n)
+// of the partition Partition.Of names and on no other partition's
+// workers, Feed returns that partition, a record Of disowns (-1) goes
+// nowhere and is not counted fed, a one-shard partition gets every target
+// bit without its key being asked for — and the inline pool delivers each
+// worker exactly the sequence the ring pool does.
+func TestPoolPartitionedRouting(t *testing.T) {
+	recs := routeTrace(5_000)
+	partOf := func(rec *trace.Record) int { return int(rec.QID.Switch()) - 1 } // switches 0..4: -1, 0..3
+	for _, n := range []int{1, 3} {
+		const parts = 4
+		keyCalls := 0
+		cfg := Config{
+			Shards: n, Batch: 32, FreeMask: 1 << 1,
+			Keys:      []KeyFunc{func(rec *trace.Record) packet.Key128 { keyCalls++; return flowKey(rec) }},
+			Partition: Partition{N: parts, Of: partOf},
+		}
+		type hit struct{ uniq, mask uint64 }
+		deliveries := func(build func(Config, ProcessFunc) *Pool) [][]hit {
+			got := make([][]hit, parts*n) // appended only by the owning worker
+			pool := build(cfg, func(w int, rec *trace.Record, mask uint64) {
+				got[w] = append(got[w], hit{rec.PktUniq, mask})
+			})
+			routed := 0
+			for i := range recs {
+				want := partOf(&recs[i])
+				if p := pool.Feed(&recs[i]); p != want {
+					t.Fatalf("n=%d: Feed = partition %d, want %d", n, p, want)
+				}
+				if want >= 0 {
+					routed++
+				}
+			}
+			pool.Barrier()
+			pool.Close()
+			if pool.Fed() != uint64(routed) {
+				t.Fatalf("n=%d: Fed = %d, want %d routed of %d", n, pool.Fed(), routed, len(recs))
+			}
+			return got
+		}
+		ring := deliveries(NewPool)
+		if n == 1 && keyCalls != 0 {
+			t.Fatalf("one-shard partitions packed %d keys on the feeder", keyCalls)
+		}
+		seen := 0
+		for w, hits := range ring {
+			for _, h := range hits {
+				rec := &recs[h.uniq]
+				if h.mask&1 != 0 { // the keyed target: its hash-owning shard of its partition
+					seen++
+					if want := partOf(rec)*n + Index(flowKey(rec), n); w != want {
+						t.Fatalf("n=%d: record %d on worker %d, want %d", n, h.uniq, w, want)
+					}
+				} else if w/n != partOf(rec) {
+					t.Fatalf("n=%d: record %d's free target on partition %d, want %d", n, h.uniq, w/n, partOf(rec))
+				}
+			}
+		}
+		if want := len(recs) - len(recs)/5; seen != want {
+			t.Fatalf("n=%d: keyed target delivered %d times, want %d", n, seen, want)
+		}
+		if inline := deliveries(NewInline); !reflect.DeepEqual(inline, ring) {
+			t.Fatalf("n=%d: inline pool delivered a different per-worker sequence than the ring pool", n)
+		}
+	}
+}
+
 // TestPoolPartialBatchFlush ensures records below one batch still arrive
 // after Close.
 func TestPoolPartialBatchFlush(t *testing.T) {
@@ -167,21 +236,6 @@ func TestPoolPartialBatchFlush(t *testing.T) {
 	pool.Close()
 	if processed.Load() != 10 {
 		t.Fatalf("processed %d of 10 records", processed.Load())
-	}
-}
-
-// TestRunStreamsSource covers the Run convenience wrapper.
-func TestRunStreamsSource(t *testing.T) {
-	recs := routeTrace(1000)
-	var processed atomic.Uint64
-	fed, err := Run(Config{Shards: 2, Keys: []KeyFunc{flowKey}},
-		&trace.SliceSource{Records: recs},
-		func(s int, rec *trace.Record, mask uint64) { processed.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fed != 1000 || processed.Load() != 1000 {
-		t.Fatalf("fed %d processed %d, want 1000/1000", fed, processed.Load())
 	}
 }
 

@@ -4,7 +4,13 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"perfq/internal/obs"
+	"perfq/internal/trace"
 )
+
+// feedSeq feeds a transport test item: the sequence number rides in Mask.
+func feedSeq(w *Workers, worker, i int) { w.Feed(worker, &trace.Record{}, uint64(i), obs.SpanRef{}) }
 
 // TestWorkersRingWrapAround pushes many multiples of the ring's total
 // capacity (depth × batch) through a single worker and checks every item
@@ -13,22 +19,24 @@ import (
 func TestWorkersRingWrapAround(t *testing.T) {
 	const batch = 8
 	const total = batch * ringDepth * 97 // many wraps, not slot-aligned
-	var got []int
-	w := NewWorkers(1, batch, func(worker int, items []int) {
+	var got []uint64
+	w := NewWorkers(1, batch, nil, func(worker int, items []Item) {
 		if worker != 0 {
 			t.Errorf("worker = %d, want 0", worker)
 		}
-		got = append(got, items...)
+		for i := range items {
+			got = append(got, items[i].Mask)
+		}
 	})
 	for i := 0; i < total; i++ {
-		w.Feed(0, i)
+		feedSeq(w, 0, i)
 	}
 	w.Close()
 	if len(got) != total {
 		t.Fatalf("received %d of %d items", len(got), total)
 	}
 	for i, v := range got {
-		if v != i {
+		if v != uint64(i) {
 			t.Fatalf("item %d = %d (out of order or duplicated)", i, v)
 		}
 	}
@@ -41,13 +49,13 @@ func TestWorkersRingWrapAround(t *testing.T) {
 func TestWorkersBarrierPartialBatch(t *testing.T) {
 	const batch = 64
 	var processed atomic.Int64
-	w := NewWorkers(3, batch, func(worker int, items []int) {
+	w := NewWorkers(3, batch, nil, func(worker int, items []Item) {
 		processed.Add(int64(len(items)))
 	})
 	fed := 0
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
-			w.Feed(fed%3, fed)
+			feedSeq(w, fed%3, fed)
 			fed++
 		}
 	}
@@ -68,10 +76,10 @@ func TestWorkersBarrierPartialBatch(t *testing.T) {
 // sentinel slots: barrier → immediate close, and barrier → feed → close.
 func TestWorkersCloseAfterBarrier(t *testing.T) {
 	var processed atomic.Int64
-	w := NewWorkers(2, 16, func(worker int, items []int) {
+	w := NewWorkers(2, 16, nil, func(worker int, items []Item) {
 		processed.Add(int64(len(items)))
 	})
-	w.Feed(0, 1)
+	feedSeq(w, 0, 1)
 	w.Barrier()
 	w.Barrier() // idle barrier: no items since the last one
 	w.Close()
@@ -79,12 +87,12 @@ func TestWorkersCloseAfterBarrier(t *testing.T) {
 		t.Fatalf("processed %d, want 1", processed.Load())
 	}
 
-	w = NewWorkers(2, 16, func(worker int, items []int) {
+	w = NewWorkers(2, 16, nil, func(worker int, items []Item) {
 		processed.Add(int64(len(items)))
 	})
 	w.Barrier() // barrier before any feed
-	w.Feed(1, 2)
-	w.Feed(0, 3)
+	feedSeq(w, 1, 2)
+	feedSeq(w, 0, 3)
 	w.Close()
 	if processed.Load() != 3 {
 		t.Fatalf("processed %d, want 3", processed.Load())
@@ -99,18 +107,18 @@ func TestWorkersCloseAfterBarrier(t *testing.T) {
 func TestWorkersSteadyStateZeroAlloc(t *testing.T) {
 	const batch = 32
 	var sink atomic.Int64
-	w := NewWorkers(2, batch, func(worker int, items []int) {
+	w := NewWorkers(2, batch, nil, func(worker int, items []Item) {
 		sink.Add(int64(len(items)))
 	})
 	defer w.Close()
 	// Warm every slot buffer through one full wrap first.
 	for i := 0; i < batch*ringDepth*2; i++ {
-		w.Feed(i%2, i)
+		feedSeq(w, i%2, i)
 	}
 	w.Barrier()
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < batch*ringDepth*2; i++ {
-			w.Feed(i%2, i)
+			feedSeq(w, i%2, i)
 		}
 		w.Barrier()
 	})
@@ -127,13 +135,13 @@ func BenchmarkWorkersTransport(b *testing.B) {
 	for _, batch := range []int{32, 64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
 			var sink atomic.Int64
-			w := NewWorkers(1, batch, func(worker int, items []int) {
+			w := NewWorkers(1, batch, nil, func(worker int, items []Item) {
 				sink.Add(int64(len(items)))
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.Feed(0, i)
+				feedSeq(w, 0, i)
 			}
 			w.Close()
 			if sink.Load() != int64(b.N) {

@@ -13,9 +13,9 @@ import (
 // stand-in for the paper's one-update-per-clock pipeline stage. Every
 // entry reaches it a block at a time: a single-shard Feed cuts the
 // caller's slice into blocks of up to fold.BlockSize records and runs
-// them in place; every record-at-a-time entry (Datapath.Process, the
-// inline router, the ring workers) copies into the owning shard's
-// staging block, which runs when it fills or is drained. processBlock
+// them in place; every record-at-a-time entry (Datapath.Process and the
+// pools behind it, inline or ring workers) copies into the owning
+// shard's staging block, which runs when it fills or is drained. processBlock
 // runs each pipeline step across the whole block — one field extraction
 // pass per field (not per record), WHERE predicates through the VM's
 // vectorized EvalBoolBlock, GROUPBY keys packed once per (group, lane),
@@ -28,7 +28,7 @@ import (
 // sharded path's cross-shard ordering).
 
 // processBlocks applies a run of records the caller owns every target
-// of (the single-shard datapath), in place.
+// of (the single-shard, unpartitioned datapath), in place.
 func (sh *shardState) processBlocks(d *Datapath, recs []trace.Record) {
 	for base := 0; base < len(recs); base += fold.BlockSize {
 		n := min(len(recs)-base, fold.BlockSize)
@@ -79,7 +79,7 @@ func (sh *shardState) drain(d *Datapath) {
 	}
 	sh.nStage = 0
 	var lanes []uint64
-	if len(d.shards) > 1 {
+	if d.per > 1 {
 		lanes = sh.stageMask[:n]
 	}
 	sh.processBlock(d, sh.stage[:n], lanes)
@@ -95,8 +95,8 @@ func (sc *shardScratch) gatherLane(hp *hotPath, l int) {
 }
 
 // processBlock applies one block of 1..BlockSize records. lanes == nil
-// means the caller owns every target for every record (the single-shard
-// datapath, which masks could not even represent beyond
+// means the caller owns every target for every record (a partition's
+// only shard, which masks could not even represent beyond
 // shard.MaxTargets programs); otherwise lanes[l] is record l's routing
 // mask, and target t sees exactly the lanes whose mask has bit t set.
 func (sh *shardState) processBlock(d *Datapath, recs []trace.Record, lanes []uint64) {

@@ -163,6 +163,7 @@ type shardScratch struct {
 	in     fold.Input
 	fields [trace.NumFields]float64
 	slab   floatSlab
+	kv     [8]float64 // RangeMember's key component values, one key at a time
 
 	blk   fold.InputBlock
 	bregs fold.BlockRegs
@@ -170,11 +171,10 @@ type shardScratch struct {
 	gkeys [][fold.BlockSize]packet.Key128 // per key group, per lane
 	gmask []uint64                        // per key group: lanes packed this block
 
-	// spanSlot is the shard's trace-span mailbox: the transport worker
-	// (or the fabric pump via SetTraceSpan) parks the in-flight record's
-	// sampled span here and the shard's caches append their hops to it.
-	// Owned by the shard's processing goroutine; unused when tracing is
-	// off.
+	// spanSlot is the shard's trace-span mailbox: the pool parks the
+	// in-flight record's sampled span here and the shard's caches append
+	// their hops to it. Owned by the shard's processing goroutine; unused
+	// when tracing is off.
 	spanSlot obs.SpanSlot
 }
 

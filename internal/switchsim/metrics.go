@@ -2,14 +2,12 @@ package switchsim
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"perfq/internal/obs"
-	"perfq/internal/shard"
 )
 
 // Datapath instrumentation. The hot loop keeps its existing plain
-// (non-atomic) counters — d.packets, per-shard path counters, the
+// (non-atomic) counters — d.pkts, per-shard path counters, the
 // kvstore/backing stat structs — and this file mirrors them into
 // striped atomic cells at batch boundaries: every pubBlocks blocks of
 // an in-place Feed, after every consumed ring batch on the sharded
@@ -23,7 +21,7 @@ import (
 const pubBlocks = 256
 
 // progObs mirrors one program's cache + store counters, striped per
-// shard.
+// shard of its partition.
 type progObs struct {
 	accesses  *obs.Counter
 	hits      *obs.Counter
@@ -35,80 +33,97 @@ type progObs struct {
 	keys      *obs.Counter
 }
 
-// dpObs is one datapath's mirror set.
-type dpObs struct {
+// partObs is one partition's mirror set — the per-switch drill-down of
+// a fabric, the whole datapath otherwise.
+type partObs struct {
 	packets    *obs.Counter // stripe 0: feeder-owned
 	blockRecs  *obs.Counter // per shard: records the block loop has applied
 	stagedRecs *obs.Counter // per shard: of those, records that came through the staging copy
 	progs      []progObs
-
-	// pool mirrors the datapath's lazily-started worker pool for the
-	// scrape-time occupancy gauge (the scraper must not read d.pool,
-	// which is feeder-owned).
-	pool atomic.Pointer[shard.Pool]
 }
 
-// newDpObs builds the mirrors and registers every family under labels
-// (e.g. `switch="leaf0"`; empty for the single-switch datapath).
-func newDpObs(reg *obs.Registry, labels string, nShards, nProgs int) *dpObs {
-	o := &dpObs{
-		packets:    obs.NewCounter(1),
-		blockRecs:  obs.NewCounter(nShards),
-		stagedRecs: obs.NewCounter(nShards),
-		progs:      make([]progObs, nProgs),
+// dpObs is one datapath's mirror set: a partObs and a transport metric
+// set per partition, plus what only a partitioned datapath has.
+type dpObs struct {
+	parts     []partObs
+	transport []*obs.TransportMetrics
+	unrouted  *obs.Counter // records no partition owned (feeder-owned)
+	mergeNs   obs.Hist     // wall time of one cross-partition reconcile
+}
+
+// newDpObs builds the mirrors and registers every family, one series
+// per partition under its label (`switch="leaf0"`; a single empty label
+// for the unpartitioned datapath).
+func newDpObs(d *Datapath, reg *obs.Registry, labels []string) *dpObs {
+	o := &dpObs{parts: make([]partObs, len(labels)), unrouted: obs.NewCounter(1)}
+	if d.part != nil {
+		reg.CounterVal("perfq_fabric_unrouted_total",
+			"Records whose switch ID is absent from the topology", "", o.unrouted)
+		reg.HistVal("perfq_fabric_merge_ns",
+			"Wall time of one network-wide collector reconciliation, nanoseconds", "", &o.mergeNs)
 	}
-	reg.CounterVal("perfq_packets_total",
-		"Records processed by the datapath", labels, o.packets)
-	reg.CounterVal("perfq_path_block_records_total",
-		"Records applied by the block loop, once per owning shard (equals perfq_packets_total after a Sync while every program shares one GROUPBY key)", labels, o.blockRecs)
-	reg.CounterVal("perfq_path_staged_records_total",
-		"Records that reached the block loop through a shard's staging copy (block - staged = run in place by Feed)", labels, o.stagedRecs)
-	for p := range o.progs {
-		po := &o.progs[p]
-		pl := obs.JoinLabels(labels, `prog="`+strconv.Itoa(p)+`"`)
-		po.accesses = obs.NewCounter(nShards)
-		po.hits = obs.NewCounter(nShards)
-		po.inserts = obs.NewCounter(nShards)
-		po.evictions = obs.NewCounter(nShards)
-		po.flushed = obs.NewCounter(nShards)
-		po.merges = obs.NewCounter(nShards)
-		po.appends = obs.NewCounter(nShards)
-		po.keys = obs.NewCounter(nShards)
-		reg.CounterVal("perfq_cache_accesses_total",
-			"Key-value store lookups", pl, po.accesses)
-		reg.CounterVal("perfq_cache_hits_total",
-			"Key-value store hits", pl, po.hits)
-		reg.CounterVal("perfq_cache_inserts_total",
-			"Key-value store inserts", pl, po.inserts)
-		reg.CounterVal("perfq_cache_evictions_total",
-			"Capacity evictions into the backing store", pl, po.evictions)
-		reg.CounterVal("perfq_cache_flushed_total",
-			"Entries flushed at window close", pl, po.flushed)
-		reg.CounterVal("perfq_store_merges_total",
-			"Backing-store exact merges", pl, po.merges)
-		reg.CounterVal("perfq_store_appends_total",
-			"Backing-store epoch appends (rollovers of non-mergeable folds)", pl, po.appends)
-		keys := po.keys
-		reg.Gauge("perfq_store_keys",
-			"Keys resident in the backing store", pl,
-			func() float64 { return float64(keys.Value()) })
+	for p, label := range labels {
+		tm := obs.NewTransportMetrics(d.per)
+		o.transport = append(o.transport, tm)
+		part := p
+		tm.Register(reg, label, func() int {
+			if pool := d.live.Load(); pool != nil {
+				return pool.Occupancy(part)
+			}
+			return 0
+		})
+		po := &o.parts[p]
+		*po = partObs{
+			packets:    obs.NewCounter(1),
+			blockRecs:  obs.NewCounter(d.per),
+			stagedRecs: obs.NewCounter(d.per),
+			progs:      make([]progObs, len(d.plan.Programs)),
+		}
+		reg.CounterVal("perfq_packets_total",
+			"Records processed by the datapath", label, po.packets)
+		reg.CounterVal("perfq_path_block_records_total",
+			"Records applied by the block loop, once per owning shard (equals perfq_packets_total after a Sync while every program shares one GROUPBY key)", label, po.blockRecs)
+		reg.CounterVal("perfq_path_staged_records_total",
+			"Records that reached the block loop through a shard's staging copy (block - staged = run in place by Feed)", label, po.stagedRecs)
+		for i := range po.progs {
+			c := &po.progs[i]
+			pl := obs.JoinLabels(label, `prog="`+strconv.Itoa(i)+`"`)
+			counter := func(name, help string) *obs.Counter {
+				v := obs.NewCounter(d.per)
+				reg.CounterVal(name, help, pl, v)
+				return v
+			}
+			c.accesses = counter("perfq_cache_accesses_total", "Key-value store lookups")
+			c.hits = counter("perfq_cache_hits_total", "Key-value store hits")
+			c.inserts = counter("perfq_cache_inserts_total", "Key-value store inserts")
+			c.evictions = counter("perfq_cache_evictions_total", "Capacity evictions into the backing store")
+			c.flushed = counter("perfq_cache_flushed_total", "Entries flushed at window close")
+			c.merges = counter("perfq_store_merges_total", "Backing-store exact merges")
+			c.appends = counter("perfq_store_appends_total", "Backing-store epoch appends (rollovers of non-mergeable folds)")
+			keys := obs.NewCounter(d.per)
+			c.keys = keys
+			reg.Gauge("perfq_store_keys",
+				"Keys resident in the backing store", pl,
+				func() float64 { return float64(keys.Value()) })
+		}
 	}
 	return o
 }
 
-// publishShard mirrors shard s's plain counters into the atomic cells.
-// It must run on the goroutine that owns shard s (its ring worker, or
-// the feeder on the serial paths / after a barrier).
+// publishShard mirrors shard s's plain counters into its partition's
+// atomic cells. It must run on the goroutine that owns shard s (its ring
+// worker, or the feeder on the serial paths / after a barrier).
 func (d *Datapath) publishShard(s int) {
 	o := d.obs
 	if o == nil {
 		return
 	}
 	sh := d.shards[s]
-	o.blockRecs.Store(s, sh.nBlockRecs)
-	o.stagedRecs.Store(s, sh.nStagedRecs)
+	part, s := &o.parts[s/d.per], s%d.per
+	part.blockRecs.Store(s, sh.nBlockRecs)
+	part.stagedRecs.Store(s, sh.nStagedRecs)
 	for pi, ps := range sh.progs {
-		po := &o.progs[pi]
+		po := &part.progs[pi]
 		cs := ps.cache.Stats()
 		po.accesses.Store(s, cs.Accesses)
 		po.hits.Store(s, cs.Hits)
@@ -122,17 +137,20 @@ func (d *Datapath) publishShard(s int) {
 	}
 }
 
-// publishPackets mirrors the feeder-owned packet count.
+// publishPackets mirrors the feeder-owned record counts.
 func (d *Datapath) publishPackets() {
-	if d.obs != nil {
-		d.obs.packets.Store(0, d.packets)
+	if d.obs == nil {
+		return
 	}
+	for p, n := range d.pkts {
+		d.obs.parts[p].packets.Store(0, n)
+	}
+	d.obs.unrouted.Store(0, d.unrouted)
 }
 
 // PublishMetrics mirrors every plain counter — packets plus all shard
 // state. Callers must own the whole datapath: either no worker pool is
-// running (the fabric's per-switch pump, the serial paths) or a Sync
-// barrier has just completed.
+// running or a Sync barrier has just completed.
 func (d *Datapath) PublishMetrics() {
 	if d.obs == nil {
 		return

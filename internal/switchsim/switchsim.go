@@ -10,13 +10,18 @@
 // realized the way real switches do it — match and mirror matching
 // records to the collector.
 //
-// The datapath can run sharded (Config.Shards > 1): records are
-// hash-partitioned by each program's GROUPBY key across N workers
-// (internal/shard), each owning an independent cache + backing store per
-// program, and the per-shard tables — disjoint by construction — are
-// merged deterministically at materialization. The configured cache
-// geometry is divided across shards so total on-chip capacity stays at
-// the configured operating point regardless of shard count.
+// The datapath is one engine partitioned two levels deep. An optional
+// partition (Config.Partition — the fabric's record → switch map) splits
+// the stream into K independent stores-per-program, the way the paper
+// puts one key-value store on every switch; within a partition records
+// are hash-partitioned by each program's GROUPBY key across N shards
+// (Config.Shards, internal/shard). The K·N shard states form one flat
+// array fed by one feeder, each owning an independent cache + backing
+// store per program; shards of one partition hold disjoint keys, and keys
+// two partitions both hold are reduced at materialization (reconcile.go).
+// The configured cache geometry is divided across partitions, then
+// shards, so total on-chip capacity stays at the configured operating
+// point regardless of the layout.
 //
 // The simulation operates on trace.Records rather than raw bytes (the
 // parser stage is exercised by internal/packet); timing is not modeled
@@ -25,11 +30,11 @@
 package switchsim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"perfq/internal/backing"
 	"perfq/internal/compiler"
@@ -42,34 +47,54 @@ import (
 	"perfq/internal/trace"
 )
 
+// Partition describes the routing level above the key hash: a deployment
+// that runs the plan on several independent sets of stores (the fabric:
+// one per switch) hands the datapath the map from a record to its set.
+// It is wiring, built by fabric.New from the topology — not a knob.
+type Partition struct {
+	// Labels holds one metric label fragment per partition
+	// (`switch="leaf0"`); its length is the partition count.
+	Labels []string
+	// Of maps a record to its partition index, or -1 for a record no
+	// partition owns (counted by Unrouted, applied nowhere).
+	Of func(*trace.Record) int
+	// Merge returns how a group stage's states for one key held by two
+	// partitions combine (dst ← dst ⊕ src, partitions in index order), or
+	// nil when no sound merge exists — such a key is dropped from the
+	// tables and counted invalid (see Reconcile).
+	Merge func(st *compiler.Stage) func(dst, src []float64)
+}
+
 // Config configures the datapath.
 type Config struct {
-	// Geometry is the cache layout used for every switch program. With
-	// Shards > 1 it is the TOTAL layout, divided evenly across shards.
-	// The zero value defaults to the paper's preferred point: an 8-way
-	// set-associative cache sized 2^18 pairs (32 Mbit at 128 bits/pair).
+	// Geometry is the cache layout used for every switch program: the
+	// TOTAL layout, divided evenly across partitions and then across each
+	// partition's shards. The zero value defaults to the paper's
+	// preferred point: an 8-way set-associative cache sized 2^18 pairs
+	// (32 Mbit at 128 bits/pair).
 	Geometry kvstore.Geometry
 	// DisableExactMerge turns off the linear-in-state merge machinery
 	// even for linear folds (evictions then degrade to epoch semantics) —
 	// the ablation knob for the paper's central mechanism.
 	DisableExactMerge bool
 	// OnEvict, when set, observes every eviction of every program (after
-	// the backing store has consumed it). With Shards > 1 callbacks may
-	// fire from concurrent workers; the datapath serializes them with an
-	// internal mutex, but their relative order across shards is
-	// unspecified.
+	// the backing store has consumed it). With more than one shard
+	// callbacks may fire from concurrent workers; the datapath serializes
+	// them with an internal mutex, but their relative order across shards
+	// is unspecified.
 	OnEvict func(prog int, ev *kvstore.Eviction)
-	// Shards is the number of parallel datapath shards; values < 2 run
-	// the serial single-owner datapath (exactly today's behavior).
+	// Shards is the number of parallel shards per partition; values < 2
+	// give each partition a single owner.
 	Shards int
+	// Partition, when non-nil, partitions the datapath above the key
+	// hash (see Partition).
+	Partition *Partition
 	// Metrics, when non-nil, registers this datapath's metric families
 	// (packets, path mix, per-program cache/store counters, transport)
-	// into the registry. The hot loop is untouched: plain counters are
-	// mirrored into atomic cells at batch boundaries (see metrics.go).
+	// into the registry, one series per partition under its label. The
+	// hot loop is untouched: plain counters are mirrored into atomic
+	// cells at batch boundaries (see metrics.go).
 	Metrics *obs.Registry
-	// MetricsLabels is the label fragment prefixed to every series this
-	// datapath registers (the fabric sets `switch="name"`).
-	MetricsLabels string
 	// Trace, when non-nil, enables sampled packet tracing: the shard
 	// router marks 1-in-2^k records by key hash and the marked records
 	// carry a span through transport → cache → eviction (see obs.Tracer).
@@ -95,11 +120,12 @@ type progState struct {
 
 // shardState is the per-shard slice of datapath state: one store
 // instance per switch program, the mirrored rows of select-over-T stages
-// this shard was assigned (selRows[i] parallels Datapath.selStgs), the
-// reused scratch that keeps the block loop allocation-free, and the
-// staging block record-at-a-time entries fill (see stageRec).
+// this shard was assigned (selRows[i] parallels selStgs), the reused
+// scratch that keeps the block loop allocation-free, and the staging
+// block record-at-a-time entries fill (see stageRec).
 type shardState struct {
 	progs   []*progState
+	selStgs []*compiler.Stage // the datapath's select-over-T stages, shared
 	selRows [][][]float64
 	scratch shardScratch
 
@@ -117,30 +143,45 @@ type shardState struct {
 
 // Datapath executes a plan's switch-resident stages.
 type Datapath struct {
-	plan    *compiler.Plan
-	hot     *hotPath
+	plan *compiler.Plan
+	hot  *hotPath
+	// shards is the flat, partition-major state array: partition p owns
+	// shards[p*per : (p+1)*per]. A view (Partition) holds its partition's
+	// slice of the same states.
 	shards  []*shardState
+	per     int               // shards per partition
+	srcs    []StateSource     // shards, as Reconcile's sources
 	selStgs []*compiler.Stage // select-over-T stages, in plan order
+	part    *Partition        // nil: one partition that owns every record
+	partGeo kvstore.Geometry  // one partition's cache slice
+	views   []*Datapath       // per-partition read views (partitioned only)
+
 	routing shard.Config
-	router  *shard.Router // the inline path's router (the pool owns its own)
-	pool    *shard.Pool   // Feed's lazily started sharded worker pool
-	packets uint64
-	masks   []uint64 // scratch per-shard masks for the inline path
+	inline  *shard.Pool                // the router landing records on the feeder (nil: one shard, no partition — nothing to route)
+	pool    *shard.Pool                // where records go: inline, or Feed's lazily started worker pool
+	live    atomic.Pointer[shard.Pool] // the worker pool, for the scrape-time occupancy gauges
+
+	pkts     []uint64 // records routed, per partition (feeder-owned)
+	unrouted uint64
 
 	accBuf []Acc         // CloseWindow's reused accuracy snapshot (borrowed by callers)
 	tscr   tablesScratch // Tables' reused materialization scratch
+	// A partitioned datapath's tables and accuracy come out of one
+	// reconcile pass, memoized until the stores next change (Flush,
+	// ResetWindow): CloseWindow → Collect → Accuracy read it once.
+	netTabs map[string]*exec.Table
+	netAcc  []Acc
 
 	obs     *dpObs       // atomic mirrors for the metrics registry (nil = off)
-	tr      *obs.Tracer  // sampled packet tracing (nil = off)
 	journal *obs.Journal // control-plane event journal (nil = off)
 }
 
 // newShardState builds one shard's stores for the plan. shardIdx is the
-// shard's position, used as the tracer's span-ring writer stripe.
-func newShardState(plan *compiler.Plan, hp *hotPath, geo kvstore.Geometry, cfg Config, shardIdx int, evictMu *sync.Mutex) (*shardState, error) {
-	sh := &shardState{selRows: make([][][]float64, len(hp.selects))}
-	sh.scratch.init(hp)
-	for i, sp := range plan.Programs {
+// shard's flat position, used as the tracer's span-ring writer stripe.
+func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, evictMu *sync.Mutex) (*shardState, error) {
+	sh := &shardState{selStgs: d.selStgs, selRows: make([][][]float64, len(d.selStgs))}
+	sh.scratch.init(d.hot)
+	for i, sp := range d.plan.Programs {
 		ps := &progState{
 			sp:    sp,
 			store: backing.New(sp.Fold),
@@ -182,18 +223,24 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 	if cfg.Geometry == (kvstore.Geometry{}) {
 		cfg.Geometry = kvstore.SetAssociative(1<<18, 8)
 	}
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
+	n := max(cfg.Shards, 1)
 	// The routing mask carries one bit per program plus one for the
 	// select-over-T stages; plans are far below the 64-target ceiling,
-	// but degrade safely rather than corrupt masks (the serial datapath
-	// ignores masks entirely, so any program count works at n = 1).
+	// but degrade safely rather than corrupt masks (a partition's single
+	// shard ignores masks entirely, so any program count works at n = 1).
 	if len(plan.Programs)+1 > shard.MaxTargets {
 		n = 1
 	}
-	d := &Datapath{plan: plan}
+	k, labels := 1, []string{""}
+	if cfg.Partition != nil {
+		k, labels = len(cfg.Partition.Labels), cfg.Partition.Labels
+	}
+	d := &Datapath{
+		plan: plan, per: n, part: cfg.Partition,
+		partGeo: cfg.Geometry.Split(k),
+		pkts:    make([]uint64, k),
+		journal: cfg.Journal,
+	}
 	for _, st := range plan.Stages {
 		if st.Kind == compiler.KindSelect && st.Input == nil {
 			d.selStgs = append(d.selStgs, st)
@@ -204,101 +251,113 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 		return nil, err
 	}
 
-	geo := cfg.Geometry.Split(n)
+	geo := d.partGeo.Split(n)
 	var evictMu *sync.Mutex
-	if n > 1 && cfg.OnEvict != nil {
+	if k*n > 1 && cfg.OnEvict != nil {
 		evictMu = &sync.Mutex{}
 	}
-	for s := 0; s < n; s++ {
-		sh, err := newShardState(plan, d.hot, geo, cfg, s, evictMu)
+	for s := 0; s < k*n; s++ {
+		sh, err := newShardState(d, geo, cfg, s, evictMu)
 		if err != nil {
 			return nil, err
 		}
 		d.shards = append(d.shards, sh)
+		d.srcs = append(d.srcs, sh)
+	}
+	for p := 0; p < k && d.part != nil; p++ {
+		d.views = append(d.views, &Datapath{
+			plan: plan, per: n, selStgs: d.selStgs,
+			shards: d.shards[p*n : (p+1)*n], srcs: d.srcs[p*n : (p+1)*n],
+			pkts: d.pkts[p : p+1],
+		})
 	}
 
-	d.tr = cfg.Trace
-	d.journal = cfg.Journal
 	d.routing = d.hot.routing(n)
+	if d.part != nil {
+		d.routing.Partition = shard.Partition{N: k, Of: d.part.Of}
+	}
 	if cfg.Trace != nil {
 		d.routing.Trace = cfg.Trace
-		slots := make([]*obs.SpanSlot, n)
-		for s := range slots {
-			slots[s] = &d.shards[s].scratch.spanSlot
+		d.routing.SpanSlots = make([]*obs.SpanSlot, len(d.shards))
+		for s, sh := range d.shards {
+			d.routing.SpanSlots[s] = &sh.scratch.spanSlot
 		}
-		d.routing.SpanSlots = slots
 	}
-	d.router = shard.NewRouter(d.routing)
-	d.masks = make([]uint64, n)
 	if cfg.Metrics != nil {
-		d.obs = newDpObs(cfg.Metrics, cfg.MetricsLabels, n, len(plan.Programs))
-		d.routing.Obs = obs.NewTransportMetrics(n)
+		d.obs = newDpObs(d, cfg.Metrics, labels)
+		d.routing.Obs = d.obs.transport
 		d.routing.AfterBatch = d.publishShard
-		o := d.obs
-		d.routing.Obs.Register(cfg.Metrics,
-			obs.JoinLabels(cfg.MetricsLabels, `transport="shards"`),
-			func() int {
-				if p := o.pool.Load(); p != nil {
-					return p.Occupancy()
-				}
-				return 0
-			})
+	}
+	if len(d.shards) > 1 || d.part != nil {
+		d.inline = shard.NewInline(d.routing, d.stage)
+		d.pool = d.inline
 	}
 	return d, nil
 }
 
-// Shards returns the configured shard count.
-func (d *Datapath) Shards() int { return len(d.shards) }
+// Partition returns a read view of partition p: a datapath over that
+// partition's slice of the shard states, on which Tables, Collect,
+// Stats, StoreStats, Accuracy and Packets report the partition alone
+// (the fabric's per-switch drill-down). A view shares its states with
+// the datapath that owns them: read it when the owner may be read (after
+// Sync or Flush), and feed records only to the owner.
+func (d *Datapath) Partition(p int) *Datapath { return d.views[p] }
 
-// Packets returns how many records the datapath has processed.
-func (d *Datapath) Packets() uint64 { return d.packets }
+// PartitionGeometry returns the cache slice each partition actually
+// received — the configured total after Split, which rounds bucket
+// counts down to a power of two.
+func (d *Datapath) PartitionGeometry() kvstore.Geometry { return d.partGeo }
+
+// Packets returns how many records the datapath has routed to a shard.
+func (d *Datapath) Packets() uint64 {
+	var n uint64
+	for _, p := range d.pkts {
+		n += p
+	}
+	return n
+}
+
+// Unrouted returns how many records no partition owned (skipped; for the
+// fabric, a trace/topology mismatch). Always zero without a Partition.
+func (d *Datapath) Unrouted() uint64 { return d.unrouted }
 
 // Process applies one packet observation to every switch-resident stage
-// — the record-at-a-time entry of callers that own a datapath one record
-// at a time (the fabric's demux); anything holding a run of records
-// should Feed it. The record is copied into the staging block of each
-// shard that owns a target for it (through the worker pool when one is
-// running, else inline with the same routing masks — serial but
-// shard-equivalent) and applied when that block fills: its effect is
+// — the record-at-a-time entry; anything holding a run of records should
+// Feed it. The record is copied into the staging block of each shard
+// that owns a target for it (through the worker pool when one is
+// running, else inline with the same routing — serial but
+// layout-equivalent) and applied when that block fills: its effect is
 // visible after Sync or Flush, not necessarily on return.
 func (d *Datapath) Process(rec *trace.Record) {
-	d.packets++
+	if d.pool == nil {
+		d.pkts[0]++
+		d.shards[0].stageRec(d, rec, 0)
+		return
+	}
 	d.route(rec)
 }
 
-// route hands one record to the shards that own targets for it.
+// route hands one record to the pool and counts where it went.
 func (d *Datapath) route(rec *trace.Record) {
-	switch {
-	case d.pool != nil:
-		d.pool.Feed(rec)
-	case len(d.shards) == 1:
-		d.shards[0].stageRec(d, rec, 0)
-	default:
-		d.router.Route(rec, d.masks)
-		for s, m := range d.masks {
-			if m != 0 {
-				d.shards[s].stageRec(d, rec, m)
-			}
-		}
+	if p := d.pool.Feed(rec); p >= 0 {
+		d.pkts[p]++
+	} else {
+		d.unrouted++
 	}
 }
 
-// SetTraceSpan parks a span in every shard's trace mailbox — the hook an
-// upstream serial feeder (the fabric, whose demux does the sampling)
-// uses so the next Process call applies its record at once and lands
-// the cache hops on the record's span. Call with the zero SpanRef to
-// clear. Only meaningful while the caller owns the datapath serially
-// (no live worker pool).
-func (d *Datapath) SetTraceSpan(ref obs.SpanRef) {
-	for _, sh := range d.shards {
-		sh.scratch.spanSlot.Ref = ref
-	}
+// stage is the pools' ProcessFunc: shard s stages a record routed to it.
+func (d *Datapath) stage(s int, rec *trace.Record, mask uint64) {
+	d.shards[s].stageRec(d, rec, mask)
 }
 
-// serialFeed reports whether a sharded stream should skip the worker
+// serialFeed reports whether a multi-shard stream should skip the worker
 // pool and apply records inline through the router: with no second
 // processor the pool hop is pure overhead, and the inline path is
-// bit-identical (same routing masks, same per-shard arrival order).
+// bit-identical (same routing masks, same per-shard arrival order). Only
+// consulted while no pool is running: a live pool keeps the stream on it,
+// so a mid-stream GOMAXPROCS change cannot split one window across the
+// two paths.
 func serialFeed() bool { return runtime.GOMAXPROCS(0) < 2 }
 
 // Run streams a whole source through Feed and flushes — so a slice, a
@@ -332,8 +391,8 @@ func (d *Datapath) settle() {
 
 // Flush applies what is staged and evicts all cache-resident entries
 // into the backing stores (end of a measurement window, or the paper's
-// periodic refresh). It requires sole ownership of the caches: sharded
-// callers Sync first.
+// periodic refresh). It requires sole ownership of the caches: callers
+// with a live pool Sync first.
 func (d *Datapath) Flush() {
 	for _, sh := range d.shards {
 		sh.drain(d)
@@ -341,35 +400,32 @@ func (d *Datapath) Flush() {
 			ps.cache.Flush()
 		}
 	}
+	d.netTabs, d.netAcc = nil, nil
 	d.PublishMetrics()
 }
 
 // Feed processes a run of records without ending the window — the
-// streaming half of the epoch runtime. A single shard runs the slice
-// through the block loop in place, behind anything Process staged. With
-// Shards > 1 (and a second processor to run workers on) a persistent
-// worker pool is started lazily and records are hash-routed into it;
-// call Sync to barrier at a window boundary and EndFeed when the stream
-// ends. Feed copies what it retains before returning, so callers may
-// reuse recs.
+// streaming half of the epoch runtime. A single unpartitioned shard runs
+// the slice through the block loop in place, behind anything Process
+// staged. With several shards (and a second processor to run workers on)
+// a persistent worker pool — one worker per shard of every partition —
+// is started lazily and records are routed into it; call Sync to barrier
+// at a window boundary and EndFeed when the stream ends. Feed copies
+// what it retains before returning, so callers may reuse recs.
 func (d *Datapath) Feed(recs []trace.Record) {
 	if len(recs) == 0 {
 		return
 	}
-	d.packets += uint64(len(recs))
-	if len(d.shards) == 1 {
+	if d.pool == nil {
+		d.pkts[0] += uint64(len(recs))
 		d.shards[0].drain(d)
 		d.shards[0].processBlocks(d, recs)
 		d.publishPackets()
 		return
 	}
-	if d.pool == nil && !serialFeed() {
-		d.pool = shard.NewPool(d.routing, func(s int, rec *trace.Record, mask uint64) {
-			d.shards[s].stageRec(d, rec, mask)
-		})
-		if d.obs != nil {
-			d.obs.pool.Store(d.pool)
-		}
+	if d.pool == d.inline && len(d.shards) > 1 && !serialFeed() {
+		d.pool = shard.NewPool(d.routing, d.stage)
+		d.live.Store(d.pool)
 	}
 	for i := range recs {
 		d.route(&recs[i])
@@ -378,11 +434,12 @@ func (d *Datapath) Feed(recs []trace.Record) {
 }
 
 // Sync blocks until every record handed to Feed or Process has been
-// applied to its shard's stores — the per-shard half of epoch-boundary
-// alignment: a barrier through the worker pool when one is running, then
-// whatever the shards still hold staged.
+// applied to its shard's stores — the epoch-boundary alignment: a
+// barrier through the worker pool when one is running, then whatever the
+// shards still hold staged. A single feeder preserves per-shard arrival
+// order, so state trajectories do not depend on the path taken.
 func (d *Datapath) Sync() {
-	if d.pool != nil {
+	if d.pool != d.inline {
 		d.pool.Barrier()
 		d.journal.Append(obs.EvBarrier, int64(d.pool.Fed()), int64(len(d.shards)), "shard-pool")
 	}
@@ -394,12 +451,10 @@ func (d *Datapath) Sync() {
 // EndFeed stops the streaming worker pool (idempotent; a later Feed
 // restarts it). Outstanding records are applied first.
 func (d *Datapath) EndFeed() {
-	if d.pool != nil {
+	if d.pool != d.inline {
 		d.pool.Close()
-		d.pool = nil
-		if d.obs != nil {
-			d.obs.pool.Store(nil)
-		}
+		d.pool = d.inline
+		d.live.Store(nil)
 	}
 	d.settle()
 }
@@ -418,10 +473,11 @@ type Acc struct {
 }
 
 // CloseWindow ends the current measurement window: it syncs outstanding
-// fed records, flushes every cache into its backing store, materializes
-// every plan table (downstream collector stages included), snapshots
-// per-program accuracy, and then either resets every store for an
-// independent next window (carry == false, tumbling) or carries all
+// fed records (epoch boundaries are aligned in record order across every
+// shard of every partition), flushes every cache into its backing store,
+// materializes every plan table (downstream collector stages included),
+// snapshots per-program accuracy, and then either resets every store for
+// an independent next window (carry == false, tumbling) or carries all
 // backing state across the boundary (carry == true — the paper's
 // periodic SRAM refresh, where linear folds keep merging exactly because
 // each new cache epoch snapshots its own first packet, and non-mergeable
@@ -484,248 +540,29 @@ func (d *Datapath) ResetWindow() {
 			sh.selRows[i] = sh.selRows[i][:0]
 		}
 	}
+	d.netTabs, d.netAcc = nil, nil
 }
 
 // Tables materializes every switch-resident stage's result from the
-// backing stores (call Flush first). Per-shard partial tables are
-// disjoint (each key is owned by exactly one shard), so the merge is a
-// concatenation followed by the deterministic total-order sort. For
-// programs whose fold is not mergeable, only valid (single-epoch) keys
-// appear — the accuracy semantics of §3.2.
+// backing stores (call Flush first) — one Reconcile over the shard
+// states. Shards of one partition never share a key, so without a
+// Partition that is a concatenation and the deterministic total-order
+// sort; across partitions equal keys are reduced by Partition.Merge, in
+// partition order. For programs whose fold is not mergeable, only valid
+// (single-epoch) keys appear — the accuracy semantics of §3.2.
 func (d *Datapath) Tables() map[string]*exec.Table {
-	out := map[string]*exec.Table{}
-	for si, st := range d.selStgs {
-		var rows [][]float64
-		for _, sh := range d.shards {
-			rows = append(rows, sh.selRows[si]...)
-		}
-		t := &exec.Table{Schema: st.Schema, Rows: rows}
-		t.Sort()
-		out[st.Name] = t
+	if d.part == nil {
+		tabs, _ := reconcile(d.plan, d.srcs, nil, &d.tscr)
+		return tabs
 	}
-	for pi, sp := range d.plan.Programs {
-		nk := sp.Key.NumComponents()
-		// Pre-size from the stores' key counts and build rows in per-member
-		// slabs: two allocations per member instead of one per row.
-		total := 0
-		for _, sh := range d.shards {
-			total += sh.progs[pi].store.Len()
-		}
-		memberRows := d.tscr.memberRows(len(sp.Members), total)
-		slabs := d.tscr.slabHeaders(len(sp.Members))
-		var keyed [][]keyedRef
-		// Packed keys are big-endian per component, so byte order equals
-		// the float-lexicographic row order Table.Sort produces — as long
-		// as every component is non-negative (two's-complement bytes
-		// would order negatives last). Sort by the two key words then:
-		// two integer compares per comparison instead of a column walk.
-		byKey := sp.Key.Packed
-		if byKey {
-			keyed = d.tscr.keyedRefs(len(sp.Members), total)
-		}
-		for mi, st := range sp.Members {
-			// Slab backing arrays escape into the emitted rows — only the
-			// header slice is scratch.
-			slabs[mi] = make([]float64, 0, total*(nk+len(st.Out)))
-		}
-		for _, sh := range d.shards {
-			ps := sh.progs[pi]
-			ps.store.Range(func(key packet.Key128, state []float64) bool {
-				var kv [8]float64
-				if ps.keyVals != nil {
-					copy(kv[:nk], ps.keyVals[key])
-				} else {
-					sp.Key.Unpack(key, kv[:nk])
-				}
-				if byKey {
-					for _, v := range kv[:nk] {
-						if v < 0 {
-							byKey = false // fall back to the column sort
-							break
-						}
-					}
-				}
-				for mi, st := range sp.Members {
-					if pidx := sp.PresIdx[mi]; pidx >= 0 && state[pidx] <= 0 {
-						continue // no record of this member's query saw the key
-					}
-					mstate := state[sp.Offsets[mi] : sp.Offsets[mi]+st.Fold.StateLen()]
-					slab := slabs[mi]
-					start := len(slab)
-					slab = append(slab, kv[:nk]...)
-					slab = exec.AppendOutCols(st, mstate, slab)
-					slabs[mi] = slab
-					row := slab[start:len(slab):len(slab)]
-					memberRows[mi] = append(memberRows[mi], row)
-					if keyed != nil {
-						keyed[mi] = append(keyed[mi], keyedRef{
-							k0:  binary.BigEndian.Uint64(key[0:8]),
-							k1:  binary.BigEndian.Uint64(key[8:16]),
-							idx: int32(len(memberRows[mi]) - 1),
-						})
-					}
-				}
-				return true
-			})
-		}
-		for mi, st := range sp.Members {
-			t := &exec.Table{Schema: st.Schema, Rows: memberRows[mi]}
-			if byKey {
-				refs := keyed[mi]
-				slices.SortFunc(refs, func(a, b keyedRef) int {
-					switch {
-					case a.k0 != b.k0:
-						if a.k0 < b.k0 {
-							return -1
-						}
-						return 1
-					case a.k1 != b.k1:
-						if a.k1 < b.k1 {
-							return -1
-						}
-						return 1
-					default:
-						return 0
-					}
-				})
-				sorted := make([][]float64, len(refs))
-				for i := range refs {
-					sorted[i] = t.Rows[refs[i].idx]
-				}
-				t.Rows = sorted
-			} else {
-				// The gather buffer escapes as the table's row slice; drop
-				// it from the scratch so the next close allocates fresh.
-				d.tscr.rows[mi] = nil
-				t.Sort()
-			}
-			out[st.Name] = t
+	if d.netTabs == nil {
+		t0 := time.Now()
+		d.netTabs, d.netAcc = reconcile(d.plan, d.srcs, d.part.Merge, &d.tscr)
+		if d.obs != nil {
+			d.obs.mergeNs.Record(uint64(time.Since(t0)))
 		}
 	}
-	return out
-}
-
-// keyedRef pairs a group row's index with its packed key words — the
-// 24-byte sort element of the integer-keyed sort in Tables (rows are
-// gathered once afterwards, so swaps move 24 bytes, not row headers).
-type keyedRef struct {
-	k0, k1 uint64
-	idx    int32
-}
-
-// tablesScratch is Tables' reusable per-close materialization scratch —
-// the gather/sort buffers whose contents die inside one Tables call (the
-// rows themselves escape into the emitted tables and stay per-close
-// allocations). Buffers are shared across programs within a call and
-// across calls; reset-to-empty keeps capacity, so steady-state closes
-// stop paying the gather allocations that dominated the close path. The
-// emptied buffers keep the previous window's row pointers alive in their
-// capacity tail until overwritten — bounded by one window's row count.
-type tablesScratch struct {
-	rows  [][][]float64 // per-member row gather (handed off on the column-sort path)
-	keyed [][]keyedRef  // per-member integer-sort refs
-	slabs [][]float64   // per-member slab headers (backing arrays escape)
-}
-
-// memberRows returns n empty row-gather buffers with capacity ≥ total.
-func (ts *tablesScratch) memberRows(n, total int) [][][]float64 {
-	for len(ts.rows) < n {
-		ts.rows = append(ts.rows, nil)
-	}
-	ts.rows = ts.rows[:n]
-	for i, r := range ts.rows {
-		if cap(r) < total {
-			r = make([][]float64, 0, total)
-		}
-		ts.rows[i] = r[:0]
-	}
-	return ts.rows
-}
-
-// keyedRefs returns n empty sort-ref buffers with capacity ≥ total.
-func (ts *tablesScratch) keyedRefs(n, total int) [][]keyedRef {
-	for len(ts.keyed) < n {
-		ts.keyed = append(ts.keyed, nil)
-	}
-	ts.keyed = ts.keyed[:n]
-	for i, r := range ts.keyed {
-		if cap(r) < total {
-			r = make([]keyedRef, 0, total)
-		}
-		ts.keyed[i] = r[:0]
-	}
-	return ts.keyed
-}
-
-// slabHeaders returns n zeroed slab header slots.
-func (ts *tablesScratch) slabHeaders(n int) [][]float64 {
-	for len(ts.slabs) < n {
-		ts.slabs = append(ts.slabs, nil)
-	}
-	s := ts.slabs[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	return s
-}
-
-// RangeMember iterates every key of program pi's member mi across all
-// shards, yielding the 128-bit store key, the resolved key component
-// values, the member's raw state slice within the fused program state,
-// and whether the backing store trusts the value for the full window.
-// Invalid keys (multi-epoch keys of a non-mergeable fold) are reported
-// with a nil state. Keys the member never saw (presence counter zero in a
-// multi-member store) are skipped. This is the state-level read the
-// network-wide fabric collector reconciles across switches; Tables is the
-// projected single-switch view of the same data.
-func (d *Datapath) RangeMember(pi, mi int, fn func(key packet.Key128, keyVals, state []float64, valid bool) bool) {
-	sp := d.plan.Programs[pi]
-	st := sp.Members[mi]
-	m := st.Fold.StateLen()
-	off := sp.Offsets[mi]
-	pidx := sp.PresIdx[mi]
-	nk := sp.Key.NumComponents()
-	for _, sh := range d.shards {
-		ps := sh.progs[pi]
-		cont := true
-		ps.store.RangeAll(func(key packet.Key128, state []float64, valid bool) bool {
-			if valid && pidx >= 0 && state[pidx] <= 0 {
-				return true // no record of this member's query saw the key
-			}
-			var kv [8]float64
-			if ps.keyVals != nil {
-				copy(kv[:nk], ps.keyVals[key])
-			} else {
-				sp.Key.Unpack(key, kv[:nk])
-			}
-			var ms []float64
-			if valid {
-				ms = state[off : off+m]
-			}
-			cont = fn(key, kv[:nk], ms, valid)
-			return cont
-		})
-		if !cont {
-			return
-		}
-	}
-}
-
-// SelectRows returns the mirrored rows of a select-over-T stage by name,
-// concatenated across shards (a multiset; callers sort after merging).
-// Nil if the stage is not a select over T.
-func (d *Datapath) SelectRows(name string) [][]float64 {
-	for si, st := range d.selStgs {
-		if st.Name != name {
-			continue
-		}
-		var rows [][]float64
-		for _, sh := range d.shards {
-			rows = append(rows, sh.selRows[si]...)
-		}
-		return rows
-	}
-	return nil
+	return d.netTabs
 }
 
 // Collect runs the collector: downstream stages evaluated over the
@@ -762,9 +599,18 @@ func (d *Datapath) StoreStats() []backing.Stats {
 }
 
 // Accuracy returns (valid, total) key counts for program i — Figure 6's
-// metric for non-mergeable folds — summed over shards (keys are disjoint
-// across shards, so the sums are exact counts).
+// metric for non-mergeable folds. Without a Partition the backing
+// stores' own counts are summed over shards (keys are disjoint across
+// shards, so the sums are exact). With one the counts come from the
+// reconcile, summed over the program's members: a key is invalid if any
+// partition's store holds an untrustworthy value for it, or if several
+// partitions observed it under a fold with no sound merge across them —
+// the spatial extension of the same metric.
 func (d *Datapath) Accuracy(i int) (valid, total int) {
+	if d.part != nil {
+		d.Tables()
+		return d.netAcc[i].Valid, d.netAcc[i].Total
+	}
 	for _, sh := range d.shards {
 		v, t := sh.progs[i].store.Accuracy()
 		valid += v
@@ -778,7 +624,10 @@ func (d *Datapath) Accuracy(i int) (valid, total int) {
 // per-window stability metric of carry-over windows: a key of a
 // non-mergeable fold that survives a boundary counts window-invalid even
 // though each of its per-epoch values is correct over its own interval.
-// Under tumbling windows this coincides with Accuracy.
+// Under tumbling windows this coincides with Accuracy. The counts are
+// backing-store level, summed over every shard of every partition — the
+// within-store temporal metric; the merge across partitions has no
+// per-window notion of its own.
 func (d *Datapath) WindowAccuracy(i int) (valid, total int) {
 	for _, sh := range d.shards {
 		v, t := sh.progs[i].store.WindowAccuracy()

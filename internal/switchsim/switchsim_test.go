@@ -266,7 +266,9 @@ func TestEvictionObserver(t *testing.T) {
 // does under routing masks: programs that group by different keys next
 // to a select-over-T (sparse, disjoint lane masks and the free-mask
 // bit), guarded programs (ownership AND-ed into the match mask), and a
-// digest-mode key (component values recorded on insert).
+// digest-mode key (component values recorded on insert). Every other
+// entry runs on a datapath with a one-partition Partition, which must be
+// indistinguishable from none.
 func TestProcessInlineShardedMatchesRun(t *testing.T) {
 	plans := []struct{ name, src string }{
 		{"shared-key+select", `R1 = SELECT COUNT GROUPBY 5tuple
@@ -360,15 +362,24 @@ R3 = SELECT qid, tin WHERE pkt_len > 1400`},
 			var want *observed
 			for _, procs := range []int{4, 1} {
 				prev := runtime.GOMAXPROCS(procs)
-				for _, e := range entries {
+				for i, e := range entries {
 					label := fmt.Sprintf("%s/shards%d/procs%d/%s", pl.name, shards, procs, e.name)
-					dp, err := New(plan, Config{Geometry: kvstore.SetAssociative(1<<10, 8), Shards: shards})
+					cfg := Config{Geometry: kvstore.SetAssociative(1<<10, 8), Shards: shards}
+					if i%2 == 1 {
+						// The K = 1 case of the partitioned engine: one
+						// partition that owns every record is the plain
+						// datapath (these plans' programs have one member
+						// each, so the reconcile's accuracy is the stores').
+						label += "/one-partition"
+						cfg.Partition = &Partition{Labels: []string{""}, Of: func(*trace.Record) int { return 0 }}
+					}
+					dp, err := New(plan, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					e.drive(dp)
-					if dp.Packets() != uint64(len(recs)) {
-						t.Fatalf("%s: %d packets, want %d", label, dp.Packets(), len(recs))
+					if dp.Packets() != uint64(len(recs)) || dp.Unrouted() != 0 {
+						t.Fatalf("%s: %d packets (%d unrouted), want %d", label, dp.Packets(), dp.Unrouted(), len(recs))
 					}
 					got := observe(dp)
 					if want == nil {

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -222,10 +223,96 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("chain:3 switch IDs = %d, want 4", got)
 	}
 	for _, bad := range []string{"", "leafspine", "leafspine:4x2", "leafspine:0x2x8", "chain:x", "chain:-1", "ring:4"} {
-		if _, err := ParseSpec(bad, Options{}); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
+		if _, err := ParseSpec(bad, Options{}); err == nil || errors.Is(err, ErrTooLarge) {
+			t.Errorf("ParseSpec(%q) = %v, want a malformed-spec error", bad, err)
 		}
 	}
+	// Well-formed but beyond what 16-bit switch IDs and queue indices can
+	// name (chain:70000 used to wrap IDs so two switches shared a store),
+	// or simply huge: the named error, before anything is allocated.
+	for _, big := range []string{
+		"chain:70000", "chain:65535", "chain:99999999999999999999",
+		"leafspine:100000x100000x1", "leafspine:40000x30000x1", "leafspine:30000x30000x1", "leafspine:2x2x40000", "leafspine:1000x1000x1",
+		"fattree:64", "fattree:4294967296",
+	} {
+		if _, err := ParseSpec(big, Options{}); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("ParseSpec(%q) = %v, want ErrTooLarge", big, err)
+		}
+	}
+	if tp, err = ParseSpec("chain:65534", Options{}); err != nil { // the largest chain queue IDs can name
+		t.Fatal(err)
+	}
+	checkQueueIDs(t, tp)
+}
+
+// checkQueueIDs asserts what the fabric's partition table relies on:
+// SwitchIDs is strictly ascending, every switch node's queues carry one
+// switch ID no other node's carry, host NIC queues carry switch 0, and no
+// two links share a queue ID.
+func checkQueueIDs(t *testing.T, tp *Topology) {
+	t.Helper()
+	ids := tp.SwitchIDs()
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("SwitchIDs not strictly ascending at %d: %d after %d", i, ids[i], ids[i-1])
+		}
+	}
+	owner := map[uint16]NodeID{} // switch ID -> the node whose queues carry it
+	swOf := map[NodeID]uint16{}
+	qids := make(map[trace.QueueID]bool, len(tp.Links))
+	for _, l := range tp.Links {
+		if qids[l.QID] {
+			t.Fatalf("queue ID %#x names two links", uint32(l.QID))
+		}
+		qids[l.QID] = true
+		sw := l.QID.Switch()
+		if tp.Nodes[l.From].Kind == Host {
+			if sw != 0 {
+				t.Fatalf("host %d's NIC queue carries switch ID %d", l.From, sw)
+			}
+			continue
+		}
+		if prev, ok := owner[sw]; sw == 0 || ok && prev != l.From {
+			t.Fatalf("switch ID %d names nodes %d and %d", sw, prev, l.From)
+		}
+		if prev, ok := swOf[l.From]; ok && prev != sw {
+			t.Fatalf("node %d's queues carry switch IDs %d and %d", l.From, prev, sw)
+		}
+		owner[sw], swOf[l.From] = l.From, sw
+	}
+	known := map[uint16]bool{}
+	for _, id := range ids {
+		known[id] = true
+	}
+	for sw := range owner {
+		if !known[sw] {
+			t.Fatalf("switch ID %d missing from SwitchIDs", sw)
+		}
+	}
+}
+
+// FuzzParseSpec feeds arbitrary strings to the -topo boundary: ParseSpec
+// must never panic or allocate past its bounds, and whatever it accepts
+// must be a topology whose switch IDs are distinct and whose every queue
+// maps back to its switch.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"chain:3", "leafspine:4x2x8", "fattree:4", "chain:70000", "chain:65534",
+		"leafspine:100000x100000x1", "leafspine:0x2x8", "fattree:3", "ring:4", "", "chain:-1",
+		"leafspine:1x1x1x1", "fattree:99999999999999999999", "chain:+7", "leafspine:300x300x2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tp, err := ParseSpec(spec, Options{})
+		if err != nil {
+			return
+		}
+		if len(tp.Links) > maxLinks || len(tp.Nodes) > maxNodes {
+			t.Fatalf("%q: %d nodes, %d links: past the bounds", spec, len(tp.Nodes), len(tp.Links))
+		}
+		checkQueueIDs(t, tp)
+	})
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -240,7 +327,7 @@ func TestOptionsDefaults(t *testing.T) {
 // TestFatTreeStructure pins the k-ary fat-tree's shape for k=4: 4 pods
 // of 2 edge + 2 agg switches, 4 cores, 16 hosts, full stripe wiring —
 // and distinct (switch, queue) IDs on every link, the property the
-// fabric's per-switch demux rests on.
+// fabric's per-switch partition rests on.
 func TestFatTreeStructure(t *testing.T) {
 	tp := FatTree(4, Options{})
 	if got := len(tp.Hosts()); got != 16 {

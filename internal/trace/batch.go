@@ -52,7 +52,7 @@ func (b *batcher) NextBatch() ([]Record, error) {
 }
 
 // EachBatch pulls src dry, handing fn every run in order — the one read
-// loop under Datapath.Run, Fabric.Run, window.Stream and shard.Run. It
+// loop under Datapath.Run (the fabric's too) and window.Stream. It
 // returns nil at io.EOF; a source error or the first error fn returns
 // ends the loop and is returned verbatim, after every earlier record
 // has been handed over.

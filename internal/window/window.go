@@ -154,7 +154,7 @@ type Runner interface {
 }
 
 // Finisher is implemented by runners with worker goroutines to release
-// (the sharded datapath's pool, the fabric's per-switch pump). Stream
+// (the datapath's worker pool). Stream
 // calls it once the stream ends.
 type Finisher interface {
 	EndFeed()

@@ -222,8 +222,8 @@ func WithFabric(t *topo.Topology) RunOption {
 // shard count (decay folds like EWMA agree to within last-bit rounding
 // of the §3.2 merge reconstruction); non-mergeable folds keep their
 // epoch semantics per shard, so accuracy varies with n the same way it
-// varies with cache size. GroundTruth honors the option too,
-// partitioning its unbounded evaluation the same way.
+// varies with cache size. GroundTruth ignores the option: sharding never
+// changes the answer it is the reference for.
 func WithShards(n int) RunOption {
 	return func(c *runConfig) { c.sw.Shards = n }
 }
@@ -546,10 +546,10 @@ func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) erro
 }
 
 // GroundTruth executes the query with unbounded memory (no cache, no
-// merging) — the reference the datapath is validated against. Of the run
-// options only WithShards applies (cache options are meaningless without
-// a cache); sharded ground truth is byte-identical to serial for every
-// query.
+// merging) — the reference the datapath is validated against, evaluated
+// serially. Of the run options only WithFabric applies: cache options
+// are meaningless without a cache, and WithShards partitions a datapath
+// without changing the answer the reference defines.
 func (q *Query) GroundTruth(src Source, opts ...RunOption) (*Results, error) {
 	var cfg runConfig
 	for _, o := range opts {
@@ -562,7 +562,7 @@ func (q *Query) GroundTruth(src Source, opts ...RunOption) (*Results, error) {
 		}
 		return &Results{tables: tables, q: q}, nil
 	}
-	tables, err := exec.RunParallel(q.plan, src, cfg.sw.Shards)
+	tables, err := exec.Run(q.plan, src)
 	if err != nil {
 		return nil, err
 	}
@@ -675,7 +675,7 @@ func (r *Results) SwitchPairs() int {
 	if r.fab == nil {
 		return 0
 	}
-	return r.fab.SwitchGeometry().Pairs()
+	return r.fab.PartitionGeometry().Pairs()
 }
 
 // SwitchTable returns a stage's table as materialized from one switch's

@@ -167,7 +167,7 @@ R2 = SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == 6
 // datapath or across a fabric. (Windowed runs used to report Flushed = 0:
 // every window close flushes, and none was counted.)
 func TestEvictionTotalsMatchObserver(t *testing.T) {
-	forceProcs(t) // the fabric's observers fire from its pump workers
+	forceProcs(t) // the fabric's observers fire from its pool workers
 	q := MustCompile("SELECT COUNT GROUPBY 5tuple")
 	tp := equivFabric()
 	layouts := []struct {

@@ -28,8 +28,8 @@ import (
 )
 
 // forceProcs raises GOMAXPROCS to at least 4 for the duration of a test
-// so the parallel transport — worker pools, the fabric pump, their ring
-// buffers and barriers — is actually exercised (and race-detectable)
+// so the parallel transport — the worker pool, its ring buffers and
+// barriers — is actually exercised (and race-detectable)
 // even on a single-core host, where the runtime would otherwise take
 // the GOMAXPROCS=1 inline bypass.
 func forceProcs(t testing.TB) {
@@ -38,6 +38,15 @@ func forceProcs(t testing.TB) {
 	}
 	prev := runtime.GOMAXPROCS(4)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// atProcs runs fn at the given GOMAXPROCS: 1 selects the inline router
+// (no second processor to run a worker on), anything above it the
+// worker pool.
+func atProcs(n int, fn func()) {
+	prev := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(prev)
+	fn()
 }
 
 // churnTrace is a trace sized well above the test caches so evicted keys
@@ -250,36 +259,6 @@ func TestShardedZeroChurnBitIdentical(t *testing.T) {
 			t1, t8 := allTables(r1), allTables(r8)
 			for name := range t1 {
 				requireTablesIdentical(t, ex.Name+"/"+name, t8[name], t1[name])
-			}
-		})
-	}
-}
-
-// TestShardedGroundTruthIdentical asserts the parallel unbounded-memory
-// executor is bit-identical to the serial one for every Figure 2 query —
-// no caches means no epoch partitions, so there is no exception here,
-// non-linear folds included.
-func TestShardedGroundTruthIdentical(t *testing.T) {
-	forceProcs(t)
-	recs := churnTrace(t)
-	for _, ex := range queries.Fig2 {
-		ex := ex
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			serial, err := q.GroundTruth(Records(recs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := q.GroundTruth(Records(recs), WithShards(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts, tp := allTables(serial), allTables(sharded)
-			if len(ts) != len(tp) {
-				t.Fatalf("table sets differ: %d vs %d", len(ts), len(tp))
-			}
-			for name := range ts {
-				requireTablesIdentical(t, ex.Name+"/"+name, tp[name], ts[name])
 			}
 		})
 	}

@@ -58,9 +58,9 @@ func keysAtHop(tr *obs.Tracer, hop string) map[string]bool {
 
 // TestTraceDeterministicSampling pins sampling as a pure function of
 // the key: the set of keys that record cache hops is identical across
-// shard counts, and across fabric pump layouts, because Key128.Hash is
-// fixed and the cache key does not depend on the layout. Every sampled
-// key's hash must also actually pass the sampler mask.
+// shard counts, and across worker and inline layouts, because
+// Key128.Hash is fixed and the cache key does not depend on the layout.
+// Every sampled key's hash must also actually pass the sampler mask.
 func TestTraceDeterministicSampling(t *testing.T) {
 	forceProcs(t)
 	cfg := tracegen.DCConfig(23, 2*time.Second)
@@ -70,8 +70,9 @@ func TestTraceDeterministicSampling(t *testing.T) {
 	}
 	q := MustCompile(queries.ByName("Per-flow counters").Source)
 
-	const k = 8          // 1-in-256: plenty of sampled keys, far below ring capacity
-	const perRing = 4096 // per-stripe slots; Begun() is asserted under this
+	const k = 8                   // 1-in-256: plenty of sampled keys, far below ring capacity
+	const perRing = 4096          // per-stripe slots; Begun() is asserted under this
+	var routeKeys map[string]bool // route-hop keys of the last serialSet run
 	serialSet := func(shards int) map[string]bool {
 		tr := obs.NewTracer(k, perRing)
 		dp, err := switchsim.New(q.Plan(), switchsim.Config{
@@ -83,11 +84,13 @@ func TestTraceDeterministicSampling(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer dp.EndFeed()
-		return sampledKeysAtHop(t, tr, perRing, "cache", func() {
+		cache := sampledKeysAtHop(t, tr, perRing, "cache", func() {
 			dp.Feed(recs)
 			dp.Sync()
 			dp.Flush()
 		})
+		routeKeys = keysAtHop(tr, "route")
+		return cache
 	}
 
 	base := serialSet(1)
@@ -109,25 +112,35 @@ func TestTraceDeterministicSampling(t *testing.T) {
 				shards, len(got), len(base))
 		}
 	}
+	// One span shape: the router begins the route span whether the
+	// records then ride the ring (GOMAXPROCS 4) or land inline on the
+	// feeder (GOMAXPROCS 1), so a sharded datapath's route-hop key set is
+	// the same non-empty set either way.
+	serialSet(4)
+	pooledRoute := routeKeys
+	atProcs(1, func() { serialSet(4) })
+	if len(pooledRoute) == 0 || !sameKeySet(pooledRoute, routeKeys) {
+		t.Errorf("sharded datapath began route spans for %d keys on workers, %d inline — want the same non-empty set",
+			len(pooledRoute), len(routeKeys))
+	}
 
-	// Fabric: the demux samples on the five-tuple and each switch's
-	// cache samples its own keys; neither depends on whether the pump
-	// runs serial or parallel, so the sampled cache-key set is layout-
-	// independent there too.
+	// Fabric: the router samples on the five-tuple and each switch's
+	// cache samples its own keys; neither depends on whether the records
+	// ride the ring or land inline, so the sampled cache-key set is
+	// layout-independent there too.
 	tp := equivFabric()
 	frecs := fabricTrace(t, tp, 80)
 	// The netsim workload has ~80 distinct flows, so sample 1-in-4 there:
 	// key-based sampling needs the key universe to be dense relative to
 	// the rate for any key to pass.
 	const kFab = 2
-	fabricSet := func(serial bool) (evict, route map[string]bool) {
+	fabricSet := func() (evict, route map[string]bool) {
 		tr := obs.NewTracer(kFab, perRing)
 		fab, err := fabric.New(q.Plan(), tp, fabric.Config{
 			Switch: switchsim.Config{
 				Geometry: kvstore.SetAssociative(1<<16, 8),
 				Trace:    tr,
 			},
-			Serial: serial,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -135,8 +148,8 @@ func TestTraceDeterministicSampling(t *testing.T) {
 		defer fab.EndFeed()
 		// Compare at the evict hop: evict spans always begin fresh with
 		// the cache's own key, so the set is key-space-pure (cache hops
-		// ride the demux's five-tuple-keyed route spans) — and at the
-		// route hop, which the one demux begins in both pump layouts.
+		// ride the router's five-tuple-keyed route spans) — and at the
+		// route hop, which the one router begins in both layouts.
 		evict = sampledKeysAtHop(t, tr, perRing, "evict", func() {
 			if err := fab.Run(Records(frecs)); err != nil {
 				t.Fatal(err)
@@ -144,8 +157,9 @@ func TestTraceDeterministicSampling(t *testing.T) {
 		})
 		return evict, keysAtHop(tr, "route")
 	}
-	serialEvict, serialRoute := fabricSet(true)
-	parallelEvict, parallelRoute := fabricSet(false)
+	var serialEvict, serialRoute map[string]bool
+	atProcs(1, func() { serialEvict, serialRoute = fabricSet() })
+	parallelEvict, parallelRoute := fabricSet()
 	if !sameKeySet(serialEvict, parallelEvict) {
 		t.Errorf("fabric serial sampled %d cache keys, parallel sampled %d — sets differ",
 			len(serialEvict), len(parallelEvict))
