@@ -16,7 +16,14 @@ SEED ?= 12
 E2E_OUT ?= .bench_build/e2e.json
 E2E_BASE ?= benchmark/results/BENCH_12.a.json
 
-.PHONY: all build test race loc fmt-check oracle-check bench bench-json bench-check bench-compare bench-e2e profile vet figures clean
+# bench-pairs: the revision the working tree is measured against, how
+# many alternated pairs, and (optionally) one workload and the input scale.
+PARENT ?= HEAD
+PAIRS ?= 10
+WORKLOAD ?=
+SCALE ?= full
+
+.PHONY: all build test race loc fmt-check oracle-check bench bench-json bench-check bench-compare bench-e2e bench-pairs profile vet figures clean
 
 all: build test
 
@@ -98,6 +105,14 @@ bench-compare:
 bench-e2e:
 	bash benchmark/run.sh -seed $(SEED) -out $(E2E_OUT)
 	bash benchmark/run.sh -compare $(E2E_BASE) $(E2E_OUT)
+
+# A performance claim's evidence: $(PAIRS) alternated runs of
+# benchmark/run.sh from a checkout of $(PARENT) and from the working tree
+# (each side builds its own benchmark), then per workload × end-to-end
+# metric the medians, quartiles and pairs won, as the EXPERIMENTS.md
+# table. `make bench-pairs PARENT=HEAD~1 SEED=2016 WORKLOAD=stream_windows`.
+bench-pairs:
+	PARENT=$(PARENT) PAIRS=$(PAIRS) SEED=$(SEED) WORKLOAD=$(WORKLOAD) SCALE=$(SCALE) bash scripts/bench-pairs.sh
 
 # Hot-path diagnosis: run the reference EWMA query over a DC trace with
 # CPU and heap profiles; inspect with `go tool pprof cpu.prof`.

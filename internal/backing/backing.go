@@ -25,7 +25,6 @@ package backing
 
 import (
 	"fmt"
-	"sort"
 
 	"perfq/internal/fold"
 	"perfq/internal/kvstore"
@@ -103,13 +102,12 @@ func New(f *fold.Func) *Store {
 // state-row ids advance in lockstep, so an entry's merged state is
 // always slab row id.
 func (s *Store) slot(key packet.Key128) int32 {
-	if i, ok := s.ix.get(key); ok {
-		return i
+	i, ok := s.ix.claim(key, int32(s.ents.n))
+	if !ok {
+		_, e := s.ents.alloc()
+		*e = entry{key: key, head: -1, tail: -1}
+		copy(s.slab.row(s.slab.alloc()), s.s0)
 	}
-	i, e := s.ents.alloc()
-	*e = entry{key: key, head: -1, tail: -1}
-	copy(s.slab.row(s.slab.alloc()), s.s0)
-	s.ix.put(key, i)
 	return i
 }
 
@@ -257,50 +255,14 @@ func (s *Store) Accuracy() (valid, total int) {
 	return total - s.invalid, total
 }
 
-// Range calls fn for every key with its merged value (or the single-epoch
-// value), skipping invalid keys. Iteration is a linear walk in insertion
-// order.
-func (s *Store) Range(fn func(key packet.Key128, state []float64) bool) {
-	for i := 0; i < s.ents.n; i++ {
-		if st, ok := s.value(int32(i)); ok {
-			if !fn(s.ents.at(int32(i)).key, st) {
-				return
-			}
-		}
-	}
-}
-
-// RangeAll calls fn for every key, including keys whose full-window value
-// is untrustworthy (multi-epoch keys of a non-mergeable fold): those are
-// reported with a nil state and valid == false. The network-wide
-// collector uses this to propagate within-switch invalidity into its
-// spatial accuracy accounting; single-switch materialization (Range)
-// never needs it.
-func (s *Store) RangeAll(fn func(key packet.Key128, state []float64, valid bool) bool) {
-	for i := 0; i < s.ents.n; i++ {
-		st, ok := s.value(int32(i))
-		if !fn(s.ents.at(int32(i)).key, st, ok) {
-			return
-		}
-	}
-}
-
-// SortedKeys returns all keys in byte order, for deterministic reporting.
-func (s *Store) SortedKeys() []packet.Key128 {
-	out := make([]packet.Key128, 0, s.ents.n)
-	for i := 0; i < s.ents.n; i++ {
-		out = append(out, s.ents.at(int32(i)).key)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
-	return out
+// At returns entry i (0 ≤ i < Len, in insertion order): its key and its
+// full-window value, or a nil state and valid == false when that value is
+// untrustworthy (a multi-epoch key of a non-mergeable fold) — the
+// network-wide collector propagates such within-switch invalidity into
+// its spatial accuracy accounting.
+func (s *Store) At(i int) (key packet.Key128, state []float64, valid bool) {
+	state, valid = s.value(int32(i))
+	return s.ents.at(int32(i)).key, state, valid
 }
 
 // BeginWindow opens a new window-scoped accounting interval: the keys
@@ -330,7 +292,7 @@ func (s *Store) WindowAccuracy() (valid, total int) {
 // memory is retained, so the next window's refill is allocation-free
 // until the key space outgrows every previous one.
 func (s *Store) Reset() {
-	s.ix.reset()
+	s.ix.reset(&s.ents)
 	s.ents.reset()
 	s.slab.reset()
 	s.nodes.reset()

@@ -222,7 +222,9 @@ func compiledCount(t *testing.T) *fold.Func {
 	return f
 }
 
-func TestRangeAndSortedKeys(t *testing.T) {
+// TestEntriesByIndex: At walks the entries in insertion order — what a
+// window close gathers — and Reset leaves none.
+func TestEntriesByIndex(t *testing.T) {
 	store := New(compiledCount(t))
 	r := randomRec(rand.New(rand.NewSource(33)))
 	for k := 0; k < 10; k++ {
@@ -231,48 +233,19 @@ func TestRangeAndSortedKeys(t *testing.T) {
 			P: []float64{1}, FirstRec: r,
 		})
 	}
-	seen := 0
-	store.Range(func(key packet.Key128, state []float64) bool {
-		seen++
-		return true
-	})
-	if seen != 10 {
-		t.Errorf("Range visited %d keys", seen)
+	if store.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", store.Len())
 	}
-	keys := store.SortedKeys()
-	if len(keys) != 10 {
-		t.Fatalf("SortedKeys returned %d", len(keys))
-	}
-	for i := 1; i < len(keys); i++ {
-		a, b := keys[i-1], keys[i]
-		for x := range a {
-			if a[x] != b[x] {
-				if a[x] > b[x] {
-					t.Fatal("SortedKeys out of order")
-				}
-				break
-			}
+	for i := 0; i < store.Len(); i++ {
+		key, state, valid := store.At(i)
+		want, _ := store.Get(keyN(i))
+		if key != keyN(i) || !valid || len(state) != 1 || state[0] != want[0] {
+			t.Errorf("At(%d) = (%v, %v, %v), want key %v, state %v", i, key, state, valid, keyN(i), want)
 		}
 	}
 	store.Reset()
 	if store.Len() != 0 {
 		t.Error("Reset did not clear")
-	}
-}
-
-func TestEarlyRangeExit(t *testing.T) {
-	store := New(compiledCount(t))
-	r := randomRec(rand.New(rand.NewSource(34)))
-	for k := 0; k < 5; k++ {
-		store.HandleEviction(&kvstore.Eviction{Key: keyN(k), State: []float64{1}, P: []float64{1}, FirstRec: r})
-	}
-	count := 0
-	store.Range(func(packet.Key128, []float64) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("Range did not stop early: %d", count)
 	}
 }
 

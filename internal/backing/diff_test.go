@@ -12,12 +12,13 @@ import (
 
 // TestKeyIndexDifferential drives the open-addressing index and a plain
 // map[packet.Key128]int32 reference through the same randomized schedule
-// of inserts, lookups and resets — enough keys per round to force several
-// grow-rebuilds past indexMinSize — and checks every lookup against the
-// map.
+// of find-or-insert claims, lookups and resets — enough keys per round to
+// force several grow-rebuilds past indexMinSize — and checks every claim
+// and lookup against the map.
 func TestKeyIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var ix keyIndex
+	var ents chunked[entry] // the keys in id order, as reset wants them
 	ref := map[packet.Key128]int32{}
 
 	checkAll := func(round int, space []packet.Key128) {
@@ -40,13 +41,22 @@ func TestKeyIndexDifferential(t *testing.T) {
 			space[i] = keyN(round*1_000_000 + i)
 		}
 		next := int32(0)
-		for _, i := range rng.Perm(n) {
-			k := space[i]
-			if _, ok := ref[k]; !ok { // put's contract: key absent
-				ix.put(k, next)
+		claim := func(k packet.Key128) {
+			t.Helper()
+			want, present := ref[k]
+			if got, ok := ix.claim(k, next); ok != present || (ok && got != want) || (!ok && got != next) {
+				t.Fatalf("round %d: claim(%v, %d) = (%d,%v), reference (%d,%v)", round, k, next, got, ok, want, present)
+			}
+			if !present {
+				_, e := ents.alloc()
+				e.key = k
 				ref[k] = next
 				next++
 			}
+		}
+		for _, i := range rng.Perm(n) {
+			claim(space[i]) // every key once, unless a random claim got there first
+			claim(space[rng.Intn(n)])
 			probe := space[rng.Intn(n)]
 			got, ok := ix.get(probe)
 			want, wok := ref[probe]
@@ -55,7 +65,8 @@ func TestKeyIndexDifferential(t *testing.T) {
 			}
 		}
 		checkAll(round, space)
-		ix.reset()
+		ix.reset(&ents)
+		ents.reset()
 		clear(ref)
 		checkAll(round, space) // everything absent after reset
 	}

@@ -250,6 +250,16 @@ func putUint(b []byte, v uint64, w int) {
 }
 
 func getUint(b []byte, w int) uint64 {
+	switch w {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.BigEndian.Uint16(b))
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b))
+	case 8:
+		return binary.BigEndian.Uint64(b)
+	}
 	var v uint64
 	for i := 0; i < w; i++ {
 		v = v<<8 | uint64(b[i])

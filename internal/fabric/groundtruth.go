@@ -24,10 +24,10 @@ func (s engineSource) Keys(pi int) (n int) {
 	return n
 }
 
-func (s engineSource) RangeMember(pi, mi int, fn func(key packet.Key128, keyVals, state []float64, valid bool)) {
+func (s engineSource) GatherMember(pi, mi int, g *switchsim.Gather) {
 	st := s.plan.Programs[pi].Members[mi]
 	s.eng.RangeGroup(st.Name, func(key packet.Key128, keyVals, state []float64) {
-		fn(key, keyVals, state, true)
+		g.Add(key, keyVals, state, true)
 	})
 }
 

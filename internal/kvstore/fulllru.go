@@ -207,19 +207,19 @@ func (c *fullLRU) emit(slot int32, reason EvictReason) {
 		}
 		return
 	}
-	c.ev = Eviction{
-		Key:    c.keys[slot],
-		State:  c.slotState(slot),
-		Reason: reason,
-	}
+	ev := &c.ev // set in place, see setAssoc.evict
+	ev.Key = c.keys[slot]
+	ev.State = c.slotState(slot)
+	ev.Reason = reason
 	if c.exact {
-		c.ev.P = c.slotProd(slot)
+		ev.P = c.slotProd(slot)
 		if c.needFirst {
-			c.ev.FirstRec = &c.first[slot]
+			ev.FirstRec = &c.first[slot]
 		}
 	}
-	if c.trMask != obs.NoSample && c.ev.Key.Hash()&c.trMask == 0 {
-		c.ev.Span = traceEvictSpan(c.tr, c.trW, c.ev.Key, reason)
+	ev.Span = obs.SpanRef{}
+	if c.trMask != obs.NoSample && ev.Key.Hash()&c.trMask == 0 {
+		ev.Span = traceEvictSpan(c.tr, c.trW, ev.Key, reason)
 	}
 	c.cfg.OnEvict(&c.ev)
 }

@@ -1,11 +1,13 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"perfq/internal/fold"
+	"perfq/internal/obs"
 	"perfq/internal/packet"
 	"perfq/internal/trace"
 )
@@ -432,6 +434,49 @@ func TestGeometrySplit(t *testing.T) {
 		}
 		if _, err := New(Config{Geometry: got, Fold: fold.Count()}); err != nil {
 			t.Errorf("split geometry %v rejected by New: %v", got, err)
+		}
+	}
+}
+
+// TestEvictionPayloadIsWholePerEviction: the payload struct is reused and
+// its fields are set in place, so every delivery must still read as if it
+// had been built from scratch — the key's own state, product and first
+// packet, the reason of this eviction, and a span only when this key is
+// sampled (not the span of the sampled key evicted before it).
+func TestEvictionPayloadIsWholePerEviction(t *testing.T) {
+	lat := fold.Bin{Op: fold.OpSub, L: fold.FieldRef(trace.FieldTout), R: fold.FieldRef(trace.FieldTin)}
+	for _, exact := range []bool{false, true} {
+		for _, g := range geometries(32) {
+			tr := obs.NewTracer(2, 0) // one key in four is sampled
+			flushing := false
+			sampled, n := 0, 0
+			c := mustNew(t, Config{
+				Geometry: g, Fold: fold.Ewma(lat, 0.125), ExactMerge: exact, Trace: tr,
+				OnEvict: func(ev *Eviction) {
+					n++
+					want := tr.Sampled(ev.Key.Hash())
+					if want {
+						sampled++
+					}
+					if ev.Span.Live() != want {
+						t.Fatalf("%v exact=%v: eviction %d of a key sampled=%v carries a live span=%v", g, exact, n, want, ev.Span.Live())
+					}
+					if (ev.P != nil) != exact || (ev.Reason == EvictFlush) != flushing || len(ev.State) != 1 {
+						t.Fatalf("%v exact=%v: eviction %d = %+v while flushing=%v", g, exact, n, *ev, flushing)
+					}
+					if ev.FirstRec != nil && ev.FirstRec.PktLen != binary.BigEndian.Uint32(ev.Key[0:4]) {
+						t.Fatalf("%v: eviction %d of key %v carries the first packet of key %d", g, n, ev.Key, ev.FirstRec.PktLen)
+					}
+				},
+			})
+			for i := 0; i < 200; i++ { // 200 keys through 32 pairs: capacity evictions
+				c.Process(keyN(i), inputN(i))
+			}
+			flushing = true
+			c.Flush()
+			if n != 200 || sampled == 0 || sampled == n {
+				t.Fatalf("%v exact=%v: %d evictions, %d sampled; want 200, some", g, exact, n, sampled)
+			}
 		}
 	}
 }

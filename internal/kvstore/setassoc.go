@@ -387,24 +387,25 @@ func (c *setAssoc) insert(slot int, key packet.Key128, tag uint8, in *fold.Input
 // The Eviction payload is a per-cache scratch value: its contents are
 // borrowed slices already, so reusing the struct across evictions adds
 // no new aliasing constraints and keeps the eviction path allocation-free.
+// Its fields are set in place — a flush evicts at key rate, and building
+// the ~100-byte struct by literal zeroes and copies all of it per key.
 func (c *setAssoc) evict(slot int, reason EvictReason) {
 	if c.cfg.OnEvict != nil {
-		key := c.slotKey(slot)
-		c.ev = Eviction{
-			Key:    key,
-			State:  c.slotState(slot),
-			Reason: reason,
-		}
+		ev := &c.ev
+		ev.Key = c.slotKey(slot)
+		ev.State = c.slotState(slot)
+		ev.Reason = reason
 		if c.exact {
-			c.ev.P = c.slotProd(slot)
+			ev.P = c.slotProd(slot)
 			if c.needFirst {
-				c.ev.FirstRec = &c.first[slot]
+				ev.FirstRec = &c.first[slot]
 			}
 		}
-		if c.trMask != obs.NoSample && key.Hash()&c.trMask == 0 {
-			c.ev.Span = traceEvictSpan(c.tr, c.trW, key, reason)
+		ev.Span = obs.SpanRef{}
+		if c.trMask != obs.NoSample && ev.Key.Hash()&c.trMask == 0 {
+			ev.Span = traceEvictSpan(c.tr, c.trW, ev.Key, reason)
 		}
-		c.cfg.OnEvict(&c.ev)
+		c.cfg.OnEvict(ev)
 	} else if c.trMask != obs.NoSample {
 		// No downstream consumer, but the eviction story is still worth
 		// recording for sampled keys.

@@ -163,7 +163,6 @@ type shardScratch struct {
 	in     fold.Input
 	fields [trace.NumFields]float64
 	slab   floatSlab
-	kv     [8]float64 // RangeMember's key component values, one key at a time
 
 	blk   fold.InputBlock
 	bregs fold.BlockRegs

@@ -25,17 +25,12 @@ import (
 // datapath, or an unbounded exec engine standing in for one (ground
 // truth).
 type StateSource interface {
-	// Keys bounds how many keys RangeMember yields for a member of
-	// program pi.
+	// Keys bounds how many keys GatherMember adds for a member of program
+	// pi.
 	Keys(pi int) int
-	// RangeMember yields every key of program pi's member mi once, in
-	// any order: the 128-bit store key, the key component values, the
-	// member's state, and whether that state is trustworthy for the full
-	// window (false for a multi-epoch key of a non-mergeable fold, whose
-	// state must then be ignored). Keys the member never saw are skipped.
-	// keyVals is only valid during the call; state is only read, and only
-	// until the source next changes.
-	RangeMember(pi, mi int, fn func(key packet.Key128, keyVals, state []float64, valid bool))
+	// GatherMember adds every key of program pi's member mi to g once, in
+	// any order (see Gather.Add). Keys the member never saw are skipped.
+	GatherMember(pi, mi int, g *Gather)
 	// SelectRows returns the mirrored rows of a select-over-T stage (a
 	// multiset; Reconcile sorts after concatenating).
 	SelectRows(st *compiler.Stage) [][]float64
@@ -44,31 +39,27 @@ type StateSource interface {
 // Keys implements StateSource.
 func (sh *shardState) Keys(pi int) int { return sh.progs[pi].store.Len() }
 
-// RangeMember implements StateSource over the shard's backing store.
-func (sh *shardState) RangeMember(pi, mi int, fn func(key packet.Key128, keyVals, state []float64, valid bool)) {
+// GatherMember implements StateSource: the shard's backing-store entries
+// read by index, a window close's one pass over them.
+func (sh *shardState) GatherMember(pi, mi int, g *Gather) {
 	ps := sh.progs[pi]
 	sp := ps.sp
 	m := sp.Members[mi].Fold.StateLen()
 	off, pidx := sp.Offsets[mi], sp.PresIdx[mi]
-	nk := sp.Key.NumComponents()
-	ps.store.RangeAll(func(key packet.Key128, state []float64, valid bool) bool {
+	for i, n := 0, ps.store.Len(); i < n; i++ {
+		key, state, valid := ps.store.At(i)
 		if valid {
 			if pidx >= 0 && state[pidx] <= 0 {
-				return true // no record of this member's query saw the key
+				continue // no record of this member's query saw the key
 			}
 			state = state[off : off+m]
 		}
-		// Shard-owned scratch: a stack array would escape through fn and
-		// cost one allocation per key.
-		kv := sh.scratch.kv[:nk]
+		var kv []float64
 		if ps.keyVals != nil {
-			copy(kv, ps.keyVals[key])
-		} else {
-			sp.Key.Unpack(key, kv)
+			kv = ps.keyVals[key]
 		}
-		fn(key, kv, state, valid)
-		return true
-	})
+		g.Add(key, kv, state, valid)
+	}
 }
 
 // SelectRows implements StateSource.
@@ -91,10 +82,10 @@ func (sh *shardState) SelectRows(st *compiler.Stage) [][]float64 {
 // is dropped and counted against accuracy, as is a key any source holds
 // an untrustworthy value for.
 func Reconcile(plan *compiler.Plan, srcs []StateSource, merge func(*compiler.Stage) func(dst, src []float64)) (map[string]*exec.Table, []Acc) {
-	return reconcile(plan, srcs, merge, &tablesScratch{})
+	return reconcile(plan, srcs, merge, &Gather{})
 }
 
-func reconcile(plan *compiler.Plan, srcs []StateSource, merge func(*compiler.Stage) func(dst, src []float64), ts *tablesScratch) (map[string]*exec.Table, []Acc) {
+func reconcile(plan *compiler.Plan, srcs []StateSource, merge func(*compiler.Stage) func(dst, src []float64), g *Gather) (map[string]*exec.Table, []Acc) {
 	out := map[string]*exec.Table{}
 	acc := make([]Acc, len(plan.Programs))
 	for _, st := range plan.Stages {
@@ -118,7 +109,7 @@ func reconcile(plan *compiler.Plan, srcs []StateSource, merge func(*compiler.Sta
 			if merge != nil {
 				reduce = merge(st)
 			}
-			t, keys := ts.member(sp, pi, mi, srcs, total, merge != nil, reduce)
+			t, keys := g.member(sp, pi, mi, srcs, total, merge != nil, reduce)
 			acc[pi].Valid += len(t.Rows)
 			acc[pi].Total += keys
 			out[st.Name] = t
@@ -127,40 +118,112 @@ func reconcile(plan *compiler.Plan, srcs []StateSource, merge func(*compiler.Sta
 	return out, acc
 }
 
-// keyedRef pairs a gathered key's index with its packed key words — the
-// 24-byte sort element of the integer-keyed sort (rows are picked up
-// once afterwards, so swaps move 24 bytes, not row headers).
-type keyedRef struct {
-	k0, k1 uint64
-	idx    int32
-}
+// keyedRef is the 24-byte sort element: the packed key's two words
+// (big-endian, so word order is byte order) and the gathered key's index
+// (rows are picked up once afterwards, so swaps move 24 bytes, not row
+// headers). The index is unique, which makes the three words a total
+// order: key, then gather — that is, source — order.
+type keyedRef struct{ k0, k1, idx uint64 }
 
 func refOf(key packet.Key128, idx int) keyedRef {
-	return keyedRef{binary.BigEndian.Uint64(key[0:8]), binary.BigEndian.Uint64(key[8:16]), int32(idx)}
+	return keyedRef{binary.BigEndian.Uint64(key[0:8]), binary.BigEndian.Uint64(key[8:16]), uint64(idx)}
 }
 
 func (a keyedRef) sameKey(b keyedRef) bool { return a.k0 == b.k0 && a.k1 == b.k1 }
 
-// sortRefs orders refs by key. Ties break on gather order, which makes
-// the sort stable in source order without a stable sort's cost on the
-// tie-free common case.
+func (a keyedRef) less(b keyedRef) bool {
+	if a.k0 != b.k0 {
+		return a.k0 < b.k0
+	}
+	if a.k1 != b.k1 {
+		return a.k1 < b.k1
+	}
+	return a.idx < b.idx
+}
+
+// word is the ref as three words, most significant first (a switch, not
+// an array: a ref in flight stays in registers).
+func (a keyedRef) word(w int) uint64 {
+	switch w {
+	case 0:
+		return a.k0
+	case 1:
+		return a.k1
+	}
+	return a.idx
+}
+
+// radixCutoff is the bucket size insertion sort finishes: a counting
+// pass costs 256 counters however few refs it spreads.
+const radixCutoff = 32
+
+// sortRefs orders refs in place by an MSD byte radix (American flag)
+// sort over the byte positions at which they actually differ — packed
+// keys leave trailing bytes zero and flows share prefixes, so one
+// OR-of-XOR pass skips most of the 24. There is exactly one sorted
+// sequence of a total order, so this unstable sort yields the rows a
+// stable one would; refs of one key held by several sources fall through
+// to the index bytes. DESIGN.md "The one reconcile" has the argument.
 func sortRefs(refs []keyedRef) {
-	slices.SortFunc(refs, func(a, b keyedRef) int {
-		switch {
-		case a.k0 != b.k0:
-			if a.k0 < b.k0 {
-				return -1
-			}
-			return 1
-		case a.k1 != b.k1:
-			if a.k1 < b.k1 {
-				return -1
-			}
-			return 1
-		default:
-			return int(a.idx - b.idx)
+	var diff keyedRef
+	for i := range refs {
+		diff.k0 |= refs[i].k0 ^ refs[0].k0
+		diff.k1 |= refs[i].k1 ^ refs[0].k1
+		diff.idx |= refs[i].idx ^ refs[0].idx
+	}
+	radixRefs(refs, diff, 0)
+}
+
+// radixRefs sorts refs that agree on every byte before position pos (of
+// 24, most significant first). It recurses at most once per position and
+// each level is linear, so no input — one bucket holding all but a few
+// refs included — goes quadratic.
+func radixRefs(refs []keyedRef, diff keyedRef, pos int) {
+	for ; len(refs) > radixCutoff && pos < 24; pos++ {
+		w, sh := pos>>3, uint(56-pos&7<<3)
+		if uint8(diff.word(w)>>sh) == 0 {
+			continue // no two refs differ here
 		}
-	})
+		var count [256]int32
+		for i := range refs {
+			count[uint8(refs[i].word(w)>>sh)]++
+		}
+		// next[b] is where bucket b's next ref goes, end[b] where the
+		// bucket ends. Each misplaced ref is carried to its bucket, the ref
+		// it displaces carried on in turn, until one lands here.
+		var next, end [256]int32
+		at := int32(0)
+		for b, n := range count {
+			next[b] = at
+			at += n
+			end[b] = at
+		}
+		for b := range next {
+			for ; next[b] < end[b]; next[b]++ {
+				r := refs[next[b]]
+				for to := uint8(r.word(w) >> sh); int(to) != b; to = uint8(r.word(w) >> sh) {
+					r, refs[next[to]] = refs[next[to]], r
+					next[to]++
+				}
+				refs[next[b]] = r
+			}
+		}
+		lo := int32(0)
+		for _, hi := range end {
+			if hi-lo > 1 {
+				radixRefs(refs[lo:hi], diff, pos+1)
+			}
+			lo = hi
+		}
+		return
+	}
+	for i := 1; i < len(refs); i++ {
+		r, j := refs[i], i
+		for ; j > 0 && r.less(refs[j-1]); j-- {
+			refs[j] = refs[j-1]
+		}
+		refs[j] = r
+	}
 }
 
 // nonNegative reports whether a packed key's byte order is its row
@@ -178,55 +241,105 @@ func nonNegative(kv []float64) bool {
 	return true
 }
 
-// tablesScratch is the reusable per-close materialization scratch — the
-// gather/sort buffers whose contents die inside one member's reconcile
-// (the rows themselves escape into the emitted tables and stay per-close
-// allocations). Buffers are shared across members, programs and calls;
-// reset-to-empty keeps capacity, so steady-state closes stop paying the
-// gather allocations that dominated the close path. The emptied buffers
-// keep the previous window's state pointers alive in their capacity tail
-// until overwritten — bounded by one window's key count.
-type tablesScratch struct {
+// Gather is what the sources pour one member's keys into, and the
+// reusable per-close materialization scratch — the gather/sort buffers
+// whose contents die inside one member's reconcile (the rows themselves
+// escape into the emitted tables and stay per-close allocations). Buffers
+// are shared across members, programs and calls; reset-to-empty keeps
+// capacity, so steady-state closes stop paying the gather allocations
+// that dominated the close path. The emptied buffers keep the previous
+// window's state pointers alive in their capacity tail until overwritten
+// — bounded by one window's key count.
+type Gather struct {
+	// The member being gathered.
+	key       *compiler.KeySpec
+	st        *compiler.Stage
+	nk, width int
+	shared    bool // sources may hold the same key
+	byKey     bool // packed key and, as far as seen, nonNegative: refs order the rows
+	keys      int  // keys added (not shared: every one is distinct)
+
 	refs   []keyedRef  // sort refs, one per gathered key
+	slab   []float64   // not shared: the rows, in gather order; escapes with the table
 	states [][]float64 // shared keys' gathered states (nil: untrustworthy)
 	kvs    []float64   // shared keys' gathered component values, nk per key
 	merged []float64   // the state a run of equal keys reduces into
+}
+
+// Add adds one key of the member being gathered: the 128-bit store key,
+// its component values (nil: the key is packed, and unpacked here
+// straight into the row), the member's state, and whether that state is
+// trustworthy for the full window (false for a multi-epoch key of a
+// non-mergeable fold, whose state is then ignored). kv is only read
+// during the call; state is only read, and only until the source next
+// changes.
+func (g *Gather) Add(key packet.Key128, kv, state []float64, valid bool) {
+	g.keys++
+	if g.shared {
+		if !valid {
+			state = nil
+		}
+		g.refs = append(g.refs, refOf(key, len(g.states)))
+		g.states = append(g.states, state)
+		g.kvs = g.keyVals(g.kvs, key, kv)
+		return
+	}
+	if !valid {
+		return // no row: only counted
+	}
+	// Every trustworthy key is a row: project it while its state is at
+	// hand, into the slab that escapes with the table, and sort refs to
+	// the rows afterwards.
+	at := len(g.slab)
+	g.slab = g.keyVals(g.slab, key, kv)
+	if g.byKey {
+		g.refs = append(g.refs, refOf(key, at/g.width))
+	}
+	g.slab = exec.AppendOutCols(g.st, state, g.slab)
+}
+
+// keyVals appends the key's component values to buf — where they stay:
+// the head of the key's row, or its place in kvs.
+func (g *Gather) keyVals(buf []float64, key packet.Key128, kv []float64) []float64 {
+	at := len(buf)
+	buf = slices.Grow(buf, g.nk)[:at+g.nk]
+	if kv != nil {
+		copy(buf[at:], kv)
+	} else {
+		g.key.Unpack(key, buf[at:])
+	}
+	g.byKey = g.byKey && nonNegative(buf[at:])
+	return buf
 }
 
 // member reconciles one member of one program: the stage's table and
 // the number of distinct keys seen (emitted or not). total bounds the
 // gather; shared says sources may hold the same key, reduce (nil: they
 // cannot be combined) how such states merge.
-func (ts *tablesScratch) member(sp *compiler.SwitchProgram, pi, mi int, srcs []StateSource, total int, shared bool, reduce func(dst, src []float64)) (*exec.Table, int) {
+func (g *Gather) member(sp *compiler.SwitchProgram, pi, mi int, srcs []StateSource, total int, shared bool, reduce func(dst, src []float64)) (*exec.Table, int) {
 	st := sp.Members[mi]
 	nk := sp.Key.NumComponents()
 	width := nk + len(st.Out)
 	t := &exec.Table{Schema: st.Schema}
-	byKey := sp.Key.Packed // and, as far as seen, nonNegative
-	refs := ts.refs[:0]
-	if byKey || shared {
-		refs = slices.Grow(refs, total)
+	g.key, g.st, g.nk, g.width = sp.Key, st, nk, width
+	g.shared, g.byKey, g.keys = shared, sp.Key.Packed, 0
+	g.refs, g.states, g.kvs = g.refs[:0], g.states[:0], g.kvs[:0]
+	if g.byKey || shared {
+		g.refs = slices.Grow(g.refs, total)
 	}
-	keys := 0
+	if shared {
+		g.states, g.kvs = slices.Grow(g.states, total), slices.Grow(g.kvs, total*nk)
+	} else {
+		g.slab = make([]float64, 0, total*width)
+	}
+	for _, s := range srcs {
+		s.GatherMember(pi, mi, g)
+	}
+	refs, byKey := g.refs, g.byKey
 
 	if !shared {
-		// Every trustworthy key is a row: project it while its state is
-		// at hand, into the slab that escapes with the table, and sort
-		// refs to the rows afterwards.
-		slab := make([]float64, 0, total*width)
-		for _, s := range srcs {
-			s.RangeMember(pi, mi, func(key packet.Key128, kv, state []float64, valid bool) {
-				keys++
-				if !valid {
-					return
-				}
-				if byKey = byKey && nonNegative(kv); byKey {
-					refs = append(refs, refOf(key, len(slab)/width))
-				}
-				slab = exec.AppendOutCols(st, state, append(slab, kv...))
-			})
-		}
-		ts.refs = refs
+		slab := g.slab
+		g.slab = nil // the table's from here on
 		if byKey {
 			sortRefs(refs)
 		}
@@ -241,25 +354,15 @@ func (ts *tablesScratch) member(sp *compiler.SwitchProgram, pi, mi int, srcs []S
 		if !byKey {
 			t.Sort() // the column sort
 		}
-		return t, keys
+		return t, g.keys
 	}
 
 	// Sources may share keys, so only one row per run of equal keys
-	// survives: gather states and key values into scratch, and carve the
-	// slab once the runs are counted.
-	states, kvs := slices.Grow(ts.states[:0], total), slices.Grow(ts.kvs[:0], total*nk)
-	for _, s := range srcs {
-		s.RangeMember(pi, mi, func(key packet.Key128, kv, state []float64, valid bool) {
-			byKey = byKey && nonNegative(kv)
-			if !valid {
-				state = nil
-			}
-			refs = append(refs, refOf(key, len(states)))
-			states, kvs = append(states, state), append(kvs, kv...)
-		})
-	}
-	ts.refs, ts.states, ts.kvs = refs, states, kvs
+	// survives: states and key values were gathered into scratch, and the
+	// slab is carved once the runs are counted.
+	states, kvs := g.states, g.kvs
 	sortRefs(refs)
+	keys := 0
 	for i := range refs {
 		if i == 0 || !refs[i].sameKey(refs[i-1]) {
 			keys++
@@ -280,8 +383,8 @@ func (ts *tablesScratch) member(sp *compiler.SwitchProgram, pi, mi int, srcs []S
 				state = nil
 			default:
 				if !copied {
-					ts.merged = append(ts.merged[:0], state...)
-					state, copied = ts.merged, true
+					g.merged = append(g.merged[:0], state...)
+					state, copied = g.merged, true
 				}
 				reduce(state, next)
 			}

@@ -164,8 +164,8 @@ type Datapath struct {
 	pkts     []uint64 // records routed, per partition (feeder-owned)
 	unrouted uint64
 
-	accBuf []Acc         // CloseWindow's reused accuracy snapshot (borrowed by callers)
-	tscr   tablesScratch // Tables' reused materialization scratch
+	accBuf []Acc  // CloseWindow's reused accuracy snapshot (borrowed by callers)
+	tscr   Gather // Tables' reused materialization scratch
 	// A partitioned datapath's tables and accuracy come out of one
 	// reconcile pass, memoized until the stores next change (Flush,
 	// ResetWindow): CloseWindow → Collect → Accuracy read it once.

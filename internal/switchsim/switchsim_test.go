@@ -18,7 +18,7 @@ import (
 	"perfq/internal/tracegen"
 )
 
-func compilePlan(t *testing.T, src string) *compiler.Plan {
+func compilePlan(t testing.TB, src string) *compiler.Plan {
 	t.Helper()
 	chk, err := lang.Check(lang.MustParse(src))
 	if err != nil {
