@@ -1,16 +1,10 @@
 # perfq build/test/bench entry points. See EXPERIMENTS.md for how to
-# regenerate the paper's figures and read the scaling benchmarks.
+# regenerate the paper's figures; performance is recorded and compared
+# by benchmark/ alone, through `make bench` and `make bench-pairs`.
 
 GO ?= go
 
-# PR names the recording the bench targets work on: bench-json writes
-# BENCH_$(PR).json, bench-check reads it, bench-compare diffs
-# BENCH_$(PREV).json against it. `make bench-json PR=14` starts the next
-# entry of the trail; the default is the newest one committed.
-PR ?= 10
-PREV ?= $(shell expr $(PR) - 1)
-
-# bench-e2e: the seed, the set it writes and the recorded set it is
+# bench: the seed, the set it writes and the recorded set it is
 # compared against (see benchmark/README.md).
 SEED ?= 12
 E2E_OUT ?= .bench_build/e2e.json
@@ -23,7 +17,7 @@ PAIRS ?= 10
 WORKLOAD ?=
 SCALE ?= full
 
-.PHONY: all build test race loc fmt-check oracle-check bench bench-json bench-check bench-compare bench-e2e bench-pairs profile vet figures clean
+.PHONY: all build test race loc fmt-check oracle-check doc-check bench bench-pairs profile vet figures clean
 
 all: build test
 
@@ -64,45 +58,11 @@ loc:
 	   echo ". $$(cat $$(ls *.go | grep -v _test.go) | wc -l)"; } \
 	| awk '{ printf "%-22s %6d\n", $$1, $$2; n += $$2 } END { printf "%-22s %6d\n", "total", n }'
 
-bench:
-	$(GO) test -bench . -benchtime 1s -run XXX .
-
-# Record the perf trajectory: the sharded-datapath scaling series
-# (pkts/s, allocs/op at shards 1/2/4/8, each at GOMAXPROCS =
-# min(shards, NumCPU), now with the metrics registry attached — the
-# instrumented path is the recorded path), the network-wide fabric
-# replay (pkts/s, serial vs worker-per-switch), the windowed-runtime
-# boundary overhead (pkts/s at window sizes 1k/10k/100k vs
-# single-window), the observability on/off A-B, the trace-sampling
-# on/off A-B, the transport batch sweep and the fold-eval microbench,
-# written as JSON for the repo's BENCH_*.json history. pipefail so a
-# failing benchmark can't silently record a partial file; the recorded
-# file is then procs-checked.
-bench-json: SHELL := /bin/bash
-bench-json:
-	set -o pipefail; \
-	{ $(GO) test -bench 'BenchmarkShardedDatapath|BenchmarkFabricDatapath|BenchmarkWindowedDatapath|BenchmarkObsOverhead|BenchmarkTraceOverhead' -benchtime 2s -benchmem -run XXX . && \
-	  $(GO) test -bench 'BenchmarkWorkersTransport' -benchtime 1s -benchmem -run XXX ./internal/shard && \
-	  $(GO) test -bench 'BenchmarkFoldEval' -benchtime 1s -benchmem -run XXX ./internal/fold ; } \
-	| $(GO) run ./cmd/benchjson -out BENCH_$(PR).json
-	$(GO) run ./cmd/benchjson -check BENCH_$(PR).json
-	@cat BENCH_$(PR).json
-
-# Guard the recorded trajectory: fail if any multi-shard entry of the
-# newest recording claims procs: 1 on a multi-CPU host (the harness bug
-# that made the BENCH_3..5 scaling series fiction). CI runs this.
-bench-check:
-	$(GO) run ./cmd/benchjson -check BENCH_$(PR).json
-
-# Benchstat-style diff of the newest recording against the previous one.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_$(PREV).json BENCH_$(PR).json
-
 # The end-to-end + per-layer benchmark (benchmark/): one full set — six
 # workloads through the public facade, then their traced runs — written
 # to $(E2E_OUT) and compared metric by metric, against the recorded
 # dispersion, with $(E2E_BASE). Exits non-zero on a `worse` row.
-bench-e2e:
+bench:
 	bash benchmark/run.sh -seed $(SEED) -out $(E2E_OUT)
 	bash benchmark/run.sh -compare $(E2E_BASE) $(E2E_OUT)
 
@@ -138,6 +98,13 @@ oracle-check:
 	@out="$$(grep -rnE 'EvalExpr\(|EvalPred\(|Prog\.Update\(' --include='*.go' *.go cmd examples internal benchmark \
 		| grep -v '_test\.go:' | grep -vE '^internal/fold/(eval|constfold)\.go:')"; \
 	if [ -n "$$out" ]; then echo "tree interpreter called outside eval.go/constfold.go:"; echo "$$out"; exit 1; fi
+
+# The documents, this Makefile, CI, scripts/ and the skills name only
+# BENCH_*.json files that are committed, make targets that exist and
+# Test*/Benchmark* functions `go test -list ./...` prints, so a deleted
+# benchmark or target cannot live on in prose. CI runs this.
+doc-check:
+	@bash scripts/doc-check.sh
 
 # The paper's evaluation at CI scale.
 figures:

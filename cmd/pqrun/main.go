@@ -33,18 +33,28 @@
 // -stats-interval logs a one-line counter summary on stderr while the
 // run is live. All of it composes with every other mode, including
 // -backing (pool health and drop counters appear in /metrics).
+//
+// SIGINT or SIGTERM ends the run as the end of the trace would: the open
+// window closes, the backing pool is synced, profiles are written and the
+// tables of the records read so far are printed. A second signal exits
+// at once.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"perfq"
@@ -216,10 +226,20 @@ func main() {
 		return tracegen.New(cfg), func() {}, nil
 	}
 
-	srcRecs, done, err := newSource()
+	inner, done, err := newSource()
 	if err != nil {
 		fail(err)
 	}
+	srcRecs := newStopSource(inner)
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		fmt.Fprintln(os.Stderr, "pqrun: interrupted: ending the run at the records read so far (signal again to exit now)")
+		srcRecs.Stop()
+		<-sig
+		fail(errors.New("interrupted again: exiting without finishing the run"))
+	}()
 	opts := []perfq.RunOption{perfq.WithCache(*pairs, *ways), perfq.WithShards(*shards)}
 	if fabricTopo != nil {
 		opts = append(opts, perfq.WithFabric(fabricTopo))
@@ -339,7 +359,9 @@ func main() {
 		fmt.Println()
 	}
 
-	if *truth {
+	if *truth && srcRecs.stopped.Load() {
+		fmt.Fprintln(os.Stderr, "pqrun: -truth skipped: the run was interrupted short of the whole trace")
+	} else if *truth {
 		srcRecs, done, err := newSource()
 		if err != nil {
 			fail(err)
@@ -358,6 +380,37 @@ func main() {
 				name, tr.Table(name).Len(), res.Table(name).Len())
 		}
 	}
+}
+
+// stopSource is the run's record source with an off switch: once stopped
+// it reports io.EOF, so a run over it ends through the code every run
+// ends through. A run handed out before Stop is still delivered whole —
+// an in-memory slice (-topo) is a single run, so it is never cut short.
+type stopSource struct {
+	src     perfq.Source
+	runs    trace.BatchSource
+	stopped atomic.Bool
+}
+
+func newStopSource(src perfq.Source) *stopSource {
+	return &stopSource{src: src, runs: trace.Batches(src)}
+}
+
+// Stop may be called from any goroutine.
+func (s *stopSource) Stop() { s.stopped.Store(true) }
+
+func (s *stopSource) Next(rec *trace.Record) error {
+	if s.stopped.Load() {
+		return io.EOF
+	}
+	return s.src.Next(rec)
+}
+
+func (s *stopSource) NextBatch() ([]trace.Record, error) {
+	if s.stopped.Load() {
+		return nil, io.EOF
+	}
+	return s.runs.NextBatch()
 }
 
 // finishProfiles flushes active profiles; a no-op unless profiling flags

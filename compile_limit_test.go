@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"perfq/internal/lang"
 )
 
 // The fold VM has 16 registers and nothing runs behind it, so an
@@ -60,7 +62,9 @@ var limitSites = []limitSite{
 	}},
 }
 
-func TestCompileRejectsOverLimit(t *testing.T) {
+// limitTrace is the short trace the at-the-limit queries run over.
+func limitTrace(t *testing.T) []Record {
+	t.Helper()
 	var recs []Record
 	src := DCTrace(7, 300*time.Millisecond)
 	for r := (Record{}); src.Next(&r) == nil; {
@@ -69,6 +73,36 @@ func TestCompileRejectsOverLimit(t *testing.T) {
 	if len(recs) < 500 {
 		t.Fatalf("short trace: %d records", len(recs))
 	}
+	return recs
+}
+
+// requireRunMatchesTruth compiles src, which must sit at a limit, runs
+// it and compares every table with ground truth.
+func requireRunMatchesTruth(t *testing.T, src string, recs []Record) {
+	t.Helper()
+	q, err := Compile(src)
+	if err != nil {
+		t.Fatalf("at the limit: %v", err)
+	}
+	got, err := q.Run(Records(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := q.GroundTruth(Records(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := allTables(truth)
+	if want[q.Results()[0]].Len() == 0 {
+		t.Fatal("ground truth is empty; the query does not exercise the deep expression")
+	}
+	for name, tab := range allTables(got) {
+		requireTablesIdentical(t, name, tab, want[name])
+	}
+}
+
+func TestCompileRejectsOverLimit(t *testing.T) {
+	recs := limitTrace(t)
 	for _, site := range limitSites {
 		t.Run(site.name, func(t *testing.T) {
 			_, err := Compile(site.query(site.limit + 1))
@@ -81,25 +115,46 @@ func TestCompileRejectsOverLimit(t *testing.T) {
 				}
 			}
 
-			q, err := Compile(site.query(site.limit))
-			if err != nil {
-				t.Fatalf("depth %d (the limit): %v", site.limit, err)
+			requireRunMatchesTruth(t, site.query(site.limit), recs)
+		})
+	}
+}
+
+// parens is a projection wrapped in n pairs of parentheses: no deeper a
+// syntax tree than the bare field, but n levels of parser recursion.
+func parens(n int) string {
+	return "SELECT srcip, " + strings.Repeat("(", n) + "pkt_len" + strings.Repeat(")", n) + " AS x WHERE proto == 6\n"
+}
+
+// TestCompileRejectsOverDepth: the parser, the checker and lowering
+// recurse as deep as query text nests, so nesting is bounded by
+// lang.MaxExprDepth and one level more is a named error — 3 M
+// parentheses or a 2 M-term sum used to end the process with an
+// unrecoverable stack overflow.
+func TestCompileRejectsOverDepth(t *testing.T) {
+	recs := limitTrace(t)
+	for _, shape := range []struct {
+		name    string
+		query   func(n int) string
+		limit   int
+		hostile int
+	}{
+		{"parentheses", parens, lang.MaxExprDepth, 3_000_000},
+		// n terms chain to height n, and the SUM call around them is one more.
+		{"binary chain", sumOfTerms, lang.MaxExprDepth - 1, 2_000_000},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			sizes := []int{shape.limit + 1, shape.hostile}
+			if testing.Short() {
+				sizes = sizes[:1] // the hostile size lexes ~1 GB of tokens
 			}
-			got, err := q.Run(Records(recs))
-			if err != nil {
-				t.Fatal(err)
+			for _, n := range sizes {
+				_, err := Compile(shape.query(n))
+				if want := fmt.Sprintf("expression nested deeper than %d", lang.MaxExprDepth); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("size %d: got %v, want an error mentioning %q", n, err, want)
+				}
 			}
-			truth, err := q.GroundTruth(Records(recs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := allTables(truth)
-			if want[q.Results()[0]].Len() == 0 {
-				t.Fatal("ground truth is empty; the query does not exercise the deep expression")
-			}
-			for name, tab := range allTables(got) {
-				requireTablesIdentical(t, name, tab, want[name])
-			}
+			requireRunMatchesTruth(t, shape.query(shape.limit), recs)
 		})
 	}
 }

@@ -406,3 +406,33 @@ func TestQueryOrderClauseVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDepthLimit: every construct that nests — parentheses, prefix
+// operators, call arguments, if statements, and the left-deep tree a
+// binary chain parses to — is held to MaxExprDepth, at exactly that depth.
+func TestParseDepthLimit(t *testing.T) {
+	rep := strings.Repeat
+	for _, shape := range []struct {
+		name  string
+		limit int // deepest size that parses
+		src   func(n int) string
+	}{
+		{"parentheses", MaxExprDepth, func(n int) string { return "SELECT " + rep("(", n) + "tin" + rep(")", n) }},
+		{"negation", MaxExprDepth - 1, func(n int) string { return "SELECT " + rep("-", n) + "tin" }},
+		{"not", MaxExprDepth - 2, func(n int) string { return "SELECT COUNT GROUPBY srcip WHERE " + rep("not ", n) + "tin > 0" }},
+		{"call arguments", MaxExprDepth - 1, func(n int) string { return "SELECT " + rep("f(", n) + "tin" + rep(")", n) }},
+		{"binary chain", MaxExprDepth, func(n int) string { return "SELECT tin" + rep(" * tin", n-1) }},
+		{"chain under parentheses", MaxExprDepth - 1, func(n int) string { return "SELECT (tin" + rep(" - tin", n-1) + ") + tin" }},
+		{"if statements", MaxExprDepth, func(n int) string {
+			return "def f(s, (tin)): " + rep("if tin > 0 then ", n) + "s = 1\nSELECT srcip, f GROUPBY srcip"
+		}},
+	} {
+		if _, err := Parse(shape.src(shape.limit)); err != nil {
+			t.Errorf("%s at the limit: %v", shape.name, err)
+		}
+		_, err := Parse(shape.src(shape.limit + 1))
+		if err == nil || !strings.Contains(err.Error(), errTooDeep(Pos{}).Msg) {
+			t.Errorf("%s one past the limit: got %v, want the depth error", shape.name, err)
+		}
+	}
+}

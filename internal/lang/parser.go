@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -15,9 +16,43 @@ func Parse(src string) (*Program, error) {
 	return p.parseProgram()
 }
 
+// MaxExprDepth bounds how deep query text may nest: the height of an
+// expression's syntax tree — which a left-deep chain of binary operators
+// grows by one per operator — and the parentheses, unary operators, call
+// arguments and if statements the parser is inside of at any point. The
+// parser, the checker and lowering all recurse to that depth, so without
+// a bound a hostile or generated query overflows the stack, which no
+// caller can recover from.
+const MaxExprDepth = 10000
+
 type parser struct {
 	toks []Token
 	pos  int
+	// depth is the nesting the parser is inside of; height is the
+	// syntax-tree height of the expression it returned last. Both are
+	// held to MaxExprDepth.
+	depth, height int
+}
+
+func errTooDeep(pos Pos) *Error {
+	return errf(pos, "expression nested deeper than %d", MaxExprDepth)
+}
+
+// enter steps one nesting level down; the caller steps back up with
+// p.depth-- once the nested construct is parsed.
+func (p *parser) enter(pos Pos) error {
+	if p.depth++; p.depth > MaxExprDepth {
+		return errTooDeep(pos)
+	}
+	return nil
+}
+
+// grow records a node built at pos over subtrees of height h.
+func (p *parser) grow(pos Pos, h int) error {
+	if p.height = h + 1; p.height > MaxExprDepth {
+		return errTooDeep(pos)
+	}
+	return nil
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
@@ -251,6 +286,10 @@ func (p *parser) parseStmt() (Stmt, error) {
 //	if cond then stmt [else stmt]      (Figure 1 grammar)
 func (p *parser) parseIf() (Stmt, error) {
 	kw := p.next() // if
+	if err := p.enter(kw.Pos); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -411,15 +450,19 @@ func (p *parser) parseSelectCols() ([]SelectCol, error) {
 	}
 }
 
+// parseExprList leaves p.height at the tallest element's.
 func (p *parser) parseExprList() ([]Expr, error) {
 	var out []Expr
+	h := 0
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, e)
+		h = max(h, p.height)
 		if !p.accept(COMMA) {
+			p.height = h
 			return out, nil
 		}
 	}
@@ -440,49 +483,9 @@ func (p *parser) parseExprList() ([]Expr, error) {
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(KwOr) {
-		op := p.next()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: KwOr, L: l, R: r, Pos: op.Pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(KwAnd) {
-		op := p.next()
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: KwAnd, L: l, R: r, Pos: op.Pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.at(KwNot) {
-		op := p.next()
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: KwNot, X: x, Pos: op.Pos}, nil
-	}
-	return p.parseCmp()
-}
+func (p *parser) parseOr() (Expr, error)  { return p.parseChain(p.parseAnd, KwOr) }
+func (p *parser) parseAnd() (Expr, error) { return p.parseChain(p.parseNot, KwAnd) }
+func (p *parser) parseNot() (Expr, error) { return p.parsePrefix(KwNot, p.parseNot, p.parseCmp) }
 
 func (p *parser) parseCmp() (Expr, error) {
 	l, err := p.parseAdd()
@@ -491,62 +494,65 @@ func (p *parser) parseCmp() (Expr, error) {
 	}
 	switch p.cur().Kind {
 	case EQ, NE, LT, LE, GT, GE:
-		op := p.next()
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: op.Kind, L: l, R: r, Pos: op.Pos}, nil
+		return p.parseOperand(l, p.parseAdd)
 	}
 	return l, nil
 }
 
-func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(PLUS) || p.at(MINUS) {
-		op := p.next()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: op.Kind, L: l, R: r, Pos: op.Pos}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(STAR) || p.at(SLASH) {
-		op := p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: op.Kind, L: l, R: r, Pos: op.Pos}
-	}
-	return l, nil
-}
-
+func (p *parser) parseAdd() (Expr, error) { return p.parseChain(p.parseMul, PLUS, MINUS) }
+func (p *parser) parseMul() (Expr, error) { return p.parseChain(p.parseUnary, STAR, SLASH) }
 func (p *parser) parseUnary() (Expr, error) {
-	if p.at(MINUS) {
-		op := p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: MINUS, X: x, Pos: op.Pos}, nil
+	return p.parsePrefix(MINUS, p.parseUnary, p.parsePrimary)
+}
+
+// parseChain parses operand { op operand } for the given operators into
+// a left-deep tree.
+func (p *parser) parseChain(operand func() (Expr, error), ops ...Kind) (Expr, error) {
+	l, err := operand()
+	for err == nil && slices.Contains(ops, p.cur().Kind) {
+		l, err = p.parseOperand(l, operand)
 	}
-	return p.parsePrimary()
+	return l, err
+}
+
+// parseOperand consumes the operator under the cursor and its right
+// operand, and builds the binary node over l.
+func (p *parser) parseOperand(l Expr, operand func() (Expr, error)) (Expr, error) {
+	op, lh := p.next(), p.height
+	r, err := operand()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.grow(op.Pos, max(lh, p.height)); err != nil {
+		return nil, err
+	}
+	return &BinExpr{Op: op.Kind, L: l, R: r, Pos: op.Pos}, nil
+}
+
+// parsePrefix parses "op self" when the cursor is at the prefix operator
+// op, and rest otherwise.
+func (p *parser) parsePrefix(op Kind, self, rest func() (Expr, error)) (Expr, error) {
+	if !p.at(op) {
+		return rest()
+	}
+	t := p.next()
+	if err := p.enter(t.Pos); err != nil {
+		return nil, err
+	}
+	x, err := self()
+	p.depth--
+	if err != nil {
+		return nil, err
+	}
+	if err := p.grow(t.Pos, p.height); err != nil {
+		return nil, err
+	}
+	return &UnaryExpr{Op: op, X: x, Pos: t.Pos}, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
+	p.height = 1
 	switch t.Kind {
 	case NUMBER:
 		p.next()
@@ -565,7 +571,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &BoolLit{Value: false, Pos: t.Pos}, nil
 	case LPAREN:
 		p.next()
+		if err := p.enter(t.Pos); err != nil {
+			return nil, err
+		}
 		e, err := p.parseExpr()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -589,9 +599,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 			p.next()
 			var args []Expr
 			if !p.at(RPAREN) {
+				if err := p.enter(t.Pos); err != nil {
+					return nil, err
+				}
 				var err error
 				args, err = p.parseExprList()
+				p.depth--
 				if err != nil {
+					return nil, err
+				}
+				if err := p.grow(t.Pos, p.height); err != nil {
 					return nil, err
 				}
 			}

@@ -18,8 +18,8 @@
 // no key and are spread round-robin for load balance.
 //
 // Records move through bounded per-shard SPSC rings of batch slots
-// (Config.Batch records per slot, default 256) so the synchronization
-// cost per record is a fraction of two atomic counter updates. A single
+// (DefaultBatch records per slot) so the synchronization cost per
+// record is a fraction of two atomic counter updates. A single
 // feeder preserves arrival order within each shard, which keeps per-key
 // update order — and therefore every fold's state trajectory — identical
 // to the serial datapath.
@@ -34,8 +34,7 @@ import (
 // DefaultBatch is the number of records per ring slot. 256 amortizes
 // the publish/park synchronization to well under a nanosecond per
 // record while keeping per-shard buffering (batch × ringDepth × record
-// size) within the L2 working set; see the transport batch sweep in
-// EXPERIMENTS.md.
+// size) within the L2 working set; BenchmarkWorkersTransport sweeps it.
 const DefaultBatch = 256
 
 // MaxTargets bounds the number of routing targets (bits in Item.Mask).
@@ -77,8 +76,6 @@ type Partition struct {
 type Config struct {
 	// Shards is the worker count of each partition; values < 1 mean 1.
 	Shards int
-	// Batch is the records-per-send granularity; 0 selects DefaultBatch.
-	Batch int
 	// Keys lists the distinct partition-key extractors. Targets that
 	// group by the same key share one entry, so each record's key (and
 	// its hash) is computed once per distinct key, not once per target.
@@ -269,7 +266,7 @@ func NewInline(cfg Config, process ProcessFunc) *Pool {
 // draining its batch ring through process.
 func NewPool(cfg Config, process ProcessFunc) *Pool {
 	p := NewInline(cfg, process)
-	p.workers = NewWorkers(max(cfg.Partition.N, 1)*p.router.n, cfg.Batch, cfg.Obs, p.consume)
+	p.workers = NewWorkers(max(cfg.Partition.N, 1)*p.router.n, DefaultBatch, cfg.Obs, p.consume)
 	return p
 }
 

@@ -102,7 +102,6 @@ func TestPoolRouting(t *testing.T) {
 	perShard := make([][]hit, n) // appended only by the owning worker
 	cfg := Config{
 		Shards:   n,
-		Batch:    64,
 		Keys:     []KeyFunc{flowKey, qidKey},
 		FreeMask: 1 << 2,
 	}
@@ -169,7 +168,7 @@ func TestPoolPartitionedRouting(t *testing.T) {
 		const parts = 4
 		keyCalls := 0
 		cfg := Config{
-			Shards: n, Batch: 32, FreeMask: 1 << 1,
+			Shards: n, FreeMask: 1 << 1,
 			Keys:      []KeyFunc{func(rec *trace.Record) packet.Key128 { keyCalls++; return flowKey(rec) }},
 			Partition: Partition{N: parts, Of: partOf},
 		}
@@ -227,7 +226,7 @@ func TestPoolPartitionedRouting(t *testing.T) {
 // after Close.
 func TestPoolPartialBatchFlush(t *testing.T) {
 	var processed atomic.Uint64
-	pool := NewPool(Config{Shards: 3, Batch: 256, Keys: []KeyFunc{flowKey}},
+	pool := NewPool(Config{Shards: 3, Keys: []KeyFunc{flowKey}},
 		func(s int, rec *trace.Record, mask uint64) { processed.Add(1) })
 	recs := routeTrace(10)
 	for i := range recs {
@@ -265,7 +264,7 @@ func TestSingleShardDegenerate(t *testing.T) {
 // must not deadlock or double-count.
 func TestPoolBarrier(t *testing.T) {
 	var processed atomic.Uint64
-	pool := NewPool(Config{Shards: 4, Batch: 64, Keys: []KeyFunc{flowKey}},
+	pool := NewPool(Config{Shards: 4, Keys: []KeyFunc{flowKey}},
 		func(s int, rec *trace.Record, mask uint64) { processed.Add(1) })
 	recs := routeTrace(5000)
 

@@ -24,18 +24,16 @@ type Workers struct {
 }
 
 // NewWorkers starts n worker goroutines, each draining its ring of item
-// batches through process (called with the worker's index). batch <= 0
-// selects DefaultBatch; each ring holds ringDepth batch slots. tms, when
-// non-nil, instruments the transport: the workers form len(tms) equal
+// batches through process (called with the worker's index). A slot holds
+// batch items (the pool's is DefaultBatch; tests pass small ones to wrap
+// the ring); each ring holds ringDepth batch slots. tms, when non-nil,
+// instruments the transport: the workers form len(tms) equal
 // consecutive groups (the pool's partitions), each recording batch sizes
 // and ring park/wake events into its own set, striped by the worker's
 // position in the group. Instrumentation sits on the per-batch and park
 // slow paths only — nil tms costs one predictable branch per batch,
 // nothing per item.
 func NewWorkers(n, batch int, tms []*obs.TransportMetrics, process func(worker int, items []Item)) *Workers {
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
 	w := &Workers{rings: make([]*ring, n)}
 	for i := 0; i < n; i++ {
 		var tm *obs.TransportMetrics
