@@ -33,7 +33,8 @@ test: build
 # one worker goroutine per shard of every switch behind one feeder; the
 # windowed suite barriers that one pool at every epoch boundary; the
 # Workers tests drive the SPSC ring transport directly, wrap-around and
-# sentinel slots included; the Chaos/Pool suites exercise the backing
+# sentinel slots included, and check every column of slots a worker reads
+# in place while the feeder fills the next; the Chaos/Pool suites exercise the backing
 # pool's shipper goroutines, health probers and fault-injected
 # connections, and the routing pool's partition level; the Obs suite
 # scrapes /metrics + /debug/perfq over HTTP while the sharded windowed

@@ -235,7 +235,7 @@ R5 = SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip, srcport, dstport, proto, q
 	span := time.Duration(genRecs[len(genRecs)-1].Tin - genRecs[0].Tin)
 	count := WithWindow(WindowSpec{Count: 1000, Keep: 64})
 	interval := WithWindow(WindowSpec{Interval: span / 7, Keep: 64})
-	cache := WithCache(256, 8) // far below the key count: evictions and invalid keys
+	cache := WithCache(128, 8) // far below the key count: evictions and invalid keys
 	layouts := []struct {
 		name     string
 		shapes   []shape

@@ -7,7 +7,6 @@ package compiler
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"perfq/internal/packet"
 	"perfq/internal/trace"
@@ -138,31 +137,15 @@ func (k *KeySpec) Of(rec *trace.Record) packet.Key128 {
 		// values are ≤ 32 bits so the float64 round-trip is lossless.
 		// Assembled from the header fields directly (no Record.Field
 		// dispatch) in a leaf helper small enough to inline.
-		return FiveTupleKey(rec)
+		return rec.FiveTupleKey()
 	}
 	return k.ofGeneric(rec)
 }
 
 // IsFiveTuple reports whether this is the canonical 5-tuple key, for
-// callers that want to pack with FiveTupleKey inline instead of paying
+// callers that want to pack with Record.FiveTupleKey inline instead of paying
 // the Of call on a per-packet path.
 func (k *KeySpec) IsFiveTuple() bool { return k.fiveTuple }
-
-// FiveTupleKey packs the canonical flow key straight from the record as
-// two word stores (byte-identical to the copy/PutUint16 formulation; the
-// port bytes land big-endian via ReverseBytes16). It is a leaf small
-// enough to inline into per-packet loops.
-func FiveTupleKey(rec *trace.Record) packet.Key128 {
-	lo := uint64(binary.LittleEndian.Uint32(rec.SrcIP[:])) |
-		uint64(binary.LittleEndian.Uint32(rec.DstIP[:]))<<32
-	hi := uint64(bits.ReverseBytes16(rec.SrcPort)) |
-		uint64(bits.ReverseBytes16(rec.DstPort))<<16 |
-		uint64(rec.Proto)<<32
-	var key packet.Key128
-	binary.LittleEndian.PutUint64(key[0:8], lo)
-	binary.LittleEndian.PutUint64(key[8:16], hi)
-	return key
-}
 
 // ofGeneric is the non-5-tuple packing path.
 func (k *KeySpec) ofGeneric(rec *trace.Record) packet.Key128 {

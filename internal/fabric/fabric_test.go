@@ -89,6 +89,7 @@ func TestFabricDemux(t *testing.T) {
 		perSwitch[recs[i].QID.Switch()]++
 		f.Process(&recs[i])
 	}
+	f.Sync() // Process's last block is still pending on the feeder
 	var total uint64
 	for _, sw := range f.Switches() {
 		if got := f.Datapath(sw).Packets(); got != perSwitch[sw] {
@@ -102,6 +103,7 @@ func TestFabricDemux(t *testing.T) {
 
 	foreign := trace.Record{QID: trace.MakeQueueID(999, 0)}
 	f.Process(&foreign)
+	f.Sync()
 	if f.Unrouted() != 1 {
 		t.Errorf("unrouted = %d, want 1", f.Unrouted())
 	}
@@ -304,6 +306,51 @@ func TestFabricSerialStructure(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(3, func() { f.Feed(recs) }); allocs != 0 {
 			t.Fatalf("warm serial feed: %.0f allocs per %d records, want 0", allocs, len(recs))
+		}
+	})
+}
+
+// TestFabricLivePoolFeedZeroAlloc is the worker-pool side of the same
+// contract: once a pool is running and its ring slots exist, a warm
+// Feed + Sync — the block router filling column slots, the workers
+// running them in place — allocates nothing, on a 2-shard datapath (key
+// and hash columns) and on the fabric's one-worker-per-switch pool
+// (record column only).
+func TestFabricLivePoolFeedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
+	recs, err := netsim.GenWorkload(tp, netsim.Workload{Seed: 12, Flows: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := compile(t, `R = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple`)
+	geo := kvstore.SetAssociative(1<<16, 8) // holds every key: the warm pass only hits
+	dp, err := switchsim.New(plan, switchsim.Config{Geometry: geo, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(plan, tp, Config{Switch: switchsim.Config{Geometry: geo}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atProcs(4, func() {
+		for name, run := range map[string]interface {
+			Feed([]trace.Record)
+			Sync()
+			EndFeed()
+		}{"2-shard datapath": dp, "fabric": f} {
+			before := runtime.NumGoroutine()
+			run.Feed(recs)
+			run.Sync()
+			if runtime.NumGoroutine() == before {
+				t.Fatalf("%s: Feed at GOMAXPROCS 4 started no worker", name)
+			}
+			if allocs := testing.AllocsPerRun(3, func() { run.Feed(recs); run.Sync() }); allocs != 0 {
+				t.Errorf("%s: warm live-pool feed: %.0f allocs per %d records, want 0", name, allocs, len(recs))
+			}
+			run.EndFeed()
 		}
 	})
 }

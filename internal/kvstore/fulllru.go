@@ -130,6 +130,16 @@ func (c *fullLRU) pushFront(slot int32) {
 
 // Process implements Cache.
 func (c *fullLRU) Process(key packet.Key128, in *fold.Input) bool {
+	var h uint64
+	if c.trMask != obs.NoSample {
+		h = key.Hash()
+	}
+	return c.process(key, h, in)
+}
+
+// process is Process with the key's hash supplied by the caller; the map
+// index hashes for itself, so h only drives the sampling test.
+func (c *fullLRU) process(key packet.Key128, h uint64, in *fold.Input) bool {
 	c.stats.Accesses++
 	if slot, ok := c.index[key]; ok {
 		c.stats.Hits++
@@ -143,7 +153,7 @@ func (c *fullLRU) Process(key packet.Key128, in *fold.Input) bool {
 			c.unlink(slot)
 			c.pushFront(slot)
 		}
-		if c.trMask != obs.NoSample && key.Hash()&c.trMask == 0 {
+		if c.trMask != obs.NoSample && h&c.trMask == 0 {
 			traceCacheHop(c.tr, c.trSlot, c.trW, key, false)
 		}
 		return false
@@ -176,20 +186,20 @@ func (c *fullLRU) Process(key packet.Key128, in *fold.Input) bool {
 	c.cfg.Fold.Update(st, in)
 	c.pushFront(slot)
 	c.stats.Inserts++
-	if c.trMask != obs.NoSample && key.Hash()&c.trMask == 0 {
+	if c.trMask != obs.NoSample && h&c.trMask == 0 {
 		traceCacheHop(c.tr, c.trSlot, c.trW, key, true)
 	}
 	return true
 }
 
 // ProcessBlock implements Cache: one dispatch for a block of packets.
-func (c *fullLRU) ProcessBlock(keys *[fold.BlockSize]packet.Key128, recs []trace.Record, mask uint64) uint64 {
+func (c *fullLRU) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64) uint64 {
 	var inserted uint64
 	in := &c.blockIn
 	for m := mask; m != 0; m &= m - 1 {
 		l := tz64(m)
 		in.Rec = &recs[l]
-		if c.Process(keys[l], in) {
+		if c.process(keys[l], hashes[l], in) {
 			inserted |= 1 << l
 		}
 	}

@@ -203,12 +203,15 @@ type Cache interface {
 	// bookkeeping off the steady-state hit path.
 	Process(key packet.Key128, in *fold.Input) (inserted bool)
 	// ProcessBlock applies one packet per set bit of mask in ascending
-	// lane order: lane l probes with keys[l] and record recs[l]. It
-	// returns the lanes that initialized fresh entries, as a mask. The
-	// per-lane behavior (probe order, LRU discipline, eviction order) is
-	// exactly Process's — this exists so the datapath's columnar hot
-	// loop pays one interface dispatch per block instead of per packet.
-	ProcessBlock(keys *[fold.BlockSize]packet.Key128, recs []trace.Record, mask uint64) (inserted uint64)
+	// lane order: lane l probes with keys[l], whose Hash() the caller
+	// has already computed into hashes[l], and record recs[l] (mask has
+	// no bit at or past len(recs), at most fold.BlockSize). It returns
+	// the lanes that initialized fresh entries, as a mask. The per-lane
+	// behavior (probe order, LRU discipline, eviction order) is exactly
+	// Process's — this exists so the datapath's columnar hot loop pays
+	// one interface dispatch per block instead of per packet, and so a
+	// key hashed once by the shard router is not hashed again here.
+	ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64) (inserted uint64)
 	// Flush evicts every resident entry (Reason = EvictFlush) in
 	// deterministic order and empties the cache.
 	Flush()

@@ -367,6 +367,43 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestProcessBlockMatchesProcess: a block probed through ProcessBlock —
+// keys and the caller's hash column under a sparse lane mask — leaves
+// every layout (word-packed 8-way, byte-array 16-way, full LRU) exactly
+// where Process leaves it lane by lane: same inserted lanes, same event
+// counters, same evictions in the same order.
+func TestProcessBlockMatchesProcess(t *testing.T) {
+	for _, g := range []Geometry{SetAssociative(64, 8), SetAssociative(64, 16), FullyAssociative(48)} {
+		var evA, evB []packet.Key128
+		a := mustNew(t, Config{Geometry: g, Fold: fold.Count(), OnEvict: func(ev *Eviction) { evA = append(evA, ev.Key) }})
+		b := mustNew(t, Config{Geometry: g, Fold: fold.Count(), OnEvict: func(ev *Eviction) { evB = append(evB, ev.Key) }})
+		rng := rand.New(rand.NewSource(19))
+		keys, hashes := make([]packet.Key128, fold.BlockSize), make([]uint64, fold.BlockSize)
+		recs := make([]trace.Record, fold.BlockSize)
+		for blk := 0; blk < 200; blk++ {
+			n := 1 + rng.Intn(fold.BlockSize)
+			mask := rng.Uint64() & (^uint64(0) >> (fold.BlockSize - uint(n)))
+			var want uint64
+			for l := 0; l < n; l++ {
+				keys[l] = keyN(rng.Intn(200))
+				hashes[l] = keys[l].Hash()
+				recs[l] = trace.Record{PktLen: uint32(blk)}
+				if mask&(1<<uint(l)) != 0 && a.Process(keys[l], &fold.Input{Rec: &recs[l]}) {
+					want |= 1 << uint(l)
+				}
+			}
+			if got := b.ProcessBlock(keys, hashes, recs[:n], mask); got != want {
+				t.Fatalf("%v block %d: inserted lanes %064b, want %064b", g, blk, got, want)
+			}
+		}
+		a.Flush()
+		b.Flush()
+		if a.Stats() != b.Stats() || fmt.Sprint(evA) != fmt.Sprint(evB) {
+			t.Fatalf("%v: ProcessBlock %+v with %d evictions, Process %+v with %d", g, b.Stats(), len(evB), a.Stats(), len(evA))
+		}
+	}
+}
+
 func BenchmarkProcessHit8Way(b *testing.B) {
 	c, _ := New(Config{Geometry: SetAssociative(1<<16, 8), Fold: fold.Count()})
 	k := keyN(7)

@@ -154,11 +154,15 @@ func (c *setAssoc) slotKey(slot int) packet.Key128 {
 
 // Process implements Cache.
 func (c *setAssoc) Process(key packet.Key128, in *fold.Input) bool {
+	return c.process(key, key.Hash(), in)
+}
+
+// process is Process with the key's hash supplied by the caller.
+func (c *setAssoc) process(key packet.Key128, h uint64, in *fold.Input) bool {
 	if c.packed8 {
-		return c.process8(key, in)
+		return c.process8(key, h, in)
 	}
 	c.stats.Accesses++
-	h := key.Hash()
 	b := int(h & c.mask)
 	tag := uint8(h >> 56)
 	base := b * c.ways
@@ -225,14 +229,14 @@ func (c *setAssoc) Process(key packet.Key128, in *fold.Input) bool {
 }
 
 // ProcessBlock implements Cache: one dispatch for a block of packets.
-func (c *setAssoc) ProcessBlock(keys *[fold.BlockSize]packet.Key128, recs []trace.Record, mask uint64) uint64 {
+func (c *setAssoc) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64) uint64 {
 	var inserted uint64
 	in := &c.blockIn
 	if c.packed8 {
 		for m := mask; m != 0; m &= m - 1 {
 			l := tz64(m)
 			in.Rec = &recs[l]
-			if c.process8(keys[l], in) {
+			if c.process8(keys[l], hashes[l], in) {
 				inserted |= 1 << l
 			}
 		}
@@ -241,20 +245,19 @@ func (c *setAssoc) ProcessBlock(keys *[fold.BlockSize]packet.Key128, recs []trac
 	for m := mask; m != 0; m &= m - 1 {
 		l := tz64(m)
 		in.Rec = &recs[l]
-		if c.Process(keys[l], in) {
+		if c.process(keys[l], hashes[l], in) {
 			inserted |= 1 << l
 		}
 	}
 	return inserted
 }
 
-// process8 is Process for the word-packed metadata layout (ways ≤ 8).
+// process8 is process for the word-packed metadata layout (ways ≤ 8).
 // Identical cache behavior — same probe order, same LRU discipline —
 // with the bucket's recency permutation and tag bytes each held in one
 // uint64.
-func (c *setAssoc) process8(key packet.Key128, in *fold.Input) bool {
+func (c *setAssoc) process8(key packet.Key128, h uint64, in *fold.Input) bool {
 	c.stats.Accesses++
-	h := key.Hash()
 	b := int(h & c.mask)
 	tag := uint8(h >> 56)
 	base := b * c.ways

@@ -105,9 +105,26 @@ const (
 // the one-update-per-packet critical path. A fixed function is used
 // instead of hash/maphash so bucket placement — and therefore the
 // reproduced figures — is deterministic across processes.
-func (k Key128) Hash() uint64 {
-	lo := binary.LittleEndian.Uint64(k[0:8])
-	hi := binary.LittleEndian.Uint64(k[8:16])
+func (k Key128) Hash() uint64 { return HashWords(k.Words()) }
+
+// SetWords assembles the key in place from its two little-endian words:
+// two word stores straight into k, where building a Key128 value and
+// assigning it goes through a 16-byte copy of two 8-byte stores, which
+// stalls the store buffer once per packet.
+func (k *Key128) SetWords(lo, hi uint64) {
+	binary.LittleEndian.PutUint64(k[0:8], lo)
+	binary.LittleEndian.PutUint64(k[8:16], hi)
+}
+
+// Words returns the key's two little-endian words (SetWords' inverse).
+func (k *Key128) Words() (lo, hi uint64) {
+	return binary.LittleEndian.Uint64(k[0:8]), binary.LittleEndian.Uint64(k[8:16])
+}
+
+// HashWords is Hash on a key held as its two little-endian words — for a
+// caller that assembled the key in registers (SetWords) and would
+// otherwise read it back from memory to hash it.
+func HashWords(lo, hi uint64) uint64 {
 	h := lo*0x9e3779b97f4a7c15 ^ hi*0xc4ceb9fe1a85ec53
 	h ^= h >> 32
 	h *= 0xff51afd7ed558ccd

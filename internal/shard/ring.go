@@ -5,10 +5,12 @@ import (
 	"sync/atomic"
 
 	"perfq/internal/obs"
+	"perfq/internal/packet"
+	"perfq/internal/trace"
 )
 
 // This file is the transport under Workers: one bounded single-producer
-// single-consumer ring per worker, carrying batch slots instead of
+// single-consumer ring per worker, carrying column slots instead of
 // channel sends. Channels lost on three counts (see DESIGN.md "The
 // transport" for measurements): every send/receive takes the channel's
 // internal mutex and copies the slice header through hchan, a parked
@@ -42,13 +44,45 @@ const (
 	slotClose
 )
 
+// slot is one ring entry: up to batch routed records held as parallel
+// columns the worker consumes in place, fold.BlockSize lanes at a time.
+// The record column is always there; a ring whose worker is one of
+// several shards of its partition also carries, per lane, each key
+// group's packed key and its hash exactly as the router computed them,
+// and (when a record can have several owners) the target mask this
+// worker owns for it. A one-shard partition's ring carries none of the
+// three: its worker owns every target and nothing was packed. Sampled
+// records ride as a sparse side list of (lane, span), ascending.
+//
+// The columns are allocated once, at full length, and reused in place
+// when the consumer has moved past the slot; n is written at publish and
+// read after take, so the head/tail edges order every access.
 type slot struct {
-	items []Item // reused buffer, cap == batch
-	kind  uint8
+	recs   []trace.Record
+	masks  []uint64          // nil: every lane owns every target
+	keys   [][]packet.Key128 // per key group; nil on a one-shard partition's ring
+	hashes [][]uint64        // keys[g][l].Hash()
+	spans  []laneSpan
+	n      int // lanes filled
+	kind   uint8
 }
 
-// ring is a bounded SPSC ring of batch slots. The producer appends into
-// the unpublished slot at tail via buf and publishes by advancing tail;
+// laneSpan is a sampled lane's trace span. The ring publish/consume edge
+// orders the feeder's Begin before the worker's appends, so the ref rides
+// the slot without extra synchronization.
+type laneSpan struct {
+	lane int
+	ref  obs.SpanRef
+}
+
+// columns says which columns a ring's slots carry besides the records.
+type columns struct {
+	groups int  // key groups: a key and a hash column each
+	masks  bool // per-lane target masks
+}
+
+// ring is a bounded SPSC ring of batch slots. The producer fills the
+// unpublished slot at tail (cur, lane by lane) and publishes by advancing tail;
 // the consumer processes the slot at head and releases by advancing
 // head. head and tail sit on separate cache lines so the two sides never
 // false-share, and each side parks on its own one-token channel after
@@ -69,10 +103,14 @@ type ring struct {
 	consWait atomic.Bool
 	prodPark chan struct{}
 	consPark chan struct{}
+	_        [40]byte
 
-	// buf is the producer's view of the unpublished slot's buffer (nil
-	// when no slot is acquired). Producer-only.
-	buf []Item
+	// cur is the unpublished slot the producer is filling (nil when none
+	// is acquired) and fill its next free lane. Producer-only, and kept
+	// here rather than in the slot so a per-record store never lands on
+	// a line the consumer is reading slot headers from.
+	cur  *slot
+	fill int
 
 	// tm/widx, when set, count park/wake events for this ring. All
 	// recording sits on the park slow paths, never the fast publish /
@@ -82,7 +120,7 @@ type ring struct {
 	widx int
 }
 
-func newRing(depth, batch int, tm *obs.TransportMetrics, widx int) *ring {
+func newRing(depth, batch int, cols columns, tm *obs.TransportMetrics, widx int) *ring {
 	r := &ring{
 		slots:    make([]slot, depth),
 		mask:     uint64(depth - 1),
@@ -92,25 +130,46 @@ func newRing(depth, batch int, tm *obs.TransportMetrics, widx int) *ring {
 		widx:     widx,
 	}
 	for i := range r.slots {
-		r.slots[i].items = make([]Item, 0, batch)
+		s := &r.slots[i]
+		s.recs = make([]trace.Record, batch)
+		if cols.masks {
+			s.masks = make([]uint64, batch)
+		}
+		if cols.groups > 0 {
+			s.keys = make([][]packet.Key128, cols.groups)
+			s.hashes = make([][]uint64, cols.groups)
+			for g := range s.keys {
+				s.keys[g] = make([]packet.Key128, batch)
+				s.hashes[g] = make([]uint64, batch)
+			}
+		}
 	}
 	return r
 }
 
-// acquire waits until the slot at tail is reusable and points buf at its
-// (truncated) buffer. No-op when a slot is already acquired.
-func (r *ring) acquire() {
-	if r.buf != nil {
-		return
+// lane returns the slot being filled and its next free lane, first
+// waiting until the slot at tail is reusable when none is acquired. The
+// caller writes the lane's columns and then calls commit.
+func (r *ring) lane() (*slot, int) {
+	if r.cur == nil {
+		t := r.tail.Load()
+		if t-r.head.Load() >= uint64(len(r.slots)) {
+			r.waitNotFull(t)
+		}
+		r.cur = &r.slots[t&r.mask]
+		r.cur.spans = r.cur.spans[:0]
 	}
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.slots)) {
-		r.waitNotFull(t)
-	}
-	r.buf = r.slots[t&r.mask].items[:0]
+	return r.cur, r.fill
 }
 
-// waitNotFull is acquire's slow path: the ring is full, so spin, yield,
+// commit counts the lane just written and publishes the slot when full.
+func (r *ring) commit() {
+	if r.fill++; r.fill == len(r.cur.recs) {
+		r.publish(slotBatch)
+	}
+}
+
+// waitNotFull is lane's slow path: the ring is full, so spin, yield,
 // then park until the consumer releases a slot.
 func (r *ring) waitNotFull(t uint64) {
 	for spin := 0; ; spin++ {
@@ -139,12 +198,9 @@ func (r *ring) waitNotFull(t uint64) {
 
 // publish hands the acquired slot to the consumer with the given kind.
 func (r *ring) publish(kind uint8) {
-	t := r.tail.Load()
-	s := &r.slots[t&r.mask]
-	s.items = r.buf
-	s.kind = kind
-	r.buf = nil
-	r.tail.Store(t + 1)
+	r.cur.n, r.cur.kind = r.fill, kind
+	r.cur, r.fill = nil, 0
+	r.tail.Store(r.tail.Load() + 1)
 	if r.consWait.Swap(false) {
 		if r.tm != nil {
 			r.tm.ConsWakes.Inc(r.widx)

@@ -89,66 +89,101 @@ func qidKey(rec *trace.Record) packet.Key128 {
 	return k
 }
 
-// TestPoolRouting checks the full contract: every keyed target processed
-// exactly once, on the shard its key hashes to, in arrival order; the
-// free target processed exactly once per record somewhere.
-func TestPoolRouting(t *testing.T) {
-	const n = 4
-	recs := routeTrace(10_000)
-	type hit struct {
-		uniq   uint64
-		target int
-	}
-	perShard := make([][]hit, n) // appended only by the owning worker
-	cfg := Config{
-		Shards:   n,
-		Keys:     []KeyFunc{flowKey, qidKey},
-		FreeMask: 1 << 2,
-	}
-	pool := NewPool(cfg, func(s int, rec *trace.Record, mask uint64) {
-		for bit := 0; bit < 3; bit++ {
-			if mask&(1<<uint(bit)) != 0 {
-				perShard[s] = append(perShard[s], hit{rec.PktUniq, bit})
-			}
-		}
-	})
-	for i := range recs {
-		pool.Feed(&recs[i])
-	}
-	pool.Close()
-	if got := pool.Fed(); got != uint64(len(recs)) {
-		t.Fatalf("Fed = %d, want %d", got, len(recs))
-	}
+// hit is one delivery: which record, with which targets.
+type hit struct{ uniq, mask uint64 }
 
-	seen := map[hit]int{}
-	for s := 0; s < n; s++ {
-		lastUniq := make([]int64, 3)
-		for i := range lastUniq {
-			lastUniq[i] = -1
+// blockRuns is the run-length cycle the routing tests cut a stream into:
+// one record, one short of / exactly / one past a block, a slot plus
+// one, and two slots.
+var blockRuns = []int{1, 63, 64, 65, 257, 512}
+
+// reference is the per-record specification the block router must match:
+// record i of partition p = partOf(rec) (skipped when p < 0) lands on
+// worker p·n + Index(key, n) with the bits of every target keyed by key,
+// and on the partition's round-robin shard with FreeMask, in arrival
+// order. keys are the reference extractors, one per cfg.Keys entry.
+func reference(cfg Config, keys []KeyFunc, recs []trace.Record) [][]hit {
+	n, parts := max(cfg.Shards, 1), max(cfg.Partition.N, 1)
+	want := make([][]hit, parts*n)
+	rr := 0
+	for i := range recs {
+		rec, p := &recs[i], 0
+		if cfg.Partition.Of != nil {
+			if p = cfg.Partition.Of(rec); p < 0 {
+				continue
+			}
 		}
-		for _, h := range perShard[s] {
-			seen[h]++
-			if h.target < 2 {
-				// Keyed targets land on the hash-owning shard.
-				key := flowKey(&recs[h.uniq])
-				if h.target == 1 {
-					key = qidKey(&recs[h.uniq])
-				}
-				if want := Index(key, n); want != s {
-					t.Fatalf("target %d of record %d on shard %d, want %d", h.target, h.uniq, s, want)
-				}
+		masks := make([]uint64, n)
+		for t, kf := range keys {
+			masks[Index(kf(rec), n)] |= 1 << uint(t)
+		}
+		if cfg.FreeMask != 0 {
+			masks[rr] |= cfg.FreeMask
+			rr = (rr + 1) % n
+		}
+		for s, m := range masks {
+			if m != 0 {
+				want[p*n+s] = append(want[p*n+s], hit{rec.PktUniq, m})
 			}
-			// Arrival order preserved per (shard, target).
-			if int64(h.uniq) <= lastUniq[h.target] {
-				t.Fatalf("shard %d target %d out of order: %d after %d", s, h.target, h.uniq, lastUniq[h.target])
-			}
-			lastUniq[h.target] = int64(h.uniq)
 		}
 	}
-	for i := range recs {
-		for target := 0; target < 3; target++ {
-			if c := seen[hit{uint64(i), target}]; c != 1 {
-				t.Fatalf("record %d target %d processed %d times", i, target, c)
+	return want
+}
+
+// deliveries drives recs through a pool — runs of blockRuns lengths, by
+// FeedRun, or alternately FeedRun and record-by-record Feed when
+// interleave is set — and returns each worker's (record, mask) sequence.
+func deliveries(cfg Config, ring, interleave bool, recs []trace.Record) ([][]hit, *Pool) {
+	got := make([][]hit, max(cfg.Partition.N, 1)*max(cfg.Shards, 1)) // appended only by the owning worker
+	pool := NewInline(cfg, ProcessFunc(func(w int, rec *trace.Record, mask uint64) {
+		got[w] = append(got[w], hit{rec.PktUniq, mask})
+	}).Blocks())
+	if ring {
+		pool.Start()
+	}
+	for lo, k := 0, 0; lo < len(recs); k++ {
+		run := recs[lo:min(lo+blockRuns[k%len(blockRuns)], len(recs))]
+		lo += len(run)
+		if interleave && k%2 == 1 {
+			for i := range run {
+				pool.Feed(&run[i])
+			}
+			continue
+		}
+		pool.FeedRun(run)
+	}
+	pool.Barrier()
+	pool.Close()
+	return got, pool
+}
+
+// TestPoolRouting checks the full contract of the block entry against
+// the per-record reference, for ring workers and the inline pool alike:
+// every keyed target delivered exactly once, on the shard its key hashes
+// to, in arrival order, the free target exactly once per record on the
+// round-robin shard — over two key groups (the five-tuple packed inline
+// through a nil KeyFunc, and a called one) plus a free target, and over
+// the one-owner layouts whose slots carry no masks: one key group, called
+// or the five-tuple, and a single shard.
+func TestPoolRouting(t *testing.T) {
+	recs := routeTrace(10_000)
+	for name, tc := range map[string]struct {
+		cfg  Config
+		keys []KeyFunc
+	}{
+		"two-groups+free": {Config{Shards: 4, Keys: []KeyFunc{nil, qidKey}, FreeMask: 1 << 2}, []KeyFunc{flowKey, qidKey}},
+		"shared-group":    {Config{Shards: 3, Keys: []KeyFunc{qidKey}, Targets: []int{0, 0}}, []KeyFunc{qidKey, qidKey}},
+		"five-tuple":      {Config{Shards: 2, Keys: []KeyFunc{nil}}, []KeyFunc{flowKey}},
+		"one-shard":       {Config{Shards: 1, Keys: []KeyFunc{flowKey, qidKey}, FreeMask: 1 << 2}, []KeyFunc{flowKey, qidKey}},
+	} {
+		want := reference(tc.cfg, tc.keys, recs)
+		for _, ring := range []bool{true, false} {
+			got, pool := deliveries(tc.cfg, ring, false, recs)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (ring=%v): per-worker sequences differ from the per-record reference", name, ring)
+			}
+			if pool.Fed() != uint64(len(recs)) || pool.Unrouted() != 0 {
+				t.Fatalf("%s (ring=%v): Fed = %d, Unrouted = %d, want %d and 0", name, ring, pool.Fed(), pool.Unrouted(), len(recs))
 			}
 		}
 	}
@@ -157,10 +192,10 @@ func TestPoolRouting(t *testing.T) {
 // TestPoolPartitionedRouting covers the level above the key hash: with K
 // partitions of n shards a record lands on worker part·n + Index(key, n)
 // of the partition Partition.Of names and on no other partition's
-// workers, Feed returns that partition, a record Of disowns (-1) goes
-// nowhere and is not counted fed, a one-shard partition gets every target
-// bit without its key being asked for — and the inline pool delivers each
-// worker exactly the sequence the ring pool does.
+// workers, a record Of disowns (-1) goes nowhere and is counted unrouted,
+// not fed, a one-shard partition gets every target bit without its key
+// being asked for — and the inline pool delivers each worker exactly the
+// sequence the ring pool does, with Feed and FeedRun interleaved.
 func TestPoolPartitionedRouting(t *testing.T) {
 	recs := routeTrace(5_000)
 	partOf := func(rec *trace.Record) int { return int(rec.QID.Switch()) - 1 } // switches 0..4: -1, 0..3
@@ -172,69 +207,53 @@ func TestPoolPartitionedRouting(t *testing.T) {
 			Keys:      []KeyFunc{func(rec *trace.Record) packet.Key128 { keyCalls++; return flowKey(rec) }},
 			Partition: Partition{N: parts, Of: partOf},
 		}
-		type hit struct{ uniq, mask uint64 }
-		deliveries := func(build func(Config, ProcessFunc) *Pool) [][]hit {
-			got := make([][]hit, parts*n) // appended only by the owning worker
-			pool := build(cfg, func(w int, rec *trace.Record, mask uint64) {
-				got[w] = append(got[w], hit{rec.PktUniq, mask})
-			})
-			routed := 0
-			for i := range recs {
-				want := partOf(&recs[i])
-				if p := pool.Feed(&recs[i]); p != want {
-					t.Fatalf("n=%d: Feed = partition %d, want %d", n, p, want)
-				}
-				if want >= 0 {
-					routed++
-				}
-			}
-			pool.Barrier()
-			pool.Close()
-			if pool.Fed() != uint64(routed) {
-				t.Fatalf("n=%d: Fed = %d, want %d routed of %d", n, pool.Fed(), routed, len(recs))
-			}
-			return got
-		}
-		ring := deliveries(NewPool)
+		ring, pool := deliveries(cfg, true, true, recs)
 		if n == 1 && keyCalls != 0 {
 			t.Fatalf("one-shard partitions packed %d keys on the feeder", keyCalls)
 		}
-		seen := 0
-		for w, hits := range ring {
-			for _, h := range hits {
-				rec := &recs[h.uniq]
-				if h.mask&1 != 0 { // the keyed target: its hash-owning shard of its partition
-					seen++
-					if want := partOf(rec)*n + Index(flowKey(rec), n); w != want {
-						t.Fatalf("n=%d: record %d on worker %d, want %d", n, h.uniq, w, want)
-					}
-				} else if w/n != partOf(rec) {
-					t.Fatalf("n=%d: record %d's free target on partition %d, want %d", n, h.uniq, w/n, partOf(rec))
-				}
+		if want := reference(cfg, []KeyFunc{flowKey}, recs); !reflect.DeepEqual(ring, want) {
+			t.Fatalf("n=%d: ring pool's per-worker sequences differ from the per-record reference", n)
+		}
+		routed := make([]uint64, parts)
+		var unrouted uint64
+		for i := range recs {
+			if p := partOf(&recs[i]); p >= 0 {
+				routed[p]++
+			} else {
+				unrouted++
 			}
 		}
-		if want := len(recs) - len(recs)/5; seen != want {
-			t.Fatalf("n=%d: keyed target delivered %d times, want %d", n, seen, want)
+		if !reflect.DeepEqual(pool.Routed(), routed) || pool.Unrouted() != unrouted || pool.Fed() != uint64(len(recs))-unrouted {
+			t.Fatalf("n=%d: Routed = %v, Unrouted = %d, Fed = %d, want %v, %d of %d", n, pool.Routed(), pool.Unrouted(), pool.Fed(), routed, unrouted, len(recs))
 		}
-		if inline := deliveries(NewInline); !reflect.DeepEqual(inline, ring) {
+		if unrouted != uint64(len(recs)/5) {
+			t.Fatalf("n=%d: %d records unrouted, want %d", n, unrouted, len(recs)/5)
+		}
+		if inline, _ := deliveries(cfg, false, true, recs); !reflect.DeepEqual(inline, ring) {
 			t.Fatalf("n=%d: inline pool delivered a different per-worker sequence than the ring pool", n)
 		}
 	}
 }
 
-// TestPoolPartialBatchFlush ensures records below one batch still arrive
-// after Close.
+// TestPoolPartialBatchFlush ensures records short of one block — pending
+// in Feed, then in a partial slot — arrive at a Barrier, and what follows
+// it at Close.
 func TestPoolPartialBatchFlush(t *testing.T) {
 	var processed atomic.Uint64
 	pool := NewPool(Config{Shards: 3, Keys: []KeyFunc{flowKey}},
 		func(s int, rec *trace.Record, mask uint64) { processed.Add(1) })
-	recs := routeTrace(10)
-	for i := range recs {
+	recs := routeTrace(17)
+	for i := range recs[:10] {
 		pool.Feed(&recs[i])
 	}
-	pool.Close()
+	pool.Barrier()
 	if processed.Load() != 10 {
-		t.Fatalf("processed %d of 10 records", processed.Load())
+		t.Fatalf("processed %d of 10 records at the barrier", processed.Load())
+	}
+	pool.FeedRun(recs[10:])
+	pool.Close()
+	if processed.Load() != 17 {
+		t.Fatalf("processed %d of 17 records", processed.Load())
 	}
 }
 

@@ -3,36 +3,39 @@ package switchsim
 import (
 	"math/bits"
 
-	"perfq/internal/compiler"
 	"perfq/internal/fold"
-	"perfq/internal/obs"
+	"perfq/internal/packet"
+	"perfq/internal/shard"
 	"perfq/internal/trace"
 )
 
 // This file is the datapath's one per-record loop — the software
 // stand-in for the paper's one-update-per-clock pipeline stage. Every
-// entry reaches it a block at a time: a single-shard Feed cuts the
-// caller's slice into blocks of up to fold.BlockSize records and runs
-// them in place; every record-at-a-time entry (Datapath.Process and the
-// pools behind it, inline or ring workers) copies into the owning
-// shard's staging block, which runs when it fills or is drained. processBlock
-// runs each pipeline step across the whole block — one field extraction
-// pass per field (not per record), WHERE predicates through the VM's
-// vectorized EvalBoolBlock, GROUPBY keys packed once per (group, lane),
-// and one kvstore interface dispatch per program per block. Within a
-// program or a select stage records are applied in arrival order
-// (ascending lanes), so tables, stores and accuracy do not depend on
-// how the stream was cut into blocks; only the interleaving *between*
-// programs within a block does, which nothing observable depends on
-// (Config.OnEvict ordering across programs is unspecified, like the
-// sharded path's cross-shard ordering).
+// entry reaches it a block at a time, on memory somebody else already
+// holds: a single-shard Feed cuts the caller's slice into blocks of up
+// to fold.BlockSize records and runs them in place; the block router
+// hands each shard its lanes of the caller's block (inline) or of a ring
+// slot (worker pool), with the keys and hashes it routed by; and
+// Datapath.Process fills one pending block on the feeder that then takes
+// the same way. processBlock runs each pipeline step across the whole
+// block — one field extraction pass per field (not per record), WHERE
+// predicates through the VM's vectorized EvalBoolBlock, GROUPBY keys
+// packed and hashed once per (group, lane), and one kvstore interface
+// dispatch per program per block. Within a program or a select stage
+// records are applied in arrival order (ascending lanes), so tables,
+// stores and accuracy do not depend on how the stream was cut into
+// blocks; only the interleaving *between* programs within a block does,
+// which nothing observable depends on (Config.OnEvict ordering across
+// programs is unspecified, like the sharded path's cross-shard ordering).
 
 // processBlocks applies a run of records the caller owns every target
 // of (the single-shard, unpartitioned datapath), in place.
 func (sh *shardState) processBlocks(d *Datapath, recs []trace.Record) {
+	b := &sh.scratch.run
 	for base := 0; base < len(recs); base += fold.BlockSize {
 		n := min(len(recs)-base, fold.BlockSize)
-		sh.processBlock(d, recs[base:base+n], nil)
+		b.Recs, b.Lanes = recs[base:base+n], ^uint64(0)>>(fold.BlockSize-uint(n))
+		sh.processBlock(d, b)
 		if d.obs != nil {
 			// Refresh the atomic mirrors every pubBlocks blocks so a
 			// scraper sees live progress mid-window; in-place runs only
@@ -46,45 +49,6 @@ func (sh *shardState) processBlocks(d *Datapath, recs []trace.Record) {
 	}
 }
 
-// stageRec copies one routed record (mask: the targets this shard owns
-// for it) into the staging block and runs the block when it fills. A
-// record that arrives with a live span in the shard's trace mailbox is
-// applied at once, as a block of one behind whatever was staged before
-// it (drained with the mailbox cleared), so the span's cache and evict
-// hops follow its route and transport hops and land on no other record.
-func (sh *shardState) stageRec(d *Datapath, rec *trace.Record, mask uint64) {
-	slot := &sh.scratch.spanSlot
-	traced := slot.Ref.Live()
-	if traced && sh.nStage > 0 {
-		ref := slot.Ref
-		slot.Ref = obs.SpanRef{}
-		sh.drain(d)
-		slot.Ref = ref
-	}
-	sh.stage[sh.nStage] = *rec
-	sh.stageMask[sh.nStage] = mask
-	sh.nStage++
-	sh.nStagedRecs++
-	if sh.nStage == fold.BlockSize || traced {
-		sh.drain(d)
-	}
-}
-
-// drain runs whatever is staged. The caller must own the shard: its
-// worker, or the feeder on the inline paths and past a barrier.
-func (sh *shardState) drain(d *Datapath) {
-	n := sh.nStage
-	if n == 0 {
-		return
-	}
-	sh.nStage = 0
-	var lanes []uint64
-	if d.per > 1 {
-		lanes = sh.stageMask[:n]
-	}
-	sh.processBlock(d, sh.stage[:n], lanes)
-}
-
 // gatherLane rebuilds the record-major dense field vector for one lane,
 // so sparse per-record work (SELECT column evaluation) reuses the
 // already-extracted block values through the scalar Input.
@@ -94,28 +58,33 @@ func (sc *shardScratch) gatherLane(hp *hotPath, l int) {
 	}
 }
 
-// processBlock applies one block of 1..BlockSize records. lanes == nil
-// means the caller owns every target for every record (a partition's
-// only shard, which masks could not even represent beyond
-// shard.MaxTargets programs); otherwise lanes[l] is record l's routing
-// mask, and target t sees exactly the lanes whose mask has bit t set.
-func (sh *shardState) processBlock(d *Datapath, recs []trace.Record, lanes []uint64) {
+// processBlock applies the lanes b.Lanes of one block of 1..BlockSize
+// records. b.Masks == nil means the shard owns every target of those
+// lanes (a partition's only shard, which masks could not even represent
+// beyond shard.MaxTargets programs, or the one owner of a record with
+// one key group); otherwise b.Masks[l] is record l's routing mask, and
+// target t sees exactly the lanes whose mask has bit t set. b.Keys, when
+// set, are the packed keys and hashes of every key group and lane as the
+// router computed them; when nil the key stage packs and hashes, lazily.
+func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
 	hp := d.hot
 	sc := &sh.scratch
+	recs, active := b.Recs, b.Lanes
 	n := len(recs)
-	sh.nBlockRecs += uint64(n)
+	sh.nBlockRecs += uint64(bits.OnesCount64(active))
 	full := ^uint64(0) >> (64 - uint(n))
 
 	// Transpose the per-lane routing masks into per-target lane masks.
 	own := sc.own
-	if lanes == nil {
+	if b.Masks == nil {
 		for t := range own {
-			own[t] = full
+			own[t] = active
 		}
 	} else {
 		clear(own)
-		for l, m := range lanes {
-			for ; m != 0; m &= m - 1 {
+		for a := active; a != 0; a &= a - 1 {
+			l := bits.TrailingZeros64(a)
+			for m := b.Masks[l]; m != 0; m &= m - 1 {
 				own[bits.TrailingZeros64(m)] |= 1 << uint(l)
 			}
 		}
@@ -123,10 +92,19 @@ func (sh *shardState) processBlock(d *Datapath, recs []trace.Record, lanes []uin
 
 	// One extraction pass per field: the Record.Field dispatch switch
 	// resolves once per field per block (perfectly predicted across the
-	// lane loop) instead of once per field per record.
+	// lane loop) instead of once per field per record. Lanes another
+	// shard owns keep whatever an earlier block left there: predicates
+	// still evaluate them, and their results are masked off.
 	for _, f := range hp.fields {
 		lane := sc.blk.Lane(f)
-		for l := 0; l < n; l++ {
+		if active == full {
+			for l := 0; l < n; l++ {
+				lane[l] = float64(recs[l].Field(f))
+			}
+			continue
+		}
+		for a := active; a != 0; a &= a - 1 {
+			l := bits.TrailingZeros64(a)
 			lane[l] = float64(recs[l].Field(f))
 		}
 	}
@@ -158,8 +136,9 @@ func (sh *shardState) processBlock(d *Datapath, recs []trace.Record, lanes []uin
 	// Key-value store programs. A record enters a program's store if the
 	// shard owns the program for it and it matches any member's guard
 	// (the fused fold's internal guards keep per-member state exact):
-	// per program, a block-wide match mask, lazily shared key packing per
-	// (group, lane) — programs sharing a GROUPBY key share one key
+	// per program, a block-wide match mask, the group's key and hash
+	// columns — the router's, or packed and hashed here lazily per
+	// (group, lane), programs sharing a GROUPBY key sharing one
 	// computation — then one ProcessBlock call, ascending lanes inside.
 	for g := range sc.gmask {
 		sc.gmask[g] = 0
@@ -183,23 +162,28 @@ func (sh *shardState) processBlock(d *Datapath, recs []trace.Record, lanes []uin
 		}
 		g := ph.group
 		kg := &hp.groups[g]
-		keys := &sc.gkeys[g]
-		if need := mask &^ sc.gmask[g]; need != 0 {
+		keys, hashes := sc.gkeys[g][:], sc.ghash[g][:]
+		if b.Keys != nil {
+			keys, hashes = b.Keys[g], b.Hashes[g]
+		} else if need := mask &^ sc.gmask[g]; need != 0 {
 			if kg.fiveTuple {
 				for m := need; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
-					keys[l] = compiler.FiveTupleKey(&recs[l]) // inlines
+					lo, hi := recs[l].FiveTupleWords() // all three inline
+					keys[l].SetWords(lo, hi)
+					hashes[l] = packet.HashWords(lo, hi)
 				}
 			} else {
 				for m := need; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
 					keys[l] = kg.spec.Of(&recs[l])
+					hashes[l] = keys[l].Hash()
 				}
 			}
 			sc.gmask[g] |= need
 		}
 		ps := sh.progs[pi]
-		inserted := ps.cache.ProcessBlock(keys, recs, mask)
+		inserted := ps.cache.ProcessBlock(keys, hashes, recs, mask)
 		if inserted != 0 && ps.keyVals != nil {
 			// Digest-mode keys are irreversible, so component values ride
 			// alongside. Recording only on insert keeps map traffic off

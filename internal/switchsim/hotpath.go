@@ -36,7 +36,7 @@ type selectHot struct {
 type keyGroup struct {
 	spec      *compiler.KeySpec
 	nk        int
-	fiveTuple bool // pack with compiler.FiveTupleKey inline
+	fiveTuple bool // pack with Record.FiveTupleKey inline
 }
 
 // progHot is one switch program's per-record metadata. A record enters
@@ -130,11 +130,14 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) (*hotPath, error
 }
 
 // routing builds the shard routing config: one key extractor per distinct
-// key group, with every program mapped onto its group's entry.
+// key group (nil for the five-tuple, which the router packs inline), with
+// every program mapped onto its group's entry.
 func (hp *hotPath) routing(shards int) shard.Config {
 	keys := make([]shard.KeyFunc, len(hp.groups))
 	for g := range hp.groups {
-		keys[g] = hp.groups[g].spec.Of
+		if !hp.groups[g].fiveTuple {
+			keys[g] = hp.groups[g].spec.Of
+		}
 	}
 	targets := make([]int, len(hp.progs))
 	for t := range hp.progs {
@@ -155,8 +158,8 @@ func (hp *hotPath) routing(shards int) shard.Config {
 // shardScratch is the per-shard mutable hot-path state. Everything here
 // exists so the steady-state block loop performs zero heap allocations:
 // a field-major block and the block register file, per-target owned-lane
-// masks, per-group packed keys with a computed-lanes mask, the
-// record-major Input (with its dense field vector) that sparse SELECT
+// masks, per-group packed keys and their hashes with a computed-lanes
+// mask (unused when the router supplies both), the record-major Input (with its dense field vector) that sparse SELECT
 // column evaluation gathers a lane into, and a chunked slab that select
 // rows / key-component copies are carved from.
 type shardScratch struct {
@@ -168,7 +171,9 @@ type shardScratch struct {
 	bregs fold.BlockRegs
 	own   []uint64                        // per routing target: lanes this shard owns this block
 	gkeys [][fold.BlockSize]packet.Key128 // per key group, per lane
+	ghash [][fold.BlockSize]uint64        // gkeys[g][l].Hash()
 	gmask []uint64                        // per key group: lanes packed this block
+	run   shard.Block                     // processBlocks' block over the caller's slice
 
 	// spanSlot is the shard's trace-span mailbox: the pool parks the
 	// in-flight record's sampled span here and the shard's caches append
@@ -183,6 +188,7 @@ func (sc *shardScratch) init(hp *hotPath) {
 	}
 	sc.own = make([]uint64, len(hp.progs)+1)
 	sc.gkeys = make([][fold.BlockSize]packet.Key128, len(hp.groups))
+	sc.ghash = make([][fold.BlockSize]uint64, len(hp.groups))
 	sc.gmask = make([]uint64, len(hp.groups))
 }
 

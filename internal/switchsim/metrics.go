@@ -7,10 +7,10 @@ import (
 )
 
 // Datapath instrumentation. The hot loop keeps its existing plain
-// (non-atomic) counters — d.pkts, per-shard path counters, the
-// kvstore/backing stat structs — and this file mirrors them into
+// (non-atomic) counters — d.pkts, d.staged, per-shard block counters,
+// the kvstore/backing stat structs — and this file mirrors them into
 // striped atomic cells at batch boundaries: every pubBlocks blocks of
-// an in-place Feed, after every consumed ring batch on the sharded
+// an in-place Feed, after every consumed ring slot on the sharded
 // path (shard.Config.AfterBatch), and at every Feed/Sync/Flush/
 // CloseWindow edge. The scraper reads only the mirrors, so enabling
 // metrics adds zero work per record and the whole surface is clean
@@ -37,24 +37,24 @@ type progObs struct {
 // a fabric, the whole datapath otherwise.
 type partObs struct {
 	packets    *obs.Counter // stripe 0: feeder-owned
+	stagedRecs *obs.Counter // stripe 0: of those, records Process staged on the feeder
 	blockRecs  *obs.Counter // per shard: records the block loop has applied
-	stagedRecs *obs.Counter // per shard: of those, records that came through the staging copy
 	progs      []progObs
 }
 
-// dpObs is one datapath's mirror set: a partObs and a transport metric
-// set per partition, plus what only a partitioned datapath has.
+// dpObs is one datapath's mirror set: a partObs per partition, plus
+// what only a partitioned datapath has.
 type dpObs struct {
-	parts     []partObs
-	transport []*obs.TransportMetrics
-	unrouted  *obs.Counter // records no partition owned (feeder-owned)
-	mergeNs   obs.Hist     // wall time of one cross-partition reconcile
+	parts    []partObs
+	unrouted *obs.Counter // records no partition owned (feeder-owned)
+	mergeNs  obs.Hist     // wall time of one cross-partition reconcile
 }
 
-// newDpObs builds the mirrors and registers every family, one series
-// per partition under its label (`switch="leaf0"`; a single empty label
-// for the unpartitioned datapath).
-func newDpObs(d *Datapath, reg *obs.Registry, labels []string) *dpObs {
+// newDpObs builds the mirrors and registers every family, the
+// partitions' transport sets included, one series per partition under
+// its label (`switch="leaf0"`; a single empty label for the
+// unpartitioned datapath).
+func newDpObs(d *Datapath, reg *obs.Registry, labels []string, transport []*obs.TransportMetrics) *dpObs {
 	o := &dpObs{parts: make([]partObs, len(labels)), unrouted: obs.NewCounter(1)}
 	if d.part != nil {
 		reg.CounterVal("perfq_fabric_unrouted_total",
@@ -63,20 +63,18 @@ func newDpObs(d *Datapath, reg *obs.Registry, labels []string) *dpObs {
 			"Wall time of one network-wide collector reconciliation, nanoseconds", "", &o.mergeNs)
 	}
 	for p, label := range labels {
-		tm := obs.NewTransportMetrics(d.per)
-		o.transport = append(o.transport, tm)
 		part := p
-		tm.Register(reg, label, func() int {
-			if pool := d.live.Load(); pool != nil {
-				return pool.Occupancy(part)
+		transport[p].Register(reg, label, func() int {
+			if d.pool == nil {
+				return 0
 			}
-			return 0
+			return d.pool.Occupancy(part)
 		})
 		po := &o.parts[p]
 		*po = partObs{
 			packets:    obs.NewCounter(1),
+			stagedRecs: obs.NewCounter(1),
 			blockRecs:  obs.NewCounter(d.per),
-			stagedRecs: obs.NewCounter(d.per),
 			progs:      make([]progObs, len(d.plan.Programs)),
 		}
 		reg.CounterVal("perfq_packets_total",
@@ -84,7 +82,7 @@ func newDpObs(d *Datapath, reg *obs.Registry, labels []string) *dpObs {
 		reg.CounterVal("perfq_path_block_records_total",
 			"Records applied by the block loop, once per owning shard (equals perfq_packets_total after a Sync while every program shares one GROUPBY key)", label, po.blockRecs)
 		reg.CounterVal("perfq_path_staged_records_total",
-			"Records that reached the block loop through a shard's staging copy (block - staged = run in place by Feed)", label, po.stagedRecs)
+			"Records Process copied into the feeder's pending block (packets - staged = fed as runs: applied in place, or on ring slots in place)", label, po.stagedRecs)
 		for i := range po.progs {
 			c := &po.progs[i]
 			pl := obs.JoinLabels(label, `prog="`+strconv.Itoa(i)+`"`)
@@ -121,7 +119,6 @@ func (d *Datapath) publishShard(s int) {
 	sh := d.shards[s]
 	part, s := &o.parts[s/d.per], s%d.per
 	part.blockRecs.Store(s, sh.nBlockRecs)
-	part.stagedRecs.Store(s, sh.nStagedRecs)
 	for pi, ps := range sh.progs {
 		po := &part.progs[pi]
 		cs := ps.cache.Stats()
@@ -144,8 +141,9 @@ func (d *Datapath) publishPackets() {
 	}
 	for p, n := range d.pkts {
 		d.obs.parts[p].packets.Store(0, n)
+		d.obs.parts[p].stagedRecs.Store(0, d.staged[p])
 	}
-	d.obs.unrouted.Store(0, d.unrouted)
+	d.obs.unrouted.Store(0, d.Unrouted())
 }
 
 // PublishMetrics mirrors every plain counter — packets plus all shard

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"perfq/internal/backing"
@@ -120,25 +119,18 @@ type progState struct {
 
 // shardState is the per-shard slice of datapath state: one store
 // instance per switch program, the mirrored rows of select-over-T stages
-// this shard was assigned (selRows[i] parallels selStgs), the reused
-// scratch that keeps the block loop allocation-free, and the staging
-// block record-at-a-time entries fill (see stageRec).
+// this shard was assigned (selRows[i] parallels selStgs) and the reused
+// scratch that keeps the block loop allocation-free.
 type shardState struct {
 	progs   []*progState
 	selStgs []*compiler.Stage // the datapath's select-over-T stages, shared
 	selRows [][][]float64
 	scratch shardScratch
 
-	// Staged records and their routing masks, not yet applied.
-	stage     [fold.BlockSize]trace.Record
-	stageMask [fold.BlockSize]uint64
-	nStage    int
-
-	// Plain path-mix counters, owned by the shard's processing
-	// goroutine and mirrored by publishShard at batch boundaries.
-	nBlockRecs  uint64 // records the block loop has applied
-	nStagedRecs uint64 // of those, records that arrived through the staging copy
-	sincePub    int    // blocks since the last periodic publish
+	// Plain path-mix counter, owned by the shard's processing goroutine
+	// and mirrored by publishShard at batch boundaries.
+	nBlockRecs uint64 // records the block loop has applied
+	sincePub   int    // blocks since the last periodic publish
 }
 
 // Datapath executes a plan's switch-resident stages.
@@ -156,13 +148,20 @@ type Datapath struct {
 	partGeo kvstore.Geometry  // one partition's cache slice
 	views   []*Datapath       // per-partition read views (partitioned only)
 
-	routing shard.Config
-	inline  *shard.Pool                // the router landing records on the feeder (nil: one shard, no partition — nothing to route)
-	pool    *shard.Pool                // where records go: inline, or Feed's lazily started worker pool
-	live    atomic.Pointer[shard.Pool] // the worker pool, for the scrape-time occupancy gauges
+	// pool is the block router: inline (blocks run on the feeder) until
+	// Feed starts its ring workers, and again after EndFeed. nil: one
+	// shard, no partition — nothing to route, blocks run in place.
+	pool *shard.Pool
+	// pkts counts records routed, per partition (feeder-owned): the
+	// pool's own counters when there is one.
+	pkts []uint64
 
-	pkts     []uint64 // records routed, per partition (feeder-owned)
-	unrouted uint64
+	// pend is Process's pending block — the record-at-a-time entry stages
+	// here on the feeder and the block takes Feed's path when it fills —
+	// and staged counts, per partition, the records that came that way.
+	pend    []trace.Record
+	staged  []uint64
+	pktsWas []uint64 // flushPending's scratch: pkts before the block went
 
 	accBuf []Acc  // CloseWindow's reused accuracy snapshot (borrowed by callers)
 	tscr   Gather // Tables' reused materialization scratch
@@ -238,7 +237,6 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 	d := &Datapath{
 		plan: plan, per: n, part: cfg.Partition,
 		partGeo: cfg.Geometry.Split(k),
-		pkts:    make([]uint64, k),
 		journal: cfg.Journal,
 	}
 	for _, st := range plan.Stages {
@@ -264,33 +262,41 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 		d.shards = append(d.shards, sh)
 		d.srcs = append(d.srcs, sh)
 	}
+
+	routing := d.hot.routing(n)
+	if d.part != nil {
+		routing.Partition = shard.Partition{N: k, Of: d.part.Of}
+	}
+	if cfg.Trace != nil {
+		routing.Trace = cfg.Trace
+		routing.SpanSlots = make([]*obs.SpanSlot, len(d.shards))
+		for s, sh := range d.shards {
+			routing.SpanSlots[s] = &sh.scratch.spanSlot
+		}
+	}
+	if cfg.Metrics != nil {
+		for range labels {
+			routing.Obs = append(routing.Obs, obs.NewTransportMetrics(n))
+		}
+		routing.AfterBatch = d.publishShard
+		d.staged, d.pktsWas = make([]uint64, k), make([]uint64, k)
+	}
+	if len(d.shards) > 1 || d.part != nil {
+		d.pool = shard.NewInline(routing, d.runBlock)
+		d.pkts = d.pool.Routed()
+	} else {
+		d.pkts = make([]uint64, 1)
+	}
+	if cfg.Metrics != nil {
+		// After the pool: the occupancy gauges read it at scrape time.
+		d.obs = newDpObs(d, cfg.Metrics, labels, routing.Obs)
+	}
 	for p := 0; p < k && d.part != nil; p++ {
 		d.views = append(d.views, &Datapath{
 			plan: plan, per: n, selStgs: d.selStgs,
 			shards: d.shards[p*n : (p+1)*n], srcs: d.srcs[p*n : (p+1)*n],
 			pkts: d.pkts[p : p+1],
 		})
-	}
-
-	d.routing = d.hot.routing(n)
-	if d.part != nil {
-		d.routing.Partition = shard.Partition{N: k, Of: d.part.Of}
-	}
-	if cfg.Trace != nil {
-		d.routing.Trace = cfg.Trace
-		d.routing.SpanSlots = make([]*obs.SpanSlot, len(d.shards))
-		for s, sh := range d.shards {
-			d.routing.SpanSlots[s] = &sh.scratch.spanSlot
-		}
-	}
-	if cfg.Metrics != nil {
-		d.obs = newDpObs(d, cfg.Metrics, labels)
-		d.routing.Obs = d.obs.transport
-		d.routing.AfterBatch = d.publishShard
-	}
-	if len(d.shards) > 1 || d.part != nil {
-		d.inline = shard.NewInline(d.routing, d.stage)
-		d.pool = d.inline
 	}
 	return d, nil
 }
@@ -308,7 +314,9 @@ func (d *Datapath) Partition(p int) *Datapath { return d.views[p] }
 // counts down to a power of two.
 func (d *Datapath) PartitionGeometry() kvstore.Geometry { return d.partGeo }
 
-// Packets returns how many records the datapath has routed to a shard.
+// Packets returns how many records the datapath has routed to a shard —
+// what Process still holds pending is counted when its block goes (the
+// next Feed, Sync or Flush).
 func (d *Datapath) Packets() uint64 {
 	var n uint64
 	for _, p := range d.pkts {
@@ -319,36 +327,63 @@ func (d *Datapath) Packets() uint64 {
 
 // Unrouted returns how many records no partition owned (skipped; for the
 // fabric, a trace/topology mismatch). Always zero without a Partition.
-func (d *Datapath) Unrouted() uint64 { return d.unrouted }
+func (d *Datapath) Unrouted() uint64 {
+	if d.pool == nil {
+		return 0
+	}
+	return d.pool.Unrouted()
+}
 
 // Process applies one packet observation to every switch-resident stage
 // — the record-at-a-time entry; anything holding a run of records should
-// Feed it. The record is copied into the staging block of each shard
-// that owns a target for it (through the worker pool when one is
-// running, else inline with the same routing — serial but
-// layout-equivalent) and applied when that block fills: its effect is
-// visible after Sync or Flush, not necessarily on return.
+// Feed it. The record is copied into the feeder's pending block, which
+// takes the path a fed run takes (in place on one shard; through the
+// router otherwise — into the worker pool when one is running, else
+// inline with the same routing) when it fills: its effect is visible
+// after Sync or Flush, not necessarily on return.
 func (d *Datapath) Process(rec *trace.Record) {
-	if d.pool == nil {
-		d.pkts[0]++
-		d.shards[0].stageRec(d, rec, 0)
+	if d.pend == nil {
+		d.pend = make([]trace.Record, 0, fold.BlockSize)
+	}
+	if d.pend = append(d.pend, *rec); len(d.pend) == cap(d.pend) {
+		d.flushPending()
+	}
+}
+
+// flushPending sends Process's pending block down Feed's path, counting
+// its records as staged under the partitions that took them.
+func (d *Datapath) flushPending() {
+	n := len(d.pend)
+	if n == 0 {
 		return
 	}
-	d.route(rec)
-}
-
-// route hands one record to the pool and counts where it went.
-func (d *Datapath) route(rec *trace.Record) {
-	if p := d.pool.Feed(rec); p >= 0 {
-		d.pkts[p]++
-	} else {
-		d.unrouted++
+	d.pend = d.pend[:0]
+	if d.staged == nil {
+		d.route(d.pend[:n])
+		return
+	}
+	copy(d.pktsWas, d.pkts)
+	d.route(d.pend[:n])
+	for p, was := range d.pktsWas {
+		d.staged[p] += d.pkts[p] - was
 	}
 }
 
-// stage is the pools' ProcessFunc: shard s stages a record routed to it.
-func (d *Datapath) stage(s int, rec *trace.Record, mask uint64) {
-	d.shards[s].stageRec(d, rec, mask)
+// route applies a run of records: through the block router when there is
+// one, else on the single shard in place.
+func (d *Datapath) route(recs []trace.Record) {
+	if d.pool != nil {
+		d.pool.FeedRun(recs)
+		return
+	}
+	d.pkts[0] += uint64(len(recs))
+	d.shards[0].processBlocks(d, recs)
+}
+
+// runBlock is the pool's BlockFunc: shard s applies a block routed to it
+// — a ring slot's lanes on its worker, or the feeder's own block inline.
+func (d *Datapath) runBlock(s int, b *shard.Block) {
+	d.shards[s].processBlock(d, b)
 }
 
 // serialFeed reports whether a multi-shard stream should skip the worker
@@ -361,11 +396,11 @@ func (d *Datapath) stage(s int, rec *trace.Record, mask uint64) {
 func serialFeed() bool { return runtime.GOMAXPROCS(0) < 2 }
 
 // Run streams a whole source through Feed and flushes — so a slice, a
-// pqt file and a live source all take the path Feed picks: the columnar
-// block path on one shard, the worker pool (or the inline router at
-// GOMAXPROCS=1) on several. A source error is returned verbatim once
-// every record read before it has been applied; the caches are then
-// left unflushed.
+// pqt file and a live source all take the path Feed picks: blocks of the
+// slice in place on one shard, the block router's worker pool (or the
+// same router inline at GOMAXPROCS=1) on several. A source error is
+// returned verbatim once every record read before it has been applied;
+// the caches are then left unflushed.
 func (d *Datapath) Run(src trace.Source) error {
 	err := trace.EachBatch(src, func(recs []trace.Record) error {
 		d.Feed(recs)
@@ -379,23 +414,13 @@ func (d *Datapath) Run(src trace.Source) error {
 	return nil
 }
 
-// settle applies every staged record and refreshes the metric mirrors
-// wholesale — the synchronization edge of every path. The caller must
-// own the whole datapath: no live pool, or just past a barrier.
-func (d *Datapath) settle() {
-	for _, sh := range d.shards {
-		sh.drain(d)
-	}
-	d.PublishMetrics()
-}
-
-// Flush applies what is staged and evicts all cache-resident entries
-// into the backing stores (end of a measurement window, or the paper's
-// periodic refresh). It requires sole ownership of the caches: callers
-// with a live pool Sync first.
+// Flush applies what Process has pending and evicts all cache-resident
+// entries into the backing stores (end of a measurement window, or the
+// paper's periodic refresh). It requires sole ownership of the caches:
+// callers with a live pool Sync first.
 func (d *Datapath) Flush() {
+	d.flushPending()
 	for _, sh := range d.shards {
-		sh.drain(d)
 		for _, ps := range sh.progs {
 			ps.cache.Flush()
 		}
@@ -406,57 +431,49 @@ func (d *Datapath) Flush() {
 
 // Feed processes a run of records without ending the window — the
 // streaming half of the epoch runtime. A single unpartitioned shard runs
-// the slice through the block loop in place, behind anything Process
-// staged. With several shards (and a second processor to run workers on)
-// a persistent worker pool — one worker per shard of every partition —
-// is started lazily and records are routed into it; call Sync to barrier
-// at a window boundary and EndFeed when the stream ends. Feed copies
-// what it retains before returning, so callers may reuse recs.
+// the slice through the block loop in place, behind anything Process has
+// pending. With several shards (and a second processor to run workers
+// on) the router's worker pool — one worker per shard of every partition
+// — is started lazily and the run is routed into its ring slots a block
+// at a time; call Sync to barrier at a window boundary and EndFeed when
+// the stream ends. Feed copies what it retains before returning, so
+// callers may reuse recs.
 func (d *Datapath) Feed(recs []trace.Record) {
 	if len(recs) == 0 {
 		return
 	}
-	if d.pool == nil {
-		d.pkts[0] += uint64(len(recs))
-		d.shards[0].drain(d)
-		d.shards[0].processBlocks(d, recs)
-		d.publishPackets()
-		return
+	d.flushPending()
+	if d.pool != nil && !d.pool.Running() && len(d.shards) > 1 && !serialFeed() {
+		d.pool.Start()
 	}
-	if d.pool == d.inline && len(d.shards) > 1 && !serialFeed() {
-		d.pool = shard.NewPool(d.routing, d.stage)
-		d.live.Store(d.pool)
-	}
-	for i := range recs {
-		d.route(&recs[i])
-	}
+	d.route(recs)
 	d.publishPackets()
 }
 
 // Sync blocks until every record handed to Feed or Process has been
-// applied to its shard's stores — the epoch-boundary alignment: a
-// barrier through the worker pool when one is running, then whatever the
-// shards still hold staged. A single feeder preserves per-shard arrival
+// applied to its shard's stores — the epoch-boundary alignment: Process's
+// pending block takes its path, then a barrier through the worker pool
+// when one is running. A single feeder preserves per-shard arrival
 // order, so state trajectories do not depend on the path taken.
 func (d *Datapath) Sync() {
-	if d.pool != d.inline {
+	d.flushPending()
+	if d.pool != nil && d.pool.Running() {
 		d.pool.Barrier()
 		d.journal.Append(obs.EvBarrier, int64(d.pool.Fed()), int64(len(d.shards)), "shard-pool")
 	}
 	// Past the barrier the feeder owns every shard (happens-before via
 	// the barrier WaitGroup) — the consistency point the scrape tests pin.
-	d.settle()
+	d.PublishMetrics()
 }
 
 // EndFeed stops the streaming worker pool (idempotent; a later Feed
 // restarts it). Outstanding records are applied first.
 func (d *Datapath) EndFeed() {
-	if d.pool != d.inline {
+	d.flushPending()
+	if d.pool != nil {
 		d.pool.Close()
-		d.pool = d.inline
-		d.live.Store(nil)
 	}
-	d.settle()
+	d.PublishMetrics()
 }
 
 // Acc is a per-program accuracy snapshot at a window close. Valid/Total

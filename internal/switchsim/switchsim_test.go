@@ -13,6 +13,7 @@ import (
 	"perfq/internal/exec"
 	"perfq/internal/kvstore"
 	"perfq/internal/lang"
+	"perfq/internal/obs"
 	"perfq/internal/queries"
 	"perfq/internal/trace"
 	"perfq/internal/tracegen"
@@ -407,5 +408,44 @@ R3 = SELECT qid, tin WHERE pkt_len > 1400`},
 				runtime.GOMAXPROCS(prev)
 			}
 		}
+	}
+}
+
+// TestProcessInlineStagedCount pins what the path-mix counters mean now
+// that ring slots run in place: perfq_path_staged_records_total counts
+// the records Process copied into the feeder's pending block and nothing
+// else — a fed run is never staged, on one shard or on a live 2-shard
+// pool — and every record, however it came, is a block-loop record, under
+// the partition that took it.
+func TestProcessInlineStagedCount(t *testing.T) {
+	recs := testTrace(t)[:5000]
+	plan := compilePlan(t, "SELECT COUNT GROUPBY 5tuple\n")
+	byProcess, byFeed := recs[:1000], recs[1000:]
+	for _, shards := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(4)
+		reg := obs.NewRegistry()
+		dp, err := New(plan, Config{Geometry: kvstore.SetAssociative(1<<10, 8), Shards: shards, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range byProcess[:500] {
+			dp.Process(&byProcess[i])
+		}
+		dp.Feed(byFeed) // starts the pool on 2 shards; the pending block goes first
+		for i := range byProcess[500:] {
+			dp.Process(&byProcess[500+i]) // into the live pool
+		}
+		dp.Sync()
+		for name, want := range map[string]int{
+			"perfq_packets_total":             len(recs),
+			"perfq_path_block_records_total":  len(recs),
+			"perfq_path_staged_records_total": len(byProcess),
+		} {
+			if got, _ := reg.Value(name); got != float64(want) {
+				t.Errorf("shards %d: %s = %.0f, want %d", shards, name, got, want)
+			}
+		}
+		dp.EndFeed()
+		runtime.GOMAXPROCS(prev)
 	}
 }

@@ -11,8 +11,10 @@
 package trace
 
 import (
+	"encoding/binary"
 	"io"
 	"math"
+	"math/bits"
 
 	"perfq/internal/packet"
 )
@@ -83,6 +85,26 @@ func (r *Record) FlowKey() packet.FiveTuple {
 		SrcPort: r.SrcPort, DstPort: r.DstPort,
 		Proto: r.Proto,
 	}
+}
+
+// FiveTupleKey packs the record's five-tuple as two word stores —
+// byte-identical to FlowKey().Pack(). It is a leaf small enough to
+// inline into per-packet loops.
+func (r *Record) FiveTupleKey() (key packet.Key128) {
+	key.SetWords(r.FiveTupleWords())
+	return key
+}
+
+// FiveTupleWords returns FiveTupleKey as its two little-endian words
+// (the port bytes land big-endian via ReverseBytes16), so a per-packet
+// loop that also hashes the key (packet.HashWords) does it in registers.
+func (r *Record) FiveTupleWords() (lo, hi uint64) {
+	lo = uint64(binary.LittleEndian.Uint32(r.SrcIP[:])) |
+		uint64(binary.LittleEndian.Uint32(r.DstIP[:]))<<32
+	hi = uint64(bits.ReverseBytes16(r.SrcPort)) |
+		uint64(bits.ReverseBytes16(r.DstPort))<<16 |
+		uint64(r.Proto)<<32
+	return lo, hi
 }
 
 // SetHeaders fills the header portion of the record from a decoded packet.

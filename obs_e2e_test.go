@@ -65,8 +65,8 @@ func TestObsScrapeWhileFeeding(t *testing.T) {
 	}
 
 	// Packets: every fed record, counted once, and every one of them
-	// applied by the block loop — on a sharded run, through its shard's
-	// staging copy.
+	// applied by the block loop — on a sharded run on its shard's ring
+	// slots in place: nothing is staged unless Datapath.Process staged it.
 	packets, ok := m.Value("perfq_packets_total")
 	if !ok {
 		t.Fatal("perfq_packets_total not registered")
@@ -79,14 +79,14 @@ func TestObsScrapeWhileFeeding(t *testing.T) {
 	if !ok {
 		t.Fatal("perfq_path_staged_records_total not registered")
 	}
-	if blockRecs != packets || stagedRecs != packets {
-		t.Errorf("sharded run: %.0f block, %.0f staged records, want both = %.0f packets",
+	if blockRecs != packets || stagedRecs != 0 {
+		t.Errorf("sharded run: %.0f block, %.0f staged records, want %.0f (= packets) and 0",
 			blockRecs, stagedRecs, packets)
 	}
 
 	// Path attribution: the same records as a pqt file on one shard run
 	// through the block loop in place, straight from the batch pull — not
-	// one record is copied into staging, and the scrape says so.
+	// one record is copied on the way, and the scrape says so.
 	fm := NewMetrics()
 	if _, err := q.Run(pqtSource(t, recs), WithCache(256, 8), WithMetrics(fm)); err != nil {
 		t.Fatal(err)
