@@ -125,12 +125,11 @@ type Client struct {
 
 	// Reusable response scratch (satellite: readResponse/Get used to
 	// allocate per call). Get's returned state aliases stateBuf and is
-	// valid until the next call. The header arrays live on the struct
-	// because io.ReadFull / bufio.Writer.Write leak their argument, so a
-	// stack array would escape to the heap on every frame.
+	// valid until the next call. The header array lives on the struct
+	// because io.ReadFull leaks its argument, so a stack array would
+	// escape to the heap on every response.
 	rbuf     []byte
 	stateBuf []float64
-	hdrW     [5]byte
 	hdrR     [5]byte
 
 	// Reconnect backoff gate + circuit breaker state. Written only by
@@ -140,16 +139,25 @@ type Client struct {
 	failures int       // consecutive dial/I-O failures
 	openedAt time.Time // breaker open instant (zero = closed)
 
-	// Delivery accounting. An eviction written to the socket is
-	// "in flight" until a Sync round trip covers it; a connection that
-	// dies first moves its in-flight count to lost. evictions counts
-	// every frame written (the historical "shipped" stat).
+	// Delivery accounting. An eviction written to the connection is
+	// "in flight" until the reply to an opSync marker written after it
+	// arrives; a connection that dies first moves everything in flight
+	// to lost. unacked counts frames written since the last marker,
+	// marks the markers still unanswered, oldest first, each with the
+	// frames it covers. evictions counts every frame written (the
+	// historical "shipped" stat).
 	evictions  atomic.Uint64
 	acked      atomic.Uint64
 	lost       atomic.Uint64
 	unacked    uint64
+	marks      [maxMarkers]syncMark
+	nmarks     int
 	reconnects atomic.Uint64
 	brkOpen    atomic.Bool
+
+	// syncNs is the wall time from writing a marker to reading its
+	// reply, one sample per reply: its count is the round trips made.
+	syncNs obs.Hist
 
 	// healthHint is set (from any goroutine) when an external health
 	// probe has seen the peer alive; the next reconnect attempt clears
@@ -161,6 +169,18 @@ type Client struct {
 	// (open/half-open/close, msg = backend address). Set at construction
 	// by the pool; nil-safe to append to.
 	journal *obs.Journal
+}
+
+// maxMarkers is how many opSync markers may be unanswered on one
+// connection. The shipper pipelines up to this many chunks behind their
+// markers, so what a dying connection can lose — the at-most-once
+// window — is at most maxMarkers chunks of frames.
+const maxMarkers = 2
+
+// syncMark is one opSync marker whose reply has not been read.
+type syncMark struct {
+	frames uint64    // evictions this marker's reply confirms applied
+	at     time.Time // when the marker was written
 }
 
 // NoteReachable records that an out-of-band health check reached the
@@ -272,9 +292,18 @@ func (c *Client) fail() {
 		c.conn.Close()
 		c.conn = nil
 	}
-	c.lost.Add(c.unacked)
-	c.unacked = 0
+	c.loseInFlight()
 	c.recordFailure()
+}
+
+// loseInFlight moves every frame written but not confirmed — behind an
+// unanswered marker or behind none yet — to lost.
+func (c *Client) loseInFlight() {
+	for _, mk := range c.marks[:c.nmarks] {
+		c.lost.Add(mk.frames)
+	}
+	c.lost.Add(c.unacked)
+	c.nmarks, c.unacked = 0, 0
 }
 
 // connect (re)establishes the connection and handshakes, all under one
@@ -288,10 +317,12 @@ func (c *Client) connect() error {
 	c.conn = conn
 	c.br = bufio.NewReaderSize(conn, 1<<16)
 	c.bw = bufio.NewWriterSize(conn, 1<<16)
-	c.unacked = 0
+	c.nmarks, c.unacked = 0, 0
 
-	payload := helloPayload(c.m, c.opts.Program)
-	if err := c.writeFrame(opHello, payload); err != nil {
+	// Not through send: the DialTimeout deadline set above covers the
+	// handshake, and send would re-arm it with IOTimeout.
+	c.buf = appendFrame(c.buf[:0], opHello, helloPayload(c.m, c.opts.Program))
+	if _, err := c.bw.Write(c.buf); err != nil {
 		return c.connectFailed(err)
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -322,13 +353,11 @@ func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	c.armDeadline()
-	ferr := c.bw.Flush()
+	ferr := c.send(nil, true)
 	cerr := c.conn.Close()
 	c.conn = nil
 	if ferr != nil {
-		c.lost.Add(c.unacked)
-		c.unacked = 0
+		c.loseInFlight()
 		return fmt.Errorf("netstore: close flush: %w", ferr)
 	}
 	return cerr
@@ -352,21 +381,37 @@ func (c *Client) Reconnects() uint64 { return c.reconnects.Load() }
 // BreakerOpen reports whether the circuit breaker is currently open.
 func (c *Client) BreakerOpen() bool { return c.brkOpen.Load() }
 
-// armDeadline bounds the next frame exchange on the live connection.
+// armDeadline bounds the next exchange on the live connection.
 func (c *Client) armDeadline() {
 	if c.opts.IOTimeout > 0 && c.conn != nil {
 		c.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout))
 	}
 }
 
-func (c *Client) writeFrame(op byte, payload []byte) error {
-	binary.LittleEndian.PutUint32(c.hdrW[:4], uint32(1+len(payload)))
-	c.hdrW[4] = op
-	if _, err := c.bw.Write(c.hdrW[:]); err != nil {
+// send is the one way bytes leave an established connection, and the
+// one place its deadline is armed: before a write that can reach the
+// socket — a flush, or bytes the write buffer has no room for — and
+// not before one that only lands in the buffer. Every reply is read
+// right after the flush that asked for it, under that flush's deadline,
+// so an exchange is bounded by IOTimeout without a SetDeadline per
+// frame.
+func (c *Client) send(b []byte, flush bool) error {
+	if flush || len(b) > c.bw.Available() {
+		c.armDeadline()
+	}
+	if _, err := c.bw.Write(b); err != nil {
 		return err
 	}
-	_, err := c.bw.Write(payload)
-	return err
+	if flush {
+		return c.bw.Flush()
+	}
+	return nil
+}
+
+// request sends one control frame and flushes it.
+func (c *Client) request(op byte, payload []byte) error {
+	c.buf = appendFrame(c.buf[:0], op, payload)
+	return c.send(c.buf, true)
 }
 
 // readResponse reads one status frame. The payload aliases the client's
@@ -375,14 +420,15 @@ func (c *Client) readResponse() (status byte, payload []byte, err error) {
 	if _, err := io.ReadFull(c.br, c.hdrR[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(c.hdrR[:4])
-	if n < 1 || n > maxFrame {
-		return 0, nil, ErrTooLarge
+	size, err := frameSize(c.hdrR[:])
+	if err != nil {
+		return 0, nil, err
 	}
-	if cap(c.rbuf) < int(n-1) {
-		c.rbuf = make([]byte, n-1)
+	n := size - frameHeader
+	if cap(c.rbuf) < n {
+		c.rbuf = make([]byte, n)
 	}
-	body := c.rbuf[:n-1]
+	body := c.rbuf[:n]
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		return 0, nil, err
 	}
@@ -395,42 +441,80 @@ func (c *Client) readResponse() (status byte, payload []byte, err error) {
 // backoff/breaker state, so a persistently dead peer costs one cheap
 // error check per call, never an unbounded dial loop.
 func (c *Client) HandleEviction(ev *kvstore.Eviction) error {
-	c.buf = c.buf[:0]
-	payload, op, err := encodeEviction(c.buf, c.m, ev.Key, ev.State, ev.P, ev.FirstRec, c.f.Merge)
-	if err != nil {
-		return err
-	}
-	c.buf = payload
-	return c.ShipFrame(op, payload)
-}
-
-// ShipFrame writes one pre-encoded eviction frame (the shipper encodes
-// on the producer side). Same delivery semantics as HandleEviction.
-func (c *Client) ShipFrame(op byte, payload []byte) error {
 	if err := c.ensureConn(); err != nil {
 		return err
 	}
-	c.armDeadline()
-	if err := c.writeFrame(op, payload); err == nil {
-		c.evictions.Add(1)
-		c.unacked++
-		return nil
-	}
-	// Broken connection: evictions buffered in it are lost — the same
-	// data-loss window a real switch-to-collector channel has; validity
-	// semantics already tolerate missing epochs. Retry once through a
-	// reconnect if the gates allow.
-	c.fail()
-	if err := c.ensureConn(); err != nil {
-		return err
-	}
-	c.armDeadline()
-	if err := c.writeFrame(op, payload); err != nil {
+	c.buf = appendEvictionFrame(c.buf[:0], c.m, ev, c.f.Merge)
+	if err := c.send(c.buf, false); err != nil {
+		// Broken connection: evictions buffered in it are lost — the same
+		// data-loss window a real switch-to-collector channel has; validity
+		// semantics already tolerate missing epochs. This frame never left
+		// whole, so it retries once through a reconnect if the gates allow.
 		c.fail()
-		return err
+		if err := c.ensureConn(); err != nil {
+			return err
+		}
+		if err := c.send(c.buf, false); err != nil {
+			c.fail()
+			return err
+		}
 	}
 	c.evictions.Add(1)
 	c.unacked++
+	return nil
+}
+
+// shipChunk writes buf — a run of whole eviction frames, the shipper's
+// unit, with room left for an opSync marker — and the marker behind it
+// in one write, and returns without waiting for the marker's reply: the
+// frames are in flight until readAck confirms them. written is false
+// when the reconnect gates refused and nothing left the client; a chunk
+// whose write failed is in flight on a dead connection — lost, not
+// retried, since the peer may have applied any prefix of it.
+func (c *Client) shipChunk(buf []byte, frames int) (written bool, err error) {
+	if c.nmarks == maxMarkers {
+		// A failed read loses what was in flight with its connection;
+		// this chunk then leaves on a fresh one, gates permitting.
+		err = c.readAck()
+	}
+	if cerr := c.ensureConn(); cerr != nil {
+		return false, cerr
+	}
+	c.evictions.Add(uint64(frames))
+	c.unacked += uint64(frames)
+	if werr := c.mark(appendFrame(buf, opSync, nil)); werr != nil {
+		c.fail()
+		return true, werr
+	}
+	return true, err
+}
+
+// mark flushes b, which ends in an opSync marker: the marker's reply
+// confirms everything written since the previous marker.
+func (c *Client) mark(b []byte) error {
+	c.marks[c.nmarks] = syncMark{frames: c.unacked, at: time.Now()}
+	c.nmarks++
+	c.unacked = 0
+	return c.send(b, true)
+}
+
+// readAck reads the oldest unanswered marker's reply and moves the
+// frames it covers to acked. A failure tears the connection down and
+// counts everything in flight lost.
+func (c *Client) readAck() error {
+	status, _, err := c.readResponse()
+	if err == nil && status != StatusOK {
+		err = fmt.Errorf("netstore: sync failed (status %d)", status)
+	}
+	if err != nil {
+		c.fail()
+		return err
+	}
+	mk := c.marks[0]
+	c.nmarks = copy(c.marks[:], c.marks[1:c.nmarks])
+	c.acked.Add(mk.frames)
+	c.syncNs.Record(uint64(time.Since(mk.at)))
+	c.recordSuccess()
 	return nil
 }
 
@@ -444,9 +528,6 @@ func (c *Client) Sync() error {
 	if err == nil {
 		return nil
 	}
-	if !errors.Is(err, ErrCircuitOpen) && !errors.Is(err, ErrBackoff) {
-		c.fail()
-	}
 	// Sync is a blocking barrier (window close), so unlike the eviction
 	// path it may sleep out the reconnect gate.
 	if wait := time.Until(c.retryAt); wait > 0 && c.openedAt.IsZero() {
@@ -455,34 +536,25 @@ func (c *Client) Sync() error {
 	if cerr := c.ensureConn(); cerr != nil {
 		return fmt.Errorf("netstore: reconnect after %v failed: %w", err, cerr)
 	}
-	if err := c.trySync(); err != nil {
-		c.fail()
-		return err
-	}
-	return nil
+	return c.trySync()
 }
 
+// trySync is one marker round trip; an I/O failure has torn the
+// connection down by the time it returns.
 func (c *Client) trySync() error {
 	if err := c.ensureConn(); err != nil {
 		return err
 	}
-	c.armDeadline()
-	if err := c.writeFrame(opSync, nil); err != nil {
+	c.buf = appendFrame(c.buf[:0], opSync, nil)
+	if err := c.mark(c.buf); err != nil {
+		c.fail()
 		return err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return err
+	for c.nmarks > 0 {
+		if err := c.readAck(); err != nil {
+			return err
+		}
 	}
-	status, _, err := c.readResponse()
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("netstore: sync failed (status %d)", status)
-	}
-	c.acked.Add(c.unacked)
-	c.unacked = 0
-	c.recordSuccess()
 	return nil
 }
 
@@ -493,15 +565,7 @@ func (c *Client) Get(key packet.Key128) (state []float64, found, invalid bool, e
 	if err := c.ensureConn(); err != nil {
 		return nil, false, false, err
 	}
-	c.armDeadline()
-	// Stage the key through the reusable buf: key[:] handed to writeFrame
-	// directly would force the key argument to escape per call.
-	c.buf = append(c.buf[:0], key[:]...)
-	if err := c.writeFrame(opGet, c.buf); err != nil {
-		c.fail()
-		return nil, false, false, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.request(opGet, key[:]); err != nil {
 		c.fail()
 		return nil, false, false, err
 	}
@@ -546,12 +610,7 @@ func (c *Client) Stats() (Stats, error) {
 	if err := c.ensureConn(); err != nil {
 		return Stats{}, err
 	}
-	c.armDeadline()
-	if err := c.writeFrame(opStats, nil); err != nil {
-		c.fail()
-		return Stats{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.request(opStats, nil); err != nil {
 		c.fail()
 		return Stats{}, err
 	}
@@ -577,12 +636,7 @@ func (c *Client) Reset() error {
 	if err := c.ensureConn(); err != nil {
 		return err
 	}
-	c.armDeadline()
-	if err := c.writeFrame(opReset, nil); err != nil {
-		c.fail()
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.request(opReset, nil); err != nil {
 		c.fail()
 		return err
 	}

@@ -106,57 +106,3 @@ func TestFaultConnStallUnblocksOnClose(t *testing.T) {
 		t.Fatal("stalled read not released by Close")
 	}
 }
-
-// TestEvictQueueDropOldest pins the overflow policy: the queue keeps
-// the NEWEST depth entries and counts exactly the evicted oldest ones.
-func TestEvictQueueDropOldest(t *testing.T) {
-	q := newEvictQueue(8)
-	for i := 0; i < 12; i++ {
-		ok, _ := q.push(opAppend, []byte{byte(i)})
-		if !ok {
-			t.Fatalf("push %d rejected", i)
-		}
-	}
-	if got := q.overflowDrops(); got != 4 {
-		t.Fatalf("overflow drops = %d, want 4", got)
-	}
-	if got := q.len(); got != 8 {
-		t.Fatalf("queue len = %d, want 8", got)
-	}
-	spare := evSlot{buf: make([]byte, 0, 8)}
-	for want := 4; want < 12; want++ {
-		item, ok, _ := q.pop(spare, false)
-		if !ok {
-			t.Fatalf("pop at %d: queue empty early", want)
-		}
-		if len(item.buf) != 1 || item.buf[0] != byte(want) {
-			t.Fatalf("pop got %v, want [%d] (oldest must have been dropped)", item.buf, want)
-		}
-		spare = item
-	}
-	if _, ok, _ := q.pop(spare, false); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
-// TestEvictQueueCloseDrains: close wakes a parked consumer and pop
-// reports closed only once the queue is empty.
-func TestEvictQueueCloseDrains(t *testing.T) {
-	q := newEvictQueue(8)
-	q.push(opAppend, []byte{1})
-	q.close()
-	if ok, _ := q.push(opAppend, []byte{2}); ok {
-		t.Fatal("push accepted after close")
-	}
-	spare := evSlot{buf: make([]byte, 0, 8)}
-	item, ok, closed := q.pop(spare, true)
-	if !ok || closed {
-		t.Fatalf("pop after close: ok=%v closed=%v, want queued item first", ok, closed)
-	}
-	if item.buf[0] != 1 {
-		t.Fatalf("pop got %v", item.buf)
-	}
-	if _, ok, closed := q.pop(item, true); ok || !closed {
-		t.Fatalf("drained pop: ok=%v closed=%v, want closed", ok, closed)
-	}
-}

@@ -1,7 +1,6 @@
 package netstore
 
 import (
-	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -130,12 +129,7 @@ func probeBackend(dialer func(string, time.Duration) (net.Conn, error), addr str
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
 
-	payload := helloPayload(m, prog)
-	frame := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(1+len(payload)))
-	frame[4] = opHello
-	copy(frame[5:], payload)
-	if _, err := conn.Write(frame); err != nil {
+	if _, err := conn.Write(appendFrame(nil, opHello, helloPayload(m, prog))); err != nil {
 		return err
 	}
 	var resp [5]byte

@@ -4,10 +4,10 @@ import (
 	"perfq/internal/obs"
 )
 
-// Pool instrumentation. Every number here is already maintained as a
-// slow-path atomic by the shipper/health machinery, so registration
-// wires scrape-time callbacks — no mirrors, no extra work on the
-// eviction path. Each backend's series carry a `backend="addr"` label
+// Pool instrumentation. Every number here is already maintained by the
+// shipper/health machinery — per chunk, per reply or per probe, never
+// per eviction — so registration wires scrape-time callbacks: no
+// mirrors, no extra work on the eviction path. Each backend's series carry a `backend="addr"` label
 // so /debug/perfq drills down per backend.
 
 // Register wires the pool's families into reg under labels (e.g.
@@ -22,7 +22,7 @@ func (p *Pool) Register(reg *obs.Registry, labels string) {
 		bl := obs.JoinLabels(labels, `backend="`+b.addr+`"`)
 		reg.Gauge("perfq_pool_queue_depth",
 			"Evictions queued for this backend's shipper", bl,
-			func() float64 { return float64(b.ship.q.len()) })
+			func() float64 { _, _, queued := b.ship.q.counts(); return float64(queued) })
 		reg.Gauge("perfq_pool_backend_healthy",
 			"1 when the prober considers the backend healthy", bl,
 			func() float64 { return b2f(b.health.healthy.Load()) })
@@ -31,7 +31,7 @@ func (p *Pool) Register(reg *obs.Registry, labels string) {
 			func() float64 { return b2f(b.ship.cl.BreakerOpen()) })
 		reg.Counter("perfq_pool_offered_total",
 			"Evictions handed to this backend's shipper", bl,
-			b.ship.offered.Load)
+			func() uint64 { offered, _, _ := b.ship.q.counts(); return offered })
 		reg.Counter("perfq_pool_shipped_total",
 			"Eviction frames written to this backend", bl,
 			b.ship.cl.Evictions)
@@ -53,8 +53,14 @@ func (p *Pool) Register(reg *obs.Registry, labels string) {
 		reg.Counter("perfq_pool_probe_failures_total",
 			"Health probes that failed", bl, b.health.failures.Load)
 		reg.HistVal("perfq_pool_sync_ns",
-			"Sync barrier round-trip wall time, nanoseconds", bl,
-			&b.ship.syncNs)
+			"Sync marker round trip, written to reply read, nanoseconds", bl,
+			&b.ship.cl.syncNs)
+		reg.Counter("perfq_pool_sync_round_trips_total",
+			"Sync marker replies read from this backend", bl,
+			b.ship.cl.syncNs.Count)
+		reg.HistVal("perfq_pool_write_frames",
+			"Eviction frames per socket write (SyncBatch = full chunks, the producer is ahead; small = the shipper is idle and stealing)", bl,
+			&b.ship.writeFrames)
 	}
 }
 

@@ -26,16 +26,17 @@ import (
 // that rejoins takes back exactly its old slice.
 //
 // Evictions never touch the network on the caller's thread: each
-// backend has a bounded drop-oldest queue drained by a shipper
+// backend has a bounded drop-oldest queue of chunks drained by a shipper
 // goroutine (shipper.go), so a slow or dead backend costs the datapath
-// a queue push, never a blocked write. What cannot be delivered is
-// counted — DroppedEvictions is the pool's headline degradation stat
-// and flows into accuracy accounting: a dropped eviction is a missing
-// epoch, exactly the failure mode the paper's validity semantics
-// already tolerate and report.
+// an encode into that backend's open chunk, never a blocked write. What
+// cannot be delivered is counted — DroppedEvictions is the pool's
+// headline degradation stat and flows into accuracy accounting: a
+// dropped eviction is a missing epoch, exactly the failure mode the
+// paper's validity semantics already tolerate and report.
 //
 // HandleEviction and Sync are safe for concurrent use (the fabric runs
-// one datapath goroutine per switch).
+// one datapath goroutine per switch); producers meet only at the owning
+// backend's queue lock.
 type Pool struct {
 	f   *fold.Func
 	m   int
@@ -43,8 +44,7 @@ type Pool struct {
 
 	backends []*poolBackend
 
-	mu       sync.Mutex // guards encode scratch + control clients
-	encBuf   []byte
+	mu       sync.Mutex // guards Get's result scratch
 	getState []float64
 
 	noBackend atomic.Uint64 // evictions dropped because no backend was healthy
@@ -72,8 +72,8 @@ type PoolConfig struct {
 	// QueueDepth bounds each backend's async eviction queue (drop-oldest
 	// on overflow). 0 selects DefaultQueueDepth.
 	QueueDepth int
-	// SyncBatch is the shipper's frames-per-sync-barrier. 0 selects
-	// DefaultSyncBatch.
+	// SyncBatch is the shipper's frames per chunk, and so per sync
+	// marker. 0 selects DefaultSyncBatch.
 	SyncBatch int
 	// ProbeInterval is the health-check period; a dead backend is routed
 	// around within one interval (sooner if its breaker opens first).
@@ -82,7 +82,7 @@ type PoolConfig struct {
 	// DownAfter / UpAfter are consecutive probe failures/successes that
 	// flip a backend's health. 0 selects the defaults (1 and 1).
 	DownAfter, UpAfter int
-	// DrainTimeout bounds Sync's wait for every queue to settle.
+	// DrainTimeout bounds Sync's wait for every backend's barrier.
 	// 0 selects 5s.
 	DrainTimeout time.Duration
 	// SkipInitialProbe skips the synchronous startup probe (tests that
@@ -206,52 +206,59 @@ func (p *Pool) Owner(key packet.Key128) int {
 	return best
 }
 
-// HandleEviction routes one eviction to its owning backend's bounded
-// queue. It never blocks and never dials: a full queue drops the oldest
-// queued eviction, no healthy backend drops this one — both counted in
-// DroppedEvictions. Matches the kvstore OnEvict callback shape.
+// HandleEviction routes one eviction to its owning backend and encodes
+// it into that backend's open chunk. It never blocks and never dials: a
+// full queue drops the oldest queued chunk, no healthy backend drops
+// this eviction — both counted in DroppedEvictions. Matches the kvstore
+// OnEvict callback shape.
 func (p *Pool) HandleEviction(ev *kvstore.Eviction) error {
-	p.mu.Lock()
-	p.encBuf = p.encBuf[:0]
-	payload, op, err := encodeEviction(p.encBuf, p.m, ev.Key, ev.State, ev.P, ev.FirstRec, p.f.Merge)
-	if err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	p.encBuf = payload
 	owner := p.Owner(ev.Key)
 	if owner < 0 {
 		p.noBackend.Add(1)
-		p.mu.Unlock()
 		ev.Span.Hop(obs.HopShip, obs.OutcomeNoBackend, 0)
 		return nil
 	}
-	queued := p.backends[owner].ship.Enqueue(op, payload)
-	p.mu.Unlock()
 	// Sampled evicted keys get their ship hop here (a zero Span is a
 	// no-op): queued to the owner's shipper, or dropped on a closed one.
 	out := obs.OutcomeQueued
-	if !queued {
+	if !p.backends[owner].ship.Offer(ev) {
 		out = obs.OutcomeDropped
 	}
 	ev.Span.Hop(obs.HopShip, out, uint64(owner))
 	return nil
 }
 
-// Sync drains every backend's queue (bounded by DrainTimeout) so that
-// every eviction offered so far is either acked by its backend or
-// counted dropped. It returns the joined drain errors, if any — a dead
-// backend does not error (its queue drains by dropping); only a drain
-// that cannot settle within the timeout does.
+// Sync is a barrier: it returns once every eviction offered before the
+// call is either acked by its backend or counted dropped. It posts one
+// token per backend and waits for all of them together, bounded by
+// DrainTimeout; each shipper answers its token when everything queued
+// ahead of it has been shipped and every reply it was owed has been
+// read. A dead backend does not error (its queue drains by dropping);
+// only a backend that cannot settle within the timeout does.
 func (p *Pool) Sync() error {
-	deadline := time.Now().Add(p.cfg.DrainTimeout)
-	var errs []error
-	for _, b := range p.backends {
-		if err := b.ship.Drain(deadline); err != nil {
-			errs = append(errs, err)
+	done := make(chan int, len(p.backends)) // one send per backend, never blocks
+	for i, b := range p.backends {
+		b.ship.q.postBarrier(done, i)
+	}
+	timeout := time.NewTimer(p.cfg.DrainTimeout)
+	defer timeout.Stop()
+	settled := make([]bool, len(p.backends))
+	for range p.backends {
+		select {
+		case i := <-done:
+			settled[i] = true
+		case <-timeout.C:
+			var errs []error
+			for i, b := range p.backends {
+				if !settled[i] {
+					st := b.ship.Stats()
+					errs = append(errs, &DrainTimeoutError{Addr: b.addr, Accounted: st.Acked + st.Dropped, Target: st.Offered})
+				}
+			}
+			return errors.Join(errs...)
 		}
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // Get fetches a key's merged value from the tier. Because failover can
@@ -361,7 +368,8 @@ func (p *Pool) DroppedEvictions() uint64 {
 func (p *Pool) Offered() uint64 {
 	total := p.noBackend.Load()
 	for _, b := range p.backends {
-		total += b.ship.offered.Load()
+		offered, _, _ := b.ship.q.counts()
+		total += offered
 	}
 	return total
 }
@@ -417,16 +425,14 @@ func (p *Pool) Reset() error {
 	return errors.Join(errs...)
 }
 
-// Close stops probing, drains and stops every shipper, and closes all
-// connections.
+// Close stops probing, ships and settles what every shipper has queued,
+// stops them, and closes all connections.
 func (p *Pool) Close() error {
 	var errs []error
 	for _, b := range p.backends {
 		b.probe.close()
 	}
-	deadline := time.Now().Add(p.cfg.DrainTimeout)
 	for _, b := range p.backends {
-		b.ship.Drain(deadline) // best effort before teardown
 		if err := b.ship.Close(); err != nil {
 			errs = append(errs, err)
 		}

@@ -6,14 +6,23 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"perfq/internal/backing"
 	"perfq/internal/fold"
-	"perfq/internal/kvstore"
+	"perfq/internal/packet"
 )
+
+// MaxConns caps a server's concurrent connections. Each holds two
+// 64 KiB buffers and a decoder (≈ 136 KiB), so the cap bounds what
+// peers can make the server allocate at ≈ 35 MiB; a pool uses two
+// long-lived connections per backend per program plus a short-lived
+// probe. A connection over the cap is closed before its HELLO is read
+// and counted in Rejected; that includes probes, so a server at its
+// cap reads as down to the pools probing it.
+const MaxConns = 256
 
 // Server hosts the backing stores of one query's switch programs over
 // TCP — one store per program fold. A connection binds to a program at
@@ -26,8 +35,9 @@ type Server struct {
 	mu     sync.Mutex // guards every store (ops are cross-program serialized)
 	stores []*backing.Store
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	connMu   sync.Mutex
+	conns    map[net.Conn]struct{}
+	rejected atomic.Uint64
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -38,6 +48,21 @@ type Server struct {
 // backing store per fold, indexed by position (program index). At
 // least one fold is required. Use Addr to discover the bound address.
 func NewServer(addr string, folds ...*fold.Func) (*Server, error) {
+	s, err := newServer(folds)
+	if err != nil {
+		return nil, err
+	}
+	if s.ln, err = net.Listen("tcp", addr); err != nil {
+		return nil, err
+	}
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+// newServer builds the stores; serve can run on any connection from
+// here, a listener only feeds it.
+func newServer(folds []*fold.Func) (*Server, error) {
 	if len(folds) == 0 {
 		return nil, fmt.Errorf("netstore: server needs at least one fold")
 	}
@@ -48,13 +73,8 @@ func NewServer(addr string, folds ...*fold.Func) (*Server, error) {
 			return nil, fmt.Errorf("netstore: fold %d (%s): %w", i, f.Name(), err)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		fs:     folds,
-		ln:     ln,
 		stores: make([]*backing.Store, len(folds)),
 		conns:  make(map[net.Conn]struct{}),
 		closed: make(chan struct{}),
@@ -63,8 +83,6 @@ func NewServer(addr string, folds ...*fold.Func) (*Server, error) {
 	for i, f := range folds {
 		s.stores[i] = backing.New(f)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
@@ -95,25 +113,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// track registers an accepted connection for Close teardown; it
-// returns false when the server is already closing.
-func (s *Server) track(conn net.Conn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	select {
-	case <-s.closed:
-		return false
-	default:
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.connMu.Lock()
-	delete(s.conns, conn)
-	s.connMu.Unlock()
-}
+// Rejected returns how many connections were closed unserved because
+// MaxConns were already open.
+func (s *Server) Rejected() uint64 { return s.rejected.Load() }
 
 // Store exposes program 0's store for in-process inspection (tests and
 // the collector when co-located).
@@ -143,14 +145,34 @@ func (s *Server) acceptLoop() {
 				return
 			}
 		}
-		if !s.track(conn) {
+		// Registered for Close's teardown, unless the server is closing
+		// or full.
+		s.connMu.Lock()
+		select {
+		case <-s.closed:
+			s.connMu.Unlock()
 			conn.Close()
 			return
+		default:
+		}
+		full := len(s.conns) >= MaxConns
+		if !full {
+			s.conns[conn] = struct{}{}
+		}
+		s.connMu.Unlock()
+		if full {
+			conn.Close()
+			s.rejected.Add(1)
+			continue
 		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer s.untrack(conn)
+			defer func() {
+				s.connMu.Lock()
+				delete(s.conns, conn)
+				s.connMu.Unlock()
+			}()
 			if err := s.serve(conn); err != nil && !errors.Is(err, io.EOF) {
 				s.logf("netstore: conn %v: %v", conn.RemoteAddr(), err)
 			}
@@ -158,51 +180,80 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// applyRun applies the whole eviction frames at the front of b to store
+// and returns the bytes they occupied. It stops, without error, at the
+// first frame that is incomplete, ill-sized or not an eviction — the
+// caller's frame loop meets that one next — and allocates nothing: the
+// store retains none of what dec's eviction points to.
+func applyRun(b []byte, store *backing.Store, dec *evictionDecoder) (used int, err error) {
+	for {
+		op, body, size, perr := parseFrame(b[used:])
+		if perr != nil || size == 0 || !isEvictionOp(op) {
+			return used, nil
+		}
+		ev, err := dec.decode(op, body)
+		if err != nil {
+			return used, err
+		}
+		store.HandleEviction(ev)
+		used += size
+	}
+}
+
 // serve handles one connection.
 func (s *Server) serve(conn net.Conn) error {
-	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	// The connection binds to a program (store + state width) at HELLO;
-	// until then the defaults are never used (HELLO must come first).
-	store := s.stores[0]
-	m := s.fs[0].StateLen()
+	defer conn.Close()
+	defer bw.Flush() // the reply to a rejected HELLO
 
-	var hdr [5]byte
-	frame := make([]byte, 0, maxFrame)
-	getBuf := make([]byte, 0, maxFrame) // reused across opGet responses
-	var rh [5]byte                      // hoisted: bw.Write leaks its arg
+	// The connection binds to a program (store + decoder) at HELLO;
+	// until then neither is used (HELLO must come first).
+	var (
+		store *backing.Store
+		dec   *evictionDecoder
+	)
+	reply := make([]byte, 0, maxFrame) // reused across opGet/opStats responses
+	var rh [frameHeader]byte           // hoisted: bw.Write leaks its arg
 	respond := func(status byte, payload []byte) error {
-		binary.LittleEndian.PutUint32(rh[:4], uint32(1+len(payload)))
-		rh[4] = status
-		if _, err := bw.Write(rh[:]); err != nil {
+		if _, err := bw.Write(appendFrameHeader(rh[:0], status, len(payload))); err != nil {
 			return err
 		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
+		_, err := bw.Write(payload)
+		return err
+	}
+	// peek returns the next n bytes without consuming them. Replies
+	// gather in bw and are flushed only here, when input has run out and
+	// the read may block: a chunk's worth of frames costs one flush, and a
+	// peer waiting on a reply never waits on a server waiting for input.
+	peek := func(n int) ([]byte, error) {
+		if br.Buffered() < n && bw.Buffered() > 0 {
+			if err := bw.Flush(); err != nil {
+				return nil, err
+			}
 		}
-		return bw.Flush()
+		return br.Peek(n)
 	}
 
-	helloSeen := false
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
+		hdr, err := peek(frameHeader)
+		if err != nil {
+			if len(hdr) > 0 && errors.Is(err, io.EOF) {
 				return fmt.Errorf("%w: truncated header", ErrBadFrame)
 			}
 			return err
 		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		op := hdr[4]
-		if n < 1 || n > maxFrame {
-			return fmt.Errorf("%w: length %d", ErrTooLarge, n)
+		size, err := frameSize(hdr)
+		if err != nil {
+			return err
 		}
-		frame = frame[:n-1]
-		if _, err := io.ReadFull(br, frame); err != nil {
+		frame, err := peek(size)
+		if err != nil {
 			return fmt.Errorf("%w: truncated body", ErrBadFrame)
 		}
+		op, body := frame[4], frame[frameHeader:]
 
-		if !helloSeen && op != opHello {
+		if store == nil && op != opHello {
 			return fmt.Errorf("%w: first frame must be HELLO", ErrBadFrame)
 		}
 
@@ -211,17 +262,17 @@ func (s *Server) serve(conn net.Conn) error {
 			// Legacy 12-byte HELLO binds program 0; the 16-byte form adds
 			// the program index. Both are accepted forever.
 			prog := 0
-			switch len(frame) {
+			switch len(body) {
 			case 12:
 			case 16:
-				prog = int(binary.LittleEndian.Uint32(frame[12:16]))
+				prog = int(binary.LittleEndian.Uint32(body[12:16]))
 			default:
 				return ErrBadFrame
 			}
-			if binary.LittleEndian.Uint32(frame[0:4]) != Magic {
+			if binary.LittleEndian.Uint32(body[0:4]) != Magic {
 				return ErrBadFrame
 			}
-			if binary.LittleEndian.Uint32(frame[4:8]) != Version {
+			if binary.LittleEndian.Uint32(body[4:8]) != Version {
 				respond(StatusErr, nil)
 				return ErrBadVersion
 			}
@@ -230,56 +281,49 @@ func (s *Server) serve(conn net.Conn) error {
 				return fmt.Errorf("%w: program %d, server has %d",
 					ErrBadProgram, prog, len(s.fs))
 			}
-			store = s.stores[prog]
-			m = s.fs[prog].StateLen()
-			if int(binary.LittleEndian.Uint32(frame[8:12])) != m {
+			m := s.fs[prog].StateLen()
+			if int(binary.LittleEndian.Uint32(body[8:12])) != m {
 				respond(StatusErr, nil)
 				return fmt.Errorf("%w: client %d, server %d",
-					ErrStateLen, binary.LittleEndian.Uint32(frame[8:12]), m)
+					ErrStateLen, binary.LittleEndian.Uint32(body[8:12]), m)
 			}
-			helloSeen = true
+			store, dec = s.stores[prog], newEvictionDecoder(m)
 			if err := respond(StatusOK, nil); err != nil {
 				return err
 			}
 
 		case opMerge, opMergeP, opAppend, opCombine:
-			ev, err := decodeEviction(op, frame, m)
+			// Fire-and-forget, no response: apply this frame and every
+			// whole eviction frame already buffered behind it, in place,
+			// under one lock.
+			buffered, _ := br.Peek(br.Buffered())
+			s.mu.Lock()
+			used, err := applyRun(buffered, store, dec)
+			s.mu.Unlock()
+			br.Discard(used)
 			if err != nil {
 				return err
 			}
-			kev := kvstore.Eviction{Key: ev.key, State: ev.state, P: ev.p}
-			if ev.rec != nil {
-				kev.FirstRec = ev.rec
-			}
-			s.mu.Lock()
-			store.HandleEviction(&kev)
-			s.mu.Unlock()
-			// Fire-and-forget: no response.
+			continue
 
 		case opGet:
-			if len(frame) != 16 {
+			if len(body) != 16 {
 				return ErrBadFrame
 			}
-			var key [16]byte
-			copy(key[:], frame)
+			var key packet.Key128
+			copy(key[:], body)
 			s.mu.Lock()
 			state, ok := store.Get(key)
-			var valid bool
-			if !ok {
-				valid = store.Len() > 0 // distinguish below
-			}
-			var payload []byte
 			status := byte(StatusNotFound)
+			reply = reply[:0]
 			if ok {
 				status = StatusOK
-				payload = putFloats(getBuf[:0], state)
-				getBuf = payload
+				reply = putFloats(reply, state)
 			} else if len(store.Epochs(key)) > 1 {
 				status = StatusInvalid
 			}
 			s.mu.Unlock()
-			_ = valid
-			if err := respond(status, payload); err != nil {
+			if err := respond(status, reply); err != nil {
 				return err
 			}
 
@@ -293,13 +337,13 @@ func (s *Server) serve(conn net.Conn) error {
 			st := store.Stats()
 			valid, total := store.Accuracy()
 			s.mu.Unlock()
-			payload := make([]byte, 40)
-			binary.LittleEndian.PutUint64(payload[0:8], uint64(st.Keys))
-			binary.LittleEndian.PutUint64(payload[8:16], st.Merges)
-			binary.LittleEndian.PutUint64(payload[16:24], st.Appends)
-			binary.LittleEndian.PutUint64(payload[24:32], uint64(valid))
-			binary.LittleEndian.PutUint64(payload[32:40], uint64(total))
-			if err := respond(StatusOK, payload); err != nil {
+			reply = reply[:40]
+			binary.LittleEndian.PutUint64(reply[0:8], uint64(st.Keys))
+			binary.LittleEndian.PutUint64(reply[8:16], st.Merges)
+			binary.LittleEndian.PutUint64(reply[16:24], st.Appends)
+			binary.LittleEndian.PutUint64(reply[24:32], uint64(valid))
+			binary.LittleEndian.PutUint64(reply[32:40], uint64(total))
+			if err := respond(StatusOK, reply); err != nil {
 				return err
 			}
 
@@ -314,7 +358,6 @@ func (s *Server) serve(conn net.Conn) error {
 		default:
 			return fmt.Errorf("%w: op %d", ErrBadFrame, op)
 		}
+		br.Discard(size)
 	}
 }
-
-var _ = log.Printf // placeholder to keep log available for future handlers

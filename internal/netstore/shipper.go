@@ -1,175 +1,250 @@
 package netstore
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"perfq/internal/fold"
+	"perfq/internal/kvstore"
 	"perfq/internal/obs"
 )
 
 // This file is the bounded async eviction path of the backing pool: a
-// per-backend drop-oldest queue between the datapath (producer) and one
+// per-backend drop-oldest queue between the datapath (producers) and one
 // shipper goroutine (consumer) that owns the backend's data connection.
-// The datapath side never blocks and never touches the network — a push
-// is an encode + buffer swap under a short lock; all dialing, deadlines,
-// backoff and breaker handling happen on the shipper goroutine.
+// The datapath side never blocks and never touches the network — an
+// offer is an encode into the backend's open chunk under a short lock;
+// all dialing, deadlines, backoff and breaker handling happen on the
+// shipper goroutine.
 //
-// The queue borrows the SPSC ring design from internal/shard/ring.go —
-// bounded power-of-two slot array, in-place slot buffer reuse, and the
-// spin → Gosched → park wait protocol on the consumer side — but trades
-// the lock-free atomic counters for a short mutex: drop-oldest overflow
-// makes head multi-writer (the producer reclaims the oldest slot when
-// full), and the eviction path is a network ship measured in
-// microseconds, not the 3 ns/item shard hop, so a ~20 ns uncontended
-// lock is noise while keeping the overwrite race provably absent under
-// -race. Slot buffers still recycle in place: push and pop swap slices
-// with the caller's spare buffer, so steady state allocates nothing.
+// The unit that crosses every boundary is the chunk: a run of whole wire
+// frames in one buffer. Producers encode straight into the open chunk
+// and publish it when it holds SyncBatch frames; the shipper pops a
+// chunk under one lock, writes it and an opSync marker with one
+// deadline and one write, and reads the marker's reply later, while the
+// server is already applying the next chunk. A partial chunk leaves the
+// producers only when the shipper has nothing else to do — it steals
+// it — so nothing waits on a timer and an idle pool ships every eviction
+// at once. Buffers circulate between the open chunk, the ring and the
+// shipper's spare, so steady state allocates nothing.
 
-// DefaultQueueDepth bounds a backend's in-flight eviction queue; on
-// overflow the OLDEST queued eviction is dropped (newest data wins, the
-// usual telemetry-channel policy) and counted.
+// DefaultQueueDepth bounds a backend's eviction queue, in evictions; on
+// overflow the OLDEST queued chunk is dropped (newest data wins, the
+// usual telemetry-channel policy) and its evictions counted.
 const DefaultQueueDepth = 1024
 
-// DefaultSyncBatch is how many shipped frames ride between sync
-// barriers: the shipper flushes and round-trips an opSync after this
-// many writes (or whenever the queue runs empty), bounding the
-// at-most-once uncertainty window to one batch.
+// DefaultSyncBatch is how many eviction frames fill a chunk, and so how
+// many ride behind one opSync marker. With maxMarkers chunks in flight
+// it bounds the at-most-once uncertainty window: a connection that dies
+// loses at most maxMarkers × SyncBatch frames.
 const DefaultSyncBatch = 64
 
-// evSlot is one queued eviction: a pre-encoded frame and its op.
-type evSlot struct {
-	op  byte
-	buf []byte
+// chunk is a run of whole eviction frames, the bytes a pre-chunk client
+// wrote one frame at a time. Its buffer has room for every frame a
+// chunk can hold plus the trailing opSync marker.
+type chunk struct {
+	buf    []byte
+	frames int
 }
 
-// evictQueue is the bounded drop-oldest queue.
-type evictQueue struct {
+// barrier is a Sync's token: it comes due once every chunk numbered
+// below seq has left the queue, shipped or dropped.
+type barrier struct {
+	seq  uint64
+	done chan<- int
+	id   int
+}
+
+// chunkQueue is the bounded drop-oldest queue. A mutex, not the shard
+// ring's atomics: drop-oldest makes head multi-writer and several
+// datapaths may offer at once; the lock is per backend and the consumer
+// takes it once per chunk.
+type chunkQueue struct {
 	mu       sync.Mutex
-	slots    []evSlot
-	head     uint64 // next slot to pop
-	tail     uint64 // next slot to push
+	m        int
+	merge    fold.MergeKind
+	perChunk int // frames in a full chunk
+	chunkCap int // bytes: perChunk largest frames and the marker
+
+	open chunk   // the producers' chunk, never full
+	ring []chunk // published full chunks, numbered [head, tail)
+	head uint64
+	tail uint64
+
+	queued   int    // evictions in the ring and the open chunk
+	offered  uint64 // evictions ever offered
+	overflow uint64 // evictions dropped with the oldest chunk
+	barriers []barrier
 	closed   bool
-	overflow uint64 // pushes that evicted the oldest entry
 
 	consWait bool
 	consPark chan struct{}
 }
 
-func newEvictQueue(depth int) *evictQueue {
+// newChunkQueue sizes the ring so that depth evictions always fit: only
+// full chunks are ever published, so ceil(depth/perChunk) slots hold at
+// least depth.
+func newChunkQueue(f *fold.Func, depth, perChunk int) *chunkQueue {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
-	// Round up to a power of two so index math stays a mask.
-	d := 1
-	for d < depth {
-		d <<= 1
+	if perChunk <= 0 {
+		perChunk = DefaultSyncBatch
 	}
-	return &evictQueue{
-		slots:    make([]evSlot, d),
+	m := f.StateLen()
+	q := &chunkQueue{
+		m: m, merge: f.Merge,
+		perChunk: perChunk,
+		chunkCap: perChunk*maxEvictionFrame(m) + frameHeader,
+		ring:     make([]chunk, (depth+perChunk-1)/perChunk),
 		consPark: make(chan struct{}, 1),
 	}
+	q.open.buf = q.reuse(nil)
+	return q
 }
 
-// push enqueues one encoded frame, evicting the oldest queued entry if
-// full. Returns false when the queue is closed. Never blocks.
-func (q *evictQueue) push(op byte, payload []byte) (ok, dropped bool) {
+// reuse readies a circulating buffer for the next open chunk; the
+// ring's slots start without one.
+func (q *chunkQueue) reuse(buf []byte) []byte {
+	if buf == nil {
+		return make([]byte, 0, q.chunkCap)
+	}
+	return buf[:0]
+}
+
+// offer encodes one eviction into the open chunk and publishes the
+// chunk if that filled it. queued is false once the queue is closed;
+// dropped is how many evictions left with the oldest chunk to make
+// room. Never blocks; wakes the consumer only if it is parked.
+func (q *chunkQueue) offer(ev *kvstore.Eviction) (queued bool, dropped int) {
 	q.mu.Lock()
+	q.offered++
 	if q.closed {
 		q.mu.Unlock()
-		return false, false
+		return false, 0
 	}
-	if q.tail-q.head >= uint64(len(q.slots)) {
-		q.head++ // drop the oldest; its buffer stays in the slot array
-		q.overflow++
-		dropped = true
+	q.open.buf = appendEvictionFrame(q.open.buf, q.m, ev, q.merge)
+	q.open.frames++
+	q.queued++
+	if q.open.frames == q.perChunk {
+		n := uint64(len(q.ring))
+		if q.tail-q.head == n {
+			dropped = q.ring[q.head%n].frames
+			q.head++
+			q.queued -= dropped
+			q.overflow += uint64(dropped)
+		}
+		slot := &q.ring[q.tail%n]
+		*slot, q.open = q.open, chunk{buf: q.reuse(slot.buf)}
+		q.tail++
 	}
-	s := &q.slots[q.tail&uint64(len(q.slots)-1)]
-	s.op = op
-	s.buf = append(s.buf[:0], payload...)
-	q.tail++
 	wake := q.consWait
 	q.consWait = false
 	q.mu.Unlock()
 	if wake {
-		select {
-		case q.consPark <- struct{}{}:
-		default:
-		}
+		q.wake()
 	}
 	return true, dropped
 }
 
-// pop dequeues into spare (swapping buffers so slots reuse in place).
-// With block=false it returns immediately on empty; with block=true it
-// spins, yields, then parks until an item or close arrives.
-func (q *evictQueue) pop(spare evSlot, block bool) (item evSlot, ok, closed bool) {
-	for spin := 0; ; spin++ {
-		q.mu.Lock()
-		if q.head != q.tail {
-			s := &q.slots[q.head&uint64(len(q.slots)-1)]
-			item = *s
-			s.buf = spare.buf // recycle the consumer's spare buffer
-			q.head++
-			q.mu.Unlock()
-			return item, true, false
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return spare, false, true
-		}
-		if !block {
-			q.mu.Unlock()
-			return spare, false, false
-		}
-		switch {
-		case spin < spinTightQ:
-			q.mu.Unlock()
-		case spin < spinYieldQ:
-			q.mu.Unlock()
-			runtime.Gosched()
-		default:
-			q.consWait = true
-			q.mu.Unlock()
-			<-q.consPark
-			spin = 0
-		}
+func (q *chunkQueue) wake() {
+	select {
+	case q.consPark <- struct{}{}:
+	default:
 	}
 }
 
-const (
-	spinTightQ = 8
-	spinYieldQ = 32
-)
-
-func (q *evictQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return int(q.tail - q.head)
+// work is what the consumer does next: ship a chunk (frames > 0),
+// complete a barrier (done != nil), stop (closed), or — none of those —
+// read a reply, because nothing can be shipped right now.
+type work struct {
+	chunk
+	barrier
+	closed bool
 }
 
-func (q *evictQueue) overflowDrops() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.overflow
+// next hands the consumer its next piece of work, taking spare in
+// exchange for a chunk's buffer. A due barrier comes before the chunks
+// behind it. When idle — the consumer has nothing in flight — an empty
+// ring gives up the open partial chunk, and an empty queue parks the
+// consumer until an offer, a barrier or close arrives; when not idle it
+// returns at once so the consumer can read the replies it is owed. (A
+// yield phase before parking, as on the shard rings, measured no
+// different here: a busy consumer waits in a reply read, not in park.)
+func (q *chunkQueue) next(spare []byte, idle bool) work {
+	for {
+		q.mu.Lock()
+		switch {
+		case len(q.barriers) > 0 && q.barriers[0].seq <= q.head:
+			w := work{barrier: q.barriers[0]}
+			q.barriers = q.barriers[:copy(q.barriers, q.barriers[1:])]
+			q.mu.Unlock()
+			return w
+		case q.head != q.tail:
+			slot := &q.ring[q.head%uint64(len(q.ring))]
+			w := work{chunk: *slot}
+			slot.buf = spare[:0]
+			q.head++
+			q.queued -= w.frames
+			q.mu.Unlock()
+			return w
+		case idle && q.open.frames > 0:
+			w := work{chunk: q.open}
+			q.open = chunk{buf: spare[:0]}
+			q.head++
+			q.tail++
+			q.queued -= w.frames
+			q.mu.Unlock()
+			return w
+		case q.closed && q.open.frames == 0:
+			q.mu.Unlock()
+			return work{closed: true}
+		case !idle:
+			q.mu.Unlock()
+			return work{}
+		}
+		q.consWait = true
+		q.mu.Unlock()
+		<-q.consPark
+	}
 }
 
-// close marks the queue closed and wakes the consumer; queued items
-// remain poppable (pop drains before reporting closed... it reports
-// closed only when empty).
-func (q *evictQueue) close() {
+// postBarrier asks for id on done once everything offered so far has
+// left the queue. The open chunk is not published for it: the consumer
+// steals it as soon as the ring ahead of it is empty.
+func (q *chunkQueue) postBarrier(done chan<- int, id int) {
 	q.mu.Lock()
-	q.closed = true
-	wake := q.consWait
+	if q.closed {
+		// The consumer is draining or gone, and Close settles the books.
+		q.mu.Unlock()
+		done <- id
+		return
+	}
+	seq := q.tail
+	if q.open.frames > 0 {
+		seq++
+	}
+	q.barriers = append(q.barriers, barrier{seq: seq, done: done, id: id})
 	q.consWait = false
 	q.mu.Unlock()
-	if wake {
-		select {
-		case q.consPark <- struct{}{}:
-		default:
-		}
-	}
+	q.wake()
+}
+
+// counts snapshots the producer-side books.
+func (q *chunkQueue) counts() (offered, overflow uint64, queued int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.offered, q.overflow, q.queued
+}
+
+// close stops offers and wakes the consumer; what is queued, the open
+// chunk included, is still handed out before next reports closed.
+func (q *chunkQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.consWait = false
+	q.mu.Unlock()
+	q.wake()
 }
 
 // ShipperStats is a point-in-time snapshot of one backend shipper.
@@ -179,7 +254,7 @@ type ShipperStats struct {
 	Acked    uint64 // confirmed applied by a sync barrier
 	Shipped  uint64 // frames written to a connection
 	Dropped  uint64 // total not delivered = Overflow + Breaker + Lost
-	Overflow uint64 // dropped oldest on queue overflow
+	Overflow uint64 // dropped with the oldest chunk on queue overflow
 	Breaker  uint64 // dropped because breaker/backoff refused the ship
 	Lost     uint64 // written to a connection that died before a sync
 
@@ -191,15 +266,13 @@ type ShipperStats struct {
 // Shipper owns one backend's bounded async eviction path: the queue,
 // the goroutine, and the data-plane Client underneath.
 type Shipper struct {
-	addr  string
-	cl    *Client
-	q     *evictQueue
-	batch int
+	addr string
+	cl   *Client
+	q    *chunkQueue
 
-	offered   atomic.Uint64
-	shipDrops atomic.Uint64 // breaker/backoff/write-failure drops
-	faults    atomic.Uint64 // failed ships + failed syncs
-	syncNs    obs.Hist      // sync barrier round-trip wall time
+	refused     atomic.Uint64 // evictions the breaker/backoff gates, or a closed queue, turned away
+	faults      atomic.Uint64 // failed ships + failed syncs
+	writeFrames obs.Hist      // eviction frames per socket write
 
 	// onFault, when set, is called on the shipper goroutine after a
 	// failed ship or sync (the pool uses it to mark the backend down
@@ -217,104 +290,103 @@ type Shipper struct {
 // NewShipper builds and starts a shipper over its own client. depth and
 // batch of 0 select the defaults; onFault may be nil.
 func NewShipper(addr string, cl *Client, depth, batch int, onFault func()) *Shipper {
-	if batch <= 0 {
-		batch = DefaultSyncBatch
-	}
-	s := &Shipper{addr: addr, cl: cl, q: newEvictQueue(depth), batch: batch, onFault: onFault}
+	s := &Shipper{addr: addr, cl: cl, q: newChunkQueue(cl.f, depth, batch), onFault: onFault}
 	s.wg.Add(1)
 	go s.run()
 	return s
 }
 
-// Enqueue hands one pre-encoded eviction frame to the shipper. It never
-// blocks: on overflow the oldest queued eviction is dropped and
-// counted. Safe for concurrent producers. It reports whether THIS frame
-// was queued (false only once the shipper is closed — an overflow drops
-// the oldest queued frame, not this one).
-func (s *Shipper) Enqueue(op byte, payload []byte) bool {
-	s.offered.Add(1)
-	ok, dropped := s.q.push(op, payload)
-	if !ok {
-		s.shipDrops.Add(1) // closed shipper: nothing will deliver it
+// Offer hands one eviction to the shipper, which encodes it into the
+// open chunk. It never blocks: on overflow the oldest queued chunk is
+// dropped and its evictions counted. Safe for concurrent producers. It
+// reports whether THIS eviction was queued (false only once the shipper
+// is closed — an overflow drops the oldest chunk, not this eviction).
+func (s *Shipper) Offer(ev *kvstore.Eviction) bool {
+	queued, dropped := s.q.offer(ev)
+	if !queued {
+		s.refused.Add(1) // closed shipper: nothing will deliver it
 		return false
 	}
-	if dropped {
-		s.journal.Append(obs.EvQueueOverflow, int64(s.q.len()), 0, s.addr)
+	if dropped > 0 {
+		_, _, depth := s.q.counts()
+		s.journal.Append(obs.EvQueueOverflow, int64(depth), int64(dropped), s.addr)
 	}
 	return true
 }
 
-// run is the consumer loop: pop, ship, and sync every batch boundary or
-// whenever the queue runs empty, so at most one batch is ever
-// unaccounted (neither acked nor dropped).
+// run is the consumer loop. Chunks go out back to back behind their
+// markers while any are queued; replies are read when maxMarkers are
+// unanswered (inside shipChunk) or when the queue has nothing to ship,
+// so at most maxMarkers chunks are ever unaccounted (neither acked nor
+// dropped).
 func (s *Shipper) run() {
 	defer s.wg.Done()
-	spare := evSlot{buf: make([]byte, 0, maxFrame)}
-	inflight := 0
+	spare := make([]byte, 0, s.q.chunkCap)
 	for {
-		// Only park when nothing is in flight; otherwise sync first so
-		// in-flight frames get accounted before we sleep.
-		item, ok, closed := s.q.pop(spare, inflight == 0)
-		if !ok {
-			if inflight > 0 {
-				s.syncBatch(&inflight)
-				continue
+		w := s.q.next(spare, s.cl.nmarks == 0)
+		switch {
+		case w.frames > 0:
+			written, err := s.cl.shipChunk(w.buf, w.frames)
+			if !written {
+				// Backoff/breaker refusal: the chunk is dropped, never
+				// silently retried.
+				s.refused.Add(uint64(w.frames))
+			} else {
+				s.writeFrames.Record(uint64(w.frames))
 			}
-			if closed {
-				return
+			if err != nil {
+				s.fault()
 			}
-			continue
-		}
-		if err := s.cl.ShipFrame(item.op, item.buf); err != nil {
-			// Backoff/breaker refusal or a double write failure: the
-			// eviction is dropped, never silently retried.
-			s.shipDrops.Add(1)
-			s.faults.Add(1)
-			if s.onFault != nil {
-				s.onFault()
-			}
-		} else {
-			inflight++
-		}
-		spare = item // reuse the popped buffer as the next spare
-		if inflight >= s.batch || s.q.len() == 0 {
-			s.syncBatch(&inflight)
+			spare = w.buf
+		case w.done != nil:
+			s.settle()
+			w.done <- w.id
+		case w.closed:
+			s.settle()
+			return
+		default:
+			s.readReply()
 		}
 	}
 }
 
-// syncBatch settles the in-flight frames: a successful sync acks them,
-// a failure counts them lost (Client.fail) — either way they are
-// accounted afterwards.
-func (s *Shipper) syncBatch(inflight *int) {
-	if *inflight == 0 {
-		return
+// readReply reads one owed reply: a success acks that marker's frames,
+// a failure counts everything in flight lost (Client.fail) — either way
+// they are accounted afterwards.
+func (s *Shipper) readReply() {
+	if err := s.cl.readAck(); err != nil {
+		s.fault()
 	}
-	t0 := time.Now()
-	err := s.cl.Sync()
-	s.syncNs.Record(uint64(time.Since(t0)))
-	if err != nil {
-		s.faults.Add(1)
-		if s.onFault != nil {
-			s.onFault()
-		}
+}
+
+// settle reads every owed reply.
+func (s *Shipper) settle() {
+	for s.cl.nmarks > 0 {
+		s.readReply()
 	}
-	*inflight = 0
+}
+
+func (s *Shipper) fault() {
+	s.faults.Add(1)
+	if s.onFault != nil {
+		s.onFault()
+	}
 }
 
 // Stats snapshots the shipper's accounting. Offered is always equal to
-// Acked + Dropped + Queued + (an in-flight batch of at most SyncBatch
-// frames that the next sync settles).
+// Acked + Dropped + Queued + (at most maxMarkers chunks in flight, which
+// the next replies settle).
 func (s *Shipper) Stats() ShipperStats {
+	offered, overflow, queued := s.q.counts()
 	st := ShipperStats{
 		Addr:       s.addr,
-		Offered:    s.offered.Load(),
+		Offered:    offered,
 		Acked:      s.cl.Acked(),
 		Shipped:    s.cl.Evictions(),
-		Overflow:   s.q.overflowDrops(),
-		Breaker:    s.shipDrops.Load(),
+		Overflow:   overflow,
+		Breaker:    s.refused.Load(),
 		Lost:       s.cl.Lost(),
-		Queued:     s.q.len(),
+		Queued:     queued,
 		Reconnects: s.cl.Reconnects(),
 		Open:       s.cl.BreakerOpen(),
 	}
@@ -322,30 +394,7 @@ func (s *Shipper) Stats() ShipperStats {
 	return st
 }
 
-// accounted is how many offered evictions have reached a terminal state
-// (acked or dropped).
-func (s *Shipper) accounted() uint64 {
-	st := s.Stats()
-	return st.Acked + st.Dropped
-}
-
-// Drain blocks until every eviction offered before the call is
-// accounted (acked or dropped) or the deadline passes. With a healthy
-// backend this is "flush + sync completed"; with a dead one the breaker
-// drains the queue by dropping, so Drain still returns promptly.
-func (s *Shipper) Drain(deadline time.Time) error {
-	target := s.offered.Load()
-	for s.accounted() < target {
-		if time.Now().After(deadline) {
-			st := s.Stats()
-			return &DrainTimeoutError{Addr: s.addr, Accounted: st.Acked + st.Dropped, Target: target}
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
-}
-
-// DrainTimeoutError reports an unfinished drain.
+// DrainTimeoutError reports a barrier that did not complete in time.
 type DrainTimeoutError struct {
 	Addr              string
 	Accounted, Target uint64
@@ -355,7 +404,8 @@ func (e *DrainTimeoutError) Error() string {
 	return "netstore: drain timeout on " + e.Addr
 }
 
-// Close drains briefly, stops the goroutine, and closes the client.
+// Close ships what is queued, settles it, stops the goroutine and
+// closes the client.
 func (s *Shipper) Close() error {
 	s.q.close()
 	s.wg.Wait()

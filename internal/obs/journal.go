@@ -62,8 +62,8 @@ func EventKindByName(name string) (EventKind, bool) {
 }
 
 // Event is one journal entry. A and B are kind-defined numerics (e.g.
-// window index + close ns for EvWindowClose, queue depth for
-// EvQueueOverflow); Msg carries the kind-defined identity (backend
+// window index + close ns for EvWindowClose, queue depth + evictions
+// dropped with the oldest chunk for EvQueueOverflow); Msg carries the kind-defined identity (backend
 // address, barrier site).
 type Event struct {
 	Seq  uint64    `json:"seq"`

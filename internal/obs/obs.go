@@ -119,6 +119,9 @@ func (h *Hist) Record(v uint64) {
 	h.sum.Add(v)
 }
 
+// Count returns how many values have been recorded.
+func (h *Hist) Count() uint64 { return h.count.Load() }
+
 // Snapshot copies the histogram into s (overwriting it) without
 // allocating.
 func (h *Hist) Snapshot(s *HistSnap) {

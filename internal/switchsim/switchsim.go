@@ -196,12 +196,16 @@ func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, 
 			ExactMerge: ps.exact,
 			OnEvict: func(ev *kvstore.Eviction) {
 				ps.store.HandleEviction(ev)
-				if cfg.OnEvict != nil {
-					if evictMu != nil {
-						evictMu.Lock()
-						defer evictMu.Unlock()
-					}
-					cfg.OnEvict(idx, ev)
+				if cfg.OnEvict == nil {
+					return
+				}
+				// Explicit unlock: a defer here is paid per eviction.
+				if evictMu != nil {
+					evictMu.Lock()
+				}
+				cfg.OnEvict(idx, ev)
+				if evictMu != nil {
+					evictMu.Unlock()
 				}
 			},
 			Trace:       cfg.Trace,

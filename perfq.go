@@ -262,11 +262,17 @@ func WithWindow(spec WindowSpec) RunOption {
 // WithBackingPool mirrors the run's switch-resident evictions into a
 // resilient pool of TCP backing stores (see Query.DialBackingPool): the
 // scale-out, failure-tolerant deployment of §3.2's split key-value
-// store. The datapath side is a bounded queue push — a slow or dead
-// backend costs accuracy (BackingPool.DroppedEvictions), never feed
-// latency. Call pool.Sync after the run to settle the books. Composes
-// with WithFabric and WithShards (callbacks may then fire from
-// concurrent datapaths; the pool is safe for that).
+// store. The datapath side is an encode into the owning backend's open
+// chunk — a slow or dead backend costs accuracy
+// (BackingPool.DroppedEvictions), never feed latency. Call pool.Sync
+// after the run to settle the books. Composes with WithFabric and
+// WithShards: callbacks may then fire from concurrent datapaths, and the
+// pool is safe for that — it has no pool-wide lock, producers meet only
+// at the owning backend's queue lock. What still serialises the shards
+// of ONE datapath is that datapath's own OnEvict mutex
+// (switchsim.Config.OnEvict's contract: observers never run
+// concurrently), taken around every eviction callback when the datapath
+// has more than one shard; switches of a fabric do not share it.
 func WithBackingPool(p *BackingPool) RunOption {
 	return func(c *runConfig) {
 		c.pool = p
