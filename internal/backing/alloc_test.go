@@ -20,16 +20,18 @@ import (
 // evictionWorkload builds a cache wired to a backing store plus a
 // replayable pass: nkeys ≫ cache capacity forces constant capacity
 // evictions, the flush drains the survivors, and the reset re-arms the
-// store for the next window.
-func evictionWorkload(t *testing.T, f *fold.Func, exact bool) func() {
+// store for the next window. batch wires the cache's batches straight
+// into HandleBatch; otherwise every lane goes through HandleEviction.
+func evictionWorkload(t *testing.T, f *fold.Func, exact, batch bool) func() {
 	t.Helper()
 	store := New(f)
-	cache, err := kvstore.New(kvstore.Config{
-		Geometry:   kvstore.SetAssociative(64, 8),
-		Fold:       f,
-		ExactMerge: exact,
-		OnEvict:    store.HandleEviction,
-	})
+	cfg := kvstore.Config{Geometry: kvstore.SetAssociative(64, 8), Fold: f, ExactMerge: exact}
+	if batch {
+		cfg.OnEvictBatch = store.HandleBatch
+	} else {
+		cfg.OnEvict = store.HandleEviction
+	}
+	cache, err := kvstore.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +57,10 @@ func evictionWorkload(t *testing.T, f *fold.Func, exact bool) func() {
 }
 
 // TestEvictionToBackingZeroAllocs pins the steady-state allocation count
-// of the eviction path at zero, for both reconciliation shapes: the
-// exact-merge replay (history coefficients, first-packet snapshot) and
-// the non-mergeable epoch append.
+// of the eviction path at zero, for both reconciliation shapes — the
+// exact merge and the non-mergeable epoch append — and both ways in: a
+// lane at a time through HandleEviction, and whole batches through
+// HandleBatch.
 func TestEvictionToBackingZeroAllocs(t *testing.T) {
 	lat := fold.Bin{Op: fold.OpSub, L: fold.FieldRef(trace.FieldTout), R: fold.FieldRef(trace.FieldTin)}
 	cases := []struct {
@@ -76,11 +79,18 @@ func TestEvictionToBackingZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pass := evictionWorkload(t, tc.f, tc.exact)
+			pass := evictionWorkload(t, tc.f, tc.exact, false)
 			pass() // warm: grow index and arenas to the working-set size
 			if got := testing.AllocsPerRun(10, pass); got != 0 {
 				t.Fatalf("eviction→backing steady state: %v allocs/run, want 0", got)
 			}
+			t.Run("batch", func(t *testing.T) {
+				pass := evictionWorkload(t, tc.f, tc.exact, true)
+				pass()
+				if got := testing.AllocsPerRun(10, pass); got != 0 {
+					t.Fatalf("batch→backing steady state: %v allocs/run, want 0", got)
+				}
+			})
 		})
 	}
 }

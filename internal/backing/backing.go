@@ -16,6 +16,10 @@
 //     still correct over its own interval, which is why the paper reports
 //     higher accuracy for shorter query windows.
 //
+// Evictions arrive a batch at a time (HandleBatch), so that the index
+// probes of a whole batch are in flight together; one at a time
+// (HandleEviction) is a batch of one.
+//
 // Storage is allocation-free in steady state: an open-addressing Key128
 // table (index.go) maps keys to entry ids, and entries, their state
 // rows, and per-eviction epoch values all live in chunked arenas
@@ -25,6 +29,7 @@ package backing
 
 import (
 	"fmt"
+	"math"
 
 	"perfq/internal/fold"
 	"perfq/internal/kvstore"
@@ -38,23 +43,18 @@ type Epoch struct {
 
 // entry is the store's per-key record. Merged values (linear/assoc
 // folds) live in the state-row arena at the entry's own id; epoch values
-// (non-mergeable folds) form a linked list of arena nodes off head/tail
-// with nep counting them. win is the last measurement window
-// (BeginWindow counter) that touched the entry — the window-scoped
-// accuracy bookkeeping of the epoch runtime.
+// (non-mergeable folds) are rows of the epoch arena, the key's newest at
+// head and each linked to the one recorded before it, with nep counting
+// them — so recording an epoch writes the entry and the new row, never
+// an old one. win is the last measurement window (BeginWindow counter)
+// that touched the entry — the window-scoped accuracy bookkeeping of the
+// epoch runtime.
 type entry struct {
-	key        packet.Key128
-	head, tail int32 // epoch node list; -1 = none
-	nep        int32
-	merged     bool
-	win        uint32
-}
-
-// epochNode is one recorded eviction epoch: a row in the epoch-row
-// arena plus the next node in the entry's list.
-type epochNode struct {
-	row  int32
-	next int32 // -1 = end
+	key    packet.Key128
+	head   int32 // newest epoch row; -1 = none
+	nep    int32
+	merged bool
+	win    uint32
 }
 
 // Store is the backing key-value store.
@@ -66,8 +66,8 @@ type Store struct {
 
 	ents  chunked[entry] // entry id = state row id in slab
 	slab  rowArena       // one state row per entry (merged values)
-	nodes chunked[epochNode]
-	erows rowArena // one state row per recorded epoch
+	erows rowArena       // one state row per recorded epoch
+	older chunked[int32] // per epoch row: the same key's previous one; -1 = none
 
 	invalid int // keys with >1 epoch (non-mergeable folds)
 	merges  uint64
@@ -77,6 +77,13 @@ type Store struct {
 	// packet through the fold's indirect Update call allocates nothing.
 	firstIn fold.Input
 	mscr    fold.MergeScratch
+
+	// HandleBatch's per-lane columns, and what its warming loads add up
+	// to — stored so that the loads are not dead code.
+	hash [fold.BlockSize]uint64
+	ids  [fold.BlockSize]int32
+	warm uint32
+	one  *kvstore.EvictBatch // HandleEviction's one-lane batch
 
 	// Window-scoped accounting (the epoch runtime's carry-over mode):
 	// curWin counts BeginWindow calls, winTotal the keys touched since the
@@ -95,18 +102,23 @@ func New(f *fold.Func) *Store {
 	m := f.StateLen()
 	s0 := make([]float64, m)
 	f.Init(s0)
-	return &Store{f: f, m: m, s0: s0, slab: rowArena{m: m}, erows: rowArena{m: m}}
+	s := &Store{f: f, m: m, s0: s0, slab: rowArena{m: m}, erows: rowArena{m: m}}
+	s.ix.init(indexMinSize)
+	return s
 }
 
-// slot returns the entry's id, creating it on first sight. Entry ids and
-// state-row ids advance in lockstep, so an entry's merged state is
-// always slab row id.
-func (s *Store) slot(key packet.Key128) int32 {
-	i, ok := s.ix.claim(key, int32(s.ents.n))
+// slot returns the id of key's entry, creating it on first sight; h is
+// key's hash. Entry ids and state-row ids advance in lockstep, so an
+// entry's merged state is always slab row id; a fold that never merges
+// keeps no such rows.
+func (s *Store) slot(key packet.Key128, h uint64) int32 {
+	i, ok := s.ix.claim(key, h)
 	if !ok {
 		_, e := s.ents.alloc()
-		*e = entry{key: key, head: -1, tail: -1}
-		copy(s.slab.row(s.slab.alloc()), s.s0)
+		*e = entry{key: key, head: -1}
+		if s.f.Merge != fold.MergeNone {
+			copy(s.slab.row(s.slab.alloc()), s.s0)
+		}
 	}
 	return i
 }
@@ -116,63 +128,118 @@ func (s *Store) state(i int32) []float64 {
 	return s.slab.row(i)
 }
 
-// HandleEviction implements the cache's eviction callback contract.
+// HandleEviction reconciles one eviction: HandleBatch over a batch of one
+// lane. It has the shape of the cache's per-eviction callback.
 func (s *Store) HandleEviction(ev *kvstore.Eviction) {
-	switch s.f.Merge {
-	case fold.MergeLinear:
-		if ev.P == nil {
-			// The cache ran without exact-merge machinery; fall back to
-			// epoch semantics so results are still usable per interval.
-			s.appendEpoch(ev)
-			return
-		}
-		i := s.slot(ev.Key)
-		s.touchValid(i)
-		s.ents.at(i).merged = true
-		st := s.state(i)
-		if ev.FirstRec != nil {
-			// History coefficients: P excludes the epoch's first packet,
-			// which is replayed from the snapshot.
-			s.firstIn = fold.Input{Rec: ev.FirstRec}
-			fold.MergeWithFirstRecScratch(s.f, st, ev.State, ev.P, st, &s.firstIn, &s.mscr)
-		} else {
-			// History-free coefficients: P covers the whole epoch.
-			fold.MergeLinearState(st, ev.State, ev.P, st, s.s0, s.m)
-		}
-		s.merges++
-	case fold.MergeAssoc:
-		i := s.slot(ev.Key)
-		s.touchValid(i)
-		s.ents.at(i).merged = true
-		s.f.Combine(s.state(i), ev.State)
-		s.merges++
-	default:
-		s.appendEpoch(ev)
+	b := s.one
+	if b == nil {
+		b = &kvstore.EvictBatch{N: 1}
+		s.one = b
 	}
+	b.Keys[0], b.State[0], b.P[0], b.First[0] = ev.Key, ev.State, ev.P, ev.FirstRec
+	s.HandleBatch(b)
 }
 
-// touchValid records a window-scoped update of entry i whose merged value
+// HandleBatch reconciles a batch of evictions, in lane order — the
+// cache's batch callback. Every lane walks index slot → entry → state
+// row, each a random line of a table far larger than the CPU's caches
+// once the key space is, and a lane at a time each of those misses waits
+// for the one before. So the batch goes through in three passes: hash
+// every key and load its home index slot (independent loads, whose misses
+// overlap); claim the entries in order, loading each entry and state row;
+// then merge in order. Claims and merges both keep lane order, so a key
+// that appears twice in a batch — even one new to the store — reconciles
+// exactly as it would one eviction at a time.
+func (s *Store) HandleBatch(b *kvstore.EvictBatch) {
+	n := b.N
+	// A linear fold whose cache ran without the exact-merge machinery falls
+	// back to epoch semantics, so results are still usable per interval.
+	kind := s.f.Merge
+	if kind == fold.MergeLinear && b.P[0] == nil {
+		kind = fold.MergeNone
+	}
+	keys, hash, ids := b.Keys[:n], s.hash[:n], s.ids[:n]
+	warm := s.warm
+	for l := range keys {
+		h := keys[l].Hash()
+		hash[l] = h
+		sl := &s.ix.slots[h&s.ix.mask]
+		warm += uint32(sl.key[0]) + sl.tag // both ends: a slot may straddle two lines
+	}
+	for l := range keys {
+		ids[l] = s.slot(keys[l], hash[l])
+	}
+	// Loops of their own, so that nothing but loads sits between one
+	// lane's miss and the next lane's.
+	for _, i := range ids {
+		warm += s.ents.at(i).win
+	}
+	if kind != fold.MergeNone {
+		for _, i := range ids {
+			warm += uint32(math.Float64bits(s.state(i)[0]))
+		}
+	}
+	s.warm = warm
+
+	switch {
+	case kind == fold.MergeNone:
+		for l, i := range ids {
+			s.appendEpoch(i, b.State[l])
+		}
+		s.appends += uint64(n)
+		return
+	case kind == fold.MergeAssoc:
+		for l, i := range ids {
+			s.touchMerged(i)
+			s.f.Combine(s.state(i), b.State[l])
+		}
+	case b.First[0] != nil:
+		// History coefficients: P excludes the epoch's first packet,
+		// which is replayed from the snapshot.
+		for l, i := range ids {
+			s.touchMerged(i)
+			st := s.state(i)
+			s.firstIn = fold.Input{Rec: b.First[l]}
+			fold.MergeWithFirstRecScratch(s.f, st, b.State[l], b.P[l], st, &s.firstIn, &s.mscr)
+		}
+	case s.m == 1:
+		// History-free coefficients, P covering the whole epoch:
+		// fold.MergeLinearState's scalar case, in line.
+		s0 := s.s0[0]
+		for l, i := range ids {
+			s.touchMerged(i)
+			st := s.state(i)
+			st[0] = b.State[l][0] + b.P[l][0]*(st[0]-s0)
+		}
+	default:
+		for l, i := range ids {
+			s.touchMerged(i)
+			st := s.state(i)
+			fold.MergeLinearState(st, b.State[l], b.P[l], st, s.s0, s.m)
+		}
+	}
+	s.merges += uint64(n)
+}
+
+// touchMerged records a window-scoped update of entry i whose merged value
 // stays trustworthy (exact-merge and associative reconciliations).
-func (s *Store) touchValid(i int32) {
-	if e := s.ents.at(i); e.win != s.curWin+1 {
+func (s *Store) touchMerged(i int32) {
+	e := s.ents.at(i)
+	e.merged = true
+	if e.win != s.curWin+1 {
 		e.win = s.curWin + 1
 		s.winTotal++
 	}
 }
 
-func (s *Store) appendEpoch(ev *kvstore.Eviction) {
-	i := s.slot(ev.Key)
+// appendEpoch records state as entry i's newest epoch.
+func (s *Store) appendEpoch(i int32, state []float64) {
 	row := s.erows.alloc()
-	copy(s.erows.row(row), ev.State)
-	ni, n := s.nodes.alloc()
-	*n = epochNode{row: row, next: -1}
+	copy(s.erows.row(row), state)
 	e := s.ents.at(i)
-	if e.tail >= 0 {
-		s.nodes.at(e.tail).next = ni
-	} else {
-		e.head = ni
-	}
-	e.tail = ni
+	_, prev := s.older.alloc() // epoch row ids and link ids advance in lockstep
+	*prev = e.head
+	e.head = row
 	e.nep++
 	fresh := e.win != s.curWin+1
 	if fresh {
@@ -189,7 +256,6 @@ func (s *Store) appendEpoch(ev *kvstore.Eviction) {
 		// still counts against window accuracy.
 		s.winInvalid++
 	}
-	s.appends++
 }
 
 // value returns entry i's trustworthy full-window value, if any.
@@ -199,7 +265,7 @@ func (s *Store) value(i int32) ([]float64, bool) {
 	case e.merged:
 		return s.state(i), true
 	case e.nep == 1:
-		return s.erows.row(s.nodes.at(e.head).row), true
+		return s.erows.row(e.head), true
 	default:
 		return nil, false
 	}
@@ -227,9 +293,9 @@ func (s *Store) Epochs(key packet.Key128) []Epoch {
 	if e.nep == 0 {
 		return nil
 	}
-	out := make([]Epoch, 0, e.nep)
-	for ni := e.head; ni >= 0; ni = s.nodes.at(ni).next {
-		out = append(out, Epoch{State: s.erows.row(s.nodes.at(ni).row)})
+	out := make([]Epoch, e.nep)
+	for at, row := len(out)-1, e.head; row >= 0; at, row = at-1, *s.older.at(row) {
+		out[at].State = s.erows.row(row) // links run newest to oldest
 	}
 	return out
 }
@@ -292,11 +358,11 @@ func (s *Store) WindowAccuracy() (valid, total int) {
 // memory is retained, so the next window's refill is allocation-free
 // until the key space outgrows every previous one.
 func (s *Store) Reset() {
-	s.ix.reset(&s.ents)
+	s.ix.reset()
 	s.ents.reset()
 	s.slab.reset()
-	s.nodes.reset()
 	s.erows.reset()
+	s.older.reset()
 	s.invalid = 0
 	s.merges, s.appends = 0, 0
 	s.winTotal, s.winInvalid = 0, 0

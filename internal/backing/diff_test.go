@@ -18,7 +18,7 @@ import (
 func TestKeyIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var ix keyIndex
-	var ents chunked[entry] // the keys in id order, as reset wants them
+	ix.init(indexMinSize)
 	ref := map[packet.Key128]int32{}
 
 	checkAll := func(round int, space []packet.Key128) {
@@ -34,7 +34,7 @@ func TestKeyIndexDifferential(t *testing.T) {
 
 	for round := 0; round < 4; round++ {
 		// Disjoint key space per round: after a reset, every prior key must
-		// read as absent even though its bytes linger in the keys array.
+		// read as absent even though its bytes linger in the slots.
 		n := indexMinSize*4 + rng.Intn(2000) // ≥2 grows per round
 		space := make([]packet.Key128, n)
 		for i := range space {
@@ -44,12 +44,10 @@ func TestKeyIndexDifferential(t *testing.T) {
 		claim := func(k packet.Key128) {
 			t.Helper()
 			want, present := ref[k]
-			if got, ok := ix.claim(k, next); ok != present || (ok && got != want) || (!ok && got != next) {
+			if got, ok := ix.claim(k, k.Hash()); ok != present || (ok && got != want) || (!ok && got != next) {
 				t.Fatalf("round %d: claim(%v, %d) = (%d,%v), reference (%d,%v)", round, k, next, got, ok, want, present)
 			}
 			if !present {
-				_, e := ents.alloc()
-				e.key = k
 				ref[k] = next
 				next++
 			}
@@ -65,8 +63,7 @@ func TestKeyIndexDifferential(t *testing.T) {
 			}
 		}
 		checkAll(round, space)
-		ix.reset(&ents)
-		ents.reset()
+		ix.reset()
 		clear(ref)
 		checkAll(round, space) // everything absent after reset
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"perfq/internal/fold"
 	"perfq/internal/kvstore"
@@ -11,29 +12,28 @@ import (
 	"perfq/internal/trace"
 )
 
-// TestKeyIndexSparseReset: a table far larger than the key count it holds
-// clears by its keys, not by memset — including keys whose probe chains
-// run through each other, cleared in an order that empties the middle of
-// a chain before its end. After every reset the slot array is all zero,
-// every key reads absent, and the next window's claims behave as on an
-// empty table although stale keys linger in the keys array.
+// TestKeyIndexSparseReset: reset cost follows the keys held, not the
+// table's size — a reset writes no slot at all, whatever an earlier window
+// grew the table to, so the slots a window wrote still hold its bytes
+// afterwards and only their tags, now at or below base, say they are
+// dead. That holds for keys whose probe chains run through each other,
+// claimed in a new order every round so a key's slot is rarely where its
+// stale copy lies: after every reset no slot is live, every key reads
+// absent, and the next window's claims behave as on an empty table. When
+// base has used up half the tag space the reset clears the table instead,
+// and nothing an earlier window wrote comes back to life.
 func TestKeyIndexSparseReset(t *testing.T) {
 	var ix keyIndex
-	var ents chunked[entry]
-	claim := func(k packet.Key128) (int32, bool) {
-		id, ok := ix.claim(k, int32(ents.n))
-		if !ok {
-			_, e := ents.alloc()
-			e.key = k
-		}
-		return id, ok
-	}
+	ix.init(indexMinSize)
+	claim := func(k packet.Key128) (int32, bool) { return ix.claim(k, k.Hash()) }
 	for i := 0; i < 3000; i++ { // grow to 4096 slots
 		claim(keyN(i))
 	}
 	size := len(ix.slots)
-	ix.reset(&ents) // dense: the memset path
-	ents.reset()
+	if got := unsafe.Sizeof(ix.slots[0]); got != 20 {
+		t.Fatalf("an index slot is %d bytes, want 20: key and tag in one record, no wider than the two arrays were", got)
+	}
+	ix.reset()
 
 	// Keys whose home slots are four neighbours: two dozen of them chain
 	// through one another.
@@ -45,8 +45,9 @@ func TestKeyIndexSparseReset(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(73))
 	for round := 0; round < 4; round++ {
-		// A new claim order each round, so a key's slot is rarely where
-		// its stale copy from the last round lies.
+		if round == 3 {
+			ix.base = 1<<31 - 10 // this round's keys take base past half the tag space
+		}
 		rng.Shuffle(len(cluster), func(i, j int) { cluster[i], cluster[j] = cluster[j], cluster[i] })
 		for i, k := range cluster {
 			if id, ok := claim(k); ok || id != int32(i) {
@@ -61,18 +62,23 @@ func TestKeyIndexSparseReset(t *testing.T) {
 				t.Fatalf("round %d: get of key %d = (%d, %v), want (%d, true)", round, i, id, ok, i)
 			}
 		}
-		if ix.used*sparseReset >= len(ix.slots) {
-			t.Fatalf("%d keys in %d slots is not the sparse case", ix.used, len(ix.slots))
-		}
-		ix.reset(&ents)
-		ents.reset()
+		before := append([]indexSlot(nil), ix.slots...)
+		ix.reset()
 		if len(ix.slots) != size || ix.used != 0 {
 			t.Fatalf("round %d: reset left %d slots, %d used; want %d, 0", round, len(ix.slots), ix.used, size)
 		}
-		for i, v := range ix.slots {
-			if v != 0 {
-				t.Fatalf("round %d: slot %d still holds %d after reset", round, i, v)
+		written := 0
+		for i, sl := range ix.slots {
+			if sl.tag > ix.base {
+				t.Fatalf("round %d: slot %d is live after reset", round, i)
 			}
+			if sl != before[i] {
+				written++
+			}
+		}
+		// Only the restart pays for the table; every other reset is free.
+		if restarted := round == 3; restarted != (written > 0) || restarted != (ix.base == 0) {
+			t.Fatalf("round %d: reset wrote %d slots of %d and left base %d (restart due: %v)", round, written, size, ix.base, restarted)
 		}
 		for i, k := range cluster {
 			if _, ok := ix.get(k); ok {
@@ -140,7 +146,7 @@ func TestResetAfterLargeWindow(t *testing.T) {
 			if gok != fok || (gok && gs[0] != fs[0]) {
 				t.Fatalf("round %d: Get(%d) = (%v, %v), fresh store (%v, %v)", round, k, gs, gok, fs, fok)
 			}
-			if gi, fi := grown.slot(keyN(k)), fresh.slot(keyN(k)); gi != fi {
+			if gi, fi := grown.slot(keyN(k), keyN(k).Hash()), fresh.slot(keyN(k), keyN(k).Hash()); gi != fi {
 				t.Fatalf("round %d: slot(%d) = %d, fresh store %d", round, k, gi, fi)
 			}
 		}
@@ -155,9 +161,9 @@ func TestResetAfterLargeWindow(t *testing.T) {
 		if len(grown.ix.slots) != size {
 			t.Fatalf("round %d: index has %d slots after reset, had %d", round, len(grown.ix.slots), size)
 		}
-		for i, v := range grown.ix.slots {
-			if v != 0 {
-				t.Fatalf("round %d: slot %d still holds %d after reset", round, i, v)
+		for i, sl := range grown.ix.slots {
+			if sl.tag > grown.ix.base {
+				t.Fatalf("round %d: slot %d is live after reset", round, i)
 			}
 		}
 	}

@@ -22,9 +22,10 @@ type fullLRU struct {
 
 	index map[packet.Key128]int32 // key -> slot
 
-	keys  []packet.Key128
-	state []float64
-	prod  []float64
+	keys []packet.Key128
+	// rows holds one row per slot: the state vector, then the running
+	// product under exact merge — the layout an eviction leaves in.
+	rows  []float64
 	first []trace.Record
 
 	// Intrusive list over slots. head = MRU, tail = LRU, -1 = none.
@@ -38,7 +39,6 @@ type fullLRU struct {
 	stats    Stats
 	aScratch []float64
 	mScratch []float64
-	ev       Eviction   // reused eviction payload (fields are borrowed anyway)
 	blockIn  fold.Input // reused ProcessBlock input (a local would escape per call)
 
 	// Sampled tracing (see setAssoc). The map-indexed LRU computes no
@@ -48,6 +48,8 @@ type fullLRU struct {
 	trMask uint64
 	trSlot *obs.SpanSlot
 	trW    int
+
+	out evictOut // last: the batch is kilobytes, and the fields above are the per-packet ones
 }
 
 func newFullLRU(cfg Config) *fullLRU {
@@ -61,7 +63,6 @@ func newFullLRU(cfg Config) *fullLRU {
 		exact:  cfg.ExactMerge,
 		index:  make(map[packet.Key128]int32, capacity),
 		keys:   make([]packet.Key128, capacity),
-		state:  make([]float64, capacity*m),
 		next:   make([]int32, capacity),
 		prev:   make([]int32, capacity),
 		head:   -1,
@@ -75,9 +76,10 @@ func newFullLRU(cfg Config) *fullLRU {
 	for i := capacity - 1; i >= 0; i-- {
 		c.free = append(c.free, int32(i))
 	}
+	c.out.init(&cfg, m)
+	c.rows = make([]float64, capacity*c.out.w)
 	if cfg.ExactMerge {
 		c.needFirst = cfg.Fold.Linear.NeedsFirstPacket
-		c.prod = make([]float64, capacity*m*m)
 		if c.needFirst {
 			c.first = make([]trace.Record, capacity)
 		}
@@ -92,12 +94,13 @@ func (c *fullLRU) Len() int           { return len(c.index) }
 func (c *fullLRU) Stats() Stats       { return c.stats }
 
 func (c *fullLRU) slotState(slot int32) []float64 {
-	return c.state[int(slot)*c.m : int(slot)*c.m+c.m]
+	off := int(slot) * c.out.w
+	return c.rows[off : off+c.m]
 }
 
 func (c *fullLRU) slotProd(slot int32) []float64 {
-	mm := c.m * c.m
-	return c.prod[int(slot)*mm : int(slot)*mm+mm]
+	off := int(slot) * c.out.w
+	return c.rows[off+c.m : off+c.out.w]
 }
 
 // unlink removes slot from the recency list.
@@ -134,7 +137,9 @@ func (c *fullLRU) Process(key packet.Key128, in *fold.Input) bool {
 	if c.trMask != obs.NoSample {
 		h = key.Hash()
 	}
-	return c.process(key, h, in)
+	inserted := c.process(key, h, in)
+	c.out.deliver()
+	return inserted
 }
 
 // process is Process with the key's hash supplied by the caller; the map
@@ -165,7 +170,7 @@ func (c *fullLRU) process(key packet.Key128, h uint64, in *fold.Input) bool {
 		c.free = c.free[:len(c.free)-1]
 	} else {
 		slot = c.tail
-		c.emit(slot, EvictCapacity)
+		c.evict(slot, EvictCapacity)
 		c.stats.Evictions++
 		delete(c.index, c.keys[slot])
 		c.unlink(slot)
@@ -203,44 +208,32 @@ func (c *fullLRU) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []tra
 			inserted |= 1 << l
 		}
 	}
+	c.out.deliver()
 	return inserted
 }
 
-// emit delivers an eviction callback for slot, reusing the cache's
-// scratch Eviction (the payload's slices are borrowed anyway).
-func (c *fullLRU) emit(slot int32, reason EvictReason) {
-	if c.cfg.OnEvict == nil {
-		if c.trMask != obs.NoSample {
-			if key := c.keys[slot]; key.Hash()&c.trMask == 0 {
-				traceEvictSpan(c.tr, c.trW, key, reason)
-			}
-		}
+// evict appends slot's entry to the outgoing batch.
+func (c *fullLRU) evict(slot int32, reason EvictReason) {
+	if !c.out.on {
 		return
 	}
-	ev := &c.ev // set in place, see setAssoc.evict
-	ev.Key = c.keys[slot]
-	ev.State = c.slotState(slot)
-	ev.Reason = reason
-	if c.exact {
-		ev.P = c.slotProd(slot)
-		if c.needFirst {
-			ev.FirstRec = &c.first[slot]
-		}
+	var first *trace.Record
+	if c.needFirst {
+		first = &c.first[slot]
 	}
-	ev.Span = obs.SpanRef{}
-	if c.trMask != obs.NoSample && ev.Key.Hash()&c.trMask == 0 {
-		ev.Span = traceEvictSpan(c.tr, c.trW, ev.Key, reason)
-	}
-	c.cfg.OnEvict(&c.ev)
+	lo, hi := c.keys[slot].Words()
+	off := int(slot) * c.out.w
+	c.out.add(lo, hi, c.rows[off:off+c.out.w], first, reason)
 }
 
 // Flush implements Cache: drains entries MRU-first.
 func (c *fullLRU) Flush() {
 	for slot := c.head; slot >= 0; slot = c.next[slot] {
-		c.emit(slot, EvictFlush)
+		c.evict(slot, EvictFlush)
 		c.stats.Flushed++
 		delete(c.index, c.keys[slot])
 		c.free = append(c.free, slot)
 	}
 	c.head, c.tail = -1, -1
+	c.out.deliver()
 }

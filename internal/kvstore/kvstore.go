@@ -117,9 +117,12 @@ const (
 	EvictFlush
 )
 
-// Eviction is the payload delivered to the eviction handler. State, P and
-// FirstRec are borrowed from cache-internal storage and are only valid for
-// the duration of the callback.
+// Eviction is one eviction as a per-eviction handler (Config.OnEvict)
+// sees it: a view of one lane of the batch that left the cache. State, P
+// and FirstRec are borrowed — a capacity eviction's from the batch's own
+// copy of the slot (the insert that displaced it has already reused the
+// slot), a flush's from slot memory itself — and are valid until the
+// handler that received the batch returns.
 type Eviction struct {
 	Key      packet.Key128
 	State    []float64
@@ -133,6 +136,39 @@ type Eviction struct {
 	Span obs.SpanRef
 }
 
+// EvictBatch is what leaves a cache: the evictions of one ProcessBlock
+// call (a block evicts at most one entry per record, hence the capacity),
+// of one Process call, or of a run of up to fold.BlockSize flushed
+// entries, in eviction order — lanes 0..N-1 of every column. Keys is a
+// plain key column so a consumer can hash and probe for all lanes before
+// it merges any. A batch is uniform: P (and First) is set on every lane or
+// on none, and every lane left for the same Reason. The batch and all it
+// points to belong to the cache; they are valid until the handler
+// returns.
+type EvictBatch struct {
+	N      int
+	Reason EvictReason
+	Keys   [fold.BlockSize]packet.Key128
+	State  [fold.BlockSize][]float64
+	P      [fold.BlockSize][]float64     // nil unless exact merge
+	First  [fold.BlockSize]*trace.Record // nil unless exact merge over history coefficients
+	// Sampled has bit l set when lane l's key is traced; only then is
+	// Span[l] meaningful (see Eviction.Span).
+	Sampled uint64
+	Span    [fold.BlockSize]obs.SpanRef
+}
+
+// Lane fills ev with the view of lane l.
+func (b *EvictBatch) Lane(l int, ev *Eviction) {
+	ev.Key = b.Keys[l]
+	ev.State, ev.P, ev.FirstRec = b.State[l], b.P[l], b.First[l]
+	ev.Reason = b.Reason
+	ev.Span = obs.SpanRef{}
+	if b.Sampled>>uint(l)&1 != 0 {
+		ev.Span = b.Span[l]
+	}
+}
+
 // Config configures a cache.
 type Config struct {
 	Geometry Geometry
@@ -143,7 +179,13 @@ type Config struct {
 	// pure eviction-rate studies (Fig. 5), where only the key-reference
 	// stream matters.
 	ExactMerge bool
-	// OnEvict receives every eviction. May be nil.
+	// OnEvictBatch receives every eviction, a batch at a time, before the
+	// Process, ProcessBlock or Flush call that caused it returns. May be
+	// nil.
+	OnEvictBatch func(*EvictBatch)
+	// OnEvict is the per-eviction form of the same delivery: New turns it
+	// into an OnEvictBatch that walks the lanes in order. Set one or the
+	// other.
 	OnEvict func(*Eviction)
 
 	// Trace, when non-nil, enables sampled packet tracing: accesses and
@@ -213,7 +255,9 @@ type Cache interface {
 	// key hashed once by the shard router is not hashed again here.
 	ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64) (inserted uint64)
 	// Flush evicts every resident entry (Reason = EvictFlush) in
-	// deterministic order and empties the cache.
+	// deterministic order and empties the cache. The entries leave in
+	// batches of up to fold.BlockSize, each a view of slot memory, the
+	// last delivered before Flush returns.
 	Flush()
 	// Len returns the number of resident entries.
 	Len() int
@@ -245,17 +289,87 @@ func traceCacheHop(tr *obs.Tracer, slot *obs.SpanSlot, w int, key packet.Key128,
 	tr.Begin(w, key, obs.HopCache, out)
 }
 
-// traceEvictSpan begins the "why did this key get evicted" span for a
-// sampled evicted key. Called only on sampled evictions.
-func traceEvictSpan(tr *obs.Tracer, w int, key packet.Key128, reason EvictReason) obs.SpanRef {
-	if tr == nil {
-		return obs.SpanRef{}
+// evictOut is a cache's one way out: evictions are appended to its batch
+// as they happen and the batch is handed to the sink when it fills and
+// before the call that caused them returns.
+type evictOut struct {
+	batch EvictBatch
+	sink  func(*EvictBatch)
+	// on is false when nothing consumes evictions — no sink, no tracer —
+	// so eviction-rate studies skip the batch altogether.
+	on bool
+	// A capacity eviction's slot is reused by the insert that displaced
+	// it, so its lane points at a copy: row l of held (state, then
+	// product) and heldFirst[l].
+	held      []float64
+	heldFirst []trace.Record
+	m, w      int // state length; held row width
+
+	tr     *obs.Tracer
+	trMask uint64
+	trW    int
+}
+
+func (o *evictOut) init(cfg *Config, m int) {
+	o.sink = cfg.OnEvictBatch
+	o.tr, o.trMask, o.trW = cfg.Trace, cfg.Trace.HashMask(), cfg.TraceWriter
+	o.on = o.sink != nil || o.trMask != obs.NoSample
+	o.m, o.w = m, m
+	if cfg.ExactMerge {
+		o.w += m * m
+		if cfg.Fold.Linear.NeedsFirstPacket {
+			o.heldFirst = make([]trace.Record, fold.BlockSize)
+		}
 	}
-	out := obs.OutcomeCapacity
-	if reason == EvictFlush {
-		out = obs.OutcomeFlush
+	o.held = make([]float64, fold.BlockSize*o.w)
+}
+
+// add appends one eviction: key (as its two words), the slot's row —
+// state, then the product under exact merge — and its first-record
+// snapshot, if the cache keeps one. A capacity eviction's row and snapshot
+// are copied; a flush's are handed over as they lie.
+func (o *evictOut) add(lo, hi uint64, row []float64, first *trace.Record, reason EvictReason) {
+	b := &o.batch
+	l := b.N
+	b.Keys[l].SetWords(lo, hi)
+	if reason == EvictCapacity {
+		held := o.held[l*o.w : (l+1)*o.w]
+		copy(held, row)
+		row = held
+		if first != nil {
+			o.heldFirst[l] = *first
+			first = &o.heldFirst[l]
+		}
 	}
-	return tr.Begin(w, key, obs.HopEvict, out)
+	b.State[l] = row[:o.m:o.m]
+	if len(row) > o.m {
+		b.P[l], b.First[l] = row[o.m:], first
+	}
+	if o.trMask != obs.NoSample && packet.HashWords(lo, hi)&o.trMask == 0 {
+		// The eviction starts the sampled key's journey to the backing tier.
+		out := obs.OutcomeCapacity
+		if reason == EvictFlush {
+			out = obs.OutcomeFlush
+		}
+		b.Span[l] = o.tr.Begin(o.trW, b.Keys[l], obs.HopEvict, out)
+		b.Sampled |= 1 << uint(l)
+	}
+	b.Reason = reason
+	if b.N = l + 1; b.N == fold.BlockSize {
+		o.deliver()
+	}
+}
+
+// deliver hands the pending batch, if any, to the sink and empties it.
+func (o *evictOut) deliver() {
+	b := &o.batch
+	if b.N == 0 {
+		return
+	}
+	if o.sink != nil {
+		o.sink(b)
+	}
+	b.N, b.Sampled = 0, 0
 }
 
 // New builds a cache for the geometry: a set-associative array layout for
@@ -278,6 +392,18 @@ func New(cfg Config) (Cache, error) {
 	// concurrently with updates on a shared fold.
 	if err := cfg.Fold.EnsureCompiled(); err != nil {
 		return nil, fmt.Errorf("kvstore: %s: %w", cfg.Fold.Name(), err)
+	}
+	if cfg.OnEvict != nil {
+		if cfg.OnEvictBatch != nil {
+			return nil, fmt.Errorf("kvstore: config sets both OnEvict and OnEvictBatch")
+		}
+		ev := new(Eviction)
+		cfg.OnEvictBatch = func(b *EvictBatch) {
+			for l := 0; l < b.N; l++ {
+				b.Lane(l, ev)
+				cfg.OnEvict(ev)
+			}
+		}
 	}
 	if g.Buckets == 1 {
 		return newFullLRU(cfg), nil

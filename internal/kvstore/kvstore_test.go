@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"perfq/internal/compiler"
 	"perfq/internal/fold"
+	"perfq/internal/lang"
 	"perfq/internal/obs"
 	"perfq/internal/packet"
+	"perfq/internal/queries"
 	"perfq/internal/trace"
 )
 
@@ -75,6 +78,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	nonLinear := fold.Max(fold.FieldRef(trace.FieldPktLen))
 	if _, err := New(Config{Geometry: HashTable(8), Fold: nonLinear, ExactMerge: true}); err == nil {
 		t.Error("ExactMerge with non-linear fold accepted")
+	}
+	if _, err := New(Config{Geometry: HashTable(8), Fold: fold.Count(),
+		OnEvict: func(*Eviction) {}, OnEvictBatch: func(*EvictBatch) {}}); err == nil {
+		t.Error("two eviction handlers accepted")
 	}
 }
 
@@ -513,6 +520,68 @@ func TestEvictionPayloadIsWholePerEviction(t *testing.T) {
 			c.Flush()
 			if n != 200 || sampled == 0 || sampled == n {
 				t.Fatalf("%v exact=%v: %d evictions, %d sampled; want 200, some", g, exact, n, sampled)
+			}
+		}
+	}
+}
+
+// TestCapacityEvictionLanesOutliveSlotReuse: a block of 64 keys through a
+// cache of a few pairs evicts nearly every one of them, each slot reused
+// many times before the block's one batch is delivered — and every lane
+// must still hold what its own key had when it was displaced, not what
+// the slot holds now: state (the key's one record), product, and under a
+// history-coefficient fold the first-record snapshot. A flush's lanes are
+// views of the slots, which nothing reuses while the batch is out.
+func TestCapacityEvictionLanesOutliveSlotReuse(t *testing.T) {
+	chk, err := lang.Check(lang.MustParse(queries.ByName("TCP out of sequence").Source))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := compiler.Compile(chk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outOfSeq := plan.Programs[0].Fold // state (lastseq, oos_count); merges by first-record replay
+	seqOf := func(n int) uint32 { return uint32(1000 + 10*n) }
+	for _, g := range []Geometry{HashTable(4), SetAssociative(16, 8), FullyAssociative(6)} {
+		for _, tc := range []struct {
+			f     *fold.Func
+			exact bool
+			first bool
+		}{{fold.Sum(fold.FieldRef(trace.FieldTCPSeq)), false, false}, {fold.Sum(fold.FieldRef(trace.FieldTCPSeq)), true, false}, {outOfSeq, true, true}} {
+			index := map[packet.Key128]int{}
+			batches, lanes := 0, 0
+			c := mustNew(t, Config{Geometry: g, Fold: tc.f, ExactMerge: tc.exact, OnEvictBatch: func(b *EvictBatch) {
+				batches++
+				for l := 0; l < b.N; l++ {
+					lanes++
+					n := index[b.Keys[l]]
+					if got := b.State[l][0]; got != float64(seqOf(n)) {
+						t.Fatalf("%v %s: lane %d of key %d holds state %v, want %d", g, tc.f.Name(), l, n, b.State[l], seqOf(n))
+					}
+					if (b.P[l] != nil) != tc.exact || (b.First[l] != nil) != tc.first {
+						t.Fatalf("%v %s: lane %d has P %v, first record %v", g, tc.f.Name(), l, b.P[l], b.First[l])
+					}
+					if tc.first && b.First[l].TCPSeq != seqOf(n) {
+						t.Fatalf("%v %s: lane %d of key %d carries the first record of seq %d", g, tc.f.Name(), l, n, b.First[l].TCPSeq)
+					}
+				}
+			}})
+			keys, hashes := make([]packet.Key128, fold.BlockSize), make([]uint64, fold.BlockSize)
+			recs := make([]trace.Record, fold.BlockSize)
+			for n := range keys {
+				keys[n] = keyN(n)
+				hashes[n] = keys[n].Hash()
+				recs[n] = trace.Record{TCPSeq: seqOf(n)}
+				index[keys[n]] = n
+			}
+			c.ProcessBlock(keys, hashes, recs, ^uint64(0))
+			if evicted := fold.BlockSize - c.Len(); batches != 1 || lanes != evicted || evicted < fold.BlockSize-g.Pairs() {
+				t.Fatalf("%v %s: %d batches with %d lanes for %d evictions", g, tc.f.Name(), batches, lanes, evicted)
+			}
+			c.Flush()
+			if batches != 2 || lanes != fold.BlockSize {
+				t.Fatalf("%v %s: after the flush %d batches, %d lanes; want 2, %d", g, tc.f.Name(), batches, lanes, fold.BlockSize)
 			}
 		}
 	}

@@ -15,8 +15,7 @@ import (
 // permutation of slot indices, so promoting an entry moves one byte, not
 // the state vectors.
 type setAssoc struct {
-	cfg       Config
-	fold      *fold.Func       // hoisted from cfg for the per-packet path
+	fold      *fold.Func       // the per-packet path's own pointer
 	lin       *fold.LinearSpec // non-nil iff exact merge
 	geom      Geometry
 	mask      uint64
@@ -74,15 +73,15 @@ type setAssoc struct {
 
 	aScratch []float64
 	mScratch []float64
-	ev       Eviction   // reused eviction payload (fields are borrowed anyway)
 	blockIn  fold.Input // reused ProcessBlock input (a local would escape per call)
 	resident int
+
+	out evictOut // last: the batch is kilobytes, and the fields above are the per-packet ones
 }
 
 func newSetAssoc(cfg Config, g Geometry) *setAssoc {
 	m := cfg.Fold.StateLen()
 	c := &setAssoc{
-		cfg:    cfg,
 		fold:   cfg.Fold,
 		geom:   g,
 		mask:   uint64(g.Buckets - 1),
@@ -95,10 +94,8 @@ func newSetAssoc(cfg Config, g Geometry) *setAssoc {
 		trSlot: cfg.TraceSpan,
 		trW:    cfg.TraceWriter,
 	}
-	c.stride = 2 + m
-	if cfg.ExactMerge {
-		c.stride += m * m
-	}
+	c.out.init(&cfg, m)
+	c.stride = 2 + c.out.w
 	c.vals = make([]float64, g.Buckets*g.Ways*c.stride)
 	if g.Ways <= 8 {
 		c.packed8 = true
@@ -141,20 +138,11 @@ func keyWords(key packet.Key128) (k0, k1 float64) {
 		math.Float64frombits(binary.LittleEndian.Uint64(key[8:16]))
 }
 
-// slotKey reassembles a slot's key from its lanes. Bit patterns survive
-// float64 load/store round trips untouched (Go does not canonicalize
-// NaNs on moves), so this is exact.
-func (c *setAssoc) slotKey(slot int) packet.Key128 {
-	off := slot * c.stride
-	var key packet.Key128
-	binary.LittleEndian.PutUint64(key[0:8], math.Float64bits(c.vals[off]))
-	binary.LittleEndian.PutUint64(key[8:16], math.Float64bits(c.vals[off+1]))
-	return key
-}
-
 // Process implements Cache.
 func (c *setAssoc) Process(key packet.Key128, in *fold.Input) bool {
-	return c.process(key, key.Hash(), in)
+	inserted := c.process(key, key.Hash(), in)
+	c.out.deliver()
+	return inserted
 }
 
 // process is Process with the key's hash supplied by the caller.
@@ -240,15 +228,16 @@ func (c *setAssoc) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []tr
 				inserted |= 1 << l
 			}
 		}
-		return inserted
-	}
-	for m := mask; m != 0; m &= m - 1 {
-		l := tz64(m)
-		in.Rec = &recs[l]
-		if c.process(keys[l], hashes[l], in) {
-			inserted |= 1 << l
+	} else {
+		for m := mask; m != 0; m &= m - 1 {
+			l := tz64(m)
+			in.Rec = &recs[l]
+			if c.process(keys[l], hashes[l], in) {
+				inserted |= 1 << l
+			}
 		}
 	}
+	c.out.deliver()
 	return inserted
 }
 
@@ -386,40 +375,25 @@ func (c *setAssoc) insert(slot int, key packet.Key128, tag uint8, in *fold.Input
 	c.fold.Update(st, in)
 }
 
-// evict delivers an entry to the eviction handler and clears the slot.
-// The Eviction payload is a per-cache scratch value: its contents are
-// borrowed slices already, so reusing the struct across evictions adds
-// no new aliasing constraints and keeps the eviction path allocation-free.
-// Its fields are set in place — a flush evicts at key rate, and building
-// the ~100-byte struct by literal zeroes and copies all of it per key.
+// evict appends slot's entry to the outgoing batch. Key lanes leave as
+// the bit patterns they were stored as (Go does not canonicalize NaNs on
+// float64 moves), so the key is exact.
 func (c *setAssoc) evict(slot int, reason EvictReason) {
-	if c.cfg.OnEvict != nil {
-		ev := &c.ev
-		ev.Key = c.slotKey(slot)
-		ev.State = c.slotState(slot)
-		ev.Reason = reason
-		if c.exact {
-			ev.P = c.slotProd(slot)
-			if c.needFirst {
-				ev.FirstRec = &c.first[slot]
-			}
-		}
-		ev.Span = obs.SpanRef{}
-		if c.trMask != obs.NoSample && ev.Key.Hash()&c.trMask == 0 {
-			ev.Span = traceEvictSpan(c.tr, c.trW, ev.Key, reason)
-		}
-		c.cfg.OnEvict(ev)
-	} else if c.trMask != obs.NoSample {
-		// No downstream consumer, but the eviction story is still worth
-		// recording for sampled keys.
-		if key := c.slotKey(slot); key.Hash()&c.trMask == 0 {
-			traceEvictSpan(c.tr, c.trW, key, reason)
-		}
+	if !c.out.on {
+		return
 	}
+	off := slot * c.stride
+	var first *trace.Record
+	if c.needFirst {
+		first = &c.first[slot]
+	}
+	c.out.add(math.Float64bits(c.vals[off]), math.Float64bits(c.vals[off+1]),
+		c.vals[off+2:off+c.stride], first, reason)
 }
 
 // Flush implements Cache: evicts every resident entry bucket by bucket in
-// recency order.
+// recency order, as views of slot memory — nothing is inserted while the
+// batches are out, so the slots hold.
 func (c *setAssoc) Flush() {
 	for b := 0; b < c.geom.Buckets; b++ {
 		base := b * c.ways
@@ -437,4 +411,5 @@ func (c *setAssoc) Flush() {
 		c.fill[b] = 0
 	}
 	c.resident = 0
+	c.out.deliver()
 }

@@ -25,8 +25,11 @@ import (
 // records are applied in arrival order (ascending lanes), so tables,
 // stores and accuracy do not depend on how the stream was cut into
 // blocks; only the interleaving *between* programs within a block does,
-// which nothing observable depends on (Config.OnEvict ordering across
-// programs is unspecified, like the sharded path's cross-shard ordering).
+// which nothing observable depends on. A program's evictions leave its
+// cache once per block, as one batch that its store reconciles before
+// ProcessBlock returns; Config.OnEvict then sees the batch's lanes, so a
+// key's evictions reach it in order and nothing is promised about the
+// order across keys, programs or shards.
 
 // processBlocks applies a run of records the caller owns every target
 // of (the single-shard, unpartitioned datapath), in place.

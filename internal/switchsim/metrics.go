@@ -21,8 +21,13 @@ import (
 const pubBlocks = 256
 
 // progObs mirrors one program's cache + store counters, striped per
-// shard of its partition.
+// shard of its partition. batch is the exception: written directly, by
+// whichever shard's cache delivers a batch, once per batch — it is the
+// number that says how many backing-index misses the store could overlap
+// (lanes per batch near fold.BlockSize under eviction churn and at a
+// flush, near 1 when the cache absorbs the stream).
 type progObs struct {
+	batch     obs.Hist
 	accesses  *obs.Counter
 	hits      *obs.Counter
 	inserts   *obs.Counter
@@ -103,6 +108,11 @@ func newDpObs(d *Datapath, reg *obs.Registry, labels []string, transport []*obs.
 			reg.Gauge("perfq_store_keys",
 				"Keys resident in the backing store", pl,
 				func() float64 { return float64(keys.Value()) })
+			reg.HistVal("perfq_backing_batch_evictions",
+				"Evictions per batch handed from a cache to its backing store", pl, &c.batch)
+			for _, sh := range d.shards[p*d.per : (p+1)*d.per] {
+				sh.progs[i].batchLanes = &c.batch
+			}
 		}
 	}
 	return o

@@ -76,11 +76,13 @@ type Config struct {
 	// even for linear folds (evictions then degrade to epoch semantics) —
 	// the ablation knob for the paper's central mechanism.
 	DisableExactMerge bool
-	// OnEvict, when set, observes every eviction of every program (after
-	// the backing store has consumed it). With more than one shard
-	// callbacks may fire from concurrent workers; the datapath serializes
-	// them with an internal mutex, but their relative order across shards
-	// is unspecified.
+	// OnEvict, when set, observes every eviction of every program, once,
+	// after the backing store has consumed the batch it left the cache in.
+	// A key's evictions arrive in the order they happened; the order
+	// across keys, programs and shards is unspecified. With more than one
+	// shard batches come from concurrent workers; the datapath serializes
+	// the callbacks with an internal mutex, taken once per batch. ev is
+	// valid until the callback returns.
 	OnEvict func(prog int, ev *kvstore.Eviction)
 	// Shards is the number of parallel shards per partition; values < 2
 	// give each partition a single owner.
@@ -115,6 +117,10 @@ type progState struct {
 	// would use wider key SRAM; see DESIGN.md).
 	keyVals map[packet.Key128][]float64
 	exact   bool
+	ev      kvstore.Eviction // the observer's view of one batch lane
+	// batchLanes, when metrics are on, is the program's histogram of
+	// lanes per delivered eviction batch (see metrics.go).
+	batchLanes *obs.Hist
 }
 
 // shardState is the per-shard slice of datapath state: one store
@@ -194,16 +200,21 @@ func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, 
 			Geometry:   geo,
 			Fold:       sp.Fold,
 			ExactMerge: ps.exact,
-			OnEvict: func(ev *kvstore.Eviction) {
-				ps.store.HandleEviction(ev)
+			OnEvictBatch: func(b *kvstore.EvictBatch) {
+				ps.store.HandleBatch(b)
+				if ps.batchLanes != nil {
+					ps.batchLanes.Record(uint64(b.N))
+				}
 				if cfg.OnEvict == nil {
 					return
 				}
-				// Explicit unlock: a defer here is paid per eviction.
 				if evictMu != nil {
 					evictMu.Lock()
 				}
-				cfg.OnEvict(idx, ev)
+				for l := 0; l < b.N; l++ {
+					b.Lane(l, &ps.ev)
+					cfg.OnEvict(idx, &ps.ev)
+				}
 				if evictMu != nil {
 					evictMu.Unlock()
 				}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"perfq/internal/kvstore"
 	"perfq/internal/lang"
 	"perfq/internal/obs"
+	"perfq/internal/packet"
 	"perfq/internal/queries"
 	"perfq/internal/trace"
 	"perfq/internal/tracegen"
@@ -447,5 +449,79 @@ func TestProcessInlineStagedCount(t *testing.T) {
 		}
 		dp.EndFeed()
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestShardedEvictionObserverOrder pins Config.OnEvict's contract over
+// the batch path, on one shard and on a live 2-shard pool: the observer
+// sees every eviction exactly once and a key's evictions in the order
+// they happened — for a non-mergeable fold the states it saw for a key
+// are that key's epochs in its shard's store, oldest first — and it runs
+// after the store has consumed the batch the eviction left in (checked on
+// the one shard, where the observer may read the store). The batch
+// histogram counts one observation per batch, its sum the evictions.
+func TestShardedEvictionObserverOrder(t *testing.T) {
+	recs := testTrace(t)
+	plan := compilePlan(t, queries.ByName("TCP non-monotonic").Source)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, shards := range []int{1, 2} {
+		seen := map[packet.Key128][][]float64{}
+		n := 0
+		reg := obs.NewRegistry()
+		var dp *Datapath
+		dp, err := New(plan, Config{
+			Geometry: kvstore.SetAssociative(256, 8), Shards: shards, Metrics: reg,
+			OnEvict: func(prog int, ev *kvstore.Eviction) {
+				n++
+				seen[ev.Key] = append(seen[ev.Key], slices.Clone(ev.State))
+				if shards == 1 {
+					if got := dp.shards[0].progs[prog].store.Stats().Appends; got < uint64(n) {
+						t.Errorf("eviction %d observed when the store had consumed %d", n, got)
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dp.Run(&trace.SliceSource{Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+		stored, multi := 0, 0
+		for _, sh := range dp.shards {
+			st := sh.progs[0].store
+			for i := 0; i < st.Len(); i++ {
+				key, _, _ := st.At(i)
+				epochs := st.Epochs(key)
+				if stored += len(epochs); len(epochs) > 1 {
+					multi++
+				}
+				if len(epochs) != len(seen[key]) {
+					t.Fatalf("shards %d: key %v has %d epochs, the observer saw %d", shards, key, len(epochs), len(seen[key]))
+				}
+				for j, e := range epochs {
+					if !slices.Equal(e.State, seen[key][j]) {
+						t.Fatalf("shards %d: key %v epoch %d = %v, the observer's %d-th was %v", shards, key, j, e.State, j, seen[key][j])
+					}
+				}
+			}
+		}
+		cs := dp.Stats()[0]
+		if total := int(cs.Evictions + cs.Flushed); n != total || stored != total || multi == 0 {
+			t.Fatalf("shards %d: observer saw %d evictions, stores hold %d epochs (%d keys with several), caches report %d", shards, n, stored, multi, total)
+		}
+		var batches, lanes float64
+		for _, s := range reg.Gather(nil) {
+			switch {
+			case strings.HasPrefix(s.Name, "perfq_backing_batch_evictions_count"):
+				batches += s.Value
+			case strings.HasPrefix(s.Name, "perfq_backing_batch_evictions_sum"):
+				lanes += s.Value
+			}
+		}
+		if int(lanes) != n || batches == 0 || batches >= lanes {
+			t.Fatalf("shards %d: perfq_backing_batch_evictions counts %v batches of %v lanes in all, want %d lanes in fewer batches", shards, batches, lanes, n)
+		}
 	}
 }
