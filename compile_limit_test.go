@@ -2,11 +2,14 @@ package perfq
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"perfq/internal/lang"
+	"perfq/internal/queries"
 )
 
 // The fold VM has 16 registers and nothing runs behind it, so an
@@ -117,6 +120,86 @@ func TestCompileRejectsOverLimit(t *testing.T) {
 
 			requireRunMatchesTruth(t, site.query(site.limit), recs)
 		})
+	}
+}
+
+// ifChain is a linear fold whose body is depth ifs nested in the then arm
+// (inThen) or chained through the else arm, in Figure 1's one-line form.
+// The linearity analysis turns the body into merge coefficients that are
+// conditional expressions nested the same way.
+func ifChain(inThen bool, depth int) string {
+	var b strings.Builder
+	b.WriteString("def f(acc, (pkt_len)):\n    ")
+	for i := 0; i < depth; i++ {
+		if inThen {
+			fmt.Fprintf(&b, "if pkt_len > %d then ", 40+i)
+		} else {
+			fmt.Fprintf(&b, "if pkt_len > %d then acc = acc + %d else ", 1500-i, i+1)
+		}
+	}
+	b.WriteString("acc = acc + pkt_len\nSELECT srcip, f GROUPBY srcip\n")
+	return b.String()
+}
+
+// TestCompileConditionalRegisterRule pins what a conditional costs in
+// registers now that it lowers to both arms and a select rather than to
+// branches: the arm that needs more registers is evaluated first, into the
+// destination, so ifs nested in either arm cost no depth — chains the
+// branch lowering compiled at any depth still compile, stay linear with
+// coefficients computed per block, and match ground truth — while the
+// predicate sits two registers above the destination, and a conditional
+// that does overflow is rejected naming the stage and the coefficient.
+// Every shipped query compiles as it did.
+func TestCompileConditionalRegisterRule(t *testing.T) {
+	recs := limitTrace(t)
+	for _, depth := range []int{2, 14, 15, 40} {
+		for _, inThen := range []bool{true, false} {
+			src := ifChain(inThen, depth)
+			q, err := Compile(src)
+			if err != nil {
+				t.Fatalf("if chain (in then: %v) of depth %d: %v", inThen, depth, err)
+			}
+			if ok, why := q.plan.Programs[0].Fold.Linear.BlockEvaluable(); !q.LinearInState() || !ok {
+				t.Errorf("if chain (in then: %v) of depth %d: linear %v, per-record coefficients: %q", inThen, depth, q.LinearInState(), why)
+			}
+			requireRunMatchesTruth(t, src, recs)
+		}
+	}
+
+	// A 15-register predicate fits the fold body's branch but not the
+	// coefficient's select, two registers up.
+	_, err := Compile("def f(acc, (pkt_len, tin)):\n    if " + nest("pkt_len", "tin", 14) + " > 0 then acc = acc + 1\nSELECT srcip, f GROUPBY srcip\n")
+	for _, frag := range []string{"stage _1:", "merge coefficient B[0]:", "more than 16 registers"} {
+		if err == nil || !strings.Contains(err.Error(), frag) {
+			t.Errorf("over-deep conditional: got %v, want an error mentioning %q", err, frag)
+		}
+	}
+
+	shipped := map[string]string{}
+	for _, ex := range queries.Fig2 {
+		shipped[ex.Name] = ex.Source
+	}
+	files, _ := filepath.Glob("testdata/*.pq")
+	mains, _ := filepath.Glob("examples/*/main.go")
+	if len(files) == 0 || len(mains) == 0 {
+		t.Fatal("no testdata/*.pq or examples/*/main.go found")
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped[path] = string(src)
+	}
+	for _, path := range mains {
+		for name, src := range exampleQuerySources(t, path) {
+			shipped[path+" "+name] = src
+		}
+	}
+	for name, src := range shipped {
+		if _, err := Compile(src); err != nil {
+			t.Errorf("%s no longer compiles: %v", name, err)
+		}
 	}
 }
 

@@ -200,7 +200,7 @@ func (s *Store) HandleBatch(b *kvstore.EvictBatch) {
 			s.touchMerged(i)
 			st := s.state(i)
 			s.firstIn = fold.Input{Rec: b.First[l]}
-			fold.MergeWithFirstRecScratch(s.f, st, b.State[l], b.P[l], st, &s.firstIn, &s.mscr)
+			fold.MergeWithFirstRec(s.f, st, b.State[l], b.P[l], st, &s.firstIn, &s.mscr)
 		}
 	case s.m == 1:
 		// History-free coefficients, P covering the whole epoch:

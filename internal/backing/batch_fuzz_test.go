@@ -187,7 +187,7 @@ func runEvictBatchCase(t testing.TB, seed uint64, foldIdx, geoIdx uint8, nkeys u
 			hashes[l] = keys[l].Hash()
 			recs[l] = *randomRec(rng)
 		}
-		cache.ProcessBlock(keys, hashes, recs[:n], ^uint64(0)>>(fold.BlockSize-uint(n)))
+		cache.ProcessBlock(keys, hashes, recs[:n], ^uint64(0)>>(fold.BlockSize-uint(n)), nil)
 		switch rng.Intn(12) {
 		case 0:
 			flushed = 0

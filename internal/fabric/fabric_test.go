@@ -8,10 +8,12 @@ import (
 
 	"perfq/internal/compiler"
 	"perfq/internal/exec"
+	"perfq/internal/fold"
 	"perfq/internal/kvstore"
 	"perfq/internal/lang"
 	"perfq/internal/netsim"
 	"perfq/internal/obs"
+	"perfq/internal/queries"
 	"perfq/internal/switchsim"
 	"perfq/internal/topo"
 	"perfq/internal/trace"
@@ -158,6 +160,73 @@ func requireSameTables(t *testing.T, want, got map[string]*exec.Table) {
 				}
 			}
 		}
+	}
+}
+
+// TestFabricStageOncePerBlock: field extraction, WHERE masks and merge
+// coefficients depend on the block of records, not on the switch that
+// applies a lane of it, so the stateless stage must run exactly once per
+// routed block — on the K = 7 inline feed of one processor, where every
+// switch takes its lanes of the feeder's block, and on ring workers, where
+// each takes its own slot's — however Process and Feed interleave, and
+// with sampled lanes split off as deliveries of their own. The tables are
+// those of an untraced RunPlan either way.
+func TestFabricStageOncePerBlock(t *testing.T) {
+	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
+	recs := workload(t, tp)
+	plan := compile(t, queries.LossByQueue+"R4 = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple\n")
+	want, err := RunPlan(plan, tp, &trace.SliceSource{Records: recs}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := func(n uint64) uint64 { return (n + fold.BlockSize - 1) / fold.BlockSize }
+	for _, procs := range []int{1, 4} {
+		tr := obs.NewTracer(2, 0) // one key in four rides a span: its lane is delivered alone
+		f, err := New(plan, tp, Config{Switch: switchsim.Config{Trace: tr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var routed uint64 // blocks the inline router cuts
+		atProcs(procs, func() {
+			rest := recs
+			for _, cut := range []int{1000, 10, 333, 70, 64, 1} {
+				// A fed run, then records one at a time: they go as one
+				// more block when the next Feed or the final Sync finds
+				// them pending, or when 64 have gathered.
+				f.Feed(rest[:cut])
+				routed += blocks(uint64(cut))
+				rest = rest[cut:]
+				for i := 0; i < cut%100; i++ {
+					f.Process(&rest[i])
+				}
+				routed += blocks(uint64(cut % 100))
+				rest = rest[cut%100:]
+			}
+			f.Feed(rest)
+			routed += blocks(uint64(len(rest)))
+			f.EndFeed()
+			f.Flush()
+		})
+		wantBlocks := routed
+		if procs > 1 {
+			// A worker takes its ring's records 64 at a time, whatever
+			// blocks the feeder routed them in.
+			wantBlocks = 0
+			for _, sw := range f.Switches() {
+				wantBlocks += blocks(f.Datapath(sw).Packets())
+			}
+		}
+		if got := f.StageBlocks(); got != wantBlocks {
+			t.Errorf("procs %d: the stage prepared %d blocks, want %d (one per routed block)", procs, got, wantBlocks)
+		}
+		if tr.Begun() == 0 {
+			t.Errorf("procs %d: no lane was sampled; the split delivery went untested", procs)
+		}
+		got, err := f.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTables(t, want, got)
 	}
 }
 

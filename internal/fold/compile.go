@@ -27,8 +27,9 @@ import (
 //   - And/Or lower to both-sides evaluation: predicates are total and
 //     side-effect free, so skipping the interpreter's short circuit is
 //     unobservable.
-//   - CondExpr and If lower to real branches: only the taken arm
-//     executes, exactly like the interpreter.
+//   - CondExpr lowers to both arms and a select, for the same reason:
+//     expression codes stay straight-line, so vmblock.go can run them.
+//     If statements lower to real branches: only the taken arm executes.
 
 // compiler is the state of one lowering.
 type compiler struct {
@@ -44,7 +45,6 @@ var errTooDeep = fmt.Errorf("expression too deeply nested: it needs more than %d
 // Run mutates a state vector exactly as Program.Update does.
 func CompileProgram(p *Program) (*Code, error) {
 	c := &compiler{}
-	c.code.name = p.Name
 	c.stmts(foldStmts(p.Body))
 	return c.finish()
 }
@@ -52,7 +52,6 @@ func CompileProgram(p *Program) (*Code, error) {
 // CompileExpr lowers an expression; the result lands in register 0.
 func CompileExpr(e Expr) (*Code, error) {
 	c := &compiler{}
-	c.code.name = e.String()
 	c.expr(foldExpr(e), 0)
 	return c.finish()
 }
@@ -64,7 +63,6 @@ func CompilePred(p Pred) (*Code, error) {
 		return nil, nil
 	}
 	c := &compiler{}
-	c.code.name = p.String()
 	c.pred(foldPred(p), 0)
 	return c.finish()
 }
@@ -78,9 +76,7 @@ func (c *compiler) finish() (*Code, error) {
 	}
 	for _, op := range c.code.ops {
 		switch op.op {
-		case opJmp, opJz:
-			c.code.jumps = true
-		case opState, opCol, opStore:
+		case opState, opCol, opStore, opJmp, opJz:
 			c.code.scalar = true
 		}
 	}
@@ -211,13 +207,11 @@ func (c *compiler) expr(e Expr, dst int) {
 			c.err = fmt.Errorf("fold: cannot compile function %v", e.Fn)
 		}
 	case CondExpr:
-		c.pred(e.P, dst)
-		jz := c.emit(opJz, dst, 0, 0)
-		c.expr(e.T, dst)
-		jmp := c.emit(opJmp, 0, 0, 0)
-		c.patch(jz)
+		// Constant folding put the arm that needs more registers in E.
 		c.expr(e.E, dst)
-		c.patch(jmp)
+		c.expr(e.T, dst+1)
+		c.pred(e.P, dst+2)
+		c.emit(opSel, dst, dst+1, dst+2)
 	default:
 		c.err = fmt.Errorf("fold: cannot compile expression %T", e)
 	}

@@ -5,7 +5,8 @@ package fold
 // tree interpreter evaluates it to, so folding is exact by construction
 // and the lowering in compile.go only has to recognise Const operands.
 // One post-order pass: every node is visited once and evaluated at most
-// once, with constant children, so folding is linear in expression size.
+// once, with constant children, so folding is linear in expression size
+// (the pass also orders each CondExpr's arms for lowering: foldExprRegs).
 //
 // Together with eval.go this is the only non-test code that calls the
 // tree interpreter (`make oracle-check` holds the rest of the tree to
@@ -17,54 +18,98 @@ func isBoolConst(p Pred) bool { _, ok := p.(BoolConst); return ok }
 // foldExpr returns e with every closed subtree folded to a Const. Leaves,
 // nil and unknown nodes come back unchanged.
 func foldExpr(e Expr) Expr {
-	closed := false
-	switch n := e.(type) {
-	case Bin:
-		n.L, n.R = foldExpr(n.L), foldExpr(n.R)
-		e, closed = n, isConst(n.L) && isConst(n.R)
-	case Neg:
-		n.X = foldExpr(n.X)
-		e, closed = n, isConst(n.X)
-	case Call:
-		args := make([]Expr, len(n.Args))
-		closed = true
-		for i, a := range n.Args {
-			args[i] = foldExpr(a)
-			closed = closed && isConst(args[i])
-		}
-		n.Args = args
-		e = n
-	case CondExpr:
-		n.P, n.T, n.E = foldPred(n.P), foldExpr(n.T), foldExpr(n.E)
-		e, closed = n, isBoolConst(n.P) && isConst(n.T) && isConst(n.E)
-	}
-	if closed {
-		return Const(EvalExpr(e, nil, nil))
-	}
+	e, _ = foldExprRegs(e)
 	return e
 }
 
 // foldPred is foldExpr for predicates: closed subtrees become BoolConst.
 func foldPred(p Pred) Pred {
-	closed := false
+	p, _ = foldPredRegs(p)
+	return p
+}
+
+// foldExprRegs is foldExpr, counting on the way back up the registers
+// compile.go's lowering needs for the folded tree. The count decides a
+// CondExpr's arm order: lowering evaluates E into the destination and T
+// one above it, so the arm that needs more registers is made E (the arms
+// swapped under the negated predicate: the same expression), and ifs
+// nested in either arm cost no register depth.
+func foldExprRegs(e Expr) (Expr, int) {
+	closed, regs := false, 1
+	switch n := e.(type) {
+	case Bin:
+		var nl, nr int
+		n.L, nl = foldExprRegs(n.L)
+		n.R, nr = foldExprRegs(n.R)
+		e, closed, regs = n, isConst(n.L) && isConst(n.R), pairRegs(n.L, n.R, nl, nr)
+	case Neg:
+		n.X, regs = foldExprRegs(n.X)
+		e, closed = n, isConst(n.X)
+	case Call:
+		args := make([]Expr, len(n.Args))
+		closed = true
+		for i, a := range n.Args {
+			var na int
+			args[i], na = foldExprRegs(a)
+			closed = closed && isConst(args[i])
+			regs = max(regs, na+i)
+		}
+		n.Args = args
+		e = n
+	case CondExpr:
+		var np, nt, ne int
+		n.P, np = foldPredRegs(n.P)
+		n.T, nt = foldExprRegs(n.T)
+		n.E, ne = foldExprRegs(n.E)
+		if nt > ne {
+			n.P, n.T, n.E, nt, ne = Not{X: n.P}, n.E, n.T, ne, nt
+		}
+		e, closed = n, isBoolConst(n.P) && isConst(n.T) && isConst(n.E)
+		regs = max(ne, nt+1, np+2)
+	}
+	if closed {
+		return Const(EvalExpr(e, nil, nil)), 1
+	}
+	return e, regs
+}
+
+// pairRegs is the register need of a two-operand node: a constant operand
+// fuses into the instruction, otherwise the right one parks a register up.
+func pairRegs(l, r Expr, nl, nr int) int {
+	switch {
+	case isConst(r):
+		return nl
+	case isConst(l):
+		return nr
+	}
+	return max(nl, nr+1)
+}
+
+// foldPredRegs is foldExprRegs for predicates.
+func foldPredRegs(p Pred) (Pred, int) {
+	closed, regs := false, 1
+	var nl, nr int
 	switch n := p.(type) {
 	case Cmp:
-		n.L, n.R = foldExpr(n.L), foldExpr(n.R)
-		p, closed = n, isConst(n.L) && isConst(n.R)
+		n.L, nl = foldExprRegs(n.L)
+		n.R, nr = foldExprRegs(n.R)
+		p, closed, regs = n, isConst(n.L) && isConst(n.R), pairRegs(n.L, n.R, nl, nr)
 	case And:
-		n.L, n.R = foldPred(n.L), foldPred(n.R)
-		p, closed = n, isBoolConst(n.L) && isBoolConst(n.R)
+		n.L, nl = foldPredRegs(n.L)
+		n.R, nr = foldPredRegs(n.R)
+		p, closed, regs = n, isBoolConst(n.L) && isBoolConst(n.R), max(nl, nr+1)
 	case Or:
-		n.L, n.R = foldPred(n.L), foldPred(n.R)
-		p, closed = n, isBoolConst(n.L) && isBoolConst(n.R)
+		n.L, nl = foldPredRegs(n.L)
+		n.R, nr = foldPredRegs(n.R)
+		p, closed, regs = n, isBoolConst(n.L) && isBoolConst(n.R), max(nl, nr+1)
 	case Not:
-		n.X = foldPred(n.X)
+		n.X, regs = foldPredRegs(n.X)
 		p, closed = n, isBoolConst(n.X)
 	}
 	if closed {
-		return BoolConst(EvalPred(p, nil, nil))
+		return BoolConst(EvalPred(p, nil, nil)), 1
 	}
-	return p
+	return p, regs
 }
 
 // foldStmts folds every expression and predicate of a statement list.

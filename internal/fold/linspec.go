@@ -32,23 +32,15 @@ type LinearSpec struct {
 
 	// Compiled coefficients, filled by EnsureCompiled (which everything
 	// that evaluates the spec requires): one entry per A cell (row-major)
-	// and per B entry. A coef with code == nil is the constant val — the
-	// common case for A, which is fully constant for every built-in
-	// (EWMA's A is [1-α]) — so the per-packet EvalA of the exact-merge hot
-	// path degenerates to a copy.
+	// and per B entry. A coef with code == nil is the constant val — all
+	// of A for every built-in (EWMA's A is [1-α]).
 	aCoef []coef
 	bCoef []coef
-	// bProg evaluates the whole B vector in one bytecode run (results
-	// stored into the destination vector via the program's state slot).
-	// nil when a B entry reads state (see compileBProg).
-	bProg *Code
-	// aDiag is true when every off-diagonal A entry is the constant 0 —
-	// true for every fused builtin combination (EWMA+count, sum+count,
-	// presence counters, …), since cross-variable coupling only arises
-	// from folds that mix state variables. Diagonal A means diagonal P,
-	// so the per-packet work drops from two m×m products to m fused
-	// multiply-adds.
-	aDiag bool
+	// perRecord is BlockEvaluable's why; when "", block lists the distinct
+	// non-constant codes among A's diagonal and B with the coefficient
+	// columns each fills (column i < m is A[i][i], column m+i is B[i]).
+	perRecord string
+	block     []blockCode
 }
 
 // coef is one compiled coefficient: bytecode, or a constant when code is
@@ -56,6 +48,20 @@ type LinearSpec struct {
 type coef struct {
 	code *Code
 	val  float64
+}
+
+// eval returns the coefficient for one record.
+func (c *coef) eval(in *Input, state []float64) float64 {
+	if c.code != nil {
+		return c.code.Eval(in, state)
+	}
+	return c.val
+}
+
+// blockCode is one code EvalCoefBlock runs and the columns it fills.
+type blockCode struct {
+	code *Code
+	cols []int
 }
 
 // compileCoef lowers one coefficient expression (nil ⇒ the constant 0).
@@ -72,9 +78,9 @@ func compileCoef(e Expr) (coef, error) {
 }
 
 // EnsureCompiled lowers every coefficient expression to bytecode (or a
-// folded constant), or reports the first one that cannot be. EvalA, EvalB,
-// UpdateLinear, Scalar and FieldMask all require it to have succeeded.
-// Idempotent; call from single-threaded setup code only.
+// folded constant), or reports the first one that cannot be. Everything
+// that evaluates the spec requires it to have succeeded. Idempotent; call
+// from single-threaded setup code only.
 func (ls *LinearSpec) EnsureCompiled() error {
 	if ls.aCoef != nil {
 		return nil
@@ -98,109 +104,117 @@ func (ls *LinearSpec) EnsureCompiled() error {
 		}
 		b = append(b, c)
 	}
-	bProg, err := compileBProg(ls.B)
-	if err != nil {
-		return fmt.Errorf("B: %w", err)
-	}
-	ls.bProg = bProg
 	ls.aCoef, ls.bCoef = a, b
-	ls.aDiag = true
-	for i := 0; i < m && ls.aDiag; i++ {
+	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			if i != j && (a[i*m+j].code != nil || a[i*m+j].val != 0) {
-				ls.aDiag = false
-				break
+				ls.perRecord = "coupled state"
+				return nil
 			}
 		}
+	}
+	for c := 0; c < 2*m; c++ {
+		code := ls.diagCoef(c).code
+		if code == nil {
+			continue
+		}
+		if !code.Vectorizable() {
+			ls.perRecord, ls.block = "history fold", nil
+			return nil
+		}
+		k := 0
+		for k < len(ls.block) && !ls.block[k].code.same(code) {
+			k++
+		}
+		if k == len(ls.block) {
+			ls.block = append(ls.block, blockCode{code: code})
+		}
+		ls.block[k].cols = append(ls.block[k].cols, c)
 	}
 	return nil
 }
 
-// compileBProg fuses the B entries into one program so the per-packet
-// hot path pays one VM invocation instead of one per entry. It returns
-// nil when an entry reads state: history-referencing coefficients must
-// see the pre-update state, which only the per-entry codes provide.
-func compileBProg(b []Expr) (*Code, error) {
-	if len(b) == 0 {
-		return nil, nil
+// diagCoef returns coefficient column c: A[c][c] for c < m, else B[c-m].
+func (ls *LinearSpec) diagCoef(c int) *coef {
+	m := ls.Dim()
+	if c >= m {
+		return &ls.bCoef[c-m]
 	}
-	stmts := make([]Stmt, 0, len(b))
-	for i, e := range b {
-		if e == nil {
-			e = Const(0)
-		}
-		if ReadsState(e) {
-			return nil, nil
-		}
-		stmts = append(stmts, Assign{Dst: i, RHS: e})
-	}
-	return CompileProgram(&Program{Name: "B", NumState: len(b), Body: stmts})
+	return &ls.aCoef[c*m+c]
 }
 
-// Scalar exposes the fully-compiled 1×1 history-free form — constant A,
-// stateless B — so a caller on the per-packet path can fuse the whole
-// update (state' = a·state + b, P' = a·P) inline without going through
-// UpdateLinear. ok is false unless the spec has that shape. When bCode is
-// nil the B term is the constant bConst; otherwise evaluate bCode with a
-// nil state (B reads none).
-func (ls *LinearSpec) Scalar() (a float64, bCode *Code, bConst float64, ok bool) {
-	if !ls.aDiag || len(ls.bCoef) != 1 || ls.aCoef[0].code != nil || ls.NeedsFirstPacket {
-		return 0, nil, 0, false
+// BlockEvaluable reports whether the update is one multiply-add per state
+// word whose coefficients are functions of the record alone — §3.2's
+// form, coefficients in stateless stages ahead of the stateful ALU: A is
+// diagonal (state words, and P, stay decoupled) and no coefficient reads
+// state. When not, why names what fails: "coupled state" (an off-diagonal
+// A entry) or "history fold" (a coefficient reads the previous packet).
+func (ls *LinearSpec) BlockEvaluable() (ok bool, why string) {
+	return ls.perRecord == "", ls.perRecord
+}
+
+// NewCoefBlock returns the coefficient columns of a block-evaluable spec:
+// coefficient c of lane l is at [c*BlockSize+l]. Constant columns are
+// filled in here, once; EvalCoefBlock writes the others.
+func (ls *LinearSpec) NewCoefBlock() []float64 {
+	m := ls.Dim()
+	cols := make([]float64, 2*m*BlockSize)
+	for c := 0; c < 2*m; c++ {
+		col, v := cols[c<<blockShift:(c+1)<<blockShift], ls.diagCoef(c).val
+		for l := range col {
+			col[l] = v // 0 for the ones EvalCoefBlock writes
+		}
 	}
-	return ls.aCoef[0].val, ls.bCoef[0].code, ls.bCoef[0].val, true
+	return cols
+}
+
+// EvalCoefBlock fills the non-constant columns of cols for the first n
+// lanes of blk. A code several coefficients share — fused members repeat
+// their guard — runs once.
+func (ls *LinearSpec) EvalCoefBlock(blk *InputBlock, n int, regs *BlockRegs, cols []float64) {
+	for _, bc := range ls.block {
+		first := cols[bc.cols[0]<<blockShift:]
+		bc.code.EvalBlock(blk, n, regs, first)
+		for _, c := range bc.cols[1:] {
+			copy(cols[c<<blockShift:], first[:n])
+		}
+	}
+}
+
+// EvalCoefs is EvalCoefBlock for one record, into lane 0 of cols.
+func (ls *LinearSpec) EvalCoefs(in *Input, cols []float64) {
+	for _, bc := range ls.block {
+		v := bc.code.Eval(in, nil)
+		for _, c := range bc.cols {
+			cols[c<<blockShift] = v
+		}
+	}
 }
 
 // IsCommutative reports whether the linear update commutes across
-// arbitrary interleavings of the record stream: A is constantly the
-// identity matrix and every B entry is a pure function of the current
-// record (no history-variable references). For such folds — COUNT, SUM,
-// AVG's (sum, count) pair, presence counters — the state after any
-// interleaving of two disjoint sub-streams is S0 plus the per-sub-stream
-// deltas, so partitions of the stream by space (one store per switch)
-// merge just as exactly as partitions by time (cache epochs). EWMA fails
-// the A-identity test; history folds (TCP out-of-sequence) fail the
-// B-purity test, because "the previous packet" differs per sub-stream.
+// arbitrary interleavings of the record stream: block-evaluable with A
+// constantly the identity. For such folds — COUNT, SUM, AVG's pair,
+// presence counters — the state after any interleaving of two disjoint
+// sub-streams is S0 plus the per-sub-stream deltas, so partitions of the
+// stream by space (one store per switch) merge just as exactly as
+// partitions by time (cache epochs). EWMA fails the A-identity test;
+// history folds fail because "the previous packet" differs per sub-stream.
 func (ls *LinearSpec) IsCommutative() bool {
-	m := ls.Dim()
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			e := ls.A[i][j]
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if e == nil {
-				if want != 0 {
-					return false
-				}
-				continue
-			}
-			if k, ok := foldExpr(e).(Const); !ok || float64(k) != want {
-				return false
-			}
-		}
+	if ls.EnsureCompiled() != nil || ls.perRecord != "" {
+		return false
 	}
-	for _, e := range ls.B {
-		if ReadsState(e) {
+	for i := 0; i < ls.Dim(); i++ {
+		if a := ls.diagCoef(i); a.code != nil || a.val != 1 {
 			return false
 		}
 	}
 	return true
 }
 
-// FieldMask returns the union of raw-record fields the compiled
-// coefficients read.
-func (ls *LinearSpec) FieldMask() uint32 {
-	var mask uint32
-	for _, c := range ls.aCoef {
-		if c.code != nil {
-			mask |= c.code.FieldMask()
-		}
-	}
-	for _, c := range ls.bCoef {
-		if c.code != nil {
-			mask |= c.code.FieldMask()
-		}
+// FieldMask returns the raw-record fields EvalCoefBlock reads.
+func (ls *LinearSpec) FieldMask() (mask uint32) {
+	for _, bc := range ls.block {
+		mask |= bc.code.FieldMask()
 	}
 	return mask
 }
@@ -316,38 +330,16 @@ func findBadStateRefPred(p Pred, hist []bool) int {
 // against the pre-update state.
 func (ls *LinearSpec) EvalA(in *Input, state, dst []float64) {
 	for i := range ls.aCoef {
-		if c := &ls.aCoef[i]; c.code != nil {
-			dst[i] = c.code.Eval(in, state)
-		} else {
-			dst[i] = c.val
-		}
+		dst[i] = ls.aCoef[i].eval(in, state)
 	}
 }
 
 // EvalB fills dst (length m) with this packet's B vector, evaluated
 // against the pre-update state.
 func (ls *LinearSpec) EvalB(in *Input, state, dst []float64) {
-	if ls.bProg != nil {
-		ls.bProg.Run(dst, in)
-		return
-	}
 	for i := range ls.bCoef {
-		if c := &ls.bCoef[i]; c.code != nil {
-			dst[i] = c.code.Eval(in, state)
-		} else {
-			dst[i] = c.val
-		}
+		dst[i] = ls.bCoef[i].eval(in, state)
 	}
-}
-
-// InitP fills p (row-major m×m) with the insertion packet's A matrix,
-// evaluated against the pre-update state — the P value a cache entry
-// starts with when no coefficient references history variables. The
-// running product then covers the whole epoch including its first
-// packet, so evictions merge with MergeLinearState directly and the
-// datapath never snapshots first packets for such folds.
-func (ls *LinearSpec) InitP(p []float64, in *Input, state []float64) {
-	ls.EvalA(in, state, p)
 }
 
 // IdentityP fills p (row-major m×m) with the identity matrix — the P value
@@ -385,56 +377,15 @@ func StepP(p, a, scratch []float64, m int) {
 	copy(p[:m*m], scratch[:m*m])
 }
 
-// UpdateLinear applies one packet to (state, P) using the coefficient
-// form: state ← A·state + B and, if p is non-nil, P ← A·P. A and B are
+// UpdateLinear applies one packet to (state, P) in the general coefficient
+// form: state ← A·state + B and, if p is non-nil, P ← A·P, with A and B
 // evaluated against the pre-update state so that history-variable
-// references see the previous packet's values. aScratch and mScratch must
+// references see the previous packet's values — what a cache runs per
+// record for the specs BlockEvaluable refuses. aScratch and mScratch must
 // each have length ≥ m·m. The result must match Func.Update exactly;
 // tests enforce this.
 func (ls *LinearSpec) UpdateLinear(state, p []float64, in *Input, aScratch, mScratch []float64) {
 	m := ls.Dim()
-	if ls.aDiag && m == 1 {
-		// Scalar fast path: evaluate the two coefficients straight into
-		// registers — no scratch slices, no store ops. Same arithmetic
-		// as the general diagonal path below.
-		a, b := ls.aCoef[0].val, ls.bCoef[0].val
-		if c := ls.aCoef[0].code; c != nil {
-			a = c.Eval(in, state)
-		}
-		if c := ls.bCoef[0].code; c != nil {
-			b = c.Eval(in, state)
-		}
-		state[0] = a*state[0] + b
-		if p != nil {
-			p[0] = a * p[0]
-		}
-		return
-	}
-	if ls.aDiag {
-		// Diagonal A (every fused builtin): S and P stay decoupled per
-		// state variable, and P remains diagonal, so one fused
-		// multiply-add per variable replaces both m×m products. The
-		// off-diagonal P entries are exact zeros either way. The caller's
-		// scratch (m·m ≥ m each) holds the per-packet coefficients, so
-		// nothing is zeroed or allocated here.
-		av, bv := aScratch[:m], mScratch[:m]
-		for i := 0; i < m; i++ {
-			c := &ls.aCoef[i*m+i]
-			if c.code != nil {
-				av[i] = c.code.Eval(in, state)
-			} else {
-				av[i] = c.val
-			}
-		}
-		ls.EvalB(in, state, bv)
-		for i := 0; i < m; i++ {
-			state[i] = av[i]*state[i] + bv[i]
-			if p != nil {
-				p[i*m+i] = av[i] * p[i*m+i]
-			}
-		}
-		return
-	}
 	var ns, bs [MaxState]float64
 	ls.EvalA(in, state, aScratch)
 	ls.EvalB(in, state, bs[:m])
@@ -478,6 +429,11 @@ func MergeLinearState(dst, snew, p, old, s0 []float64, m int) {
 	}
 }
 
+// MergeScratch holds the replay buffers MergeWithFirstRec needs.
+type MergeScratch struct {
+	trueS, baseS [MaxState]float64
+}
+
 // MergeWithFirstRec reconciles an evicted value for folds whose
 // coefficients reference history variables. The datapath snapshots the
 // first packet of each cache epoch; at merge time the first update is
@@ -489,24 +445,12 @@ func MergeLinearState(dst, snew, p, old, s0 []float64, m int) {
 //
 // This reduces exactly to MergeLinearState when no coefficient references
 // history (then f(x, pkt1) − f(y, pkt1) = A1·(x−y) and P·A1 is the full
-// product). firstIn is the snapshot of the epoch's first packet.
-func MergeWithFirstRec(f *Func, dst, snew, p, old []float64, firstIn *Input) {
-	var scr MergeScratch
-	MergeWithFirstRecScratch(f, dst, snew, p, old, firstIn, &scr)
-}
-
-// MergeScratch holds the replay buffers MergeWithFirstRecScratch needs.
-// The state slices are fed through f.Update's indirect call, so
-// stack-local arrays would escape on every merge; a caller that owns a
-// MergeScratch (one per backing store) keeps the eviction path
+// product). firstIn is the snapshot of the epoch's first packet. The
+// replay buffers are the caller's: the state slices are fed through
+// f.Update's indirect call, so stack-local arrays would escape on every
+// merge, and a MergeScratch per backing store keeps the eviction path
 // allocation-free.
-type MergeScratch struct {
-	trueS, baseS [MaxState]float64
-}
-
-// MergeWithFirstRecScratch is MergeWithFirstRec with caller-owned
-// scratch, for allocation-free merging on the eviction hot path.
-func MergeWithFirstRecScratch(f *Func, dst, snew, p, old []float64, firstIn *Input, scr *MergeScratch) {
+func MergeWithFirstRec(f *Func, dst, snew, p, old []float64, firstIn *Input, scr *MergeScratch) {
 	m := f.StateLen()
 	trueS, baseS := scr.trueS[:m], scr.baseS[:m]
 	copy(trueS, old[:m])

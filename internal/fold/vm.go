@@ -1,9 +1,8 @@
 package fold
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"slices"
 
 	"perfq/internal/trace"
 )
@@ -71,19 +70,9 @@ const (
 	opLeK   // R[a] = bool01(R[b] <= K[c])
 	opGtK   // R[a] = bool01(R[b] > K[c])
 	opGeK   // R[a] = bool01(R[b] >= K[c])
-)
 
-var opNames = [...]string{
-	opConst: "const", opField: "field", opCol: "col", opState: "state",
-	opAdd: "add", opSub: "sub", opMul: "mul", opDiv: "div", opNeg: "neg",
-	opMin: "min", opMax: "max", opAbs: "abs",
-	opEq: "eq", opNe: "ne", opLt: "lt", opLe: "le", opGt: "gt", opGe: "ge",
-	opAnd: "and", opOr: "or", opNot: "not",
-	opStore: "store", opJmp: "jmp", opJz: "jz",
-	opAddK: "addk", opSubK: "subk", opMulK: "mulk", opDivK: "divk",
-	opKSub: "ksub", opKDiv: "kdiv", opSubFF: "subff",
-	opEqK: "eqk", opNeK: "nek", opLtK: "ltk", opLeK: "lek", opGtK: "gtk", opGeK: "gek",
-}
+	opSel // if R[c] != 0 { R[a] = R[b] }: a CondExpr picks its arm
+)
 
 // instr is one fixed-width instruction.
 type instr struct {
@@ -101,57 +90,21 @@ type Code struct {
 	consts []float64
 	nreg   int
 	fields uint32 // bitmask of trace.FieldIDs read via opField
-	jumps  bool   // contains opJmp/opJz (blocks the columnar fast path)
-	scalar bool   // reads state/cols or stores state (per-key, lane-varying)
-	name   string
+	scalar bool   // reads state/cols, stores state or branches: a record at a time
 }
 
-// NumRegs returns how many registers the code uses.
-func (c *Code) NumRegs() int { return c.nreg }
-
-// Len returns the instruction count.
-func (c *Code) Len() int { return len(c.ops) }
+// same reports whether two codes are the same instructions over the same
+// constants (by bit pattern), and so compute the same function.
+func (c *Code) same(o *Code) bool {
+	return slices.Equal(c.ops, o.ops) && slices.EqualFunc(c.consts, o.consts, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	})
+}
 
 // FieldMask returns a bitmask (bit i = trace.FieldID(i)) of the raw
 // record fields the code reads — the set a caller must pre-extract when
 // it supplies a dense Input.Fields vector.
 func (c *Code) FieldMask() uint32 { return c.fields }
-
-// String disassembles the code for debugging and docs.
-func (c *Code) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "code %s (%d regs)\n", c.name, c.nreg)
-	for i, op := range c.ops {
-		fmt.Fprintf(&b, "%3d  %-5s", i, opNames[op.op])
-		switch op.op {
-		case opConst:
-			fmt.Fprintf(&b, " r%d <- %v", op.a, Const(c.consts[op.b]))
-		case opField:
-			fmt.Fprintf(&b, " r%d <- %v", op.a, trace.FieldID(op.b))
-		case opCol:
-			fmt.Fprintf(&b, " r%d <- $%d", op.a, op.b)
-		case opState:
-			fmt.Fprintf(&b, " r%d <- s%d", op.a, op.b)
-		case opNeg, opAbs, opNot:
-			fmt.Fprintf(&b, " r%d <- r%d", op.a, op.b)
-		case opStore:
-			fmt.Fprintf(&b, " s%d <- r%d", op.b, op.a)
-		case opJmp:
-			fmt.Fprintf(&b, " -> %d", op.a)
-		case opJz:
-			fmt.Fprintf(&b, " r%d -> %d", op.a, op.b)
-		case opAddK, opSubK, opMulK, opDivK, opKSub, opKDiv,
-			opEqK, opNeK, opLtK, opLeK, opGtK, opGeK:
-			fmt.Fprintf(&b, " r%d <- r%d, %v", op.a, op.b, Const(c.consts[op.c]))
-		case opSubFF:
-			fmt.Fprintf(&b, " r%d <- %v - %v", op.a, trace.FieldID(op.b), trace.FieldID(op.c))
-		default:
-			fmt.Fprintf(&b, " r%d <- r%d, r%d", op.a, op.b, op.c)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
 
 // bool01 converts a predicate result to the VM's numeric boolean.
 func bool01(v bool) float64 {
@@ -262,6 +215,10 @@ func (c *Code) exec(regs *[maxRegs]float64, in *Input, state []float64) {
 			regs[op.a] = bool01(regs[op.b] > c.consts[op.c])
 		case opGeK:
 			regs[op.a] = bool01(regs[op.b] >= c.consts[op.c])
+		case opSel:
+			if regs[op.c] != 0 {
+				regs[op.a] = regs[op.b]
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"perfq/internal/packet"
 	"perfq/internal/trace"
 )
 
@@ -14,7 +15,12 @@ import (
 type irGen struct {
 	data []byte
 	pos  int
+	// stateless draws a field wherever expr would draw a state or column
+	// reference: the shape of WHEREs and history-free merge coefficients.
+	stateless bool
 }
+
+func (g *irGen) field() Expr { return FieldRef(fuzzFields[int(g.byte())%len(fuzzFields)]) }
 
 func (g *irGen) byte() byte {
 	if g.pos >= len(g.data) {
@@ -44,23 +50,29 @@ const fuzzCols = 4
 
 func (g *irGen) expr(depth int) Expr {
 	if depth <= 0 {
-		switch g.byte() % 4 {
-		case 0:
+		switch k := g.byte() % 4; {
+		case k == 0:
 			return Const(g.float())
-		case 1:
-			return FieldRef(fuzzFields[int(g.byte())%len(fuzzFields)])
-		case 2:
+		case k == 1 || g.stateless:
+			return g.field()
+		case k == 2:
 			return ColRef(int(g.byte()) % fuzzCols)
 		default:
 			return StateRef(int(g.byte()) % fuzzStates)
 		}
 	}
-	switch g.byte() % 8 {
+	switch k := g.byte() % 8; k {
 	case 0:
 		return Const(g.float())
 	case 1:
-		return FieldRef(fuzzFields[int(g.byte())%len(fuzzFields)])
-	case 2:
+		return g.field()
+	case 2, 7:
+		if g.stateless {
+			return g.field()
+		}
+		if k == 7 {
+			return ColRef(int(g.byte()) % fuzzCols)
+		}
 		return StateRef(int(g.byte()) % fuzzStates)
 	case 3:
 		return Bin{Op: Op(g.byte() % 4), L: g.expr(depth - 1), R: g.expr(depth - 1)}
@@ -75,10 +87,8 @@ func (g *irGen) expr(depth int) Expr {
 			fn = FnMax
 		}
 		return Call{Fn: fn, Args: []Expr{g.expr(depth - 1), g.expr(depth - 1)}}
-	case 6:
-		return CondExpr{P: g.pred(depth - 1), T: g.expr(depth - 1), E: g.expr(depth - 1)}
 	default:
-		return ColRef(int(g.byte()) % fuzzCols)
+		return CondExpr{P: g.pred(depth - 1), T: g.expr(depth - 1), E: g.expr(depth - 1)}
 	}
 }
 
@@ -117,7 +127,9 @@ func (g *irGen) stmts(depth, n int) []Stmt {
 }
 
 // FuzzFoldVM holds the bytecode VM to bit-identical agreement with the
-// reference tree interpreter on randomly generated programs and inputs.
+// reference tree interpreter on randomly generated programs and inputs,
+// and the block loop to both on a generated stateless expression over a
+// block of records.
 func FuzzFoldVM(f *testing.F) {
 	f.Add([]byte{}, int64(0), int64(0), uint32(0), 0.0, 0.0)
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(10), int64(25), uint32(1500), 1.5, -2.5)
@@ -169,6 +181,52 @@ func FuzzFoldVM(f *testing.F) {
 		for i := range sd {
 			if math.Float64bits(sd[i]) != math.Float64bits(sv[i]) {
 				t.Fatalf("dense state[%d]: %x vs %x", i, math.Float64bits(sd[i]), math.Float64bits(sv[i]))
+			}
+		}
+
+		// A stateless expression must also run a block at a time, every
+		// lane bit-identical to the scalar loop and to the interpreter:
+		// constants carry NaN, ±0 and ±Inf, zeroed fields make x/0 lanes.
+		g.stateless = true
+		e := g.expr(3)
+		ecode, err := CompileExpr(e)
+		if err != nil {
+			return
+		}
+		if !ecode.Vectorizable() {
+			t.Fatalf("stateless expression %v compiled to a code the block loop cannot run:\n%v", e, ecode)
+		}
+		recs := make([]trace.Record, BlockSize)
+		x := uint64(tin) ^ uint64(tout)<<1 ^ uint64(pktLen)<<2
+		next := func() uint64 { // splitmix64
+			x += 0x9e3779b97f4a7c15
+			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			return z ^ z>>31
+		}
+		for l := range recs {
+			r := &recs[l]
+			r.Tin, r.Tout = int64(next()>>20), int64(next()>>20)
+			r.PktLen, r.TCPSeq, r.PayloadLen = uint32(next()), uint32(next()), uint32(next()>>48)
+			r.Proto = packet.Proto(next())
+			switch next() % 4 { // lanes with zero and sentinel fields
+			case 0:
+				*r = trace.Record{Tin: r.Tin}
+			case 1:
+				r.Tout = trace.Infinity
+			}
+		}
+		recs[0] = rec
+		var blk InputBlock
+		var regs BlockRegs
+		var out [BlockSize]float64
+		ecode.EvalBlock(&blk, fillBlock(&blk, recs), &regs, out[:])
+		for l := range recs {
+			lin := Input{Rec: &recs[l]}
+			scalar, interp := ecode.Eval(&lin, nil), EvalExpr(e, &lin, nil)
+			if !eqBits(out[l], scalar) || !eqBits(scalar, interp) {
+				t.Fatalf("lane %d: block=%x scalar=%x interp=%x\nexpression: %v\ncode:\n%v",
+					l, math.Float64bits(out[l]), math.Float64bits(scalar), math.Float64bits(interp), e, ecode)
 			}
 		}
 	})

@@ -10,12 +10,12 @@ import (
 // vm.go pays one dispatch switch per instruction per record; over a
 // block of records the same instruction can run across every lane
 // before the next dispatch, amortizing the switch and the bounds checks
-// to 1/BlockSize per record. The datapath uses this for WHERE
-// predicates, which are stateless and (by construction — see compile.go)
-// jump-free: And/Or/Cmp/Not lower to straight-line arithmetic over 0/1
-// values. Codes that contain jumps (CondExpr/If) or read per-key state
-// — fold bodies, merge coefficients, collector stages — run on the
-// scalar loop only.
+// to 1/BlockSize per record. The datapath's stateless stage runs on this:
+// WHERE predicates and history-free merge coefficients are functions of
+// the record alone, and every expression and predicate lowers to
+// straight-line code (see compile.go). Codes that branch or touch per-key
+// state — fold bodies, history coefficients, collector stages — run on
+// the scalar loop only.
 
 // BlockSize is the columnar batch width: 64 lanes, so a predicate's
 // result block packs into a single uint64 mask.
@@ -43,10 +43,17 @@ type BlockRegs [maxRegs][BlockSize]float64
 
 // Vectorizable reports whether the code can run a block at a time: no
 // jumps (straight-line) and no per-key reads (state, derived-row
-// columns, state stores). Every WHERE over the raw table compiles to such
-// a code — the language has no conditional expression and no state there
-// — and the datapath checks it once at setup, not per block.
-func (c *Code) Vectorizable() bool { return !c.jumps && !c.scalar }
+// columns, state stores). Every WHERE over the raw table and every
+// history-free merge coefficient compiles to such a code; callers check
+// once at setup, not per block.
+func (c *Code) Vectorizable() bool { return !c.scalar }
+
+// EvalBlock evaluates a compiled (Vectorizable) expression over the first
+// n lanes of blk into dst, bit-identical to Eval per record.
+func (c *Code) EvalBlock(blk *InputBlock, n int, regs *BlockRegs, dst []float64) {
+	c.execBlock(blk, n, regs)
+	copy(dst[:n], regs[0][:n])
+}
 
 // EvalBoolBlock evaluates a compiled predicate over the first n lanes of
 // blk and returns the results as a bitmask (bit l = lane l matched),
@@ -239,6 +246,13 @@ func (c *Code) execBlock(blk *InputBlock, n int, regs *BlockRegs) {
 			rb, k := &regs[op.b], c.consts[op.c]
 			for l := 0; l < n; l++ {
 				ra[l] = bool01(rb[l] >= k)
+			}
+		case opSel:
+			rb, rc := &regs[op.b], &regs[op.c]
+			for l := 0; l < n; l++ {
+				if rc[l] != 0 {
+					ra[l] = rb[l]
+				}
 			}
 		}
 	}

@@ -16,8 +16,8 @@ func fillBlock(blk *InputBlock, recs []trace.Record) int {
 	return len(recs)
 }
 
-// blockExprs covers both sides of Vectorizable: straight-line codes (the
-// vector loop) and a CondExpr (jumps → scalar loop only).
+// blockExprs are stateless expressions, the conditional one included:
+// every one of them lowers to straight-line code the vector loop runs.
 func blockExprs() []Expr {
 	lat := Bin{Op: OpSub, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)}
 	return []Expr{
@@ -51,8 +51,10 @@ func blockPreds() []Pred {
 
 // TestEvalBlockMatchesScalar holds the vector loop to bit-identical
 // agreement with the scalar Eval path over every lane, for every
-// vectorizable code; the jumpy one must be reported as not vectorizable,
-// which is what keeps it off the vector loop (switchsim checks at setup).
+// stateless expression and predicate; a CondExpr is one of them (both
+// arms, then a select), and only a code that reads per-key state must be
+// reported as not vectorizable, which is what keeps it off the vector
+// loop (switchsim and LinearSpec check at setup).
 func TestEvalBlockMatchesScalar(t *testing.T) {
 	recs := sampleRecords()
 	// Pad past one lane-loop unroll boundary with varied records.
@@ -62,34 +64,33 @@ func TestEvalBlockMatchesScalar(t *testing.T) {
 	var blk InputBlock
 	n := fillBlock(&blk, recs)
 	var regs BlockRegs
+	var out [BlockSize]float64
 
-	sawVec, sawJumps := false, false
+	sawCond := false
 	for _, e := range blockExprs() {
 		code, err := CompileExpr(e)
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
 		if _, cond := e.(CondExpr); cond {
-			sawJumps = true
-			if code.Vectorizable() {
-				t.Errorf("%v: a code with jumps must not be vectorizable", e)
-			}
-			continue
+			sawCond = true
 		}
 		if !code.Vectorizable() {
-			t.Fatalf("%v: straight-line field-only code should be vectorizable", e)
+			t.Fatalf("%v: stateless code should be vectorizable", e)
 		}
-		sawVec = true
-		code.execBlock(&blk, n, &regs)
+		code.EvalBlock(&blk, n, &regs, out[:])
 		for l := 0; l < n; l++ {
 			in := Input{Rec: &recs[l]}
-			if got, want := regs[0][l], code.Eval(&in, nil); !eqBits(got, want) {
+			if got, want := out[l], code.Eval(&in, nil); !eqBits(got, want) {
 				t.Errorf("%v: lane %d: block=%v scalar=%v", e, l, got, want)
 			}
 		}
 	}
-	if !sawVec || !sawJumps {
-		t.Fatalf("expression set must cover both sides: vector=%v jumps=%v", sawVec, sawJumps)
+	if !sawCond {
+		t.Fatal("expression set must include a conditional")
+	}
+	if code, err := CompileExpr(Bin{Op: OpAdd, L: StateRef(0), R: Const(1)}); err != nil || code.Vectorizable() {
+		t.Errorf("a code that reads state must not be vectorizable (err %v)", err)
 	}
 
 	for _, p := range blockPreds() {

@@ -13,20 +13,14 @@ import (
 // O(1) regardless of capacity. The paper notes a full LRU is impractical
 // in silicon; it is simulated here as Figure 5's lower bound.
 type fullLRU struct {
-	cfg       Config
-	geom      Geometry
-	cap       int
-	m         int
-	exact     bool
-	needFirst bool // exact merge with history coefficients: snapshot pkt 1
+	rowOps
+	geom Geometry
 
 	index map[packet.Key128]int32 // key -> slot
 
 	keys []packet.Key128
-	// rows holds one row per slot: the state vector, then the running
-	// product under exact merge — the layout an eviction leaves in.
-	rows  []float64
-	first []trace.Record
+	// rows holds one row per slot (see rowOps).
+	rows []float64
 
 	// Intrusive list over slots. head = MRU, tail = LRU, -1 = none.
 	next []int32
@@ -36,10 +30,7 @@ type fullLRU struct {
 
 	free []int32 // free slot stack
 
-	stats    Stats
-	aScratch []float64
-	mScratch []float64
-	blockIn  fold.Input // reused ProcessBlock input (a local would escape per call)
+	stats Stats
 
 	// Sampled tracing (see setAssoc). The map-indexed LRU computes no
 	// hash of its own, so sampled-access checks hash on demand — gated
@@ -54,13 +45,8 @@ type fullLRU struct {
 
 func newFullLRU(cfg Config) *fullLRU {
 	capacity := cfg.Geometry.Ways
-	m := cfg.Fold.StateLen()
 	c := &fullLRU{
-		cfg:    cfg,
 		geom:   cfg.Geometry,
-		cap:    capacity,
-		m:      m,
-		exact:  cfg.ExactMerge,
 		index:  make(map[packet.Key128]int32, capacity),
 		keys:   make([]packet.Key128, capacity),
 		next:   make([]int32, capacity),
@@ -76,16 +62,9 @@ func newFullLRU(cfg Config) *fullLRU {
 	for i := capacity - 1; i >= 0; i-- {
 		c.free = append(c.free, int32(i))
 	}
-	c.out.init(&cfg, m)
-	c.rows = make([]float64, capacity*c.out.w)
-	if cfg.ExactMerge {
-		c.needFirst = cfg.Fold.Linear.NeedsFirstPacket
-		if c.needFirst {
-			c.first = make([]trace.Record, capacity)
-		}
-		c.aScratch = make([]float64, m*m)
-		c.mScratch = make([]float64, m*m)
-	}
+	c.rowOps.init(&cfg, capacity)
+	c.out.init(&cfg, &c.rowOps)
+	c.rows = make([]float64, capacity*c.w)
 	return c
 }
 
@@ -93,14 +72,9 @@ func (c *fullLRU) Geometry() Geometry { return c.geom }
 func (c *fullLRU) Len() int           { return len(c.index) }
 func (c *fullLRU) Stats() Stats       { return c.stats }
 
-func (c *fullLRU) slotState(slot int32) []float64 {
-	off := int(slot) * c.out.w
-	return c.rows[off : off+c.m]
-}
-
-func (c *fullLRU) slotProd(slot int32) []float64 {
-	off := int(slot) * c.out.w
-	return c.rows[off+c.m : off+c.out.w]
+func (c *fullLRU) row(slot int32) []float64 {
+	off := int(slot) * c.w
+	return c.rows[off : off+c.w]
 }
 
 // unlink removes slot from the recency list.
@@ -137,23 +111,19 @@ func (c *fullLRU) Process(key packet.Key128, in *fold.Input) bool {
 	if c.trMask != obs.NoSample {
 		h = key.Hash()
 	}
-	inserted := c.process(key, h, in)
+	inserted := c.process(key, h, in, nil)
 	c.out.deliver()
 	return inserted
 }
 
-// process is Process with the key's hash supplied by the caller; the map
-// index hashes for itself, so h only drives the sampling test.
-func (c *fullLRU) process(key packet.Key128, h uint64, in *fold.Input) bool {
+// process is Process with the key's hash and the record's coefficients
+// (see rowOps.update) supplied by the caller; the map index hashes for
+// itself, so h only drives the sampling test.
+func (c *fullLRU) process(key packet.Key128, h uint64, in *fold.Input, coefs []float64) bool {
 	c.stats.Accesses++
 	if slot, ok := c.index[key]; ok {
 		c.stats.Hits++
-		st := c.slotState(slot)
-		if c.exact {
-			c.cfg.Fold.Linear.UpdateLinear(st, c.slotProd(slot), in, c.aScratch, c.mScratch)
-		} else {
-			c.cfg.Fold.Update(st, in)
-		}
+		c.update(c.row(slot), in, coefs)
 		if c.head != slot {
 			c.unlink(slot)
 			c.pushFront(slot)
@@ -178,17 +148,7 @@ func (c *fullLRU) process(key packet.Key128, h uint64, in *fold.Input) bool {
 
 	c.keys[slot] = key
 	c.index[key] = slot
-	st := c.slotState(slot)
-	c.cfg.Fold.Init(st)
-	if c.exact {
-		if c.needFirst {
-			fold.IdentityP(c.slotProd(slot), c.m)
-			c.first[slot] = *in.Rec
-		} else {
-			c.cfg.Fold.Linear.InitP(c.slotProd(slot), in, st)
-		}
-	}
-	c.cfg.Fold.Update(st, in)
+	c.insert(c.row(slot), int(slot), in, coefs)
 	c.pushFront(slot)
 	c.stats.Inserts++
 	if c.trMask != obs.NoSample && h&c.trMask == 0 {
@@ -198,13 +158,17 @@ func (c *fullLRU) process(key packet.Key128, h uint64, in *fold.Input) bool {
 }
 
 // ProcessBlock implements Cache: one dispatch for a block of packets.
-func (c *fullLRU) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64) uint64 {
+func (c *fullLRU) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64, coefs []float64) uint64 {
 	var inserted uint64
-	in := &c.blockIn
+	in := &c.in
 	for m := mask; m != 0; m &= m - 1 {
 		l := tz64(m)
 		in.Rec = &recs[l]
-		if c.process(keys[l], hashes[l], in) {
+		var lane []float64
+		if coefs != nil {
+			lane = coefs[l:]
+		}
+		if c.process(keys[l], hashes[l], in, lane) {
 			inserted |= 1 << l
 		}
 	}
@@ -217,13 +181,8 @@ func (c *fullLRU) evict(slot int32, reason EvictReason) {
 	if !c.out.on {
 		return
 	}
-	var first *trace.Record
-	if c.needFirst {
-		first = &c.first[slot]
-	}
 	lo, hi := c.keys[slot].Words()
-	off := int(slot) * c.out.w
-	c.out.add(lo, hi, c.rows[off:off+c.out.w], first, reason)
+	c.out.add(lo, hi, c.row(slot), c.firstRec(int(slot)), reason)
 }
 
 // Flush implements Cache: drains entries MRU-first.

@@ -7,8 +7,9 @@
 //
 // Each cache entry holds the fold's state vector and, when exact merging
 // is enabled for a linear-in-state fold, the running coefficient product P
-// and a snapshot of the entry's first packet, which together let the
-// backing store reconcile evictions exactly (see fold.MergeWithFirstRec).
+// (see rowOps) and, for history folds, a snapshot of the entry's first
+// packet, which together let the backing store reconcile evictions exactly
+// (see fold.MergeWithFirstRec).
 //
 // The cache performs one initialize-or-update per Process call, mirroring
 // the single state operation per clock cycle the hardware supports.
@@ -247,13 +248,17 @@ type Cache interface {
 	// ProcessBlock applies one packet per set bit of mask in ascending
 	// lane order: lane l probes with keys[l], whose Hash() the caller
 	// has already computed into hashes[l], and record recs[l] (mask has
-	// no bit at or past len(recs), at most fold.BlockSize). It returns
-	// the lanes that initialized fresh entries, as a mask. The per-lane
-	// behavior (probe order, LRU discipline, eviction order) is exactly
-	// Process's — this exists so the datapath's columnar hot loop pays
-	// one interface dispatch per block instead of per packet, and so a
-	// key hashed once by the shard router is not hashed again here.
-	ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64) (inserted uint64)
+	// no bit at or past len(recs), at most fold.BlockSize). coefs, when
+	// non-nil, holds the columns the fold's LinearSpec.EvalCoefBlock filled
+	// from these records: a hit is then one multiply-add per state word
+	// over lane l of each column, no VM call (nil: the cache evaluates them
+	// per lane; a cache not on the diagonal row, see rowOps, ignores them).
+	// It returns the lanes that initialized fresh entries, as a mask. The
+	// per-lane behavior (probe order, LRU discipline, eviction order, every
+	// bit of state) is exactly Process's — this exists so the datapath's
+	// columnar hot loop pays one interface dispatch per block, and neither
+	// hashes a key nor computes a coefficient that was computed upstream.
+	ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64, coefs []float64) (inserted uint64)
 	// Flush evicts every resident entry (Reason = EvictFlush) in
 	// deterministic order and empties the cache. The entries leave in
 	// batches of up to fold.BlockSize, each a view of slot memory, the
@@ -289,6 +294,109 @@ func traceCacheHop(tr *obs.Tracer, slot *obs.SpanSlot, w int, key packet.Key128,
 	tr.Begin(w, key, obs.HopCache, out)
 }
 
+// rowOps is what both layouts do to a slot's row given a record: the one
+// update and the one insert. A row is the state vector and, under exact
+// merge, the running product P behind it. For a block-evaluable fold
+// (fold.LinearSpec.BlockEvaluable) P stays diagonal, so the row keeps its
+// m diagonal words and an update is state[i] = a[i]·state[i] + b[i],
+// P[i][i] = a[i]·P[i][i] over coefficients computed ahead of the cache;
+// evictOut expands P to m×m. History folds and coupled state keep m×m
+// and run fold.LinearSpec.UpdateLinear per record.
+type rowOps struct {
+	fold *fold.Func
+	lin  *fold.LinearSpec // non-nil iff exact merge
+	m    int              // state vector length
+	w    int              // row words: m, 2m (diag) or m+m²
+	diag bool             // exact merge over a block-evaluable fold
+
+	first              []trace.Record // per slot's first packet, when coefficients read history
+	coefs              []float64      // diag: the block update fills lane 0 of, given no columns
+	aScratch, mScratch []float64
+	in                 fold.Input // ProcessBlock's reused input (a local would escape per call)
+}
+
+func (r *rowOps) init(cfg *Config, slots int) {
+	m := cfg.Fold.StateLen()
+	r.fold, r.m, r.w = cfg.Fold, m, m
+	if !cfg.ExactMerge {
+		return
+	}
+	r.lin = cfg.Fold.Linear
+	if r.lin.NeedsFirstPacket {
+		r.first = make([]trace.Record, slots)
+	}
+	if r.diag, _ = r.lin.BlockEvaluable(); r.diag {
+		r.w, r.coefs = 2*m, r.lin.NewCoefBlock()
+		return
+	}
+	r.w = m + m*m
+	r.aScratch, r.mScratch = make([]float64, m*m), make([]float64, m*m)
+}
+
+// SlotWords returns the 64-bit words of one cache entry: key and row.
+func SlotWords(f *fold.Func, exactMerge bool) int {
+	var r rowOps
+	r.init(&Config{Fold: f, ExactMerge: exactMerge}, 0)
+	return 2 + r.w
+}
+
+// update applies one record to a resident entry's row. coefs is the
+// record's lane of the caller's coefficient columns (coefficient c at
+// [c*fold.BlockSize]), or nil: a diag cache evaluates them here.
+func (r *rowOps) update(row []float64, in *fold.Input, coefs []float64) {
+	m := r.m
+	switch {
+	case r.diag:
+		if coefs == nil {
+			r.lin.EvalCoefs(in, r.coefs)
+			coefs = r.coefs
+		}
+		for i := 0; i < m; i++ {
+			a := coefs[i*fold.BlockSize]
+			row[i] = a*row[i] + coefs[(m+i)*fold.BlockSize]
+			row[m+i] = a * row[m+i]
+		}
+	case r.lin != nil:
+		r.lin.UpdateLinear(row[:m], row[m:], in, r.aScratch, r.mScratch)
+	default:
+		r.fold.Update(row[:m], in)
+	}
+}
+
+// firstRec returns slot's first-packet snapshot; nil when none is kept.
+func (r *rowOps) firstRec(slot int) *trace.Record {
+	if r.first == nil {
+		return nil
+	}
+	return &r.first[slot]
+}
+
+// insert initializes slot's row for a new key and applies its first record.
+func (r *rowOps) insert(row []float64, slot int, in *fold.Input, coefs []float64) {
+	m := r.m
+	st := row[:m]
+	r.fold.Init(st)
+	switch {
+	case r.diag:
+		// The first record is an update like any other, from S0 and the
+		// identity: P covers the whole epoch and merges by MergeLinearState.
+		for i := 0; i < m; i++ {
+			row[m+i] = 1
+		}
+		r.update(row, in, coefs)
+		return
+	case r.first != nil:
+		// P starts at identity and excludes the first packet, which is
+		// snapshotted instead (fold.MergeWithFirstRec replays it).
+		fold.IdentityP(row[m:], m)
+		r.first[slot] = *in.Rec
+	case r.lin != nil:
+		// Coupled, history-free: as diag, with the full matrix.
+		r.lin.EvalA(in, st, row[m:])
+	}
+	r.fold.Update(st, in)
+}
+
 // evictOut is a cache's one way out: evictions are appended to its batch
 // as they happen and the batch is handed to the sink when it fills and
 // before the call that caused them returns.
@@ -300,24 +408,28 @@ type evictOut struct {
 	on bool
 	// A capacity eviction's slot is reused by the insert that displaced
 	// it, so its lane points at a copy: row l of held (state, then
-	// product) and heldFirst[l].
+	// product) and heldFirst[l]. So does every lane of a diagonal-P cache
+	// with m > 1 (diagP): held is where P is expanded to m×m, its
+	// off-diagonal words zero since allocation.
 	held      []float64
 	heldFirst []trace.Record
 	m, w      int // state length; held row width
+	diagP     bool
 
 	tr     *obs.Tracer
 	trMask uint64
 	trW    int
 }
 
-func (o *evictOut) init(cfg *Config, m int) {
+func (o *evictOut) init(cfg *Config, r *rowOps) {
 	o.sink = cfg.OnEvictBatch
 	o.tr, o.trMask, o.trW = cfg.Trace, cfg.Trace.HashMask(), cfg.TraceWriter
 	o.on = o.sink != nil || o.trMask != obs.NoSample
-	o.m, o.w = m, m
+	o.m, o.w = r.m, r.m
 	if cfg.ExactMerge {
-		o.w += m * m
-		if cfg.Fold.Linear.NeedsFirstPacket {
+		o.w += r.m * r.m
+		o.diagP = r.w != o.w
+		if r.first != nil {
 			o.heldFirst = make([]trace.Record, fold.BlockSize)
 		}
 	}
@@ -327,12 +439,20 @@ func (o *evictOut) init(cfg *Config, m int) {
 // add appends one eviction: key (as its two words), the slot's row —
 // state, then the product under exact merge — and its first-record
 // snapshot, if the cache keeps one. A capacity eviction's row and snapshot
-// are copied; a flush's are handed over as they lie.
+// are copied; a flush's are handed over as they lie, unless the product
+// has to be expanded.
 func (o *evictOut) add(lo, hi uint64, row []float64, first *trace.Record, reason EvictReason) {
 	b := &o.batch
 	l := b.N
 	b.Keys[l].SetWords(lo, hi)
-	if reason == EvictCapacity {
+	if o.diagP {
+		held := o.held[l*o.w : (l+1)*o.w]
+		copy(held, row[:o.m])
+		for i := 0; i < o.m; i++ {
+			held[o.m+i*o.m+i] = row[o.m+i]
+		}
+		row = held
+	} else if reason == EvictCapacity {
 		held := o.held[l*o.w : (l+1)*o.w]
 		copy(held, row)
 		row = held

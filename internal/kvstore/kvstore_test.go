@@ -374,39 +374,176 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// planFold compiles a query and returns its first store's (fused) fold.
+func planFold(t *testing.T, src string) *fold.Func {
+	t.Helper()
+	chk, err := lang.Check(lang.MustParse(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := compiler.Compile(chk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Programs[0].Fold
+}
+
+// coupledFold is a hand-built linear fold whose A is not diagonal:
+// a' = a + b, b' = b + pkt_len.
+func coupledFold() *fold.Func {
+	pktLen := fold.FieldRef(trace.FieldPktLen)
+	return &fold.Func{
+		Prog: &fold.Program{Name: "coupled", NumState: 2, StateNames: []string{"a", "b"}, Body: []fold.Stmt{
+			fold.Assign{Dst: 0, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(0), R: fold.StateRef(1)}},
+			fold.Assign{Dst: 1, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(1), R: pktLen}},
+		}},
+		Merge: fold.MergeLinear,
+		Linear: &fold.LinearSpec{
+			A: [][]fold.Expr{{fold.Const(1), fold.Const(1)}, {nil, fold.Const(1)}},
+			B: []fold.Expr{nil, pktLen},
+		},
+	}
+}
+
+// coefColumns evaluates ls's coefficient columns for a block of records
+// the way the datapath's stateless stage does.
+func coefColumns(ls *fold.LinearSpec, cols []float64, recs []trace.Record, blk *fold.InputBlock, regs *fold.BlockRegs) {
+	for _, f := range fold.FieldIDs(ls.FieldMask()) {
+		lane := blk.Lane(f)
+		for l := range recs {
+			lane[l] = float64(recs[l].Field(f))
+		}
+	}
+	ls.EvalCoefBlock(blk, len(recs), regs, cols)
+}
+
 // TestProcessBlockMatchesProcess: a block probed through ProcessBlock —
-// keys and the caller's hash column under a sparse lane mask — leaves
-// every layout (word-packed 8-way, byte-array 16-way, full LRU) exactly
-// where Process leaves it lane by lane: same inserted lanes, same event
-// counters, same evictions in the same order.
+// keys and the caller's hash column under a full, sparse or single-lane
+// mask, with the fold's coefficient columns or with none — leaves every
+// layout (word-packed 8-way, byte-array 16-way, full LRU) exactly where
+// Process leaves it lane by lane: same inserted lanes, same event
+// counters, and the same evictions in the same order with bit-identical
+// state, m×m product and first record. The folds cover every row shape:
+// no exact merge, m = 1, m = 2 and a fused guarded m = 4 store on the
+// diagonal-P row, and a history fold and coupled state on the m×m row.
 func TestProcessBlockMatchesProcess(t *testing.T) {
-	for _, g := range []Geometry{SetAssociative(64, 8), SetAssociative(64, 16), FullyAssociative(48)} {
-		var evA, evB []packet.Key128
-		a := mustNew(t, Config{Geometry: g, Fold: fold.Count(), OnEvict: func(ev *Eviction) { evA = append(evA, ev.Key) }})
-		b := mustNew(t, Config{Geometry: g, Fold: fold.Count(), OnEvict: func(ev *Eviction) { evB = append(evB, ev.Key) }})
-		rng := rand.New(rand.NewSource(19))
-		keys, hashes := make([]packet.Key128, fold.BlockSize), make([]uint64, fold.BlockSize)
-		recs := make([]trace.Record, fold.BlockSize)
-		for blk := 0; blk < 200; blk++ {
-			n := 1 + rng.Intn(fold.BlockSize)
-			mask := rng.Uint64() & (^uint64(0) >> (fold.BlockSize - uint(n)))
-			var want uint64
-			for l := 0; l < n; l++ {
-				keys[l] = keyN(rng.Intn(200))
-				hashes[l] = keys[l].Hash()
-				recs[l] = trace.Record{PktLen: uint32(blk)}
-				if mask&(1<<uint(l)) != 0 && a.Process(keys[l], &fold.Input{Rec: &recs[l]}) {
-					want |= 1 << uint(l)
+	lat := fold.Bin{Op: fold.OpSub, L: fold.FieldRef(trace.FieldTout), R: fold.FieldRef(trace.FieldTin)}
+	folds := []struct {
+		name         string
+		f            *fold.Func
+		exact, block bool
+		slot         int // words per entry
+	}{
+		{"count, no merge", fold.Count(), false, false, 3},
+		{"ewma", fold.Ewma(lat, 0.125), true, true, 4},
+		{"count+sum", planFold(t, "SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple\n"), true, true, 6},
+		{"loss by queue", planFold(t, queries.LossByQueue), true, true, 10},
+		{"out of sequence", planFold(t, queries.ByName("TCP out of sequence").Source), true, false, 8},
+		{"coupled", coupledFold(), true, false, 8},
+	}
+	type evicted struct {
+		key    packet.Key128
+		row    string // State and P, as bits
+		first  trace.Record
+		reason EvictReason
+	}
+	for _, tc := range folds {
+		for _, g := range []Geometry{SetAssociative(64, 8), SetAssociative(64, 16), FullyAssociative(48)} {
+			var evs [3][]evicted
+			var caches [3]Cache // Process; ProcessBlock with columns; ProcessBlock without
+			for i := range caches {
+				log := &evs[i]
+				caches[i] = mustNew(t, Config{Geometry: g, Fold: tc.f, ExactMerge: tc.exact, OnEvictBatch: func(b *EvictBatch) {
+					for l := 0; l < b.N; l++ {
+						ev := evicted{key: b.Keys[l], reason: b.Reason, row: fmt.Sprintf("%x %x", b.State[l], b.P[l])}
+						if m := tc.f.StateLen(); tc.exact && len(b.P[l]) != m*m {
+							t.Fatalf("%s %v: eviction carries a %d-word product, want %d", tc.name, g, len(b.P[l]), m*m)
+						}
+						if b.First[l] != nil {
+							ev.first = *b.First[l]
+						}
+						*log = append(*log, ev)
+					}
+				}})
+			}
+			if got := SlotWords(tc.f, tc.exact); got != tc.slot {
+				t.Errorf("%s: slot is %d words, want %d", tc.name, got, tc.slot)
+			}
+			var cols []float64
+			if ok, _ := tc.f.Linear.BlockEvaluable(); tc.exact && ok != tc.block {
+				t.Fatalf("%s: block-evaluable = %v, want %v", tc.name, ok, tc.block)
+			} else if tc.block {
+				cols = tc.f.Linear.NewCoefBlock()
+			}
+			var blk fold.InputBlock
+			var regs fold.BlockRegs
+			rng := rand.New(rand.NewSource(19))
+			keys, hashes := make([]packet.Key128, fold.BlockSize), make([]uint64, fold.BlockSize)
+			recs := make([]trace.Record, fold.BlockSize)
+			for b := 0; b < 200; b++ {
+				n := 1 + rng.Intn(fold.BlockSize)
+				mask := ^uint64(0) >> (fold.BlockSize - uint(n))
+				switch b % 3 {
+				case 1:
+					mask &= rng.Uint64()
+				case 2:
+					mask = 1 << uint(rng.Intn(n))
+				}
+				var want uint64
+				for l := 0; l < n; l++ {
+					keys[l] = keyN(rng.Intn(200))
+					hashes[l] = keys[l].Hash()
+					recs[l] = trace.Record{PktLen: uint32(rng.Intn(1500)), TCPSeq: uint32(rng.Intn(50)), PayloadLen: uint32(rng.Intn(3)),
+						Tin: int64(b), Tout: int64(b + rng.Intn(100))}
+					if rng.Intn(4) == 0 {
+						recs[l].Tout = trace.Infinity
+					}
+					if mask&(1<<uint(l)) != 0 && caches[0].Process(keys[l], &fold.Input{Rec: &recs[l]}) {
+						want |= 1 << uint(l)
+					}
+				}
+				if cols != nil {
+					coefColumns(tc.f.Linear, cols, recs[:n], &blk, &regs)
+				}
+				if got := caches[1].ProcessBlock(keys, hashes, recs[:n], mask, cols); got != want {
+					t.Fatalf("%s %v block %d: inserted lanes %064b, want %064b", tc.name, g, b, got, want)
+				}
+				if got := caches[2].ProcessBlock(keys, hashes, recs[:n], mask, nil); got != want {
+					t.Fatalf("%s %v block %d without columns: inserted lanes %064b, want %064b", tc.name, g, b, got, want)
 				}
 			}
-			if got := b.ProcessBlock(keys, hashes, recs[:n], mask); got != want {
-				t.Fatalf("%v block %d: inserted lanes %064b, want %064b", g, blk, got, want)
+			for i, c := range caches {
+				c.Flush()
+				if c.Stats() != caches[0].Stats() || fmt.Sprint(evs[i]) != fmt.Sprint(evs[0]) {
+					t.Fatalf("%s %v: ProcessBlock (cache %d) %+v with %d evictions, Process %+v with %d",
+						tc.name, g, i, c.Stats(), len(evs[i]), caches[0].Stats(), len(evs[0]))
+				}
+			}
+			if caches[0].Stats().Evictions == 0 {
+				t.Fatalf("%s %v: no capacity evictions", tc.name, g)
 			}
 		}
-		a.Flush()
-		b.Flush()
-		if a.Stats() != b.Stats() || fmt.Sprint(evA) != fmt.Sprint(evB) {
-			t.Fatalf("%v: ProcessBlock %+v with %d evictions, Process %+v with %d", g, b.Stats(), len(evB), a.Stats(), len(evA))
+	}
+}
+
+// TestProcessBlockZeroAllocs: a warm block over coefficient columns — the
+// datapath's steady state — never touches the allocator, whichever the
+// layout.
+func TestProcessBlockZeroAllocs(t *testing.T) {
+	f := planFold(t, queries.LossByQueue)
+	keys, hashes := make([]packet.Key128, fold.BlockSize), make([]uint64, fold.BlockSize)
+	recs := make([]trace.Record, fold.BlockSize)
+	for l := range recs {
+		keys[l] = keyN(l % 20)
+		hashes[l] = keys[l].Hash()
+		recs[l] = trace.Record{Tout: int64(l)}
+	}
+	cols := f.Linear.NewCoefBlock()
+	coefColumns(f.Linear, cols, recs, new(fold.InputBlock), new(fold.BlockRegs))
+	for _, g := range geometries(64) {
+		c := mustNew(t, Config{Geometry: g, Fold: f, ExactMerge: true, OnEvictBatch: func(*EvictBatch) {}})
+		if a := testing.AllocsPerRun(100, func() { c.ProcessBlock(keys, hashes, recs, ^uint64(0), cols) }); a != 0 {
+			t.Errorf("%v: ProcessBlock with columns allocates %v per block", g, a)
 		}
 	}
 }
@@ -575,7 +712,7 @@ func TestCapacityEvictionLanesOutliveSlotReuse(t *testing.T) {
 				recs[n] = trace.Record{TCPSeq: seqOf(n)}
 				index[keys[n]] = n
 			}
-			c.ProcessBlock(keys, hashes, recs, ^uint64(0))
+			c.ProcessBlock(keys, hashes, recs, ^uint64(0), nil)
 			if evicted := fold.BlockSize - c.Len(); batches != 1 || lanes != evicted || evicted < fold.BlockSize-g.Pairs() {
 				t.Fatalf("%v %s: %d batches with %d lanes for %d evictions", g, tc.f.Name(), batches, lanes, evicted)
 			}

@@ -15,28 +15,22 @@ import (
 // permutation of slot indices, so promoting an entry moves one byte, not
 // the state vectors.
 type setAssoc struct {
-	fold      *fold.Func       // the per-packet path's own pointer
-	lin       *fold.LinearSpec // non-nil iff exact merge
-	geom      Geometry
-	mask      uint64
-	ways      int
-	m         int // state vector length
-	exact     bool
-	needFirst bool // exact merge with history coefficients: snapshot pkt 1
+	rowOps
+	geom Geometry
+	mask uint64
+	ways int
 
 	// tags hold the top hash byte per slot (the bucket index consumes
 	// low bits), so a probe rejects non-matching slots on a one-byte
 	// compare instead of a 16-byte key compare. Used when ways > 8.
 	tags []uint8
 	// vals is the slot storage, indexed by bucket*ways+slot: each slot
-	// interleaves its key (two bit-cast words), its state vector (m
-	// words) and, under exact merge, its running product (m·m words) —
-	// stride words per slot. Key, state and product are always touched
-	// together on a hit, so colocating them keeps the per-packet probe
-	// and update on one cache line for small m.
+	// interleaves its key (two bit-cast words) and its row (see rowOps) —
+	// stride = 2 + w words per slot. Key, state and product are always
+	// touched together on a hit, so colocating them keeps the per-packet
+	// probe and update on one cache line for small m.
 	vals   []float64
 	stride int
-	first  []trace.Record
 
 	// order[bucket*ways+i] = slot index of the i-th most recently used
 	// entry of the bucket; only the first fill(bucket) entries are live.
@@ -54,13 +48,6 @@ type setAssoc struct {
 	metaOrd  []uint64
 	metaTags []uint64
 
-	// Fused scalar update (1×1 history-free exact merge, e.g. EWMA):
-	// state' = a·state + b and P' = a·P applied inline on the hit path.
-	scalar   bool
-	scalarA  float64
-	scalarB  *fold.Code // nil: the constant scalarBC
-	scalarBC float64
-
 	stats Stats
 
 	// Sampled tracing. trMask is obs.NoSample when tracing is off, so
@@ -71,31 +58,25 @@ type setAssoc struct {
 	trSlot *obs.SpanSlot
 	trW    int
 
-	aScratch []float64
-	mScratch []float64
-	blockIn  fold.Input // reused ProcessBlock input (a local would escape per call)
 	resident int
 
 	out evictOut // last: the batch is kilobytes, and the fields above are the per-packet ones
 }
 
 func newSetAssoc(cfg Config, g Geometry) *setAssoc {
-	m := cfg.Fold.StateLen()
 	c := &setAssoc{
-		fold:   cfg.Fold,
 		geom:   g,
 		mask:   uint64(g.Buckets - 1),
 		ways:   g.Ways,
-		m:      m,
-		exact:  cfg.ExactMerge,
 		fill:   make([]uint8, g.Buckets),
 		tr:     cfg.Trace,
 		trMask: cfg.Trace.HashMask(),
 		trSlot: cfg.TraceSpan,
 		trW:    cfg.TraceWriter,
 	}
-	c.out.init(&cfg, m)
-	c.stride = 2 + c.out.w
+	c.rowOps.init(&cfg, g.Buckets*g.Ways)
+	c.out.init(&cfg, &c.rowOps)
+	c.stride = 2 + c.w
 	c.vals = make([]float64, g.Buckets*g.Ways*c.stride)
 	if g.Ways <= 8 {
 		c.packed8 = true
@@ -105,32 +86,12 @@ func newSetAssoc(cfg Config, g Geometry) *setAssoc {
 		c.tags = make([]uint8, g.Buckets*g.Ways)
 		c.order = make([]uint8, g.Buckets*g.Ways)
 	}
-	if cfg.ExactMerge {
-		c.lin = cfg.Fold.Linear
-		c.needFirst = c.lin.NeedsFirstPacket
-		if c.needFirst {
-			c.first = make([]trace.Record, g.Buckets*g.Ways)
-		}
-		c.aScratch = make([]float64, m*m)
-		c.mScratch = make([]float64, m*m)
-		c.scalarA, c.scalarB, c.scalarBC, c.scalar = c.lin.Scalar()
-	}
 	return c
 }
 
 func (c *setAssoc) Geometry() Geometry { return c.geom }
 func (c *setAssoc) Len() int           { return c.resident }
 func (c *setAssoc) Stats() Stats       { return c.stats }
-
-func (c *setAssoc) slotState(slot int) []float64 {
-	off := slot*c.stride + 2
-	return c.vals[off : off+c.m]
-}
-
-func (c *setAssoc) slotProd(slot int) []float64 {
-	off := slot*c.stride + 2 + c.m
-	return c.vals[off : off+c.m*c.m]
-}
 
 // keyWords splits a key into the two bit-cast lanes of a slot record.
 func keyWords(key packet.Key128) (k0, k1 float64) {
@@ -140,15 +101,16 @@ func keyWords(key packet.Key128) (k0, k1 float64) {
 
 // Process implements Cache.
 func (c *setAssoc) Process(key packet.Key128, in *fold.Input) bool {
-	inserted := c.process(key, key.Hash(), in)
+	inserted := c.process(key, key.Hash(), in, nil)
 	c.out.deliver()
 	return inserted
 }
 
-// process is Process with the key's hash supplied by the caller.
-func (c *setAssoc) process(key packet.Key128, h uint64, in *fold.Input) bool {
+// process is Process with the key's hash and the record's coefficients
+// (see rowOps.update) supplied by the caller.
+func (c *setAssoc) process(key packet.Key128, h uint64, in *fold.Input, coefs []float64) bool {
 	if c.packed8 {
-		return c.process8(key, h, in)
+		return c.process8(key, h, in, coefs)
 	}
 	c.stats.Accesses++
 	b := int(h & c.mask)
@@ -170,7 +132,7 @@ func (c *setAssoc) process(key packet.Key128, h uint64, in *fold.Input) bool {
 			math.Float64bits(c.vals[off]) == k0 &&
 			math.Float64bits(c.vals[off+1]) == k1 {
 			c.stats.Hits++
-			c.update(slot, in)
+			c.update(c.vals[off+2:off+c.stride], in, coefs)
 			// Promote to MRU: rotate ord[0..i] right by one. An explicit
 			// byte loop rather than copy(): the span is at most ways-1
 			// bytes and this runs once per packet, so the memmove call
@@ -201,8 +163,7 @@ func (c *setAssoc) process(key packet.Key128, h uint64, in *fold.Input) bool {
 		c.evict(base+int(slotIdx), EvictCapacity)
 		c.stats.Evictions++
 	}
-	slot := base + int(slotIdx)
-	c.insert(slot, key, tag, in)
+	c.insertSlot(base+int(slotIdx), key, tag, in, coefs)
 	c.stats.Inserts++
 	// Promote the new entry to MRU.
 	if n >= c.ways {
@@ -217,24 +178,24 @@ func (c *setAssoc) process(key packet.Key128, h uint64, in *fold.Input) bool {
 }
 
 // ProcessBlock implements Cache: one dispatch for a block of packets.
-func (c *setAssoc) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64) uint64 {
+func (c *setAssoc) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []trace.Record, mask uint64, coefs []float64) uint64 {
 	var inserted uint64
-	in := &c.blockIn
-	if c.packed8 {
-		for m := mask; m != 0; m &= m - 1 {
-			l := tz64(m)
-			in.Rec = &recs[l]
-			if c.process8(keys[l], hashes[l], in) {
-				inserted |= 1 << l
-			}
+	in := &c.in
+	for m := mask; m != 0; m &= m - 1 {
+		l := tz64(m)
+		in.Rec = &recs[l]
+		var lane []float64
+		if coefs != nil {
+			lane = coefs[l:]
 		}
-	} else {
-		for m := mask; m != 0; m &= m - 1 {
-			l := tz64(m)
-			in.Rec = &recs[l]
-			if c.process(keys[l], hashes[l], in) {
-				inserted |= 1 << l
-			}
+		var miss bool
+		if c.packed8 {
+			miss = c.process8(keys[l], hashes[l], in, lane)
+		} else {
+			miss = c.process(keys[l], hashes[l], in, lane)
+		}
+		if miss {
+			inserted |= 1 << l
 		}
 	}
 	c.out.deliver()
@@ -245,7 +206,7 @@ func (c *setAssoc) ProcessBlock(keys []packet.Key128, hashes []uint64, recs []tr
 // Identical cache behavior — same probe order, same LRU discipline —
 // with the bucket's recency permutation and tag bytes each held in one
 // uint64.
-func (c *setAssoc) process8(key packet.Key128, h uint64, in *fold.Input) bool {
+func (c *setAssoc) process8(key packet.Key128, h uint64, in *fold.Input, coefs []float64) bool {
 	c.stats.Accesses++
 	b := int(h & c.mask)
 	tag := uint8(h >> 56)
@@ -270,7 +231,7 @@ func (c *setAssoc) process8(key packet.Key128, h uint64, in *fold.Input) bool {
 			continue
 		}
 		c.stats.Hits++
-		c.update(slot, in)
+		c.update(c.vals[off+2:off+c.stride], in, coefs)
 		if i > 0 {
 			// Promote to MRU: shift recency bytes 0..i-1 up one lane and
 			// drop this slot's byte into lane 0.
@@ -305,7 +266,7 @@ func (c *setAssoc) process8(key packet.Key128, h uint64, in *fold.Input) bool {
 	c.metaOrd[b] = high | low<<8 | uint64(slotIdx)
 	sh := 8 * uint(slotIdx)
 	c.metaTags[b] = tagW&^(uint64(0xff)<<sh) | uint64(tag)<<sh
-	c.insert(base+int(slotIdx), key, tag, in)
+	c.insertSlot(base+int(slotIdx), key, tag, in, coefs)
 	c.stats.Inserts++
 	if h&c.trMask == 0 {
 		traceCacheHop(c.tr, c.trSlot, c.trW, key, true)
@@ -329,50 +290,14 @@ func (c *setAssoc) freeSlot(b, n int) uint8 {
 	return ord[n]
 }
 
-// update applies one packet to a resident entry.
-func (c *setAssoc) update(slot int, in *fold.Input) {
-	if c.scalar {
-		off := slot * c.stride
-		b := c.scalarBC
-		if c.scalarB != nil {
-			b = c.scalarB.Eval(in, nil)
-		}
-		c.vals[off+2] = c.scalarA*c.vals[off+2] + b // state
-		c.vals[off+3] = c.scalarA * c.vals[off+3]   // P
-		return
-	}
-	st := c.slotState(slot)
-	if c.exact {
-		c.lin.UpdateLinear(st, c.slotProd(slot), in, c.aScratch, c.mScratch)
-		return
-	}
-	c.fold.Update(st, in)
-}
-
-// insert initializes a slot for a new key and applies its first packet.
-func (c *setAssoc) insert(slot int, key packet.Key128, tag uint8, in *fold.Input) {
+// insertSlot claims a slot for a new key and applies its first packet.
+func (c *setAssoc) insertSlot(slot int, key packet.Key128, tag uint8, in *fold.Input, coefs []float64) {
 	off := slot * c.stride
 	c.vals[off], c.vals[off+1] = keyWords(key)
 	if c.tags != nil {
 		c.tags[slot] = tag // packed8 keeps tags in metaTags instead
 	}
-	st := c.slotState(slot)
-	c.fold.Init(st)
-	if c.exact {
-		if c.needFirst {
-			// P starts at identity and excludes the first packet, which
-			// is snapshotted instead (fold.MergeWithFirstRec replays it).
-			fold.IdentityP(c.slotProd(slot), c.m)
-			c.first[slot] = *in.Rec
-		} else {
-			// History-free coefficients: P starts at the first packet's A
-			// (evaluated against the pre-update initial state), covers
-			// the whole epoch, and merges with MergeLinearState — no
-			// per-insert record snapshot.
-			c.lin.InitP(c.slotProd(slot), in, st)
-		}
-	}
-	c.fold.Update(st, in)
+	c.insert(c.vals[off+2:off+c.stride], slot, in, coefs)
 }
 
 // evict appends slot's entry to the outgoing batch. Key lanes leave as
@@ -383,12 +308,8 @@ func (c *setAssoc) evict(slot int, reason EvictReason) {
 		return
 	}
 	off := slot * c.stride
-	var first *trace.Record
-	if c.needFirst {
-		first = &c.first[slot]
-	}
 	c.out.add(math.Float64bits(c.vals[off]), math.Float64bits(c.vals[off+1]),
-		c.vals[off+2:off+c.stride], first, reason)
+		c.vals[off+2:off+c.stride], c.firstRec(slot), reason)
 }
 
 // Flush implements Cache: evicts every resident entry bucket by bucket in

@@ -284,7 +284,7 @@ func TestOutOfSeqMergeEqualsGroundTruth(t *testing.T) {
 			if !haveBacking {
 				f.Init(backing)
 			}
-			fold.MergeWithFirstRec(f, backing, cache, p, backing, &fold.Input{Rec: &firstRec})
+			fold.MergeWithFirstRec(f, backing, cache, p, backing, &fold.Input{Rec: &firstRec}, new(fold.MergeScratch))
 			haveBacking = true
 			inCache = false
 		}

@@ -81,6 +81,13 @@ type Block struct {
 	// router packed nothing: a one-shard partition.
 	Keys   [][]packet.Key128
 	Hashes [][]uint64
+	// Holder and Seq identify the block of records across its deliveries
+	// (one per shard that owns lanes of it, a sampled lane on its own), so a
+	// consumer can prepare something once per block: Holder is the ring
+	// worker's flat index, or the worker count for the block the feeder
+	// applies inline, and Seq changes whenever Recs is re-pointed.
+	Holder int
+	Seq    uint64
 
 	all uint64 // Mask's answer when Masks is nil
 }
@@ -412,7 +419,7 @@ func NewInline(cfg Config, run BlockFunc) *Pool {
 		cfg.Trace = nil
 	}
 	r := newRouter(cfg)
-	p := &Pool{router: r, cfg: cfg, run: run, inl: Block{all: r.all}}
+	p := &Pool{router: r, cfg: cfg, run: run, inl: Block{all: r.all, Holder: len(r.wlanes)}}
 	if r.n > 1 {
 		p.inl.Keys, p.inl.Hashes = r.bkeys, r.bhash
 	}
@@ -443,7 +450,7 @@ func (p *Pool) Start() {
 		p.blocks = make([]Block, len(r.wlanes))
 		for w := range p.blocks {
 			b := &p.blocks[w]
-			b.all = r.all
+			b.all, b.Holder = r.all, w
 			if cols.groups > 0 {
 				b.Keys = make([][]packet.Key128, cols.groups)
 				b.Hashes = make([][]uint64, cols.groups)
@@ -464,6 +471,7 @@ func (p *Pool) consume(worker int, s *slot) {
 	for base := 0; base < s.n; base += fold.BlockSize {
 		end := min(base+fold.BlockSize, s.n)
 		b.Recs = s.recs[base:end]
+		b.Seq++
 		b.Lanes = ^uint64(0) >> (fold.BlockSize - uint(end-base))
 		if s.masks != nil {
 			b.Masks = s.masks[base:end]
@@ -706,6 +714,7 @@ func (p *Pool) apply(recs []trace.Record) {
 	}
 	b := &p.inl
 	b.Recs = recs
+	b.Seq++
 	for _, w := range r.touched {
 		if r.lmask != nil {
 			b.Masks = r.lmask[w%r.n][:len(recs)]

@@ -17,9 +17,8 @@ import (
 // hands each shard its lanes of the caller's block (inline) or of a ring
 // slot (worker pool), with the keys and hashes it routed by; and
 // Datapath.Process fills one pending block on the feeder that then takes
-// the same way. processBlock runs each pipeline step across the whole
-// block — one field extraction pass per field (not per record), WHERE
-// predicates through the VM's vectorized EvalBoolBlock, GROUPBY keys
+// the same way. The block's holder has run the stateless stage over it
+// (hotpath.go); processBlock is the stateful half, per shard: GROUPBY keys
 // packed and hashed once per (group, lane), and one kvstore interface
 // dispatch per program per block. Within a program or a select stage
 // records are applied in arrival order (ascending lanes), so tables,
@@ -34,10 +33,11 @@ import (
 // processBlocks applies a run of records the caller owns every target
 // of (the single-shard, unpartitioned datapath), in place.
 func (sh *shardState) processBlocks(d *Datapath, recs []trace.Record) {
-	b := &sh.scratch.run
+	b := &d.run
 	for base := 0; base < len(recs); base += fold.BlockSize {
 		n := min(len(recs)-base, fold.BlockSize)
 		b.Recs, b.Lanes = recs[base:base+n], ^uint64(0)>>(fold.BlockSize-uint(n))
+		b.Seq++
 		sh.processBlock(d, b)
 		if d.obs != nil {
 			// Refresh the atomic mirrors every pubBlocks blocks so a
@@ -52,15 +52,6 @@ func (sh *shardState) processBlocks(d *Datapath, recs []trace.Record) {
 	}
 }
 
-// gatherLane rebuilds the record-major dense field vector for one lane,
-// so sparse per-record work (SELECT column evaluation) reuses the
-// already-extracted block values through the scalar Input.
-func (sc *shardScratch) gatherLane(hp *hotPath, l int) {
-	for _, f := range hp.fields {
-		sc.fields[f] = sc.blk.Lane(f)[l]
-	}
-}
-
 // processBlock applies the lanes b.Lanes of one block of 1..BlockSize
 // records. b.Masks == nil means the shard owns every target of those
 // lanes (a partition's only shard, which masks could not even represent
@@ -69,13 +60,17 @@ func (sc *shardScratch) gatherLane(hp *hotPath, l int) {
 // target t sees exactly the lanes whose mask has bit t set. b.Keys, when
 // set, are the packed keys and hashes of every key group and lane as the
 // router computed them; when nil the key stage packs and hashes, lazily.
+// The block's first delivery prepares its holder's stage for them all.
 func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
 	hp := d.hot
 	sc := &sh.scratch
 	recs, active := b.Recs, b.Lanes
-	n := len(recs)
 	sh.nBlockRecs += uint64(bits.OnesCount64(active))
-	full := ^uint64(0) >> (64 - uint(n))
+	st := d.stages[b.Holder]
+	if st.seq != b.Seq {
+		st.seq = b.Seq
+		st.prepare(hp, recs)
+	}
 
 	// Transpose the per-lane routing masks into per-target lane masks.
 	own := sc.own
@@ -93,39 +88,15 @@ func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
 		}
 	}
 
-	// One extraction pass per field: the Record.Field dispatch switch
-	// resolves once per field per block (perfectly predicted across the
-	// lane loop) instead of once per field per record. Lanes another
-	// shard owns keep whatever an earlier block left there: predicates
-	// still evaluate them, and their results are masked off.
-	for _, f := range hp.fields {
-		lane := sc.blk.Lane(f)
-		if active == full {
-			for l := 0; l < n; l++ {
-				lane[l] = float64(recs[l].Field(f))
-			}
-			continue
-		}
-		for a := active; a != 0; a &= a - 1 {
-			l := bits.TrailingZeros64(a)
-			lane[l] = float64(recs[l].Field(f))
-		}
-	}
-
 	// Mirror matching records for select-over-T stages (one shared
-	// target, the bit past the programs'): batched WHERE, then
-	// per-matched-lane column evaluation (matches are sparse, so
+	// target, the bit past the programs'): per-matched-lane column
+	// evaluation straight off the record (matches are sparse, so
 	// evaluating columns lane-wise would waste the non-matching lanes).
 	if selOwn := own[len(hp.progs)]; selOwn != 0 {
 		for si := range hp.selects {
 			sel := &hp.selects[si]
-			mask := selOwn
-			if sel.where != nil {
-				mask &= sel.where.EvalBoolBlock(&sc.blk, n, &sc.bregs)
-			}
-			for m := mask; m != 0; m &= m - 1 {
+			for m := selOwn & st.sel[si]; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				sc.gatherLane(hp, l)
 				sc.in.Rec = &recs[l]
 				row := sc.slab.take(len(sel.cols))
 				for i, c := range sel.cols {
@@ -139,36 +110,21 @@ func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
 	// Key-value store programs. A record enters a program's store if the
 	// shard owns the program for it and it matches any member's guard
 	// (the fused fold's internal guards keep per-member state exact):
-	// per program, a block-wide match mask, the group's key and hash
-	// columns — the router's, or packed and hashed here lazily per
-	// (group, lane), programs sharing a GROUPBY key sharing one
-	// computation — then one ProcessBlock call, ascending lanes inside.
-	for g := range sc.gmask {
-		sc.gmask[g] = 0
-	}
+	// per program, the lanes to apply, the group's key and hash columns —
+	// the router's, or packed and hashed here lazily per (group, lane),
+	// programs sharing a GROUPBY key sharing one computation — then one
+	// ProcessBlock call over the coefficient columns, ascending lanes.
 	for pi := range hp.progs {
-		ph := &hp.progs[pi]
-		mask := own[pi]
+		mask := own[pi] & st.match[pi]
 		if mask == 0 {
 			continue
 		}
-		if !ph.always {
-			var match uint64
-			for _, w := range ph.wheres {
-				if match |= w.EvalBoolBlock(&sc.blk, n, &sc.bregs); match == full {
-					break
-				}
-			}
-			if mask &= match; mask == 0 {
-				continue
-			}
-		}
-		g := ph.group
+		g := hp.progs[pi].group
 		kg := &hp.groups[g]
-		keys, hashes := sc.gkeys[g][:], sc.ghash[g][:]
+		keys, hashes := st.gkeys[g][:], st.ghash[g][:]
 		if b.Keys != nil {
 			keys, hashes = b.Keys[g], b.Hashes[g]
-		} else if need := mask &^ sc.gmask[g]; need != 0 {
+		} else if need := mask &^ st.gmask[g]; need != 0 {
 			if kg.fiveTuple {
 				for m := need; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
@@ -183,10 +139,10 @@ func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
 					hashes[l] = keys[l].Hash()
 				}
 			}
-			sc.gmask[g] |= need
+			st.gmask[g] |= need
 		}
 		ps := sh.progs[pi]
-		inserted := ps.cache.ProcessBlock(keys, hashes, recs, mask)
+		inserted := ps.cache.ProcessBlock(keys, hashes, recs, mask, st.coefs[pi])
 		if inserted != 0 && ps.keyVals != nil {
 			// Digest-mode keys are irreversible, so component values ride
 			// alongside. Recording only on insert keeps map traffic off

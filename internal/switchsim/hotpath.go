@@ -12,16 +12,21 @@ import (
 )
 
 // This file holds what the block loop (processBlock in blockpath.go)
-// runs on: plan-wide compiled metadata built once in New (hotPath) and
-// the per-shard scratch that keeps the steady-state loop
-// allocation-free. Three properties matter:
+// runs on: plan-wide compiled metadata built once in New (hotPath), the
+// stateless stage whoever holds a block of records runs over it once
+// (stage), and the per-shard scratch. All of it is reused, so the
+// steady-state loop allocates nothing. Four properties matter:
 //
-//   - No IR tree-walking: WHERE predicates, SELECT columns and fold
-//     bodies run as fold bytecode and nothing else (the plan compiler
-//     lowers every expression or rejects the query).
+//   - No IR tree-walking: WHERE predicates, SELECT columns, merge
+//     coefficients and fold bodies run as fold bytecode and nothing else
+//     (the plan compiler lowers every expression or rejects the query).
 //   - One field extraction pass per field per block: the union of raw
-//     fields every compiled code reads is extracted into a field-major
+//     fields the stage's codes read is extracted into a field-major
 //     block that vectorized bytecode indexes directly.
+//   - What is a function of the record alone — WHERE masks, and the A and
+//     B coefficients of block-evaluable linear folds — is computed once
+//     per block, before any cache is probed: the paper's stateless stages
+//     ahead of the stateful ALU. Every plan takes this one path.
 //   - One key computation per distinct GROUPBY key: programs sharing a
 //     key spec form a key group whose packed key is computed lazily, at
 //     most once per (group, lane).
@@ -46,44 +51,42 @@ type progHot struct {
 	wheres []*fold.Code // compiled member guards (SwitchProgram.MemberWhere)
 	group  int          // index into hotPath.groups
 	always bool         // some member is unguarded: every record matches
+	// coefs, when the store merges exactly over a block-evaluable spec,
+	// is that spec: the stage computes the program's coefficient columns.
+	coefs *fold.LinearSpec
 }
 
 // hotPath is the compiled per-block schedule, shared read-only by every
-// shard.
+// stage and shard.
 type hotPath struct {
-	fields  []trace.FieldID // dense-extraction list (plan-wide union)
+	fields  []trace.FieldID // dense-extraction list: what the stage's codes read
 	selects []selectHot
 	groups  []keyGroup
 	progs   []progHot
 }
 
-// newHotPath builds the schedule for a compiled plan. The block loop
-// runs every WHERE through EvalBoolBlock without looking at the code
-// again, so this is where a predicate that is not block-evaluable is
-// refused — none the plan compiler produces is: a WHERE over the raw
-// table has only field references and no conditional.
-func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) (*hotPath, error) {
+// newHotPath builds the schedule for a compiled plan. The stage runs
+// every WHERE through EvalBoolBlock without looking at the code again,
+// so this is where a predicate that is not block-evaluable is refused —
+// none the plan compiler produces is: a WHERE over the raw table has only
+// field references. exact: linear folds' stores merge exactly.
+func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage, exact bool) (*hotPath, error) {
 	hp := &hotPath{}
 	var mask uint32
-	codeMask := func(c *fold.Code) {
-		if c != nil {
-			mask |= c.FieldMask()
-		}
-	}
 	addWhere := func(st *compiler.Stage, w *fold.Code) error {
-		if w != nil && !w.Vectorizable() {
+		if w == nil {
+			return nil
+		}
+		if !w.Vectorizable() {
 			return fmt.Errorf("switchsim: stage %s: WHERE over the raw table is not block-evaluable", st.Name)
 		}
-		codeMask(w)
+		mask |= w.FieldMask()
 		return nil
 	}
 	for _, st := range selStgs {
 		sel := selectHot{where: st.WhereCode, cols: st.ColCodes}
 		if err := addWhere(st, sel.where); err != nil {
 			return nil, err
-		}
-		for _, c := range sel.cols {
-			codeMask(c)
 		}
 		hp.selects = append(hp.selects, sel)
 	}
@@ -97,9 +100,11 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) (*hotPath, error
 				ph.always = true
 			}
 		}
-		codeMask(sp.Fold.Code)
-		if sp.Fold.Linear != nil {
-			mask |= sp.Fold.Linear.FieldMask()
+		if ls := sp.Fold.Linear; exact && sp.Fold.Merge == fold.MergeLinear && ls != nil {
+			if ok, _ := ls.BlockEvaluable(); ok {
+				ph.coefs = ls
+				mask |= ls.FieldMask()
+			}
 		}
 		for g := range hp.groups {
 			if hp.groups[g].spec.Equal(sp.Key) {
@@ -118,14 +123,6 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage) (*hotPath, error
 		hp.progs = append(hp.progs, ph)
 	}
 	hp.fields = fold.FieldIDs(mask)
-	// Dense pre-extraction pays when several codes re-read the same
-	// fields per record. A plan with one unguarded program and no
-	// mirrored selects runs exactly one code per packet in the steady
-	// state, so the VM's direct Record.Field fallback reads each field
-	// once either way — skip the extraction pass entirely.
-	if len(hp.selects) == 0 && len(hp.progs) == 1 && hp.progs[0].always {
-		hp.fields = nil
-	}
 	return hp, nil
 }
 
@@ -155,41 +152,94 @@ func (hp *hotPath) routing(shards int) shard.Config {
 	}
 }
 
-// shardScratch is the per-shard mutable hot-path state. Everything here
-// exists so the steady-state block loop performs zero heap allocations:
-// a field-major block and the block register file, per-target owned-lane
-// masks, per-group packed keys and their hashes with a computed-lanes
-// mask (unused when the router supplies both), the record-major Input (with its dense field vector) that sparse SELECT
-// column evaluation gathers a lane into, and a chunked slab that select
-// rows / key-component copies are carved from.
-type shardScratch struct {
-	in     fold.Input
-	fields [trace.NumFields]float64
-	slab   floatSlab
+// stage is the stateless half of the block loop: what depends on (plan,
+// block) and not on which shard applies which lane — the field-major
+// block, every WHERE mask, every block-evaluable program's coefficient
+// columns, the lazily packed keys — prepared once per block by whoever
+// holds it (shard.Block.Holder), however many shards then take lanes of
+// it: each ring worker, and the feeder (inline router, in-place runs).
+type stage struct {
+	seq      uint64 // shard.Block.Seq of the block prepared
+	prepared uint64 // blocks prepared
+
+	sel   []uint64    // per select stage: lanes its WHERE admits
+	match []uint64    // per program: lanes some member's guard admits
+	coefs [][]float64 // per program: its coefficient columns; nil: per record
+	gmask []uint64    // per key group: lanes packed this block
+	gkeys [][fold.BlockSize]packet.Key128
+	ghash [][fold.BlockSize]uint64 // gkeys[g][l].Hash()
 
 	blk   fold.InputBlock
 	bregs fold.BlockRegs
-	own   []uint64                        // per routing target: lanes this shard owns this block
-	gkeys [][fold.BlockSize]packet.Key128 // per key group, per lane
-	ghash [][fold.BlockSize]uint64        // gkeys[g][l].Hash()
-	gmask []uint64                        // per key group: lanes packed this block
-	run   shard.Block                     // processBlocks' block over the caller's slice
+}
+
+func newStage(hp *hotPath) *stage {
+	st := &stage{
+		sel:   make([]uint64, len(hp.selects)),
+		match: make([]uint64, len(hp.progs)),
+		coefs: make([][]float64, len(hp.progs)),
+		gmask: make([]uint64, len(hp.groups)),
+		gkeys: make([][fold.BlockSize]packet.Key128, len(hp.groups)),
+		ghash: make([][fold.BlockSize]uint64, len(hp.groups)),
+	}
+	for pi, ph := range hp.progs {
+		if ph.coefs != nil {
+			st.coefs[pi] = ph.coefs.NewCoefBlock()
+		}
+	}
+	return st
+}
+
+// prepare runs the stage over every lane of a block of 1..BlockSize
+// records; what it computes for lanes nobody applies is masked off.
+func (st *stage) prepare(hp *hotPath, recs []trace.Record) {
+	n := len(recs)
+	full := ^uint64(0) >> (64 - uint(n))
+	for _, f := range hp.fields { // Record.Field's switch resolves once per column
+		lane := st.blk.Lane(f)
+		for l := 0; l < n; l++ {
+			lane[l] = float64(recs[l].Field(f))
+		}
+	}
+	for si := range hp.selects {
+		st.sel[si] = full
+		if w := hp.selects[si].where; w != nil {
+			st.sel[si] = w.EvalBoolBlock(&st.blk, n, &st.bregs)
+		}
+	}
+	for pi := range hp.progs {
+		ph, match := &hp.progs[pi], full
+		if !ph.always {
+			match = 0
+			for _, w := range ph.wheres {
+				if match |= w.EvalBoolBlock(&st.blk, n, &st.bregs); match == full {
+					break
+				}
+			}
+		}
+		st.match[pi] = match
+		if ph.coefs != nil && match != 0 {
+			ph.coefs.EvalCoefBlock(&st.blk, n, &st.bregs, st.coefs[pi])
+		}
+	}
+	clear(st.gmask)
+	st.prepared++
+}
+
+// shardScratch is the per-shard mutable hot-path state: the Input sparse
+// SELECT column evaluation points at a lane's record, a chunked slab that
+// select rows / key-component copies are carved from, and the per-target
+// owned-lane masks of the block in hand.
+type shardScratch struct {
+	in   fold.Input
+	slab floatSlab
+	own  []uint64 // per routing target: lanes this shard owns this block
 
 	// spanSlot is the shard's trace-span mailbox: the pool parks the
 	// in-flight record's sampled span here and the shard's caches append
 	// their hops to it. Owned by the shard's processing goroutine; unused
 	// when tracing is off.
 	spanSlot obs.SpanSlot
-}
-
-func (sc *shardScratch) init(hp *hotPath) {
-	if hp.fields != nil {
-		sc.in.Fields = sc.fields[:]
-	}
-	sc.own = make([]uint64, len(hp.progs)+1)
-	sc.gkeys = make([][fold.BlockSize]packet.Key128, len(hp.groups))
-	sc.ghash = make([][fold.BlockSize]uint64, len(hp.groups))
-	sc.gmask = make([]uint64, len(hp.groups))
 }
 
 // floatSlab hands out []float64 rows carved from large chunks, so

@@ -154,6 +154,12 @@ type Datapath struct {
 	partGeo kvstore.Geometry  // one partition's cache slice
 	views   []*Datapath       // per-partition read views (partitioned only)
 
+	// stages holds each block holder's stateless stage (shard.Block.Holder):
+	// one per shard's ring worker and the feeder's last, or the feeder's
+	// alone when nothing is routed — run is then its block.
+	stages []*stage
+	run    shard.Block
+
 	// pool is the block router: inline (blocks run on the feeder) until
 	// Feed starts its ring workers, and again after EndFeed. nil: one
 	// shard, no partition — nothing to route, blocks run in place.
@@ -185,7 +191,7 @@ type Datapath struct {
 // shard's flat position, used as the tracer's span-ring writer stripe.
 func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, evictMu *sync.Mutex) (*shardState, error) {
 	sh := &shardState{selStgs: d.selStgs, selRows: make([][][]float64, len(d.selStgs))}
-	sh.scratch.init(d.hot)
+	sh.scratch.own = make([]uint64, len(d.hot.progs)+1)
 	for i, sp := range d.plan.Programs {
 		ps := &progState{
 			sp:    sp,
@@ -260,7 +266,7 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 		}
 	}
 	var err error
-	if d.hot, err = newHotPath(plan, d.selStgs); err != nil {
+	if d.hot, err = newHotPath(plan, d.selStgs, !cfg.DisableExactMerge); err != nil {
 		return nil, err
 	}
 
@@ -296,9 +302,13 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 		routing.AfterBatch = d.publishShard
 		d.staged, d.pktsWas = make([]uint64, k), make([]uint64, k)
 	}
+	d.stages = []*stage{newStage(d.hot)}
 	if len(d.shards) > 1 || d.part != nil {
 		d.pool = shard.NewInline(routing, d.runBlock)
 		d.pkts = d.pool.Routed()
+		for range d.shards {
+			d.stages = append(d.stages, newStage(d.hot))
+		}
 	} else {
 		d.pkts = make([]uint64, 1)
 	}
@@ -336,6 +346,16 @@ func (d *Datapath) Packets() uint64 {
 	var n uint64
 	for _, p := range d.pkts {
 		n += p
+	}
+	return n
+}
+
+// StageBlocks returns how many blocks the stateless stage has prepared:
+// one per routed block, however many shards applied lanes of it.
+func (d *Datapath) StageBlocks() uint64 {
+	var n uint64
+	for _, st := range d.stages {
+		n += st.prepared
 	}
 	return n
 }

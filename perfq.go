@@ -111,8 +111,9 @@ func (q *Query) LinearInState() bool {
 }
 
 // Describe prints a human-readable compilation report: stages, physical
-// key-value stores after fusion, key layouts, fold programs and merge
-// classes.
+// key-value stores after fusion, key layouts, fold programs, merge
+// classes, cache entry size and, for linear folds, whether coefficients
+// are computed per block ahead of the cache or per record in it, and why.
 func (q *Query) Describe(w io.Writer) {
 	fmt.Fprintf(w, "stages:\n")
 	for _, st := range q.plan.Stages {
@@ -131,8 +132,17 @@ func (q *Query) Describe(w io.Writer) {
 			}
 			members += m.Name
 		}
-		fmt.Fprintf(w, "  store %d: members=%s %v state=%d words merge=%v\n",
-			i, members, sp.Key, sp.Fold.StateLen(), sp.Fold.Merge)
+		linear := sp.Fold.Merge == fold.MergeLinear
+		fmt.Fprintf(w, "  store %d: members=%s %v state=%d words merge=%v slot=%d words",
+			i, members, sp.Key, sp.Fold.StateLen(), sp.Fold.Merge, kvstore.SlotWords(sp.Fold, linear))
+		if linear {
+			path := "block"
+			if ok, why := sp.Fold.Linear.BlockEvaluable(); !ok {
+				path = "record (" + why + ")"
+			}
+			fmt.Fprintf(w, " coefficients=%s", path)
+		}
+		fmt.Fprintln(w)
 		if sp.Fold.Merge == fold.MergeLinear && sp.Fold.Linear.NeedsFirstPacket {
 			fmt.Fprintf(w, "           (history fold: entries snapshot their first packet for merging)\n")
 		}

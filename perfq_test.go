@@ -21,7 +21,8 @@ func TestCompileAndDescribe(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	q.Describe(&buf)
-	for _, frag := range []string{"R1+R2", "merge=linear", "stages:", "join"} {
+	for _, frag := range []string{"R1+R2", "merge=linear", "stages:", "join",
+		"state=4 words merge=linear slot=10 words coefficients=block"} {
 		if !strings.Contains(buf.String(), frag) {
 			t.Errorf("Describe output missing %q:\n%s", frag, buf.String())
 		}
