@@ -17,7 +17,7 @@ PAIRS ?= 10
 WORKLOAD ?=
 SCALE ?= full
 
-.PHONY: all build test race loc fmt-check oracle-check doc-check bench bench-pairs profile vet figures clean
+.PHONY: all build test race loc fmt-check oracle-check harness-check doc-check bench bench-pairs profile vet figures clean
 
 all: build test
 
@@ -99,6 +99,18 @@ oracle-check:
 	@out="$$(grep -rnE 'EvalExpr\(|EvalPred\(|Prog\.Update\(' --include='*.go' *.go cmd examples internal benchmark \
 		| grep -v '_test\.go:' | grep -vE '^internal/fold/(eval|constfold)\.go:')"; \
 	if [ -n "$$out" ]; then echo "tree interpreter called outside eval.go/constfold.go:"; echo "$$out"; exit 1; fi
+
+# internal/harness regenerates the paper's figures on the engine users
+# run: it drives queries through the perfq facade alone, so a figure can
+# never again be measured on a private cache / store / datapath loop.
+# Fails if any non-test file there imports an internal package other than
+# the workload generators and record types below — kvstore, backing,
+# switchsim, fabric, shard, fold, compiler, lang, exec, window, netstore
+# and whatever engine package comes next. CI runs this.
+harness-check:
+	@out="$$(grep -n '"perfq/internal/' $$(ls internal/harness/*.go | grep -v _test.go) \
+		| grep -vE '"perfq/internal/(chiparea|netsim|packet|queries|topo|trace|tracegen)"')"; \
+	if [ -n "$$out" ]; then echo "internal/harness imports the engine behind the facade:"; echo "$$out"; exit 1; fi
 
 # The documents, this Makefile, CI, scripts/ and the skills name only
 # BENCH_*.json files that are committed, make targets that exist and

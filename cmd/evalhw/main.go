@@ -14,11 +14,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"perfq/internal/chiparea"
 	"perfq/internal/harness"
 )
+
+// show prints a finished experiment's report, or passes its error on.
+func show[R interface{ Format(io.Writer) }](res R, err error) error {
+	if err == nil {
+		res.Format(os.Stdout)
+	}
+	return err
+}
 
 func main() {
 	var (
@@ -30,50 +40,28 @@ func main() {
 	)
 	flag.Parse()
 
-	progress := os.Stderr
+	var progress io.Writer = os.Stderr
 	if *quiet {
 		progress = nil
 	}
 
-	ran := false
-	run := func(name string, f func() error) {
-		ran = true
-		fmt.Printf("\n================ %s ================\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "evalhw: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("fig2") {
-		run("Figure 2: example queries", func() error {
+	experiments := []struct {
+		name, title string
+		run         func() error
+	}{
+		{"fig2", "Figure 2: example queries", func() error {
 			cfg := harness.DefaultFig2()
-			cfg.Seed = *seed
-			if progress != nil {
-				cfg.Progress = progress
-			}
-			res, err := harness.RunFig2(cfg)
-			if err != nil {
-				return err
-			}
-			res.Format(os.Stdout)
-			return nil
-		})
-	}
-	if want("fig5") {
-		run("Figure 5: eviction rates", func() error {
+			cfg.Seed, cfg.Progress = *seed, progress
+			return show(harness.RunFig2(cfg))
+		}},
+		{"fig5", "Figure 5: eviction rates", func() error {
 			cfg := harness.DefaultFig5()
 			if *full {
 				cfg = harness.FullFig5()
 			}
-			cfg.Seed = *seed
+			cfg.Seed, cfg.Progress = *seed, progress
 			if *packets > 0 {
 				cfg.Packets = *packets
-			}
-			if progress != nil {
-				cfg.Progress = progress
 			}
 			res, err := harness.RunFig5(cfg)
 			if err != nil {
@@ -87,39 +75,20 @@ func main() {
 			fmt.Printf("at the typical workload that is %.0fK evictions/s (paper: 802K/s)\n",
 				frac*harness.TypicalPktPerSec/1e3)
 			return nil
-		})
-	}
-	if want("fig6") {
-		run("Figure 6: accuracy for non-linear queries", func() error {
+		}},
+		{"fig6", "Figure 6: accuracy for non-linear queries", func() error {
 			cfg := harness.DefaultFig6()
-			cfg.Seed = *seed
-			if progress != nil {
-				cfg.Progress = progress
-			}
-			res, err := harness.RunFig6(cfg)
-			if err != nil {
-				return err
-			}
-			res.Format(os.Stdout)
-			return nil
-		})
-	}
-	if want("census") {
-		run("Unique-flow census", func() error {
+			cfg.Seed, cfg.Progress = *seed, progress
+			return show(harness.RunFig6(cfg))
+		}},
+		{"census", "Unique-flow census", func() error {
 			n := int64(4_000_000)
 			if *packets > 0 {
 				n = *packets
 			}
-			res, err := harness.RunCensus(*seed, n)
-			if err != nil {
-				return err
-			}
-			res.Format(os.Stdout)
-			return nil
-		})
-	}
-	if want("area") {
-		run("Chip area model (§3.3)", func() error {
+			return show(harness.RunCensus(*seed, n))
+		}},
+		{"area", "Chip area model (§3.3)", func() error {
 			fmt.Printf("SRAM density %.0f Kb/mm², reference die %.0f mm² (the paper's assumptions)\n\n",
 				chiparea.SRAMKbPerMM2, chiparea.ReferenceDieMM2)
 			fmt.Printf("%10s %12s %10s %10s\n", "Mbit", "pairs", "mm²", "% of die")
@@ -131,51 +100,40 @@ func main() {
 			fmt.Printf("\nthe paper's 32-Mbit target costs %.2f%% of the die (claim: < 2.5%%)\n",
 				100*chiparea.DieFraction(32e6))
 			return nil
-		})
-	}
-	if want("net") {
-		run("Network-wide loss localization (query fabric)", func() error {
+		}},
+		{"net", "Network-wide loss localization (query fabric)", func() error {
 			cfg := harness.DefaultNet()
-			cfg.Seed = *seed
-			if progress != nil {
-				cfg.Progress = progress
-			}
-			res, err := harness.RunNet(cfg)
-			if err != nil {
-				return err
-			}
-			res.Format(os.Stdout)
-			return nil
-		})
-	}
-	if want("window") {
-		run("Window sweep: accuracy vs epoch length (windowed runtime)", func() error {
+			cfg.Seed, cfg.Progress = *seed, progress
+			return show(harness.RunNet(cfg))
+		}},
+		{"window", "Window sweep: accuracy vs epoch length (windowed runtime)", func() error {
 			cfg := harness.DefaultWindowSweep()
-			cfg.Seed = *seed
-			if progress != nil {
-				cfg.Progress = progress
-			}
-			res, err := harness.RunWindowSweep(cfg)
-			if err != nil {
-				return err
-			}
-			res.Format(os.Stdout)
-			return nil
-		})
-	}
-	if want("backing") {
-		run("Backing-store throughput", func() error {
-			res, err := harness.RunBackingThroughput(300_000)
-			if err != nil {
-				return err
-			}
-			res.Format(os.Stdout)
-			return nil
-		})
+			cfg.Seed, cfg.Progress = *seed, progress
+			return show(harness.RunWindowSweep(cfg))
+		}},
+		{"backing", "Backing-store throughput", func() error {
+			return show(harness.RunBackingThroughput(300_000))
+		}},
 	}
 
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		ran = true
+		fmt.Printf("\n================ %s ================\n", e.title)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "evalhw: %s: %v\n", e.title, err)
+			os.Exit(1)
+		}
+	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "evalhw: unknown experiment %q (fig2|fig5|fig6|census|area|net|window|backing|all)\n", *exp)
+		var names []string
+		for _, e := range experiments {
+			names = append(names, e.name)
+		}
+		fmt.Fprintf(os.Stderr, "evalhw: unknown experiment %q (%s|all)\n", *exp, strings.Join(names, "|"))
 		os.Exit(2)
 	}
 }

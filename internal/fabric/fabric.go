@@ -144,15 +144,3 @@ func (f *Fabric) SwitchTables(sw uint16) (map[string]*exec.Table, error) {
 	}
 	return dp.Collect()
 }
-
-// RunPlan is the one-call pipeline: fabric over src, then the collector.
-func RunPlan(plan *compiler.Plan, t *topo.Topology, src trace.Source, cfg Config) (map[string]*exec.Table, error) {
-	f, err := New(plan, t, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Run(src); err != nil {
-		return nil, err
-	}
-	return f.Collect()
-}

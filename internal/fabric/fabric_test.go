@@ -120,6 +120,23 @@ func atProcs(n int, fn func()) {
 	fn()
 }
 
+// runTables is New → Run → Collect over recs with the default config.
+func runTables(t *testing.T, plan *compiler.Plan, tp *topo.Topology, recs []trace.Record) map[string]*exec.Table {
+	t.Helper()
+	f, err := New(plan, tp, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(&trace.SliceSource{Records: recs}); err != nil {
+		t.Fatal(err)
+	}
+	tabs, err := f.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs
+}
+
 // TestFabricSerialParallelIdentical: the worker-per-switch run must be
 // bit-identical to the inline one (per-switch arrival order is preserved
 // either way), and a single-switch fabric must be the plain datapath.
@@ -131,12 +148,7 @@ R1 = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple
 R2 = SELECT qid, tout - tin AS lat WHERE qin > 20000
 `)
 	run := func(procs int) (tabs map[string]*exec.Table) {
-		atProcs(procs, func() {
-			var err error
-			if tabs, err = RunPlan(plan, tp, &trace.SliceSource{Records: recs}, Config{}); err != nil {
-				t.Fatal(err)
-			}
-		})
+		atProcs(procs, func() { tabs = runTables(t, plan, tp, recs) })
 		return tabs
 	}
 	requireSameTables(t, run(1), run(4))
@@ -170,15 +182,12 @@ func requireSameTables(t *testing.T, want, got map[string]*exec.Table) {
 // switch takes its lanes of the feeder's block, and on ring workers, where
 // each takes its own slot's — however Process and Feed interleave, and
 // with sampled lanes split off as deliveries of their own. The tables are
-// those of an untraced RunPlan either way.
+// those of an untraced run either way.
 func TestFabricStageOncePerBlock(t *testing.T) {
 	tp := topo.LeafSpine(4, 2, 8, topo.Options{})
 	recs := workload(t, tp)
 	plan := compile(t, queries.LossByQueue+"R4 = SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple\n")
-	want, err := RunPlan(plan, tp, &trace.SliceSource{Records: recs}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runTables(t, plan, tp, recs)
 	blocks := func(n uint64) uint64 { return (n + fold.BlockSize - 1) / fold.BlockSize }
 	for _, procs := range []int{1, 4} {
 		tr := obs.NewTracer(2, 0) // one key in four rides a span: its lane is delivered alone

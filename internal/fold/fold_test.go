@@ -1,8 +1,10 @@
 package fold
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -357,6 +359,70 @@ func TestProgramStringer(t *testing.T) {
 	if got := Const(42).String(); got != "42" {
 		t.Errorf("Const(42).String() = %q", got)
 	}
+
+	// Every node kind prints through one builder; a program that uses
+	// them all reads exactly as it did when each String nested Sprintf.
+	p := And{L: Cmp{Op: CmpGt, L: StateRef(0), R: FieldRef(trace.FieldTCPSeq)}, R: Or{L: Not{X: BoolConst(true)}, R: BoolConst(false)}}
+	e := CondExpr{P: p, T: Neg{X: Call{Fn: FnMax, Args: []Expr{StateRef(1), Const(2.5)}}}, E: Bin{Op: OpDiv, L: ColRef(3), R: Const(1)}}
+	short := &Program{Name: "short", NumState: 2, Body: []Stmt{
+		If{Cond: p, Then: []Stmt{Assign{Dst: 1, RHS: e}}, Else: []Stmt{Assign{Dst: 0, RHS: Const(Infinity)}, If{Cond: Not{X: p}}}},
+		Assign{Dst: 0, RHS: Neg{X: StateRef(0)}},
+	}}
+	const want = "def short[2] { if (s0 > tcpseq and ((not true) or false)) then { s1 = ((s0 > tcpseq and ((not true) or false)) ? (-max(s1, 2.5)) : ($3 / 1)); } else { s0 = infinity; if (not (s0 > tcpseq and ((not true) or false))) then { }; }; s0 = (-s0); }"
+	if got := short.String(); got != want {
+		t.Errorf("Program.String() =\n%s\nwant\n%s", got, want)
+	}
+
+	// Text and allocation grow with the tree, not with its square: ten
+	// times the depth is ten times the text (each level adds the same
+	// few bytes) and, give or take the builder's growth steps, ten times
+	// the bytes allocated. Nested Sprintf re-copied every operand once
+	// per ancestor: 100x at these depths.
+	deep := map[string]func(n int) fmt.Stringer{
+		"Neg": func(n int) fmt.Stringer { return nest(n, func(e Expr) Expr { return Neg{X: e} }) },
+		"Call": func(n int) fmt.Stringer {
+			return nest(n, func(e Expr) Expr { return Call{Fn: FnAbs, Args: []Expr{e}} })
+		},
+		"CondExpr": func(n int) fmt.Stringer {
+			return nest(n, func(e Expr) Expr { return CondExpr{P: BoolConst(true), T: e, E: Const(0)} })
+		},
+		"If": func(n int) fmt.Stringer {
+			var s Stmt = Assign{Dst: 0, RHS: Const(1)}
+			for ; n > 0; n-- {
+				s = If{Cond: BoolConst(true), Then: []Stmt{s}}
+			}
+			return s
+		},
+	}
+	for kind, build := range deep {
+		lenAt, allocAt := map[int]int{}, map[int]uint64{}
+		for _, n := range []int{1, 1_000, 10_000} {
+			node := build(n)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			lenAt[n] = len(node.String())
+			runtime.ReadMemStats(&after)
+			allocAt[n] = after.TotalAlloc - before.TotalAlloc
+		}
+		perLevel := (lenAt[1_000] - lenAt[1]) / 999
+		if perLevel == 0 || lenAt[10_000] != lenAt[1]+9_999*perLevel {
+			t.Errorf("%s: text is %d bytes at depth 1, %d at 1000, %d at 10000: not a constant per level",
+				kind, lenAt[1], lenAt[1_000], lenAt[10_000])
+		}
+		if allocAt[10_000] > 20*allocAt[1_000] {
+			t.Errorf("%s: String allocated %d bytes at depth 1000 and %d at 10000, want about 10x",
+				kind, allocAt[1_000], allocAt[10_000])
+		}
+	}
+}
+
+// nest wraps s0 in n levels of wrap.
+func nest(n int, wrap func(Expr) Expr) Expr {
+	var e Expr = StateRef(0)
+	for ; n > 0; n-- {
+		e = wrap(e)
+	}
+	return e
 }
 
 func TestInfinityMatchesTraceSentinel(t *testing.T) {

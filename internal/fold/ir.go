@@ -193,40 +193,80 @@ func (c Const) String() string {
 func (f FieldRef) String() string { return trace.FieldID(f).String() }
 func (c ColRef) String() string   { return fmt.Sprintf("$%d", int(c)) }
 func (s StateRef) String() string { return fmt.Sprintf("s%d", int(s)) }
-func (n Neg) String() string      { return fmt.Sprintf("(-%v)", n.X) }
 
-// String renders a chain of binary nodes through one builder: nesting
-// Sprintf would copy each operand's text once per ancestor, which is
-// quadratic on the left-deep chain a long sum parses to.
-func (b Bin) String() string {
+func (n Neg) String() string      { return nodeString(n) }
+func (b Bin) String() string      { return nodeString(b) }
+func (c Call) String() string     { return nodeString(c) }
+func (c CondExpr) String() string { return nodeString(c) }
+
+// nodeString renders an expression, predicate or statement through one
+// builder: String methods that nest Sprintf copy each operand's text once
+// per ancestor, which is quadratic on any deep chain — a long sum's
+// left-deep Bins, stacked negations or calls, nested ifs.
+func nodeString(n fmt.Stringer) string {
 	var sb strings.Builder
-	writeBin(&sb, b)
+	writeExpr(&sb, n)
 	return sb.String()
 }
 
-func writeBin(sb *strings.Builder, e Expr) {
-	b, ok := e.(Bin)
-	if !ok {
-		fmt.Fprint(sb, e)
-		return
+// writeExpr appends the text of n — any Expr, Pred or Stmt — to sb;
+// every composite node kind prints here, leaves through their String.
+func writeExpr(sb *strings.Builder, n fmt.Stringer) {
+	// put appends its parts in order: strings verbatim, nodes recursively.
+	put := func(parts ...interface{}) {
+		for _, p := range parts {
+			if text, ok := p.(string); ok {
+				sb.WriteString(text)
+			} else {
+				node, _ := p.(fmt.Stringer)
+				writeExpr(sb, node)
+			}
+		}
 	}
-	sb.WriteByte('(')
-	writeBin(sb, b.L)
-	sb.WriteString(" " + b.Op.String() + " ")
-	writeBin(sb, b.R)
-	sb.WriteByte(')')
-}
-
-func (c Call) String() string {
-	args := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.String()
+	block := func(open string, stmts []Stmt) {
+		put(open)
+		for _, s := range stmts {
+			put(s, "; ")
+		}
+		put("}")
 	}
-	return fmt.Sprintf("%v(%s)", c.Fn, strings.Join(args, ", "))
-}
-
-func (c CondExpr) String() string {
-	return fmt.Sprintf("(%v ? %v : %v)", c.P, c.T, c.E)
+	switch n := n.(type) {
+	case Bin:
+		put("(", n.L, " ", n.Op, " ", n.R, ")")
+	case Neg:
+		put("(-", n.X, ")")
+	case Call:
+		put(n.Fn, "(")
+		for i, a := range n.Args {
+			if i > 0 {
+				put(", ")
+			}
+			put(a)
+		}
+		put(")")
+	case CondExpr:
+		put("(", n.P, " ? ", n.T, " : ", n.E, ")")
+	case Cmp:
+		put(n.L, " ", n.Op, " ", n.R)
+	case And:
+		put("(", n.L, " and ", n.R, ")")
+	case Or:
+		put("(", n.L, " or ", n.R, ")")
+	case Not:
+		put("(not ", n.X, ")")
+	case Assign:
+		put(StateRef(n.Dst), " = ", n.RHS)
+	case If:
+		put("if ", n.Cond)
+		block(" then { ", n.Then)
+		if len(n.Else) > 0 {
+			block(" else { ", n.Else)
+		}
+	case *Program:
+		block(fmt.Sprintf("def %s[%d] { ", n.Name, n.NumState), n.Body)
+	default:
+		fmt.Fprint(sb, n)
+	}
 }
 
 // Pred is a boolean predicate over the current input and state.
@@ -259,10 +299,10 @@ func (Or) isPred()        {}
 func (Not) isPred()       {}
 func (BoolConst) isPred() {}
 
-func (c Cmp) String() string { return fmt.Sprintf("%v %v %v", c.L, c.Op, c.R) }
-func (a And) String() string { return fmt.Sprintf("(%v and %v)", a.L, a.R) }
-func (o Or) String() string  { return fmt.Sprintf("(%v or %v)", o.L, o.R) }
-func (n Not) String() string { return fmt.Sprintf("(not %v)", n.X) }
+func (c Cmp) String() string { return nodeString(c) }
+func (a And) String() string { return nodeString(a) }
+func (o Or) String() string  { return nodeString(o) }
+func (n Not) String() string { return nodeString(n) }
 func (b BoolConst) String() string {
 	if b {
 		return "true"
@@ -291,24 +331,8 @@ type If struct {
 func (Assign) isStmt() {}
 func (If) isStmt()     {}
 
-func (a Assign) String() string { return fmt.Sprintf("s%d = %v", a.Dst, a.RHS) }
-
-func (i If) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "if %v then { ", i.Cond)
-	for _, s := range i.Then {
-		fmt.Fprintf(&b, "%v; ", s)
-	}
-	b.WriteString("}")
-	if len(i.Else) > 0 {
-		b.WriteString(" else { ")
-		for _, s := range i.Else {
-			fmt.Fprintf(&b, "%v; ", s)
-		}
-		b.WriteString("}")
-	}
-	return b.String()
-}
+func (a Assign) String() string { return nodeString(a) }
+func (i If) String() string     { return nodeString(i) }
 
 // Program is a complete fold function: a state vector of NumState
 // variables initialized to S0 (nil means all-zero), updated by Body once
@@ -323,15 +347,7 @@ type Program struct {
 }
 
 // String renders the program in a compact debug syntax.
-func (p *Program) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "def %s[%d] { ", p.Name, p.NumState)
-	for _, s := range p.Body {
-		fmt.Fprintf(&b, "%v; ", s)
-	}
-	b.WriteString("}")
-	return b.String()
-}
+func (p *Program) String() string { return nodeString(p) }
 
 // InitState returns a fresh initial state vector.
 func (p *Program) InitState() []float64 {

@@ -5,11 +5,10 @@ import (
 	"io"
 	"time"
 
+	"perfq"
 	"perfq/internal/chiparea"
-	"perfq/internal/fold"
-	"perfq/internal/kvstore"
-	"perfq/internal/netstore"
 	"perfq/internal/packet"
+	"perfq/internal/queries"
 	"perfq/internal/trace"
 	"perfq/internal/tracegen"
 )
@@ -32,29 +31,26 @@ type CensusResult struct {
 	Elapsed              time.Duration
 }
 
-// RunCensus counts unique 5-tuples in the synthetic trace and prices the
-// store-everything-on-chip alternative.
+// RunCensus counts unique 5-tuples in the synthetic trace — the keys the
+// flow-count query's backing store holds after a run, its COUNT column
+// summing to the packets — and prices the store-everything-on-chip
+// alternative.
 func RunCensus(seed, packets int64) (*CensusResult, error) {
 	start := time.Now()
-	gen := tracegen.New(traceConfig(seed, packets))
-	uniq := make(map[packet.Key128]struct{}, packets/32)
-	var rec trace.Record
-	var n int64
-	for {
-		err := gen.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		uniq[rec.FlowKey().Pack()] = struct{}{}
-		n++
+	q := perfq.MustCompile(flowCount)
+	run, err := q.Run(tracegen.New(traceConfig(seed, packets)))
+	if err != nil {
+		return nil, err
 	}
-	bits := chiparea.PairsToBits(int64(len(uniq)))
+	var n int64
+	for _, row := range run.Result().Rows {
+		n += int64(row[len(row)-1])
+	}
+	flows := int64(run.TotalKeys)
+	bits := chiparea.PairsToBits(flows)
 	return &CensusResult{
 		Packets:              n,
-		UniqueFlows:          int64(len(uniq)),
+		UniqueFlows:          flows,
 		OnChipBits:           bits,
 		OnChipAreaMM2:        chiparea.SRAMAreaMM2(bits),
 		DieFraction:          chiparea.DieFraction(bits),
@@ -74,59 +70,65 @@ func (r *CensusResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "  elapsed: %v\n", r.Elapsed.Round(time.Millisecond))
 }
 
-// BackingThroughputResult measures the netstore eviction sink rate — §4's
-// claim that a scale-out key-value store absorbs ~802K evictions/s.
+// BackingThroughputResult measures the networked eviction sink rate —
+// §4's claim that a scale-out key-value store absorbs ~802K evictions/s.
 type BackingThroughputResult struct {
+	// Evictions is what the run offered the pool (capacity evictions plus
+	// the end-of-run flush); Applied what its backends report applying.
 	Evictions    int64
+	Applied      uint64
 	Elapsed      time.Duration
 	PerSec       float64
 	TargetPerSec float64 // 802K from the paper
 }
 
-// RunBackingThroughput streams n linear-merge evictions (the most
-// expensive frame type) through a loopback netstore server and reports
-// the sustained rate.
+// RunBackingThroughput runs the Latency EWMA query (linear merge, the
+// most expensive frame type) over n single-packet flows through an
+// 8-pair cache, so every record leaves the datapath as an eviction
+// shipped to a one-backend loopback pool, and reports the rate sustained
+// until the pool has settled. An eviction the pool dropped is an error,
+// not a lower rate.
 func RunBackingThroughput(n int64) (*BackingThroughputResult, error) {
-	lat := fold.Bin{Op: fold.OpSub, L: fold.FieldRef(trace.FieldTout), R: fold.FieldRef(trace.FieldTin)}
-	f := fold.Ewma(lat, 0.125)
-	srv, err := netstore.NewServer("127.0.0.1:0", f)
+	q := perfq.MustCompile(queries.ByName("Latency EWMA").Source)
+	cluster, err := q.ServeBackingStores(1)
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	cl, err := netstore.Dial(srv.Addr(), f)
+	defer cluster.Close()
+	// The pool's queues drop their oldest chunk on overflow; n deep, none can.
+	pool, err := q.DialBackingPool(cluster.Addrs(), perfq.BackingPoolConfig{QueueDepth: int(n)})
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
+	defer pool.Close()
 
-	rec := &trace.Record{Tin: 100, Tout: 400}
-	ev := kvstore.Eviction{
-		State:    []float64{42},
-		P:        []float64{0.5},
-		FirstRec: rec,
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		recs[i] = trace.Record{SrcIP: packet.Addr4FromUint32(uint32(i)), Proto: packet.ProtoTCP, Tin: 100, Tout: 400}
 	}
 	start := time.Now()
-	for i := int64(0); i < n; i++ {
-		ev.Key = packet.FiveTuple{
-			Src:     packet.Addr4FromUint32(uint32(i)),
-			Dst:     packet.Addr4{10, 0, 0, 1},
-			SrcPort: uint16(i), DstPort: 443, Proto: packet.ProtoTCP,
-		}.Pack()
-		if err := cl.HandleEviction(&ev); err != nil {
-			return nil, err
-		}
+	run, err := q.Run(perfq.Records(recs), perfq.WithCache(8, 8), perfq.WithBackingPool(pool))
+	if err != nil {
+		return nil, err
 	}
-	if err := cl.Sync(); err != nil {
+	if err := pool.Sync(); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	return &BackingThroughputResult{
-		Evictions:    n,
+	offered := run.Evictions + run.Flushed
+	if d := pool.DroppedEvictions(); d != 0 {
+		return nil, fmt.Errorf("backing pool dropped %d of %d evictions", d, offered)
+	}
+	res := &BackingThroughputResult{
+		Evictions:    int64(offered),
 		Elapsed:      elapsed,
-		PerSec:       float64(n) / elapsed.Seconds(),
+		PerSec:       float64(offered) / elapsed.Seconds(),
 		TargetPerSec: 802_000,
-	}, nil
+	}
+	for _, b := range pool.Stats() {
+		res.Applied += b.Server.Applied()
+	}
+	return res, nil
 }
 
 // Format renders the throughput check.

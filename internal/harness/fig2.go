@@ -6,13 +6,8 @@ import (
 	"math"
 	"time"
 
-	"perfq/internal/compiler"
-	"perfq/internal/exec"
-	"perfq/internal/fold"
-	"perfq/internal/kvstore"
-	"perfq/internal/lang"
+	"perfq"
 	"perfq/internal/queries"
-	"perfq/internal/switchsim"
 	"perfq/internal/trace"
 	"perfq/internal/tracegen"
 )
@@ -66,60 +61,31 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 	res := &Fig2Result{Config: cfg, Packets: len(recs)}
 	for _, ex := range queries.Fig2 {
 		row := Fig2Row{Name: ex.Name, PaperLinear: ex.Linear}
-		func() {
-			chk, err := lang.Check(lang.MustParse(ex.Source))
+		row.Err = func() error {
+			q, err := perfq.Compile(ex.Source)
 			if err != nil {
-				row.Err = err
-				return
+				return err
 			}
-			plan, err := compiler.Compile(chk)
+			row.Linear = q.LinearInState()
+			truth, err := q.GroundTruth(perfq.Records(recs))
 			if err != nil {
-				row.Err = err
-				return
+				return err
 			}
-			row.Programs = len(plan.Programs)
-			row.Linear = plan.Programs[0].Fold.Merge == fold.MergeLinear
-
-			truth, err := exec.Run(plan, &trace.SliceSource{Records: recs})
+			got, err := q.Run(perfq.Records(recs), perfq.WithCache(cfg.CachePairs, 8))
 			if err != nil {
-				row.Err = err
-				return
+				return err
 			}
-			dp, err := switchsim.New(plan, switchsim.Config{
-				Geometry: kvstore.SetAssociative(cfg.CachePairs, 8),
-			})
-			if err != nil {
-				row.Err = err
-				return
-			}
-			if err := dp.Run(&trace.SliceSource{Records: recs}); err != nil {
-				row.Err = err
-				return
-			}
-			got, err := dp.Collect()
-			if err != nil {
-				row.Err = err
-				return
-			}
-			for _, st := range dp.Stats() {
-				row.Evictions += st.Evictions
-			}
-
-			gt, dt := truth[ex.Result], got[ex.Result]
-			row.ResultRows = len(dt.Rows)
-			valid, total := dp.Accuracy(0)
-			if total == 0 {
-				row.Accuracy = 1
-			} else {
-				row.Accuracy = float64(valid) / float64(total)
-			}
-			k := plan.ByName[ex.Result].NumKeyCols()
-			row.Matches = tablesAgree(dt, gt, k, ex.Linear)
+			row.Programs = got.Programs()
+			row.Evictions = got.Evictions
+			row.Accuracy = accuracy(got.Accuracy(0))
+			dt := got.Table(ex.Result)
+			row.ResultRows = dt.Len()
+			k := q.Plan().ByName[ex.Result].NumKeyCols()
+			row.Matches = tablesAgree(dt, truth.Table(ex.Result), k, ex.Linear)
+			return nil
 		}()
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, "  %-32s linear=%-5v programs=%d rows=%d match=%v\n",
-				row.Name, row.Linear, row.Programs, row.ResultRows, row.Matches)
-		}
+		logf(cfg.Progress, "  %-32s linear=%-5v programs=%d rows=%d match=%v",
+			row.Name, row.Linear, row.Programs, row.ResultRows, row.Matches)
 		res.Rows = append(res.Rows, row)
 	}
 	res.Elapsed = time.Since(start)
@@ -132,47 +98,29 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 // compared with a small relative tolerance. Linear examples must cover
 // the ground truth exactly; the non-linear one must agree on every row it
 // reports.
-func tablesAgree(got, want *exec.Table, k int, linear bool) bool {
+func tablesAgree(got, want *perfq.Table, k int, linear bool) bool {
 	if linear && len(got.Rows) != len(want.Rows) {
 		return false
 	}
+	if k == 0 {
+		k = len(want.Schema)
+	}
 	wantByKey := map[string][]float64{}
 	for _, r := range want.Rows {
-		kk := k
-		if kk == 0 {
-			kk = len(r)
-		}
-		wantByKey[rowSig(r[:kk])] = r
+		wantByKey[fmt.Sprint(r[:k])] = r
 	}
 	for _, g := range got.Rows {
-		kk := k
-		if kk == 0 {
-			kk = len(g)
-		}
-		w, ok := wantByKey[rowSig(g[:kk])]
+		w, ok := wantByKey[fmt.Sprint(g[:k])]
 		if !ok {
 			return false
 		}
-		for i := kk; i < len(g); i++ {
+		for i := k; i < len(g); i++ {
 			if math.Abs(g[i]-w[i]) > 1e-6*math.Max(1, math.Abs(w[i])) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// rowSig encodes key values (exact integers in every example schema) as a
-// map key.
-func rowSig(vals []float64) string {
-	b := make([]byte, 0, len(vals)*8)
-	for _, v := range vals {
-		u := math.Float64bits(v)
-		for j := 0; j < 8; j++ {
-			b = append(b, byte(u>>(8*j)))
-		}
-	}
-	return string(b)
 }
 
 // Format renders the Figure 2 table.

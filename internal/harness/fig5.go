@@ -14,16 +14,31 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"time"
 
+	"perfq"
 	"perfq/internal/chiparea"
-	"perfq/internal/fold"
-	"perfq/internal/kvstore"
 	"perfq/internal/packet"
 	"perfq/internal/trace"
 	"perfq/internal/tracegen"
 )
+
+// logf writes one progress line to w; a nil w discards it.
+func logf(w io.Writer, format string, args ...interface{}) {
+	if w != nil {
+		fmt.Fprintf(w, format+"\n", args...)
+	}
+}
+
+// accuracy is valid / total backing-store keys — Figure 6's metric. A run
+// that held no key has nothing invalid: 1.
+func accuracy(valid, total int) float64 {
+	if total == 0 {
+		return 1
+	}
+	return float64(valid) / float64(total)
+}
 
 // Workload constants from §4's setup: a 1 GHz pipeline processing 64-byte
 // packets at line rate handles 1e9 packets/s; at the datacenter average of
@@ -93,19 +108,18 @@ type Fig5Result struct {
 	Elapsed     time.Duration
 }
 
-// GeometryLabels are the three series of Figure 5, in legend order.
-var GeometryLabels = []string{"hash-table", "8-way", "fully-associative"}
+// GeometryLabels are the three series of Figure 5, in legend order, and
+// geometryWays the WithCache ways that select each: a plain hash table,
+// 8-way set-associative, fully associative.
+var (
+	GeometryLabels = []string{"hash-table", "8-way", "fully-associative"}
+	geometryWays   = []int{1, 8, 0}
+)
 
-func geometryFor(label string, pairs int) kvstore.Geometry {
-	switch label {
-	case "hash-table":
-		return kvstore.HashTable(pairs)
-	case "8-way":
-		return kvstore.SetAssociative(pairs, 8)
-	default:
-		return kvstore.FullyAssociative(pairs)
-	}
-}
+// flowCount is the query behind Figure 5 and the census: one counter per
+// five-tuple, so a run's capacity evictions are the figure's y-axis and
+// the keys its backing store ends up holding are the trace's flows.
+const flowCount = "SELECT COUNT GROUPBY 5tuple"
 
 // traceConfig builds the WAN trace config for a packet budget. The
 // arrival horizon is far beyond the budget so MaxPackets always provides
@@ -122,44 +136,63 @@ func traceConfig(seed, packets int64) tracegen.Config {
 	return cfg
 }
 
-// RunFig5 replays the trace's key-reference stream through every
-// (geometry, size) combination, counting capacity evictions — the quantity
-// both panels of Figure 5 plot.
+// flowSource replays a stored five-tuple stream as records: Figure 5
+// depends only on the key sequence, so the trace is held at 14 bytes a
+// packet (2.2 GB at the paper's 157M packets, where whole records would
+// be 12.5 GB) and every run at every scale re-expands it, a batch at a
+// time into one buffer whose other fields stay zero.
+type flowSource struct {
+	flows []packet.FiveTuple
+	buf   [512]trace.Record
+}
+
+func setFlow(rec *trace.Record, ft *packet.FiveTuple) {
+	rec.SrcIP, rec.DstIP, rec.SrcPort, rec.DstPort, rec.Proto = ft.Src, ft.Dst, ft.SrcPort, ft.DstPort, ft.Proto
+}
+
+// NextBatch implements trace.BatchSource, the pull Run takes.
+func (s *flowSource) NextBatch() ([]trace.Record, error) {
+	n := min(len(s.buf), len(s.flows))
+	if n == 0 {
+		return nil, io.EOF
+	}
+	for i := range s.flows[:n] {
+		setFlow(&s.buf[i], &s.flows[i])
+	}
+	s.flows = s.flows[n:]
+	return s.buf[:n], nil
+}
+
+// Next implements trace.Source.
+func (s *flowSource) Next(rec *trace.Record) error {
+	if len(s.flows) == 0 {
+		return io.EOF
+	}
+	*rec = trace.Record{}
+	setFlow(rec, &s.flows[0])
+	s.flows = s.flows[1:]
+	return nil
+}
+
+// RunFig5 runs the flow-count query over the trace's key-reference stream
+// at every (geometry, size) combination, counting capacity evictions — the
+// quantity both panels of Figure 5 plot.
 func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	start := time.Now()
-	logf := func(format string, args ...interface{}) {
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, format+"\n", args...)
+	q := perfq.MustCompile(flowCount)
+	flows := make([]packet.FiveTuple, 0, cfg.Packets)
+	err := trace.EachBatch(tracegen.New(traceConfig(cfg.Seed, cfg.Packets)), func(recs []trace.Record) error {
+		for i := range recs {
+			flows = append(flows, recs[i].FlowKey())
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Materialize the key stream once: Figure 5 depends only on the
-	// sequence of 5-tuple keys.
-	gen := tracegen.New(traceConfig(cfg.Seed, cfg.Packets))
-	keys := make([]packet.Key128, 0, cfg.Packets)
-	uniq := make(map[packet.Key128]struct{}, cfg.Packets/32)
-	var rec trace.Record
-	for {
-		err := gen.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		k := rec.FlowKey().Pack()
-		keys = append(keys, k)
-		uniq[k] = struct{}{}
-	}
-	logf("trace: %d packets, %d unique 5-tuples (%.1f pkts/flow)",
-		len(keys), len(uniq), float64(len(keys))/float64(len(uniq)))
-
-	res := &Fig5Result{
-		Config:      cfg,
-		Packets:     int64(len(keys)),
-		UniqueFlows: int64(len(uniq)),
-	}
-	in := &fold.Input{Rec: &trace.Record{}}
+	res := &Fig5Result{Config: cfg, Packets: int64(len(flows))}
+	logf(cfg.Progress, "trace: %d packets", res.Packets)
 	for _, pairs := range cfg.SizesPairs {
 		row := Fig5Row{
 			Pairs:       pairs,
@@ -167,21 +200,16 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 			EvictFrac:   map[string]float64{},
 			EvictPerSec: map[string]float64{},
 		}
-		for _, label := range GeometryLabels {
-			cache, err := kvstore.New(kvstore.Config{
-				Geometry: geometryFor(label, pairs),
-				Fold:     fold.Count(),
-			})
+		for i, label := range GeometryLabels {
+			run, err := q.Run(&flowSource{flows: flows}, perfq.WithCache(pairs, geometryWays[i]))
 			if err != nil {
 				return nil, err
 			}
-			for _, k := range keys {
-				cache.Process(k, in)
-			}
-			frac := cache.Stats().EvictionRate()
+			res.UniqueFlows = int64(run.TotalKeys) // the trace's flows, whatever the cache
+			frac := float64(run.Evictions) / float64(res.Packets)
 			row.EvictFrac[label] = frac
 			row.EvictPerSec[label] = frac * TypicalPktPerSec
-			logf("  %9d pairs (%6.2f Mbit) %-18s evict%%=%.3f", pairs, row.Mbit, label, frac*100)
+			logf(cfg.Progress, "  %9d pairs (%6.2f Mbit) %-18s evict%%=%.3f", pairs, row.Mbit, label, frac*100)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -193,24 +221,20 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 func (r *Fig5Result) Format(w io.Writer) {
 	fmt.Fprintf(w, "Figure 5: eviction rates (trace: %d pkts, %d flows, %.1f pkts/flow)\n",
 		r.Packets, r.UniqueFlows, float64(r.Packets)/float64(r.UniqueFlows))
+	panel := func(cell string, scale float64, vals func(Fig5Row) map[string]float64) {
+		fmt.Fprintf(w, "%12s %10s | %10s %10s %10s\n", "pairs", "Mbit", GeometryLabels[0], GeometryLabels[1], GeometryLabels[2])
+		for _, row := range r.Rows {
+			fmt.Fprintf(w, "%12d %10.2f |", row.Pairs, row.Mbit)
+			for _, g := range GeometryLabels {
+				fmt.Fprintf(w, cell, scale*vals(row)[g])
+			}
+			fmt.Fprintln(w)
+		}
+	}
 	fmt.Fprintf(w, "\n%% evictions (fraction of packets evicting a key):\n")
-	fmt.Fprintf(w, "%12s %10s | %10s %10s %10s\n", "pairs", "Mbit", GeometryLabels[0], GeometryLabels[1], GeometryLabels[2])
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%12d %10.2f | %9.3f%% %9.3f%% %9.3f%%\n",
-			row.Pairs, row.Mbit,
-			100*row.EvictFrac[GeometryLabels[0]],
-			100*row.EvictFrac[GeometryLabels[1]],
-			100*row.EvictFrac[GeometryLabels[2]])
-	}
+	panel(" %9.3f%%", 100, func(row Fig5Row) map[string]float64 { return row.EvictFrac })
 	fmt.Fprintf(w, "\nevictions/sec at the typical datacenter workload (%.1fM avg pkts/s):\n", TypicalPktPerSec/1e6)
-	fmt.Fprintf(w, "%12s %10s | %10s %10s %10s\n", "pairs", "Mbit", GeometryLabels[0], GeometryLabels[1], GeometryLabels[2])
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%12d %10.2f | %9.0fK %9.0fK %9.0fK\n",
-			row.Pairs, row.Mbit,
-			row.EvictPerSec[GeometryLabels[0]]/1e3,
-			row.EvictPerSec[GeometryLabels[1]]/1e3,
-			row.EvictPerSec[GeometryLabels[2]]/1e3)
-	}
+	panel(" %9.0fK", 1e-3, func(row Fig5Row) map[string]float64 { return row.EvictPerSec })
 	fmt.Fprintf(w, "\nelapsed: %v\n", r.Elapsed.Round(time.Millisecond))
 }
 
@@ -229,7 +253,7 @@ func (r *Fig5Result) Headline8Way() (evictFrac, gapToFull float64, pairs int) {
 	bestDiff := -1.0
 	for _, row := range r.Rows {
 		ratio := float64(r.UniqueFlows) / float64(row.Pairs)
-		diff := abs(ratio - target)
+		diff := math.Abs(ratio - target)
 		if bestDiff < 0 || diff < bestDiff {
 			bestDiff, best = diff, row
 		}
@@ -241,21 +265,4 @@ func (r *Fig5Result) Headline8Way() (evictFrac, gapToFull float64, pairs int) {
 		gap = (way8 - full) / full
 	}
 	return way8, gap, best.Pairs
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// SortedGeometries returns the labels ordered by eviction fraction for a
-// row — used by tests to assert full ≤ 8-way ≤ hash.
-func (row Fig5Row) SortedGeometries() []string {
-	out := append([]string(nil), GeometryLabels...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return row.EvictFrac[out[i]] < row.EvictFrac[out[j]]
-	})
-	return out
 }

@@ -5,12 +5,8 @@ import (
 	"io"
 	"time"
 
-	"perfq/internal/backing"
+	"perfq"
 	"perfq/internal/chiparea"
-	"perfq/internal/compiler"
-	"perfq/internal/fold"
-	"perfq/internal/kvstore"
-	"perfq/internal/lang"
 	"perfq/internal/queries"
 	"perfq/internal/trace"
 	"perfq/internal/tracegen"
@@ -59,25 +55,26 @@ type Fig6Row struct {
 // Fig6Result is the full figure.
 type Fig6Result struct {
 	Config  Fig6Config
-	Packets int64
 	Rows    []Fig6Row
 	Elapsed time.Duration
 }
 
-// nonMonotonicFold compiles the Fig. 2 "TCP non-monotonic" query and
-// returns its switch fold (MergeNone) plus the key spec.
-func nonMonotonicFold() (*fold.Func, *compiler.SwitchProgram, error) {
-	ex := queries.ByName("TCP non-monotonic")
-	chk, err := lang.Check(lang.MustParse(ex.Source))
-	if err != nil {
-		return nil, nil, err
+// windowSource ends src at the first record enqueued at or after end:
+// one query window from the start of the trace.
+type windowSource struct {
+	src trace.Source
+	end int64
+}
+
+// Next implements trace.Source.
+func (s *windowSource) Next(rec *trace.Record) error {
+	if err := s.src.Next(rec); err != nil {
+		return err
 	}
-	plan, err := compiler.Compile(chk)
-	if err != nil {
-		return nil, nil, err
+	if rec.Tin >= s.end {
+		return io.EOF
 	}
-	sp := plan.Programs[0]
-	return sp.Fold, sp, nil
+	return nil
 }
 
 // RunFig6 measures, for each cache size and window length, the fraction
@@ -85,15 +82,9 @@ func nonMonotonicFold() (*fold.Func, *compiler.SwitchProgram, error) {
 // the non-linear TCP non-monotonic query with an 8-way cache.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	start := time.Now()
-	logf := func(format string, args ...interface{}) {
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, format+"\n", args...)
-		}
-	}
-	foldFn, sp, err := nonMonotonicFold()
-	if err != nil {
-		return nil, err
-	}
+	q := perfq.MustCompile(queries.ByName("TCP non-monotonic").Source)
+	wcfg := tracegen.WANConfig(cfg.Seed, cfg.Duration)
+	wcfg.FlowRate = cfg.FlowRate
 
 	res := &Fig6Result{Config: cfg}
 	for _, pairs := range cfg.SizesPairs {
@@ -103,75 +94,24 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 			Accuracy: map[time.Duration]float64{},
 		}
 		for _, window := range cfg.Windows {
-			wcfg := tracegen.WANConfig(cfg.Seed, cfg.Duration)
-			wcfg.FlowRate = cfg.FlowRate
-			gen := tracegen.New(wcfg)
-
-			store := backing.New(foldFn)
-			cache, err := kvstore.New(kvstore.Config{
-				Geometry: kvstore.SetAssociative(pairs, 8),
-				Fold:     foldFn,
-				OnEvict:  store.HandleEviction,
-			})
-			if err != nil {
-				return nil, err
-			}
-
 			// The paper's comparison is between *running the query over a
 			// shorter interval*: evaluate one window of length `window`
 			// from the start of the trace and report the fraction of
 			// valid keys at its end.
-			var (
-				rec       trace.Record
-				windowEnd = window.Nanoseconds()
-				n         int64
-			)
-			for {
-				err := gen.Next(&rec)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				if rec.Tin >= windowEnd {
-					break
-				}
-				n++
-				in := fold.Input{Rec: &rec}
-				if !memberMatches(sp, &in) {
-					continue
-				}
-				key := rec.FlowKey().Pack()
-				cache.Process(key, &in)
+			src := &windowSource{src: tracegen.New(wcfg), end: window.Nanoseconds()}
+			run, err := q.Run(src, perfq.WithCache(pairs, 8))
+			if err != nil {
+				return nil, err
 			}
-			cache.Flush()
-			valid, total := store.Accuracy()
-			res.Packets = n
-
-			acc := 1.0
-			if total > 0 {
-				acc = float64(valid) / float64(total)
-			}
-			row.Accuracy[window] = acc
-			logf("  %8d pairs (%6.2f Mbit) window=%-4v accuracy=%.1f%% (%d/%d keys)",
-				pairs, row.Mbit, window, acc*100, valid, total)
+			valid, total := run.Accuracy(0)
+			row.Accuracy[window] = accuracy(valid, total)
+			logf(cfg.Progress, "  %8d pairs (%6.2f Mbit) window=%-4v accuracy=%.1f%% (%d/%d keys)",
+				pairs, row.Mbit, window, 100*row.Accuracy[window], valid, total)
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// memberMatches applies the program's match predicates (proto == TCP for
-// the non-monotonic query).
-func memberMatches(sp *compiler.SwitchProgram, in *fold.Input) bool {
-	for _, w := range sp.MemberWhere {
-		if w == nil || w.EvalBool(in, nil) {
-			return true
-		}
-	}
-	return false
 }
 
 // Format renders the figure.

@@ -7,13 +7,9 @@ import (
 	"sort"
 	"time"
 
-	"perfq/internal/compiler"
-	"perfq/internal/exec"
-	"perfq/internal/fabric"
-	"perfq/internal/lang"
+	"perfq"
 	"perfq/internal/netsim"
 	"perfq/internal/queries"
-	"perfq/internal/switchsim"
 	"perfq/internal/topo"
 	"perfq/internal/trace"
 )
@@ -86,33 +82,17 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := lang.Parse(queries.LossByQueue)
-	if err != nil {
-		return nil, err
-	}
-	chk, err := lang.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := compiler.Compile(chk)
-	if err != nil {
-		return nil, err
-	}
+	q := perfq.MustCompile(queries.LossByQueue)
 
-	if cfg.Progress != nil {
-		fmt.Fprintf(cfg.Progress, "fignet: %d records over %s, running fabric + baseline…\n",
-			len(recs), cfg.Spec)
-	}
-	fabTabs, err := fabric.RunPlan(plan, tp, &trace.SliceSource{Records: recs},
-		fabric.Config{})
+	logf(cfg.Progress, "fignet: %d records over %s, running fabric + baseline…", len(recs), cfg.Spec)
+	fab, err := q.Run(perfq.Records(recs), perfq.WithFabric(tp))
 	if err != nil {
 		return nil, err
 	}
-	// The "before" side: the pre-fabric runtime — one cached switchsim
-	// datapath over the merged stream, at the same default total budget
-	// the fabric splits across switches.
-	baseTabs, err := switchsim.RunPlan(plan, &trace.SliceSource{Records: recs},
-		switchsim.Config{})
+	// The "before" side: the pre-fabric runtime — one cached datapath
+	// over the merged stream, at the same default total budget the
+	// fabric splits across switches.
+	base, err := q.Run(perfq.Records(recs))
 	if err != nil {
 		return nil, err
 	}
@@ -128,35 +108,23 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 		}
 	}
 
-	fabR3, baseR3 := fabTabs["R3"], baseTabs["R3"]
-	res.NetworkRows, res.BaselineRows = len(fabR3.Rows), len(baseR3.Rows)
+	fabR3, baseR3 := fab.Table("R3"), base.Table("R3")
+	res.NetworkRows, res.BaselineRows = fabR3.Len(), baseR3.Len()
 	res.Identical = tablesIdentical(fabR3, baseR3) &&
-		tablesIdentical(fabTabs["R1"], baseTabs["R1"]) &&
-		tablesIdentical(fabTabs["R2"], baseTabs["R2"])
+		tablesIdentical(fab.Table("R1"), base.Table("R1")) &&
+		tablesIdentical(fab.Table("R2"), base.Table("R2"))
 
-	perSwitch := map[uint16]*NetSwitchRow{}
-	for _, row := range fabTabs["R1"].Rows {
-		qid := trace.QueueID(uint32(int64(row[0])))
-		r := perSwitch[qid.Switch()]
-		if r == nil {
-			r = &NetSwitchRow{Switch: tp.SwitchName(qid.Switch())}
-			perSwitch[qid.Switch()] = r
+	for _, sw := range fab.Switches() {
+		s := NetSwitchRow{Switch: fab.SwitchName(sw), Queues: fab.SwitchTable(sw, "R1").Len()}
+		for _, row := range fab.SwitchTable(sw, "R3").Rows {
+			drops := int(row[2])
+			s.Drops += drops
+			if drops > res.HotDrops {
+				res.HotDrops, res.HotRate = drops, row[1]
+				res.HotSwitch, res.HotQueue = s.Switch, trace.QueueID(uint32(int64(row[0]))).Queue()
+			}
 		}
-		r.Queues++
-	}
-	for _, row := range fabR3.Rows {
-		qid := trace.QueueID(uint32(int64(row[0])))
-		drops := int(row[2])
-		perSwitch[qid.Switch()].Drops += drops
-		if drops > res.HotDrops {
-			res.HotDrops = drops
-			res.HotRate = row[1]
-			res.HotSwitch = tp.SwitchName(qid.Switch())
-			res.HotQueue = qid.Queue()
-		}
-	}
-	for _, r := range perSwitch {
-		res.PerSwitch = append(res.PerSwitch, *r)
+		res.PerSwitch = append(res.PerSwitch, s)
 	}
 	sort.Slice(res.PerSwitch, func(i, j int) bool {
 		if res.PerSwitch[i].Drops != res.PerSwitch[j].Drops {
@@ -168,7 +136,7 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 }
 
 // tablesIdentical compares two tables bit-for-bit.
-func tablesIdentical(a, b *exec.Table) bool {
+func tablesIdentical(a, b *perfq.Table) bool {
 	if a == nil || b == nil || len(a.Rows) != len(b.Rows) {
 		return false
 	}

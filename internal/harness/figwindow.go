@@ -5,15 +5,10 @@ import (
 	"io"
 	"time"
 
-	"perfq/internal/compiler"
-	"perfq/internal/kvstore"
-	"perfq/internal/lang"
+	"perfq"
 	"perfq/internal/netsim"
 	"perfq/internal/queries"
-	"perfq/internal/switchsim"
 	"perfq/internal/topo"
-	"perfq/internal/trace"
-	"perfq/internal/window"
 )
 
 // WindowSweepConfig parameterizes the window-length sweep: Figure 6's
@@ -82,60 +77,10 @@ type WindowSweepResult struct {
 	Elapsed time.Duration
 }
 
-// windowSweepPlan compiles the TCP non-monotonic query.
-func windowSweepPlan() (*compiler.Plan, error) {
-	ex := queries.ByName("TCP non-monotonic")
-	chk, err := lang.Check(lang.MustParse(ex.Source))
-	if err != nil {
-		return nil, err
-	}
-	return compiler.Compile(chk)
-}
-
-// runWindowed replays recs through a fresh datapath under the given
-// schedule and returns the closed windows' accuracy sums plus the final
-// whole-run accuracy.
-func runWindowed(plan *compiler.Plan, recs []trace.Record, pairs int, winRecs int64, carry bool) (
-	windows int64, sumValid, sumTotal int, finalValid, finalTotal int, evictions uint64, err error) {
-	dp, err := switchsim.New(plan, switchsim.Config{Geometry: kvstore.SetAssociative(pairs, 8)})
-	if err != nil {
-		return 0, 0, 0, 0, 0, 0, err
-	}
-	if winRecs <= 0 {
-		winRecs = int64(len(recs)) + 1 // one window covers everything
-	}
-	spec := window.Spec{Count: winRecs, Carry: carry}
-	n, err := window.Stream(&trace.SliceSource{Records: recs}, spec, dp, func(res *window.Result) error {
-		// Sum across programs per window (finals keep the last window's
-		// cross-program sums, so both columns share one denominator).
-		fv, ft := 0, 0
-		for _, a := range res.Acc {
-			fv += a.Valid
-			ft += a.Total
-		}
-		sumValid += fv
-		sumTotal += ft
-		finalValid, finalTotal = fv, ft
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, 0, 0, 0, err
-	}
-	for _, s := range dp.Stats() {
-		evictions += s.Evictions
-	}
-	return n, sumValid, sumTotal, finalValid, finalTotal, evictions, nil
-}
-
 // RunWindowSweep simulates the trace once and sweeps the window length
 // under both boundary semantics.
 func RunWindowSweep(cfg WindowSweepConfig) (*WindowSweepResult, error) {
 	start := time.Now()
-	logf := func(format string, args ...interface{}) {
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, format+"\n", args...)
-		}
-	}
 	tp, err := topo.ParseSpec(cfg.Spec, topo.Options{})
 	if err != nil {
 		return nil, err
@@ -144,33 +89,40 @@ func RunWindowSweep(cfg WindowSweepConfig) (*WindowSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := windowSweepPlan()
-	if err != nil {
-		return nil, err
-	}
-	logf("  trace: %s, %d flows -> %d records", cfg.Spec, cfg.Flows, len(recs))
+	q := perfq.MustCompile(queries.ByName("TCP non-monotonic").Source)
+	logf(cfg.Progress, "  trace: %s, %d flows -> %d records", cfg.Spec, cfg.Flows, len(recs))
 
 	res := &WindowSweepResult{Config: cfg, Records: len(recs)}
 	for _, w := range cfg.Windows {
-		row := WindowSweepRow{WindowRecords: w}
-		var fv, ft int
-		row.Windows, _, _, fv, ft, row.Evictions, err = runWindowed(plan, recs, cfg.Pairs, w, true)
+		spec := perfq.WindowSpec{Count: w}
+		if w <= 0 {
+			spec.Count = int64(len(recs)) + 1 // one window covers everything
+		}
+		// Tumbling: every window is its own short query; sum their keys.
+		var valid, total int
+		_, err := q.Stream(perfq.Records(recs), func(wr *perfq.WindowResult) error {
+			valid += wr.ValidKeys
+			total += wr.TotalKeys
+			return nil
+		}, perfq.WithCache(cfg.Pairs, 8), perfq.WithWindow(spec))
 		if err != nil {
 			return nil, err
 		}
-		if ft > 0 {
-			row.CarryAccuracy = float64(fv) / float64(ft)
-		}
-		res.Keys = ft
-		var sv, st int
-		_, sv, st, _, _, _, err = runWindowed(plan, recs, cfg.Pairs, w, false)
+		// Carry-over: the last window's tables are the whole run's.
+		spec.Carry = true
+		carry, err := q.Run(perfq.Records(recs), perfq.WithCache(cfg.Pairs, 8), perfq.WithWindow(spec))
 		if err != nil {
 			return nil, err
 		}
-		if st > 0 {
-			row.TumblingAccuracy = float64(sv) / float64(st)
+		res.Keys = carry.TotalKeys
+		row := WindowSweepRow{
+			WindowRecords:    w,
+			Windows:          carry.WindowCount(),
+			CarryAccuracy:    accuracy(carry.ValidKeys, carry.TotalKeys),
+			TumblingAccuracy: accuracy(valid, total),
+			Evictions:        carry.Evictions,
 		}
-		logf("  window %7s: %4d windows, carry accuracy %5.1f%%, tumbling %5.1f%%",
+		logf(cfg.Progress, "  window %7s: %4d windows, carry accuracy %5.1f%%, tumbling %5.1f%%",
 			windowLabel(w), row.Windows, 100*row.CarryAccuracy, 100*row.TumblingAccuracy)
 		res.Rows = append(res.Rows, row)
 	}

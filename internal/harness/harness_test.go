@@ -35,7 +35,26 @@ func TestFig5Shape(t *testing.T) {
 		t.Errorf("pkts/flow = %.1f, out of the plausible band", ratio)
 	}
 
+	// The figure's values on this trace (seed 2016: 40 504 flows), read off
+	// the scalar cache loop the harness ran before it moved onto the
+	// facade: capacity evictions per row, in GeometryLabels order. A shift
+	// is a finding to report, not a number to refresh.
+	if res.UniqueFlows != 40_504 {
+		t.Errorf("unique flows = %d, want 40504", res.UniqueFlows)
+	}
+	pinned := [][3]int{
+		{308_589, 294_043, 291_839},
+		{263_247, 238_830, 234_852},
+		{210_902, 174_860, 168_706},
+		{157_517, 111_580, 104_246},
+	}
 	for i, row := range res.Rows {
+		for j, g := range GeometryLabels {
+			if want := float64(pinned[i][j]) / 400_000; row.EvictFrac[g] != want {
+				t.Errorf("%d pairs %s: %.0f evictions, want %d",
+					row.Pairs, g, row.EvictFrac[g]*400_000, pinned[i][j])
+			}
+		}
 		full := row.EvictFrac["fully-associative"]
 		way8 := row.EvictFrac["8-way"]
 		hash := row.EvictFrac["hash-table"]
@@ -97,7 +116,19 @@ func TestFig6Tradeoffs(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
-	for _, row := range res.Rows {
+	// Valid / total keys per (cache, window), pinned from the hand-wired
+	// cache → backing-store loop this figure ran on before the facade.
+	pinned := [][2][2]int{
+		{{2_564, 5_027}, {7_570, 20_203}},
+		{{4_348, 5_027}, {11_520, 20_203}},
+	}
+	for i, row := range res.Rows {
+		for j, w := range cfg.Windows {
+			if want := accuracy(pinned[i][j][0], pinned[i][j][1]); row.Accuracy[w] != want {
+				t.Errorf("%d pairs, %v: accuracy %.6f, want %d/%d = %.6f",
+					row.Pairs, w, row.Accuracy[w], pinned[i][j][0], pinned[i][j][1], want)
+			}
+		}
 		short := row.Accuracy[20*time.Second]
 		long := row.Accuracy[80*time.Second]
 		if short < long-1e-9 {
@@ -192,6 +223,11 @@ func TestBackingThroughputSmoke(t *testing.T) {
 	}
 	if res.PerSec < 50_000 {
 		t.Errorf("loopback eviction sink only %.0f/s", res.PerSec)
+	}
+	// One eviction per flow, and the rate is over evictions the backend
+	// applied: a dropped one is an error from the run, never a faster sink.
+	if res.Evictions != 20_000 || res.Applied != uint64(res.Evictions) {
+		t.Errorf("offered %d evictions, backend applied %d, want 20000 of each", res.Evictions, res.Applied)
 	}
 	var buf bytes.Buffer
 	res.Format(&buf)

@@ -228,15 +228,6 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// EvictionRate is capacity evictions as a fraction of accesses — the
-// quantity on Figure 5's y-axis.
-func (s Stats) EvictionRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Evictions) / float64(s.Accesses)
-}
-
 // Cache is the on-chip half of the split key-value store.
 type Cache interface {
 	// Process applies one packet: a hit updates the key's entry in place;

@@ -688,15 +688,3 @@ func (d *Datapath) WindowAccuracy(i int) (valid, total int) {
 	}
 	return valid, total
 }
-
-// RunPlan is the one-call pipeline: datapath over src, then the collector.
-func RunPlan(plan *compiler.Plan, src trace.Source, cfg Config) (map[string]*exec.Table, error) {
-	d, err := New(plan, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Run(src); err != nil {
-		return nil, err
-	}
-	return d.Collect()
-}

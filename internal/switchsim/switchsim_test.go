@@ -156,6 +156,23 @@ func TestFig2DatapathMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// runTables is New → Run → Collect over recs.
+func runTables(t *testing.T, plan *compiler.Plan, recs []trace.Record, cfg Config) map[string]*exec.Table {
+	t.Helper()
+	dp, err := New(plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dp.Run(&trace.SliceSource{Records: recs}); err != nil {
+		t.Fatal(err)
+	}
+	tabs, err := dp.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs
+}
+
 // TestBigCacheEqualsTinyCache: for linear queries the result must be
 // independent of cache size — the whole point of exact merging.
 func TestBigCacheEqualsTinyCache(t *testing.T) {
@@ -164,14 +181,8 @@ func TestBigCacheEqualsTinyCache(t *testing.T) {
 	plan1 := compilePlan(t, ex.Source)
 	plan2 := compilePlan(t, ex.Source)
 
-	big, err := RunPlan(plan1, &trace.SliceSource{Records: recs}, Config{Geometry: kvstore.FullyAssociative(1 << 20)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny, err := RunPlan(plan2, &trace.SliceSource{Records: recs}, Config{Geometry: kvstore.HashTable(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := runTables(t, plan1, recs, Config{Geometry: kvstore.FullyAssociative(1 << 20)})
+	tiny := runTables(t, plan2, recs, Config{Geometry: kvstore.HashTable(64)})
 	tablesMatch(t, "ewma big-vs-tiny", tiny[ex.Result], big[ex.Result], 5, 1e-9, true)
 }
 
@@ -206,10 +217,7 @@ func TestSelectOverTMirrorsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPlan(plan, &trace.SliceSource{Records: recs}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runTables(t, plan, recs, Config{})
 	tg, tt := got["_1"], truth["_1"]
 	if len(tg.Rows) != len(tt.Rows) {
 		t.Fatalf("mirrored %d rows, want %d", len(tg.Rows), len(tt.Rows))
