@@ -33,6 +33,18 @@ func (a *chunked[T]) alloc() (int32, *T) {
 	return int32(i), &a.chunks[ci][i&chunkMask]
 }
 
+// run allocates the next min(n, what is left of the current chunk) items,
+// contiguous, and returns them. Like alloc's, they may hold stale bytes.
+func (a *chunked[T]) run(n int) []T {
+	ci, off := a.n>>chunkShift, a.n&chunkMask
+	if ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]T, 1<<chunkShift))
+	}
+	n = min(n, 1<<chunkShift-off)
+	a.n += n
+	return a.chunks[ci][off : off+n]
+}
+
 // at returns item i.
 func (a *chunked[T]) at(i int32) *T {
 	return &a.chunks[i>>chunkShift][i&chunkMask]
@@ -60,6 +72,17 @@ func (a *rowArena) alloc() int32 {
 	i := a.n
 	a.n++
 	return int32(i)
+}
+
+// run allocates the next n rows, which the caller knows to lie in one
+// chunk, and returns them as one contiguous slice of n·m words.
+func (a *rowArena) run(n int) []float64 {
+	ci, off := a.n>>chunkShift, (a.n&chunkMask)*a.m
+	if ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]float64, a.m<<chunkShift))
+	}
+	a.n += n
+	return a.chunks[ci][off : off+n*a.m]
 }
 
 // row returns row i, capped so appends can't bleed into the neighbour.

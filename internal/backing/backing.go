@@ -18,13 +18,17 @@
 //
 // Evictions arrive a batch at a time (HandleBatch), so that the index
 // probes of a whole batch are in flight together; one at a time
-// (HandleEviction) is a batch of one.
+// (HandleEviction) is a batch of one. A flush's batches take HandleFlush,
+// which holds back the lanes whose key the store has never seen as rows
+// beside the index, settled into it only before something could present
+// their key again — so a tumbling window close, whose Reset drops them,
+// never indexes a key it is about to forget.
 //
 // Storage is allocation-free in steady state: an open-addressing Key128
 // table (index.go) maps keys to entry ids, and entries, their state
-// rows, and per-eviction epoch values all live in chunked arenas
-// (arena.go) that Reset retains. The eviction hot path touches the Go
-// allocator only when the key space outgrows every previous window.
+// rows, per-eviction epoch values and held-back rows all live in chunked
+// arenas (arena.go) that Reset retains. The eviction hot path touches the
+// Go allocator only when the key space outgrows every previous window.
 package backing
 
 import (
@@ -69,6 +73,16 @@ type Store struct {
 	erows rowArena       // one state row per recorded epoch
 	older chunked[int32] // per epoch row: the same key's previous one; -1 = none
 
+	// The keys HandleFlush held back, in flush order, and their values
+	// (key j's is hvals row j). They follow the entries in Len/At order and
+	// join them at Settle, with the window stamp of the flush that held
+	// them back and its reconciliation — an epoch (non-mergeable) or a
+	// merged state. The keys held at once are one flush's (see HandleFlush).
+	held      chunked[packet.Key128]
+	hvals     rowArena
+	heldWin   uint32
+	heldEpoch bool
+
 	invalid int // keys with >1 epoch (non-mergeable folds)
 	merges  uint64
 	appends uint64
@@ -78,10 +92,12 @@ type Store struct {
 	firstIn fold.Input
 	mscr    fold.MergeScratch
 
-	// HandleBatch's per-lane columns, and what its warming loads add up
-	// to — stored so that the loads are not dead code.
+	// The batch entries' per-lane columns — hash, entry id (-1: held back),
+	// the row a merge writes — and what their warming loads add up to,
+	// stored so that the loads are not dead code.
 	hash [fold.BlockSize]uint64
 	ids  [fold.BlockSize]int32
+	dst  [fold.BlockSize][]float64
 	warm uint32
 	one  *kvstore.EvictBatch // HandleEviction's one-lane batch
 
@@ -102,7 +118,7 @@ func New(f *fold.Func) *Store {
 	m := f.StateLen()
 	s0 := make([]float64, m)
 	f.Init(s0)
-	s := &Store{f: f, m: m, s0: s0, slab: rowArena{m: m}, erows: rowArena{m: m}}
+	s := &Store{f: f, m: m, s0: s0, slab: rowArena{m: m}, erows: rowArena{m: m}, hvals: rowArena{m: m}}
 	s.ix.init(indexMinSize)
 	return s
 }
@@ -149,16 +165,112 @@ func (s *Store) HandleEviction(ev *kvstore.Eviction) {
 // overlap); claim the entries in order, loading each entry and state row;
 // then merge in order. Claims and merges both keep lane order, so a key
 // that appears twice in a batch — even one new to the store — reconciles
-// exactly as it would one eviction at a time.
+// exactly as it would one eviction at a time. Rows a flush held back are
+// settled first: a capacity eviction may carry one of their keys.
 func (s *Store) HandleBatch(b *kvstore.EvictBatch) {
-	n := b.N
-	// A linear fold whose cache ran without the exact-merge machinery falls
-	// back to epoch semantics, so results are still usable per interval.
-	kind := s.f.Merge
-	if kind == fold.MergeLinear && b.P[0] == nil {
-		kind = fold.MergeNone
+	s.Settle()
+	kind := s.kind(b)
+	ids := s.probe(b, kind, true)
+	if kind == fold.MergeNone {
+		for l, i := range ids {
+			s.appendEpoch(i, b.State[l])
+		}
+		s.appends += uint64(len(ids))
+		return
 	}
-	keys, hash, ids := b.Keys[:n], s.hash[:n], s.ids[:n]
+	for _, i := range ids {
+		s.touchMerged(i)
+	}
+	s.merge(kind, b)
+}
+
+// HandleFlush reconciles a batch a cache's Flush delivered (Reason ==
+// EvictFlush) to exactly the store HandleBatch would leave, without
+// indexing what it does not have to. A lane whose key the store holds
+// merges as in HandleBatch, its probes overlapped the same way — and not
+// issued at all while the index is empty, as it is at every tumbling
+// close that capacity evictions did not reach. A lane whose key it does
+// not hold gets no index slot, entry or state row: its key is held back,
+// and the same merge, from S0, writes its value beside it. Len, At,
+// Accuracy, WindowAccuracy and Stats count a held key as the entry it
+// stands for; Settle turns it into that entry, with the flush's window
+// stamp — or Reset drops it, which is where a tumbling close saves the
+// work.
+//
+// A flush evicts each resident key once, so HandleFlush never looks for a
+// key among those it holds back: the calls between two settle points must
+// be one flush's. HandleBatch, HandleEviction and the keyed reads settle
+// by themselves; a caller that flushes a cache again — after only cache
+// hits, the same keys come back — calls Settle before it does.
+func (s *Store) HandleFlush(b *kvstore.EvictBatch) {
+	kind := s.kind(b)
+	epoch := kind == fold.MergeNone
+	s.heldWin, s.heldEpoch = s.curWin+1, epoch
+	if s.ix.used == 0 {
+		// Nothing a probe could find: every lane is held back, a run of
+		// lanes at a time that lies in one arena chunk.
+		m := s.m
+		for l := 0; l < b.N; {
+			keys := s.held.run(b.N - l)
+			rows := s.hvals.run(len(keys))
+			copy(keys, b.Keys[l:])
+			for k := range keys {
+				s.hold(b, l+k, rows[k*m:(k+1)*m:(k+1)*m], epoch)
+			}
+			l += len(keys)
+		}
+	} else {
+		for l, i := range s.probe(b, kind, false) {
+			switch {
+			case i < 0:
+				_, key := s.held.alloc()
+				*key = b.Keys[l]
+				s.hold(b, l, s.hvals.row(s.hvals.alloc()), epoch)
+			case epoch:
+				s.appendEpoch(i, b.State[l])
+			default:
+				s.touchMerged(i)
+			}
+		}
+	}
+	if epoch {
+		s.appends += uint64(b.N)
+		return
+	}
+	s.merge(kind, b)
+}
+
+// hold fills st, the value row of held-back lane l: its epoch, or S0 with
+// dst[l] pointing at it for the merge.
+func (s *Store) hold(b *kvstore.EvictBatch, l int, st []float64, epoch bool) {
+	if epoch {
+		copy(st, b.State[l])
+	} else {
+		for k, v := range s.s0 { // not copy: m is a word or two, less than a memmove call costs
+			st[k] = v
+		}
+		s.dst[l] = st
+	}
+	s.winTotal++
+}
+
+// kind is how b's lanes reconcile: the fold's merge class, except that a
+// linear fold whose cache ran without the exact-merge machinery falls back
+// to epoch semantics, so results are still usable per interval.
+func (s *Store) kind(b *kvstore.EvictBatch) fold.MergeKind {
+	if s.f.Merge == fold.MergeLinear && b.P[0] == nil {
+		return fold.MergeNone
+	}
+	return s.f.Merge
+}
+
+// probe returns every lane's entry id — claiming the keys new to the store
+// when claim is set, else -1 for them — after loading each lane's index
+// slot, entry and (merging kinds) state row in loops of their own, so that
+// nothing but loads sits between one lane's miss and the next lane's. It
+// points dst at the state rows it loaded.
+func (s *Store) probe(b *kvstore.EvictBatch, kind fold.MergeKind, claim bool) []int32 {
+	keys, hash, ids := b.Keys[:b.N], s.hash[:b.N], s.ids[:b.N]
 	warm := s.warm
 	for l := range keys {
 		h := keys[l].Hash()
@@ -166,39 +278,50 @@ func (s *Store) HandleBatch(b *kvstore.EvictBatch) {
 		sl := &s.ix.slots[h&s.ix.mask]
 		warm += uint32(sl.key[0]) + sl.tag // both ends: a slot may straddle two lines
 	}
-	for l := range keys {
-		ids[l] = s.slot(keys[l], hash[l])
+	if claim {
+		for l := range keys {
+			ids[l] = s.slot(keys[l], hash[l])
+		}
+	} else {
+		for l := range keys {
+			i, ok := s.ix.id(s.ix.find(keys[l], hash[l]))
+			if !ok {
+				i = -1
+			}
+			ids[l] = i
+		}
 	}
-	// Loops of their own, so that nothing but loads sits between one
-	// lane's miss and the next lane's.
 	for _, i := range ids {
-		warm += s.ents.at(i).win
+		if i >= 0 {
+			warm += s.ents.at(i).win
+		}
 	}
 	if kind != fold.MergeNone {
-		for _, i := range ids {
-			warm += uint32(math.Float64bits(s.state(i)[0]))
+		for l, i := range ids {
+			if i >= 0 {
+				st := s.state(i)
+				s.dst[l] = st
+				warm += uint32(math.Float64bits(st[0]))
+			}
 		}
 	}
 	s.warm = warm
+	return ids
+}
 
+// merge reconciles every lane l of b into row dst[l], in lane order, by a
+// merging kind — one loop per kind, chosen once per batch.
+func (s *Store) merge(kind fold.MergeKind, b *kvstore.EvictBatch) {
+	dst := s.dst[:b.N]
 	switch {
-	case kind == fold.MergeNone:
-		for l, i := range ids {
-			s.appendEpoch(i, b.State[l])
-		}
-		s.appends += uint64(n)
-		return
 	case kind == fold.MergeAssoc:
-		for l, i := range ids {
-			s.touchMerged(i)
-			s.f.Combine(s.state(i), b.State[l])
+		for l, st := range dst {
+			s.f.Combine(st, b.State[l])
 		}
 	case b.First[0] != nil:
 		// History coefficients: P excludes the epoch's first packet,
 		// which is replayed from the snapshot.
-		for l, i := range ids {
-			s.touchMerged(i)
-			st := s.state(i)
+		for l, st := range dst {
 			s.firstIn = fold.Input{Rec: b.First[l]}
 			fold.MergeWithFirstRec(s.f, st, b.State[l], b.P[l], st, &s.firstIn, &s.mscr)
 		}
@@ -206,19 +329,41 @@ func (s *Store) HandleBatch(b *kvstore.EvictBatch) {
 		// History-free coefficients, P covering the whole epoch:
 		// fold.MergeLinearState's scalar case, in line.
 		s0 := s.s0[0]
-		for l, i := range ids {
-			s.touchMerged(i)
-			st := s.state(i)
+		for l, st := range dst {
 			st[0] = b.State[l][0] + b.P[l][0]*(st[0]-s0)
 		}
 	default:
-		for l, i := range ids {
-			s.touchMerged(i)
-			st := s.state(i)
+		for l, st := range dst {
 			fold.MergeLinearState(st, b.State[l], b.P[l], st, s.s0, s.m)
 		}
 	}
-	s.merges += uint64(n)
+	s.merges += uint64(len(dst))
+}
+
+// Settle gives every key HandleFlush held back its index slot, entry and
+// value row, in flush order — the entry HandleBatch would have created,
+// with the window stamp of the flush that held it back, so a BeginWindow
+// since then counts its next touch as fresh and nothing is counted twice.
+// It is a no-op when nothing is held back.
+func (s *Store) Settle() {
+	for j := int32(0); j < int32(s.held.n); j++ {
+		key, val := *s.held.at(j), s.hvals.row(j)
+		i := s.slot(key, key.Hash()) // a new entry: only settle indexes a held key
+		e := s.ents.at(i)
+		e.win = s.heldWin
+		if s.heldEpoch {
+			row := s.erows.alloc()
+			copy(s.erows.row(row), val)
+			_, prev := s.older.alloc()
+			*prev = -1
+			e.head, e.nep = row, 1
+		} else {
+			e.merged = true
+			copy(s.state(i), val)
+		}
+	}
+	s.held.reset()
+	s.hvals.reset()
 }
 
 // touchMerged records a window-scoped update of entry i whose merged value
@@ -272,8 +417,10 @@ func (s *Store) value(i int32) ([]float64, bool) {
 }
 
 // Get returns the merged value for key. For non-mergeable folds it returns
-// the value only when the key is valid (exactly one epoch).
+// the value only when the key is valid (exactly one epoch). Like every
+// keyed read it settles held-back rows first.
 func (s *Store) Get(key packet.Key128) ([]float64, bool) {
+	s.Settle()
 	i, ok := s.ix.get(key)
 	if !ok {
 		return nil, false
@@ -285,6 +432,7 @@ func (s *Store) Get(key packet.Key128) ([]float64, bool) {
 // folds). Multi-epoch keys are invalid as totals but each epoch is correct
 // over its own interval.
 func (s *Store) Epochs(key packet.Key128) []Epoch {
+	s.Settle()
 	i, ok := s.ix.get(key)
 	if !ok {
 		return nil
@@ -303,6 +451,7 @@ func (s *Store) Epochs(key packet.Key128) []Epoch {
 // Valid reports whether key's value is trustworthy for the full window:
 // always true for mergeable folds, one-epoch-only for the rest.
 func (s *Store) Valid(key packet.Key128) bool {
+	s.Settle()
 	i, ok := s.ix.get(key)
 	if !ok {
 		return false
@@ -311,22 +460,27 @@ func (s *Store) Valid(key packet.Key128) bool {
 	return ok
 }
 
-// Len returns the number of keys present.
-func (s *Store) Len() int { return s.ents.n }
+// Len returns the number of keys present, held-back rows included.
+func (s *Store) Len() int { return s.ents.n + s.held.n }
 
 // Accuracy returns (valid, total) key counts — Figure 6's metric.
-// Multi-epoch keys are counted as they form, so this is O(1).
+// Multi-epoch keys are counted as they form, so this is O(1). A held-back
+// row is a one-epoch or merged key: always valid.
 func (s *Store) Accuracy() (valid, total int) {
-	total = s.ents.n
+	total = s.Len()
 	return total - s.invalid, total
 }
 
-// At returns entry i (0 ≤ i < Len, in insertion order): its key and its
-// full-window value, or a nil state and valid == false when that value is
+// At returns key i (0 ≤ i < Len, in insertion order — entries, then the
+// rows a flush held back, in flush order): its key and its full-window
+// value, or a nil state and valid == false when that value is
 // untrustworthy (a multi-epoch key of a non-mergeable fold) — the
 // network-wide collector propagates such within-switch invalidity into
 // its spatial accuracy accounting.
 func (s *Store) At(i int) (key packet.Key128, state []float64, valid bool) {
+	if j := i - s.ents.n; j >= 0 {
+		return *s.held.at(int32(j)), s.hvals.row(int32(j)), true
+	}
 	state, valid = s.value(int32(i))
 	return s.ents.at(int32(i)).key, state, valid
 }
@@ -353,16 +507,19 @@ func (s *Store) WindowAccuracy() (valid, total int) {
 	return s.winTotal - s.winInvalid, s.winTotal
 }
 
-// Reset drops all keys (the tumbling half of a window close). The
-// window-scoped counters restart with the key space; index and arena
-// memory is retained, so the next window's refill is allocation-free
-// until the key space outgrows every previous one.
+// Reset drops all keys (the tumbling half of a window close), held-back
+// rows without settling them. The window-scoped counters restart with the
+// key space; index and arena memory is retained, so the next window's
+// refill is allocation-free until the key space outgrows every previous
+// one.
 func (s *Store) Reset() {
 	s.ix.reset()
 	s.ents.reset()
 	s.slab.reset()
 	s.erows.reset()
 	s.older.reset()
+	s.held.reset()
+	s.hvals.reset()
 	s.invalid = 0
 	s.merges, s.appends = 0, 0
 	s.winTotal, s.winInvalid = 0, 0
@@ -377,7 +534,7 @@ type Stats struct {
 
 // Stats returns reconciliation counters.
 func (s *Store) Stats() Stats {
-	return Stats{Keys: s.ents.n, Merges: s.merges, Appends: s.appends}
+	return Stats{Keys: s.Len(), Merges: s.merges, Appends: s.appends}
 }
 
 // Add returns the field-wise sum of two counters. Shard-local stores
@@ -390,5 +547,5 @@ func (s Stats) Add(o Stats) Stats {
 // String summarizes the store.
 func (s *Store) String() string {
 	return fmt.Sprintf("backing{fold=%s keys=%d merges=%d appends=%d}",
-		s.f.Name(), s.ents.n, s.merges, s.appends)
+		s.f.Name(), s.Len(), s.merges, s.appends)
 }

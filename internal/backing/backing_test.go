@@ -223,10 +223,52 @@ func compiledCount(t *testing.T) *fold.Func {
 }
 
 // TestEntriesByIndex: At walks the entries in insertion order — what a
-// window close gathers — and Reset leaves none.
+// window close gathers — and Reset leaves none. Keys a flush held back
+// read in flush order after the entries, as HandleBatch's entries would,
+// across arena chunks and runs of lanes that straddle them, before and
+// after they settle.
 func TestEntriesByIndex(t *testing.T) {
 	store := New(compiledCount(t))
 	r := randomRec(rand.New(rand.NewSource(33)))
+	const n = 2<<chunkShift + 100
+	states, one := make([]float64, n), []float64{1}
+	// seen: key 0 is an entry before the flush, so every batch probes and
+	// holds lanes back one at a time; otherwise the index stays empty and
+	// lanes are held back in runs.
+	for _, seen := range []bool{false, true} {
+		held, entries := New(store.f), New(store.f)
+		if seen {
+			ev := kvstore.Eviction{Key: keyN(0), State: []float64{0}, P: one, FirstRec: r}
+			held.HandleEviction(&ev)
+			entries.HandleEviction(&ev)
+		}
+		var b kvstore.EvictBatch
+		b.Reason = kvstore.EvictFlush
+		for k := 0; k < n; k += b.N {
+			b.N = min(fold.BlockSize-1, n-k)
+			for l := 0; l < b.N; l++ {
+				states[k+l] = float64(k + l)
+				b.Keys[l], b.State[l], b.P[l], b.First[l] = keyN(k+l), states[k+l:k+l+1], one, r
+			}
+			entries.HandleBatch(&b)
+			held.HandleFlush(&b)
+		}
+		for _, settle := range []bool{false, true} {
+			if settle {
+				held.Settle()
+			}
+			if held.Len() != entries.Len() || held.Stats() != entries.Stats() {
+				t.Fatalf("seen %v, settled %v: Len/Stats %d/%+v, want %d/%+v", seen, settle, held.Len(), held.Stats(), entries.Len(), entries.Stats())
+			}
+			for i := 0; i < entries.Len(); i++ {
+				hk, hs, hv := held.At(i)
+				ek, es, ev := entries.At(i)
+				if hk != ek || hv != ev || !sameBits(hs, es) {
+					t.Fatalf("seen %v, settled %v: At(%d) = %v %v %v, want %v %v %v", seen, settle, i, hk, hs, hv, ek, es, ev)
+				}
+			}
+		}
+	}
 	for k := 0; k < 10; k++ {
 		store.HandleEviction(&kvstore.Eviction{
 			Key: keyN(k), State: []float64{float64(k)},

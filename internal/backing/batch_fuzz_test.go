@@ -16,14 +16,18 @@ import (
 )
 
 // The batch differential: one generated record stream runs through a
-// small cache, and every eviction that leaves it is reconciled three ways
+// small cache, and every eviction that leaves it is reconciled four ways
 // — store A takes the cache's own batches through HandleBatch, store B
 // takes their lanes one at a time through HandleEviction, store C takes a
 // copy of the same evictions cut into batches of generated sizes (1, 63,
-// 64 and anything between) — with the same Resets and window boundaries
-// between them. All three must end every segment bit-identical in At,
-// Epochs, Accuracy, WindowAccuracy and Stats. The contract is the other
-// fuzzers': a failure is one line of arguments.
+// 64 and anything between), store D takes the cache's flush batches
+// through HandleFlush and the rest through HandleBatch, settled before
+// every flush as the datapath does — with the same Resets and window
+// boundaries between them. All four must end every segment bit-identical
+// in At, Epochs, Accuracy, WindowAccuracy and Stats; D is read through
+// Epochs (a keyed read, which settles it) on every other segment only, so
+// that rows it holds back also meet a BeginWindow, a Get and a Reset. The
+// contract is the other fuzzers': a failure is one line of arguments.
 
 // batchFolds are the reconciliation shapes: both linear merges at state
 // lengths 1 and 2, an associative fold, and non-mergeable folds at 1 and 2.
@@ -74,6 +78,12 @@ type batchCoverage struct {
 	flushOverflow int          // a flush that filled a batch and went on
 	sizes         map[int]bool // lane counts HandleBatch was given
 	resets        int          // Resets with evictions on both sides
+
+	flushEmpty   int // a flush batch into an empty D
+	flushMixed   int // a flush batch with lanes D holds back and lanes it merges
+	reflushMerge int // a key D held back, re-flushed after only cache hits: it merges
+	heldWindow   int // a BeginWindow and a Get while D holds rows back
+	heldReset    int // a Reset that drops rows D holds back
 }
 
 func runEvictBatchCase(t testing.TB, seed uint64, foldIdx, geoIdx uint8, nkeys uint16, cov *batchCoverage) {
@@ -82,7 +92,8 @@ func runEvictBatchCase(t testing.TB, seed uint64, foldIdx, geoIdx uint8, nkeys u
 	geo := batchGeometries[int(geoIdx)%len(batchGeometries)]
 	keySpace := 1 + int(nkeys)%300
 	rng := rand.New(rand.NewSource(int64(seed)))
-	a, b, c := New(f), New(f), New(f)
+	a, b, c, d := New(f), New(f), New(f), New(f)
+	dHeld := map[packet.Key128]bool{} // keys D held back since its last capacity batch or Reset
 	var log []loggedEviction
 	var ev kvstore.Eviction
 	flushed := 0 // lanes of the flush in progress
@@ -121,16 +132,41 @@ func runEvictBatchCase(t testing.TB, seed uint64, foldIdx, geoIdx uint8, nkeys u
 				eb.Lane(l, &ev)
 				b.HandleEviction(&ev)
 			}
+			if eb.Reason != kvstore.EvictFlush {
+				clear(dHeld)
+				d.HandleBatch(eb)
+				return
+			}
+			if d.Len() == 0 {
+				cov.flushEmpty++
+			}
+			held := 0
+			for l := 0; l < eb.N; l++ {
+				k := eb.Keys[l]
+				if _, ok := d.ix.get(k); !ok {
+					held++
+					dHeld[k] = true
+				} else if dHeld[k] {
+					cov.reflushMerge++
+				}
+			}
+			if held > 0 && held < eb.N {
+				cov.flushMixed++
+			}
+			d.HandleFlush(eb)
+			if d.Len() != a.Len() || d.Stats() != a.Stats() {
+				t.Fatalf("after a flush batch: HandleFlush Len/Stats %d/%+v, batched %d/%+v", d.Len(), d.Stats(), a.Len(), a.Stats())
+			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// settle applies the logged evictions to c in batches of generated
-	// sizes, then holds the three stores against each other.
+	// segmentEnd applies the logged evictions to c in batches of generated
+	// sizes, then holds the four stores against each other.
 	var cb kvstore.EvictBatch
-	settle := func(step int) {
+	segmentEnd := func(step int) {
 		for len(log) > 0 {
 			n := [...]int{1, fold.BlockSize - 1, fold.BlockSize, 1 + rng.Intn(fold.BlockSize)}[rng.Intn(4)]
 			n = min(n, len(log))
@@ -143,9 +179,10 @@ func runEvictBatchCase(t testing.TB, seed uint64, foldIdx, geoIdx uint8, nkeys u
 			log = log[n:]
 		}
 		for _, o := range []struct {
-			name  string
-			store *Store
-		}{{"lane at a time", b}, {"re-cut batches", c}} {
+			name   string
+			store  *Store
+			epochs bool
+		}{{"lane at a time", b, true}, {"re-cut batches", c, true}, {"held-back flush", d, step%2 == 0}} {
 			if a.Len() != o.store.Len() || a.Stats() != o.store.Stats() {
 				t.Fatalf("step %d, %s: Len/Stats %d/%+v, batched %d/%+v", step, o.name, o.store.Len(), o.store.Stats(), a.Len(), a.Stats())
 			}
@@ -161,6 +198,9 @@ func runEvictBatchCase(t testing.TB, seed uint64, foldIdx, geoIdx uint8, nkeys u
 				ok, os, ook := o.store.At(i)
 				if ak != ok || aok != ook || !sameBits(as, os) {
 					t.Fatalf("step %d, %s: At(%d) = %v %v %v, batched %v %v %v", step, o.name, i, ok, os, ook, ak, as, aok)
+				}
+				if !o.epochs {
+					continue
 				}
 				ae, oe := a.Epochs(ak), o.store.Epochs(ak)
 				if len(ae) != len(oe) {
@@ -191,27 +231,46 @@ func runEvictBatchCase(t testing.TB, seed uint64, foldIdx, geoIdx uint8, nkeys u
 		switch rng.Intn(12) {
 		case 0:
 			flushed = 0
+			d.Settle()
 			cache.Flush()
 		case 1:
-			settle(step)
+			segmentEnd(step)
 		case 2: // a tumbling boundary between batches
-			settle(step)
+			segmentEnd(step)
 			if a.Len() > 0 {
 				cov.resets++
+			}
+			if d.held.n > 0 {
+				cov.heldReset++
 			}
 			a.Reset()
 			b.Reset()
 			c.Reset()
-		case 3: // a carry-over boundary
-			settle(step)
+			d.Reset()
+			clear(dHeld)
+		case 3: // a carry-over boundary, and a keyed read after it
+			segmentEnd(step)
+			if d.held.n > 0 {
+				cov.heldWindow++
+			}
 			a.BeginWindow()
 			b.BeginWindow()
 			c.BeginWindow()
+			d.BeginWindow()
+			if n := a.Len(); n > 0 {
+				k, _, _ := a.At(n - 1)
+				av, aok := a.Get(k)
+				dv, dok := d.Get(k)
+				if aok != dok || !sameBits(av, dv) || a.Valid(k) != d.Valid(k) {
+					t.Fatalf("step %d: held-back flush: Get(%v) = %v %v, batched %v %v", step, k, dv, dok, av, aok)
+				}
+			}
 		}
 	}
 	flushed = 0
+	d.Settle()
 	cache.Flush()
-	settle(60)
+	segmentEnd(60)
 }
 
 func sameBits(a, b []float64) bool {
@@ -247,7 +306,8 @@ func TestEvictBatchDifferential(t *testing.T) {
 		runEvictBatchCase(t, c[0], uint8(c[1]), uint8(c[2]), uint16(c[3]), &cov)
 	}
 	if cov.sameKeyTwice == 0 || cov.newKeyTwice == 0 || cov.flushOverflow == 0 || cov.resets == 0 ||
-		!cov.sizes[1] || !cov.sizes[fold.BlockSize-1] || !cov.sizes[fold.BlockSize] {
+		!cov.sizes[1] || !cov.sizes[fold.BlockSize-1] || !cov.sizes[fold.BlockSize] ||
+		cov.flushEmpty == 0 || cov.flushMixed == 0 || cov.reflushMerge == 0 || cov.heldWindow == 0 || cov.heldReset == 0 {
 		t.Fatalf("fixed seeds missed a case: %+v", cov)
 	}
 }

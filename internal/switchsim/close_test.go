@@ -32,14 +32,22 @@ func wanWindow(tb testing.TB, keys int) []trace.Record {
 	return recs
 }
 
-// BenchmarkCloseWindow prices a tumbling window close per resident key:
-// flush (cache → backing store), tables (gather + sort + row carve) and
-// the store reset, at the stream_windows key count and at the key count
-// of a whole-trace Collect. The cache holds every key, so a close flushes
-// as many keys as it materializes.
+// BenchmarkCloseWindow prices a tumbling window close per key it
+// materializes: flush (cache → the rows a store holds back for keys it has
+// never seen, or a merge into the ones it has), tables (gather + sort +
+// row carve) and the store reset, at the stream_windows key count and at
+// the key count of a whole-trace Collect. In those two the cache holds
+// every key, so the store is empty when the flush starts and every lane is
+// held back; the third (pairs=1024) sends most of the window's keys to the
+// store by capacity evictions before the close, so its flush prices the
+// lookup-then-merge half of HandleFlush.
 func BenchmarkCloseWindow(b *testing.B) {
-	for _, c := range []struct{ keys, pairs int }{{3_000, 1 << 14}, {130_000, 1 << 18}} {
-		b.Run(fmt.Sprintf("keys=%d", c.keys), func(b *testing.B) {
+	for _, c := range []struct{ keys, pairs int }{{3_000, 1 << 14}, {130_000, 1 << 18}, {3_000, 1 << 10}} {
+		name := fmt.Sprintf("keys=%d", c.keys)
+		if c.pairs < c.keys {
+			name += fmt.Sprintf(",pairs=%d", c.pairs)
+		}
+		b.Run(name, func(b *testing.B) {
 			plan := compilePlan(b, queries.ByName("Latency EWMA").Source)
 			recs := wanWindow(b, c.keys)
 			d, err := New(plan, Config{Geometry: kvstore.SetAssociative(c.pairs, 8)})
@@ -113,6 +121,10 @@ func BenchmarkSortRefs(b *testing.B) {
 // 24-byte slice header) plus a thirty-second and a constant. Gather, sort and flush scratch
 // is reused: a close that reallocates any of it per window, or carries a
 // second per-key buffer, fails here before it shows in alloc_b_per_pkt.
+// Two geometries: 1<<14 pairs, which holds 300 and 3k keys — the flush
+// meets an empty store and holds every lane back — but not 30k, and 256
+// pairs, whose store already holds keys from capacity evictions at every
+// close.
 func TestCloseWindowAllocations(t *testing.T) {
 	const (
 		maxAllocs  = 16   // 12 today: tables map, collector engine, table, slab, rows, ...
@@ -122,9 +134,13 @@ func TestCloseWindowAllocations(t *testing.T) {
 	st := plan.Programs[0].Members[0]
 	width := plan.Programs[0].Key.NumComponents() + len(st.Out)
 	var counts []float64
-	for _, keys := range []int{300, 3_000, 30_000} {
+	for _, c := range []struct{ keys, pairs int }{
+		{300, 1 << 14}, {3_000, 1 << 14}, {30_000, 1 << 14},
+		{300, 1 << 8}, {3_000, 1 << 8}, {30_000, 1 << 8},
+	} {
+		keys := c.keys
 		recs := wanWindow(t, keys)
-		d, err := New(plan, Config{Geometry: kvstore.SetAssociative(1<<14, 8)})
+		d, err := New(plan, Config{Geometry: kvstore.SetAssociative(c.pairs, 8)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +155,14 @@ func TestCloseWindowAllocations(t *testing.T) {
 			}
 		}
 		closeOne() // warm: stores, index and gather scratch reach the key count
-		closeOne()
+		d.Feed(recs)
+		d.Sync()
+		if held := d.StoreStats()[0].Keys; (held == 0) != (c.pairs > keys) {
+			t.Fatalf("%d keys into %d pairs: the store holds %d keys before the close", keys, c.pairs, held)
+		}
+		if _, _, err := d.CloseWindow(false); err != nil {
+			t.Fatal(err)
+		}
 		counts = append(counts, testing.AllocsPerRun(5, closeOne))
 
 		var before, after runtime.MemStats
@@ -148,14 +171,14 @@ func TestCloseWindowAllocations(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		table := uint64(keys * (width*8 + 24))
 		got, limit := after.TotalAlloc-before.TotalAlloc, table+table/32+constBytes
-		t.Logf("%d keys: %v allocations, %d bytes per close (table %d)", keys, counts[len(counts)-1], got, table)
+		t.Logf("%d keys, %d pairs: %v allocations, %d bytes per close (table %d)", keys, c.pairs, counts[len(counts)-1], got, table)
 		if got > limit {
-			t.Errorf("%d keys: a close allocated %d bytes, more than the escaping table's %d (+1/32, +%d)", keys, got, table, constBytes)
+			t.Errorf("%d keys, %d pairs: a close allocated %d bytes, more than the escaping table's %d (+1/32, +%d)", keys, c.pairs, got, table, constBytes)
 		}
 	}
 	for _, c := range counts {
 		if c != counts[0] || c > maxAllocs {
-			t.Fatalf("allocations per close at 300/3k/30k keys: %v, want one count ≤ %d", counts, maxAllocs)
+			t.Fatalf("allocations per close at 300/3k/30k keys, both geometries: %v, want one count ≤ %d", counts, maxAllocs)
 		}
 	}
 }

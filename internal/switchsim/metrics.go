@@ -106,7 +106,7 @@ func newDpObs(d *Datapath, reg *obs.Registry, labels []string, transport []*obs.
 			keys := obs.NewCounter(d.per)
 			c.keys = keys
 			reg.Gauge("perfq_store_keys",
-				"Keys resident in the backing store", pl,
+				"Keys resident in the backing store, the flushed keys it holds back unindexed included", pl,
 				func() float64 { return float64(keys.Value()) })
 			reg.HistVal("perfq_backing_batch_evictions",
 				"Evictions per batch handed from a cache to its backing store", pl, &c.batch)

@@ -207,7 +207,11 @@ func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, 
 			Fold:       sp.Fold,
 			ExactMerge: ps.exact,
 			OnEvictBatch: func(b *kvstore.EvictBatch) {
-				ps.store.HandleBatch(b)
+				if b.Reason == kvstore.EvictFlush {
+					ps.store.HandleFlush(b)
+				} else {
+					ps.store.HandleBatch(b)
+				}
 				if ps.batchLanes != nil {
 					ps.batchLanes.Record(uint64(b.N))
 				}
@@ -451,12 +455,18 @@ func (d *Datapath) Run(src trace.Source) error {
 
 // Flush applies what Process has pending and evicts all cache-resident
 // entries into the backing stores (end of a measurement window, or the
-// paper's periodic refresh). It requires sole ownership of the caches:
-// callers with a live pool Sync first.
+// paper's periodic refresh). Flushed keys a store has never seen are held
+// back beside it (backing.Store.HandleFlush) and a tumbling close's
+// ResetWindow drops them unindexed; so each store first settles what its
+// previous flush held back, since a key re-inserted and re-flushed with
+// only cache hits in between reaches the store by no other path. It
+// requires sole ownership of the caches: callers with a live pool Sync
+// first.
 func (d *Datapath) Flush() {
 	d.flushPending()
 	for _, sh := range d.shards {
 		for _, ps := range sh.progs {
+			ps.store.Settle()
 			ps.cache.Flush()
 		}
 	}
