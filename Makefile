@@ -17,7 +17,7 @@ PAIRS ?= 10
 WORKLOAD ?=
 SCALE ?= full
 
-.PHONY: all build test race loc fmt-check oracle-check harness-check doc-check bench bench-pairs profile vet figures clean
+.PHONY: all build test race loc fmt-check oracle-check harness-check frontend-check doc-check bench bench-pairs profile vet figures clean
 
 all: build test
 
@@ -111,6 +111,17 @@ harness-check:
 	@out="$$(grep -n '"perfq/internal/' $$(ls internal/harness/*.go | grep -v _test.go) \
 		| grep -vE '"perfq/internal/(chiparea|netsim|packet|queries|topo|trace|tracegen)"')"; \
 	if [ -n "$$out" ]; then echo "internal/harness imports the engine behind the facade:"; echo "$$out"; exit 1; fi
+
+# internal/lang resolves every name a query uses and lowers each
+# expression to fold IR in the same walk that types it; internal/compiler
+# only assembles stages from what the checker lowered, fuses and
+# annotates. Fails if any non-test file there names a query-language
+# expression node, so the compiler can never again resolve a name itself.
+# CI runs this.
+frontend-check:
+	@out="$$(grep -nwE 'lang\.(Ident|Dotted|UnaryExpr|BinExpr|CallExpr|NumberLit|BoolLit|InfinityLit)' \
+		$$(ls internal/compiler/*.go | grep -v _test.go))"; \
+	if [ -n "$$out" ]; then echo "internal/compiler resolves query-language expressions itself:"; echo "$$out"; exit 1; fi
 
 # The documents, this Makefile, CI, scripts/ and the skills name only
 # BENCH_*.json files that are committed, make targets that exist and

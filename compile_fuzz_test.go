@@ -67,6 +67,7 @@ func FuzzCompile(f *testing.F) {
 		f.Add([]byte(site.query(site.limit)))
 		f.Add([]byte(site.query(site.limit + 1)))
 	}
+	f.Add([]byte(aggregateColumnCalls))
 	recs := []Record{
 		{},
 		{Tin: 10, Tout: 25, PktLen: 1500, TCPSeq: 7, PayloadLen: 512, Proto: 6, QSizeIn: 30000},

@@ -79,8 +79,9 @@ func limitTrace(t *testing.T) []Record {
 	return recs
 }
 
-// requireRunMatchesTruth compiles src, which must sit at a limit, runs
-// it and compares every table with ground truth.
+// requireRunMatchesTruth compiles src (one that sits at a limit, or
+// exercises a front-end rule), runs it and compares every table with
+// ground truth, whose result must not be empty.
 func requireRunMatchesTruth(t *testing.T, src string, recs []Record) {
 	t.Helper()
 	q, err := Compile(src)
@@ -209,7 +210,7 @@ func parens(n int) string {
 	return "SELECT srcip, " + strings.Repeat("(", n) + "pkt_len" + strings.Repeat(")", n) + " AS x WHERE proto == 6\n"
 }
 
-// TestCompileRejectsOverDepth: the parser, the checker and lowering
+// TestCompileRejectsOverDepth: the parser and the checker's one walk
 // recurse as deep as query text nests, so nesting is bounded by
 // lang.MaxExprDepth and one level more is a named error — 3 M
 // parentheses or a 2 M-term sum used to end the process with an
@@ -248,16 +249,46 @@ func sumOfTerms(n int) string {
 	return "SELECT srcip, SUM(pkt_len" + strings.Repeat(" + tin", n-1) + ") GROUPBY srcip\n"
 }
 
+// nestedIfs is a linear fold that counts a packet once per level of depth
+// nested ifs it passes, one "acc = acc + 1" and one "if" per level.
+func nestedIfs(depth int) string {
+	var b strings.Builder
+	b.WriteString("def f(acc, (pkt_len)):\n")
+	for i := 1; i <= depth; i++ {
+		ind := strings.Repeat("    ", i)
+		fmt.Fprintf(&b, "%sacc = acc + 1\n%sif pkt_len > %d:\n", ind, ind, i)
+	}
+	b.WriteString(strings.Repeat("    ", depth+1) + "acc = acc + 1\nSELECT srcip, f GROUPBY srcip\n")
+	return b.String()
+}
+
 // TestCompileLinearInExpressionSize: compile time must grow with the
 // size of the query text, not its square (constant folding used to
-// re-scan the whole subtree at every node: 7.4 s for these 8000 terms).
+// re-scan the whole subtree at every node: 7.4 s for these 8000 terms;
+// the linearity analysis printed both arms of every if to compare them:
+// 3.5 s for these 2000 levels).
 func TestCompileLinearInExpressionSize(t *testing.T) {
-	start := time.Now()
-	if _, err := Compile(sumOfTerms(8000)); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > 3*time.Second {
-		t.Errorf("8000-term SUM argument took %v to compile, want < 3s", took)
+	for _, c := range []struct {
+		name  string
+		src   string
+		bound time.Duration
+		// skipRace: under the race detector lexing the 2000 levels of
+		// indentation alone takes about a second.
+		skipRace bool
+	}{
+		{"8000-term SUM argument", sumOfTerms(8000), 3 * time.Second, false},
+		{"2000 nested ifs", nestedIfs(2000), time.Second, true},
+	} {
+		if c.skipRace && raceEnabled {
+			continue
+		}
+		start := time.Now()
+		if _, err := Compile(c.src); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > c.bound {
+			t.Errorf("%s took %v to compile, want < %v", c.name, took, c.bound)
+		}
 	}
 }
 

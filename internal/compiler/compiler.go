@@ -119,14 +119,14 @@ type Plan struct {
 	Programs []*SwitchProgram // physical switch-resident stores
 }
 
-// Compile lowers a checked program to a plan and runs the fusion pass.
-// Linear-in-state analysis annotates every switch program's fold so the
-// datapath knows its merge class.
+// Compile assembles a checked program, whose expressions the checker has
+// already lowered to fold IR, into a plan of stages and runs the fusion
+// pass. Linear-in-state analysis annotates every switch program's fold so
+// the datapath knows its merge class.
 func Compile(chk *lang.Checked) (*Plan, error) {
 	p := &Plan{ByName: map[string]*Stage{}}
-	c := &compilerCtx{chk: chk, plan: p}
 	for _, cq := range chk.Queries {
-		st, err := c.compileQuery(cq)
+		st, err := p.stage(cq)
 		if err != nil {
 			return nil, err
 		}
@@ -220,77 +220,41 @@ func compileExprs(exprs []fold.Expr) ([]*fold.Code, error) {
 	return codes, nil
 }
 
-type compilerCtx struct {
-	chk  *lang.Checked
-	plan *Plan
-}
-
-func (c *compilerCtx) compileQuery(cq *lang.CheckedQuery) (*Stage, error) {
+// stage assembles one checked query's stage; its inputs are already in
+// the plan.
+func (p *Plan) stage(cq *lang.CheckedQuery) (*Stage, error) {
 	st := &Stage{Name: cq.Name}
 	for i := range cq.Schema {
 		st.Schema = append(st.Schema, cq.Schema[i].Name)
 	}
 	switch {
 	case cq.Left != nil:
-		return c.compileJoin(cq, st)
-	case cq.IsGroup:
-		return c.compileGroup(cq, st)
-	default:
-		return c.compileSelect(cq, st)
+		st.Kind = KindJoin
+		st.Left, st.Right = p.ByName[cq.Left.Name], p.ByName[cq.Right.Name]
+		st.JoinCols, st.JoinWhere, st.OnCols = cq.Cols, cq.Where, cq.OnCols
+		return st, nil
+	case cq.Input != nil:
+		st.Input = p.ByName[cq.Input.Name]
 	}
+	st.Where = cq.Where
+	if !cq.IsGroup {
+		st.Kind, st.Cols = KindSelect, cq.Cols
+		return st, nil
+	}
+	return st, st.group(cq)
 }
 
-// inputStage resolves the upstream stage (nil for T).
-func (c *compilerCtx) inputStage(cq *lang.CheckedQuery) *Stage {
-	if cq.Input == nil {
-		return nil
-	}
-	return c.plan.ByName[cq.Input.Name]
-}
-
-func (c *compilerCtx) compileSelect(cq *lang.CheckedQuery, st *Stage) (*Stage, error) {
-	st.Kind = KindSelect
-	st.Input = c.inputStage(cq)
-	env := c.envFor(cq.Input)
-	if cq.Where != nil {
-		pred, err := lowerPred(cq.Where, env)
-		if err != nil {
-			return nil, err
-		}
-		st.Where = pred
-	}
-	for _, col := range cq.SelectedCols {
-		e, err := lowerExpr(col.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		st.Cols = append(st.Cols, e)
-	}
-	return st, nil
-}
-
-func (c *compilerCtx) compileGroup(cq *lang.CheckedQuery, st *Stage) (*Stage, error) {
+// group assembles a GROUPBY stage: every fold use's state vector
+// concatenated into one program (the single value of the key-value
+// store), and each use's output columns projected from its slice of it.
+func (st *Stage) group(cq *lang.CheckedQuery) error {
 	st.Kind = KindGroup
-	st.Input = c.inputStage(cq)
 	st.OnSwitch = st.Input == nil
-	env := c.envFor(cq.Input)
-
-	if cq.Input == nil {
+	if st.OnSwitch {
 		st.Key = newKeySpecFields(cq.GroupFields)
 	} else {
 		st.Key = newKeySpecCols(cq.GroupCols)
 	}
-
-	if cq.Where != nil {
-		pred, err := lowerPred(cq.Where, env)
-		if err != nil {
-			return nil, err
-		}
-		st.Where = pred
-	}
-
-	// Lower every fold use and concatenate their state vectors into one
-	// program (the single value of the key-value store).
 	var (
 		body   []fold.Stmt
 		names  []string
@@ -301,9 +265,9 @@ func (c *compilerCtx) compileGroup(cq *lang.CheckedQuery, st *Stage) (*Stage, er
 	)
 	progName := make([]string, 0, len(cq.Folds)+1)
 	for _, fu := range cq.Folds {
-		f, outs, err := c.lowerFoldUse(&fu, env)
+		f, outs, err := foldFunc(&fu)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		funcs = append(funcs, f)
 		offs = append(offs, offset)
@@ -320,8 +284,11 @@ func (c *compilerCtx) compileGroup(cq *lang.CheckedQuery, st *Stage) (*Stage, er
 			}
 			names = append(names, n)
 		}
-		for _, oc := range outs {
-			st.Out = append(st.Out, OutCol{Name: oc.Name, Expr: renumberExpr(oc.Expr, offset)})
+		// Value columns follow the key columns in the schema, one per
+		// projection, in fold-use order.
+		for _, e := range outs {
+			name := st.Schema[st.Key.NumComponents()+len(st.Out)]
+			st.Out = append(st.Out, OutCol{Name: name, Expr: renumberExpr(e, offset)})
 		}
 		progName = append(progName, f.Name())
 		offset += f.StateLen()
@@ -343,7 +310,7 @@ func (c *compilerCtx) compileGroup(cq *lang.CheckedQuery, st *Stage) (*Stage, er
 		StateNames: names,
 	}
 	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("stage %s: %w", st.Name, err)
+		return fmt.Errorf("stage %s: %w", st.Name, err)
 	}
 	st.Fold = &fold.Func{Prog: prog}
 	// A stage whose folds are all associative builtins (MAX/MIN) keeps
@@ -359,7 +326,7 @@ func (c *compilerCtx) compileGroup(cq *lang.CheckedQuery, st *Stage) (*Stage, er
 	// Annotate with merge metadata; non-linear folds simply stay
 	// MergeNone (epoch semantics).
 	_ = linear.Annotate(st.Fold)
-	return st, nil
+	return nil
 }
 
 // concatCombine builds the pairwise combine of a concatenation of folds,
@@ -393,138 +360,41 @@ func concatCombine(funcs []*fold.Func, offs []int) func(dst, src []float64) {
 	}
 }
 
-// lowerFoldUse lowers one aggregation to a fold.Func plus its output
-// projections (state-relative).
-func (c *compilerCtx) lowerFoldUse(fu *lang.FoldUse, env *lowerEnv) (*fold.Func, []OutCol, error) {
-	colName := func(def string) string {
-		if fu.Alias != "" {
-			return fu.Alias
+// foldFunc builds one aggregation's fold and its output projections over
+// that fold's own state.
+func foldFunc(fu *lang.FoldUse) (*fold.Func, []fold.Expr, error) {
+	word0 := []fold.Expr{fold.StateRef(0)}
+	if fd := fu.Decl; fd != nil {
+		prog := &fold.Program{
+			Name:       fd.Name,
+			NumState:   len(fd.StateParams),
+			Body:       fu.Body,
+			StateNames: append([]string(nil), fd.StateParams...),
 		}
-		return def
-	}
-	if fu.Decl == nil {
-		// Builtin aggregate.
-		var arg fold.Expr
-		if len(fu.Args) > 0 {
-			var err error
-			arg, err = lowerExpr(fu.Args[0], env)
-			if err != nil {
-				return nil, nil, err
-			}
+		if err := prog.Validate(); err != nil {
+			return nil, nil, err
 		}
-		switch fu.Name {
-		case lang.AggCount:
-			return fold.Count(), []OutCol{{Name: colName("count"), Expr: fold.StateRef(0)}}, nil
-		case lang.AggSum:
-			return fold.Sum(arg), []OutCol{{Name: colName(canonName(fu)), Expr: fold.StateRef(0)}}, nil
-		case lang.AggMax:
-			return fold.Max(arg), []OutCol{{Name: colName(canonName(fu)), Expr: fold.StateRef(0)}}, nil
-		case lang.AggMin:
-			return fold.Min(arg), []OutCol{{Name: colName(canonName(fu)), Expr: fold.StateRef(0)}}, nil
-		case lang.AggAvg:
-			return fold.Avg(arg), []OutCol{{
-				Name: colName(canonName(fu)),
-				Expr: fold.Bin{Op: fold.OpDiv, L: fold.StateRef(0), R: fold.StateRef(1)},
-			}}, nil
-		case lang.AggEwma:
-			alpha, err := c.chkConst(fu.Args[1])
-			if err != nil {
-				return nil, nil, err
-			}
-			return fold.Ewma(arg, alpha), []OutCol{{Name: colName(canonName(fu)), Expr: fold.StateRef(0)}}, nil
-		default:
-			return nil, nil, fmt.Errorf("compiler: unknown aggregate %q", fu.Name)
+		outs := make([]fold.Expr, len(fd.StateParams))
+		for i := range outs {
+			outs[i] = fold.StateRef(i)
 		}
+		return &fold.Func{Prog: prog}, outs, nil
 	}
-
-	// User fold: bind state params to indices, row params to input refs.
-	fd := fu.Decl
-	fenv := &lowerEnv{
-		consts: c.chk.Consts,
-		state:  map[string]int{},
-		binds:  map[string]fold.Expr{},
-		input:  env.input,
-		chk:    c.chk,
+	switch fu.Name {
+	case lang.AggCount:
+		return fold.Count(), word0, nil
+	case lang.AggSum:
+		return fold.Sum(fu.Arg), word0, nil
+	case lang.AggMax:
+		return fold.Max(fu.Arg), word0, nil
+	case lang.AggMin:
+		return fold.Min(fu.Arg), word0, nil
+	case lang.AggAvg:
+		return fold.Avg(fu.Arg), []fold.Expr{fold.Bin{Op: fold.OpDiv, L: fold.StateRef(0), R: fold.StateRef(1)}}, nil
+	case lang.AggEwma:
+		return fold.Ewma(fu.Arg, fu.Alpha), word0, nil
 	}
-	for i, sp := range fd.StateParams {
-		fenv.state[sp] = i
-	}
-	for _, rp := range fd.RowParams {
-		ref, err := lowerExpr(&lang.Ident{Name: rp}, env)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fold %s: param %s: %w", fd.Name, rp, err)
-		}
-		fenv.binds[rp] = ref
-	}
-	body, err := lowerStmts(fd.Body, fenv)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog := &fold.Program{
-		Name:       fd.Name,
-		NumState:   len(fd.StateParams),
-		Body:       body,
-		StateNames: append([]string(nil), fd.StateParams...),
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, nil, err
-	}
-	outs := make([]OutCol, len(fd.StateParams))
-	for i, sp := range fd.StateParams {
-		outs[i] = OutCol{Name: sp, Expr: fold.StateRef(i)}
-	}
-	if len(fd.StateParams) == 1 && fu.Alias != "" {
-		outs[0].Name = fu.Alias
-	}
-	return &fold.Func{Prog: prog}, outs, nil
-}
-
-func canonName(fu *lang.FoldUse) string {
-	if len(fu.Args) == 0 {
-		return fu.Name
-	}
-	args := make([]string, len(fu.Args))
-	for i, a := range fu.Args {
-		args[i] = a.String()
-	}
-	return fu.Name + "(" + strings.Join(args, ", ") + ")"
-}
-
-func (c *compilerCtx) chkConst(e lang.Expr) (float64, error) {
-	chk := &lang.Checked{Consts: c.chk.Consts}
-	return chk.EvalConstExpr(e)
-}
-
-func (c *compilerCtx) compileJoin(cq *lang.CheckedQuery, st *Stage) (*Stage, error) {
-	st.Kind = KindJoin
-	st.Left = c.plan.ByName[cq.Left.Name]
-	st.Right = c.plan.ByName[cq.Right.Name]
-	st.OnCols = cq.OnCols
-	env := &lowerEnv{
-		consts: c.chk.Consts,
-		chk:    c.chk,
-		left:   cq.Left,
-		right:  cq.Right,
-	}
-	for _, col := range cq.SelectedCols {
-		e, err := lowerExpr(col.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		st.JoinCols = append(st.JoinCols, e)
-	}
-	if cq.Where != nil {
-		pred, err := lowerPred(cq.Where, env)
-		if err != nil {
-			return nil, err
-		}
-		st.JoinWhere = pred
-	}
-	return st, nil
-}
-
-func (c *compilerCtx) envFor(input *lang.CheckedQuery) *lowerEnv {
-	return &lowerEnv{consts: c.chk.Consts, input: input, chk: c.chk}
+	return nil, nil, fmt.Errorf("compiler: unknown aggregate %q", fu.Name)
 }
 
 // fuse assigns switch-resident group stages to physical stores. Stages

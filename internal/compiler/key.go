@@ -1,7 +1,8 @@
-// Package compiler lowers checked query programs to executable plans: per
-// record filters and fold programs in the fold IR, grouping-key packing
-// specs, switch/collector stage placement, and the paper's JOIN-of-
-// GROUPBYs reduction to a single fused key-value store program (§2, §3).
+// Package compiler assembles checked query programs, whose expressions
+// package lang has already lowered to the fold IR, into executable plans:
+// per-stage fold programs, grouping-key packing specs, switch/collector
+// stage placement, and the paper's JOIN-of-GROUPBYs reduction to a single
+// fused key-value store program (§2, §3).
 package compiler
 
 import (

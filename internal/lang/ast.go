@@ -226,132 +226,142 @@ func opText(k Kind) string {
 	}
 }
 
-// String renders a chain of binary nodes through one builder: nesting
-// Sprintf would copy each operand's text once per ancestor, which is
-// quadratic on the left-deep chain a long sum parses to.
-func (e *BinExpr) String() string {
+func (e *BinExpr) String() string   { return nodeString(e) }
+func (e *UnaryExpr) String() string { return nodeString(e) }
+func (e *CallExpr) String() string  { return nodeString(e) }
+func (e *StarExpr) String() string  { return "*" }
+
+func (s *AssignStmt) String() string  { return nodeString(s) }
+func (s *IfStmt) String() string      { return nodeString(s) }
+func (q *SelectQuery) String() string { return nodeString(q) }
+func (q *JoinQuery) String() string   { return nodeString(q) }
+
+// nodeString renders an expression, statement or query through one
+// builder: String methods that nest Sprintf copy each operand's text once
+// per ancestor, which is quadratic on any deep chain — a long sum's
+// left-deep BinExprs, stacked negations or calls, nested ifs.
+func nodeString(n fmt.Stringer) string {
 	var sb strings.Builder
-	writeBin(&sb, e)
+	writeNode(&sb, n)
 	return sb.String()
 }
 
-func writeBin(sb *strings.Builder, e Expr) {
-	b, ok := e.(*BinExpr)
-	if !ok {
-		sb.WriteString(e.String())
-		return
+// writeNode appends the text of n — any Expr, Stmt or Query — to sb;
+// every composite node kind prints here, leaves through their String.
+func writeNode(sb *strings.Builder, n fmt.Stringer) {
+	switch n := n.(type) {
+	case *BinExpr:
+		sb.WriteByte('(')
+		writeNode(sb, n.L)
+		sb.WriteByte(' ')
+		sb.WriteString(opText(n.Op))
+		sb.WriteByte(' ')
+		writeNode(sb, n.R)
+		sb.WriteByte(')')
+	case *UnaryExpr:
+		if n.Op == KwNot {
+			sb.WriteString("(not ")
+		} else {
+			sb.WriteString("(-")
+		}
+		writeNode(sb, n.X)
+		sb.WriteByte(')')
+	case *CallExpr:
+		sb.WriteString(n.Name)
+		writeArgs(sb, n.Args)
+	case *AssignStmt:
+		sb.WriteString(n.Name)
+		sb.WriteString(" = ")
+		writeNode(sb, n.Expr)
+	case *IfStmt:
+		sb.WriteString("if ")
+		writeNode(sb, n.Cond)
+		sb.WriteString(" then ")
+		writeJoined(sb, n.Then, "; ")
+		if len(n.Else) > 0 {
+			sb.WriteString(" else ")
+			writeJoined(sb, n.Else, "; ")
+		}
+	case *SelectQuery:
+		sb.WriteString("SELECT ")
+		writeCols(sb, n.Cols)
+		if n.From != "" && n.From != "T" {
+			sb.WriteString(" FROM ")
+			sb.WriteString(n.From)
+		}
+		if len(n.GroupBy) > 0 {
+			sb.WriteString(" GROUPBY ")
+			writeJoined(sb, n.GroupBy, ", ")
+		}
+		writeWhere(sb, n.Where)
+	case *JoinQuery:
+		sb.WriteString("SELECT ")
+		writeCols(sb, n.Cols)
+		sb.WriteString(" FROM " + n.Left + " JOIN " + n.Right + " ON ")
+		writeJoined(sb, n.On, ", ")
+		writeWhere(sb, n.Where)
+	default:
+		sb.WriteString(n.String())
 	}
+}
+
+// writeArgs appends a call's parenthesized argument list.
+func writeArgs(sb *strings.Builder, args []Expr) {
 	sb.WriteByte('(')
-	writeBin(sb, b.L)
-	sb.WriteString(" " + opText(b.Op) + " ")
-	writeBin(sb, b.R)
+	writeJoined(sb, args, ", ")
 	sb.WriteByte(')')
 }
 
-func (e *UnaryExpr) String() string {
-	if e.Op == KwNot {
-		return fmt.Sprintf("(not %s)", e.X)
-	}
-	return fmt.Sprintf("(-%s)", e.X)
-}
-
-func (e *CallExpr) String() string {
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", e.Name, strings.Join(args, ", "))
-}
-
-func (e *StarExpr) String() string { return "*" }
-
-func (s *AssignStmt) String() string { return fmt.Sprintf("%s = %s", s.Name, s.Expr) }
-
-func (s *IfStmt) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "if %s then ", s.Cond)
-	b.WriteString(stmtsString(s.Then))
-	if len(s.Else) > 0 {
-		b.WriteString(" else ")
-		b.WriteString(stmtsString(s.Else))
-	}
-	return b.String()
-}
-
-func stmtsString(stmts []Stmt) string {
-	parts := make([]string, len(stmts))
-	for i, s := range stmts {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, "; ")
-}
-
-func (q *SelectQuery) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	b.WriteString(colsString(q.Cols))
-	if q.From != "" && q.From != "T" {
-		fmt.Fprintf(&b, " FROM %s", q.From)
-	}
-	if len(q.GroupBy) > 0 {
-		b.WriteString(" GROUPBY ")
-		parts := make([]string, len(q.GroupBy))
-		for i, g := range q.GroupBy {
-			parts[i] = g.String()
+// writeJoined appends every node of ns, sep between them.
+func writeJoined[N fmt.Stringer](sb *strings.Builder, ns []N, sep string) {
+	for i, n := range ns {
+		if i > 0 {
+			sb.WriteString(sep)
 		}
-		b.WriteString(strings.Join(parts, ", "))
+		writeNode(sb, n)
 	}
-	if q.Where != nil {
-		fmt.Fprintf(&b, " WHERE %s", q.Where)
-	}
-	return b.String()
 }
 
-func (q *JoinQuery) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	b.WriteString(colsString(q.Cols))
-	fmt.Fprintf(&b, " FROM %s JOIN %s ON ", q.Left, q.Right)
-	parts := make([]string, len(q.On))
-	for i, g := range q.On {
-		parts[i] = g.String()
-	}
-	b.WriteString(strings.Join(parts, ", "))
-	if q.Where != nil {
-		fmt.Fprintf(&b, " WHERE %s", q.Where)
-	}
-	return b.String()
-}
-
-func colsString(cols []SelectCol) string {
-	parts := make([]string, len(cols))
+func writeCols(sb *strings.Builder, cols []SelectCol) {
 	for i, c := range cols {
-		parts[i] = c.Expr.String()
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		writeNode(sb, c.Expr)
 		if c.Alias != "" {
-			parts[i] += " AS " + c.Alias
+			sb.WriteString(" AS " + c.Alias)
 		}
 	}
-	return strings.Join(parts, ", ")
+}
+
+func writeWhere(sb *strings.Builder, where Expr) {
+	if where != nil {
+		sb.WriteString(" WHERE ")
+		writeNode(sb, where)
+	}
 }
 
 // String renders the whole program in canonical form.
 func (p *Program) String() string {
-	var b strings.Builder
+	var sb strings.Builder
 	for _, c := range p.Consts {
-		fmt.Fprintf(&b, "const %s = %s\n", c.Name, c.Expr)
+		sb.WriteString("const " + c.Name + " = ")
+		writeNode(&sb, c.Expr)
+		sb.WriteByte('\n')
 	}
 	for _, f := range p.Folds {
-		fmt.Fprintf(&b, "def %s(%s, (%s)):\n", f.Name,
+		fmt.Fprintf(&sb, "def %s(%s, (%s)):\n", f.Name,
 			stateParamsString(f.StateParams), strings.Join(f.RowParams, ", "))
-		writeBlock(&b, f.Body, 1)
+		writeBlock(&sb, f.Body, 1)
 	}
 	for _, q := range p.Queries {
 		if q.Name != "" {
-			fmt.Fprintf(&b, "%s = ", q.Name)
+			sb.WriteString(q.Name + " = ")
 		}
-		fmt.Fprintf(&b, "%s\n", q.Query)
+		writeNode(&sb, q.Query)
+		sb.WriteByte('\n')
 	}
-	return b.String()
+	return sb.String()
 }
 
 func stateParamsString(ps []string) string {
@@ -361,20 +371,23 @@ func stateParamsString(ps []string) string {
 	return "(" + strings.Join(ps, ", ") + ")"
 }
 
-func writeBlock(b *strings.Builder, stmts []Stmt, depth int) {
+func writeBlock(sb *strings.Builder, stmts []Stmt, depth int) {
 	ind := strings.Repeat("    ", depth)
 	for _, s := range stmts {
-		switch s := s.(type) {
-		case *IfStmt:
-			fmt.Fprintf(b, "%sif %s:\n", ind, s.Cond)
-			writeBlock(b, s.Then, depth+1)
+		sb.WriteString(ind)
+		if s, ok := s.(*IfStmt); ok {
+			sb.WriteString("if ")
+			writeNode(sb, s.Cond)
+			sb.WriteString(":\n")
+			writeBlock(sb, s.Then, depth+1)
 			if len(s.Else) > 0 {
-				fmt.Fprintf(b, "%selse:\n", ind)
-				writeBlock(b, s.Else, depth+1)
+				sb.WriteString(ind + "else:\n")
+				writeBlock(sb, s.Else, depth+1)
 			}
-		default:
-			fmt.Fprintf(b, "%s%s\n", ind, s)
+			continue
 		}
+		writeNode(sb, s)
+		sb.WriteByte('\n')
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perfq/internal/fold"
 	"perfq/internal/trace"
 )
 
@@ -56,23 +57,26 @@ func (c *Column) Matches(name string) bool {
 	return false
 }
 
-// FoldUse is one aggregation appearing in a group query's SELECT list.
+// FoldUse is one aggregation appearing in a group query's SELECT list,
+// lowered: a builtin's argument and EWMA's alpha, or a user fold's body
+// with this use's row parameters bound to what they read.
 type FoldUse struct {
-	// Name is the fold's name: a user fold or a builtin aggregate.
+	// Name is the builtin aggregate's name (AggCount, …) when Decl is
+	// nil, else the user fold's.
 	Name string
 	// Decl is the user fold declaration (nil for builtins).
 	Decl *FoldDecl
-	// Args are the builtin's argument expressions (input-row expressions).
-	Args []Expr
-	// Alias is the AS name, if any.
-	Alias string
-	// Pos locates the use for diagnostics.
-	Pos Pos
+	// Arg is the builtin's argument over the input row (nil for COUNT).
+	Arg fold.Expr
+	// Alpha is EWMA's smoothing constant.
+	Alpha float64
+	// Body is the user fold's body: state variable i is StateRef(i).
+	Body []fold.Stmt
 }
 
-// CheckedQuery is a validated query with resolved inputs and schema.
+// CheckedQuery is a validated query with resolved inputs and schema, its
+// expressions lowered to fold IR.
 type CheckedQuery struct {
-	Decl *QueryDecl
 	// Name is the query's result name (R1, …); anonymous queries are
 	// assigned _1, _2, ….
 	Name string
@@ -89,14 +93,15 @@ type CheckedQuery struct {
 	GroupCols   []int
 	// Folds are the aggregations of a group query.
 	Folds []FoldUse
-	// Where is the validated input filter (nil if absent).
-	Where Expr
+	// Where is the filter (nil if absent): over the input row, or over
+	// the combined row (left columns, then right) for joins.
+	Where fold.Pred
 	// Schema is the output schema.
 	Schema []Column
-	// SelectedCols, for plain (non-group, non-join) selects, maps each
-	// output column to an input expression.
-	SelectedCols []SelectCol
-	// On, for joins, is the key column count (the first len(On) schema
+	// Cols are a plain select's output columns over the input row, or a
+	// join's value columns over the combined row.
+	Cols []fold.Expr
+	// OnCols, for joins, is the key column count (the first OnCols schema
 	// columns of each side).
 	OnCols int
 }
@@ -112,9 +117,10 @@ type Checked struct {
 	Results []*CheckedQuery
 }
 
-// Check validates a parsed program: constant expressions fold, fold bodies
-// reference only their parameters and constants, queries reference only
-// defined tables/columns, GROUPBY and JOIN restrictions hold.
+// Check validates a parsed program and lowers its expressions to fold IR:
+// constant expressions fold, fold bodies reference only their parameters
+// and constants, queries reference only defined tables/columns, GROUPBY
+// and JOIN restrictions hold.
 func Check(prog *Program) (*Checked, error) {
 	c := &Checked{
 		Prog:   prog,
@@ -242,144 +248,12 @@ func (c *Checked) checkFold(fd *FoldDecl) error {
 	if len(fd.StateParams) == 0 {
 		return errf(fd.Pos, "fold %q needs at least one state variable", fd.Name)
 	}
-	return c.checkFoldStmts(fd, fd.Body)
-}
-
-func (c *Checked) checkFoldStmts(fd *FoldDecl, stmts []Stmt) error {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *AssignStmt:
-			if !contains(fd.StateParams, s.Name) {
-				if contains(fd.RowParams, s.Name) {
-					return errf(s.Pos, "cannot assign to row parameter %q", s.Name)
-				}
-				return errf(s.Pos, "assignment to %q, which is not a state variable of %s", s.Name, fd.Name)
-			}
-			if ty, err := c.foldExprType(fd, s.Expr); err != nil {
-				return err
-			} else if ty != tyNum {
-				return errf(s.Expr.exprPos(), "state assignment needs a numeric expression")
-			}
-		case *IfStmt:
-			ty, err := c.foldExprType(fd, s.Cond)
-			if err != nil {
-				return err
-			}
-			if ty != tyBool {
-				return errf(s.Cond.exprPos(), "if condition must be boolean")
-			}
-			if err := c.checkFoldStmts(fd, s.Then); err != nil {
-				return err
-			}
-			if err := c.checkFoldStmts(fd, s.Else); err != nil {
-				return err
-			}
-		default:
-			return errf(s.stmtPos(), "unsupported statement")
-		}
+	// Every declared fold is checked, used or not; a use lowers the body
+	// again with what its row parameters read.
+	binds := make([]fold.Expr, len(fd.RowParams))
+	for i := range binds {
+		binds[i] = fold.ColRef(i)
 	}
-	return nil
-}
-
-type ty uint8
-
-const (
-	tyNum ty = iota
-	tyBool
-)
-
-// foldExprType types an expression inside a fold body.
-func (c *Checked) foldExprType(fd *FoldDecl, e Expr) (ty, error) {
-	switch e := e.(type) {
-	case *NumberLit, *InfinityLit:
-		return tyNum, nil
-	case *BoolLit:
-		return tyBool, nil
-	case *Ident:
-		if contains(fd.StateParams, e.Name) || contains(fd.RowParams, e.Name) {
-			return tyNum, nil
-		}
-		if _, ok := c.Consts[e.Name]; ok {
-			return tyNum, nil
-		}
-		return 0, errf(e.Pos, "%q is not a parameter of %s or a constant", e.Name, fd.Name)
-	case *Dotted:
-		return 0, errf(e.Pos, "dotted references are not allowed inside fold bodies")
-	case *UnaryExpr:
-		xt, err := c.foldExprType(fd, e.X)
-		if err != nil {
-			return 0, err
-		}
-		if e.Op == KwNot {
-			if xt != tyBool {
-				return 0, errf(e.Pos, "NOT needs a boolean operand")
-			}
-			return tyBool, nil
-		}
-		if xt != tyNum {
-			return 0, errf(e.Pos, "negation needs a numeric operand")
-		}
-		return tyNum, nil
-	case *BinExpr:
-		lt, err := c.foldExprType(fd, e.L)
-		if err != nil {
-			return 0, err
-		}
-		rt, err := c.foldExprType(fd, e.R)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case PLUS, MINUS, STAR, SLASH:
-			if lt != tyNum || rt != tyNum {
-				return 0, errf(e.Pos, "arithmetic needs numeric operands")
-			}
-			return tyNum, nil
-		case EQ, NE, LT, LE, GT, GE:
-			if lt != tyNum || rt != tyNum {
-				return 0, errf(e.Pos, "comparison needs numeric operands")
-			}
-			return tyBool, nil
-		case KwAnd, KwOr:
-			if lt != tyBool || rt != tyBool {
-				return 0, errf(e.Pos, "%s needs boolean operands", opText(e.Op))
-			}
-			return tyBool, nil
-		}
-		return 0, errf(e.Pos, "unknown operator")
-	case *CallExpr:
-		switch strings.ToLower(e.Name) {
-		case "min", "max":
-			if len(e.Args) != 2 {
-				return 0, errf(e.Pos, "%s takes 2 arguments", e.Name)
-			}
-		case "abs":
-			if len(e.Args) != 1 {
-				return 0, errf(e.Pos, "abs takes 1 argument")
-			}
-		default:
-			return 0, errf(e.Pos, "unknown function %q in fold body (min, max, abs available)", e.Name)
-		}
-		for _, a := range e.Args {
-			at, err := c.foldExprType(fd, a)
-			if err != nil {
-				return 0, err
-			}
-			if at != tyNum {
-				return 0, errf(a.exprPos(), "%s needs numeric arguments", e.Name)
-			}
-		}
-		return tyNum, nil
-	default:
-		return 0, errf(e.exprPos(), "unsupported expression in fold body")
-	}
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	_, err := foldScope{c, fd, binds}.stmts(fd.Body)
+	return err
 }

@@ -3,6 +3,7 @@ package lang
 import (
 	"strings"
 
+	"perfq/internal/fold"
 	"perfq/internal/trace"
 )
 
@@ -13,9 +14,9 @@ var fiveTupleNames = []string{"srcip", "dstip", "srcport", "dstport", "proto"}
 func (c *Checked) checkQuery(qd *QueryDecl, name string, consumed map[string]bool) (*CheckedQuery, error) {
 	switch q := qd.Query.(type) {
 	case *SelectQuery:
-		return c.checkSelect(qd, q, name, consumed)
+		return c.checkSelect(q, name, consumed)
 	case *JoinQuery:
-		return c.checkJoin(qd, q, name, consumed)
+		return c.checkJoin(q, name, consumed)
 	default:
 		return nil, errf(qd.Pos, "unknown query type %T", qd.Query)
 	}
@@ -44,22 +45,12 @@ func columnIndex(schema []Column, name string) int {
 	return -1
 }
 
-// resolveName checks that an identifier is meaningful over the given input
-// (nil input = the raw table T).
-func (c *Checked) resolveName(input *CheckedQuery, name string, pos Pos) error {
-	if _, ok := c.Consts[name]; ok {
-		return nil
+// column resolves name in q's schema, or says which columns there are.
+func (q *CheckedQuery) column(name string, pos Pos) (int, error) {
+	if i := columnIndex(q.Schema, name); i >= 0 {
+		return i, nil
 	}
-	if input == nil {
-		if _, ok := trace.FieldByName(name); ok {
-			return nil
-		}
-		return errf(pos, "%q is not a schema field or constant", name)
-	}
-	if columnIndex(input.Schema, name) < 0 {
-		return errf(pos, "%q is not a column of %s (columns: %s)", name, input.Name, schemaNames(input.Schema))
-	}
-	return nil
+	return -1, errf(pos, "%q is not a column of %s (columns: %s)", name, q.Name, schemaNames(q.Schema))
 }
 
 func schemaNames(schema []Column) string {
@@ -70,119 +61,14 @@ func schemaNames(schema []Column) string {
 	return strings.Join(names, ", ")
 }
 
-// exprType type-checks an expression over an input table. Dotted
-// references resolve fold-state columns (base.col) on derived inputs.
-func (c *Checked) exprType(input *CheckedQuery, e Expr) (ty, error) {
-	switch e := e.(type) {
-	case *NumberLit, *InfinityLit:
-		return tyNum, nil
-	case *BoolLit:
-		return tyBool, nil
-	case *Ident:
-		if err := c.resolveName(input, e.Name, e.Pos); err != nil {
-			return 0, err
-		}
-		return tyNum, nil
-	case *Dotted:
-		if input == nil {
-			return 0, errf(e.Pos, "dotted reference %s over the raw table T", e)
-		}
-		if columnIndex(input.Schema, e.String()) < 0 {
-			return 0, errf(e.Pos, "%s is not a column of %s (columns: %s)", e, input.Name, schemaNames(input.Schema))
-		}
-		return tyNum, nil
-	case *UnaryExpr:
-		xt, err := c.exprType(input, e.X)
-		if err != nil {
-			return 0, err
-		}
-		if e.Op == KwNot {
-			if xt != tyBool {
-				return 0, errf(e.Pos, "NOT needs a boolean operand")
-			}
-			return tyBool, nil
-		}
-		if xt != tyNum {
-			return 0, errf(e.Pos, "negation needs a numeric operand")
-		}
-		return tyNum, nil
-	case *BinExpr:
-		lt, err := c.exprType(input, e.L)
-		if err != nil {
-			return 0, err
-		}
-		rt, err := c.exprType(input, e.R)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case PLUS, MINUS, STAR, SLASH:
-			if lt != tyNum || rt != tyNum {
-				return 0, errf(e.Pos, "arithmetic needs numeric operands")
-			}
-			return tyNum, nil
-		case EQ, NE, LT, LE, GT, GE:
-			if lt != tyNum || rt != tyNum {
-				return 0, errf(e.Pos, "comparison needs numeric operands")
-			}
-			return tyBool, nil
-		case KwAnd, KwOr:
-			if lt != tyBool || rt != tyBool {
-				return 0, errf(e.Pos, "%s needs boolean operands", opText(e.Op))
-			}
-			return tyBool, nil
-		}
-		return 0, errf(e.Pos, "unknown operator")
-	case *CallExpr:
-		// Aggregate-shaped calls are valid expressions only over derived
-		// tables, where they name an upstream aggregate column (the
-		// paper's "WHERE SUM(tout-tin) > L").
-		if input != nil && columnIndex(input.Schema, canonicalCall(e)) >= 0 {
-			return tyNum, nil
-		}
-		switch strings.ToLower(e.Name) {
-		case "min", "max":
-			if len(e.Args) == 2 {
-				for _, a := range e.Args {
-					if at, err := c.exprType(input, a); err != nil {
-						return 0, err
-					} else if at != tyNum {
-						return 0, errf(a.exprPos(), "%s needs numeric arguments", e.Name)
-					}
-				}
-				return tyNum, nil
-			}
-		case "abs":
-			if len(e.Args) == 1 {
-				if at, err := c.exprType(input, e.Args[0]); err != nil {
-					return 0, err
-				} else if at != tyNum {
-					return 0, errf(e.Pos, "abs needs a numeric argument")
-				}
-				return tyNum, nil
-			}
-		}
-		if IsAggregate(e.Name) {
-			if input == nil {
-				return 0, errf(e.Pos, "aggregate %s is only valid in a GROUPBY select list", e.Name)
-			}
-			return 0, errf(e.Pos, "%s does not match any column of %s", canonicalCall(e), input.Name)
-		}
-		return 0, errf(e.Pos, "unknown function %q", e.Name)
-	case *StarExpr:
-		return 0, errf(e.Pos, "* is only valid as a whole select column")
-	default:
-		return 0, errf(e.exprPos(), "unsupported expression")
-	}
-}
-
-// canonicalCall renders an aggregate call in canonical column-name form.
+// canonicalCall renders an aggregate call in canonical column-name form
+// ("sum((tout - tin))"), the spelling under which aggregate results are
+// addressable downstream.
 func canonicalCall(e *CallExpr) string {
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
-	}
-	return strings.ToLower(e.Name) + "(" + strings.Join(args, ", ") + ")"
+	var sb strings.Builder
+	sb.WriteString(strings.ToLower(e.Name))
+	writeArgs(&sb, e.Args)
+	return sb.String()
 }
 
 // expandGroupItems expands GROUPBY items (including 5tuple) into field IDs
@@ -235,32 +121,34 @@ func (c *Checked) expandGroupItems(input *CheckedQuery, items []Expr) (fields []
 }
 
 // checkSelect validates plain and GROUPBY selects.
-func (c *Checked) checkSelect(qd *QueryDecl, q *SelectQuery, name string, consumed map[string]bool) (*CheckedQuery, error) {
+func (c *Checked) checkSelect(q *SelectQuery, name string, consumed map[string]bool) (*CheckedQuery, error) {
 	input, err := c.resolveInput(q.From, q.Pos, consumed)
 	if err != nil {
 		return nil, err
 	}
-	cq := &CheckedQuery{Decl: qd, Name: name, Input: input}
-
+	cq := &CheckedQuery{Name: name, Input: input}
+	sc := rowScope{c, input}
 	if q.Where != nil {
-		wt, err := c.exprType(input, q.Where)
-		if err != nil {
+		if cq.Where, err = lowerPred(sc, q.Where, "WHERE needs a boolean predicate"); err != nil {
 			return nil, err
 		}
-		if wt != tyBool {
-			return nil, errf(q.Where.exprPos(), "WHERE needs a boolean predicate")
-		}
-		cq.Where = q.Where
 	}
-
 	if len(q.GroupBy) == 0 {
-		return c.checkPlainSelect(cq, q)
+		return c.checkPlainSelect(cq, q, sc)
 	}
-	return c.checkGroupSelect(cq, q)
+	return c.checkGroupSelect(cq, q, sc)
 }
 
 // checkPlainSelect handles per-record selection/projection.
-func (c *Checked) checkPlainSelect(cq *CheckedQuery, q *SelectQuery) (*CheckedQuery, error) {
+func (c *Checked) checkPlainSelect(cq *CheckedQuery, q *SelectQuery, sc rowScope) (*CheckedQuery, error) {
+	// add appends one output column; a name stands for itself, resolved
+	// as the identifier would be.
+	add := func(col SelectCol, out Column) error {
+		x, err := lowerNum(sc, col.Expr, "select columns must be numeric expressions")
+		cq.Schema = append(cq.Schema, out)
+		cq.Cols = append(cq.Cols, x)
+		return err
+	}
 	for _, col := range q.Cols {
 		if _, ok := col.Expr.(*StarExpr); ok {
 			if len(q.Cols) != 1 {
@@ -269,15 +157,17 @@ func (c *Checked) checkPlainSelect(cq *CheckedQuery, q *SelectQuery) (*CheckedQu
 			if cq.Input == nil {
 				// All schema fields.
 				for f := trace.FieldID(1); int(f) < trace.NumFields; f++ {
-					cq.Schema = append(cq.Schema, Column{Name: f.String(), Field: f})
-					cq.SelectedCols = append(cq.SelectedCols, SelectCol{Expr: &Ident{Name: f.String()}})
+					if err := add(SelectCol{Expr: &Ident{Name: f.String()}}, Column{Name: f.String(), Field: f}); err != nil {
+						return nil, err
+					}
 				}
 			} else {
-				for i := range cq.Input.Schema {
-					col := cq.Input.Schema[i]
-					col.IsKey = false
-					cq.Schema = append(cq.Schema, col)
-					cq.SelectedCols = append(cq.SelectedCols, SelectCol{Expr: &Ident{Name: cq.Input.Schema[i].Name}})
+				for _, in := range cq.Input.Schema {
+					out := in
+					out.IsKey = false
+					if err := add(SelectCol{Expr: &Ident{Name: in.Name}}, out); err != nil {
+						return nil, err
+					}
 				}
 			}
 			return cq, nil
@@ -285,24 +175,16 @@ func (c *Checked) checkPlainSelect(cq *CheckedQuery, q *SelectQuery) (*CheckedQu
 		// 5tuple shorthand in a select list.
 		if id, ok := col.Expr.(*Ident); ok && id.Name == "5tuple" {
 			for _, n := range fiveTupleNames {
-				sub := &Ident{Name: n, Pos: id.Pos}
-				if _, err := c.exprType(cq.Input, sub); err != nil {
+				sub := SelectCol{Expr: &Ident{Name: n, Pos: id.Pos}}
+				if err := add(sub, c.outputColumn(cq.Input, sub)); err != nil {
 					return nil, err
 				}
-				cq.Schema = append(cq.Schema, c.outputColumn(cq.Input, SelectCol{Expr: sub}))
-				cq.SelectedCols = append(cq.SelectedCols, SelectCol{Expr: sub})
 			}
 			continue
 		}
-		t, err := c.exprType(cq.Input, col.Expr)
-		if err != nil {
+		if err := add(col, c.outputColumn(cq.Input, col)); err != nil {
 			return nil, err
 		}
-		if t != tyNum {
-			return nil, errf(col.Expr.exprPos(), "select columns must be numeric expressions")
-		}
-		cq.Schema = append(cq.Schema, c.outputColumn(cq.Input, col))
-		cq.SelectedCols = append(cq.SelectedCols, col)
 	}
 	return cq, nil
 }
@@ -338,7 +220,7 @@ func (c *Checked) outputColumn(input *CheckedQuery, col SelectCol) Column {
 }
 
 // checkGroupSelect handles GROUPBY aggregation queries.
-func (c *Checked) checkGroupSelect(cq *CheckedQuery, q *SelectQuery) (*CheckedQuery, error) {
+func (c *Checked) checkGroupSelect(cq *CheckedQuery, q *SelectQuery, sc rowScope) (*CheckedQuery, error) {
 	cq.IsGroup = true
 	fields, cols, keyNames, err := c.expandGroupItems(cq.Input, q.GroupBy)
 	if err != nil {
@@ -385,72 +267,66 @@ func (c *Checked) checkGroupSelect(cq *CheckedQuery, q *SelectQuery) (*CheckedQu
 			fd, ok := c.Folds[e.Name]
 			if !ok {
 				if strings.EqualFold(e.Name, AggCount) {
-					cq.Folds = append(cq.Folds, FoldUse{Name: AggCount, Alias: col.Alias, Pos: e.Pos})
+					cq.Folds = append(cq.Folds, FoldUse{Name: AggCount})
 					cq.Schema = append(cq.Schema, aggColumn(AggCount, nil, col.Alias))
 					continue
 				}
 				return nil, errf(e.Pos, "%q is not a GROUPBY key, a fold, or COUNT", e.Name)
 			}
-			if err := c.bindFoldParams(cq.Input, fd, e.Pos); err != nil {
+			body, err := c.bindFold(sc, fd, e.Pos)
+			if err != nil {
 				return nil, err
 			}
-			cq.Folds = append(cq.Folds, FoldUse{Name: fd.Name, Decl: fd, Alias: col.Alias, Pos: e.Pos})
+			cq.Folds = append(cq.Folds, FoldUse{Name: fd.Name, Decl: fd, Body: body})
 			cq.Schema = append(cq.Schema, userFoldColumns(fd, col.Alias)...)
 		case *CallExpr:
 			if !IsAggregate(e.Name) {
 				return nil, errf(e.Pos, "%q is not an aggregate (COUNT, SUM, MAX, MIN, AVG, EWMA)", e.Name)
 			}
-			agg := strings.ToLower(e.Name)
-			if err := c.checkAggArgs(cq.Input, agg, e); err != nil {
+			fu, err := c.checkAgg(sc, e)
+			if err != nil {
 				return nil, err
 			}
-			cq.Folds = append(cq.Folds, FoldUse{Name: agg, Args: e.Args, Alias: col.Alias, Pos: e.Pos})
-			cq.Schema = append(cq.Schema, aggColumn(agg, e, col.Alias))
+			cq.Folds = append(cq.Folds, fu)
+			cq.Schema = append(cq.Schema, aggColumn(fu.Name, e, col.Alias))
 		default:
 			return nil, errf(col.Expr.exprPos(), "GROUPBY select columns must be key fields or aggregations")
 		}
 	}
-
-	if len(cq.Folds) == 0 {
-		// Pure GROUPBY with no aggregation = DISTINCT over the key (the
-		// paper's "SELECT 5tuple FROM R1 GROUPBY 5tuple").
-		return cq, nil
-	}
+	// No aggregation at all is DISTINCT over the key (the paper's
+	// "SELECT 5tuple FROM R1 GROUPBY 5tuple").
 	return cq, nil
 }
 
-// checkAggArgs validates builtin aggregate arguments.
-func (c *Checked) checkAggArgs(input *CheckedQuery, agg string, e *CallExpr) error {
-	switch agg {
+// checkAgg validates a builtin aggregate's arguments and lowers them.
+func (c *Checked) checkAgg(sc rowScope, e *CallExpr) (FoldUse, error) {
+	fu := FoldUse{Name: strings.ToLower(e.Name)}
+	switch fu.Name {
 	case AggCount:
 		if len(e.Args) != 0 {
-			return errf(e.Pos, "COUNT takes no arguments")
+			return fu, errf(e.Pos, "COUNT takes no arguments")
 		}
-		return nil
+		return fu, nil
 	case AggSum, AggMax, AggMin, AggAvg:
 		if len(e.Args) != 1 {
-			return errf(e.Pos, "%s takes one argument", strings.ToUpper(agg))
+			return fu, errf(e.Pos, "%s takes one argument", strings.ToUpper(fu.Name))
 		}
 	case AggEwma:
 		if len(e.Args) != 2 {
-			return errf(e.Pos, "EWMA takes (expr, alpha)")
+			return fu, errf(e.Pos, "EWMA takes (expr, alpha)")
 		}
 		alpha, err := c.evalConst(e.Args[1])
 		if err != nil {
-			return errf(e.Args[1].exprPos(), "EWMA alpha must be a constant")
+			return fu, errf(e.Args[1].exprPos(), "EWMA alpha must be a constant")
 		}
 		if alpha <= 0 || alpha >= 1 {
-			return errf(e.Args[1].exprPos(), "EWMA alpha must be in (0, 1), got %g", alpha)
+			return fu, errf(e.Args[1].exprPos(), "EWMA alpha must be in (0, 1), got %g", alpha)
 		}
+		fu.Alpha = alpha
 	}
-	at, err := c.exprType(input, e.Args[0])
-	if err != nil {
-		return err
-	}
-	if at != tyNum {
-		return errf(e.Args[0].exprPos(), "%s needs a numeric argument", strings.ToUpper(agg))
-	}
-	return nil
+	var err error
+	fu.Arg, err = lowerNum(sc, e.Args[0], strings.ToUpper(fu.Name)+" needs a numeric argument")
+	return fu, err
 }
 
 // aggColumn builds the output column for a builtin aggregate.
@@ -492,19 +368,21 @@ func userFoldColumns(fd *FoldDecl, alias string) []Column {
 	return cols
 }
 
-// bindFoldParams verifies a user fold's row parameters resolve over the
-// query's input.
-func (c *Checked) bindFoldParams(input *CheckedQuery, fd *FoldDecl, pos Pos) error {
-	for _, p := range fd.RowParams {
-		if err := c.resolveName(input, p, pos); err != nil {
-			return errf(pos, "fold %s parameter %q: %v", fd.Name, p, err)
+// bindFold resolves a user fold's row parameters over the query's input
+// and lowers its body with them bound.
+func (c *Checked) bindFold(sc rowScope, fd *FoldDecl, pos Pos) ([]fold.Stmt, error) {
+	binds := make([]fold.Expr, len(fd.RowParams))
+	for i, p := range fd.RowParams {
+		var err error
+		if binds[i], err = sc.ident(&Ident{Name: p, Pos: pos}); err != nil {
+			return nil, errf(pos, "fold %s parameter %q: %v", fd.Name, p, err)
 		}
 	}
-	return nil
+	return foldScope{c, fd, binds}.stmts(fd.Body)
 }
 
 // checkJoin validates the restricted equi-join.
-func (c *Checked) checkJoin(qd *QueryDecl, q *JoinQuery, name string, consumed map[string]bool) (*CheckedQuery, error) {
+func (c *Checked) checkJoin(q *JoinQuery, name string, consumed map[string]bool) (*CheckedQuery, error) {
 	left, err := c.resolveInput(q.Left, q.Pos, consumed)
 	if err != nil {
 		return nil, err
@@ -559,137 +437,28 @@ func (c *Checked) checkJoin(qd *QueryDecl, q *JoinQuery, name string, consumed m
 		return nil, err
 	}
 
-	cq := &CheckedQuery{Decl: qd, Name: name, Left: left, Right: right, OnCols: len(onNames)}
+	cq := &CheckedQuery{Name: name, Left: left, Right: right, OnCols: len(onNames)}
+	sc := joinScope{c, left, right}
 
 	// Output schema: the shared key columns, then the select columns.
-	for i := 0; i < len(onNames); i++ {
-		col := left.Schema[i]
-		cq.Schema = append(cq.Schema, col)
-	}
+	cq.Schema = append(cq.Schema, left.Schema[:len(onNames)]...)
 	for _, col := range q.Cols {
-		t, err := c.joinExprType(left, right, col.Expr)
+		x, err := lowerNum(sc, col.Expr, "join select columns must be numeric")
 		if err != nil {
 			return nil, err
-		}
-		if t != tyNum {
-			return nil, errf(col.Expr.exprPos(), "join select columns must be numeric")
 		}
 		name := col.Alias
 		if name == "" {
 			name = col.Expr.String()
 		}
 		cq.Schema = append(cq.Schema, Column{Name: name, Aliases: []string{col.Expr.String()}})
-		cq.SelectedCols = append(cq.SelectedCols, col)
+		cq.Cols = append(cq.Cols, x)
 	}
 
 	if q.Where != nil {
-		wt, err := c.joinExprType(left, right, q.Where)
-		if err != nil {
+		if cq.Where, err = lowerPred(sc, q.Where, "WHERE needs a boolean predicate"); err != nil {
 			return nil, err
 		}
-		if wt != tyBool {
-			return nil, errf(q.Where.exprPos(), "WHERE needs a boolean predicate")
-		}
-		cq.Where = q.Where
 	}
 	return cq, nil
-}
-
-// joinExprType types an expression over the joined row, where dotted
-// references name a side's column and bare identifiers must resolve
-// unambiguously.
-func (c *Checked) joinExprType(left, right *CheckedQuery, e Expr) (ty, error) {
-	switch e := e.(type) {
-	case *NumberLit, *InfinityLit:
-		return tyNum, nil
-	case *BoolLit:
-		return tyBool, nil
-	case *Dotted:
-		side, err := joinSide(left, right, e.Base, e.Pos)
-		if err != nil {
-			return 0, err
-		}
-		if columnIndex(side.Schema, e.Col) < 0 {
-			return 0, errf(e.Pos, "%q is not a column of %s (columns: %s)", e.Col, side.Name, schemaNames(side.Schema))
-		}
-		return tyNum, nil
-	case *Ident:
-		if _, ok := c.Consts[e.Name]; ok {
-			return tyNum, nil
-		}
-		inLeft := columnIndex(left.Schema, e.Name) >= 0
-		inRight := columnIndex(right.Schema, e.Name) >= 0
-		switch {
-		case inLeft && inRight:
-			// Key columns are shared; value columns must be qualified.
-			if idx := columnIndex(left.Schema, e.Name); left.Schema[idx].IsKey {
-				return tyNum, nil
-			}
-			return 0, errf(e.Pos, "%q is ambiguous; qualify it as %s.%s or %s.%s",
-				e.Name, left.Name, e.Name, right.Name, e.Name)
-		case inLeft, inRight:
-			return tyNum, nil
-		default:
-			return 0, errf(e.Pos, "%q is not a column of %s or %s", e.Name, left.Name, right.Name)
-		}
-	case *UnaryExpr:
-		xt, err := c.joinExprType(left, right, e.X)
-		if err != nil {
-			return 0, err
-		}
-		if e.Op == KwNot {
-			if xt != tyBool {
-				return 0, errf(e.Pos, "NOT needs a boolean operand")
-			}
-			return tyBool, nil
-		}
-		return tyNum, nil
-	case *BinExpr:
-		lt, err := c.joinExprType(left, right, e.L)
-		if err != nil {
-			return 0, err
-		}
-		rt, err := c.joinExprType(left, right, e.R)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case PLUS, MINUS, STAR, SLASH:
-			if lt != tyNum || rt != tyNum {
-				return 0, errf(e.Pos, "arithmetic needs numeric operands")
-			}
-			return tyNum, nil
-		case EQ, NE, LT, LE, GT, GE:
-			return tyBool, nil
-		case KwAnd, KwOr:
-			if lt != tyBool || rt != tyBool {
-				return 0, errf(e.Pos, "%s needs boolean operands", opText(e.Op))
-			}
-			return tyBool, nil
-		}
-		return 0, errf(e.Pos, "unknown operator")
-	case *CallExpr:
-		// A canonical aggregate-column reference on either side.
-		name := canonicalCall(e)
-		if columnIndex(left.Schema, name) >= 0 || columnIndex(right.Schema, name) >= 0 {
-			return 0, errf(e.Pos, "%q is ambiguous in a join; qualify it (e.g. %s.%s)", name, left.Name, shortAgg(e))
-		}
-		return 0, errf(e.Pos, "unknown function %q in join", e.Name)
-	default:
-		return 0, errf(e.exprPos(), "unsupported expression in join")
-	}
-}
-
-func shortAgg(e *CallExpr) string { return strings.ToLower(e.Name) }
-
-// joinSide resolves a dotted base to the left or right input.
-func joinSide(left, right *CheckedQuery, base string, pos Pos) (*CheckedQuery, error) {
-	switch {
-	case strings.EqualFold(base, left.Name):
-		return left, nil
-	case strings.EqualFold(base, right.Name):
-		return right, nil
-	default:
-		return nil, errf(pos, "%q is not a join input (%s or %s)", base, left.Name, right.Name)
-	}
 }

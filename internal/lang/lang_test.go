@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -269,6 +270,13 @@ func TestCheckerCatchesSemanticErrors(t *testing.T) {
 		{"agg over T in plain select", "SELECT SUM(pkt_len)", "GROUPBY select list"},
 		{"duplicate groupby", "SELECT COUNT GROUPBY srcip WHERE proto == 6 GROUPBY dstip", "duplicate GROUPBY"},
 		{"5tuple not in key", "SELECT 5tuple, COUNT GROUPBY srcip", "not in the GROUPBY key"},
+		{"boolean negated in a join column", "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT COUNT GROUPBY srcip\nR3 = SELECT -(R1.count > 1) AS x FROM R1 JOIN R2 ON srcip", "negation needs a numeric operand"},
+		{"booleans compared in a join WHERE", "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT COUNT GROUPBY srcip\nR3 = SELECT R1.count AS x FROM R1 JOIN R2 ON srcip WHERE (R1.count > 1) == (R2.count > 1)", "comparison needs numeric operands"},
+		{"scalar function arity", "SELECT abs(tin, tout)", "abs takes 1 argument"},
+		{"scalar function arity in a join", "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT COUNT GROUPBY srcip\nR3 = SELECT max(R1.count) AS x FROM R1 JOIN R2 ON srcip", "max takes 2 arguments"},
+		{"scalar function arity in a fold", "def f(acc, (tin)):\n    acc = max(acc)\nSELECT srcip, f GROUPBY srcip", "max takes 2 arguments"},
+		{"one-argument MAX over T", "SELECT MAX(pkt_len)", "GROUPBY select list"},
+		{"one-argument max over a derived table", "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT srcip FROM R1 WHERE max(foo) > 1", "max(foo) does not match any column of R1"},
 	}
 	for _, c := range cases {
 		prog, err := Parse(c.src)
@@ -434,5 +442,36 @@ func TestParseDepthLimit(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), errTooDeep(Pos{}).Msg) {
 			t.Errorf("%s one past the limit: got %v, want the depth error", shape.name, err)
 		}
+	}
+}
+
+// TestPrinterLinearInDepth: every node prints through one builder, so a
+// deeper expression's text grows by the same bytes per level, and checking
+// it (which names the column by printing it) allocates in proportion.
+// Nesting Sprintf copied each operand once per ancestor: about 100× the
+// allocation for 10× the depth.
+func TestPrinterLinearInDepth(t *testing.T) {
+	check := func(depth int) (text string, alloc uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		prog, err := Parse("SELECT " + strings.Repeat("-", depth) + "tin")
+		if err == nil {
+			_, err = Check(prog)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		return prog.String(), after.TotalAlloc - before.TotalAlloc
+	}
+	const short, long = 1000, MaxExprDepth - 1
+	shortText, shortAlloc := check(short)
+	longText, longAlloc := check(long)
+	if got, want := len(longText)-len(shortText), len("(-)")*(long-short); got != want {
+		t.Errorf("%d more levels printed %d more bytes, want %d", long-short, got, want)
+	}
+	if longAlloc > 20*shortAlloc {
+		t.Errorf("checking depth %d allocated %d B, %.0f× depth %d's %d B; want at most 20×",
+			long, longAlloc, float64(longAlloc)/float64(shortAlloc), short, shortAlloc)
 	}
 }

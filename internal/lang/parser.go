@@ -20,9 +20,9 @@ func Parse(src string) (*Program, error) {
 // expression's syntax tree — which a left-deep chain of binary operators
 // grows by one per operator — and the parentheses, unary operators, call
 // arguments and if statements the parser is inside of at any point. The
-// parser, the checker and lowering all recurse to that depth, so without
-// a bound a hostile or generated query overflows the stack, which no
-// caller can recover from.
+// parser and the checker's one walk both recurse to that depth, so
+// without a bound a hostile or generated query overflows the stack, which
+// no caller can recover from.
 const MaxExprDepth = 10000
 
 type parser struct {

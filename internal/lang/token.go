@@ -1,5 +1,7 @@
 // Package lang implements the declarative performance query language of §2
-// (Figure 1): lexer, parser, abstract syntax tree and semantic checker.
+// (Figure 1): lexer, parser, abstract syntax tree and semantic checker,
+// which resolves every name a query uses and lowers each expression to
+// the fold IR in the same walk that types it.
 //
 // A program is a sequence of constant bindings, fold-function definitions
 // and (optionally named) queries:

@@ -25,6 +25,7 @@ package linear
 
 import (
 	"fmt"
+	"math"
 
 	"perfq/internal/fold"
 )
@@ -234,10 +235,60 @@ func substPurePred(p fold.Pred, status []fold.Expr) fold.Pred {
 	}
 }
 
-// sameExpr compares expressions structurally via their canonical printer.
+// sameExpr compares expressions node by node, stopping at the first
+// difference, and constants by bit pattern, as fold.Code does. Comparing
+// printed forms would print both arms of every if at each nesting level:
+// quadratic in if depth.
 func sameExpr(a, b fold.Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+	switch a := a.(type) {
+	case nil:
+		return b == nil
+	case fold.Const:
+		b, ok := b.(fold.Const)
+		return ok && math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+	case fold.FieldRef, fold.ColRef, fold.StateRef:
+		return a == b
+	case fold.Bin:
+		b, ok := b.(fold.Bin)
+		return ok && a.Op == b.Op && sameExpr(a.L, b.L) && sameExpr(a.R, b.R)
+	case fold.Neg:
+		b, ok := b.(fold.Neg)
+		return ok && sameExpr(a.X, b.X)
+	case fold.Call:
+		b, ok := b.(fold.Call)
+		if !ok || a.Fn != b.Fn || len(a.Args) != len(b.Args) {
+			return false
+		}
+		for i := range a.Args {
+			if !sameExpr(a.Args[i], b.Args[i]) {
+				return false
+			}
+		}
+		return true
+	case fold.CondExpr:
+		b, ok := b.(fold.CondExpr)
+		return ok && samePred(a.P, b.P) && sameExpr(a.T, b.T) && sameExpr(a.E, b.E)
 	}
-	return a.String() == b.String()
+	return false
+}
+
+// samePred is sameExpr for predicates.
+func samePred(a, b fold.Pred) bool {
+	switch a := a.(type) {
+	case fold.BoolConst:
+		return a == b
+	case fold.Cmp:
+		b, ok := b.(fold.Cmp)
+		return ok && a.Op == b.Op && sameExpr(a.L, b.L) && sameExpr(a.R, b.R)
+	case fold.And:
+		b, ok := b.(fold.And)
+		return ok && samePred(a.L, b.L) && samePred(a.R, b.R)
+	case fold.Or:
+		b, ok := b.(fold.Or)
+		return ok && samePred(a.L, b.L) && samePred(a.R, b.R)
+	case fold.Not:
+		b, ok := b.(fold.Not)
+		return ok && samePred(a.X, b.X)
+	}
+	return false
 }

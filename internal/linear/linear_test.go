@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"perfq/internal/fold"
 	"perfq/internal/trace"
@@ -479,6 +480,56 @@ func TestAffineProbe(t *testing.T) {
 						prog.Name, trial, i, fmix[i], want)
 				}
 			}
+		}
+	}
+}
+
+// nestedIfProgram counts a packet once per level of depth nested ifs it
+// passes: acc = acc + 1, then if pkt_len > k: (the same again, one level
+// down).
+func nestedIfProgram(depth int) *fold.Program {
+	inc := fold.Assign{Dst: 0, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(0), R: fold.Const(1)}}
+	body := []fold.Stmt{inc}
+	for k := depth; k > 0; k-- {
+		cond := fold.Cmp{Op: fold.CmpGt, L: fold.FieldRef(trace.FieldPktLen), R: fold.Const(float64(k))}
+		body = []fold.Stmt{inc, fold.If{Cond: cond, Then: body}}
+	}
+	return &fold.Program{Name: "nested", NumState: 1, Body: body}
+}
+
+// TestAnalyzeLinearInIfDepth: deciding whether an if's arms leave a state
+// word the same compares the two trees, not their printed forms, so the
+// analysis grows with the body, not its square (printing both arms at
+// every level took minutes at this depth).
+func TestAnalyzeLinearInIfDepth(t *testing.T) {
+	prog := nestedIfProgram(10_000)
+	start := time.Now()
+	spec, err := Analyze(prog)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("10000 nested ifs took %v to analyze, want < 1s", took)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, ok := spec.A[0][0].(fold.Const); !ok || a != 1 {
+		t.Errorf("A = %v, want [[1]]", spec.A)
+	}
+}
+
+func TestSameExprComparesBits(t *testing.T) {
+	x := fold.Bin{Op: fold.OpAdd, L: fold.FieldRef(trace.FieldTin), R: fold.Call{Fn: fold.FnMax, Args: []fold.Expr{fold.ColRef(1), fold.Const(2)}}}
+	y := fold.Bin{Op: fold.OpAdd, L: fold.FieldRef(trace.FieldTin), R: fold.Call{Fn: fold.FnMax, Args: []fold.Expr{fold.ColRef(1), fold.Const(2)}}}
+	if !sameExpr(x, y) {
+		t.Errorf("%v and %v differ", x, y)
+	}
+	for _, c := range [][2]fold.Expr{
+		{fold.Const(0), fold.Const(math.Copysign(0, -1))},
+		{fold.StateRef(1), fold.ColRef(1)},
+		{x, fold.Bin{Op: fold.OpSub, L: x.L, R: x.R}},
+		{fold.Const(1), nil},
+	} {
+		if sameExpr(c[0], c[1]) {
+			t.Errorf("%v and %v are the same", c[0], c[1])
 		}
 	}
 }

@@ -56,8 +56,7 @@ const Infinity = trace.Infinity
 
 // Query is a compiled query program.
 type Query struct {
-	checked *lang.Checked
-	plan    *compiler.Plan
+	plan *compiler.Plan
 }
 
 // Compile parses, checks and compiles a query program.
@@ -74,7 +73,7 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{checked: chk, plan: plan}, nil
+	return &Query{plan: plan}, nil
 }
 
 // MustCompile is Compile for known-good sources; it panics on error.
