@@ -1,6 +1,9 @@
 // tracegen synthesizes packet-observation traces: a CAIDA-like WAN mix or
 // a datacenter mix, written as a pqt record file (the native format every
-// other tool reads) or as a pcap of re-synthesized packets.
+// other tool reads) or as a pcap for standard tooling. The pcap holds one
+// frame per record, built from its headers and lengths with a zero
+// payload; it cannot carry the record's qid, tout or queue depths, so no
+// perfq tool reads it back.
 //
 // With -topo the records instead come from the event-driven network
 // simulator over a topology built from the spec (the same chain:N /
@@ -23,7 +26,6 @@ import (
 	"time"
 
 	"perfq/internal/netsim"
-	"perfq/internal/packet"
 	"perfq/internal/pcap"
 	"perfq/internal/topo"
 	"perfq/internal/trace"
@@ -133,15 +135,14 @@ func writePQT(w io.Writer, src trace.Source) (int64, error) {
 	}
 }
 
-// writePcap re-synthesizes wire-format packets from the records so the
-// trace can be consumed by standard tooling.
+// writePcap writes one synthesized frame per record so the trace can be
+// read by standard tooling.
 func writePcap(w io.Writer, src trace.Source) (int64, error) {
-	pw, err := pcap.NewWriter(w, 0)
+	pw, err := pcap.NewWriter(w)
 	if err != nil {
 		return 0, err
 	}
 	var rec trace.Record
-	buf := make([]byte, 2048)
 	for {
 		err := src.Next(&rec)
 		if err == io.EOF {
@@ -150,41 +151,8 @@ func writePcap(w io.Writer, src trace.Source) (int64, error) {
 		if err != nil {
 			return pw.Count(), err
 		}
-		p := packetFromRecord(&rec)
-		n, err := p.Encode(buf)
-		if err != nil {
-			return pw.Count(), err
-		}
-		if err := pw.Write(rec.Tin, buf[:n], int(rec.PktLen)); err != nil {
+		if err := pw.WriteRecord(&rec); err != nil {
 			return pw.Count(), err
 		}
 	}
-}
-
-func packetFromRecord(rec *trace.Record) *packet.Packet {
-	p := &packet.Packet{
-		Layers: packet.LayerEthernet | packet.LayerIPv4,
-		Eth: packet.Ethernet{
-			Dst: packet.EthAddr{2, 0, 0, 0, 0, 1}, Src: packet.EthAddr{2, 0, 0, 0, 0, 2},
-			EtherType: packet.EtherTypeIPv4,
-		},
-		IP4: packet.IPv4{
-			Version: 4, IHL: 5, TTL: 62, Protocol: rec.Proto,
-			Src: rec.SrcIP, Dst: rec.DstIP,
-		},
-		PayloadLen: int(rec.PayloadLen),
-	}
-	switch rec.Proto {
-	case packet.ProtoTCP:
-		p.Layers |= packet.LayerTCP
-		p.TCP = packet.TCP{
-			SrcPort: rec.SrcPort, DstPort: rec.DstPort,
-			Seq: rec.TCPSeq, DataOffset: 5, Flags: rec.TCPFlags,
-			Window: 65535,
-		}
-	case packet.ProtoUDP:
-		p.Layers |= packet.LayerUDP
-		p.UDP = packet.UDP{SrcPort: rec.SrcPort, DstPort: rec.DstPort}
-	}
-	return p
 }

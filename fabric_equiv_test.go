@@ -366,6 +366,7 @@ func TestFabricWithShardsInside(t *testing.T) {
 	tp := equivFabric()
 	recs := fabricTrace(t, tp, 300)
 	q := MustCompile(queries.ByName("Per-flow counters").Source)
+	idle := runtime.NumGoroutine()
 	base, err := q.Run(Records(recs), WithCache(1<<14, 8), WithFabric(tp))
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +390,10 @@ func TestFabricWithShardsInside(t *testing.T) {
 		})
 	}
 
-	idle := runtime.NumGoroutine()
+	// The sharded runs' workers may still be exiting: wait for them, then
+	// count from whatever is left.
+	requireGoroutines(t, "after the sharded runs", idle)
+	idle = runtime.NumGoroutine()
 	workers := -1
 	_, err = q.Stream(Records(recs), func(w *WindowResult) error {
 		workers = runtime.NumGoroutine() - idle // mid-stream: the pool is live across closes
@@ -402,7 +406,5 @@ func TestFabricWithShardsInside(t *testing.T) {
 	if want := len(tp.SwitchIDs()) * shards; workers != want {
 		t.Errorf("stream ran %d goroutines beside the feeder, want %d (switches × shards)", workers, want)
 	}
-	if n := runtime.NumGoroutine(); n != idle {
-		t.Errorf("%d goroutines left after the stream ended", n-idle)
-	}
+	requireGoroutines(t, "after the stream", idle)
 }

@@ -227,16 +227,6 @@ func (s *Sim) makePacket(f *Flow) *pktState {
 	return p
 }
 
-// QueueStats returns per-link queue statistics, indexed like
-// Topology.Links.
-func (s *Sim) QueueStats() []queue.Stats {
-	out := make([]queue.Stats, len(s.queues))
-	for i, q := range s.queues {
-		out[i] = q.Stats()
-	}
-	return out
-}
-
 // Incast schedules n senders, one per distinct source host, all blasting
 // burstPkts packets at the receiver starting at start — the classic
 // pattern the paper's incast-localization use case targets. Hosts are

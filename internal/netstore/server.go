@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -41,7 +42,6 @@ type Server struct {
 
 	wg     sync.WaitGroup
 	closed chan struct{}
-	logf   func(format string, args ...interface{})
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") and serves one
@@ -78,20 +78,11 @@ func newServer(folds []*fold.Func) (*Server, error) {
 		stores: make([]*backing.Store, len(folds)),
 		conns:  make(map[net.Conn]struct{}),
 		closed: make(chan struct{}),
-		logf:   func(string, ...interface{}) {},
 	}
 	for i, f := range folds {
 		s.stores[i] = backing.New(f)
 	}
 	return s, nil
-}
-
-// SetLogf installs a diagnostic logger (default: silent).
-func (s *Server) SetLogf(f func(format string, args ...interface{})) {
-	if f == nil {
-		f = func(string, ...interface{}) {}
-	}
-	s.logf = f
 }
 
 // Addr returns the listening address.
@@ -137,13 +128,10 @@ func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				s.logf("netstore: accept: %v", err)
-				return
+			if !s.closing() {
+				log.Printf("netstore: accept: %v", err)
 			}
+			return
 		}
 		// Registered for Close's teardown, unless the server is closing
 		// or full.
@@ -173,10 +161,21 @@ func (s *Server) acceptLoop() {
 				delete(s.conns, conn)
 				s.connMu.Unlock()
 			}()
-			if err := s.serve(conn); err != nil && !errors.Is(err, io.EOF) {
-				s.logf("netstore: conn %v: %v", conn.RemoteAddr(), err)
+			if err := s.serve(conn); err != nil && !errors.Is(err, io.EOF) && !s.closing() {
+				log.Printf("netstore: conn %v: %v", conn.RemoteAddr(), err)
 			}
 		}()
+	}
+}
+
+// closing reports whether Close has begun: the errors it causes on the
+// listener and on open connections are not worth a log line.
+func (s *Server) closing() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -75,27 +75,6 @@ func (c *Counter) Value() uint64 {
 	return sum
 }
 
-// Writers is the stripe count fixed at construction.
-func (c *Counter) Writers() int { return len(c.cells) }
-
-// Gauge is a single settable value (queue depth, health bit). Gauges
-// are read-modify-write by one owner or Set from anywhere, so they are
-// one atomic, not striped.
-type Gauge struct {
-	v atomic.Int64
-}
-
-func (g *Gauge) Set(v int64)     { g.v.Store(v) }
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-func (g *Gauge) Value() int64    { return g.v.Load() }
-func (g *Gauge) SetBool(b bool)  { g.v.Store(boolToInt(b)) }
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // HistBuckets is the fixed bucket count: bits.Len64 ranges 0..64, so
 // 65 buckets cover every uint64 with power-of-two boundaries.
 const HistBuckets = 65
@@ -143,7 +122,7 @@ func BucketBound(i int) uint64 {
 }
 
 // HistSnap is a plain (non-atomic) histogram snapshot: the unit of
-// merging, delta-ing, and rendering.
+// merging and rendering.
 type HistSnap struct {
 	Count   uint64
 	Sum     uint64
@@ -170,16 +149,6 @@ func (s *HistSnap) Merge(o *HistSnap) {
 	s.Sum += o.Sum
 	for i := range s.Buckets {
 		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
-// Delta subtracts prev from s in place, leaving the since-last-read
-// view. prev must be an earlier snapshot of the same histogram(s).
-func (s *HistSnap) Delta(prev *HistSnap) {
-	s.Count -= prev.Count
-	s.Sum -= prev.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] -= prev.Buckets[i]
 	}
 }
 

@@ -89,7 +89,8 @@ func TestObsHistMerge(t *testing.T) {
 	}
 }
 
-// TestObsHistDelta checks delta-since-last-read.
+// TestObsHistDelta checks that a later snapshot holds an earlier one
+// plus exactly what was recorded in between.
 func TestObsHistDelta(t *testing.T) {
 	var h Hist
 	for v := uint64(1); v <= 100; v++ {
@@ -102,16 +103,15 @@ func TestObsHistDelta(t *testing.T) {
 	}
 	var second HistSnap
 	h.Snapshot(&second)
-	second.Delta(&first)
-	if second.Count != 50 {
-		t.Fatalf("delta count = %d, want 50", second.Count)
+	if n := second.Count - first.Count; n != 50 {
+		t.Fatalf("delta count = %d, want 50", n)
 	}
 	var wantSum uint64
 	for v := uint64(1); v <= 50; v++ {
 		wantSum += v * 1000
 	}
-	if second.Sum != wantSum {
-		t.Fatalf("delta sum = %d, want %d", second.Sum, wantSum)
+	if sum := second.Sum - first.Sum; sum != wantSum {
+		t.Fatalf("delta sum = %d, want %d", sum, wantSum)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestObsZeroAlloc(t *testing.T) {
 
 	r := NewRegistry()
 	r.CounterVal("perfq_test_total", "t", `shard="0"`, c)
-	r.GaugeVal("perfq_test_depth", "t", "", new(Gauge))
+	r.Gauge("perfq_test_depth", "t", "", func() float64 { return 0 })
 	r.HistVal("perfq_test_ns", "t", "", &h)
 	tm := NewTransportMetrics(3)
 	tm.Register(r, `transport="t"`, func() int { return 0 })
@@ -175,9 +175,7 @@ func TestObsRegistryRender(t *testing.T) {
 	c.Add(0, 42)
 	r.CounterVal("perfq_packets_total", "packets", `switch="s0"`, c)
 	r.CounterVal("perfq_packets_total", "packets", `switch="s0"`, c) // replace, not duplicate
-	var g Gauge
-	g.Set(7)
-	r.GaugeVal("perfq_depth", "queue depth", "", &g)
+	r.Gauge("perfq_depth", "queue depth", "", func() float64 { return 7 })
 	var h Hist
 	h.Record(0)
 	h.Record(3)

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -134,11 +133,6 @@ func (r *Registry) Gauge(name, help, labels string, fn func() float64) {
 	s := r.family(name, help, KindGauge).slot(labels)
 	s.readF = fn
 	s.names = []string{sampleName(name, labels)}
-}
-
-// GaugeVal registers a Gauge's value.
-func (r *Registry) GaugeVal(name, help, labels string, g *Gauge) {
-	r.Gauge(name, help, labels, func() float64 { return float64(g.Value()) })
 }
 
 // Hist registers a histogram series; fn must overwrite the snapshot
@@ -375,16 +369,4 @@ func (r *Registry) WriteJSON(w io.Writer, extra any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// Families lists registered family names, sorted (test/debug helper).
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		out = append(out, f.name)
-	}
-	sort.Strings(out)
-	return out
 }

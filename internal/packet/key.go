@@ -5,13 +5,13 @@ import (
 	"fmt"
 )
 
+var be = binary.BigEndian
+
 // FiveTuple is the canonical transport flow identifier: source and
 // destination IPv4 addresses and ports plus the IP protocol. It is a
-// comparable value type, usable directly as a map key, mirroring
-// gopacket's Flow/Endpoint design. IPv6 flows are folded to a 32-bit
-// digest of each address so they share the same key space (the paper's
+// comparable value type, usable directly as a map key. The paper's
 // hardware packs keys into 104 bits and is agnostic to how operators
-// define them).
+// define them.
 type FiveTuple struct {
 	Src     Addr4
 	Dst     Addr4
@@ -31,37 +31,6 @@ func (t FiveTuple) Reverse() FiveTuple {
 	return FiveTuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort, Proto: t.Proto}
 }
 
-// FlowKey extracts the five-tuple from a decoded packet. Packets without an
-// IP layer yield the zero tuple; non-TCP/UDP packets have zero ports.
-func (p *Packet) FlowKey() FiveTuple {
-	var t FiveTuple
-	switch {
-	case p.Has(LayerIPv4):
-		t.Src = p.IP4.Src
-		t.Dst = p.IP4.Dst
-		t.Proto = p.IP4.Protocol
-	case p.Has(LayerIPv6):
-		t.Src = fold16to4(p.IP6.Src)
-		t.Dst = fold16to4(p.IP6.Dst)
-		t.Proto = p.IP6.NextHeader
-	default:
-		return t
-	}
-	t.SrcPort = p.SrcPort()
-	t.DstPort = p.DstPort()
-	return t
-}
-
-// fold16to4 digests an IPv6 address into 4 bytes by XOR-folding, so v6
-// flows can share the v4-shaped key space.
-func fold16to4(a Addr16) Addr4 {
-	var out Addr4
-	for i := 0; i < 16; i++ {
-		out[i%4] ^= a[i]
-	}
-	return out
-}
-
 // Key128 is the 128-bit wire format of a key-value-store key. The paper's
 // design stores 104-bit five-tuple keys padded to 128 bits (one SRAM word).
 // It is comparable and is the on-the-wire key type of the backing-store
@@ -78,17 +47,6 @@ func (t FiveTuple) Pack() Key128 {
 	be.PutUint16(k[10:12], t.DstPort)
 	k[12] = byte(t.Proto)
 	return k
-}
-
-// UnpackFiveTuple reverses FiveTuple.Pack.
-func UnpackFiveTuple(k Key128) FiveTuple {
-	var t FiveTuple
-	copy(t.Src[:], k[0:4])
-	copy(t.Dst[:], k[4:8])
-	t.SrcPort = be.Uint16(k[8:10])
-	t.DstPort = be.Uint16(k[10:12])
-	t.Proto = Proto(k[12])
-	return t
 }
 
 const (

@@ -5,13 +5,26 @@ import (
 	"testing/quick"
 )
 
+// unpack reverses FiveTuple.Pack from the documented layout:
+// src(4) dst(4) sport(2) dport(2) proto(1) pad(3).
+func unpack(k Key128) FiveTuple {
+	var t FiveTuple
+	copy(t.Src[:], k[0:4])
+	copy(t.Dst[:], k[4:8])
+	t.SrcPort = be.Uint16(k[8:10])
+	t.DstPort = be.Uint16(k[10:12])
+	t.Proto = Proto(k[12])
+	return t
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
 		want := FiveTuple{
 			Src: Addr4FromUint32(src), Dst: Addr4FromUint32(dst),
 			SrcPort: sp, DstPort: dp, Proto: Proto(proto),
 		}
-		return UnpackFiveTuple(want.Pack()) == want
+		k := want.Pack()
+		return unpack(k) == want && k[13] == 0 && k[14] == 0 && k[15] == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -64,45 +77,6 @@ func TestHashDispersion(t *testing.T) {
 	}
 	if len(seen) != 64 {
 		t.Errorf("only %d/64 buckets hit by 4096 flows", len(seen))
-	}
-}
-
-func TestFlowKeyFromPacket(t *testing.T) {
-	p := tcpPacket()
-	ft := p.FlowKey()
-	if ft.Src != p.IP4.Src || ft.DstPort != p.TCP.DstPort || ft.Proto != ProtoTCP {
-		t.Errorf("FlowKey = %v", ft)
-	}
-	var none Packet
-	if got := none.FlowKey(); got != (FiveTuple{}) {
-		t.Errorf("FlowKey of empty packet = %v, want zero", got)
-	}
-}
-
-func TestFlowKeyIPv6Folded(t *testing.T) {
-	p := &Packet{
-		Layers: LayerIPv6 | LayerTCP,
-		IP6:    IPv6{NextHeader: ProtoTCP, Src: Addr16{1: 0xaa}, Dst: Addr16{2: 0xbb}},
-		TCP:    TCP{SrcPort: 1, DstPort: 2},
-	}
-	ft := p.FlowKey()
-	if ft.Proto != ProtoTCP || ft.SrcPort != 1 {
-		t.Errorf("v6 FlowKey = %v", ft)
-	}
-	if ft.Src == ft.Dst {
-		t.Error("distinct v6 addresses folded to identical v4 digests")
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	buf, _ := tcpPacket().AppendEncode(nil)
-	var p Packet
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Decode(buf, &p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -1,12 +1,8 @@
-// Package packet implements a compact, allocation-free packet model for the
-// perfq telemetry system: wire-format encoding and decoding for Ethernet,
-// IPv4, IPv6, TCP, UDP and ICMP headers, canonical five-tuple flow keys, and
-// a fast non-cryptographic hash used to shard flows across cache buckets.
-//
-// The decoder follows the preallocated-layers style popularized by
-// gopacket's DecodingLayerParser: callers own a Packet value and Decode
-// fills it in place, so the per-packet hot path performs no heap
-// allocations.
+// Package packet holds the header vocabulary the datapath and the
+// workload generators share: IP protocol numbers, IPv4 addresses, the
+// canonical five-tuple flow key with its 128-bit packed form, and the
+// fixed hash functions that place keys in cache buckets and flows on
+// ECMP paths.
 package packet
 
 import "fmt"
@@ -35,29 +31,17 @@ func (p Proto) String() string {
 	}
 }
 
-// EtherType values understood by the decoder.
-const (
-	EtherTypeIPv4 uint16 = 0x0800
-	EtherTypeIPv6 uint16 = 0x86DD
-)
-
-// Header sizes in bytes.
+// Header sizes in bytes, for sizing a packet's payload from its wire
+// length.
 const (
 	EthernetHeaderLen = 14
 	IPv4MinHeaderLen  = 20
-	IPv6HeaderLen     = 40
 	TCPMinHeaderLen   = 20
 	UDPHeaderLen      = 8
-	ICMPHeaderLen     = 8
 )
 
-// EthAddr is a 48-bit IEEE 802 MAC address.
-type EthAddr [6]byte
-
-// String formats the address in canonical colon-separated hex.
-func (a EthAddr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
-}
+// TCPAck is the TCP ACK flag bit.
+const TCPAck uint8 = 1 << 4
 
 // Addr4 is an IPv4 address in network byte order.
 type Addr4 [4]byte
@@ -76,182 +60,4 @@ func (a Addr4) Uint32() uint32 {
 // Addr4FromUint32 converts a big-endian integer to an IPv4 address.
 func Addr4FromUint32(v uint32) Addr4 {
 	return Addr4{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-}
-
-// Addr16 is an IPv6 address.
-type Addr16 [16]byte
-
-// String formats the address as colon-separated hextets (no zero
-// compression; this is a diagnostic format, not RFC 5952).
-func (a Addr16) String() string {
-	return fmt.Sprintf("%x:%x:%x:%x:%x:%x:%x:%x",
-		uint16(a[0])<<8|uint16(a[1]), uint16(a[2])<<8|uint16(a[3]),
-		uint16(a[4])<<8|uint16(a[5]), uint16(a[6])<<8|uint16(a[7]),
-		uint16(a[8])<<8|uint16(a[9]), uint16(a[10])<<8|uint16(a[11]),
-		uint16(a[12])<<8|uint16(a[13]), uint16(a[14])<<8|uint16(a[15]))
-}
-
-// Ethernet is a decoded Ethernet II header.
-type Ethernet struct {
-	Dst       EthAddr
-	Src       EthAddr
-	EtherType uint16
-}
-
-// IPv4 is a decoded IPv4 header. Options are preserved only as a length so
-// that encoding round-trips header size; their bytes are not retained.
-type IPv4 struct {
-	Version  uint8 // always 4
-	IHL      uint8 // header length in 32-bit words (5..15)
-	TOS      uint8
-	TotalLen uint16
-	ID       uint16
-	Flags    uint8 // 3 bits: reserved, DF, MF
-	FragOff  uint16
-	TTL      uint8
-	Protocol Proto
-	Checksum uint16
-	Src      Addr4
-	Dst      Addr4
-}
-
-// HeaderLen returns the header length in bytes.
-func (h *IPv4) HeaderLen() int { return int(h.IHL) * 4 }
-
-// IPv6 is a decoded IPv6 fixed header. Extension headers other than a
-// degenerate chain terminating in TCP/UDP/ICMP are not traversed.
-type IPv6 struct {
-	Version      uint8 // always 6
-	TrafficClass uint8
-	FlowLabel    uint32
-	PayloadLen   uint16
-	NextHeader   Proto
-	HopLimit     uint8
-	Src          Addr16
-	Dst          Addr16
-}
-
-// TCP flag bits.
-const (
-	TCPFin uint8 = 1 << 0
-	TCPSyn uint8 = 1 << 1
-	TCPRst uint8 = 1 << 2
-	TCPPsh uint8 = 1 << 3
-	TCPAck uint8 = 1 << 4
-	TCPUrg uint8 = 1 << 5
-)
-
-// TCP is a decoded TCP header.
-type TCP struct {
-	SrcPort    uint16
-	DstPort    uint16
-	Seq        uint32
-	Ack        uint32
-	DataOffset uint8 // header length in 32-bit words (5..15)
-	Flags      uint8
-	Window     uint16
-	Checksum   uint16
-	Urgent     uint16
-}
-
-// HeaderLen returns the header length in bytes.
-func (h *TCP) HeaderLen() int { return int(h.DataOffset) * 4 }
-
-// UDP is a decoded UDP header.
-type UDP struct {
-	SrcPort  uint16
-	DstPort  uint16
-	Length   uint16
-	Checksum uint16
-}
-
-// ICMP is a decoded ICMP header (type/code/checksum plus the rest-of-header
-// word).
-type ICMP struct {
-	Type     uint8
-	Code     uint8
-	Checksum uint16
-	Rest     uint32
-}
-
-// Layer identifies which headers were found during decoding.
-type Layer uint8
-
-// Layer presence bits for Packet.Layers.
-const (
-	LayerEthernet Layer = 1 << iota
-	LayerIPv4
-	LayerIPv6
-	LayerTCP
-	LayerUDP
-	LayerICMP
-)
-
-// Packet is a fully decoded packet. It is designed to be reused: Decode
-// resets and refills it without allocating.
-type Packet struct {
-	Layers Layer
-
-	Eth  Ethernet
-	IP4  IPv4
-	IP6  IPv6
-	TCP  TCP
-	UDP  UDP
-	ICMP ICMP
-
-	// WireLen is the length of the packet on the wire in bytes (including
-	// the Ethernet header), regardless of how many bytes were captured.
-	WireLen int
-	// PayloadLen is the transport payload length in bytes.
-	PayloadLen int
-}
-
-// Has reports whether all the given layers were decoded.
-func (p *Packet) Has(l Layer) bool { return p.Layers&l == l }
-
-// Proto returns the transport protocol number, or 0 if no IP layer was
-// decoded.
-func (p *Packet) Proto() Proto {
-	switch {
-	case p.Has(LayerIPv4):
-		return p.IP4.Protocol
-	case p.Has(LayerIPv6):
-		return p.IP6.NextHeader
-	default:
-		return 0
-	}
-}
-
-// SrcPort returns the transport source port, or 0 for non-TCP/UDP packets.
-func (p *Packet) SrcPort() uint16 {
-	switch {
-	case p.Has(LayerTCP):
-		return p.TCP.SrcPort
-	case p.Has(LayerUDP):
-		return p.UDP.SrcPort
-	default:
-		return 0
-	}
-}
-
-// DstPort returns the transport destination port, or 0 for non-TCP/UDP
-// packets.
-func (p *Packet) DstPort() uint16 {
-	switch {
-	case p.Has(LayerTCP):
-		return p.TCP.DstPort
-	case p.Has(LayerUDP):
-		return p.UDP.DstPort
-	default:
-		return 0
-	}
-}
-
-// reset clears layer presence ahead of a fresh decode. Header structs are
-// overwritten by the decoder as layers are found, so they need not be
-// zeroed here.
-func (p *Packet) reset() {
-	p.Layers = 0
-	p.WireLen = 0
-	p.PayloadLen = 0
 }

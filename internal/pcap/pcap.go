@@ -1,209 +1,134 @@
-// Package pcap reads and writes libpcap-format capture files using only the
-// standard library. Both the classic microsecond (0xa1b2c3d4) and the
-// nanosecond (0xa1b23c4d) magic variants are supported, in either byte
-// order. Timestamps are surfaced as int64 nanoseconds so the rest of the
-// system works in a single time unit.
+// Package pcap exports trace records as a libpcap capture file, using
+// only the standard library: nanosecond timestamps, little-endian,
+// Ethernet link type. Each frame is synthesized from one trace.Record,
+// so this package is the one place that knows a frame's wire format.
 //
-// This is the bridge between perfq's synthetic traces and real captures: a
-// CAIDA trace written as pcap can be fed to every experiment in place of
-// the generated workload.
+// The export is one way, for standard tooling: a frame carries the
+// record's headers and lengths, but a pcap has nowhere to put its qid,
+// tout or queue depths, so nothing reads one back.
 package pcap
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
+
+	"perfq/internal/packet"
+	"perfq/internal/trace"
 )
 
-// Magic numbers identifying pcap files.
 const (
-	MagicMicroseconds = 0xa1b2c3d4
-	MagicNanoseconds  = 0xa1b23c4d
-)
-
-// LinkTypeEthernet is the only link type perfq produces; readers accept any
-// link type and surface it to the caller.
-const LinkTypeEthernet = 1
-
-const (
+	magicNanoseconds = 0xa1b23c4d
+	linkTypeEthernet = 1
+	// snapLen caps the bytes captured per frame; orig_len keeps the
+	// frame's full length.
+	snapLen         = 65535
 	fileHeaderLen   = 24
 	recordHeaderLen = 16
+
+	etherTypeIPv4 = 0x0800
+	ttl           = 62
+	// Where a frame's IPv4 header and its transport segment start.
+	ipStart  = packet.EthernetHeaderLen
+	segStart = ipStart + packet.IPv4MinHeaderLen
 )
 
-// Errors returned by the reader.
+// The synthesized frames' destination and source MACs (locally
+// administered).
 var (
-	ErrBadMagic  = errors.New("pcap: bad magic number")
-	ErrTruncated = errors.New("pcap: truncated file")
-	ErrSnapLen   = errors.New("pcap: record exceeds snap length")
+	dstMAC = [6]byte{2, 0, 0, 0, 0, 1}
+	srcMAC = [6]byte{2, 0, 0, 0, 0, 2}
 )
 
-// Header describes a capture file.
-type Header struct {
-	// Nanosecond reports whether timestamps carry nanosecond sub-second
-	// precision (vs microsecond).
-	Nanosecond bool
-	// SnapLen is the maximum number of bytes captured per packet.
-	SnapLen uint32
-	// LinkType is the data link type of the capture (1 = Ethernet).
-	LinkType uint32
-}
-
-// Record is one captured packet.
-type Record struct {
-	// Time is the capture timestamp in nanoseconds since the Unix epoch.
-	Time int64
-	// OrigLen is the length of the packet as it appeared on the wire.
-	OrigLen int
-	// Data holds the captured bytes (possibly fewer than OrigLen). The
-	// slice is only valid until the next call to Next unless the reader
-	// was created with copying enabled.
-	Data []byte
-}
-
-// Reader decodes a pcap stream.
-type Reader struct {
-	r       *bufio.Reader
-	order   binary.ByteOrder
-	hdr     Header
-	buf     []byte
-	scratch [recordHeaderLen]byte
-}
-
-// NewReader parses the file header and returns a reader positioned at the
-// first record.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var h [fileHeaderLen]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: file header", ErrTruncated)
-		}
-		return nil, err
-	}
-
-	var order binary.ByteOrder
-	var nano bool
-	switch magic := binary.LittleEndian.Uint32(h[0:4]); magic {
-	case MagicMicroseconds:
-		order, nano = binary.LittleEndian, false
-	case MagicNanoseconds:
-		order, nano = binary.LittleEndian, true
-	default:
-		switch magic := binary.BigEndian.Uint32(h[0:4]); magic {
-		case MagicMicroseconds:
-			order, nano = binary.BigEndian, false
-		case MagicNanoseconds:
-			order, nano = binary.BigEndian, true
-		default:
-			return nil, fmt.Errorf("%w: %#08x", ErrBadMagic, magic)
-		}
-	}
-
-	rd := &Reader{
-		r:     br,
-		order: order,
-		hdr: Header{
-			Nanosecond: nano,
-			SnapLen:    order.Uint32(h[16:20]),
-			LinkType:   order.Uint32(h[20:24]),
-		},
-	}
-	if rd.hdr.SnapLen == 0 || rd.hdr.SnapLen > 1<<20 {
-		rd.hdr.SnapLen = 1 << 20
-	}
-	rd.buf = make([]byte, rd.hdr.SnapLen)
-	return rd, nil
-}
-
-// Header returns the capture file header.
-func (r *Reader) Header() Header { return r.hdr }
-
-// Next reads the next record into rec. The record's Data aliases an
-// internal buffer that is overwritten by the following call; copy it if it
-// must outlive the iteration. Next returns io.EOF at a clean end of file
-// and ErrTruncated if the file ends mid-record.
-func (r *Reader) Next(rec *Record) error {
-	if _, err := io.ReadFull(r.r, r.scratch[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: record header", ErrTruncated)
-		}
-		return err
-	}
-	sec := r.order.Uint32(r.scratch[0:4])
-	sub := r.order.Uint32(r.scratch[4:8])
-	incl := r.order.Uint32(r.scratch[8:12])
-	orig := r.order.Uint32(r.scratch[12:16])
-
-	if incl > r.hdr.SnapLen {
-		return fmt.Errorf("%w: incl=%d snap=%d", ErrSnapLen, incl, r.hdr.SnapLen)
-	}
-	if _, err := io.ReadFull(r.r, r.buf[:incl]); err != nil {
-		return fmt.Errorf("%w: record body", ErrTruncated)
-	}
-
-	if r.hdr.Nanosecond {
-		rec.Time = int64(sec)*1e9 + int64(sub)
-	} else {
-		rec.Time = int64(sec)*1e9 + int64(sub)*1e3
-	}
-	rec.OrigLen = int(orig)
-	rec.Data = r.buf[:incl]
-	return nil
-}
+var (
+	le = binary.LittleEndian
+	be = binary.BigEndian
+)
 
 // Writer encodes records to a pcap stream.
 type Writer struct {
-	w       *bufio.Writer
-	hdr     Header
-	count   int64
-	scratch [recordHeaderLen]byte
+	w     *bufio.Writer
+	count int64
+	buf   []byte // one record header and its captured frame, reused
 }
 
-// NewWriter writes a nanosecond-precision little-endian file header and
-// returns a writer. snapLen of 0 defaults to 65535.
-func NewWriter(w io.Writer, snapLen uint32) (*Writer, error) {
-	if snapLen == 0 {
-		snapLen = 65535
-	}
+// NewWriter writes the file header and returns a writer.
+func NewWriter(w io.Writer) (*Writer, error) {
 	var h [fileHeaderLen]byte
-	binary.LittleEndian.PutUint32(h[0:4], MagicNanoseconds)
-	binary.LittleEndian.PutUint16(h[4:6], 2) // version major
-	binary.LittleEndian.PutUint16(h[6:8], 4) // version minor
-	binary.LittleEndian.PutUint32(h[16:20], snapLen)
-	binary.LittleEndian.PutUint32(h[20:24], LinkTypeEthernet)
+	le.PutUint32(h[0:4], magicNanoseconds)
+	le.PutUint16(h[4:6], 2) // version major
+	le.PutUint16(h[6:8], 4) // version minor
+	le.PutUint32(h[16:20], snapLen)
+	le.PutUint32(h[20:24], linkTypeEthernet)
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(h[:]); err != nil {
 		return nil, err
 	}
-	return &Writer{
-		w:   bw,
-		hdr: Header{Nanosecond: true, SnapLen: snapLen, LinkType: LinkTypeEthernet},
-	}, nil
+	return &Writer{w: bw}, nil
 }
 
-// Write appends one record. data longer than the snap length is truncated
-// (with OrigLen recording the full size), matching capture semantics.
-func (w *Writer) Write(timeNs int64, data []byte, origLen int) error {
-	if origLen < len(data) {
-		origLen = len(data)
+// WriteRecord appends the frame rec describes, stamped with rec.Tin:
+// Ethernet, IPv4 (IHL 5, TTL 62), a TCP header (data offset 5, window
+// 65535) or a UDP header when rec is either, then rec.PayloadLen zero
+// bytes — perfq reads a payload's length, never its bytes. The IPv4
+// header checksum and the TCP/UDP checksum over the pseudo-header are
+// filled in, so the frame verifies in standard tooling. The capture is
+// cut at the snap length; orig_len is rec.PktLen, or the frame's length
+// if that is longer.
+func (w *Writer) WriteRecord(rec *trace.Record) error {
+	frameLen := segStart + int(rec.PayloadLen)
+	switch rec.Proto {
+	case packet.ProtoTCP:
+		frameLen += packet.TCPMinHeaderLen
+	case packet.ProtoUDP:
+		frameLen += packet.UDPHeaderLen
 	}
-	incl := len(data)
-	if uint32(incl) > w.hdr.SnapLen {
-		incl = int(w.hdr.SnapLen)
+	incl := min(frameLen, snapLen)
+	if cap(w.buf) < recordHeaderLen+incl {
+		w.buf = make([]byte, recordHeaderLen+incl)
 	}
-	binary.LittleEndian.PutUint32(w.scratch[0:4], uint32(timeNs/1e9))
-	binary.LittleEndian.PutUint32(w.scratch[4:8], uint32(timeNs%1e9))
-	binary.LittleEndian.PutUint32(w.scratch[8:12], uint32(incl))
-	binary.LittleEndian.PutUint32(w.scratch[12:16], uint32(origLen))
-	if _, err := w.w.Write(w.scratch[:]); err != nil {
-		return err
+	b := w.buf[:recordHeaderLen+incl]
+	clear(b)
+
+	le.PutUint32(b[0:4], uint32(rec.Tin/1e9))
+	le.PutUint32(b[4:8], uint32(rec.Tin%1e9))
+	le.PutUint32(b[8:12], uint32(incl))
+	le.PutUint32(b[12:16], uint32(max(int(rec.PktLen), frameLen)))
+
+	f := b[recordHeaderLen:]
+	copy(f[0:6], dstMAC[:])
+	copy(f[6:12], srcMAC[:])
+	be.PutUint16(f[12:14], etherTypeIPv4)
+
+	ip := f[ipStart:segStart]
+	ip[0] = 4<<4 | packet.IPv4MinHeaderLen/4 // version, IHL
+	be.PutUint16(ip[2:4], uint16(frameLen-ipStart))
+	ip[8] = ttl
+	ip[9] = byte(rec.Proto)
+	copy(ip[12:16], rec.SrcIP[:])
+	copy(ip[16:20], rec.DstIP[:])
+	be.PutUint16(ip[10:12], checksum(ip, 0))
+
+	// The checksums cover the whole segment; the payload beyond a cut
+	// capture is zeros, which add nothing to the sum.
+	seg, segLen := f[segStart:], frameLen-segStart
+	switch rec.Proto {
+	case packet.ProtoTCP:
+		be.PutUint16(seg[0:2], rec.SrcPort)
+		be.PutUint16(seg[2:4], rec.DstPort)
+		be.PutUint32(seg[4:8], rec.TCPSeq)
+		seg[12] = packet.TCPMinHeaderLen / 4 << 4 // data offset
+		seg[13] = rec.TCPFlags
+		be.PutUint16(seg[14:16], 65535) // window
+		be.PutUint16(seg[16:18], checksum(seg, pseudoHeaderSum(rec, segLen)))
+	case packet.ProtoUDP:
+		be.PutUint16(seg[0:2], rec.SrcPort)
+		be.PutUint16(seg[2:4], rec.DstPort)
+		be.PutUint16(seg[4:6], uint16(segLen))
+		be.PutUint16(seg[6:8], checksum(seg, pseudoHeaderSum(rec, segLen)))
 	}
-	if _, err := w.w.Write(data[:incl]); err != nil {
+
+	if _, err := w.w.Write(b); err != nil {
 		return err
 	}
 	w.count++
@@ -215,3 +140,31 @@ func (w *Writer) Count() int64 { return w.count }
 
 // Flush drains buffered data to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
+
+// checksum computes the RFC 1071 Internet checksum of data, folded into
+// 16 bits and complemented. initial carries a partial sum (e.g. from a
+// pseudo-header); pass 0 when checksumming a standalone buffer.
+func checksum(data []byte, initial uint32) uint16 {
+	sum := initial
+	n := len(data)
+	i := 0
+	for ; i+1 < n; i += 2 {
+		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	}
+	if i < n {
+		sum += uint32(data[i]) << 8
+	}
+	for sum > 0xffff {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// pseudoHeaderSum returns the partial sum of the IPv4 pseudo-header that
+// the TCP and UDP checksums of rec's segLen-byte segment cover, as
+// checksum's initial argument.
+func pseudoHeaderSum(rec *trace.Record, segLen int) uint32 {
+	return uint32(be.Uint16(rec.SrcIP[0:2])) + uint32(be.Uint16(rec.SrcIP[2:4])) +
+		uint32(be.Uint16(rec.DstIP[0:2])) + uint32(be.Uint16(rec.DstIP[2:4])) +
+		uint32(rec.Proto) + uint32(segLen)
+}

@@ -124,9 +124,6 @@ func (t *Topology) Hosts() []NodeID {
 	return out
 }
 
-// LinksFrom returns indices of links leaving a node.
-func (t *Topology) LinksFrom(id NodeID) []int { return t.adj[id] }
-
 // Path is a sequence of link indices from a source host to a destination
 // host.
 type Path []int

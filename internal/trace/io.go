@@ -46,7 +46,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: bw}, nil
 }
 
-// Write implements Sink. QSizeOut and Path share the record's last word:
+// Write appends one record. QSizeOut and Path share the record's last word:
 // QSizeOut is capped at 24 bits (16 MB of queue, far beyond any simulated
 // queue) and Path at 8.
 func (w *Writer) Write(rec *Record) error {

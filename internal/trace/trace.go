@@ -107,34 +107,12 @@ func (r *Record) FiveTupleWords() (lo, hi uint64) {
 	return lo, hi
 }
 
-// SetHeaders fills the header portion of the record from a decoded packet.
-func (r *Record) SetHeaders(p *packet.Packet) {
-	ft := p.FlowKey()
-	r.SrcIP, r.DstIP = ft.Src, ft.Dst
-	r.SrcPort, r.DstPort = ft.SrcPort, ft.DstPort
-	r.Proto = ft.Proto
-	r.PktLen = uint32(p.WireLen)
-	r.PayloadLen = uint32(p.PayloadLen)
-	if p.Has(packet.LayerTCP) {
-		r.TCPSeq = p.TCP.Seq
-		r.TCPFlags = p.TCP.Flags
-	} else {
-		r.TCPSeq = 0
-		r.TCPFlags = 0
-	}
-}
-
 // Source yields records in time order. Implementations return io.EOF from
 // Next after the last record.
 type Source interface {
 	// Next fills rec with the next record. The *Record contents are owned
 	// by the caller after return.
 	Next(rec *Record) error
-}
-
-// Sink consumes records.
-type Sink interface {
-	Write(rec *Record) error
 }
 
 // SliceSource adapts a []Record to a Source.
@@ -165,17 +143,6 @@ func (s *SliceSource) NextBatch() ([]Record, error) {
 	rest := s.Records[s.pos:]
 	s.pos = len(s.Records)
 	return rest, nil
-}
-
-// SliceSink collects records into memory.
-type SliceSink struct {
-	Records []Record
-}
-
-// Write implements Sink.
-func (s *SliceSink) Write(rec *Record) error {
-	s.Records = append(s.Records, *rec)
-	return nil
 }
 
 // Collect drains src into a slice. It is intended for tests and small

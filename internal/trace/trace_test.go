@@ -104,49 +104,12 @@ func TestFieldByNameCoversSchema(t *testing.T) {
 	}
 }
 
-func TestSetHeaders(t *testing.T) {
-	p := &packet.Packet{
-		Layers: packet.LayerEthernet | packet.LayerIPv4 | packet.LayerTCP,
-		IP4: packet.IPv4{
-			Protocol: packet.ProtoTCP,
-			Src:      packet.Addr4{1, 2, 3, 4}, Dst: packet.Addr4{5, 6, 7, 8},
-		},
-		TCP:        packet.TCP{SrcPort: 10, DstPort: 20, Seq: 999, Flags: packet.TCPSyn},
-		WireLen:    800,
-		PayloadLen: 700,
-	}
-	var r Record
-	r.TCPSeq = 1 // stale
-	r.SetHeaders(p)
-	if r.TCPSeq != 999 || r.PktLen != 800 || r.SrcPort != 10 || r.Proto != packet.ProtoTCP {
-		t.Errorf("SetHeaders: %+v", r)
-	}
-	ft := r.FlowKey()
-	if ft != p.FlowKey() {
-		t.Errorf("FlowKey mismatch: %v vs %v", ft, p.FlowKey())
-	}
-
-	// Non-TCP packet must clear TCP columns.
-	p2 := &packet.Packet{
-		Layers: packet.LayerEthernet | packet.LayerIPv4 | packet.LayerUDP,
-		IP4:    packet.IPv4{Protocol: packet.ProtoUDP},
-		UDP:    packet.UDP{SrcPort: 1, DstPort: 2},
-	}
-	r.SetHeaders(p2)
-	if r.TCPSeq != 0 || r.TCPFlags != 0 {
-		t.Error("stale TCP fields after SetHeaders with UDP packet")
-	}
-}
-
-func TestSliceSourceSink(t *testing.T) {
-	var sink SliceSink
+func TestSliceSourceCollect(t *testing.T) {
+	var recs []Record
 	for i := 0; i < 5; i++ {
-		r := sampleRecord(i)
-		if err := sink.Write(&r); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, sampleRecord(i))
 	}
-	src := &SliceSource{Records: sink.Records}
+	src := &SliceSource{Records: recs}
 	got, err := Collect(src)
 	if err != nil {
 		t.Fatal(err)

@@ -180,9 +180,6 @@ func New(cfg Config) *Generator {
 // FlowsStarted returns how many flows have been created so far.
 func (g *Generator) FlowsStarted() int64 { return g.flowsMade }
 
-// Emitted returns how many records have been produced so far.
-func (g *Generator) Emitted() int64 { return g.emitted }
-
 func (g *Generator) expGapNs(ratePerSec float64) int64 {
 	if ratePerSec <= 0 {
 		return -1

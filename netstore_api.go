@@ -47,12 +47,13 @@ func (s *BackingServer) StateLen() int { return s.f.StateLen() }
 // MergeKind names the reconciliation behaviour (linear/assoc/none).
 func (s *BackingServer) MergeKind() string { return s.f.Merge.String() }
 
-// StatsLine summarizes the store for logs.
+// StatsLine summarizes the store for logs, with the connections turned
+// away at the server's connection cap.
 func (s *BackingServer) StatsLine() string {
 	st := s.srv.Store().Stats()
 	valid, total := s.srv.Store().Accuracy()
-	return fmt.Sprintf("keys=%d merges=%d appends=%d valid=%d/%d",
-		st.Keys, st.Merges, st.Appends, valid, total)
+	return fmt.Sprintf("keys=%d merges=%d appends=%d valid=%d/%d rejected=%d",
+		st.Keys, st.Merges, st.Appends, valid, total, s.srv.Rejected())
 }
 
 // Close stops the server.
