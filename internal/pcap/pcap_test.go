@@ -81,67 +81,138 @@ func TestWriteRecordDigests(t *testing.T) {
 	}
 }
 
-// TestWriteRecordFrames reads every export back and checks what a pcap
-// reader relies on, independently of the writer's own helpers: the file
-// header, each record's timestamp and lengths, and each frame's
-// checksums and length fields.
-func TestWriteRecordFrames(t *testing.T) {
-	var sawTCP, sawUDP, sawOther bool
-	for _, e := range exports(t) {
-		file := write(t, e.recs)
-		if le.Uint32(file[0:4]) != magicNanoseconds || le.Uint32(file[16:20]) != snapLen ||
-			le.Uint32(file[20:24]) != linkTypeEthernet {
-			t.Fatalf("%s: file header % x", e.name, file[:fileHeaderLen])
+// captured is one record read back from a pcap file: its 16-byte record
+// header and its captured frame.
+type captured struct {
+	hdr, frame []byte
+}
+
+// readBack parses a written file independently of the writer's own
+// helpers, the way a pcap reader does: it checks the file header, then
+// returns every record up to the end of the file.
+func readBack(t *testing.T, name string, file []byte) []captured {
+	t.Helper()
+	if len(file) < fileHeaderLen || le.Uint32(file[0:4]) != magicNanoseconds ||
+		le.Uint32(file[16:20]) != snapLen || le.Uint32(file[20:24]) != linkTypeEthernet {
+		t.Fatalf("%s: file header % x", name, file[:min(len(file), fileHeaderLen)])
+	}
+	var recs []captured
+	for off := fileHeaderLen; off < len(file); {
+		if len(file)-off < recordHeaderLen {
+			t.Fatalf("%s: %d bytes after record %d, short of a record header", name, len(file)-off, len(recs))
 		}
-		off := fileHeaderLen
-		for i := range e.recs {
+		h := file[off : off+recordHeaderLen]
+		end := off + recordHeaderLen + int(le.Uint32(h[8:12]))
+		if end > len(file) {
+			t.Fatalf("%s record %d: captured length runs %d bytes past the file", name, len(recs), end-len(file))
+		}
+		recs = append(recs, captured{h, file[off+recordHeaderLen : end]})
+		off = end
+	}
+	return recs
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	for _, e := range exports(t) {
+		got := readBack(t, e.name, write(t, e.recs))
+		if len(got) != len(e.recs) {
+			t.Fatalf("%s: read %d records, wrote %d", e.name, len(got), len(e.recs))
+		}
+		for i, c := range got {
 			rec := &e.recs[i]
-			h := file[off : off+recordHeaderLen]
-			incl := int(le.Uint32(h[8:12]))
-			frame := file[off+recordHeaderLen : off+recordHeaderLen+incl]
-			off += recordHeaderLen + incl
-			if ts := int64(le.Uint32(h[0:4]))*1e9 + int64(le.Uint32(h[4:8])); ts != rec.Tin {
+			if ts := int64(le.Uint32(c.hdr[0:4]))*1e9 + int64(le.Uint32(c.hdr[4:8])); ts != rec.Tin {
 				t.Fatalf("%s record %d: timestamp %d, want tin %d", e.name, i, ts, rec.Tin)
 			}
 			// A record shorter than its own headers is exported at the
 			// headers' length.
-			if orig := int(le.Uint32(h[12:16])); orig != max(int(rec.PktLen), incl) {
-				t.Fatalf("%s record %d: orig_len %d, pkt_len %d, frame %d bytes", e.name, i, orig, rec.PktLen, incl)
-			}
-			if err := checkFrame(frame, rec); err != nil {
-				t.Fatalf("%s record %d: %v", e.name, i, err)
-			}
-			switch rec.Proto {
-			case packet.ProtoTCP:
-				sawTCP = true
-			case packet.ProtoUDP:
-				sawUDP = true
-			default:
-				sawOther = true
+			if orig := int(le.Uint32(c.hdr[12:16])); orig != max(int(rec.PktLen), len(c.frame)) {
+				t.Fatalf("%s record %d: orig_len %d, pkt_len %d, frame %d bytes", e.name, i, orig, rec.PktLen, len(c.frame))
 			}
 		}
-		if off != len(file) {
-			t.Fatalf("%s: %d bytes after the last record", e.name, len(file)-off)
-		}
-	}
-	if !sawTCP || !sawUDP || !sawOther {
-		t.Fatalf("exports miss a frame shape: tcp %v udp %v other %v", sawTCP, sawUDP, sawOther)
 	}
 }
 
-// checkFrame verifies one frame against its record: the IPv4 header
-// checksum folds to zero, the IPv4 total length plus the Ethernet header
-// is the frame length, and a TCP or UDP checksum over the pseudo-header
-// folds to zero.
-func checkFrame(frame []byte, rec *trace.Record) error {
+// eachFrame writes every export, reads it back, and runs check on each
+// frame whose record's protocol keep accepts. It fails the test if keep
+// accepts none.
+func eachFrame(t *testing.T, keep func(packet.Proto) bool, check func(frame []byte, rec *trace.Record) error) {
+	t.Helper()
+	seen := 0
+	for _, e := range exports(t) {
+		got := readBack(t, e.name, write(t, e.recs))
+		if len(got) != len(e.recs) {
+			t.Fatalf("%s: read %d records, wrote %d", e.name, len(got), len(e.recs))
+		}
+		for i, c := range got {
+			rec := &e.recs[i]
+			if !keep(rec.Proto) {
+				continue
+			}
+			seen++
+			if err := check(c.frame, rec); err != nil {
+				t.Fatalf("%s record %d: %v", e.name, i, err)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no export holds a frame of this shape")
+	}
+}
+
+func isTCP(p packet.Proto) bool { return p == packet.ProtoTCP }
+func isUDP(p packet.Proto) bool { return p == packet.ProtoUDP }
+
+func TestWriteRecordChecksums(t *testing.T) {
+	eachFrame(t, func(packet.Proto) bool { return true }, func(frame []byte, _ *trace.Record) error {
+		return checkChecksums(frame)
+	})
+}
+
+func TestWriteRecordTCPFrame(t *testing.T) {
+	eachFrame(t, isTCP, checkFields)
+}
+
+func TestWriteRecordUDPFrame(t *testing.T) {
+	eachFrame(t, isUDP, checkFields)
+}
+
+// TestWriteRecordIPv4Frame covers a record with no transport header: the
+// payload follows the IPv4 header.
+func TestWriteRecordIPv4Frame(t *testing.T) {
+	eachFrame(t, func(p packet.Proto) bool { return !isTCP(p) && !isUDP(p) }, checkFields)
+}
+
+// checkChecksums verifies that a frame's IPv4 header checksum folds to
+// zero and, for TCP or UDP, that the checksum over the pseudo-header and
+// segment folds to zero.
+func checkChecksums(frame []byte) error {
+	const eth = packet.EthernetHeaderLen
+	ip := frame[eth : eth+packet.IPv4MinHeaderLen]
+	if checksum(ip, 0) != 0 {
+		return fmt.Errorf("IPv4 header checksum does not verify")
+	}
+	if p := packet.Proto(ip[9]); !isTCP(p) && !isUDP(p) {
+		return nil
+	}
+	seg := frame[eth+packet.IPv4MinHeaderLen:]
+	pseudo := []byte{ip[12], ip[13], ip[14], ip[15], ip[16], ip[17], ip[18], ip[19],
+		0, ip[9], byte(len(seg) >> 8), byte(len(seg))}
+	if got := checksum(append(pseudo, seg...), 0); got != 0 {
+		return fmt.Errorf("transport checksum residue %#x, want 0", got)
+	}
+	return nil
+}
+
+// checkFields verifies one frame's header fields against its record: the
+// Ethernet type, the IPv4 addresses and protocol, the IPv4 total length
+// plus the Ethernet header is the frame length, the TCP or UDP ports, the
+// TCP sequence number and flags, the UDP length, and the payload length.
+func checkFields(frame []byte, rec *trace.Record) error {
 	const eth = packet.EthernetHeaderLen
 	if be.Uint16(frame[12:14]) != etherTypeIPv4 {
 		return fmt.Errorf("ethertype %#04x", be.Uint16(frame[12:14]))
 	}
 	ip := frame[eth : eth+packet.IPv4MinHeaderLen]
-	if checksum(ip, 0) != 0 {
-		return fmt.Errorf("IPv4 header checksum does not verify")
-	}
 	if n := int(be.Uint16(ip[2:4])) + eth; n != len(frame) {
 		return fmt.Errorf("IPv4 total length + %d = %d, frame is %d bytes", eth, n, len(frame))
 	}
@@ -162,15 +233,8 @@ func checkFrame(frame []byte, rec *trace.Record) error {
 			return fmt.Errorf("UDP length %d, segment is %d bytes", be.Uint16(seg[4:6]), len(seg))
 		}
 	}
-	if hdr > 0 {
-		if be.Uint16(seg[0:2]) != rec.SrcPort || be.Uint16(seg[2:4]) != rec.DstPort {
-			return fmt.Errorf("ports %d > %d, want %d > %d", be.Uint16(seg[0:2]), be.Uint16(seg[2:4]), rec.SrcPort, rec.DstPort)
-		}
-		pseudo := []byte{ip[12], ip[13], ip[14], ip[15], ip[16], ip[17], ip[18], ip[19],
-			0, ip[9], byte(len(seg) >> 8), byte(len(seg))}
-		if got := checksum(append(pseudo, seg...), 0); got != 0 {
-			return fmt.Errorf("transport checksum residue %#x, want 0", got)
-		}
+	if hdr > 0 && (be.Uint16(seg[0:2]) != rec.SrcPort || be.Uint16(seg[2:4]) != rec.DstPort) {
+		return fmt.Errorf("ports %d > %d, want %d > %d", be.Uint16(seg[0:2]), be.Uint16(seg[2:4]), rec.SrcPort, rec.DstPort)
 	}
 	if payload := len(seg) - hdr; payload != int(rec.PayloadLen) {
 		return fmt.Errorf("payload %d bytes, want %d", payload, rec.PayloadLen)
