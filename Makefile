@@ -93,10 +93,9 @@ fmt-check:
 # folds constants at compile time (constfold.go) and is the oracle the
 # differential suites compare bytecode against — nothing else: behind the
 # packet path the bytecode VM is the only evaluator. Fails if any other
-# non-test Go file calls EvalExpr, EvalPred or Program.Update. CI runs
-# this.
+# non-test Go file calls EvalExpr or Program.Update. CI runs this.
 oracle-check:
-	@out="$$(grep -rnE 'EvalExpr\(|EvalPred\(|Prog\.Update\(' --include='*.go' *.go cmd examples internal benchmark \
+	@out="$$(grep -rnE 'EvalExpr\(|Prog\.Update\(' --include='*.go' *.go cmd examples internal benchmark \
 		| grep -v '_test\.go:' | grep -vE '^internal/fold/(eval|constfold)\.go:')"; \
 	if [ -n "$$out" ]; then echo "tree interpreter called outside eval.go/constfold.go:"; echo "$$out"; exit 1; fi
 

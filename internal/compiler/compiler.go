@@ -49,9 +49,10 @@ type Stage struct {
 	Input       *Stage
 	Left, Right *Stage
 
-	// Where filters input rows. Over T it uses FieldRef nodes (the
-	// match part of a match-action entry); over derived tables, ColRef.
-	Where fold.Pred
+	// Where filters input rows: a row passes when it is nonzero. Over T
+	// it uses FieldRef nodes (the match part of a match-action entry);
+	// over derived tables, ColRef. nil means no WHERE.
+	Where fold.Expr
 
 	// Select stages: output column expressions.
 	Cols []fold.Expr
@@ -65,7 +66,7 @@ type Stage struct {
 	// Join stages: expressions over the combined row (left row columns
 	// first, then right row columns).
 	JoinCols  []fold.Expr
-	JoinWhere fold.Pred
+	JoinWhere fold.Expr
 	OnCols    int
 
 	// Switch placement (filled by the fusion pass for OnSwitch stages).
@@ -173,10 +174,10 @@ func (p *Plan) compileCodes() error {
 // compileCodes lowers one stage's expressions.
 func (st *Stage) compileCodes() error {
 	var err error
-	if st.WhereCode, err = fold.CompilePred(st.Where); err != nil {
+	if st.WhereCode, err = fold.CompileExpr(st.Where); err != nil {
 		return fmt.Errorf("WHERE: %w", err)
 	}
-	if st.JoinWhereCode, err = fold.CompilePred(st.JoinWhere); err != nil {
+	if st.JoinWhereCode, err = fold.CompileExpr(st.JoinWhere); err != nil {
 		return fmt.Errorf("WHERE: %w", err)
 	}
 	if st.ColCodes, err = compileExprs(st.Cols); err != nil {
@@ -526,7 +527,7 @@ func renumberStmts(stmts []fold.Stmt, off int) []fold.Stmt {
 			out[i] = fold.Assign{Dst: s.Dst + off, RHS: renumberExpr(s.RHS, off)}
 		case fold.If:
 			out[i] = fold.If{
-				Cond: renumberPred(s.Cond, off),
+				Cond: renumberExpr(s.Cond, off),
 				Then: renumberStmts(s.Then, off),
 				Else: renumberStmts(s.Else, off),
 			}
@@ -545,6 +546,8 @@ func renumberExpr(e fold.Expr, off int) fold.Expr {
 		return fold.Bin{Op: e.Op, L: renumberExpr(e.L, off), R: renumberExpr(e.R, off)}
 	case fold.Neg:
 		return fold.Neg{X: renumberExpr(e.X, off)}
+	case fold.Not:
+		return fold.Not{X: renumberExpr(e.X, off)}
 	case fold.Call:
 		args := make([]fold.Expr, len(e.Args))
 		for i, a := range e.Args {
@@ -552,26 +555,9 @@ func renumberExpr(e fold.Expr, off int) fold.Expr {
 		}
 		return fold.Call{Fn: e.Fn, Args: args}
 	case fold.CondExpr:
-		return fold.CondExpr{P: renumberPred(e.P, off), T: renumberExpr(e.T, off), E: renumberExpr(e.E, off)}
+		return fold.CondExpr{P: renumberExpr(e.P, off), T: renumberExpr(e.T, off), E: renumberExpr(e.E, off)}
 	default:
 		return e
-	}
-}
-
-func renumberPred(p fold.Pred, off int) fold.Pred {
-	switch p := p.(type) {
-	case nil:
-		return nil
-	case fold.Cmp:
-		return fold.Cmp{Op: p.Op, L: renumberExpr(p.L, off), R: renumberExpr(p.R, off)}
-	case fold.And:
-		return fold.And{L: renumberPred(p.L, off), R: renumberPred(p.R, off)}
-	case fold.Or:
-		return fold.Or{L: renumberPred(p.L, off), R: renumberPred(p.R, off)}
-	case fold.Not:
-		return fold.Not{X: renumberPred(p.X, off)}
-	default:
-		return p
 	}
 }
 

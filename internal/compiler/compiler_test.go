@@ -139,11 +139,11 @@ func TestCompiledWhereLowersToFieldRefs(t *testing.T) {
 		t.Fatal("WHERE dropped")
 	}
 	rec := &trace.Record{Tout: trace.Infinity}
-	if !fold.EvalPred(st.Where, &fold.Input{Rec: rec}, nil) {
+	if fold.EvalExpr(st.Where, &fold.Input{Rec: rec}, nil) != 1 {
 		t.Error("drop predicate does not match a dropped packet")
 	}
 	rec2 := &trace.Record{Tout: 100}
-	if fold.EvalPred(st.Where, &fold.Input{Rec: rec2}, nil) {
+	if fold.EvalExpr(st.Where, &fold.Input{Rec: rec2}, nil) != 0 {
 		t.Error("drop predicate matches a delivered packet")
 	}
 }

@@ -24,12 +24,13 @@ import (
 //     compile time BY the interpreter itself (constfold.go, one pass
 //     before lowering), so folding cannot diverge from it; lowering only
 //     looks for Const operands.
-//   - And/Or lower to both-sides evaluation: predicates are total and
-//     side-effect free, so skipping the interpreter's short circuit is
-//     unobservable.
-//   - CondExpr lowers to both arms and a select, for the same reason:
-//     expression codes stay straight-line, so vmblock.go can run them.
-//     If statements lower to real branches: only the taken arm executes.
+//   - Comparisons and and/or/not lower to 0/1 registers, as the
+//     interpreter computes them.
+//   - CondExpr lowers to both arms and a select: expressions are total
+//     and side-effect free, so evaluating the untaken arm is unobservable,
+//     and expression codes stay straight-line, so vmblock.go can run
+//     them. If statements lower to real branches: only the taken arm
+//     executes.
 
 // compiler is the state of one lowering.
 type compiler struct {
@@ -49,21 +50,14 @@ func CompileProgram(p *Program) (*Code, error) {
 	return c.finish()
 }
 
-// CompileExpr lowers an expression; the result lands in register 0.
+// CompileExpr lowers an expression; the result lands in register 0. A
+// nil expression (no WHERE: every row matches) has no code.
 func CompileExpr(e Expr) (*Code, error) {
-	c := &compiler{}
-	c.expr(foldExpr(e), 0)
-	return c.finish()
-}
-
-// CompilePred lowers a predicate; the 0/1 result lands in register 0. A
-// nil predicate (no WHERE: every row matches) has no code.
-func CompilePred(p Pred) (*Code, error) {
-	if p == nil {
+	if e == nil {
 		return nil, nil
 	}
 	c := &compiler{}
-	c.pred(foldPred(p), 0)
+	c.expr(foldExpr(e), 0)
 	return c.finish()
 }
 
@@ -144,7 +138,7 @@ func (c *compiler) stmts(stmts []Stmt) {
 			c.expr(s.RHS, 0)
 			c.emit(opStore, 0, s.Dst, 0)
 		case If:
-			c.pred(s.Cond, 0)
+			c.expr(s.Cond, 0)
 			jz := c.emit(opJz, 0, 0, 0)
 			c.stmts(s.Then)
 			if len(s.Else) > 0 {
@@ -190,6 +184,9 @@ func (c *compiler) expr(e Expr, dst int) {
 	case Neg:
 		c.expr(e.X, dst)
 		c.emit(opNeg, dst, dst, 0)
+	case Not:
+		c.expr(e.X, dst)
+		c.emit(opNot, dst, dst, 0)
 	case Call:
 		switch e.Fn {
 		case FnMin, FnMax:
@@ -210,18 +207,26 @@ func (c *compiler) expr(e Expr, dst int) {
 		// Constant folding put the arm that needs more registers in E.
 		c.expr(e.E, dst)
 		c.expr(e.T, dst+1)
-		c.pred(e.P, dst+2)
+		c.expr(e.P, dst+2)
 		c.emit(opSel, dst, dst+1, dst+2)
 	default:
 		c.err = fmt.Errorf("fold: cannot compile expression %T", e)
 	}
 }
 
-// bin lowers a binary arithmetic node, fusing constant operands and
-// field-field subtraction into superinstructions. Evaluation-order
-// changes are unobservable (operands are pure and total) and constant
-// operands were folded by the interpreter itself, so results stay
-// bit-identical to it.
+// Opcodes indexed by Op: on two registers, with a constant right operand,
+// and with a constant left one (K - x, K / x; K < x is x > K).
+var (
+	regOps    = [...]opcode{opAdd, opSub, opMul, opDiv, opEq, opNe, opLt, opLe, opGt, opGe, opAnd, opOr}
+	constROps = [...]opcode{opAddK, opSubK, opMulK, opDivK, opEqK, opNeK, opLtK, opLeK, opGtK, opGeK}
+	constLOps = [...]opcode{opAddK, opKSub, opMulK, opKDiv, opEqK, opNeK, opGtK, opGeK, opLtK, opLeK}
+)
+
+// bin lowers a binary node, fusing constant operands of arithmetic and
+// comparisons and field-field subtraction into superinstructions.
+// Evaluation-order changes are unobservable (operands are pure and total)
+// and constant operands were folded by the interpreter itself, so results
+// stay bit-identical to it.
 func (c *compiler) bin(e Bin, dst int) {
 	// lat-style field delta: one dispatch.
 	if e.Op == OpSub {
@@ -235,143 +240,30 @@ func (c *compiler) bin(e Bin, dst int) {
 			}
 		}
 	}
-	if validBinOp(e.Op) {
+	if int(e.Op) < len(constROps) {
 		if k, ok := e.R.(Const); ok {
 			if e.Op == OpDiv && k == 0 {
 				// x/0 is 0 for every x (saturating ALU semantics).
 				c.loadConst(0, dst)
 				return
 			}
-			var op opcode
-			switch e.Op {
-			case OpAdd:
-				op = opAddK
-			case OpSub:
-				op = opSubK
-			case OpMul:
-				op = opMulK
-			case OpDiv:
-				op = opDivK
-			}
 			c.expr(e.L, dst)
-			c.emit(op, dst, dst, c.constIdx(float64(k)))
+			c.emit(constROps[e.Op], dst, dst, c.constIdx(float64(k)))
 			return
 		}
 		if k, ok := e.L.(Const); ok {
-			var op opcode
-			switch e.Op {
-			case OpAdd:
-				op = opAddK
-			case OpSub:
-				op = opKSub
-			case OpMul:
-				op = opMulK
-			case OpDiv:
-				op = opKDiv
-			}
 			c.expr(e.R, dst)
-			c.emit(op, dst, dst, c.constIdx(float64(k)))
+			c.emit(constLOps[e.Op], dst, dst, c.constIdx(float64(k)))
 			return
 		}
 	}
 	c.expr(e.L, dst)
 	c.expr(e.R, dst+1)
-	var op opcode
-	switch e.Op {
-	case OpAdd:
-		op = opAdd
-	case OpSub:
-		op = opSub
-	case OpMul:
-		op = opMul
-	case OpDiv:
-		op = opDiv
-	default:
+	if int(e.Op) >= len(regOps) {
 		c.err = fmt.Errorf("fold: cannot compile operator %v", e.Op)
 		return
 	}
-	c.emit(op, dst, dst, dst+1)
-}
-
-// pred lowers p into register dst as 0/1.
-func (c *compiler) pred(p Pred, dst int) {
-	if c.err != nil {
-		return
-	}
-	switch p := p.(type) {
-	case BoolConst:
-		c.loadConst(bool01(bool(p)), dst)
-	case Cmp:
-		c.cmp(p, dst)
-	case And:
-		c.pred(p.L, dst)
-		c.pred(p.R, dst+1)
-		c.emit(opAnd, dst, dst, dst+1)
-	case Or:
-		c.pred(p.L, dst)
-		c.pred(p.R, dst+1)
-		c.emit(opOr, dst, dst, dst+1)
-	case Not:
-		c.pred(p.X, dst)
-		c.emit(opNot, dst, dst, 0)
-	default:
-		c.err = fmt.Errorf("fold: cannot compile predicate %T", p)
-	}
-}
-
-// validBinOp reports whether the operator is one of the four ALU ops
-// (fuzzed IR can carry out-of-range values, which the interpreter treats
-// as "yield 0"; those take the generic path and fail compilation).
-func validBinOp(op Op) bool { return op <= OpDiv }
-
-// validCmpOp is the comparison analogue of validBinOp.
-func validCmpOp(op CmpOp) bool { return op <= CmpGe }
-
-// cmpK maps a comparison to its const-right superinstruction.
-var cmpK = map[CmpOp]opcode{
-	CmpEq: opEqK, CmpNe: opNeK, CmpLt: opLtK, CmpLe: opLeK, CmpGt: opGtK, CmpGe: opGeK,
-}
-
-// cmpSwap mirrors a comparison (for const-left operands: K < x ⇔ x > K).
-var cmpSwap = map[CmpOp]CmpOp{
-	CmpEq: CmpEq, CmpNe: CmpNe, CmpLt: CmpGt, CmpLe: CmpGe, CmpGt: CmpLt, CmpGe: CmpLe,
-}
-
-// cmp lowers a comparison node, fusing constant operands.
-func (c *compiler) cmp(p Cmp, dst int) {
-	if validCmpOp(p.Op) {
-		if k, ok := p.R.(Const); ok {
-			c.expr(p.L, dst)
-			c.emit(cmpK[p.Op], dst, dst, c.constIdx(float64(k)))
-			return
-		}
-		if k, ok := p.L.(Const); ok {
-			c.expr(p.R, dst)
-			c.emit(cmpK[cmpSwap[p.Op]], dst, dst, c.constIdx(float64(k)))
-			return
-		}
-	}
-	c.expr(p.L, dst)
-	c.expr(p.R, dst+1)
-	var op opcode
-	switch p.Op {
-	case CmpEq:
-		op = opEq
-	case CmpNe:
-		op = opNe
-	case CmpLt:
-		op = opLt
-	case CmpLe:
-		op = opLe
-	case CmpGt:
-		op = opGt
-	case CmpGe:
-		op = opGe
-	default:
-		c.err = fmt.Errorf("fold: cannot compile comparison %v", p.Op)
-		return
-	}
-	c.emit(op, dst, dst, dst+1)
+	c.emit(regOps[e.Op], dst, dst, dst+1)
 }
 
 // FieldIDs expands a FieldMask into the field list it covers.

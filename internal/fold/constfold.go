@@ -1,9 +1,10 @@
 package fold
 
 // Compile-time constant folding. A closed subtree — one with no field,
-// column or state reference — is replaced by the Const (BoolConst) the
-// tree interpreter evaluates it to, so folding is exact by construction
-// and the lowering in compile.go only has to recognise Const operands.
+// column or state reference — is replaced by the Const the tree
+// interpreter evaluates it to (0 or 1 for a comparison or logic node), so
+// folding is exact by construction and the lowering in compile.go only
+// has to recognise Const operands.
 // One post-order pass: every node is visited once and evaluated at most
 // once, with constant children, so folding is linear in expression size
 // (the pass also orders each CondExpr's arms for lowering: foldExprRegs).
@@ -12,20 +13,13 @@ package fold
 // tree interpreter (`make oracle-check` holds the rest of the tree to
 // that).
 
-func isConst(e Expr) bool     { _, ok := e.(Const); return ok }
-func isBoolConst(p Pred) bool { _, ok := p.(BoolConst); return ok }
+func isConst(e Expr) bool { _, ok := e.(Const); return ok }
 
 // foldExpr returns e with every closed subtree folded to a Const. Leaves,
 // nil and unknown nodes come back unchanged.
 func foldExpr(e Expr) Expr {
 	e, _ = foldExprRegs(e)
 	return e
-}
-
-// foldPred is foldExpr for predicates: closed subtrees become BoolConst.
-func foldPred(p Pred) Pred {
-	p, _ = foldPredRegs(p)
-	return p
 }
 
 // foldExprRegs is foldExpr, counting on the way back up the registers
@@ -41,8 +35,14 @@ func foldExprRegs(e Expr) (Expr, int) {
 		var nl, nr int
 		n.L, nl = foldExprRegs(n.L)
 		n.R, nr = foldExprRegs(n.R)
-		e, closed, regs = n, isConst(n.L) && isConst(n.R), pairRegs(n.L, n.R, nl, nr)
+		e, closed, regs = n, isConst(n.L) && isConst(n.R), max(nl, nr+1)
+		if int(n.Op) < len(constROps) {
+			regs = pairRegs(n.L, n.R, nl, nr)
+		}
 	case Neg:
+		n.X, regs = foldExprRegs(n.X)
+		e, closed = n, isConst(n.X)
+	case Not:
 		n.X, regs = foldExprRegs(n.X)
 		e, closed = n, isConst(n.X)
 	case Call:
@@ -58,13 +58,13 @@ func foldExprRegs(e Expr) (Expr, int) {
 		e = n
 	case CondExpr:
 		var np, nt, ne int
-		n.P, np = foldPredRegs(n.P)
+		n.P, np = foldExprRegs(n.P)
 		n.T, nt = foldExprRegs(n.T)
 		n.E, ne = foldExprRegs(n.E)
 		if nt > ne {
 			n.P, n.T, n.E, nt, ne = Not{X: n.P}, n.E, n.T, ne, nt
 		}
-		e, closed = n, isBoolConst(n.P) && isConst(n.T) && isConst(n.E)
+		e, closed = n, isConst(n.P) && isConst(n.T) && isConst(n.E)
 		regs = max(ne, nt+1, np+2)
 	}
 	if closed {
@@ -73,8 +73,9 @@ func foldExprRegs(e Expr) (Expr, int) {
 	return e, regs
 }
 
-// pairRegs is the register need of a two-operand node: a constant operand
-// fuses into the instruction, otherwise the right one parks a register up.
+// pairRegs is the register need of an arithmetic or comparison node: a
+// constant operand fuses into the instruction, otherwise the right one
+// parks a register up. and/or have no constant form.
 func pairRegs(l, r Expr, nl, nr int) int {
 	switch {
 	case isConst(r):
@@ -85,34 +86,7 @@ func pairRegs(l, r Expr, nl, nr int) int {
 	return max(nl, nr+1)
 }
 
-// foldPredRegs is foldExprRegs for predicates.
-func foldPredRegs(p Pred) (Pred, int) {
-	closed, regs := false, 1
-	var nl, nr int
-	switch n := p.(type) {
-	case Cmp:
-		n.L, nl = foldExprRegs(n.L)
-		n.R, nr = foldExprRegs(n.R)
-		p, closed, regs = n, isConst(n.L) && isConst(n.R), pairRegs(n.L, n.R, nl, nr)
-	case And:
-		n.L, nl = foldPredRegs(n.L)
-		n.R, nr = foldPredRegs(n.R)
-		p, closed, regs = n, isBoolConst(n.L) && isBoolConst(n.R), max(nl, nr+1)
-	case Or:
-		n.L, nl = foldPredRegs(n.L)
-		n.R, nr = foldPredRegs(n.R)
-		p, closed, regs = n, isBoolConst(n.L) && isBoolConst(n.R), max(nl, nr+1)
-	case Not:
-		n.X, regs = foldPredRegs(n.X)
-		p, closed = n, isBoolConst(n.X)
-	}
-	if closed {
-		return BoolConst(EvalPred(p, nil, nil)), 1
-	}
-	return p, regs
-}
-
-// foldStmts folds every expression and predicate of a statement list.
+// foldStmts folds every expression of a statement list.
 // Unknown statements pass through for the lowering to reject.
 func foldStmts(stmts []Stmt) []Stmt {
 	out := make([]Stmt, len(stmts))
@@ -122,7 +96,7 @@ func foldStmts(stmts []Stmt) []Stmt {
 			s.RHS = foldExpr(s.RHS)
 			out[i] = s
 		case If:
-			s.Cond, s.Then, s.Else = foldPred(s.Cond), foldStmts(s.Then), foldStmts(s.Else)
+			s.Cond, s.Then, s.Else = foldExpr(s.Cond), foldStmts(s.Then), foldStmts(s.Else)
 			out[i] = s
 		default:
 			out[i] = s

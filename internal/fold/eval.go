@@ -9,7 +9,10 @@ import (
 // EvalExpr evaluates an expression against the input row and state vector.
 // Division by zero yields 0 rather than ±Inf: switch ALUs saturate rather
 // than trap, and a well-typed query never divides by zero on the switch
-// (ratios appear only in collector-stage predicates).
+// (ratios appear only in collector-stage predicates). Comparisons and the
+// logic operators yield 1 or 0 and read any nonzero operand (NaN
+// included) as true. Both operands of and/or are evaluated: expressions
+// are total and side-effect free, so a short circuit is unobservable.
 func EvalExpr(e Expr, in *Input, state []float64) float64 {
 	switch e := e.(type) {
 	case Const:
@@ -35,10 +38,28 @@ func EvalExpr(e Expr, in *Input, state []float64) float64 {
 				return 0
 			}
 			return l / r
+		case OpEq:
+			return bool01(l == r)
+		case OpNe:
+			return bool01(l != r)
+		case OpLt:
+			return bool01(l < r)
+		case OpLe:
+			return bool01(l <= r)
+		case OpGt:
+			return bool01(l > r)
+		case OpGe:
+			return bool01(l >= r)
+		case OpAnd:
+			return bool01(l != 0 && r != 0)
+		case OpOr:
+			return bool01(l != 0 || r != 0)
 		}
 		return 0
 	case Neg:
 		return -EvalExpr(e.X, in, state)
+	case Not:
+		return bool01(EvalExpr(e.X, in, state) == 0)
 	case Call:
 		switch e.Fn {
 		case FnMin:
@@ -50,46 +71,12 @@ func EvalExpr(e Expr, in *Input, state []float64) float64 {
 		}
 		return 0
 	case CondExpr:
-		if EvalPred(e.P, in, state) {
+		if EvalExpr(e.P, in, state) != 0 {
 			return EvalExpr(e.T, in, state)
 		}
 		return EvalExpr(e.E, in, state)
 	default:
 		return 0
-	}
-}
-
-// EvalPred evaluates a predicate against the input row and state vector.
-func EvalPred(p Pred, in *Input, state []float64) bool {
-	switch p := p.(type) {
-	case Cmp:
-		l := EvalExpr(p.L, in, state)
-		r := EvalExpr(p.R, in, state)
-		switch p.Op {
-		case CmpEq:
-			return l == r
-		case CmpNe:
-			return l != r
-		case CmpLt:
-			return l < r
-		case CmpLe:
-			return l <= r
-		case CmpGt:
-			return l > r
-		case CmpGe:
-			return l >= r
-		}
-		return false
-	case And:
-		return EvalPred(p.L, in, state) && EvalPred(p.R, in, state)
-	case Or:
-		return EvalPred(p.L, in, state) || EvalPred(p.R, in, state)
-	case Not:
-		return !EvalPred(p.X, in, state)
-	case BoolConst:
-		return bool(p)
-	default:
-		return false
 	}
 }
 
@@ -103,7 +90,7 @@ func runStmts(stmts []Stmt, in *Input, state []float64) {
 		case Assign:
 			state[s.Dst] = EvalExpr(s.RHS, in, state)
 		case If:
-			if EvalPred(s.Cond, in, state) {
+			if EvalExpr(s.Cond, in, state) != 0 {
 				runStmts(s.Then, in, state)
 			} else {
 				runStmts(s.Else, in, state)

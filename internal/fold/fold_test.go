@@ -57,8 +57,8 @@ func TestEvalExprBasics(t *testing.T) {
 		{Call{FnMin, []Expr{Const(2), Const(9)}}, 2},
 		{Call{FnMax, []Expr{StateRef(0), FieldRef(trace.FieldTCPSeq)}}, 7},
 		{Call{FnAbs, []Expr{StateRef(1)}}, 2},
-		{CondExpr{Cmp{CmpGt, Const(2), Const(1)}, Const(10), Const(20)}, 10},
-		{CondExpr{Cmp{CmpLt, Const(2), Const(1)}, Const(10), Const(20)}, 20},
+		{CondExpr{Bin{OpGt, Const(2), Const(1)}, Const(10), Const(20)}, 10},
+		{CondExpr{Bin{OpLt, Const(2), Const(1)}, Const(10), Const(20)}, 20},
 	}
 	for _, c := range cases {
 		if got := EvalExpr(c.e, in(r), state); got != c.want {
@@ -67,24 +67,36 @@ func TestEvalExprBasics(t *testing.T) {
 	}
 }
 
-func TestEvalPredBasics(t *testing.T) {
+// TestEvalBoolBasics: comparisons and logic yield 1 or 0, and every value
+// but ±0 — NaN included — reads as true.
+func TestEvalBoolBasics(t *testing.T) {
 	r := rec(0, trace.Infinity, 64, 0, 0)
+	nan := Const(math.NaN())
 	cases := []struct {
-		p    Pred
-		want bool
+		e    Expr
+		want float64
 	}{
-		{Cmp{CmpEq, FieldRef(trace.FieldTout), Const(Infinity)}, true}, // drop detection
-		{Cmp{CmpNe, Const(1), Const(1)}, false},
-		{Cmp{CmpLe, Const(1), Const(1)}, true},
-		{Cmp{CmpGe, Const(0), Const(1)}, false},
-		{And{BoolConst(true), Cmp{CmpLt, Const(1), Const(2)}}, true},
-		{And{BoolConst(false), BoolConst(true)}, false},
-		{Or{BoolConst(false), BoolConst(true)}, true},
-		{Not{BoolConst(true)}, false},
+		{Bin{OpEq, FieldRef(trace.FieldTout), Const(Infinity)}, 1}, // drop detection
+		{Bin{OpNe, Const(1), Const(1)}, 0},
+		{Bin{OpLe, Const(1), Const(1)}, 1},
+		{Bin{OpGe, Const(0), Const(1)}, 0},
+		{Bin{OpAnd, Const(1), Bin{OpLt, Const(1), Const(2)}}, 1},
+		{Bin{OpAnd, Const(0), Const(1)}, 0},
+		{Bin{OpOr, Const(0), Const(1)}, 1},
+		{Not{Const(1)}, 0},
+		{Bin{OpEq, nan, nan}, 0},
+		{Bin{OpNe, nan, nan}, 1},
+		{Bin{OpAnd, nan, Const(-3)}, 1},
+		{Bin{OpOr, Const(math.Copysign(0, -1)), Const(0)}, 0},
+		{Not{nan}, 0},
+		{Not{Const(math.Copysign(0, -1))}, 1},
+		{Bin{OpAdd, Bin{OpGt, Const(2), Const(1)}, Const(1)}, 2}, // a comparison used as a number
+		{CondExpr{nan, Const(10), Const(20)}, 10},
+		{CondExpr{Const(math.Copysign(0, -1)), Const(10), Const(20)}, 20},
 	}
 	for _, c := range cases {
-		if got := EvalPred(c.p, in(r), nil); got != c.want {
-			t.Errorf("EvalPred(%v) = %v, want %v", c.p, got, c.want)
+		if got := EvalExpr(c.e, in(r), nil); got != c.want {
+			t.Errorf("EvalExpr(%v) = %v, want %v", c.e, got, c.want)
 		}
 	}
 }
@@ -107,7 +119,7 @@ func outOfSeqProgram() *Program {
 		NumState: 2, // s0 = lastseq, s1 = oos_count
 		Body: []Stmt{
 			If{
-				Cond: Cmp{CmpNe, Bin{OpAdd, StateRef(0), Const(1)}, FieldRef(trace.FieldTCPSeq)},
+				Cond: Bin{OpNe, Bin{OpAdd, StateRef(0), Const(1)}, FieldRef(trace.FieldTCPSeq)},
 				Then: []Stmt{Assign{1, Bin{OpAdd, StateRef(1), Const(1)}}},
 			},
 			Assign{0, Bin{OpAdd, FieldRef(trace.FieldTCPSeq), FieldRef(trace.FieldPayloadLen)}},
@@ -192,7 +204,7 @@ func TestLinearSpecRejectsStatefulCoefficients(t *testing.T) {
 	}
 	bad2 := &LinearSpec{
 		A: [][]Expr{{Const(1)}},
-		B: []Expr{CondExpr{Cmp{CmpGt, StateRef(0), Const(0)}, Const(1), Const(0)}},
+		B: []Expr{CondExpr{Bin{OpGt, StateRef(0), Const(0)}, Const(1), Const(0)}},
 	}
 	if err := bad2.Validate(); err == nil {
 		t.Error("stateful B predicate accepted")
@@ -362,13 +374,13 @@ func TestProgramStringer(t *testing.T) {
 
 	// Every node kind prints through one builder; a program that uses
 	// them all reads exactly as it did when each String nested Sprintf.
-	p := And{L: Cmp{Op: CmpGt, L: StateRef(0), R: FieldRef(trace.FieldTCPSeq)}, R: Or{L: Not{X: BoolConst(true)}, R: BoolConst(false)}}
+	p := Bin{Op: OpAnd, L: Bin{Op: OpGt, L: StateRef(0), R: FieldRef(trace.FieldTCPSeq)}, R: Bin{Op: OpOr, L: Not{X: Const(1)}, R: Const(0)}}
 	e := CondExpr{P: p, T: Neg{X: Call{Fn: FnMax, Args: []Expr{StateRef(1), Const(2.5)}}}, E: Bin{Op: OpDiv, L: ColRef(3), R: Const(1)}}
 	short := &Program{Name: "short", NumState: 2, Body: []Stmt{
 		If{Cond: p, Then: []Stmt{Assign{Dst: 1, RHS: e}}, Else: []Stmt{Assign{Dst: 0, RHS: Const(Infinity)}, If{Cond: Not{X: p}}}},
 		Assign{Dst: 0, RHS: Neg{X: StateRef(0)}},
 	}}
-	const want = "def short[2] { if (s0 > tcpseq and ((not true) or false)) then { s1 = ((s0 > tcpseq and ((not true) or false)) ? (-max(s1, 2.5)) : ($3 / 1)); } else { s0 = infinity; if (not (s0 > tcpseq and ((not true) or false))) then { }; }; s0 = (-s0); }"
+	const want = "def short[2] { if (s0 > tcpseq and ((not 1) or 0)) then { s1 = ((s0 > tcpseq and ((not 1) or 0)) ? (-max(s1, 2.5)) : ($3 / 1)); } else { s0 = infinity; if (not (s0 > tcpseq and ((not 1) or 0))) then { }; }; s0 = (-s0); }"
 	if got := short.String(); got != want {
 		t.Errorf("Program.String() =\n%s\nwant\n%s", got, want)
 	}
@@ -384,12 +396,12 @@ func TestProgramStringer(t *testing.T) {
 			return nest(n, func(e Expr) Expr { return Call{Fn: FnAbs, Args: []Expr{e}} })
 		},
 		"CondExpr": func(n int) fmt.Stringer {
-			return nest(n, func(e Expr) Expr { return CondExpr{P: BoolConst(true), T: e, E: Const(0)} })
+			return nest(n, func(e Expr) Expr { return CondExpr{P: Const(1), T: e, E: Const(0)} })
 		},
 		"If": func(n int) fmt.Stringer {
 			var s Stmt = Assign{Dst: 0, RHS: Const(1)}
 			for ; n > 0; n-- {
-				s = If{Cond: BoolConst(true), Then: []Stmt{s}}
+				s = If{Cond: Const(1), Then: []Stmt{s}}
 			}
 			return s
 		},

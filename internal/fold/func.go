@@ -134,7 +134,7 @@ func Max(e Expr) *Func {
 		S0:       []float64{negInf},
 		Body: []Stmt{
 			If{
-				Cond: Cmp{Op: CmpGt, L: e, R: StateRef(0)},
+				Cond: Bin{Op: OpGt, L: e, R: StateRef(0)},
 				Then: []Stmt{Assign{Dst: 0, RHS: e}},
 			},
 		},
@@ -159,7 +159,7 @@ func Min(e Expr) *Func {
 		S0:       []float64{posInf},
 		Body: []Stmt{
 			If{
-				Cond: Cmp{Op: CmpLt, L: e, R: StateRef(0)},
+				Cond: Bin{Op: OpLt, L: e, R: StateRef(0)},
 				Then: []Stmt{Assign{Dst: 0, RHS: e}},
 			},
 		},

@@ -27,64 +27,40 @@ var Infinity = float64(trace.Infinity)
 // match-action entry).
 const MaxState = 8
 
-// Op is a binary arithmetic operator.
+// Op is a binary operator: arithmetic, then the comparisons and the
+// logic connectives, which yield 1 for true and 0 for false and read any
+// nonzero operand as true.
 type Op uint8
 
-// Arithmetic operators.
+// Binary operators. Those up to OpGe have a constant-operand form in the
+// bytecode.
 const (
 	OpAdd Op = iota
 	OpSub
 	OpMul
 	OpDiv
+	OpEq
+	OpNe
+	OpLt
+	OpLe
+	OpGt
+	OpGe
+	OpAnd
+	OpOr
 )
+
+var opText = [...]string{
+	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/",
+	OpEq: "==", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
+	OpAnd: "and", OpOr: "or",
+}
 
 // String returns the surface syntax of the operator.
 func (o Op) String() string {
-	switch o {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	case OpDiv:
-		return "/"
-	default:
-		return "?"
+	if int(o) < len(opText) {
+		return opText[o]
 	}
-}
-
-// CmpOp is a comparison operator.
-type CmpOp uint8
-
-// Comparison operators.
-const (
-	CmpEq CmpOp = iota
-	CmpNe
-	CmpLt
-	CmpLe
-	CmpGt
-	CmpGe
-)
-
-// String returns the surface syntax of the operator.
-func (c CmpOp) String() string {
-	switch c {
-	case CmpEq:
-		return "=="
-	case CmpNe:
-		return "!="
-	case CmpLt:
-		return "<"
-	case CmpLe:
-		return "<="
-	case CmpGt:
-		return ">"
-	case CmpGe:
-		return ">="
-	default:
-		return "?"
-	}
+	return "?"
 }
 
 // Fn is a built-in pure function usable in expressions.
@@ -127,8 +103,9 @@ type Input struct {
 	Fields []float64
 }
 
-// Expr is an arithmetic expression over the current input and the state
-// vector.
+// Expr is an expression over the current input and the state vector. A
+// boolean is an Expr whose value is 0 or 1; a condition holds when its
+// value is nonzero.
 type Expr interface {
 	fmt.Stringer
 	isExpr()
@@ -146,7 +123,7 @@ type ColRef int
 // StateRef reads state variable i of the fold's own accumulator.
 type StateRef int
 
-// Bin is a binary arithmetic node.
+// Bin applies a binary operator.
 type Bin struct {
 	Op   Op
 	L, R Expr
@@ -155,18 +132,19 @@ type Bin struct {
 // Neg is arithmetic negation.
 type Neg struct{ X Expr }
 
+// Not is logical negation: 1 when X is 0, else 0.
+type Not struct{ X Expr }
+
 // Call applies a built-in pure function.
 type Call struct {
 	Fn   Fn
 	Args []Expr
 }
 
-// CondExpr is a ternary: if P then T else E. It is produced both by the
-// parser (conditional statements lower to it in simple cases) and by the
-// linear-in-state analyzer when merging branch coefficients.
+// CondExpr is a ternary: T when P is nonzero, else E. The linear-in-state
+// analyzer produces it when merging branch coefficients.
 type CondExpr struct {
-	P    Pred
-	T, E Expr
+	P, T, E Expr
 }
 
 func (Const) isExpr()    {}
@@ -175,6 +153,7 @@ func (ColRef) isExpr()   {}
 func (StateRef) isExpr() {}
 func (Bin) isExpr()      {}
 func (Neg) isExpr()      {}
+func (Not) isExpr()      {}
 func (Call) isExpr()     {}
 func (CondExpr) isExpr() {}
 
@@ -195,11 +174,12 @@ func (c ColRef) String() string   { return fmt.Sprintf("$%d", int(c)) }
 func (s StateRef) String() string { return fmt.Sprintf("s%d", int(s)) }
 
 func (n Neg) String() string      { return nodeString(n) }
+func (n Not) String() string      { return nodeString(n) }
 func (b Bin) String() string      { return nodeString(b) }
 func (c Call) String() string     { return nodeString(c) }
 func (c CondExpr) String() string { return nodeString(c) }
 
-// nodeString renders an expression, predicate or statement through one
+// nodeString renders an expression or statement through one
 // builder: String methods that nest Sprintf copy each operand's text once
 // per ancestor, which is quadratic on any deep chain — a long sum's
 // left-deep Bins, stacked negations or calls, nested ifs.
@@ -209,7 +189,7 @@ func nodeString(n fmt.Stringer) string {
 	return sb.String()
 }
 
-// writeExpr appends the text of n — any Expr, Pred or Stmt — to sb;
+// writeExpr appends the text of n — any Expr or Stmt — to sb;
 // every composite node kind prints here, leaves through their String.
 func writeExpr(sb *strings.Builder, n fmt.Stringer) {
 	// put appends its parts in order: strings verbatim, nodes recursively.
@@ -232,7 +212,11 @@ func writeExpr(sb *strings.Builder, n fmt.Stringer) {
 	}
 	switch n := n.(type) {
 	case Bin:
-		put("(", n.L, " ", n.Op, " ", n.R, ")")
+		if n.Op >= OpEq && n.Op <= OpGe {
+			put(n.L, " ", n.Op, " ", n.R)
+		} else {
+			put("(", n.L, " ", n.Op, " ", n.R, ")")
+		}
 	case Neg:
 		put("(-", n.X, ")")
 	case Call:
@@ -246,12 +230,6 @@ func writeExpr(sb *strings.Builder, n fmt.Stringer) {
 		put(")")
 	case CondExpr:
 		put("(", n.P, " ? ", n.T, " : ", n.E, ")")
-	case Cmp:
-		put(n.L, " ", n.Op, " ", n.R)
-	case And:
-		put("(", n.L, " and ", n.R, ")")
-	case Or:
-		put("(", n.L, " or ", n.R, ")")
 	case Not:
 		put("(not ", n.X, ")")
 	case Assign:
@@ -269,47 +247,6 @@ func writeExpr(sb *strings.Builder, n fmt.Stringer) {
 	}
 }
 
-// Pred is a boolean predicate over the current input and state.
-type Pred interface {
-	fmt.Stringer
-	isPred()
-}
-
-// Cmp compares two expressions.
-type Cmp struct {
-	Op   CmpOp
-	L, R Expr
-}
-
-// And is logical conjunction.
-type And struct{ L, R Pred }
-
-// Or is logical disjunction.
-type Or struct{ L, R Pred }
-
-// Not is logical negation.
-type Not struct{ X Pred }
-
-// BoolConst is a boolean literal.
-type BoolConst bool
-
-func (Cmp) isPred()       {}
-func (And) isPred()       {}
-func (Or) isPred()        {}
-func (Not) isPred()       {}
-func (BoolConst) isPred() {}
-
-func (c Cmp) String() string { return nodeString(c) }
-func (a And) String() string { return nodeString(a) }
-func (o Or) String() string  { return nodeString(o) }
-func (n Not) String() string { return nodeString(n) }
-func (b BoolConst) String() string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
-
 // Stmt is one statement of a fold body.
 type Stmt interface {
 	fmt.Stringer
@@ -322,9 +259,9 @@ type Assign struct {
 	RHS Expr
 }
 
-// If executes Then or Else depending on Cond. Else may be empty.
+// If executes Then when Cond is nonzero, else Else, which may be empty.
 type If struct {
-	Cond       Pred
+	Cond       Expr
 	Then, Else []Stmt
 }
 
@@ -388,7 +325,7 @@ func validateStmts(p *Program, stmts []Stmt) error {
 				return err
 			}
 		case If:
-			if err := validatePred(p, s.Cond); err != nil {
+			if err := validateExpr(p, s.Cond); err != nil {
 				return err
 			}
 			if err := validateStmts(p, s.Then); err != nil {
@@ -420,6 +357,8 @@ func validateExpr(p *Program, e Expr) error {
 		return validateExpr(p, e.R)
 	case Neg:
 		return validateExpr(p, e.X)
+	case Not:
+		return validateExpr(p, e.X)
 	case Call:
 		want := 2
 		if e.Fn == FnAbs {
@@ -435,7 +374,7 @@ func validateExpr(p *Program, e Expr) error {
 		}
 		return nil
 	case CondExpr:
-		if err := validatePred(p, e.P); err != nil {
+		if err := validateExpr(p, e.P); err != nil {
 			return err
 		}
 		if err := validateExpr(p, e.T); err != nil {
@@ -446,33 +385,5 @@ func validateExpr(p *Program, e Expr) error {
 		return fmt.Errorf("fold %s: nil expression", p.Name)
 	default:
 		return fmt.Errorf("fold %s: unknown expression %T", p.Name, e)
-	}
-}
-
-func validatePred(p *Program, pr Pred) error {
-	switch pr := pr.(type) {
-	case Cmp:
-		if err := validateExpr(p, pr.L); err != nil {
-			return err
-		}
-		return validateExpr(p, pr.R)
-	case And:
-		if err := validatePred(p, pr.L); err != nil {
-			return err
-		}
-		return validatePred(p, pr.R)
-	case Or:
-		if err := validatePred(p, pr.L); err != nil {
-			return err
-		}
-		return validatePred(p, pr.R)
-	case Not:
-		return validatePred(p, pr.X)
-	case BoolConst:
-		return nil
-	case nil:
-		return fmt.Errorf("fold %s: nil predicate", p.Name)
-	default:
-		return fmt.Errorf("fold %s: unknown predicate %T", p.Name, pr)
 	}
 }

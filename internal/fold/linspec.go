@@ -280,6 +280,8 @@ func findBadStateRef(e Expr, hist []bool) int {
 		return findBadStateRef(e.R, hist)
 	case Neg:
 		return findBadStateRef(e.X, hist)
+	case Not:
+		return findBadStateRef(e.X, hist)
 	case Call:
 		for _, a := range e.Args {
 			if i := findBadStateRef(a, hist); i >= 0 {
@@ -288,7 +290,7 @@ func findBadStateRef(e Expr, hist []bool) int {
 		}
 		return -1
 	case CondExpr:
-		if i := findBadStateRefPred(e.P, hist); i >= 0 {
+		if i := findBadStateRef(e.P, hist); i >= 0 {
 			return i
 		}
 		if i := findBadStateRef(e.T, hist); i >= 0 {
@@ -297,32 +299,6 @@ func findBadStateRef(e Expr, hist []bool) int {
 		return findBadStateRef(e.E, hist)
 	default:
 		return MaxState // unknown nodes are conservatively rejected
-	}
-}
-
-func findBadStateRefPred(p Pred, hist []bool) int {
-	switch p := p.(type) {
-	case nil, BoolConst:
-		return -1
-	case Cmp:
-		if i := findBadStateRef(p.L, hist); i >= 0 {
-			return i
-		}
-		return findBadStateRef(p.R, hist)
-	case And:
-		if i := findBadStateRefPred(p.L, hist); i >= 0 {
-			return i
-		}
-		return findBadStateRefPred(p.R, hist)
-	case Or:
-		if i := findBadStateRefPred(p.L, hist); i >= 0 {
-			return i
-		}
-		return findBadStateRefPred(p.R, hist)
-	case Not:
-		return findBadStateRefPred(p.X, hist)
-	default:
-		return MaxState
 	}
 }
 

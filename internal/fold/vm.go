@@ -106,7 +106,7 @@ func (c *Code) same(o *Code) bool {
 // it supplies a dense Input.Fields vector.
 func (c *Code) FieldMask() uint32 { return c.fields }
 
-// bool01 converts a predicate result to the VM's numeric boolean.
+// bool01 converts a Go bool to the numeric boolean of the IR and the VM.
 func bool01(v bool) float64 {
 	if v {
 		return 1
@@ -238,8 +238,8 @@ func (c *Code) Eval(in *Input, state []float64) float64 {
 	return regs[0]
 }
 
-// EvalBool executes a compiled predicate — the VM counterpart of
-// EvalPred.
+// EvalBool executes a compiled expression and reports whether its value
+// is nonzero: a WHERE's verdict.
 func (c *Code) EvalBool(in *Input, state []float64) bool {
 	var regs [maxRegs]float64
 	c.exec(&regs, in, state)

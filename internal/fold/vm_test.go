@@ -23,9 +23,14 @@ func sampleRecords() []trace.Record {
 	}
 }
 
-// eqBits is bit-exact float equality (NaN == NaN, +0 != -0).
+// eqBits is the differential suites' float equality: bit-exact, so +0
+// and -0 differ, except that any two NaNs are equal. Go does not specify
+// which NaN payload an operation on two NaNs returns, and the compiler
+// may commute an addition, so the same build can print different
+// payloads from the VM and the interpreter (s0 = K + s0 with both NaN
+// does under -race).
 func eqBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b)
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
 // diffProgram runs code and interpreter over the same record stream and
@@ -78,9 +83,10 @@ func TestVMMatchesInterpreterControlFlow(t *testing.T) {
 		Body: []Stmt{
 			Assign{Dst: 0, RHS: Bin{Op: OpAdd, L: StateRef(0), R: Const(1)}},
 			If{
-				Cond: And{
-					L: Cmp{Op: CmpGt, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)},
-					R: Not{X: Cmp{Op: CmpEq, L: FieldRef(trace.FieldPktLen), R: Const(0)}},
+				Cond: Bin{
+					Op: OpAnd,
+					L:  Bin{Op: OpGt, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)},
+					R:  Not{X: Bin{Op: OpEq, L: FieldRef(trace.FieldPktLen), R: Const(0)}},
 				},
 				Then: []Stmt{
 					Assign{Dst: 1, RHS: Bin{
@@ -98,9 +104,10 @@ func TestVMMatchesInterpreterControlFlow(t *testing.T) {
 				Call{Fn: FnAbs, Args: []Expr{Bin{Op: OpSub, L: StateRef(1), R: Const(3)}}},
 			}}},
 			Assign{Dst: 3, RHS: CondExpr{
-				P: Or{
-					L: Cmp{Op: CmpLe, L: StateRef(0), R: Const(2)},
-					R: BoolConst(false),
+				P: Bin{
+					Op: OpOr,
+					L:  Bin{Op: OpLe, L: StateRef(0), R: Const(2)},
+					R:  Const(0),
 				},
 				T: Bin{Op: OpMul, L: Const(2), R: Bin{Op: OpAdd, L: Const(1), R: Const(2)}}, // folds to 6
 				E: Bin{Op: OpDiv, L: StateRef(3), R: Const(0)},                              // /0 -> 0
@@ -113,37 +120,49 @@ func TestVMMatchesInterpreterControlFlow(t *testing.T) {
 	diffProgram(t, p, sampleRecords())
 }
 
-func TestVMExprAndPredMatchInterpreter(t *testing.T) {
+// TestVMNaNPayloads: with K and s0 both NaN, s0 = K + s0 returns one of
+// the two payloads, and which one depends on the build (the VM's addk
+// computes s0 + K); the differential accepts any NaN for any NaN.
+func TestVMNaNPayloads(t *testing.T) {
+	k, s0 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	p := &Program{Name: "nan", NumState: 1, S0: []float64{s0}, Body: []Stmt{
+		Assign{Dst: 0, RHS: Bin{Op: OpAdd, L: Const(k), R: StateRef(0)}},
+	}}
+	diffProgram(t, p, sampleRecords())
+}
+
+// TestVMExprMatchesInterpreter: arithmetic, comparisons and logic, with
+// NaN, ±0 and plain numbers as conditions and as and/or/not operands.
+func TestVMExprMatchesInterpreter(t *testing.T) {
 	in := Input{Cols: []float64{3, -7, 0.5, math.NaN()}}
+	negZero := Neg{X: Bin{Op: OpMul, L: ColRef(2), R: Const(0)}}
 	exprs := []Expr{
 		Bin{Op: OpMul, L: ColRef(0), R: ColRef(1)},
 		Bin{Op: OpDiv, L: ColRef(0), R: ColRef(3)},
 		Call{Fn: FnMin, Args: []Expr{ColRef(2), ColRef(3)}},
-		CondExpr{P: Cmp{Op: CmpLt, L: ColRef(1), R: Const(0)}, T: Neg{X: ColRef(1)}, E: ColRef(0)},
+		CondExpr{P: Bin{Op: OpLt, L: ColRef(1), R: Const(0)}, T: Neg{X: ColRef(1)}, E: ColRef(0)},
 		Bin{Op: OpAdd, L: ColRef(0), R: Const(2.5)},
 		Bin{Op: OpSub, L: Const(2.5), R: ColRef(0)},
+		Bin{Op: OpNe, L: ColRef(3), R: ColRef(3)},
+		Bin{Op: OpAnd, L: Bin{Op: OpLt, L: ColRef(0), R: Const(10)}, R: Bin{Op: OpGe, L: ColRef(1), R: Const(-10)}},
+		Bin{Op: OpOr, L: Const(0), R: Not{X: Bin{Op: OpEq, L: ColRef(2), R: Const(0.5)}}},
+		Bin{Op: OpLt, L: Const(1), R: ColRef(0)},
+		Bin{Op: OpMul, L: Bin{Op: OpGt, L: ColRef(0), R: ColRef(1)}, R: ColRef(1)},
+		Not{X: ColRef(3)},
+		Not{X: negZero},
+		Bin{Op: OpAnd, L: ColRef(2), R: ColRef(3)},
+		Bin{Op: OpOr, L: negZero, R: ColRef(1)},
+		CondExpr{P: ColRef(3), T: ColRef(0), E: ColRef(1)},
+		CondExpr{P: negZero, T: ColRef(0), E: ColRef(1)},
 	}
 	for _, e := range exprs {
 		code, err := CompileExpr(e)
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
-		if got, want := code.Eval(&in, nil), EvalExpr(e, &in, nil); !eqBits(got, want) {
+		got, want := code.Eval(&in, nil), EvalExpr(e, &in, nil)
+		if !eqBits(got, want) || code.EvalBool(&in, nil) != (want != 0) {
 			t.Errorf("%v: vm=%v interp=%v", e, got, want)
-		}
-	}
-	preds := []Pred{
-		Cmp{Op: CmpNe, L: ColRef(3), R: ColRef(3)},
-		And{L: Cmp{Op: CmpLt, L: ColRef(0), R: Const(10)}, R: Cmp{Op: CmpGe, L: ColRef(1), R: Const(-10)}},
-		Or{L: BoolConst(false), R: Not{X: Cmp{Op: CmpEq, L: ColRef(2), R: Const(0.5)}}},
-	}
-	for _, p := range preds {
-		code, err := CompilePred(p)
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if got, want := code.EvalBool(&in, nil), EvalPred(p, &in, nil); got != want {
-			t.Errorf("%v: vm=%v interp=%v", p, got, want)
 		}
 	}
 }
@@ -203,8 +222,8 @@ func TestVMRegisterOverflowRejected(t *testing.T) {
 	if _, err := CompileExpr(deep); !errors.Is(err, errTooDeep) {
 		t.Fatalf("CompileExpr: err = %v, want errTooDeep", err)
 	}
-	if _, err := CompilePred(Cmp{Op: CmpGt, L: deep, R: ColRef(1)}); !errors.Is(err, errTooDeep) {
-		t.Fatalf("CompilePred: err = %v, want errTooDeep", err)
+	if _, err := CompileExpr(Bin{Op: OpGt, L: deep, R: ColRef(1)}); !errors.Is(err, errTooDeep) {
+		t.Fatalf("CompileExpr of a comparison: err = %v, want errTooDeep", err)
 	}
 	f := &Func{Prog: &Program{Name: "deep", NumState: 1, Body: []Stmt{Assign{Dst: 0, RHS: deep}}}}
 	if err := f.EnsureCompiled(); !errors.Is(err, errTooDeep) || f.Code != nil {
@@ -332,7 +351,7 @@ func TestVMZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { f.Code.Run(st, &in) }); n != 0 {
 		t.Errorf("Code.Run allocates %v per run", n)
 	}
-	code, err := CompilePred(Cmp{Op: CmpGt, L: FieldRef(trace.FieldTout), R: Const(5)})
+	code, err := CompileExpr(Bin{Op: OpGt, L: FieldRef(trace.FieldTout), R: Const(5)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,31 +27,37 @@ func blockExprs() []Expr {
 		Call{Fn: FnMax, Args: []Expr{lat, Const(100)}},
 		Call{Fn: FnAbs, Args: []Expr{Bin{Op: OpSub, L: FieldRef(trace.FieldPktLen), R: Const(1500)}}},
 		CondExpr{
-			P: Cmp{Op: CmpGt, L: lat, R: Const(10)},
+			P: Bin{Op: OpGt, L: lat, R: Const(10)},
 			T: FieldRef(trace.FieldPktLen),
 			E: Neg{X: lat},
 		},
 	}
 }
 
-func blockPreds() []Pred {
+// blockConds are WHERE-shaped conditions: comparisons and logic, and
+// numbers read as truth values (zero on the /0 lanes).
+func blockConds() []Expr {
 	lat := Bin{Op: OpSub, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)}
-	return []Pred{
-		Cmp{Op: CmpGt, L: lat, R: Const(14)},
-		And{
-			L: Cmp{Op: CmpGt, L: FieldRef(trace.FieldPktLen), R: Const(0)},
-			R: Cmp{Op: CmpLt, L: lat, R: Const(1e9)},
+	return []Expr{
+		Bin{Op: OpGt, L: lat, R: Const(14)},
+		Bin{
+			Op: OpAnd,
+			L:  Bin{Op: OpGt, L: FieldRef(trace.FieldPktLen), R: Const(0)},
+			R:  Bin{Op: OpLt, L: lat, R: Const(1e9)},
 		},
-		Or{
-			L: Cmp{Op: CmpEq, L: FieldRef(trace.FieldPktLen), R: Const(64)},
-			R: Not{X: Cmp{Op: CmpLe, L: lat, R: Const(15)}},
+		Bin{
+			Op: OpOr,
+			L:  Bin{Op: OpEq, L: FieldRef(trace.FieldPktLen), R: Const(64)},
+			R:  Not{X: Bin{Op: OpLe, L: lat, R: Const(15)}},
 		},
+		Not{X: Bin{Op: OpDiv, L: lat, R: FieldRef(trace.FieldPktLen)}},
+		Bin{Op: OpAnd, L: FieldRef(trace.FieldPktLen), R: lat},
 	}
 }
 
 // TestEvalBlockMatchesScalar holds the vector loop to bit-identical
 // agreement with the scalar Eval path over every lane, for every
-// stateless expression and predicate; a CondExpr is one of them (both
+// stateless expression and condition; a CondExpr is one of them (both
 // arms, then a select), and only a code that reads per-key state must be
 // reported as not vectorizable, which is what keeps it off the vector
 // loop (switchsim and LinearSpec check at setup).
@@ -93,18 +99,19 @@ func TestEvalBlockMatchesScalar(t *testing.T) {
 		t.Errorf("a code that reads state must not be vectorizable (err %v)", err)
 	}
 
-	for _, p := range blockPreds() {
-		code, err := CompilePred(p)
+	for _, p := range blockConds() {
+		code, err := CompileExpr(p)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
 		if !code.Vectorizable() {
-			t.Errorf("%v: WHERE-shaped predicate should compile jump-free", p)
+			t.Errorf("%v: WHERE-shaped condition should compile jump-free", p)
 		}
+		code.EvalBlock(&blk, n, &regs, out[:])
 		mask := code.EvalBoolBlock(&blk, n, &regs)
 		for l := 0; l < n; l++ {
 			in := Input{Rec: &recs[l]}
-			if got, want := mask&(1<<l) != 0, code.EvalBool(&in, nil); got != want {
+			if got, want := mask&(1<<l) != 0, code.EvalBool(&in, nil); got != want || !eqBits(out[l], code.Eval(&in, nil)) {
 				t.Errorf("%v: lane %d: block=%v scalar=%v", p, l, got, want)
 			}
 		}
@@ -130,8 +137,8 @@ func TestEvalBlockZeroAllocs(t *testing.T) {
 			t.Errorf("%v: execBlock allocs %v, want 0", e, a)
 		}
 	}
-	for _, p := range blockPreds() {
-		code, err := CompilePred(p)
+	for _, p := range blockConds() {
+		code, err := CompileExpr(p)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -145,11 +152,12 @@ func TestEvalBlockZeroAllocs(t *testing.T) {
 // instruction per block vs per record.
 func BenchmarkEvalBlock(b *testing.B) {
 	lat := Bin{Op: OpSub, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)}
-	pred := And{
-		L: Cmp{Op: CmpGt, L: lat, R: Const(14)},
-		R: Cmp{Op: CmpGt, L: FieldRef(trace.FieldPktLen), R: Const(0)},
+	pred := Bin{
+		Op: OpAnd,
+		L:  Bin{Op: OpGt, L: lat, R: Const(14)},
+		R:  Bin{Op: OpGt, L: FieldRef(trace.FieldPktLen), R: Const(0)},
 	}
-	code, err := CompilePred(pred)
+	code, err := CompileExpr(pred)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -185,7 +186,9 @@ func (e *NumberLit) String() string {
 	if e.Text != "" {
 		return e.Text
 	}
-	return trimFloat(e.Value)
+	// Plain decimal: %g's exponent form (1e+07) lexes as the digit-led
+	// identifier 1e, a plus and 07.
+	return strconv.FormatFloat(e.Value, 'f', -1, 64)
 }
 func (e *BoolLit) String() string {
 	if e.Value {
@@ -389,9 +392,4 @@ func writeBlock(sb *strings.Builder, stmts []Stmt, depth int) {
 		writeNode(sb, s)
 		sb.WriteByte('\n')
 	}
-}
-
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
 }

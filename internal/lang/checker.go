@@ -93,9 +93,10 @@ type CheckedQuery struct {
 	GroupCols   []int
 	// Folds are the aggregations of a group query.
 	Folds []FoldUse
-	// Where is the filter (nil if absent): over the input row, or over
-	// the combined row (left columns, then right) for joins.
-	Where fold.Pred
+	// Where is the filter (nil if absent), a 0/1 expression over the
+	// input row, or over the combined row (left columns, then right) for
+	// joins.
+	Where fold.Expr
 	// Schema is the output schema.
 	Schema []Column
 	// Cols are a plain select's output columns over the input row, or a

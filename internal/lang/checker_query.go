@@ -129,7 +129,7 @@ func (c *Checked) checkSelect(q *SelectQuery, name string, consumed map[string]b
 	cq := &CheckedQuery{Name: name, Input: input}
 	sc := rowScope{c, input}
 	if q.Where != nil {
-		if cq.Where, err = lowerPred(sc, q.Where, "WHERE needs a boolean predicate"); err != nil {
+		if cq.Where, err = lowerTyped(sc, q.Where, true, "WHERE needs a boolean predicate"); err != nil {
 			return nil, err
 		}
 	}
@@ -144,7 +144,7 @@ func (c *Checked) checkPlainSelect(cq *CheckedQuery, q *SelectQuery, sc rowScope
 	// add appends one output column; a name stands for itself, resolved
 	// as the identifier would be.
 	add := func(col SelectCol, out Column) error {
-		x, err := lowerNum(sc, col.Expr, "select columns must be numeric expressions")
+		x, err := lowerTyped(sc, col.Expr, false, "select columns must be numeric expressions")
 		cq.Schema = append(cq.Schema, out)
 		cq.Cols = append(cq.Cols, x)
 		return err
@@ -325,7 +325,7 @@ func (c *Checked) checkAgg(sc rowScope, e *CallExpr) (FoldUse, error) {
 		fu.Alpha = alpha
 	}
 	var err error
-	fu.Arg, err = lowerNum(sc, e.Args[0], strings.ToUpper(fu.Name)+" needs a numeric argument")
+	fu.Arg, err = lowerTyped(sc, e.Args[0], false, strings.ToUpper(fu.Name)+" needs a numeric argument")
 	return fu, err
 }
 
@@ -443,7 +443,7 @@ func (c *Checked) checkJoin(q *JoinQuery, name string, consumed map[string]bool)
 	// Output schema: the shared key columns, then the select columns.
 	cq.Schema = append(cq.Schema, left.Schema[:len(onNames)]...)
 	for _, col := range q.Cols {
-		x, err := lowerNum(sc, col.Expr, "join select columns must be numeric")
+		x, err := lowerTyped(sc, col.Expr, false, "join select columns must be numeric")
 		if err != nil {
 			return nil, err
 		}
@@ -456,7 +456,7 @@ func (c *Checked) checkJoin(q *JoinQuery, name string, consumed map[string]bool)
 	}
 
 	if q.Where != nil {
-		if cq.Where, err = lowerPred(sc, q.Where, "WHERE needs a boolean predicate"); err != nil {
+		if cq.Where, err = lowerTyped(sc, q.Where, true, "WHERE needs a boolean predicate"); err != nil {
 			return nil, err
 		}
 	}

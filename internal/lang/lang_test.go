@@ -1,9 +1,14 @@
 package lang
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
+
+	"perfq/internal/queries"
 )
 
 // fig2Sources holds the paper's example queries (Fig. 2), written in this
@@ -155,21 +160,82 @@ func TestLexerParenSuppressesNewline(t *testing.T) {
 	}
 }
 
+// largeNumber is a constant the printer once wrote as 1e+07, which
+// reparses as the identifier 1e plus 7.
+const largeNumber = "const A = 10000000\nSELECT COUNT GROUPBY srcip WHERE pkt_len < A\n"
+
 func TestParsePrintFixpoint(t *testing.T) {
+	srcs := map[string]string{"large number": largeNumber}
 	for name, src := range fig2Sources {
-		p1, err := Parse(src)
-		if err != nil {
+		srcs[name] = src
+	}
+	for name, src := range srcs {
+		if _, err := Parse(src); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		printed := p1.String()
-		p2, err := Parse(printed)
+		t.Run(name, func(t *testing.T) { checkParsePrint(t, src) })
+	}
+}
+
+// checkParsePrint: if src parses, its printed form parses and prints
+// identically.
+func checkParsePrint(t *testing.T, src string) {
+	t.Helper()
+	p1, err := Parse(src)
+	if err != nil {
+		return
+	}
+	printed := p1.String()
+	p2, err := Parse(printed)
+	if err != nil {
+		t.Fatalf("reparse of printed form failed: %v\n%s", err, printed)
+	}
+	if got := p2.String(); got != printed {
+		t.Fatalf("print∘parse not a fixpoint:\n%s\nvs\n%s", printed, got)
+	}
+}
+
+// FuzzParsePrint holds the printer to writing what the lexer and parser
+// read back as the same program, from every shipped query on.
+func FuzzParsePrint(f *testing.F) {
+	f.Add(largeNumber)
+	for _, src := range fig2Sources {
+		f.Add(src)
+	}
+	for _, ex := range queries.Fig2 {
+		f.Add(ex.Source)
+	}
+	f.Add(queries.LossByQueue)
+	files, _ := filepath.Glob("../../testdata/*.pq")
+	mains, _ := filepath.Glob("../../examples/*/main.go")
+	if len(files) == 0 || len(mains) == 0 {
+		f.Fatalf("no shipped queries: %d .pq files, %d examples", len(files), len(mains))
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: reparse of printed form failed: %v\n%s", name, err, printed)
+			f.Fatal(err)
 		}
-		if got := p2.String(); got != printed {
-			t.Errorf("%s: print∘parse not a fixpoint:\n%s\nvs\n%s", name, printed, got)
+		f.Add(string(src))
+	}
+	// The examples' queries are backquoted Go constants; a %d
+	// placeholder is filled with 1.
+	lit := regexp.MustCompile("`[^`]*SELECT[^`]*`")
+	for _, path := range mains {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, q := range lit.FindAllString(string(src), -1) {
+			f.Add(strings.ReplaceAll(strings.Trim(q, "`"), "%d", "1"))
 		}
 	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4<<10 {
+			t.Skip("over 4 KB")
+		}
+		checkParsePrint(t, src)
+	})
 }
 
 func TestParseFunctionalIf(t *testing.T) {

@@ -124,7 +124,6 @@ func (lx *lexer) emitNewlineIfNeeded() {
 // INDENT/DEDENT tokens. Blank and comment-only lines are skipped entirely.
 func (lx *lexer) lineStart() error {
 	for {
-		start := lx.pos
 		indent := 0
 		for lx.pos < len(lx.src) {
 			switch lx.peek() {
@@ -152,7 +151,6 @@ func (lx *lexer) lineStart() error {
 			}
 			continue
 		}
-		_ = start
 		cur := lx.indents[len(lx.indents)-1]
 		pos := lx.here()
 		switch {

@@ -28,84 +28,96 @@ var scalarFns = map[string]struct {
 
 var (
 	arithOps = map[Kind]fold.Op{PLUS: fold.OpAdd, MINUS: fold.OpSub, STAR: fold.OpMul, SLASH: fold.OpDiv}
-	cmpOps   = map[Kind]fold.CmpOp{EQ: fold.CmpEq, NE: fold.CmpNe, LT: fold.CmpLt, LE: fold.CmpLe, GT: fold.CmpGt, GE: fold.CmpGe}
+	cmpOps   = map[Kind]fold.Op{EQ: fold.OpEq, NE: fold.OpNe, LT: fold.OpLt, LE: fold.OpLe, GT: fold.OpGt, GE: fold.OpGe}
 )
 
-// lower types e in sc and lowers it: a numeric expression comes back as a
-// fold.Expr, a boolean one as a fold.Pred, exactly one of them non-nil
-// unless err is. It recurses as deep as e, which the parser holds to
-// MaxExprDepth.
-func lower(sc scope, e Expr) (fold.Expr, fold.Pred, error) {
+// lower types e in sc and lowers it, reporting whether it is boolean: a
+// boolean lowers to a 0/1 expression. It recurses as deep as e, which
+// the parser holds to MaxExprDepth.
+func lower(sc scope, e Expr) (x fold.Expr, isBool bool, err error) {
 	switch e := e.(type) {
 	case *NumberLit:
-		return fold.Const(e.Value), nil, nil
+		return fold.Const(e.Value), false, nil
 	case *InfinityLit:
-		return fold.Const(fold.Infinity), nil, nil
+		return fold.Const(fold.Infinity), false, nil
 	case *BoolLit:
-		return nil, fold.BoolConst(e.Value), nil
+		if e.Value {
+			return fold.Const(1), true, nil
+		}
+		return fold.Const(0), true, nil
 	case *Ident:
 		x, err := sc.ident(e)
-		return x, nil, err
+		return x, false, err
 	case *Dotted:
 		x, err := sc.dotted(e)
-		return x, nil, err
+		return x, false, err
 	case *UnaryExpr:
-		x, p, err := lower(sc, e.X)
+		x, isBool, err := lower(sc, e.X)
 		switch {
 		case err != nil:
-			return nil, nil, err
-		case e.Op != KwNot && x != nil:
-			return fold.Neg{X: x}, nil, nil
-		case e.Op == KwNot && p != nil:
-			return nil, fold.Not{X: p}, nil
+			return nil, false, err
+		case e.Op != KwNot && !isBool:
+			return fold.Neg{X: x}, false, nil
+		case e.Op == KwNot && isBool:
+			return fold.Not{X: x}, true, nil
 		case e.Op == KwNot:
-			return nil, nil, errf(e.Pos, "NOT needs a boolean operand")
+			return nil, false, errf(e.Pos, "NOT needs a boolean operand")
 		}
-		return nil, nil, errf(e.Pos, "negation needs a numeric operand")
+		return nil, false, errf(e.Pos, "negation needs a numeric operand")
 	case *BinExpr:
-		l, lp, err := lower(sc, e.L)
+		l, lb, err := lower(sc, e.L)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
-		r, rp, err := lower(sc, e.R)
+		r, rb, err := lower(sc, e.R)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
 		if op, ok := arithOps[e.Op]; ok {
-			if l == nil || r == nil {
-				return nil, nil, errf(e.Pos, "arithmetic needs numeric operands")
+			if lb || rb {
+				return nil, false, errf(e.Pos, "arithmetic needs numeric operands")
 			}
-			return fold.Bin{Op: op, L: l, R: r}, nil, nil
+			return fold.Bin{Op: op, L: l, R: r}, false, nil
 		}
 		if op, ok := cmpOps[e.Op]; ok {
-			if l == nil || r == nil {
-				return nil, nil, errf(e.Pos, "comparison needs numeric operands")
+			if lb || rb {
+				return nil, false, errf(e.Pos, "comparison needs numeric operands")
 			}
-			return nil, fold.Cmp{Op: op, L: l, R: r}, nil
+			return fold.Bin{Op: op, L: l, R: r}, true, nil
 		}
-		if lp == nil || rp == nil {
-			return nil, nil, errf(e.Pos, "%s needs boolean operands", opText(e.Op))
+		if !lb || !rb {
+			return nil, false, errf(e.Pos, "%s needs boolean operands", opText(e.Op))
 		}
 		if e.Op == KwAnd {
-			return nil, fold.And{L: lp, R: rp}, nil
+			return fold.Bin{Op: fold.OpAnd, L: l, R: r}, true, nil
 		}
-		return nil, fold.Or{L: lp, R: rp}, nil
+		return fold.Bin{Op: fold.OpOr, L: l, R: r}, true, nil
 	case *CallExpr:
 		f, scalar := scalarFns[strings.ToLower(e.Name)]
 		if !scalar || len(e.Args) != f.arity {
 			x, err := sc.call(e)
-			return x, nil, err
+			return x, false, err
 		}
 		args := make([]fold.Expr, len(e.Args))
 		for i, a := range e.Args {
 			var err error
-			if args[i], err = lowerNum(sc, a, e.Name+" needs numeric arguments"); err != nil {
-				return nil, nil, err
+			if args[i], err = lowerTyped(sc, a, false, e.Name+" needs numeric arguments"); err != nil {
+				return nil, false, err
 			}
 		}
-		return fold.Call{Fn: f.fn, Args: args}, nil, nil
+		return fold.Call{Fn: f.fn, Args: args}, false, nil
 	}
-	return nil, nil, errf(e.exprPos(), "* is only valid as the whole select list of a plain select")
+	return nil, false, errf(e.exprPos(), "* is only valid as the whole select list of a plain select")
+}
+
+// lowerTyped lowers e, which must be boolean when wantBool holds and
+// numeric otherwise; msg says so when it is not.
+func lowerTyped(sc scope, e Expr, wantBool bool, msg string) (fold.Expr, error) {
+	x, isBool, err := lower(sc, e)
+	if err == nil && isBool != wantBool {
+		err = errf(e.exprPos(), "%s", msg)
+	}
+	return x, err
 }
 
 // arityErr says how many arguments the scalar function e names takes, or
@@ -120,24 +132,6 @@ func arityErr(e *CallExpr) error {
 		return errf(e.Pos, "%s takes 1 argument", e.Name)
 	}
 	return errf(e.Pos, "%s takes %d arguments", e.Name, f.arity)
-}
-
-// lowerNum lowers e, which must be numeric; msg says so otherwise.
-func lowerNum(sc scope, e Expr, msg string) (fold.Expr, error) {
-	x, _, err := lower(sc, e)
-	if err == nil && x == nil {
-		err = errf(e.exprPos(), "%s", msg)
-	}
-	return x, err
-}
-
-// lowerPred lowers e, which must be boolean; msg says so otherwise.
-func lowerPred(sc scope, e Expr, msg string) (fold.Pred, error) {
-	_, p, err := lower(sc, e)
-	if err == nil && p == nil {
-		err = errf(e.exprPos(), "%s", msg)
-	}
-	return p, err
 }
 
 // rowScope resolves names over one input row: T's fields when in is nil,
@@ -286,13 +280,13 @@ func (s foldScope) stmts(stmts []Stmt) ([]fold.Stmt, error) {
 				}
 				return nil, errf(st.Pos, "assignment to %q, which is not a state variable of %s", st.Name, s.fd.Name)
 			}
-			rhs, err := lowerNum(s, st.Expr, "state assignment needs a numeric expression")
+			rhs, err := lowerTyped(s, st.Expr, false, "state assignment needs a numeric expression")
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, fold.Assign{Dst: dst, RHS: rhs})
 		case *IfStmt:
-			cond, err := lowerPred(s, st.Cond, "if condition must be boolean")
+			cond, err := lowerTyped(s, st.Cond, true, "if condition must be boolean")
 			if err != nil {
 				return nil, err
 			}

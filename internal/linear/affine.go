@@ -64,7 +64,7 @@ func (a *analyzer) runStmts(stmts []fold.Stmt, rows []aff) ([]aff, error) {
 			}
 			rows[s.Dst] = v
 		case fold.If:
-			cond, err := a.predToPure(s.Cond, rows)
+			cond, err := a.cond(s.Cond, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +92,7 @@ func cloneRows(rows []aff) []aff {
 
 // mergeRows combines two branch outcomes under a pure condition, emitting
 // conditional coefficients only where the branches differ.
-func mergeRows(cond fold.Pred, thenRows, elseRows []aff) []aff {
+func mergeRows(cond fold.Expr, thenRows, elseRows []aff) []aff {
 	out := make([]aff, len(thenRows))
 	for i := range thenRows {
 		m := len(thenRows[i].coef)
@@ -147,6 +147,13 @@ func (a *analyzer) exprToAff(e fold.Expr, rows []aff) (aff, error) {
 				return aff{}, errors.New("division by constant zero")
 			}
 			return scale(l, r.c, func(x, d fold.Expr) fold.Expr { return divExpr(x, d) }), nil
+		case fold.OpEq, fold.OpNe, fold.OpLt, fold.OpLe, fold.OpGt, fold.OpGe, fold.OpAnd, fold.OpOr:
+			if !l.pure() || !r.pure() {
+				return aff{}, fmt.Errorf("branch condition depends on state: %v", e)
+			}
+			v := zero()
+			v.c = fold.Bin{Op: e.Op, L: orZero(l.c), R: orZero(r.c)}
+			return v, nil
 		}
 		return aff{}, fmt.Errorf("unknown operator in %v", e)
 	case fold.Neg:
@@ -164,6 +171,14 @@ func (a *analyzer) exprToAff(e fold.Expr, rows []aff) (aff, error) {
 			out.c = negExpr(x.c)
 		}
 		return out, nil
+	case fold.Not:
+		x, err := a.cond(e.X, rows)
+		if err != nil {
+			return aff{}, err
+		}
+		v := zero()
+		v.c = fold.Not{X: x}
+		return v, nil
 	case fold.Call:
 		args := make([]fold.Expr, len(e.Args))
 		for i, arg := range e.Args {
@@ -180,7 +195,7 @@ func (a *analyzer) exprToAff(e fold.Expr, rows []aff) (aff, error) {
 		out.c = fold.Call{Fn: e.Fn, Args: args}
 		return out, nil
 	case fold.CondExpr:
-		cond, err := a.predToPure(e.P, rows)
+		cond, err := a.cond(e.P, rows)
 		if err != nil {
 			return aff{}, err
 		}
@@ -198,56 +213,19 @@ func (a *analyzer) exprToAff(e fold.Expr, rows []aff) (aff, error) {
 	}
 }
 
-// predToPure substitutes state reads into p and verifies the result does
-// not depend on non-history state. A failure here is the paper's
-// "TCP non-monotonic" case: a branch condition that reads a true state
-// variable makes the fold non-linear.
-func (a *analyzer) predToPure(p fold.Pred, rows []aff) (fold.Pred, error) {
-	switch p := p.(type) {
-	case fold.BoolConst:
-		return p, nil
-	case fold.Cmp:
-		l, err := a.exprToAff(p.L, rows)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.exprToAff(p.R, rows)
-		if err != nil {
-			return nil, err
-		}
-		if !l.pure() || !r.pure() {
-			return nil, fmt.Errorf("branch condition depends on state: %v", p)
-		}
-		return fold.Cmp{Op: p.Op, L: orZero(l.c), R: orZero(r.c)}, nil
-	case fold.And:
-		l, err := a.predToPure(p.L, rows)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.predToPure(p.R, rows)
-		if err != nil {
-			return nil, err
-		}
-		return fold.And{L: l, R: r}, nil
-	case fold.Or:
-		l, err := a.predToPure(p.L, rows)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.predToPure(p.R, rows)
-		if err != nil {
-			return nil, err
-		}
-		return fold.Or{L: l, R: r}, nil
-	case fold.Not:
-		x, err := a.predToPure(p.X, rows)
-		if err != nil {
-			return nil, err
-		}
-		return fold.Not{X: x}, nil
-	default:
-		return nil, fmt.Errorf("unsupported predicate %T", p)
+// cond interprets a condition and verifies the result does not depend
+// on non-history state. A failure here is the paper's "TCP non-monotonic"
+// case: a branch condition that reads a true state variable makes the
+// fold non-linear.
+func (a *analyzer) cond(e fold.Expr, rows []aff) (fold.Expr, error) {
+	v, err := a.exprToAff(e, rows)
+	if err != nil {
+		return nil, err
 	}
+	if !v.pure() {
+		return nil, fmt.Errorf("branch condition depends on state: %v", e)
+	}
+	return orZero(v.c), nil
 }
 
 // combine applies op componentwise to two affine forms.
@@ -362,7 +340,7 @@ func divExpr(a, d fold.Expr) fold.Expr {
 }
 
 // condExpr merges two branch values under cond, folding equal branches.
-func condExpr(cond fold.Pred, t, e fold.Expr) fold.Expr {
+func condExpr(cond, t, e fold.Expr) fold.Expr {
 	if sameExpr(t, e) {
 		return t
 	}

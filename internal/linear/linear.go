@@ -126,7 +126,7 @@ func runPureStmts(stmts []fold.Stmt, status []fold.Expr) {
 		case fold.Assign:
 			status[s.Dst] = substPure(s.RHS, status)
 		case fold.If:
-			condPure := substPurePred(s.Cond, status)
+			condPure := substPure(s.Cond, status)
 			thenSt := append([]fold.Expr(nil), status...)
 			elseSt := append([]fold.Expr(nil), status...)
 			runPureStmts(s.Then, thenSt)
@@ -175,6 +175,12 @@ func substPure(e fold.Expr, status []fold.Expr) fold.Expr {
 			return nil
 		}
 		return fold.Neg{X: x}
+	case fold.Not:
+		x := substPure(e.X, status)
+		if x == nil {
+			return nil
+		}
+		return fold.Not{X: x}
 	case fold.Call:
 		args := make([]fold.Expr, len(e.Args))
 		for i, a := range e.Args {
@@ -185,51 +191,13 @@ func substPure(e fold.Expr, status []fold.Expr) fold.Expr {
 		}
 		return fold.Call{Fn: e.Fn, Args: args}
 	case fold.CondExpr:
-		p := substPurePred(e.P, status)
+		p := substPure(e.P, status)
 		t := substPure(e.T, status)
 		el := substPure(e.E, status)
 		if p == nil || t == nil || el == nil {
 			return nil
 		}
 		return fold.CondExpr{P: p, T: t, E: el}
-	default:
-		return nil
-	}
-}
-
-func substPurePred(p fold.Pred, status []fold.Expr) fold.Pred {
-	switch p := p.(type) {
-	case nil:
-		return nil
-	case fold.BoolConst:
-		return p
-	case fold.Cmp:
-		l := substPure(p.L, status)
-		r := substPure(p.R, status)
-		if l == nil || r == nil {
-			return nil
-		}
-		return fold.Cmp{Op: p.Op, L: l, R: r}
-	case fold.And:
-		l := substPurePred(p.L, status)
-		r := substPurePred(p.R, status)
-		if l == nil || r == nil {
-			return nil
-		}
-		return fold.And{L: l, R: r}
-	case fold.Or:
-		l := substPurePred(p.L, status)
-		r := substPurePred(p.R, status)
-		if l == nil || r == nil {
-			return nil
-		}
-		return fold.Or{L: l, R: r}
-	case fold.Not:
-		x := substPurePred(p.X, status)
-		if x == nil {
-			return nil
-		}
-		return fold.Not{X: x}
 	default:
 		return nil
 	}
@@ -254,6 +222,9 @@ func sameExpr(a, b fold.Expr) bool {
 	case fold.Neg:
 		b, ok := b.(fold.Neg)
 		return ok && sameExpr(a.X, b.X)
+	case fold.Not:
+		b, ok := b.(fold.Not)
+		return ok && sameExpr(a.X, b.X)
 	case fold.Call:
 		b, ok := b.(fold.Call)
 		if !ok || a.Fn != b.Fn || len(a.Args) != len(b.Args) {
@@ -267,28 +238,7 @@ func sameExpr(a, b fold.Expr) bool {
 		return true
 	case fold.CondExpr:
 		b, ok := b.(fold.CondExpr)
-		return ok && samePred(a.P, b.P) && sameExpr(a.T, b.T) && sameExpr(a.E, b.E)
-	}
-	return false
-}
-
-// samePred is sameExpr for predicates.
-func samePred(a, b fold.Pred) bool {
-	switch a := a.(type) {
-	case fold.BoolConst:
-		return a == b
-	case fold.Cmp:
-		b, ok := b.(fold.Cmp)
-		return ok && a.Op == b.Op && sameExpr(a.L, b.L) && sameExpr(a.R, b.R)
-	case fold.And:
-		b, ok := b.(fold.And)
-		return ok && samePred(a.L, b.L) && samePred(a.R, b.R)
-	case fold.Or:
-		b, ok := b.(fold.Or)
-		return ok && samePred(a.L, b.L) && samePred(a.R, b.R)
-	case fold.Not:
-		b, ok := b.(fold.Not)
-		return ok && samePred(a.X, b.X)
+		return ok && sameExpr(a.P, b.P) && sameExpr(a.T, b.T) && sameExpr(a.E, b.E)
 	}
 	return false
 }

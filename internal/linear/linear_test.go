@@ -35,7 +35,7 @@ func outOfSeqProgram() *fold.Program {
 		NumState: 2, // s0 = lastseq (history), s1 = oos_count
 		Body: []fold.Stmt{
 			fold.If{
-				Cond: fold.Cmp{Op: fold.CmpNe,
+				Cond: fold.Bin{Op: fold.OpNe,
 					L: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(0), R: fold.Const(1)},
 					R: fold.FieldRef(trace.FieldTCPSeq)},
 				Then: []fold.Stmt{fold.Assign{Dst: 1, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(1), R: fold.Const(1)}}},
@@ -52,7 +52,7 @@ func nonMonotonicProgram() *fold.Program {
 		NumState: 2, // s0 = maxseq, s1 = nm_count
 		Body: []fold.Stmt{
 			fold.If{
-				Cond: fold.Cmp{Op: fold.CmpGt, L: fold.StateRef(0), R: fold.FieldRef(trace.FieldTCPSeq)},
+				Cond: fold.Bin{Op: fold.OpGt, L: fold.StateRef(0), R: fold.FieldRef(trace.FieldTCPSeq)},
 				Then: []fold.Stmt{fold.Assign{Dst: 1, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(1), R: fold.Const(1)}}},
 			},
 			fold.Assign{Dst: 0, RHS: fold.Call{Fn: fold.FnMax, Args: []fold.Expr{fold.StateRef(0), fold.FieldRef(trace.FieldTCPSeq)}}},
@@ -67,7 +67,7 @@ func percProgram(k float64) *fold.Program {
 		NumState: 2, // s0 = tot, s1 = high
 		Body: []fold.Stmt{
 			fold.If{
-				Cond: fold.Cmp{Op: fold.CmpGt, L: fold.FieldRef(trace.FieldQin), R: fold.Const(k)},
+				Cond: fold.Bin{Op: fold.OpGt, L: fold.FieldRef(trace.FieldQin), R: fold.Const(k)},
 				Then: []fold.Stmt{fold.Assign{Dst: 1, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(1), R: fold.Const(1)}}},
 			},
 			fold.Assign{Dst: 0, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(0), R: fold.Const(1)}},
@@ -340,7 +340,7 @@ func TestNonLinearConstructs(t *testing.T) {
 			"condition-on-accumulator",
 			[]fold.Stmt{
 				fold.If{
-					Cond: fold.Cmp{Op: fold.CmpGt, L: fold.StateRef(0), R: fold.Const(10)},
+					Cond: fold.Bin{Op: fold.OpGt, L: fold.StateRef(0), R: fold.Const(10)},
 					Then: []fold.Stmt{fold.Assign{Dst: 0, RHS: fold.Const(0)}},
 					Else: []fold.Stmt{fold.Assign{Dst: 0, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(0), R: fold.Const(1)}}},
 				},
@@ -491,7 +491,7 @@ func nestedIfProgram(depth int) *fold.Program {
 	inc := fold.Assign{Dst: 0, RHS: fold.Bin{Op: fold.OpAdd, L: fold.StateRef(0), R: fold.Const(1)}}
 	body := []fold.Stmt{inc}
 	for k := depth; k > 0; k-- {
-		cond := fold.Cmp{Op: fold.CmpGt, L: fold.FieldRef(trace.FieldPktLen), R: fold.Const(float64(k))}
+		cond := fold.Bin{Op: fold.OpGt, L: fold.FieldRef(trace.FieldPktLen), R: fold.Const(float64(k))}
 		body = []fold.Stmt{inc, fold.If{Cond: cond, Then: body}}
 	}
 	return &fold.Program{Name: "nested", NumState: 1, Body: body}
