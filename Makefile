@@ -43,12 +43,15 @@ test: build
 # recorder from concurrent writers and scrape /debug/trace +
 # /debug/events mid-run; the Source suite runs every source shape through
 # the pool, and checks a failing source leaves no worker behind;
-# ProcessInline interleaves Process with Feed on a live worker pool). The
+# ProcessInline interleaves Process with Feed on a live worker pool; every
+# netstore test runs too, since a backend's health bit is written by its
+# prober and by its shipper and control clients). The
 # suites force GOMAXPROCS >= 4 internally so the parallel paths run even
 # on a single-core host. -short skips the longest stall-injection cases;
 # run without it before a release.
 race:
 	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal|TestSource|TestProcessInline|TestEvictionTotals' ./...
+	$(GO) test -race -short ./internal/netstore
 
 # Non-test Go lines per internal package and for the root package, then
 # the total (cmd/, examples/ and the nested benchmark/ module are not

@@ -1,6 +1,7 @@
 package perfq
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -87,5 +88,45 @@ func TestBackingPoolWithShards(t *testing.T) {
 	}
 	if want := res.Evictions + res.Flushed; applied != want {
 		t.Fatalf("backends applied %d evictions, datapath emitted %d", applied, want)
+	}
+}
+
+// TestBackingPoolDuplicateAddr: an address listed twice is refused at
+// dial time, naming it, instead of reading every key back invalid.
+func TestBackingPoolDuplicateAddr(t *testing.T) {
+	q := MustCompile("SELECT COUNT GROUPBY 5tuple")
+	cluster, err := q.ServeBackingStores(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	a := cluster.Addrs()[0]
+	pool, err := q.DialBackingPool([]string{a, a}, BackingPoolConfig{})
+	if err == nil {
+		pool.Close()
+		t.Fatalf("DialBackingPool accepted %s twice", a)
+	}
+	if !strings.Contains(err.Error(), a) {
+		t.Fatalf("error %q does not name %s", err, a)
+	}
+}
+
+// TestBackingPoolCloseTwice: a second Close returns nil.
+func TestBackingPoolCloseTwice(t *testing.T) {
+	q := MustCompile("SELECT COUNT GROUPBY 5tuple")
+	cluster, err := q.ServeBackingStores(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	pool, err := q.DialBackingPool(cluster.Addrs(), BackingPoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

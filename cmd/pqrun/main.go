@@ -28,7 +28,7 @@
 // drill-down (per-switch, per-backend series), /debug/trace with the
 // sampled packet spans (per-hop latency, slowest traversals; tune with
 // -trace-sample), /debug/events with the control-plane flight recorder
-// (window closes, barriers, breaker and health transitions; size with
+// (window closes, barriers, health transitions and markdowns; size with
 // -journal-size), and /debug/pprof for the Go profiler.
 // -stats-interval logs a one-line counter summary on stderr while the
 // run is live. All of it composes with every other mode, including
@@ -454,8 +454,8 @@ func startStatsLogger(metrics *perfq.Metrics, interval time.Duration, start time
 				}
 				if dropped, ok := metrics.Value("perfq_pool_dropped_total"); ok {
 					line += fmt.Sprintf(" pool_dropped=%.0f", dropped)
-					if open, bok := metrics.Value("perfq_pool_breaker_open"); bok {
-						line += fmt.Sprintf(" breakers_open=%.0f", open)
+					if up, uok := metrics.Value("perfq_pool_backend_healthy"); uok {
+						line += fmt.Sprintf(" backends_up=%.0f", up)
 					}
 				}
 				fmt.Fprintln(os.Stderr, line)

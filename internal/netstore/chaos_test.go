@@ -9,15 +9,10 @@ import (
 )
 
 // chaosConfig is tuned for fast, deterministic failover on a loopback
-// network: short deadlines, near-instant backoff, a hair-trigger
-// breaker, and a tight probe loop.
+// network: short deadlines and a tight probe loop.
 func chaosConfig() PoolConfig {
 	return PoolConfig{
-		Client: Options{
-			IOTimeout: 300 * time.Millisecond, DialTimeout: 300 * time.Millisecond,
-			BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-			BreakerTrip: 2, BreakerCooldown: 200 * time.Millisecond,
-		},
+		Client: Options{Timeout: 300 * time.Millisecond},
 		// Deep enough that a test-speed producer burst never overflows on
 		// its own — every drop in these tests is then attributable to the
 		// injected fault, which is what the accounting assertions need.
@@ -95,11 +90,12 @@ func TestPoolChaosFailover(t *testing.T) {
 	// even the configured IO deadline is a generous bound.
 	worst := ship(2000, 4000)
 	if worst > 300*time.Millisecond {
-		t.Fatalf("feed path blocked %v with a dead backend, want < IOTimeout (300ms)", worst)
+		t.Fatalf("feed path blocked %v with a dead backend, want < Timeout (300ms)", worst)
 	}
 
 	// Failover: backend A must be marked down within a few probe
-	// intervals (the breaker usually beats the prober).
+	// intervals (the shipper's first failed redial usually beats the
+	// prober).
 	for p.Healthy()[0] {
 		if time.Since(killAt) > time.Second {
 			t.Fatal("backend A not marked down within 1s of the kill")
@@ -138,7 +134,7 @@ func TestPoolChaosFailover(t *testing.T) {
 		markedAt, frozenA, appliedB, dropped, worst)
 
 	// Phase 3: bring A back on the same address. The prober must mark
-	// it healthy, clear the breaker, and new keys routed to A must land
+	// it healthy, and new keys routed to A must land on the next chunk
 	// and read back — convergence after recovery.
 	srvA2, err := NewServer(addrA, f)
 	if err != nil {
@@ -195,11 +191,11 @@ func TestChaosStallInjection(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	cfg := chaosConfig()
-	cfg.Client.IOTimeout = 200 * time.Millisecond
-	cfg.Client.BreakerTrip = -1 // keep retrying: every stall costs one deadline
-	// Every connection stalls on its 3rd conn-level write (HELLO flush
-	// is write 1), then is dead; the client must time out, reconnect,
-	// and carry on.
+	cfg.Client.Timeout = 200 * time.Millisecond
+	// Every connection stalls on its 3rd conn-level write (HELLO is
+	// write 1), then is dead; the client must time out, reconnect, and
+	// carry on — every stall costs one deadline, and none is a markdown,
+	// since every redial reaches a live peer.
 	cfg.Client.Dialer = NewFaultDialer(FaultSpec{Seed: 1, StallOnWrite: 3})
 
 	p, err := DialPool([]string{srv.Addr()}, f, cfg)
@@ -238,12 +234,17 @@ func TestChaosStallInjection(t *testing.T) {
 	if applied < st.Acked || applied > st.Acked+st.Lost {
 		t.Fatalf("applied %d outside [acked %d, acked+lost %d]", applied, st.Acked, st.Acked+st.Lost)
 	}
+	if downs := p.backends[0].health.downs.Load(); downs != 0 || !st.Health.Healthy {
+		t.Fatalf("a stalling but live backend was marked down %d times", downs)
+	}
+	t.Logf("stalls: reconnects %d; acked %d lost %d of %d; applied %d; sync %v",
+		st.Reconnects, st.Acked, st.Lost, n, applied, time.Since(start))
 }
 
-// TestChaosMidStreamResets drives a single hardened client through
-// connections that reset on every 4th write: the client must reconnect
-// under backoff each time and keep exact books — every frame it ever
-// wrote is acked or lost, nothing double-counted.
+// TestChaosMidStreamResets drives a one-backend pool through
+// connections that reset on every 4th write: the shipper must reconnect
+// each time and keep exact books — every frame it ever wrote is acked
+// or lost, nothing double-counted.
 func TestChaosMidStreamResets(t *testing.T) {
 	f := fold.Count()
 	srv, err := NewServer("127.0.0.1:0", f)
@@ -252,66 +253,51 @@ func TestChaosMidStreamResets(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	cl := NewClient(srv.Addr(), f, Options{
-		IOTimeout: 300 * time.Millisecond, DialTimeout: 300 * time.Millisecond,
-		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
-		BreakerTrip: -1,
-		Dialer:      NewFaultDialer(FaultSpec{Seed: 3, ResetOnWrite: 4}),
-	})
-	t.Cleanup(func() { cl.Close() })
+	cfg := chaosConfig()
+	cfg.Client.Dialer = NewFaultDialer(FaultSpec{Seed: 3, ResetOnWrite: 4})
+	p := onePool(t, srv.Addr(), f, cfg)
 
-	// Small batches with a sync each: every sync is a conn-level flush +
-	// read, so the 4-write fuse fires every third batch. Sync retries on
-	// a fresh connection internally, so it usually still returns nil —
-	// the reset shows up in Lost and Reconnects, which is the point.
+	// Small batches with a sync each: every sync ships one chunk in one
+	// conn-level write and reads its reply, so the 4-write fuse (HELLO is
+	// write 1) fires every third batch. The reset shows up in Lost and
+	// Reconnects, which is the point; the next chunk redials on its own.
 	for batch := 0; batch < 30; batch++ {
 		for i := 0; i < 5; i++ {
-			ev := &kvstore.Eviction{Key: keyN(batch*5 + i), State: []float64{1}}
-			for attempt := 0; ; attempt++ {
-				if err := cl.HandleEviction(ev); err == nil {
-					break
-				}
-				if attempt > 200 {
-					t.Fatalf("eviction %d stuck: %v", batch*5+i, err)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			ship(t, p, keyN(batch*5+i), 1)
 		}
-		cl.Sync() // errors tolerated: that batch moves to Lost
-	}
-	// Final settle: retry Sync until it lands on a fresh connection.
-	var lastErr error
-	for attempt := 0; attempt < 50; attempt++ {
-		if lastErr = cl.Sync(); lastErr == nil {
-			break
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if lastErr != nil {
-		t.Fatalf("final sync never converged: %v", lastErr)
 	}
 
 	// 30 batches at one conn write per sync and a 4-write fuse means
 	// roughly every third batch killed its connection.
-	if cl.Reconnects() < 5 {
-		t.Fatalf("reconnects %d, want several under reset injection — injector never fired?", cl.Reconnects())
+	st := p.Stats()[0]
+	if st.Reconnects < 5 {
+		t.Fatalf("reconnects %d, want several under reset injection — injector never fired?", st.Reconnects)
 	}
-	if cl.Lost() == 0 {
+	if st.Lost == 0 {
 		t.Fatal("no frames counted lost despite mid-stream resets")
 	}
-	if cl.Evictions() != cl.Acked()+cl.Lost() {
-		t.Fatalf("books don't balance: written %d != acked %d + lost %d",
-			cl.Evictions(), cl.Acked(), cl.Lost())
+	if st.Shipped != st.Acked+st.Lost {
+		t.Fatalf("books don't balance: written %d != acked %d + lost %d", st.Shipped, st.Acked, st.Lost)
+	}
+	if st.Offered != 150 || st.Acked+st.Dropped != st.Offered {
+		t.Fatalf("offered %d, acked %d + dropped %d, want 150 = acked + dropped", st.Offered, st.Acked, st.Dropped)
+	}
+	if !st.Health.Healthy {
+		t.Fatal("resets against a live peer marked the backend down")
 	}
 	applied := srv.Store().Stats().Appends
-	if applied < cl.Acked() || applied > cl.Acked()+cl.Lost() {
-		t.Fatalf("applied %d outside [acked %d, acked+lost %d]", applied, cl.Acked(), cl.Acked()+cl.Lost())
+	if applied < st.Acked || applied > st.Acked+st.Lost {
+		t.Fatalf("applied %d outside [acked %d, acked+lost %d]", applied, st.Acked, st.Acked+st.Lost)
 	}
+	t.Logf("resets: reconnects %d; acked %d lost %d of 150; applied %d", st.Reconnects, st.Acked, st.Lost, applied)
 }
 
 // TestChaosLatencySpikes: slow-but-alive connections (every write
-// delayed) must not trip the breaker or drop anything — delay under the
-// deadline is degradation, not failure.
+// delayed) must not mark the backend down or drop anything — delay
+// under the deadline is degradation, not failure.
 func TestChaosLatencySpikes(t *testing.T) {
 	f := fold.Count()
 	srv, err := NewServer("127.0.0.1:0", f)

@@ -556,7 +556,11 @@ func TestServerConnectionCap(t *testing.T) {
 	}
 	waitTracked(MaxConns)
 
-	if _, err := Dial(srv.Addr(), f, Options{DialTimeout: 2 * time.Second}); err == nil {
+	// The pool's startup probe is the connection over the cap: turned
+	// away before its HELLO, it marks the backend down. No periodic
+	// probe, so each probe below is the test's.
+	p := onePool(t, srv.Addr(), f, PoolConfig{ProbeInterval: time.Hour})
+	if p.Healthy()[0] {
 		t.Fatal("connection over the cap completed a handshake")
 	}
 	if got := srv.Rejected(); got != 1 {
@@ -568,13 +572,17 @@ func TestServerConnectionCap(t *testing.T) {
 
 	conns[0].Close()
 	waitTracked(MaxConns - 1)
-	cl, err := Dial(srv.Addr(), f, Options{DialTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatalf("dial after a slot freed: %v", err)
+	p.backends[0].probe.probeOnce()
+	if !p.Healthy()[0] {
+		t.Fatal("probe after a slot freed did not mark the backend up")
 	}
-	defer cl.Close()
-	if err := cl.Sync(); err != nil {
+	waitTracked(MaxConns - 1) // the probe's connection is gone
+	ship(t, p, keyN(1), 1)
+	if err := p.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if p.Acked() != 1 {
+		t.Fatalf("dial after a slot freed: acked %d, want 1 (%s)", p.Acked(), p.StatsLine())
 	}
 	if got := srv.Rejected(); got != 1 {
 		t.Fatalf("Rejected() = %d after an admitted dial, want 1", got)

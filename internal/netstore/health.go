@@ -11,21 +11,14 @@ import (
 )
 
 // Health probing for the backing pool: every backend gets a prober
-// goroutine that periodically dials, handshakes, and closes. Probe
-// failures mark the backend down (its keyspace slice reroutes to the
-// surviving backends within one probe interval); probe successes mark
-// it back up, at which point its slice routes home again. The shipper
-// additionally marks a backend down the moment its circuit breaker
-// opens, so the datapath usually fails over faster than the prober.
-const (
-	DefaultProbeInterval = 500 * time.Millisecond
-	// DefaultDownAfter / DefaultUpAfter are the consecutive
-	// probe-failure / -success counts that flip the health state. 1 and
-	// 1 favor fast failover and fast rejoin over flap damping; raise
-	// UpAfter on lossy networks.
-	DefaultDownAfter = 1
-	DefaultUpAfter   = 1
-)
+// goroutine that periodically dials, handshakes, and closes. The
+// backend's health bit is the one answer to "may this backend be
+// dialed?": routing skips a down backend (its keyspace slice reroutes
+// to the survivors), and its clients refuse every operation without
+// I/O. A failed probe or a failed client dial marks it down; only a
+// successful probe marks it up, at which point its slice routes home and
+// the next chunk redials.
+const DefaultProbeInterval = 500 * time.Millisecond
 
 // HealthState is one backend's view from the prober.
 type HealthState struct {
@@ -36,8 +29,10 @@ type HealthState struct {
 	LastError string
 }
 
-// backendHealth tracks one backend's probe-driven health. healthy is
-// read on every eviction route, so it is a bare atomic.
+// backendHealth is one backend's health bit and its history. healthy is
+// read on every eviction route and every client operation, so it is a
+// bare atomic; the prober writes it, and the backend's clients mark it
+// down.
 type backendHealth struct {
 	addr    string
 	healthy atomic.Bool
@@ -47,15 +42,8 @@ type backendHealth struct {
 	ups      atomic.Uint64 // down→up transitions
 	downs    atomic.Uint64 // up→down transitions
 
-	mu        sync.Mutex
-	lastErr   error
-	consecBad int
-	consecOK  int
-
-	// onUp fires on every down→up transition (the pool uses it to clear
-	// the shipper client's breaker so the rejoining backend takes
-	// traffic immediately instead of after a cooldown).
-	onUp func()
+	mu      sync.Mutex
+	lastErr error
 
 	// journal, when non-nil, receives health transition events (up/down/
 	// markdown, msg = backend address). Nil-safe to append to.
@@ -78,43 +66,28 @@ func (h *backendHealth) state() HealthState {
 	}
 }
 
-// markDown forces the backend unhealthy immediately (shipper fault
-// path); the prober brings it back.
+// markDown marks the backend down after a client's failed dial or
+// handshake; the prober brings it back.
 func (h *backendHealth) markDown() {
 	if h.healthy.Swap(false) {
-		h.downs.Add(1)
-		h.journal.Append(obs.EvMarkdown, int64(h.downs.Load()), 0, h.addr)
+		h.journal.Append(obs.EvMarkdown, int64(h.downs.Add(1)), 0, h.addr)
 	}
 }
 
-// observe folds one probe result into the up/down state machine.
-func (h *backendHealth) observe(err error, downAfter, upAfter int) {
+// observe applies one probe result: a failure marks the backend down, a
+// success marks it up.
+func (h *backendHealth) observe(err error) {
 	h.probes.Add(1)
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.lastErr = err
+	h.mu.Unlock()
 	if err != nil {
 		h.failures.Add(1)
-		h.consecOK = 0
-		h.consecBad++
-		if h.consecBad >= downAfter {
-			if h.healthy.Swap(false) {
-				h.downs.Add(1)
-				h.journal.Append(obs.EvHealthDown, int64(h.consecBad), 0, h.addr)
-			}
+		if h.healthy.Swap(false) {
+			h.journal.Append(obs.EvHealthDown, int64(h.downs.Add(1)), 0, h.addr)
 		}
-		return
-	}
-	h.consecBad = 0
-	h.consecOK++
-	if h.consecOK >= upAfter {
-		if !h.healthy.Swap(true) {
-			h.ups.Add(1)
-			h.journal.Append(obs.EvHealthUp, int64(h.consecOK), 0, h.addr)
-			if h.onUp != nil {
-				h.onUp()
-			}
-		}
+	} else if !h.healthy.Swap(true) {
+		h.journal.Append(obs.EvHealthUp, int64(h.ups.Add(1)), 0, h.addr)
 	}
 }
 
@@ -144,14 +117,10 @@ func probeBackend(dialer func(string, time.Duration) (net.Conn, error), addr str
 
 // prober drives one backend's health checks until stop is closed.
 type prober struct {
-	h         *backendHealth
-	m         int
-	prog      int
-	interval  time.Duration
-	timeout   time.Duration
-	downAfter int
-	upAfter   int
-	dialer    func(string, time.Duration) (net.Conn, error)
+	h        *backendHealth
+	m        int
+	opts     Options // Timeout, Dialer and Program, defaults applied
+	interval time.Duration
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -168,7 +137,7 @@ func (p *prober) start() {
 			case <-p.stop:
 				return
 			case <-t.C:
-				p.h.observe(probeBackend(p.dialer, p.h.addr, p.m, p.prog, p.timeout), p.downAfter, p.upAfter)
+				p.probeOnce()
 			}
 		}
 	}()
@@ -177,7 +146,7 @@ func (p *prober) start() {
 // probeOnce runs one synchronous probe (pool startup, so initial health
 // reflects reality before the first eviction routes).
 func (p *prober) probeOnce() {
-	p.h.observe(probeBackend(p.dialer, p.h.addr, p.m, p.prog, p.timeout), p.downAfter, p.upAfter)
+	p.h.observe(probeBackend(p.opts.Dialer, p.h.addr, p.m, p.opts.Program, p.opts.Timeout))
 }
 
 func (p *prober) close() {

@@ -24,11 +24,8 @@ func (p *Pool) Register(reg *obs.Registry, labels string) {
 			"Evictions queued for this backend's shipper", bl,
 			func() float64 { _, _, queued := b.ship.q.counts(); return float64(queued) })
 		reg.Gauge("perfq_pool_backend_healthy",
-			"1 when the prober considers the backend healthy", bl,
+			"1 while the backend is up (may be dialed), 0 while marked down", bl,
 			func() float64 { return b2f(b.health.healthy.Load()) })
-		reg.Gauge("perfq_pool_breaker_open",
-			"1 while the backend's circuit breaker is open", bl,
-			func() float64 { return b2f(b.ship.cl.BreakerOpen()) })
 		reg.Counter("perfq_pool_offered_total",
 			"Evictions handed to this backend's shipper", bl,
 			func() uint64 { offered, _, _ := b.ship.q.counts(); return offered })
@@ -39,10 +36,10 @@ func (p *Pool) Register(reg *obs.Registry, labels string) {
 			"Evictions a sync barrier confirmed applied", bl,
 			b.ship.cl.Acked)
 		reg.Counter("perfq_pool_dropped_total",
-			"Evictions dropped for this backend (overflow + breaker + lost)", bl,
+			"Evictions dropped for this backend (overflow + refused + lost)", bl,
 			func() uint64 { return b.ship.Stats().Dropped })
 		reg.Counter("perfq_pool_faults_total",
-			"Failed ships and failed sync barriers", bl,
+			"Refused or failed ships and failed sync barriers", bl,
 			b.ship.faults.Load)
 		reg.Counter("perfq_pool_health_ups_total",
 			"Down-to-up health transitions", bl, b.health.ups.Load)

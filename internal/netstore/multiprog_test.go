@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"perfq/internal/fold"
-	"perfq/internal/kvstore"
 )
 
 // TestObsServerMultiProgram pins the program-aware HELLO: one server
@@ -24,31 +23,20 @@ func TestObsServerMultiProgram(t *testing.T) {
 	}
 
 	// Legacy handshake binds program 0.
-	cl0, err := Dial(srv.Addr(), f0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl0.Close()
+	p0 := onePool(t, srv.Addr(), f0, PoolConfig{})
 	// Extended handshake binds program 1.
-	cl1, err := Dial(srv.Addr(), f1, Options{Program: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl1.Close()
+	p1 := onePool(t, srv.Addr(), f1, PoolConfig{Client: Options{Program: 1}})
 
-	ev0 := kvstore.Eviction{Key: keyN(1), State: []float64{3}}
-	if err := cl0.HandleEviction(&ev0); err != nil {
+	ship(t, p0, keyN(1), 3)
+	ship(t, p1, keyN(2), 7)
+	if err := p0.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	ev1 := kvstore.Eviction{Key: keyN(2), State: []float64{7}}
-	if err := cl1.HandleEviction(&ev1); err != nil {
+	if err := p1.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl0.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl1.Sync(); err != nil {
-		t.Fatal(err)
+	if p0.Acked() != 1 || p1.Acked() != 1 {
+		t.Fatalf("acked %d and %d, want 1 and 1", p0.Acked(), p1.Acked())
 	}
 
 	if n := srv.StoreFor(0).Len(); n != 1 {
@@ -77,8 +65,9 @@ func TestObsServerRejectsUnknownProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := Dial(srv.Addr(), f, Options{Program: 3}); err == nil {
-		t.Fatal("dial with program 3 against a one-program server succeeded")
+	p := onePool(t, srv.Addr(), f, PoolConfig{Client: Options{Program: 3}})
+	if p.Healthy()[0] {
+		t.Fatal("handshake with program 3 against a one-program server succeeded")
 	}
 }
 
@@ -102,11 +91,11 @@ func TestObsProbeProgramAware(t *testing.T) {
 	}
 	defer srv.Close()
 	dialer := Options{}.withDefaults().Dialer
-	if err := probeBackend(dialer, srv.Addr(), f1.StateLen(), 1, DefaultIOTimeout); err != nil {
+	if err := probeBackend(dialer, srv.Addr(), f1.StateLen(), 1, DefaultTimeout); err != nil {
 		t.Fatalf("program-1 probe failed: %v", err)
 	}
 	// The same width against program 0 must be refused (width mismatch).
-	if err := probeBackend(dialer, srv.Addr(), f1.StateLen(), 0, DefaultIOTimeout); err == nil {
+	if err := probeBackend(dialer, srv.Addr(), f1.StateLen(), 0, DefaultTimeout); err == nil {
 		t.Fatal("width-2 probe against the width-1 program succeeded")
 	}
 }

@@ -24,26 +24,54 @@ func keyN(n int) packet.Key128 {
 	}.Pack()
 }
 
-func startServer(t *testing.T, f *fold.Func) (*Server, *Client) {
+// startServer starts a server for f and a one-backend pool over it —
+// the client production uses — with a queue deep enough that no test
+// stream overflows it.
+func startServer(t *testing.T, f *fold.Func) (*Server, *Pool) {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(srv.Addr(), f)
+	return srv, onePool(t, srv.Addr(), f, PoolConfig{QueueDepth: 1 << 16})
+}
+
+// onePool dials a pool over the one backend addr, closed at cleanup.
+func onePool(t *testing.T, addr string, f *fold.Func, cfg PoolConfig) *Pool {
+	t.Helper()
+	p, err := DialPool([]string{addr}, f, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
-	return srv, cl
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// ship offers one eviction to the pool; the pool's only error is an
+// encoding bug.
+func ship(t *testing.T, p *Pool, key packet.Key128, state ...float64) {
+	t.Helper()
+	if err := p.HandleEviction(&kvstore.Eviction{Key: key, State: state}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serverStats reads the one backend's store counters through the pool.
+func serverStats(t *testing.T, p *Pool) Stats {
+	t.Helper()
+	st := p.Stats()[0]
+	if !st.Reachable {
+		t.Fatalf("backend %s unreachable for stats", st.Addr)
+	}
+	return st.Server
 }
 
 // TestRemoteMergeMatchesLocal drives the same eviction stream into a local
 // backing store and a remote one; results must agree exactly.
 func TestRemoteMergeMatchesLocal(t *testing.T) {
 	f := fold.Ewma(lat(), 0.25)
-	srv, cl := startServer(t, f)
+	srv, p := startServer(t, f)
 
 	// Build evictions through a real cache so P and first-record payloads
 	// are genuine.
@@ -54,7 +82,7 @@ func TestRemoteMergeMatchesLocal(t *testing.T) {
 		Fold:       f,
 		ExactMerge: true,
 		OnEvict: func(ev *kvstore.Eviction) {
-			if err := cl.HandleEviction(ev); err != nil {
+			if err := p.HandleEviction(ev); err != nil {
 				t.Fatalf("remote eviction: %v", err)
 			}
 		},
@@ -77,12 +105,15 @@ func TestRemoteMergeMatchesLocal(t *testing.T) {
 		cache.Process(k, &fold.Input{Rec: rec})
 	}
 	cache.Flush()
-	if err := cl.Sync(); err != nil {
+	if err := p.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if d := p.DroppedEvictions(); d != 0 {
+		t.Fatalf("dropped %d evictions on a healthy backend", d)
 	}
 
 	for k, want := range truth {
-		state, found, invalid, err := cl.Get(k)
+		state, found, invalid, err := p.Get(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,10 +126,7 @@ func TestRemoteMergeMatchesLocal(t *testing.T) {
 	}
 	_ = local
 
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := serverStats(t, p)
 	if st.Keys != uint64(len(truth)) {
 		t.Errorf("server keys = %d, want %d", st.Keys, len(truth))
 	}
@@ -116,30 +144,27 @@ func TestGetAbsentAndInvalid(t *testing.T) {
 		Name: "last", NumState: 1,
 		Body: []fold.Stmt{fold.Assign{Dst: 0, RHS: fold.FieldRef(trace.FieldPktLen)}},
 	}}
-	_, cl := startServer(t, f)
+	_, p := startServer(t, f)
 
-	if _, found, invalid, err := cl.Get(keyN(1)); err != nil || found || invalid {
+	if _, found, invalid, err := p.Get(keyN(1)); err != nil || found || invalid {
 		t.Fatalf("absent key: %v %v %v", found, invalid, err)
 	}
-	ev := &kvstore.Eviction{Key: keyN(1), State: []float64{42}}
-	if err := cl.HandleEviction(ev); err != nil {
+	ship(t, p, keyN(1), 42)
+	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if state, found, _, _ := cl.Get(keyN(1)); !found || state[0] != 42 {
+	if state, found, _, _ := p.Get(keyN(1)); !found || state[0] != 42 {
 		t.Fatalf("single epoch: %v %v", state, found)
 	}
 	// Second epoch invalidates.
-	cl.HandleEviction(&kvstore.Eviction{Key: keyN(1), State: []float64{43}})
-	if err := cl.Sync(); err != nil {
+	ship(t, p, keyN(1), 43)
+	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, invalid, _ := cl.Get(keyN(1)); found || !invalid {
+	if _, found, invalid, _ := p.Get(keyN(1)); found || !invalid {
 		t.Fatalf("multi-epoch key: found=%v invalid=%v", found, invalid)
 	}
-	st, _ := cl.Stats()
+	st := serverStats(t, p)
 	if st.Valid != 0 || st.Total != 1 {
 		t.Errorf("accuracy stats: %d/%d", st.Valid, st.Total)
 	}
@@ -147,15 +172,15 @@ func TestGetAbsentAndInvalid(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	f := fold.Count()
-	_, cl := startServer(t, f)
-	cl.HandleEviction(&kvstore.Eviction{Key: keyN(1), State: []float64{1}})
-	if err := cl.Sync(); err != nil {
+	_, p := startServer(t, f)
+	ship(t, p, keyN(1), 1)
+	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Reset(); err != nil {
+	if err := p.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := cl.Stats()
+	st := serverStats(t, p)
 	if st.Keys != 0 {
 		t.Errorf("keys after reset = %d", st.Keys)
 	}
@@ -167,8 +192,8 @@ func TestHandshakeRejectsWrongStateLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	_, err = Dial(srv.Addr(), fold.Avg(lat())) // m = 2
-	if err == nil {
+	p := onePool(t, srv.Addr(), fold.Avg(lat()), PoolConfig{}) // m = 2
+	if p.Healthy()[0] {
 		t.Fatal("mismatched state length accepted")
 	}
 }
@@ -205,35 +230,53 @@ func TestMalformedFramesClose(t *testing.T) {
 	}
 }
 
+// TestClientReconnect: a connection killed under the shipper costs
+// what was in flight on it, and the next chunk redials on its own — an
+// I/O error against a live peer is not a markdown.
 func TestClientReconnect(t *testing.T) {
 	f := fold.Count()
-	srv, cl := startServer(t, f)
-	cl.HandleEviction(&kvstore.Eviction{Key: keyN(1), State: []float64{1}})
-	if err := cl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the connection under the client.
-	cl.conn.Close()
-	// Next eviction triggers reconnect (possibly after one failed write).
-	var lastErr error
-	for i := 0; i < 3; i++ {
-		lastErr = cl.HandleEviction(&kvstore.Eviction{Key: keyN(2), State: []float64{1}})
-		if lastErr == nil {
-			break
-		}
-	}
-	if lastErr != nil {
-		t.Fatalf("reconnect failed: %v", lastErr)
-	}
-	if err := cl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.Stats()
+	srv, err := NewServer("127.0.0.1:0", f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Keys < 1 {
-		t.Errorf("server lost all state: %+v", st)
+	t.Cleanup(func() { srv.Close() })
+	// No periodic probe: a probe cut by the kill below would mark the
+	// backend down.
+	p := onePool(t, srv.Addr(), f, PoolConfig{ProbeInterval: time.Hour})
+	ship(t, p, keyN(1), 1)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	_ = srv
+	// Kill the connection under the client, from the server's side.
+	srv.connMu.Lock()
+	for conn := range srv.conns {
+		conn.Close()
+	}
+	srv.connMu.Unlock()
+	// The next chunk lands on the dead connection (lost) or fails its
+	// write; the one after it reconnects.
+	ship(t, p, keyN(2), 1)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ship(t, p, keyN(3), 1)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Healthy()[0] {
+		t.Fatal("a connection reset against a live peer marked the backend down")
+	}
+	st := p.Stats()[0]
+	if st.Reconnects < 2 {
+		t.Fatalf("reconnects = %d, want ≥ 2", st.Reconnects)
+	}
+	if st.Acked+st.Dropped != 3 {
+		t.Fatalf("books: acked %d + dropped %d != 3", st.Acked, st.Dropped)
+	}
+	if state, found, _, err := p.Get(keyN(3)); err != nil || !found || state[0] != 1 {
+		t.Fatalf("key after reconnect: %v found=%v err=%v", state, found, err)
+	}
+	if st.Server.Keys < 2 {
+		t.Errorf("server lost all state: %+v", st.Server)
+	}
 }

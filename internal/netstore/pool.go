@@ -38,7 +38,6 @@ import (
 // one datapath goroutine per switch); producers meet only at the owning
 // backend's queue lock.
 type Pool struct {
-	f   *fold.Func
 	m   int
 	cfg PoolConfig
 
@@ -48,11 +47,14 @@ type Pool struct {
 	getState []float64
 
 	noBackend atomic.Uint64 // evictions dropped because no backend was healthy
+
+	closeOnce sync.Once
 }
 
-// poolBackend is one backend: its routing salt, health, shipper (data
-// plane) and a lazily-dialed control client (get/stats/reset plane,
-// kept separate so control ops never race the shipper goroutine).
+// poolBackend is one backend: its routing salt, health bit, shipper
+// (data plane), control client (get/stats/reset plane, kept separate so
+// control ops never race the shipper goroutine) and prober. Both
+// clients share the health bit.
 type poolBackend struct {
 	addr   string
 	salt   uint64
@@ -66,8 +68,8 @@ type poolBackend struct {
 
 // PoolConfig configures the pool; the zero value selects all defaults.
 type PoolConfig struct {
-	// Client configures the hardened per-connection layer of every
-	// backend client (shipper and control planes alike).
+	// Client configures every connection of every backend (shipper,
+	// control plane and prober alike).
 	Client Options
 	// QueueDepth bounds each backend's async eviction queue (drop-oldest
 	// on overflow). 0 selects DefaultQueueDepth.
@@ -75,23 +77,20 @@ type PoolConfig struct {
 	// SyncBatch is the shipper's frames per chunk, and so per sync
 	// marker. 0 selects DefaultSyncBatch.
 	SyncBatch int
-	// ProbeInterval is the health-check period; a dead backend is routed
-	// around within one interval (sooner if its breaker opens first).
-	// 0 selects DefaultProbeInterval.
+	// ProbeInterval is the health-check period: a down backend is
+	// dialed by its prober once per interval and by nothing else, and
+	// rejoins within one interval of coming back. 0 selects
+	// DefaultProbeInterval.
 	ProbeInterval time.Duration
-	// DownAfter / UpAfter are consecutive probe failures/successes that
-	// flip a backend's health. 0 selects the defaults (1 and 1).
-	DownAfter, UpAfter int
 	// DrainTimeout bounds Sync's wait for every backend's barrier.
 	// 0 selects 5s.
 	DrainTimeout time.Duration
 	// SkipInitialProbe skips the synchronous startup probe (tests that
 	// want to observe the first probe flip health).
 	SkipInitialProbe bool
-	// Journal, when non-nil, receives control-plane events from the
-	// pool's data plane: breaker transitions, health up/down, markdowns,
-	// queue overflows (msg = backend address). Control-plane clients
-	// (get/stats/reset) are not journaled.
+	// Journal, when non-nil, receives the pool's control-plane events:
+	// health up/down, markdowns and queue overflows (msg = backend
+	// address).
 	Journal *obs.Journal
 }
 
@@ -105,58 +104,46 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = DefaultProbeInterval
 	}
-	if c.DownAfter == 0 {
-		c.DownAfter = DefaultDownAfter
-	}
-	if c.UpAfter == 0 {
-		c.UpAfter = DefaultUpAfter
-	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
+	c.Client = c.Client.withDefaults()
 	return c
 }
 
 // DialPool builds a pool over the given backend addresses for one
 // fold. Backends that are down at start are simply marked unhealthy
-// (the pool keeps probing); only an empty address list errors.
+// (the pool keeps probing); an empty address list or an address named
+// twice errors.
 func DialPool(addrs []string, f *fold.Func, cfg PoolConfig) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("netstore: pool needs at least one backend address")
 	}
-	cfg = cfg.withDefaults()
-	p := &Pool{f: f, m: f.StateLen(), cfg: cfg}
-	for i, addr := range addrs {
-		opts := cfg.Client
-		if opts.Seed == 0 {
-			opts.Seed = int64(i) + 1
+	seen := make(map[string]bool, len(addrs))
+	for _, addr := range addrs {
+		if seen[addr] {
+			return nil, fmt.Errorf("netstore: backend %s named twice", addr)
 		}
-		opts = opts.withDefaults()
-		cl := NewClient(addr, f, opts)
-		cl.journal = cfg.Journal
-		b := &poolBackend{
+		seen[addr] = true
+	}
+	cfg = cfg.withDefaults()
+	opts := cfg.Client
+	p := &Pool{m: f.StateLen(), cfg: cfg}
+	for _, addr := range addrs {
+		h := &backendHealth{addr: addr, journal: cfg.Journal}
+		h.healthy.Store(true) // optimistic until the first probe
+		p.backends = append(p.backends, &poolBackend{
 			addr:   addr,
 			salt:   backendSalt(addr),
-			health: &backendHealth{addr: addr, journal: cfg.Journal},
-		}
-		b.health.healthy.Store(true) // optimistic until the first probe
-		b.health.onUp = cl.NoteReachable
-		// A tripped breaker means K consecutive failures: mark the backend
-		// down right then instead of waiting for the prober to notice.
-		b.ship = NewShipper(addr, cl, cfg.QueueDepth, cfg.SyncBatch, func() {
-			if cl.BreakerOpen() {
-				b.health.markDown()
-			}
+			health: h,
+			ship:   newShipper(newClient(h, f, opts), cfg.QueueDepth, cfg.SyncBatch),
+			ctl:    newClient(h, f, opts),
+			probe: &prober{
+				h: h, m: p.m, opts: opts,
+				interval: cfg.ProbeInterval,
+				stop:     make(chan struct{}),
+			},
 		})
-		b.ship.journal = cfg.Journal
-		b.probe = &prober{
-			h: b.health, m: p.m, prog: opts.Program,
-			interval: cfg.ProbeInterval, timeout: opts.DialTimeout,
-			downAfter: cfg.DownAfter, upAfter: cfg.UpAfter,
-			dialer: opts.Dialer,
-			stop:   make(chan struct{}),
-		}
-		p.backends = append(p.backends, b)
 	}
 	// Synchronous first probe so initial routing reflects reality, then
 	// periodic probing.
@@ -306,18 +293,10 @@ func (p *Pool) Get(key packet.Key128) (state []float64, found, invalid bool, err
 	return nil, false, false, nil
 }
 
-// ctl returns the backend's control client, dialing lazily.
-func (b *poolBackend) control(f *fold.Func, opts Options) *Client {
-	if b.ctl == nil {
-		b.ctl = NewClient(b.addr, f, opts)
-	}
-	return b.ctl
-}
-
 func (p *Pool) ctlGet(b *poolBackend, key packet.Key128) ([]float64, bool, bool, error) {
 	b.ctlMu.Lock()
 	defer b.ctlMu.Unlock()
-	return b.control(p.f, p.cfg.Client.withDefaults()).Get(key)
+	return b.ctl.Get(key)
 }
 
 // BackendStats is one backend's full accounting: client-side shipping
@@ -332,8 +311,8 @@ type BackendStats struct {
 }
 
 // Stats snapshots every backend. Server-side counters are fetched over
-// the control plane with the configured deadlines; a dead backend
-// reports Reachable=false rather than blocking.
+// the control plane with the configured deadline; a down backend
+// reports Reachable=false without being dialed.
 func (p *Pool) Stats() []BackendStats {
 	out := make([]BackendStats, len(p.backends))
 	for i, b := range p.backends {
@@ -342,7 +321,7 @@ func (p *Pool) Stats() []BackendStats {
 			Health:       b.health.state(),
 		}
 		b.ctlMu.Lock()
-		if st, err := b.control(p.f, p.cfg.Client.withDefaults()).Stats(); err == nil {
+		if st, err := b.ctl.Stats(); err == nil {
 			out[i].Server = st
 			out[i].Reachable = true
 		}
@@ -353,8 +332,9 @@ func (p *Pool) Stats() []BackendStats {
 
 // DroppedEvictions is the pool's headline degradation stat: every
 // eviction offered to HandleEviction that will never be applied by any
-// backend — queue overflow, breaker/backoff refusals, frames lost on a
-// dead connection, and evictions with no healthy backend to route to.
+// backend — queue overflow, chunks refused by a down backend, frames
+// lost on a dead connection, and evictions with no healthy backend to
+// route to.
 func (p *Pool) DroppedEvictions() uint64 {
 	total := p.noBackend.Load()
 	for _, b := range p.backends {
@@ -411,13 +391,13 @@ func (p *Pool) Addrs() []string {
 	return out
 }
 
-// Reset drops all keys on every reachable backend (best effort; a dead
-// backend is skipped with its error reported).
+// Reset drops all keys on every reachable backend (best effort; a down
+// backend is named in the error without being dialed).
 func (p *Pool) Reset() error {
 	var errs []error
 	for _, b := range p.backends {
 		b.ctlMu.Lock()
-		if err := b.control(p.f, p.cfg.Client.withDefaults()).Reset(); err != nil {
+		if err := b.ctl.Reset(); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", b.addr, err))
 		}
 		b.ctlMu.Unlock()
@@ -426,22 +406,22 @@ func (p *Pool) Reset() error {
 }
 
 // Close stops probing, ships and settles what every shipper has queued,
-// stops them, and closes all connections.
+// stops them, and closes all connections. A second Close returns nil.
 func (p *Pool) Close() error {
 	var errs []error
-	for _, b := range p.backends {
-		b.probe.close()
-	}
-	for _, b := range p.backends {
-		if err := b.ship.Close(); err != nil {
-			errs = append(errs, err)
+	p.closeOnce.Do(func() {
+		for _, b := range p.backends {
+			b.probe.close()
 		}
-		b.ctlMu.Lock()
-		if b.ctl != nil {
+		for _, b := range p.backends {
+			if err := b.ship.Close(); err != nil {
+				errs = append(errs, err)
+			}
+			b.ctlMu.Lock()
 			b.ctl.Close()
+			b.ctlMu.Unlock()
 		}
-		b.ctlMu.Unlock()
-	}
+	})
 	return errors.Join(errs...)
 }
 
@@ -456,8 +436,8 @@ func (p *Pool) StatsLine() string {
 		if !b.health.healthy.Load() {
 			h = "DOWN"
 		}
-		fmt.Fprintf(&sb, " | %s %s shipped=%d acked=%d dropped=%d(q%d/b%d/l%d) queued=%d",
-			b.addr, h, st.Shipped, st.Acked, st.Dropped, st.Overflow, st.Breaker, st.Lost, st.Queued)
+		fmt.Fprintf(&sb, " | %s %s shipped=%d acked=%d dropped=%d(q%d/r%d/l%d) queued=%d",
+			b.addr, h, st.Shipped, st.Acked, st.Dropped, st.Overflow, st.Refused, st.Lost, st.Queued)
 	}
 	return sb.String()
 }

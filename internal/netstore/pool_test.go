@@ -21,7 +21,6 @@ func offlinePool(t *testing.T, n int) *Pool {
 	p, err := DialPool(addrs, fold.Count(), PoolConfig{
 		SkipInitialProbe: true,
 		ProbeInterval:    time.Hour, // effectively never
-		Client:           Options{BackoffMin: time.Hour, BreakerTrip: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,17 +175,18 @@ func TestPoolSplitEpochInvalid(t *testing.T) {
 	f := fold.Count()
 	key := keyN(42)
 	for _, srv := range srvs {
-		cl, err := Dial(srv.Addr(), f)
+		one, err := DialPool([]string{srv.Addr()}, f, PoolConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.HandleEviction(&kvstore.Eviction{Key: key, State: []float64{1}}); err != nil {
+		ship(t, one, key, 1)
+		if err := one.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Sync(); err != nil {
-			t.Fatal(err)
+		if one.Acked() != 1 {
+			t.Fatalf("%s acked %d, want 1", srv.Addr(), one.Acked())
 		}
-		cl.Close()
+		one.Close()
 	}
 	_, found, invalid, err := p.Get(key)
 	if err != nil {
@@ -221,5 +221,31 @@ func TestPoolStatsLine(t *testing.T) {
 		if !bs.Reachable || !bs.Health.Healthy {
 			t.Fatalf("backend %s: reachable=%v healthy=%v", bs.Addr, bs.Reachable, bs.Health.Healthy)
 		}
+	}
+}
+
+// TestPoolRejectsDuplicateAddr: a backend named twice would be two
+// routing entries for one store — Get would fan out to both and read
+// every key back invalid — so DialPool refuses it, naming the address.
+func TestPoolRejectsDuplicateAddr(t *testing.T) {
+	srvs, _ := livePool(t, 1, PoolConfig{})
+	a := srvs[0].Addr()
+	if p, err := DialPool([]string{a, a}, fold.Count(), PoolConfig{}); err == nil {
+		p.Close()
+		t.Fatalf("DialPool accepted %s twice", a)
+	} else if !strings.Contains(err.Error(), a) {
+		t.Fatalf("error %q does not name %s", err, a)
+	}
+}
+
+// TestPoolCloseTwice: Close is idempotent — the second call returns
+// nil instead of closing the probers' stop channels again.
+func TestPoolCloseTwice(t *testing.T) {
+	_, p := livePool(t, 2, PoolConfig{})
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // shipper goroutine (consumer) that owns the backend's data connection.
 // The datapath side never blocks and never touches the network — an
 // offer is an encode into the backend's open chunk under a short lock;
-// all dialing, deadlines, backoff and breaker handling happen on the
-// shipper goroutine.
+// all dialing and deadlines happen on the shipper goroutine, and while
+// the backend is marked down the shipper drops what reaches it.
 //
 // The unit that crosses every boundary is the chunk: a run of whole wire
 // frames in one buffer. Producers encode straight into the open chunk
@@ -253,44 +253,32 @@ type ShipperStats struct {
 	Offered  uint64 // evictions handed to this shipper
 	Acked    uint64 // confirmed applied by a sync barrier
 	Shipped  uint64 // frames written to a connection
-	Dropped  uint64 // total not delivered = Overflow + Breaker + Lost
+	Dropped  uint64 // total not delivered = Overflow + Refused + Lost
 	Overflow uint64 // dropped with the oldest chunk on queue overflow
-	Breaker  uint64 // dropped because breaker/backoff refused the ship
+	Refused  uint64 // dropped unwritten: backend down, failed redial or closed shipper
 	Lost     uint64 // written to a connection that died before a sync
 
 	Queued     int // currently queued (not yet shipped)
 	Reconnects uint64
-	Open       bool // breaker currently open
 }
 
 // Shipper owns one backend's bounded async eviction path: the queue,
 // the goroutine, and the data-plane Client underneath.
 type Shipper struct {
-	addr string
-	cl   *Client
-	q    *chunkQueue
+	cl *Client
+	q  *chunkQueue
 
-	refused     atomic.Uint64 // evictions the breaker/backoff gates, or a closed queue, turned away
-	faults      atomic.Uint64 // failed ships + failed syncs
+	refused     atomic.Uint64 // evictions dropped unwritten (see ShipperStats.Refused)
+	faults      atomic.Uint64 // refused or failed ships + failed syncs
 	writeFrames obs.Hist      // eviction frames per socket write
-
-	// onFault, when set, is called on the shipper goroutine after a
-	// failed ship or sync (the pool uses it to mark the backend down
-	// without waiting for the next health probe). Fixed at construction —
-	// the goroutine reads it unsynchronized.
-	onFault func()
-
-	// journal, when non-nil, receives queue-overflow events (producer
-	// side only). Set by the pool before the shipper takes traffic.
-	journal *obs.Journal
 
 	wg sync.WaitGroup
 }
 
-// NewShipper builds and starts a shipper over its own client. depth and
-// batch of 0 select the defaults; onFault may be nil.
-func NewShipper(addr string, cl *Client, depth, batch int, onFault func()) *Shipper {
-	s := &Shipper{addr: addr, cl: cl, q: newChunkQueue(cl.f, depth, batch), onFault: onFault}
+// newShipper builds and starts a shipper over its own client. depth and
+// batch of 0 select the defaults.
+func newShipper(cl *Client, depth, batch int) *Shipper {
+	s := &Shipper{cl: cl, q: newChunkQueue(cl.f, depth, batch)}
 	s.wg.Add(1)
 	go s.run()
 	return s
@@ -309,7 +297,8 @@ func (s *Shipper) Offer(ev *kvstore.Eviction) bool {
 	}
 	if dropped > 0 {
 		_, _, depth := s.q.counts()
-		s.journal.Append(obs.EvQueueOverflow, int64(depth), int64(dropped), s.addr)
+		h := s.cl.health
+		h.journal.Append(obs.EvQueueOverflow, int64(depth), int64(dropped), h.addr)
 	}
 	return true
 }
@@ -328,14 +317,14 @@ func (s *Shipper) run() {
 		case w.frames > 0:
 			written, err := s.cl.shipChunk(w.buf, w.frames)
 			if !written {
-				// Backoff/breaker refusal: the chunk is dropped, never
-				// silently retried.
+				// Backend down or redial failed: the chunk is dropped,
+				// never silently retried.
 				s.refused.Add(uint64(w.frames))
 			} else {
 				s.writeFrames.Record(uint64(w.frames))
 			}
 			if err != nil {
-				s.fault()
+				s.faults.Add(1)
 			}
 			spare = w.buf
 		case w.done != nil:
@@ -355,7 +344,7 @@ func (s *Shipper) run() {
 // they are accounted afterwards.
 func (s *Shipper) readReply() {
 	if err := s.cl.readAck(); err != nil {
-		s.fault()
+		s.faults.Add(1)
 	}
 }
 
@@ -366,31 +355,23 @@ func (s *Shipper) settle() {
 	}
 }
 
-func (s *Shipper) fault() {
-	s.faults.Add(1)
-	if s.onFault != nil {
-		s.onFault()
-	}
-}
-
 // Stats snapshots the shipper's accounting. Offered is always equal to
 // Acked + Dropped + Queued + (at most maxMarkers chunks in flight, which
 // the next replies settle).
 func (s *Shipper) Stats() ShipperStats {
 	offered, overflow, queued := s.q.counts()
 	st := ShipperStats{
-		Addr:       s.addr,
+		Addr:       s.cl.health.addr,
 		Offered:    offered,
 		Acked:      s.cl.Acked(),
 		Shipped:    s.cl.Evictions(),
 		Overflow:   overflow,
-		Breaker:    s.refused.Load(),
+		Refused:    s.refused.Load(),
 		Lost:       s.cl.Lost(),
 		Queued:     queued,
 		Reconnects: s.cl.Reconnects(),
-		Open:       s.cl.BreakerOpen(),
 	}
-	st.Dropped = st.Overflow + st.Breaker + st.Lost
+	st.Dropped = st.Overflow + st.Refused + st.Lost
 	return st
 }
 

@@ -8,10 +8,10 @@ import (
 
 // The control-plane flight recorder: a bounded lock-striped journal of
 // structured events. Aggregate counters say *how much* degraded; the
-// journal says *in what order* — the breaker opened, then the pool
-// marked the backend down, then the queue overflowed, then the window
-// closed late. Appends happen only on control-plane edges (window
-// closes, barriers, health flips, breaker trips, queue overflow), so a
+// journal says *in what order* — a redial failed and the pool marked
+// the backend down, then the queue overflowed, then the window closed
+// late. Appends happen only on control-plane edges (window closes,
+// barriers, health flips, markdowns, queue overflow), so a
 // mutexed ring append is far below the noise floor; the sequence number
 // is allocated under the stripe lock so a reader that locks the stripes
 // can never observe a published event whose predecessors are missing —
@@ -25,9 +25,6 @@ const (
 	EvWindowClose EventKind = iota
 	EvWindowDrop
 	EvBarrier
-	EvBreakerOpen
-	EvBreakerHalfOpen
-	EvBreakerClose
 	EvHealthUp
 	EvHealthDown
 	EvMarkdown
@@ -38,7 +35,6 @@ const (
 
 var eventNames = [numEventKinds]string{
 	"window-close", "window-drop", "barrier",
-	"breaker-open", "breaker-half-open", "breaker-close",
 	"health-up", "health-down", "markdown", "queue-overflow",
 }
 

@@ -11,7 +11,7 @@ import (
 func TestJournalGapFree(t *testing.T) {
 	j := NewJournal(1 << 10)
 	const n = 100
-	kinds := []EventKind{EvWindowClose, EvBarrier, EvBreakerOpen, EvHealthDown, EvQueueOverflow}
+	kinds := []EventKind{EvWindowClose, EvBarrier, EvMarkdown, EvHealthDown, EvQueueOverflow}
 	for i := 0; i < n; i++ {
 		j.Append(kinds[i%len(kinds)], int64(i), int64(i*2), "site")
 	}

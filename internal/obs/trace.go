@@ -70,7 +70,7 @@ const (
 	OutcomeCapacity // evicted: displaced by an insertion
 	OutcomeFlush    // evicted: window close / forced flush
 	OutcomeQueued   // eviction enqueued to a shipper
-	OutcomeDropped  // eviction dropped (queue overflow or breaker)
+	OutcomeDropped  // eviction dropped (the shipper is closed)
 	OutcomeNoBackend
 )
 

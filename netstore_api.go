@@ -3,7 +3,6 @@ package perfq
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"perfq/internal/fold"
 	"perfq/internal/kvstore"
@@ -131,19 +130,17 @@ type BackingPool struct {
 }
 
 // BackingPoolConfig tunes the pool; the zero value selects defaults
-// (2s deadlines, 500ms probes, 1024-deep queues, breaker at 5).
+// (2s deadlines, 500ms probes, 1024-deep queues). A backend whose dial
+// fails is marked down at once and dialed only by its 500ms probe
+// until it answers again.
 type BackingPoolConfig struct {
-	// IOTimeout bounds every frame exchange with a backend (0 = 2s).
-	IOTimeout time.Duration
-	// ProbeInterval is the health-check period (0 = 500ms).
-	ProbeInterval time.Duration
 	// QueueDepth bounds each backend's async eviction queue; overflow
 	// drops the oldest queued eviction (0 = 1024).
 	QueueDepth int
 	// Metrics, when non-nil, attaches its flight recorder to the pool:
-	// breaker transitions, health flips, markdowns and queue overflows
-	// land in the journal served at /debug/events. (The metric families
-	// are registered separately, by WithMetrics at run time.)
+	// health flips, markdowns and queue overflows land in the journal
+	// served at /debug/events. (The metric families are registered
+	// separately, by WithMetrics at run time.)
 	Metrics *Metrics
 }
 
@@ -151,7 +148,7 @@ type BackingPoolConfig struct {
 // backend addresses. Program 0's connections use the legacy HELLO;
 // later programs bind their server-side stores with the extended
 // handshake. Backends that are down at dial time are routed around and
-// picked back up by probing.
+// picked back up by probing; an address listed twice is an error.
 func (q *Query) DialBackingPool(addrs []string, cfg BackingPoolConfig) (*BackingPool, error) {
 	if len(q.plan.Programs) == 0 {
 		return nil, fmt.Errorf("perfq: query has no switch-resident aggregation to back")
@@ -159,13 +156,8 @@ func (q *Query) DialBackingPool(addrs []string, cfg BackingPoolConfig) (*Backing
 	bp := &BackingPool{}
 	for i, prog := range q.plan.Programs {
 		pc := netstore.PoolConfig{
-			Client: netstore.Options{
-				IOTimeout:   cfg.IOTimeout,
-				DialTimeout: cfg.IOTimeout,
-				Program:     i,
-			},
-			ProbeInterval: cfg.ProbeInterval,
-			QueueDepth:    cfg.QueueDepth,
+			Client:     netstore.Options{Program: i},
+			QueueDepth: cfg.QueueDepth,
 		}
 		if cfg.Metrics != nil {
 			pc.Journal = cfg.Metrics.journal
@@ -204,10 +196,10 @@ func (p *BackingPool) Sync() error {
 }
 
 // DroppedEvictions is the pool's degradation stat: evictions that will
-// never reach any backend (queue overflow, dead-backend refusals,
-// frames lost on broken connections), summed across programs. Each one
-// is a missing epoch in the backing tier — the same accuracy semantics
-// as a cache overflow.
+// never reach any backend (queue overflow, chunks refused by a down
+// backend, frames lost on broken connections), summed across programs.
+// Each one is a missing epoch in the backing tier — the same accuracy
+// semantics as a cache overflow.
 func (p *BackingPool) DroppedEvictions() uint64 {
 	var total uint64
 	for _, pool := range p.pools {
@@ -254,7 +246,8 @@ func (p *BackingPool) StatsLine() string {
 	return line
 }
 
-// Close drains briefly and tears every program's pool down.
+// Close drains briefly and tears every program's pool down. A second
+// Close returns nil.
 func (p *BackingPool) Close() error {
 	var first error
 	for _, pool := range p.pools {

@@ -5,7 +5,10 @@
 #   - a `make <target>` (in backticks, at the start of a line, or after
 #     `run:`) the Makefile has no rule for,
 #   - a Benchmark…/Test… name that is not (a prefix of, as -run and -bench
-#     patterns are) a function `go test -list` prints for ./... .
+#     patterns are) a function `go test -list` prints for ./... ,
+#   - a backticked `pkg.Name` or `pkg.Type.Member` in README.md or
+#     DESIGN.md, where pkg is perfq or an internal/ package, that
+#     `go doc` cannot find in that package.
 # CHANGES.md, ROADMAP.md and the frozen benchmark/ tree are history and
 # are not read.
 set -euo pipefail
@@ -37,5 +40,24 @@ while IFS=: read -r file line name; do
 	grep -q -- "^$name" <<<"$funcs" ||
 		report "$file:$line" "$name, which go test -list ./... does not print"
 done < <(mentions '\b(Benchmark|Test)[A-Z][A-Za-z0-9_]*')
+
+declare -A found # pkg.Name -> 0 (declared) or 1, one go doc per name
+while IFS=: read -r file line ref; do
+	ref=${ref#\`}
+	pkg=${ref%%.*}
+	if [[ $pkg == perfq ]]; then
+		path=perfq
+	elif [[ -d internal/$pkg ]]; then
+		path=perfq/internal/$pkg
+	else
+		continue # a variable, or a package from outside the module
+	fi
+	if [[ -z ${found[$ref]:-} ]]; then
+		found[$ref]=0
+		go doc -u "$path" "${ref#*.}" >/dev/null 2>&1 || found[$ref]=1
+	fi
+	[[ ${found[$ref]} == 0 ]] ||
+		report "$file:$line" "\`$ref\`, which $path does not declare"
+done < <(grep -noE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?' README.md DESIGN.md || true)
 
 exit $bad
