@@ -29,9 +29,10 @@ test: build
 	$(GO) test ./...
 
 # The partitioned datapath's and the windowed runtime's concurrency
-# contracts under the race detector (the fabric equivalence suite runs
-# one worker goroutine per shard of every switch behind one feeder; the
-# windowed suite barriers that one pool at every epoch boundary; the
+# contracts under the race detector (the whole-system differential and
+# its Figure 2 pins run one worker goroutine per shard of every switch
+# behind one feeder, barrier that one pool at every epoch boundary, and
+# ship evictions to a live backing pool; the
 # Workers tests drive the SPSC ring transport directly, wrap-around and
 # sentinel slots included, and check every column of slots a worker reads
 # in place while the feeder fills the next; the Chaos/Pool suites exercise the backing
@@ -41,16 +42,16 @@ test: build
 # datapath is feeding, racing the registry's readers against every mirror
 # write; the Trace/Journal suites hammer the span rings and the flight
 # recorder from concurrent writers and scrape /debug/trace +
-# /debug/events mid-run; the Source suite runs every source shape through
-# the pool, and checks a failing source leaves no worker behind;
-# ProcessInline interleaves Process with Feed on a live worker pool; every
+# /debug/events mid-run; the Source suite checks a failing source leaves
+# no worker behind; ProcessInline mixes Process with Feed on a live
+# worker pool; every
 # netstore test runs too, since a backend's health bit is written by its
 # prober and by its shipper and control clients). The
 # suites force GOMAXPROCS >= 4 internally so the parallel paths run even
 # on a single-core host. -short skips the longest stall-injection cases;
 # run without it before a release.
 race:
-	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal|TestSource|TestProcessInline|TestEvictionTotals' ./...
+	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal|TestSource|TestProcessInline|TestEvictionTotals|TestSystem' ./...
 	$(GO) test -race -short ./internal/netstore
 
 # Non-test Go lines per internal package and for the root package, then

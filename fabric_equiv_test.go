@@ -1,26 +1,16 @@
 package perfq
 
-// Network-wide fabric equivalence suite: a WithFabric(topo) run — one
-// cache + backing-store datapath per switch, reconciled by the collector
-// — is validated on three axes over a LeafSpine(4,2,8) trace:
-//
-//  1. Against the fabric ground truth (unbounded memory per switch, same
-//     collector): bit-identical at zero eviction churn for every Figure 2
-//     query, and still bit-identical under churn for linear folds with
-//     integer coefficient matrices; decay folds (EWMA) carry the same
-//     last-bit rounding caveat as the shard suite.
-//  2. Against the single-datapath (global) ground truth: queries whose
-//     switch-resident stages all reconcile exactly — key includes the
-//     switch, or the fold is commutative/associative — must be
-//     bit-identical to a run that never partitioned by switch at all.
-//  3. Loss localization: with shallow buffers and an incast burst, the
-//     network-wide per-queue drop table must name the receiver's leaf
-//     downlink as the congested queue (the acceptance scenario of the
-//     losslocalize example).
+// The fabric. WithFabric(topo) runs — one cache + backing-store datapath
+// per switch, reconciled by the collector — are held to the fabric ground
+// truth, and network-exact queries over drop-free traces to the global
+// one, by the whole-system differential (system_test.go); the Figure 2
+// pins below keep the paper's seven queries on it by name over a
+// LeafSpine(4,2,8) trace. What stays here is what the differential cannot
+// express: the merge-mode classification of each Figure 2 query, loss
+// localization under incast, and the worker count of shards inside a
+// fabric.
 
 import (
-	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -87,186 +77,40 @@ func TestFabricClassification(t *testing.T) {
 	}
 }
 
-// TestFabricZeroChurnBitIdentical: with caches large enough that only
-// the final flush evicts, the fabric datapath must match the fabric
-// ground truth bit-for-bit on every table of every Figure 2 query —
-// linear, history, and non-mergeable folds alike (a single epoch is a
-// pure fold state either way, and both sides reconcile in the same
-// switch order with the same float associativity).
+// TestFabricZeroChurnBitIdentical pins every Figure 2 query over the
+// fabric with caches large enough that only the final flush evicts.
 func TestFabricZeroChurnBitIdentical(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
-	recs := fabricTrace(t, tp, 300)
-	for _, ex := range queries.Fig2 {
-		ex := ex
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			res, err := q.Run(Records(recs), WithCache(1<<20, 8), WithFabric(tp))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Evictions != 0 {
-				t.Fatalf("churn in zero-churn config: %d evictions", res.Evictions)
-			}
-			gt, err := q.GroundTruth(Records(recs), WithFabric(tp))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tg, tw := allTables(res), allTables(gt)
-			if len(tg) != len(tw) {
-				t.Fatalf("table sets differ: %d vs %d", len(tg), len(tw))
-			}
-			for name := range tw {
-				requireTablesIdentical(t, ex.Name+"/"+name, tg[name], tw[name])
-			}
-		})
-	}
+	fig2Pins(t, fabricTrace(t, tp, 300), sysCase{tp: tp, pairs: 1 << 20, ways: 8}, churnNone, nil)
 }
 
-// TestFabricNetworkExactMatchesGlobal is the headline guarantee: for
-// every query the classifier marks network-exact, the fabric's
-// reconciled tables are bit-identical to the single-datapath ground
-// truth — partitioning the stream across switches (and splitting the
-// cache budget among them) is invisible in the output.
+// TestFabricNetworkExactMatchesGlobal pins every network-exact Figure 2
+// query over the fabric; the differential holds such a run to the
+// single-datapath reference as well as to the fabric's.
 func TestFabricNetworkExactMatchesGlobal(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
-	recs := fabricTrace(t, tp, 300)
-	ran := 0
-	for _, ex := range queries.Fig2 {
-		if !fabricNetworkExact[ex.Name] {
-			continue
-		}
-		ex := ex
-		ran++
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			res, err := q.Run(Records(recs), WithCache(1<<20, 8), WithFabric(tp))
-			if err != nil {
-				t.Fatal(err)
-			}
-			global, err := q.GroundTruth(Records(recs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tg, tw := allTables(res), allTables(global)
-			for name := range tw {
-				requireTablesIdentical(t, ex.Name+"/"+name, tg[name], tw[name])
-			}
-			if res.ValidKeys != res.TotalKeys {
-				t.Errorf("network-exact query dropped keys: %d/%d", res.ValidKeys, res.TotalKeys)
-			}
-		})
-	}
-	if ran == 0 {
-		t.Fatal("no network-exact queries ran")
-	}
+	fig2Pins(t, fabricTrace(t, tp, 300), sysCase{tp: tp, pairs: 1 << 20, ways: 8}, churnNone,
+		func(ex *queries.Example) bool { return fabricNetworkExact[ex.Name] })
 }
 
-// TestFabricChurnEquivalence shrinks the per-switch caches far below the
-// working set so the backing-store merge machinery works for real, then
-// holds the fabric to the fabric ground truth: bit-identical for
-// integer-coefficient linear queries; per-key agreement within 1e-12 for
-// the decay fold (EWMA's merge reconstruction rounds at the last bit per
-// epoch partition); and for the non-linear query, every network-valid
-// key must carry the exact ground-truth value (a single epoch is a pure
-// fold state).
+// TestFabricChurnEquivalence pins every Figure 2 query over the fabric
+// with per-switch caches far below the working set.
 func TestFabricChurnEquivalence(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
-	recs := fabricTrace(t, tp, 600)
-	for _, ex := range queries.Fig2 {
-		ex := ex
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			res, err := q.Run(Records(recs), WithCache(1<<10, 8), WithFabric(tp))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gt, err := q.GroundTruth(Records(recs), WithFabric(tp))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.Linear && res.Evictions == 0 && res.TotalKeys > 500 {
-				t.Fatal("no eviction churn; trace/cache sizing broken")
-			}
-			tg, tw := allTables(res), allTables(gt)
-			switch {
-			case ex.Linear && !roundingProneCoeffs(q):
-				for name := range tw {
-					requireTablesIdentical(t, ex.Name+"/"+name, tg[name], tw[name])
-				}
-			case ex.Linear:
-				requireRowsSubsetByKey(t, ex.Name, tg["_1"], tw["_1"], 5, 1e-12)
-			default:
-				requireRowsSubsetByKey(t, ex.Name, tg["_1"], tw["_1"], 5, 0)
-			}
-		})
-	}
+	fig2Pins(t, fabricTrace(t, tp, 600), sysCase{tp: tp, pairs: 1 << 10, ways: 8}, churnSome, nil)
 }
 
-// requireRowsSubsetByKey asserts every row of got matches the want row
-// with the same nk-column key prefix, within rel (0 = bit-identical),
-// and that got does not exceed want in row count. Keys valid in want
-// only are legitimate: within-switch eviction churn invalidates keys the
-// unbounded ground truth keeps.
-func requireRowsSubsetByKey(t *testing.T, name string, got, want *Table, nk int, rel float64) {
-	t.Helper()
-	if got == nil || want == nil {
-		t.Fatalf("%s: missing table", name)
-	}
-	if len(got.Rows) > len(want.Rows) {
-		t.Fatalf("%s: fabric has %d rows, ground truth only %d", name, len(got.Rows), len(want.Rows))
-	}
-	index := map[string][]float64{}
-	for _, row := range want.Rows {
-		index[fmt.Sprint(row[:nk])] = row
-	}
-	for _, row := range got.Rows {
-		wrow, ok := index[fmt.Sprint(row[:nk])]
-		if !ok {
-			t.Fatalf("%s: fabric key %v absent from ground truth", name, row[:nk])
-		}
-		for j := range row {
-			g, w := row[j], wrow[j]
-			if math.Float64bits(g) == math.Float64bits(w) {
-				continue
-			}
-			if rel > 0 && math.Abs(g-w) <= rel*math.Max(1, math.Abs(w)) {
-				continue
-			}
-			t.Fatalf("%s: key %v col %s: %v != %v (tol %g)", name, row[:nk], want.Schema[j], g, w, rel)
-		}
-	}
-}
-
-// TestFabricAssocMerge covers the associative leg of the collector: MAX
-// is exact under reconciliation in both time (cache epochs Combine into
-// the backing store) and space (per-switch maxima Combine network-wide),
-// so even a heavily churned fabric run must match the global ground
-// truth bit-for-bit.
+// TestFabricAssocMerge pins two associative folds in one stage over a
+// heavily churned fabric: MAX and MIN combine exactly in time and space.
 func TestFabricAssocMerge(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
-	recs := fabricTrace(t, tp, 600)
-	// Two associative folds in one stage: the state vector combines
-	// component-wise (max slice by max, min slice by min).
-	q := MustCompile("SELECT srcip, dstip, MAX(qin), MIN(tout - tin) GROUPBY srcip, dstip")
-	if !fabric.NetworkExact(q.plan) {
-		t.Fatal("MAX+MIN stage not classified network-exact (assoc metadata lost in compilation)")
-	}
-	res, err := q.Run(Records(recs), WithCache(1<<9, 8), WithFabric(tp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evictions == 0 {
-		t.Fatal("no eviction churn; cache sizing broken")
-	}
-	global, err := q.GroundTruth(Records(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTablesIdentical(t, "max", res.Result(), global.Result())
+	c := sysCase{name: "max+min", src: "SELECT srcip, dstip, MAX(qin), MIN(tout - tin) GROUPBY srcip, dstip",
+		recs: fabricTrace(t, tp, 600), tp: tp, pairs: 1 << 9, ways: 8}
+	runSystemCase(t, &c, churnSome, nil)
 }
 
 // TestFabricLossLocalization is the acceptance scenario: 16 senders
@@ -354,48 +198,19 @@ func TestFabricLossLocalization(t *testing.T) {
 	}
 }
 
-// TestFabricWithShardsInside composes the two partition levels: each
-// switch's stores themselves sharded. Results must stay bit-identical to
-// the unsharded fabric for a network-exact query, on workers (GOMAXPROCS
-// 4) and inline (GOMAXPROCS 1) alike — and the composition is one flat
-// transport, not a pool per switch behind a pump: a stream over K
+// TestFabricWithShardsInside: shards inside a fabric are one flat
+// transport, not a pool per switch behind a pump — a stream over K
 // switches × n shards runs exactly K·n workers behind the one feeder, and
-// none once it ends.
+// none once it ends. (Its tables are the differential's.)
 func TestFabricWithShardsInside(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
 	recs := fabricTrace(t, tp, 300)
 	q := MustCompile(queries.ByName("Per-flow counters").Source)
-	idle := runtime.NumGoroutine()
-	base, err := q.Run(Records(recs), WithCache(1<<14, 8), WithFabric(tp))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const shards = 4
-	tb := allTables(base)
-	for _, procs := range []int{4, 1} {
-		atProcs(procs, func() {
-			sharded, err := q.Run(Records(recs), WithCache(1<<14, 8), WithFabric(tp), WithShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := allTables(sharded)
-			for name := range tb {
-				requireTablesIdentical(t, fmt.Sprintf("fabric+shards/procs%d/%s", procs, name), ts[name], tb[name])
-			}
-			if sharded.ValidKeys != base.ValidKeys || sharded.TotalKeys != base.TotalKeys {
-				t.Errorf("procs %d: accuracy %d/%d, unsharded fabric %d/%d",
-					procs, sharded.ValidKeys, sharded.TotalKeys, base.ValidKeys, base.TotalKeys)
-			}
-		})
-	}
-
-	// The sharded runs' workers may still be exiting: wait for them, then
-	// count from whatever is left.
-	requireGoroutines(t, "after the sharded runs", idle)
-	idle = runtime.NumGoroutine()
+	idle := runtime.NumGoroutine()
 	workers := -1
-	_, err = q.Stream(Records(recs), func(w *WindowResult) error {
+	_, err := q.Stream(Records(recs), func(w *WindowResult) error {
 		workers = runtime.NumGoroutine() - idle // mid-stream: the pool is live across closes
 		return nil
 	}, WithCache(1<<14, 8), WithFabric(tp), WithShards(shards),

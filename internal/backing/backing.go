@@ -325,14 +325,8 @@ func (s *Store) merge(kind fold.MergeKind, b *kvstore.EvictBatch) {
 			s.firstIn = fold.Input{Rec: b.First[l]}
 			fold.MergeWithFirstRec(s.f, st, b.State[l], b.P[l], st, &s.firstIn, &s.mscr)
 		}
-	case s.m == 1:
-		// History-free coefficients, P covering the whole epoch:
-		// fold.MergeLinearState's scalar case, in line.
-		s0 := s.s0[0]
-		for l, st := range dst {
-			st[0] = b.State[l][0] + b.P[l][0]*(st[0]-s0)
-		}
 	default:
+		// History-free coefficients, P covering the whole epoch.
 		for l, st := range dst {
 			fold.MergeLinearState(st, b.State[l], b.P[l], st, s.s0, s.m)
 		}

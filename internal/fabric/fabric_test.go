@@ -63,6 +63,9 @@ func TestFabricModeOf(t *testing.T) {
 		{"SELECT COUNT GROUPBY switch, queue", ModeUnion},
 		{"SELECT COUNT GROUPBY queue", ModeAdd}, // bare queue index does NOT pin the switch
 		{"const a = 0.5\nSELECT 5tuple, EWMA(tout - tin, a) GROUPBY 5tuple", ModeEpoch},
+		// Coupled state whose body re-associates (a + b reads two state
+		// words): the cross term rules out summing per-switch deltas.
+		{"def f((a, b), pkt_len):\n    a = a + b\n    b = b + pkt_len\nSELECT 5tuple, f GROUPBY 5tuple", ModeEpoch},
 	}
 	for _, c := range cases {
 		plan := compile(t, c.src)

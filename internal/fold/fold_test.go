@@ -212,7 +212,8 @@ func TestLinearSpecRejectsStatefulCoefficients(t *testing.T) {
 }
 
 // TestUpdateLinearMatchesDirect verifies that applying the coefficient form
-// (A, B) reproduces the direct update for every linear builtin.
+// (A, B), read from the spec's trees, reproduces the direct update for
+// every linear builtin.
 func TestUpdateLinearMatchesDirect(t *testing.T) {
 	lat := Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}
 	rng := rand.New(rand.NewSource(5))
@@ -220,17 +221,13 @@ func TestUpdateLinearMatchesDirect(t *testing.T) {
 		m := f.StateLen()
 		direct := make([]float64, m)
 		viaAB := make([]float64, m)
-		p := make([]float64, m*m)
-		aS := make([]float64, m*m)
-		mS := make([]float64, m*m)
 		f.Init(direct)
 		f.Init(viaAB)
-		IdentityP(p, m)
 		for i := 0; i < 100; i++ {
 			tin := rng.Int63n(1e6)
 			r := rec(tin, tin+rng.Int63n(1e4)+1, 800, 700, 0)
 			f.Update(direct, in(r))
-			f.Linear.UpdateLinear(viaAB, p, in(r), aS, mS)
+			refUpdateLinear(f.Linear, viaAB, in(r))
 		}
 		for i := range direct {
 			if math.Abs(direct[i]-viaAB[i]) > 1e-6*math.Max(1, math.Abs(direct[i])) {
@@ -281,7 +278,11 @@ func TestMergeEqualsGroundTruth(t *testing.T) {
 			IdentityP(p, m)
 
 			for _, r := range recs {
-				f.Linear.UpdateLinear(cacheState, p, in(r), aS, mS)
+				// The m×m row's step: A against the pre-update state
+				// advances P, the body the state.
+				f.Linear.EvalA(in(r), cacheState, aS)
+				f.Update(cacheState, in(r))
+				StepP(p, aS, mS, m)
 				if rng.Float64() < 0.1 {
 					MergeLinearState(backing, cacheState, p, backing, s0, m)
 					f.Init(cacheState)

@@ -29,6 +29,12 @@ type LinearSpec struct {
 	// history variable, in which case the datapath must snapshot each
 	// cache entry's first packet to merge exactly (see MergeWithFirstRec).
 	NeedsFirstPacket bool
+	// Reassociated reports that A·S + B, evaluated in float64, may round
+	// apart from the fold's own body: the analysis moved a constant or a
+	// coefficient across a parenthesis ((s + tout) − tin has B = tout −
+	// tin). Such a spec is not block-evaluable; a cache runs the body for
+	// the state and uses A only to advance P.
+	Reassociated bool
 
 	// Compiled coefficients, filled by EnsureCompiled (which everything
 	// that evaluates the spec requires): one entry per A cell (row-major)
@@ -131,8 +137,14 @@ func (ls *LinearSpec) EnsureCompiled() error {
 		}
 		ls.block[k].cols = append(ls.block[k].cols, c)
 	}
+	if ls.Reassociated { // only when neither reason above applies
+		ls.perRecord, ls.block = whyReassociated, nil
+	}
 	return nil
 }
+
+// whyReassociated is BlockEvaluable's why for a Reassociated spec.
+const whyReassociated = "re-associated body"
 
 // diagCoef returns coefficient column c: A[c][c] for c < m, else B[c-m].
 func (ls *LinearSpec) diagCoef(c int) *coef {
@@ -148,7 +160,8 @@ func (ls *LinearSpec) diagCoef(c int) *coef {
 // form, coefficients in stateless stages ahead of the stateful ALU: A is
 // diagonal (state words, and P, stay decoupled) and no coefficient reads
 // state. When not, why names what fails: "coupled state" (an off-diagonal
-// A entry) or "history fold" (a coefficient reads the previous packet).
+// A entry), "re-associated body" (see Reassociated) or "history fold" (a
+// coefficient reads the previous packet).
 func (ls *LinearSpec) BlockEvaluable() (ok bool, why string) {
 	return ls.perRecord == "", ls.perRecord
 }
@@ -192,15 +205,16 @@ func (ls *LinearSpec) EvalCoefs(in *Input, cols []float64) {
 }
 
 // IsCommutative reports whether the linear update commutes across
-// arbitrary interleavings of the record stream: block-evaluable with A
-// constantly the identity. For such folds — COUNT, SUM, AVG's pair,
-// presence counters — the state after any interleaving of two disjoint
-// sub-streams is S0 plus the per-sub-stream deltas, so partitions of the
-// stream by space (one store per switch) merge just as exactly as
-// partitions by time (cache epochs). EWMA fails the A-identity test;
-// history folds fail because "the previous packet" differs per sub-stream.
+// arbitrary interleavings of the record stream: block-evaluable (or only
+// Reassociated) with A constantly the identity. For such folds — COUNT,
+// SUM, AVG's pair, presence counters — the state after any interleaving
+// of two disjoint sub-streams is S0 plus the per-sub-stream deltas
+// (exactly so; in float64, to rounding), so partitions of the stream by
+// space (one store per switch) merge just as exactly as partitions by
+// time (cache epochs). EWMA fails the A-identity test, coupled state the
+// block test; history folds fail because "the previous packet" differs.
 func (ls *LinearSpec) IsCommutative() bool {
-	if ls.EnsureCompiled() != nil || ls.perRecord != "" {
+	if ls.EnsureCompiled() != nil || ls.perRecord != "" && ls.perRecord != whyReassociated {
 		return false
 	}
 	for i := 0; i < ls.Dim(); i++ {
@@ -310,14 +324,6 @@ func (ls *LinearSpec) EvalA(in *Input, state, dst []float64) {
 	}
 }
 
-// EvalB fills dst (length m) with this packet's B vector, evaluated
-// against the pre-update state.
-func (ls *LinearSpec) EvalB(in *Input, state, dst []float64) {
-	for i := range ls.bCoef {
-		dst[i] = ls.bCoef[i].eval(in, state)
-	}
-}
-
 // IdentityP fills p (row-major m×m) with the identity matrix — the P value
 // a cache entry starts with on insertion when coefficients reference
 // history variables (the first packet is snapshotted and replayed at
@@ -351,31 +357,6 @@ func StepP(p, a, scratch []float64, m int) {
 		}
 	}
 	copy(p[:m*m], scratch[:m*m])
-}
-
-// UpdateLinear applies one packet to (state, P) in the general coefficient
-// form: state ← A·state + B and, if p is non-nil, P ← A·P, with A and B
-// evaluated against the pre-update state so that history-variable
-// references see the previous packet's values — what a cache runs per
-// record for the specs BlockEvaluable refuses. aScratch and mScratch must
-// each have length ≥ m·m. The result must match Func.Update exactly;
-// tests enforce this.
-func (ls *LinearSpec) UpdateLinear(state, p []float64, in *Input, aScratch, mScratch []float64) {
-	m := ls.Dim()
-	var ns, bs [MaxState]float64
-	ls.EvalA(in, state, aScratch)
-	ls.EvalB(in, state, bs[:m])
-	for i := 0; i < m; i++ {
-		var acc float64
-		for k := 0; k < m; k++ {
-			acc += aScratch[i*m+k] * state[k]
-		}
-		ns[i] = acc + bs[i]
-	}
-	copy(state[:m], ns[:m])
-	if p != nil {
-		StepP(p, aScratch, mScratch, m)
-	}
 }
 
 // MergeLinearState reconciles an evicted cache value with the backing

@@ -239,48 +239,35 @@ func TestVMRegisterOverflowRejected(t *testing.T) {
 	}
 }
 
-// The tree-interpreter reference for the coefficient path: EvalExpr
+// The tree-interpreter reference for the coefficient form: EvalExpr
 // applied directly to the spec's public A and B trees (nil ⇒ 0) against
-// the pre-update state, then the textbook S' = A·S + B, P' = A·P.
-func refCoef(e Expr, in *Input, state []float64) float64 {
-	if e == nil {
-		return 0
-	}
-	return EvalExpr(e, in, state)
-}
-
-func refEvalA(ls *LinearSpec, in *Input, state, dst []float64) {
+// the pre-update state (refCoefs: A row-major, then B), then the
+// textbook S' = A·S + B.
+func refCoefs(ls *LinearSpec, in *Input, state, dst []float64) {
 	m := ls.Dim()
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
-			dst[i*m+j] = refCoef(ls.A[i][j], in, state)
+			dst[i*m+j] = EvalExpr(ls.A[i][j], in, state)
 		}
+		dst[m*m+i] = EvalExpr(ls.B[i], in, state)
 	}
 }
 
-func refEvalB(ls *LinearSpec, in *Input, state, dst []float64) {
-	for i, e := range ls.B {
-		dst[i] = refCoef(e, in, state)
-	}
-}
-
-func refUpdateLinear(ls *LinearSpec, state, p []float64, in *Input) {
+func refUpdateLinear(ls *LinearSpec, state []float64, in *Input) {
 	m := ls.Dim()
-	a, b, ns := make([]float64, m*m), make([]float64, m), make([]float64, m)
-	refEvalA(ls, in, state, a)
-	refEvalB(ls, in, state, b)
+	c, ns := make([]float64, m*m+m), make([]float64, m)
+	refCoefs(ls, in, state, c)
 	for i := range ns {
-		acc := a[i*m] * state[0]
+		acc := c[i*m] * state[0]
 		for k := 1; k < m; k++ {
-			acc += a[i*m+k] * state[k]
+			acc += c[i*m+k] * state[k]
 		}
-		ns[i] = acc + b[i]
+		ns[i] = acc + c[m*m+i]
 	}
 	copy(state, ns)
-	StepP(p, a, make([]float64, m*m), m)
 }
 
-// TestLinearCompiledCoefficients: compiled EvalA/EvalB/UpdateLinear match
+// TestLinearCompiledCoefficients: the compiled A and B coefficients match
 // the tree interpreter over the spec's expression trees bit for bit.
 func TestLinearCompiledCoefficients(t *testing.T) {
 	lat := Bin{Op: OpSub, L: FieldRef(trace.FieldTout), R: FieldRef(trace.FieldTin)}
@@ -297,40 +284,15 @@ func TestLinearCompiledCoefficients(t *testing.T) {
 			for i := range state {
 				state[i] = float64(i) + 0.5
 			}
-			ac, ap := make([]float64, m*m), make([]float64, m*m)
-			compiled.EvalA(&in, state, ac)
-			refEvalA(compiled, &in, state, ap)
-			bc, bp := make([]float64, m), make([]float64, m)
-			compiled.EvalB(&in, state, bc)
-			refEvalB(compiled, &in, state, bp)
-			for i := range ac {
-				if !eqBits(ac[i], ap[i]) {
-					t.Fatalf("%s: A[%d] compiled=%v interp=%v", f.Name(), i, ac[i], ap[i])
-				}
+			c, p := make([]float64, m*m+m), make([]float64, m*m+m)
+			compiled.EvalA(&in, state, c)
+			for i := range compiled.bCoef {
+				c[m*m+i] = compiled.bCoef[i].eval(&in, state)
 			}
-			for i := range bc {
-				if !eqBits(bc[i], bp[i]) {
-					t.Fatalf("%s: B[%d] compiled=%v interp=%v", f.Name(), i, bc[i], bp[i])
-				}
-			}
-
-			sc := append([]float64(nil), state...)
-			si := append([]float64(nil), state...)
-			pc := make([]float64, m*m)
-			pi := make([]float64, m*m)
-			IdentityP(pc, m)
-			IdentityP(pi, m)
-			scratchA, scratchM := make([]float64, m*m), make([]float64, m*m)
-			compiled.UpdateLinear(sc, pc, &in, scratchA, scratchM)
-			refUpdateLinear(compiled, si, pi, &in)
-			for i := range sc {
-				if !eqBits(sc[i], si[i]) {
-					t.Fatalf("%s: state[%d] compiled=%v interp=%v", f.Name(), i, sc[i], si[i])
-				}
-			}
-			for i := range pc {
-				if !eqBits(pc[i], pi[i]) {
-					t.Fatalf("%s: P[%d] compiled=%v interp=%v", f.Name(), i, pc[i], pi[i])
+			refCoefs(compiled, &in, state, p)
+			for i := range c {
+				if !eqBits(c[i], p[i]) {
+					t.Fatalf("%s: coefficient %d compiled=%v interp=%v", f.Name(), i, c[i], p[i])
 				}
 			}
 		}
@@ -361,8 +323,8 @@ func TestVMZeroAllocs(t *testing.T) {
 	p := make([]float64, 1)
 	p[0] = 1
 	aS, mS := make([]float64, 1), make([]float64, 1)
-	if n := testing.AllocsPerRun(1000, func() { f.Linear.UpdateLinear(st, p, &in, aS, mS) }); n != 0 {
-		t.Errorf("UpdateLinear allocates %v per run", n)
+	if n := testing.AllocsPerRun(1000, func() { f.Linear.EvalA(&in, st, aS); StepP(p, aS, mS, 1) }); n != 0 {
+		t.Errorf("EvalA + StepP allocates %v per run", n)
 	}
 }
 

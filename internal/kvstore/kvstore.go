@@ -291,8 +291,9 @@ func traceCacheHop(tr *obs.Tracer, slot *obs.SpanSlot, w int, key packet.Key128,
 // (fold.LinearSpec.BlockEvaluable) P stays diagonal, so the row keeps its
 // m diagonal words and an update is state[i] = a[i]·state[i] + b[i],
 // P[i][i] = a[i]·P[i][i] over coefficients computed ahead of the cache;
-// evictOut expands P to m×m. History folds and coupled state keep m×m
-// and run fold.LinearSpec.UpdateLinear per record.
+// evictOut expands P to m×m. History folds, coupled state and
+// re-associated bodies keep m×m: the body updates the state and A, per
+// record, advances P.
 type rowOps struct {
 	fold *fold.Func
 	lin  *fold.LinearSpec // non-nil iff exact merge
@@ -348,7 +349,11 @@ func (r *rowOps) update(row []float64, in *fold.Input, coefs []float64) {
 			row[m+i] = a * row[m+i]
 		}
 	case r.lin != nil:
-		r.lin.UpdateLinear(row[:m], row[m:], in, r.aScratch, r.mScratch)
+		// The body advances the state, as in exec.Run (A·S + B may round
+		// apart from it); A, against the pre-update state, advances P.
+		r.lin.EvalA(in, row[:m], r.aScratch)
+		r.fold.Update(row[:m], in)
+		fold.StepP(row[m:], r.aScratch, r.mScratch, m)
 	default:
 		r.fold.Update(row[:m], in)
 	}

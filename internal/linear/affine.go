@@ -50,6 +50,9 @@ func identityRows(m int, hist []bool) []aff {
 type analyzer struct {
 	prog *fold.Program
 	hist []bool
+	// reassoc: some affine form evaluates in another order than the body,
+	// as (s + tout) − tin ↦ s + (tout − tin) (fold.LinearSpec.Reassociated).
+	reassoc bool
 }
 
 // runStmts interprets a statement list starting from rows, returning the
@@ -125,6 +128,7 @@ func (a *analyzer) exprToAff(e fold.Expr, rows []aff) (aff, error) {
 		if err != nil {
 			return aff{}, err
 		}
+		a.noteOrder(e.Op, l, r)
 		switch e.Op {
 		case fold.OpAdd:
 			return combine(l, r, addExpr), nil
@@ -226,6 +230,25 @@ func (a *analyzer) cond(e fold.Expr, rows []aff) (fold.Expr, error) {
 		return nil, fmt.Errorf("branch condition depends on state: %v", e)
 	}
 	return orZero(v.c), nil
+}
+
+// noteOrder sets a.reassoc unless the affine form of l op r evaluates as
+// the body does: two pure values, or a pure value added to or subtracted
+// from one state term k·s, or multiplied with a bare s.
+func (a *analyzer) noteOrder(op fold.Op, l, r aff) {
+	if r.pure() {
+		l, r = r, l
+	}
+	var k fold.Expr
+	n := 0
+	for _, e := range r.coef {
+		if e != nil {
+			k, n = e, n+1
+		}
+	}
+	term := l.pure() && n == 1 && r.c == nil
+	mul := op == fold.OpMul
+	a.reassoc = a.reassoc || !r.pure() && (!term || mul && k != fold.Const(1) || !mul && op != fold.OpAdd && op != fold.OpSub)
 }
 
 // combine applies op componentwise to two affine forms.

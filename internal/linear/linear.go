@@ -77,6 +77,7 @@ func Analyze(prog *fold.Program) (*fold.LinearSpec, error) {
 		}
 	}
 	spec.NeedsFirstPacket = needsFirst
+	spec.Reassociated = a.reassoc
 	if err := spec.Validate(); err != nil {
 		// Internal invariant: the analysis only emits history atoms.
 		return nil, fmt.Errorf("linear: internal error: %w", err)

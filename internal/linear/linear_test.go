@@ -164,7 +164,7 @@ func TestHistoryClassification(t *testing.T) {
 
 // analyzeCompiled derives p's coefficients and lowers them to bytecode,
 // as Annotate followed by plan compilation does; the spec's evaluators
-// (EvalA, UpdateLinear, …) run compiled coefficients only.
+// (EvalA, EvalCoefs, …) run compiled coefficients only.
 func analyzeCompiled(t *testing.T, p *fold.Program) *fold.LinearSpec {
 	t.Helper()
 	spec, err := Analyze(p)
@@ -175,6 +175,19 @@ func analyzeCompiled(t *testing.T, p *fold.Program) *fold.LinearSpec {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
 	return spec
+}
+
+// affineStep applies spec's coefficient form, S ← A·S + B, to state, each
+// coefficient read from the spec's trees against the pre-update state.
+func affineStep(spec *fold.LinearSpec, state []float64, in *fold.Input) {
+	ns := make([]float64, len(state))
+	for i := range ns {
+		for k := range state {
+			ns[i] += fold.EvalExpr(spec.A[i][k], in, state) * state[k]
+		}
+		ns[i] += fold.EvalExpr(spec.B[i], in, state)
+	}
+	copy(state, ns)
 }
 
 func TestEwmaCoefficients(t *testing.T) {
@@ -213,9 +226,7 @@ func TestLinearUpdateMatchesDirect(t *testing.T) {
 			}
 			in := &fold.Input{Rec: randomRec(rng)}
 			p.Update(direct, in)
-			aS := make([]float64, m*m)
-			mS := make([]float64, m*m)
-			spec.UpdateLinear(viaAB, nil, in, aS, mS)
+			affineStep(spec, viaAB, in)
 			for i := range direct {
 				if math.Abs(direct[i]-viaAB[i]) > 1e-9*math.Max(1, math.Abs(direct[i])) {
 					t.Fatalf("%s trial %d: direct %v vs A·S+B %v", p.Name, trial, direct, viaAB)
@@ -299,7 +310,12 @@ func TestOutOfSeqMergeEqualsGroundTruth(t *testing.T) {
 				firstRec = *r
 				inCache = true
 			} else {
-				spec.UpdateLinear(cache, p, &fold.Input{Rec: r}, aS, mS)
+				// What a cache runs on the m×m row: the body advances the
+				// state, A (against the pre-update state) advances P.
+				in := &fold.Input{Rec: r}
+				spec.EvalA(in, cache, aS)
+				f.Update(cache, in)
+				fold.StepP(p, aS, mS, m)
 			}
 			if rng.Float64() < 0.12 {
 				evict()
@@ -399,9 +415,7 @@ func TestSwapIsLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := &fold.Input{Rec: randomRec(rng)}
 	st := []float64{3, 7}
-	aS := make([]float64, 4)
-	mS := make([]float64, 4)
-	spec.UpdateLinear(st, nil, in, aS, mS)
+	affineStep(spec, st, in)
 	if st[0] != 7 || st[1] != 7 {
 		t.Errorf("sequential copy: got %v, want [7 7]", st)
 	}

@@ -61,7 +61,7 @@ type Spec struct {
 	// window close, never per record.
 	Obs *obs.WindowMetrics
 	// Journal, when non-nil, receives one window-close event per closed
-	// window (a = window index, b = records fed; empty carry-over reuse
+	// window (a = window index, b = records fed; reused empty windows
 	// included). Appended once per close, never per record.
 	Journal *obs.Journal
 }
@@ -196,7 +196,7 @@ type scheduler struct {
 	emit    func(*Result) error
 	closed  int64   // windows closed so far
 	winRecs int64   // records fed into the open window
-	prev    *Result // last closed window (for empty carry-over reuse)
+	prev    *Result // last closed window (reused by empty windows)
 }
 
 // closeTo closes windows closed..target-1 (all but the last necessarily
@@ -208,12 +208,13 @@ func (s *scheduler) closeTo(target int64) error {
 			acc    []switchsim.Acc
 			err    error
 		)
-		if s.winRecs == 0 && s.spec.Carry && s.prev != nil {
-			// Empty carry-over window: no records were fed since the last
-			// close, so the stores — and therefore the cumulative tables
-			// and whole-run accuracy — are unchanged; skip the redundant
-			// flush + collector merge. Only the window-scoped counts
-			// differ: nothing was touched, so they are zero.
+		if s.winRecs == 0 && s.prev != nil && (s.spec.Carry || s.prev.Records == 0) {
+			// Empty window after a close that left the stores as this one
+			// would: carry-over stores were fed nothing since, and tumbling
+			// ones were reset and fed nothing twice over. The tables and
+			// accuracy are unchanged; skip the redundant flush + collector
+			// merge. Only the window-scoped counts differ: nothing was
+			// touched, so they are zero.
 			tables = s.prev.Tables
 			acc = make([]switchsim.Acc, len(s.prev.Acc))
 			for i, a := range s.prev.Acc {

@@ -200,45 +200,60 @@ func TestRing(t *testing.T) {
 	}
 }
 
-// TestStreamEmptyCarryWindowsReusePrev: under carry-over, an empty
-// window (a virtual-time gap) must not re-run the runner's close —
-// state cannot have changed — and its emitted result reuses the
-// previous tables with zeroed window-scoped accuracy.
+// TestStreamEmptyCarryWindowsReusePrev: an empty window (a virtual-time
+// gap) must not re-run the runner's close when the previous close left
+// the stores as this one would — under carry-over always, under tumbling
+// once one empty window has closed on reset stores — and its emitted
+// result reuses the previous tables with zeroed window-scoped accuracy.
 func TestStreamEmptyCarryWindowsReusePrev(t *testing.T) {
-	// Windows of 10ns anchored at 0: w0 {0,5}, w1..w3 empty, w4 {45}.
-	recs := recsAt(0, 5, 45)
-	r := &fakeRunner{}
-	var results []*Result
-	n, err := Stream(&trace.SliceSource{Records: recs}, Spec{IntervalNs: 10, Carry: true}, r,
-		func(res *Result) error {
-			results = append(results, res)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("closed %d windows, want 5", n)
-	}
-	// Only the two non-empty windows actually closed on the runner.
-	if len(r.perClose) != 2 {
-		t.Fatalf("runner closed %d times, want 2 (empty carry windows reuse)", len(r.perClose))
-	}
-	for i, res := range results {
-		if res.Index != int64(i) {
-			t.Fatalf("result %d has index %d", i, res.Index)
+	for _, c := range []struct {
+		carry  bool
+		closes int
+	}{{true, 2}, {false, 3}} {
+		// Windows of 10ns anchored at 0: w0 {0,5}, w1..w3 empty, w4 {45}.
+		recs := recsAt(0, 5, 45)
+		r := &fakeRunner{}
+		var results []*Result
+		n, err := Stream(&trace.SliceSource{Records: recs}, Spec{IntervalNs: 10, Carry: c.carry}, r,
+			func(res *Result) error {
+				results = append(results, res)
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, i := range []int{1, 2, 3} {
-		if results[i].Records != 0 {
-			t.Fatalf("empty window %d has %d records", i, results[i].Records)
+		if n != 5 {
+			t.Fatalf("carry %v: closed %d windows, want 5", c.carry, n)
 		}
-		if len(results[i].Acc) != 1 || results[i].Acc[0].WinTotal != 0 || results[i].Acc[0].WinValid != 0 {
-			t.Fatalf("empty window %d window-scoped acc not zeroed: %+v", i, results[i].Acc)
+		// Carry: only the two non-empty windows close on the runner.
+		// Tumbling: w1 closes too (it resets what w0 left); w2, w3 reuse it.
+		if len(r.perClose) != c.closes {
+			t.Fatalf("carry %v: runner closed %d times, want %d", c.carry, len(r.perClose), c.closes)
 		}
-		// Cumulative tables and accuracy carry through unchanged.
-		if results[i].Acc[0].Valid != results[0].Acc[0].Valid {
-			t.Fatalf("empty window %d cumulative acc diverged", i)
+		for i, res := range results {
+			if res.Index != int64(i) {
+				t.Fatalf("carry %v: result %d has index %d", c.carry, i, res.Index)
+			}
+		}
+		for _, i := range []int{1, 2, 3} {
+			if results[i].Records != 0 {
+				t.Fatalf("carry %v: empty window %d has %d records", c.carry, i, results[i].Records)
+			}
+			if len(results[i].Acc) != 1 || results[i].Acc[0].WinTotal != 0 || results[i].Acc[0].WinValid != 0 {
+				t.Fatalf("carry %v: empty window %d window-scoped acc not zeroed: %+v", c.carry, i, results[i].Acc)
+			}
+			// Cumulative accuracy carries through unchanged.
+			if results[i].Acc[0].Valid != results[0].Acc[0].Valid {
+				t.Fatalf("carry %v: empty window %d cumulative acc diverged", c.carry, i)
+			}
+		}
+		// w2 and w3 are the window they reuse: w0 under carry, w1 under
+		// tumbling.
+		from := results[c.closes-2]
+		for _, i := range []int{2, 3} {
+			if fmt.Sprintf("%p", results[i].Tables) != fmt.Sprintf("%p", from.Tables) {
+				t.Fatalf("carry %v: empty window %d does not reuse window %d's tables", c.carry, i, from.Index)
+			}
 		}
 	}
 }

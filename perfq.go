@@ -464,14 +464,14 @@ func (q *Query) Stream(src Source, emit func(*WindowResult) error, opts ...RunOp
 
 // stream is the windowed runtime behind Run(WithWindow) and Stream.
 func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) error) (*Results, error) {
+	if (cfg.win.Count > 0) == (cfg.win.Interval > 0) {
+		return nil, fmt.Errorf("perfq: WindowSpec needs exactly one of Count and Interval > 0")
+	}
 	spec := window.Spec{
 		Count:      cfg.win.Count,
 		IntervalNs: cfg.win.Interval.Nanoseconds(),
 		Carry:      cfg.win.Carry,
 		Journal:    cfg.journal,
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
 	}
 	var wm *obs.WindowMetrics
 	if cfg.metrics != nil {

@@ -38,37 +38,19 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func TestRunMatchesGroundTruthThroughFacade(t *testing.T) {
-	src := queries.ByName("Latency EWMA").Source
-	collect := func() []Record {
-		var recs []Record
-		s := DCTrace(3, 2*time.Second)
-		var r Record
-		for s.Next(&r) == nil {
-			recs = append(recs, r)
+// TestWindowSpecErrors: a WindowSpec with both or neither of Count and
+// Interval is refused by Run and Stream in the facade's own field names.
+func TestWindowSpecErrors(t *testing.T) {
+	q := MustCompile("SELECT COUNT GROUPBY 5tuple")
+	for _, ws := range []WindowSpec{{Count: 10, Interval: time.Millisecond}, {Carry: true}} {
+		_, runErr := q.Run(Records(nil), WithWindow(ws))
+		_, streamErr := q.Stream(Records(nil), nil, WithWindow(ws))
+		for _, err := range []error{runErr, streamErr} {
+			if err == nil || !strings.Contains(err.Error(), "Count") || !strings.Contains(err.Error(), "Interval ") ||
+				strings.Contains(err.Error(), "IntervalNs") {
+				t.Errorf("spec %+v: error %v does not name Count and Interval", ws, err)
+			}
 		}
-		return recs
-	}
-	recs := collect()
-	if len(recs) == 0 {
-		t.Fatal("empty trace")
-	}
-
-	q := MustCompile(src)
-	truth, err := q.GroundTruth(Records(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := q.Run(Records(recs), WithCache(256, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, gt := truth.Result(), got.Result()
-	if tt.Len() == 0 || tt.Len() != gt.Len() {
-		t.Fatalf("rows: truth %d, datapath %d", tt.Len(), gt.Len())
-	}
-	if got.Evictions == 0 {
-		t.Error("tiny cache produced no evictions; facade options not applied")
 	}
 }
 

@@ -99,63 +99,39 @@ func diffFold(t *testing.T, f *fold.Func, recs []trace.Record) {
 	}
 }
 
-// refUpdateLinear is the tree-interpreter reference for
-// LinearSpec.UpdateLinear: EvalExpr applied directly to the spec's public
-// A and B trees (nil ⇒ 0) against the pre-update state, then the textbook
-// S' = A·S + B, P' = A·P.
-func refUpdateLinear(ls *fold.LinearSpec, state, p []float64, in *fold.Input) {
-	m := ls.Dim()
-	coef := func(e fold.Expr) float64 {
-		if e == nil {
-			return 0
-		}
-		return fold.EvalExpr(e, in, state)
-	}
-	a, ns := make([]float64, m*m), make([]float64, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			a[i*m+j] = coef(ls.A[i][j])
-		}
-	}
-	for i := range ns {
-		acc := a[i*m] * state[0]
-		for k := 1; k < m; k++ {
-			acc += a[i*m+k] * state[k]
-		}
-		ns[i] = acc + coef(ls.B[i])
-	}
-	copy(state, ns)
-	fold.StepP(p, a, make([]float64, m*m), m)
-}
-
-// diffLinear checks the compiled coefficient path against the tree
-// interpreter over the spec's expression trees on evolving state.
+// diffLinear checks the compiled coefficients against the tree
+// interpreter over the spec's expression trees (nil: 0) on evolving
+// state: A, as
+// the m×m row's EvalA reads it, and for a block-evaluable spec every
+// coefficient column EvalCoefs fills.
 func diffLinear(t *testing.T, f *fold.Func, recs []trace.Record) {
 	t.Helper()
-	m := f.StateLen()
-	sc := make([]float64, m)
-	si := make([]float64, m)
-	f.Init(sc)
-	f.Init(si)
-	pc := make([]float64, m*m)
-	pi := make([]float64, m*m)
-	fold.IdentityP(pc, m)
-	fold.IdentityP(pi, m)
-	aS, mS := make([]float64, m*m), make([]float64, m*m)
+	ls, m := f.Linear, f.StateLen()
+	st, a := make([]float64, m), make([]float64, m*m)
+	f.Init(st)
+	block, _ := ls.BlockEvaluable()
+	cols := ls.NewCoefBlock()
 	for r := range recs[:min(len(recs), 2000)] {
 		in := fold.Input{Rec: &recs[r]}
-		f.Linear.UpdateLinear(sc, pc, &in, aS, mS)
-		refUpdateLinear(f.Linear, si, pi, &in)
-		for i := range sc {
-			if !bitsEq(sc[i], si[i]) {
-				t.Fatalf("%s: record %d state[%d]: compiled=%v interp=%v", f.Name(), r, i, sc[i], si[i])
+		ls.EvalA(&in, st, a)
+		for i := range a {
+			if want := fold.EvalExpr(ls.A[i/m][i%m], &in, st); !bitsEq(a[i], want) {
+				t.Fatalf("%s: record %d A[%d]: compiled=%v interp=%v", f.Name(), r, i, a[i], want)
 			}
 		}
-		for i := range pc {
-			if !bitsEq(pc[i], pi[i]) {
-				t.Fatalf("%s: record %d P[%d]: compiled=%v interp=%v", f.Name(), r, i, pc[i], pi[i])
+		if block {
+			ls.EvalCoefs(&in, cols)
+			for c := 0; c < 2*m; c++ {
+				e := ls.B[c%m]
+				if c < m {
+					e = ls.A[c][c]
+				}
+				if got, want := cols[c*fold.BlockSize], fold.EvalExpr(e, &in, st); !bitsEq(got, want) {
+					t.Fatalf("%s: record %d coefficient column %d: compiled=%v interp=%v", f.Name(), r, c, got, want)
+				}
 			}
 		}
+		f.Update(st, &in)
 	}
 }
 

@@ -1,38 +1,20 @@
 package perfq
 
-// Windowed equivalence suite: the continuous epoch runtime (WithWindow)
-// must be observationally identical to replaying the window schedule
-// against the unbounded reference.
-//
-//   - Tumbling windows: window k's tables must equal running the ground
-//     truth over window k's record slice alone — bit-identical for
-//     linear folds with integer coefficient matrices and for mirrored
-//     selects; within 1e-12 per key for fractional-decay folds under
-//     churn (the shard suite's rounding caveat); valid-key subsets with
-//     bit-exact values for the non-linear fold (the Figure 6 envelope).
-//   - Carry-over windows: window k's tables must equal the ground truth
-//     over the prefix ending at window k — the boundary flush splits
-//     every resident key's state into per-window cache epochs, and the
-//     §3.2 merge (first-packet snapshots included, for history folds)
-//     must stitch them back together exactly.
-//   - Both hold under WithShards and WithFabric: per-shard pools and
-//     per-switch fabric workers are barriered at every boundary, so
-//     epochs align across the whole deployment in record order.
+// Windows. Every emitted window of a WithWindow run — tumbling or
+// carry-over, by count or by interval, over shards and fabrics — is held
+// to window.GroundTruth's replay of the same schedule by the
+// whole-system differential (system_test.go); the Figure 2 pins below
+// keep the paper's seven queries on it by name. What stays here is what
+// the differential cannot express: the bounded ring of retained windows
+// and the Figure 6 accuracy knob.
 
 import (
-	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"perfq/internal/queries"
-	"perfq/internal/topo"
-	"perfq/internal/window"
 )
-
-// windowSpecOf mirrors the facade's WindowSpec → window.Spec lowering
-// for ground-truth replay.
-func windowSpecOf(ws WindowSpec) window.Spec {
-	return window.Spec{Count: ws.Count, IntervalNs: ws.Interval.Nanoseconds(), Carry: ws.Carry}
-}
 
 // collectWindows streams the query and returns every window result (the
 // callback sees all of them regardless of ring size).
@@ -52,211 +34,61 @@ func collectWindows(t *testing.T, q *Query, recs []Record, opts ...RunOption) []
 	return out
 }
 
-// requireWindowsMatchGroundTruth holds every emitted window to the
-// ground-truth replay of the same schedule, per the suite's rules for
-// the query's merge class.
-func requireWindowsMatchGroundTruth(t *testing.T, ex *queries.Example, q *Query,
-	wins []*WindowResult, gt []map[string]*Table, exact bool) {
-	t.Helper()
-	if len(wins) != len(gt) {
-		t.Fatalf("%s: %d windows, ground truth has %d", ex.Name, len(wins), len(gt))
-	}
-	for i, w := range wins {
-		for name, want := range gt[i] {
-			label := fmt.Sprintf("%s/w%d/%s", ex.Name, i, name)
-			got := w.Table(name)
-			switch {
-			case exact || (ex.Linear && !roundingProneCoeffs(q)):
-				requireTablesIdentical(t, label, got, want)
-			case ex.Linear:
-				requireTablesWithin(t, label, got, want, 1e-12)
-			case name == "_1":
-				requireRowsSubsetByKey(t, label, got, want, 5, 0)
-			}
-		}
-	}
-}
-
-// windowGroundTruth replays the unbounded reference under the same
-// window schedule, adapting the internal tables to the facade's Table
-// for the shared assertion helpers.
-func windowGroundTruth(t *testing.T, q *Query, tp *topo.Topology, recs []Record, ws WindowSpec) []map[string]*Table {
-	t.Helper()
-	raw, err := window.GroundTruth(q.plan, tp, recs, windowSpecOf(ws))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]map[string]*Table, len(raw))
-	for i, tabs := range raw {
-		out[i] = map[string]*Table{}
-		for name, tab := range tabs {
-			out[i][name] = &Table{Schema: tab.Schema, Rows: tab.Rows}
-		}
-	}
-	return out
-}
-
-// TestWindowedZeroChurnBitIdentical: with caches large enough that only
-// window-close flushes evict, every Figure 2 query's per-window tables
-// must match the per-slice ground truth bit-for-bit — for every fold
-// class, since a single flush epoch is a pure fold state.
+// TestWindowedZeroChurnBitIdentical pins every Figure 2 query under
+// count windows with caches large enough that only window closes evict.
 func TestWindowedZeroChurnBitIdentical(t *testing.T) {
-	recs := churnTrace(t)
-	ws := WindowSpec{Count: 1500, Keep: 1 << 20}
-	for _, ex := range queries.Fig2 {
-		ex := ex
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			wins := collectWindows(t, q, recs, WithCache(1<<20, 8), WithWindow(ws))
-			if len(wins) < 4 {
-				t.Fatalf("only %d windows; trace sizing broken", len(wins))
-			}
-			for _, w := range wins {
-				if w.Evictions != 0 {
-					t.Fatalf("window %d: churn in zero-churn config: %d evictions", w.Index, w.Evictions)
-				}
-			}
-			gt := windowGroundTruth(t, q, nil, recs, ws)
-			requireWindowsMatchGroundTruth(t, &ex, q, wins, gt, true)
-		})
-	}
+	fig2Pins(t, churnTrace(t), sysCase{pairs: 1 << 20, ways: 8, win: &WindowSpec{Count: 1500}}, churnNone, nil)
 }
 
-// TestWindowedChurnEquivalence shrinks the cache far below the working
-// set so every window exercises the merge machinery for real, then holds
-// each window to its slice's ground truth under the per-class rules.
+// TestWindowedChurnEquivalence pins every Figure 2 query under count
+// windows with a cache far below the working set.
 func TestWindowedChurnEquivalence(t *testing.T) {
-	recs := churnTrace(t)
-	ws := WindowSpec{Count: 4000, Keep: 1 << 20}
-	for _, ex := range queries.Fig2 {
-		ex := ex
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			wins := collectWindows(t, q, recs, WithCache(1<<10, 8), WithWindow(ws))
-			var churn uint64
-			for _, w := range wins {
-				churn += w.Evictions
-			}
-			if churn == 0 && wins[0].TotalKeys > 2000 {
-				t.Fatal("no eviction churn; trace/cache sizing broken")
-			}
-			gt := windowGroundTruth(t, q, nil, recs, ws)
-			requireWindowsMatchGroundTruth(t, &ex, q, wins, gt, false)
-		})
-	}
+	fig2Pins(t, churnTrace(t), sysCase{pairs: 1 << 10, ways: 8, win: &WindowSpec{Count: 4000}}, churnSome, nil)
 }
 
-// TestWindowedByTimeMatchesGroundTruth covers the virtual-timestamp
-// schedule (including any empty windows a traffic gap produces): same
-// per-slice equivalence, driven by Record.Tin instead of record count.
+// TestWindowedByTimeMatchesGroundTruth pins the per-flow counters under
+// 400 ms windows of trace time.
 func TestWindowedByTimeMatchesGroundTruth(t *testing.T) {
-	recs := churnTrace(t)
-	ws := WindowSpec{Interval: 400_000_000, Keep: 1 << 20} // 400ms of trace time
-	q := MustCompile(queries.ByName("Per-flow counters").Source)
-	wins := collectWindows(t, q, recs, WithCache(1<<10, 8), WithWindow(ws))
-	if len(wins) < 4 {
-		t.Fatalf("only %d windows", len(wins))
-	}
-	for i, w := range wins {
-		if w.Index != int64(i) || w.End-w.Start != 400_000_000 {
-			t.Fatalf("window %d metadata: index %d bounds %v..%v", i, w.Index, w.Start, w.End)
-		}
-	}
-	gt := windowGroundTruth(t, q, nil, recs, ws)
-	ex := queries.ByName("Per-flow counters")
-	requireWindowsMatchGroundTruth(t, ex, q, wins, gt, false)
+	fig2Pins(t, churnTrace(t), sysCase{pairs: 1 << 10, ways: 8, win: &WindowSpec{Interval: 400 * time.Millisecond}}, churnSome,
+		func(ex *queries.Example) bool { return ex.Name == "Per-flow counters" })
 }
 
-// TestWindowedCarryOverCumulative: carry-over windows must be cumulative
-// — window k equals the ground truth over records [0, end of k). The
-// history fold (TCP out of sequence) is the sharp edge: every boundary
-// flush forces its per-key state through a first-packet snapshot, and
-// the merge must replay it exactly (integer coefficients, so bit-exact).
+// TestWindowedCarryOverCumulative pins a sum, a history fold and a decay
+// fold under carry-over windows, where every boundary flush splits each
+// resident key into one more cache epoch.
 func TestWindowedCarryOverCumulative(t *testing.T) {
-	recs := churnTrace(t)
-	ws := WindowSpec{Count: 4000, Carry: true, Keep: 1 << 20}
-	for _, name := range []string{"Per-flow counters", "TCP out of sequence", "Latency EWMA"} {
-		ex := queries.ByName(name)
-		t.Run(name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			wins := collectWindows(t, q, recs, WithCache(1<<10, 8), WithWindow(ws))
-			gt := windowGroundTruth(t, q, nil, recs, ws)
-			requireWindowsMatchGroundTruth(t, ex, q, wins, gt, false)
-			// Cumulative key counts never shrink.
-			for i := 1; i < len(wins); i++ {
-				if wins[i].TotalKeys < wins[i-1].TotalKeys {
-					t.Fatalf("window %d lost keys: %d after %d", i, wins[i].TotalKeys, wins[i-1].TotalKeys)
-				}
-			}
+	fig2Pins(t, churnTrace(t), sysCase{pairs: 1 << 10, ways: 8, win: &WindowSpec{Count: 4000, Carry: true}}, churnSome,
+		func(ex *queries.Example) bool {
+			return slices.Contains([]string{"Per-flow counters", "TCP out of sequence", "Latency EWMA"}, ex.Name)
 		})
-	}
 }
 
-// TestWindowedWithShards composes the epoch runtime with the sharded
-// datapath: per-window tables must be bit-identical to the serial
-// windowed run for exactly-merged queries (shard pools are barriered at
-// every boundary, so no record straddles a close).
+// TestWindowedWithShards pins a sum and a history fold under count
+// windows at four shards.
 func TestWindowedWithShards(t *testing.T) {
 	forceProcs(t)
-	recs := churnTrace(t)
-	ws := WindowSpec{Count: 4000, Keep: 1 << 20}
-	for _, name := range []string{"Per-flow counters", "TCP out of sequence"} {
-		ex := queries.ByName(name)
-		t.Run(name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			serial := collectWindows(t, q, recs, WithCache(1<<10, 8), WithWindow(ws))
-			sharded := collectWindows(t, q, recs, WithCache(1<<10, 8), WithShards(4), WithWindow(ws))
-			if len(serial) != len(sharded) {
-				t.Fatalf("window counts differ: %d vs %d", len(serial), len(sharded))
-			}
-			for i := range serial {
-				requireTablesIdentical(t, fmt.Sprintf("%s/w%d", ex.Name, i),
-					sharded[i].Result(), serial[i].Result())
-			}
+	fig2Pins(t, churnTrace(t), sysCase{shards: 4, pairs: 1 << 10, ways: 8, win: &WindowSpec{Count: 4000}}, churnSome,
+		func(ex *queries.Example) bool {
+			return ex.Name == "Per-flow counters" || ex.Name == "TCP out of sequence"
 		})
-	}
 }
 
-// TestWindowedFabric runs the epoch runtime network-wide: per-switch
-// datapaths closed at aligned boundaries, the collector merge per
-// window. At zero churn every Figure 2 query must match the per-slice
-// fabric ground truth bit-for-bit.
+// TestWindowedFabric pins every Figure 2 query under count windows over
+// the fabric at zero churn.
 func TestWindowedFabric(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
-	recs := fabricTrace(t, tp, 300)
-	ws := WindowSpec{Count: 2500, Keep: 1 << 20}
-	for _, ex := range queries.Fig2 {
-		ex := ex
-		t.Run(ex.Name, func(t *testing.T) {
-			q := MustCompile(ex.Source)
-			wins := collectWindows(t, q, recs, WithCache(1<<20, 8), WithFabric(tp), WithWindow(ws))
-			if len(wins) < 3 {
-				t.Fatalf("only %d windows", len(wins))
-			}
-			gt := windowGroundTruth(t, q, tp, recs, ws)
-			requireWindowsMatchGroundTruth(t, &ex, q, wins, gt, true)
-		})
-	}
+	fig2Pins(t, fabricTrace(t, tp, 300), sysCase{tp: tp, pairs: 1 << 20, ways: 8, win: &WindowSpec{Count: 2500}}, churnNone, nil)
 }
 
 // TestWindowedFabricWithShards stacks all three layers — windows over a
-// fabric of sharded datapaths — and requires bit-identity with the
-// serial windowed fabric for a network-exact query.
+// fabric of sharded datapaths — for the per-flow counters.
 func TestWindowedFabricWithShards(t *testing.T) {
 	forceProcs(t)
 	tp := equivFabric()
-	recs := fabricTrace(t, tp, 300)
-	ws := WindowSpec{Count: 2500, Keep: 1 << 20}
-	q := MustCompile(queries.ByName("Per-flow counters").Source)
-	base := collectWindows(t, q, recs, WithCache(1<<14, 8), WithFabric(tp), WithWindow(ws))
-	sharded := collectWindows(t, q, recs, WithCache(1<<14, 8), WithFabric(tp), WithShards(4), WithWindow(ws))
-	if len(base) != len(sharded) {
-		t.Fatalf("window counts differ: %d vs %d", len(base), len(sharded))
-	}
-	for i := range base {
-		requireTablesIdentical(t, fmt.Sprintf("w%d", i), sharded[i].Result(), base[i].Result())
-	}
+	c := sysCase{name: "counters", src: queries.ByName("Per-flow counters").Source, recs: fabricTrace(t, tp, 300),
+		tp: tp, shards: 4, pairs: 1 << 14, ways: 8, win: &WindowSpec{Count: 2500}}
+	runSystemCase(t, &c, churnAny, nil)
 }
 
 // TestWindowedRingBounded pins the bounded-memory contract: a long
