@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func TestKeySpecPackedRoundTrip(t *testing.T) {
 	vals := []float64{0xC0A80101, 0x0A000001, 443, 51515, 6}
 	key := ks.Pack(vals)
 	got := make([]float64, 5)
-	ks.Unpack(key, got)
+	ks.Unpack(binary.BigEndian.Uint64(key[0:8]), binary.BigEndian.Uint64(key[8:16]), got)
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Errorf("component %d: %v != %v", i, got[i], vals[i])

@@ -8,6 +8,7 @@ package compiler
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"perfq/internal/packet"
 	"perfq/internal/trace"
@@ -39,12 +40,14 @@ type KeySpec struct {
 	// therefore stored reversibly; otherwise the key is a 128-bit digest
 	// and key values ride alongside (wider-key SRAM in real hardware).
 	Packed bool
-	// widths per component (packed mode; derived columns use 8 bytes).
-	widths []int
+	// comps places each component in the packed key (packed mode), and
+	// signed says one is 8 bytes wide, so it can unpack negative.
+	comps  []keyComp
+	signed bool
 	// fiveTuple marks the canonical GROUPBY 5tuple spec, whose packed
 	// layout coincides with packet.FiveTuple.Pack — the datapath reads
 	// the record's header fields directly instead of dispatching through
-	// Record.Field five times per packet.
+	// Record.Field five times per packet, and Unpack shifts by constants.
 	fiveTuple bool
 }
 
@@ -58,17 +61,14 @@ func (k *KeySpec) NumComponents() int {
 
 // newKeySpecFields builds a KeySpec over raw schema fields.
 func newKeySpecFields(fields []trace.FieldID) *KeySpec {
-	ks := &KeySpec{Fields: fields}
-	total := 0
+	ks := &KeySpec{Fields: fields, Packed: true}
 	for _, f := range fields {
 		w := fieldWidth[f]
 		if w == 0 {
 			w = 8
 		}
-		ks.widths = append(ks.widths, w)
-		total += w
+		ks.add(w)
 	}
-	ks.Packed = total <= 16
 	if len(fields) == len(trace.FiveTupleFields) {
 		ks.fiveTuple = true
 		for i, f := range trace.FiveTupleFields {
@@ -83,13 +83,32 @@ func newKeySpecFields(fields []trace.FieldID) *KeySpec {
 
 // newKeySpecCols builds a KeySpec over derived-row columns (8 bytes each).
 func newKeySpecCols(cols []int) *KeySpec {
-	ks := &KeySpec{Cols: cols}
+	ks := &KeySpec{Cols: cols, Packed: true}
 	for range cols {
-		ks.widths = append(ks.widths, 8)
+		ks.add(8)
 	}
-	ks.Packed = len(cols)*8 <= 16
 	return ks
 }
+
+// keyComp is one packed component: its first bit in k0 ‖ k1 (0 is k0's
+// top bit), and how many of the 64 bits from there are not its own.
+type keyComp struct{ at, drop uint }
+
+// add lays the next component, w bytes wide, after the ones before it:
+// the spec stays packed while they fit in 16 bytes.
+func (k *KeySpec) add(w int) {
+	at := uint(0)
+	if n := len(k.comps); n > 0 {
+		at = k.comps[n-1].at + 64 - k.comps[n-1].drop
+	}
+	k.comps = append(k.comps, keyComp{at: at, drop: uint(64 - 8*w)})
+	k.Packed = k.Packed && at+uint(8*w) <= 128
+	k.signed = k.signed || w == 8
+}
+
+// Signed reports whether a packed key can unpack a negative component:
+// only an 8-byte one reaches its word's sign bit.
+func (k *KeySpec) Signed() bool { return k.signed }
 
 // Equal reports whether two specs form identical keys (the fusion
 // precondition).
@@ -133,11 +152,8 @@ func (k *KeySpec) ValuesRow(row []float64, dst []float64) {
 // keys formed from float64 rows.
 func (k *KeySpec) Of(rec *trace.Record) packet.Key128 {
 	if k.fiveTuple {
-		// Identical bytes to the generic packed path below: the widths
-		// (4,4,2,2,1 big-endian) match FiveTuple.Pack, and all five
-		// values are ≤ 32 bits so the float64 round-trip is lossless.
-		// Assembled from the header fields directly (no Record.Field
-		// dispatch) in a leaf helper small enough to inline.
+		// The generic path's bytes, from the header fields directly: all
+		// five values are ≤ 32 bits, so the float64 round-trip is lossless.
 		return rec.FiveTupleKey()
 	}
 	return k.ofGeneric(rec)
@@ -151,14 +167,11 @@ func (k *KeySpec) IsFiveTuple() bool { return k.fiveTuple }
 // ofGeneric is the non-5-tuple packing path.
 func (k *KeySpec) ofGeneric(rec *trace.Record) packet.Key128 {
 	if k.Packed && len(k.Fields) > 0 {
-		var key packet.Key128
-		off := 0
+		var k0, k1 uint64
 		for i, f := range k.Fields {
-			w := k.widths[i]
-			putUint(key[off:off+w], uint64(int64(float64(rec.Field(f)))), w)
-			off += w
+			k0, k1 = k.comps[i].put(k0, k1, uint64(int64(float64(rec.Field(f)))))
 		}
-		return key
+		return keyOfWords(k0, k1)
 	}
 	nk := k.NumComponents()
 	var kv [8]float64
@@ -170,16 +183,14 @@ func (k *KeySpec) ofGeneric(rec *trace.Record) packet.Key128 {
 // components out at their natural widths; digest mode hashes the full
 // component vector into 16 bytes with two independent FNV-1a streams.
 func (k *KeySpec) Pack(vals []float64) packet.Key128 {
-	var key packet.Key128
 	if k.Packed {
-		off := 0
+		var k0, k1 uint64
 		for i, v := range vals {
-			w := k.widths[i]
-			putUint(key[off:off+w], uint64(int64(v)), w)
-			off += w
+			k0, k1 = k.comps[i].put(k0, k1, uint64(int64(v)))
 		}
-		return key
+		return keyOfWords(k0, k1)
 	}
+	var key packet.Key128
 	const (
 		off1, off2        = 14695981039346656037, 0xcbf29ce484222325 ^ 0x9e3779b97f4a7c15
 		prime      uint64 = 1099511628211
@@ -198,57 +209,48 @@ func (k *KeySpec) Pack(vals []float64) packet.Key128 {
 	return key
 }
 
-// Unpack recovers key component values from a packed key. It must only be
-// called when Packed is true.
-func (k *KeySpec) Unpack(key packet.Key128, dst []float64) {
+// Unpack recovers key component values from a packed key given as its
+// two big-endian words (bytes 0–7 and 8–15). It must only be called when
+// Packed is true.
+func (k *KeySpec) Unpack(k0, k1 uint64, dst []float64) {
 	if !k.Packed {
 		panic("compiler: Unpack on digest-mode key")
 	}
-	off := 0
-	for i := range k.widths {
-		w := k.widths[i]
-		dst[i] = float64(int64(getUint(key[off:off+w], w)))
-		off += w
+	if k.fiveTuple { // the five components at constant shifts
+		dst = dst[:5]
+		dst[0], dst[1] = float64(int64(k0>>32)), float64(int64(k0&0xffff_ffff))
+		dst[2], dst[3], dst[4] = float64(int64(k1>>48)), float64(int64(k1>>32&0xffff)), float64(int64(k1>>24&0xff))
+		return
+	}
+	for i, c := range k.comps {
+		dst[i] = float64(int64(c.get(k0, k1)))
 	}
 }
 
-func putUint(b []byte, v uint64, w int) {
-	// Width-dispatched stores: the natural field widths are 1/2/4/8
-	// bytes, and this runs once per key component per packet on the
-	// datapath's key-packing path.
-	switch w {
-	case 1:
-		b[0] = byte(v)
-	case 2:
-		binary.BigEndian.PutUint16(b, uint16(v))
-	case 4:
-		binary.BigEndian.PutUint32(b, uint32(v))
-	case 8:
-		binary.BigEndian.PutUint64(b, v)
-	default:
-		for i := w - 1; i >= 0; i-- {
-			b[i] = byte(v)
-			v >>= 8
-		}
+// get reads the component out of the key's words. Shift counts masked
+// to six bits compile to bare shifts; lo>>1>>(63-at) is lo>>(64-at) with
+// at = 0 reading nothing.
+func (c keyComp) get(k0, k1 uint64) uint64 {
+	if c.at >= 64 {
+		k0, k1 = k1, 0
 	}
+	return (k0<<(c.at&63) | k1>>1>>((63-c.at)&63)) >> (c.drop & 63)
 }
 
-func getUint(b []byte, w int) uint64 {
-	switch w {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		return uint64(binary.BigEndian.Uint16(b))
-	case 4:
-		return uint64(binary.BigEndian.Uint32(b))
-	case 8:
-		return binary.BigEndian.Uint64(b)
+// put ORs the component's low bytes into the key's words: get's inverse.
+func (c keyComp) put(k0, k1, v uint64) (uint64, uint64) {
+	v <<= c.drop & 63 // the low bytes, at the top
+	if c.at >= 64 {
+		return k0, k1 | v>>(c.at&63)
 	}
-	var v uint64
-	for i := 0; i < w; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
+	return k0 | v>>(c.at&63), k1 | v<<1<<((63-c.at)&63)
+}
+
+// keyOfWords is the key whose big-endian words are k0 and k1.
+func keyOfWords(k0, k1 uint64) (key packet.Key128) {
+	binary.BigEndian.PutUint64(key[0:8], k0)
+	binary.BigEndian.PutUint64(key[8:16], k1)
+	return key
 }
 
 // String describes the key layout.
@@ -257,27 +259,12 @@ func (k *KeySpec) String() string {
 	if k.Packed {
 		mode = "packed"
 	}
-	if len(k.Fields) > 0 {
-		names := make([]string, len(k.Fields))
-		for i, f := range k.Fields {
-			names[i] = f.String()
-		}
-		return fmt.Sprintf("key(%s; %s)", mode, join(names))
+	var parts []string
+	for _, f := range k.Fields {
+		parts = append(parts, f.String())
 	}
-	cols := make([]string, len(k.Cols))
-	for i, c := range k.Cols {
-		cols[i] = fmt.Sprintf("$%d", c)
+	for _, c := range k.Cols {
+		parts = append(parts, fmt.Sprintf("$%d", c))
 	}
-	return fmt.Sprintf("key(%s; %s)", mode, join(cols))
-}
-
-func join(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
+	return fmt.Sprintf("key(%s; %s)", mode, strings.Join(parts, ","))
 }

@@ -334,11 +334,15 @@ func TestEvictQueueBarrierOrder(t *testing.T) {
 }
 
 // TestPoolChunkedConcurrentProducers runs two producers over disjoint
-// keys against a live two-backend pool while a third goroutine Syncs,
-// with pauses that let the shippers go idle and steal partial chunks.
-// Every Sync covers what was offered before it; at the end the books
-// balance with nothing dropped, partial chunks were shipped, and each
-// key's epochs reached its server in the order they were offered.
+// keys against a live two-backend pool while a third goroutine Syncs.
+// Every tenth round both producers pause one key into it, and the pause
+// lasts until the books balance: 2 keys past a multiple of 80 have been
+// offered, so unless a partial chunk already left, some backend's open
+// chunk is partial and the books balance only once its shipper has gone
+// idle and stolen it. Every Sync covers what was offered before it; at
+// the end the books balance with nothing dropped, partial chunks were
+// shipped, and each key's epochs reached its server in the order they
+// were offered.
 func TestPoolChunkedConcurrentProducers(t *testing.T) {
 	last := &fold.Func{Prog: &fold.Program{
 		Name: "last", NumState: 1,
@@ -383,6 +387,24 @@ func TestPoolChunkedConcurrentProducers(t *testing.T) {
 			}
 		}
 	}()
+	paused, resume := make(chan struct{}), make(chan struct{})
+	go func() { // holds each pause until the books balance
+		for r := 0; r < rounds; r += 10 {
+			for pr := 0; pr < producers; pr++ {
+				<-paused
+			}
+			for deadline := time.Now().Add(10 * time.Second); p.Acked()+p.DroppedEvictions() < p.Offered(); {
+				if time.Now().After(deadline) {
+					t.Errorf("round %d: the books did not balance while the producers paused: offered %d, acked %d", r, p.Offered(), p.Acked())
+					break
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
+			for pr := 0; pr < producers; pr++ {
+				resume <- struct{}{}
+			}
+		}
+	}()
 	var pwg sync.WaitGroup
 	for pr := 0; pr < producers; pr++ {
 		pwg.Add(1)
@@ -393,11 +415,11 @@ func TestPoolChunkedConcurrentProducers(t *testing.T) {
 					ev := kvstore.Eviction{Key: keyN(pr*keys + k), State: []float64{float64(r)}}
 					if err := p.HandleEviction(&ev); err != nil {
 						t.Errorf("producer %d: %v", pr, err)
-						return
 					}
-				}
-				if r%10 == 0 {
-					time.Sleep(200 * time.Microsecond) // let a shipper run dry and steal
+					if r%10 == 0 && k == 0 {
+						paused <- struct{}{}
+						<-resume
+					}
 				}
 			}
 		}(pr)

@@ -104,10 +104,11 @@ func BenchmarkSortRefs(b *testing.B) {
 				src[i].idx = uint64(i)
 			}
 			refs := make([]keyedRef, keys)
+			var g Gather
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(refs, src)
-				sortRefs(refs)
+				g.sortRefs(refs)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(keys), "ns/key")
 		})
@@ -127,7 +128,7 @@ func BenchmarkSortRefs(b *testing.B) {
 // close.
 func TestCloseWindowAllocations(t *testing.T) {
 	const (
-		maxAllocs  = 16   // 12 today: tables map, collector engine, table, slab, rows, ...
+		maxAllocs  = 6    // the tables map and its bucket, the accuracy counts, the table, its slab and rows
 		constBytes = 8192 // those, and the allocator rounding slab and rows up to a size class or page
 	)
 	plan := compilePlan(t, queries.ByName("Latency EWMA").Source)

@@ -628,10 +628,15 @@ func (d *Datapath) Tables() map[string]*exec.Table {
 }
 
 // Collect runs the collector: downstream stages evaluated over the
-// switch-materialized tables, returning every stage's table.
+// switch-materialized tables, returning every stage's table (Tables' own
+// map, which callers only read, when every stage is switch-resident).
 func (d *Datapath) Collect() (map[string]*exec.Table, error) {
+	tabs := d.Tables()
+	if len(tabs) == len(d.plan.Stages) {
+		return tabs, nil
+	}
 	eng := exec.New(d.plan)
-	for name, t := range d.Tables() {
+	for name, t := range tabs {
 		eng.SetTable(name, t)
 	}
 	return eng.Finish()

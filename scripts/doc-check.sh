@@ -8,7 +8,9 @@
 #     patterns are) a function `go test -list` prints for ./... ,
 #   - a backticked `pkg.Name` or `pkg.Type.Member` in README.md or
 #     DESIGN.md, where pkg is perfq or an internal/ package, that
-#     `go doc` cannot find in that package.
+#     `go doc` cannot find in that package,
+#   - a backticked bare `Type.Member` in README.md or DESIGN.md that no
+#     package under perfq or internal/ declares as a method or field.
 # CHANGES.md, ROADMAP.md and the frozen benchmark/ tree are history and
 # are not read.
 set -euo pipefail
@@ -59,5 +61,46 @@ while IFS=: read -r file line ref; do
 	[[ ${found[$ref]} == 0 ]] ||
 		report "$file:$line" "\`$ref\`, which $path does not declare"
 done < <(grep -noE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?' README.md DESIGN.md || true)
+
+# Every Type.Member the packages declare, as `go doc -all -u` prints
+# them: methods, struct fields and interface methods, and the members an
+# embedded type promotes.
+members=$(for pkg in perfq $(go list ./internal/...); do go doc -all -u "$pkg"; done | awk '
+	function add(t, m) { decl[t] = decl[t] " " m }
+	/^func \(/ {
+		t = $0; sub(/^func \([^)]*[ *]/, "", t)
+		m = t; sub(/^[^)]*\) /, "", m); sub(/[[(].*/, "", m)
+		sub(/[[)].*/, "", t)
+		add(t, m)
+		next
+	}
+	/^type [A-Za-z0-9_]+(\[[^]]*\])? (struct|interface) \{$/ { t = $2; sub(/\[.*/, "", t); in_type = 1; next }
+	in_type && /^}/ { in_type = 0; next }
+	in_type && /^\t[A-Za-z_*]/ {
+		line = $0; sub(/^\t/, "", line); sub(/[ \t]*\/\/.*/, "", line)
+		if (line ~ /^[A-Za-z_][A-Za-z0-9_]*\(/) { sub(/\(.*/, "", line); add(t, line); next }
+		if (line ~ /^\*?[A-Za-z_][A-Za-z0-9_.]*(\[.*\])?$/) { # embedded
+			sub(/^\*/, "", line); sub(/\[.*/, "", line); sub(/.*\./, "", line)
+			add(t, line); embeds[t] = embeds[t] " " line
+			next
+		}
+		sub(/ [^,].*$/, "", line) # the names, before the type
+		n = split(line, names, /, */)
+		for (i = 1; i <= n; i++) add(t, names[i])
+	}
+	END {
+		for (t in embeds) {
+			n = split(embeds[t], es, " ")
+			for (i = 1; i <= n; i++) decl[t] = decl[t] decl[es[i]]
+		}
+		for (t in decl) {
+			n = split(decl[t], ms, " ")
+			for (i = 1; i <= n; i++) print t "." ms[i]
+		}
+	}')
+while IFS=: read -r file line ref; do
+	grep -qxF -- "${ref#\`}" <<<"$members" ||
+		report "$file:$line" "$ref\`, which no package under perfq or internal/ declares as a method or field"
+done < <(grep -noE '`[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md || true)
 
 exit $bad
