@@ -29,14 +29,18 @@ func getBytes(b []byte, w int) uint64 {
 
 // drawPackedSpec draws a packed spec and its component widths: raw fields
 // of total width ≤ 16 in any order (so components straddle bytes 7 and 8,
-// and 8-byte ones appear), or one or two derived columns.
+// and 8-byte ones appear), the canonical five-tuple, whose Unpack shifts
+// by constants, or one or two derived columns.
 func drawPackedSpec(rng *rand.Rand) (*KeySpec, []int) {
-	if rng.Intn(5) == 0 {
+	switch rng.Intn(5) {
+	case 0:
 		cols := make([]int, 1+rng.Intn(2))
 		for i := range cols {
 			cols[i] = rng.Intn(6)
 		}
 		return newKeySpecCols(cols), []int{8, 8}[:len(cols)]
+	case 1:
+		return newKeySpecFields(trace.FiveTupleFields), []int{4, 4, 2, 2, 1}
 	}
 	var fields []trace.FieldID
 	var widths []int
@@ -81,11 +85,14 @@ func drawValue(rng *rand.Rand, w int) float64 {
 // unpack to a negative value, so the key's byte order is its rows' order.
 func TestKeySpecWordsMatchByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	var straddled, negative int
+	var straddled, negative, fiveTuple int
 	for n := 0; n < 20_000; n++ {
 		ks, widths := drawPackedSpec(rng)
 		if !ks.Packed {
 			t.Fatalf("%v: %v bytes did not pack", ks, widths)
+		}
+		if ks.IsFiveTuple() {
+			fiveTuple++
 		}
 		vals := make([]float64, len(widths))
 		var want packet.Key128
@@ -134,8 +141,8 @@ func TestKeySpecWordsMatchByteLoop(t *testing.T) {
 			off += w
 		}
 	}
-	if straddled == 0 || negative == 0 {
-		t.Fatalf("the draws never straddled bytes 7 and 8 (%d) or unpacked a negative value (%d)", straddled, negative)
+	if straddled == 0 || negative == 0 || fiveTuple == 0 {
+		t.Fatalf("the draws never straddled bytes 7 and 8 (%d), unpacked a negative value (%d) or drew the five-tuple (%d)", straddled, negative, fiveTuple)
 	}
 }
 

@@ -104,11 +104,10 @@ func BenchmarkSortRefs(b *testing.B) {
 				src[i].idx = uint64(i)
 			}
 			refs := make([]keyedRef, keys)
-			var g Gather
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(refs, src)
-				g.sortRefs(refs)
+				sortRefs(refs)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(keys), "ns/key")
 		})

@@ -2,7 +2,6 @@ package switchsim
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"slices"
 
 	"perfq/internal/compiler"
@@ -144,7 +143,7 @@ func (a keyedRef) less(b keyedRef) bool {
 
 // word is the ref as three words, most significant first (a switch, not
 // an array: a ref in flight stays in registers).
-func (a keyedRef) word(w uint) uint64 {
+func (a keyedRef) word(w int) uint64 {
 	switch w {
 	case 0:
 		return a.k0
@@ -154,108 +153,76 @@ func (a keyedRef) word(w uint) uint64 {
 	return a.idx
 }
 
-// digit is the b bits at bit p of the ref read as the 192-bit string
-// k0 ‖ k1 ‖ idx, most significant first; they must lie in one word.
-// Counts masked to six bits compile to bare shifts.
-func (a keyedRef) digit(p, b uint) uint64 {
-	return a.word(p>>6) << (p & 63) >> ((64 - b) & 63)
-}
-
-// firstSet is the first bit at or after bit p that is set in a (192 if
-// none is).
-func (a keyedRef) firstSet(p uint) uint {
-	for ; p < 192; p = p | 63 + 1 {
-		if w := a.word(p>>6) << (p & 63); w != 0 {
-			return p + uint(bits.LeadingZeros64(w))
-		}
-	}
-	return p
-}
-
-// radixCutoff is the bucket size insertion sort finishes.
+// radixCutoff is the bucket size insertion sort finishes: a counting
+// pass costs 256 counters however few refs it spreads.
 const radixCutoff = 32
 
-// sortRefs orders refs in place by an MSD radix (American flag) sort
-// over the bits at which they differ (one OR-of-XOR pass finds them),
-// each pass reading about log₂ of the refs it spreads. The order is
-// total, so this unstable sort yields the rows a stable one would; refs
-// of one key held by several sources fall through to the index bits.
-// DESIGN.md "The radix order" has the argument.
-func (g *Gather) sortRefs(refs []keyedRef) {
+// sortRefs orders refs in place by an MSD byte radix (American flag)
+// sort over the byte positions at which they actually differ — packed
+// keys leave trailing bytes zero and flows share prefixes, so one
+// OR-of-XOR pass skips most of the 24. There is exactly one sorted
+// sequence of a total order, so this unstable sort yields the rows a
+// stable one would; refs of one key held by several sources fall through
+// to the index bytes. DESIGN.md "The radix order" has the argument.
+func sortRefs(refs []keyedRef) {
 	var diff keyedRef
 	for i := range refs {
 		diff.k0 |= refs[i].k0 ^ refs[0].k0
 		diff.k1 |= refs[i].k1 ^ refs[0].k1
 		diff.idx |= refs[i].idx ^ refs[0].idx
 	}
-	b := bits.Len(uint(len(refs)) >> 1) // ⌊log₂ n⌋
-	if b > 12 {
-		// Too many refs for one pass to reach singletons: byte passes keep
-		// 256 write heads in L1 (12 bits measured slower at 130 k keys).
-		b = 8
-	}
-	var heads [1 << 12]int32 // every pass's write heads: one runs at a time
-	var ends [256]int32      // up to 8 bits' bucket ends, as later passes keep
-	if b > 8 {               // the Gather keeps wider ones
-		g.bins = slices.Grow(g.bins[:0], 1<<b)[:1<<b]
-		radixRefs(refs, diff, 0, &heads, g.bins)
-		return
-	}
-	radixRefs(refs, diff, 0, &heads, ends[:1<<b])
+	radixRefs(refs, diff, 0)
 }
 
-// radixRefs sorts refs agreeing on every bit before p: a counting pass over
-// len(end) buckets at the first bit from p where two differ, then each
-// bucket. Each pass consumes a differing bit and is linear: none is quadratic.
-func radixRefs(refs []keyedRef, diff keyedRef, p uint, next *[1 << 12]int32, end []int32) {
-	if len(refs) <= radixCutoff {
-		for i := 1; i < len(refs); i++ {
-			r, j := refs[i], i
-			for ; j > 0 && r.less(refs[j-1]); j-- {
-				refs[j] = refs[j-1]
+// radixRefs sorts refs that agree on every byte before position pos (of
+// 24, most significant first). It recurses at most once per position and
+// each level is linear, so no input — one bucket holding all but a few
+// refs included — goes quadratic.
+func radixRefs(refs []keyedRef, diff keyedRef, pos int) {
+	for ; len(refs) > radixCutoff && pos < 24; pos++ {
+		w, sh := pos>>3, uint(56-pos&7<<3)
+		if uint8(diff.word(w)>>sh) == 0 {
+			continue // no two refs differ here
+		}
+		var count [256]int32
+		for i := range refs {
+			count[uint8(refs[i].word(w)>>sh)]++
+		}
+		// next[b] is where bucket b's next ref goes, end[b] where the
+		// bucket ends. Each misplaced ref is carried to its bucket, the ref
+		// it displaces carried on in turn, until one lands here.
+		var next, end [256]int32
+		at := int32(0)
+		for b, n := range count {
+			next[b] = at
+			at += n
+			end[b] = at
+		}
+		for b := range next {
+			for ; next[b] < end[b]; next[b]++ {
+				r := refs[next[b]]
+				for to := uint8(r.word(w) >> sh); int(to) != b; to = uint8(r.word(w) >> sh) {
+					r, refs[next[to]] = refs[next[to]], r
+					next[to]++
+				}
+				refs[next[b]] = r
 			}
-			refs[j] = r
+		}
+		lo := int32(0)
+		for _, hi := range end {
+			if hi-lo > 1 {
+				radixRefs(refs[lo:hi], diff, pos+1)
+			}
+			lo = hi
 		}
 		return
 	}
-	if p = diff.firstSet(p); p >= 192 {
-		return // all equal
-	}
-	b := min(uint(bits.Len(uint(len(end)))-1), 64-p&63) // within p's word
-	end = end[:1<<b]
-	// next[d] is where bucket d's next ref goes (a digit is below
-	// len(next): the mask only spares bounds checks), end[d] where it
-	// ends. Each misplaced ref is carried to its bucket, the ref it
-	// displaces carried on in turn, until one lands here.
-	clear(next[:len(end)])
-	for i := range refs {
-		next[refs[i].digit(p, b)&uint64(len(next)-1)]++
-	}
-	at := int32(0)
-	for d := range end {
-		n := next[d]
-		next[d], end[d] = at, at+n
-		at += n
-	}
-	for d := range end {
-		for ; next[d] < end[d]; next[d]++ {
-			r := refs[next[d]]
-			for to := r.digit(p, b) & uint64(len(next)-1); int(to) != d; to = r.digit(p, b) & uint64(len(next)-1) {
-				r, refs[next[to]] = refs[next[to]], r
-				next[to]++
-			}
-			refs[next[d]] = r
+	for i := 1; i < len(refs); i++ {
+		r, j := refs[i], i
+		for ; j > 0 && r.less(refs[j-1]); j-- {
+			refs[j] = refs[j-1]
 		}
-	}
-	var sub [256]int32 // the buckets' ends, ≤ 8 bits
-	lo := int32(0)
-	for _, hi := range end {
-		if n := hi - lo; n == 2 && refs[lo+1].less(refs[lo]) {
-			refs[lo], refs[lo+1] = refs[lo+1], refs[lo]
-		} else if n > 2 {
-			radixRefs(refs[lo:hi], diff, p+b, next, sub[:1<<min(bits.Len(uint(n)>>1), 8)])
-		}
-		lo = hi
+		refs[j] = r
 	}
 }
 
@@ -297,7 +264,6 @@ type Gather struct {
 	states [][]float64 // shared keys' gathered states (nil: untrustworthy)
 	kvs    []float64   // shared keys' gathered component values, nk per key
 	merged []float64   // the state a run of equal keys reduces into
-	bins   []int32     // the sort's first-pass bucket ends, past 8 bits
 }
 
 // Add adds one key of the member being gathered: the 128-bit store key,
@@ -379,7 +345,7 @@ func (g *Gather) member(sp *compiler.SwitchProgram, pi, mi int, srcs []StateSour
 		slab := g.slab
 		g.slab = nil // the table's from here on
 		if byKey {
-			g.sortRefs(refs)
+			sortRefs(refs)
 		}
 		t.Rows = make([][]float64, len(slab)/width)
 		for i := range t.Rows {
@@ -399,7 +365,7 @@ func (g *Gather) member(sp *compiler.SwitchProgram, pi, mi int, srcs []StateSour
 	// survives: states and key values were gathered into scratch, and the
 	// slab is carved once the runs are counted.
 	states, kvs := g.states, g.kvs
-	g.sortRefs(refs)
+	sortRefs(refs)
 	keys := 0
 	for i := range refs {
 		if i == 0 || !refs[i].sameKey(refs[i-1]) {
