@@ -44,14 +44,16 @@ test: build
 # recorder from concurrent writers and scrape /debug/trace +
 # /debug/events mid-run; the Source suite checks a failing source leaves
 # no worker behind; ProcessInline mixes Process with Feed on a live
-# worker pool; every
+# worker pool; the ProgramSets tests split a single shard's run across
+# goroutines, one per set of programs, under metrics, tracing and a
+# backing pool, and re-panic a set's panic on the feeder; every
 # netstore test runs too, since a backend's health bit is written by its
 # prober and by its shipper and control clients). The
 # suites force GOMAXPROCS >= 4 internally so the parallel paths run even
 # on a single-core host. -short skips the longest stall-injection cases;
 # run without it before a release.
 race:
-	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal|TestSource|TestProcessInline|TestEvictionTotals|TestSystem' ./...
+	$(GO) test -race -short -run 'TestSharded|TestWithShards|TestPool|TestWorkers|TestFabric|TestWindowed|TestChaos|TestBackingPool|TestServerRestart|TestObs|TestTrace|TestJournal|TestSource|TestProcessInline|TestEvictionTotals|TestSystem|TestProgramSets' ./...
 	$(GO) test -race -short ./internal/netstore
 
 # Non-test Go lines per internal package and for the root package, then

@@ -11,7 +11,8 @@ import (
 // journal says *in what order* — a redial failed and the pool marked
 // the backend down, then the queue overflowed, then the window closed
 // late. Appends happen only on control-plane edges (window closes,
-// barriers, health flips, markdowns, queue overflow), so a
+// barriers, health flips, markdowns, queue overflow, a datapath's first
+// program-set split), so a
 // mutexed ring append is far below the noise floor; the sequence number
 // is allocated under the stripe lock so a reader that locks the stripes
 // can never observe a published event whose predecessors are missing —
@@ -29,13 +30,14 @@ const (
 	EvHealthDown
 	EvMarkdown
 	EvQueueOverflow
+	EvProgramSets // a datapath first split an in-place run: A sets, B programs
 
-	numEventKinds = int(EvQueueOverflow) + 1
+	numEventKinds = int(EvProgramSets) + 1
 )
 
 var eventNames = [numEventKinds]string{
 	"window-close", "window-drop", "barrier",
-	"health-up", "health-down", "markdown", "queue-overflow",
+	"health-up", "health-down", "markdown", "queue-overflow", "program-sets",
 }
 
 // String names the kind the way /debug/events renders it.

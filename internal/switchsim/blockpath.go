@@ -23,53 +23,64 @@ import (
 // dispatch per program per block. Within a program or a select stage
 // records are applied in arrival order (ascending lanes), so tables,
 // stores and accuracy do not depend on how the stream was cut into
-// blocks; only the interleaving *between* programs within a block does,
-// which nothing observable depends on. A program's evictions leave its
-// cache once per block, as one batch that its store reconciles before
-// ProcessBlock returns; Config.OnEvict then sees the batch's lanes, so a
-// key's evictions reach it in order and nothing is promised about the
-// order across keys, programs or shards.
+// blocks; only the interleaving *between* programs does — within a block,
+// or across a whole run when program sets apply different programs on
+// different cores — which nothing observable depends on. A program's
+// evictions leave its cache once per block, as one batch that its store
+// reconciles before ProcessBlock returns; Config.OnEvict then sees the
+// batch's lanes, so a key's evictions reach it in order and nothing is
+// promised about the order across keys, programs or shards.
 
-// processBlocks applies a run of records the caller owns every target
-// of (the single-shard, unpartitioned datapath), in place.
-func (sh *shardState) processBlocks(d *Datapath, recs []trace.Record) {
-	b := &d.run
+// processBlocks applies set's programs to a run of records the caller
+// owns every target of (the single-shard, unpartitioned datapath), in
+// place.
+func (sh *shardState) processBlocks(d *Datapath, recs []trace.Record, set *progSet) {
+	b := &set.run
 	for base := 0; base < len(recs); base += fold.BlockSize {
 		n := min(len(recs)-base, fold.BlockSize)
 		b.Recs, b.Lanes = recs[base:base+n], ^uint64(0)>>(fold.BlockSize-uint(n))
-		b.Seq++
-		sh.processBlock(d, b)
+		b.Seq = set.st.seq + 1 // a block its stage has not prepared
+		sh.processBlock(d, b, set)
 		if d.obs != nil {
 			// Refresh the atomic mirrors every pubBlocks blocks so a
 			// scraper sees live progress mid-window; in-place runs only
-			// happen on the single-owner shard 0.
-			if sh.sincePub++; sh.sincePub >= pubBlocks {
-				sh.sincePub = 0
-				d.publishShard(0)
-				d.publishPackets()
+			// happen on the single-owner shard 0, and a set publishes
+			// only what it writes.
+			if set.sincePub++; set.sincePub >= pubBlocks {
+				set.sincePub = 0
+				d.publishProgs(0, set)
+				if set.lead {
+					d.publishPackets()
+				}
 			}
 		}
 	}
 }
 
-// processBlock applies the lanes b.Lanes of one block of 1..BlockSize
-// records. b.Masks == nil means the shard owns every target of those
-// lanes (a partition's only shard, which masks could not even represent
-// beyond shard.MaxTargets programs, or the one owner of a record with
-// one key group); otherwise b.Masks[l] is record l's routing mask, and
-// target t sees exactly the lanes whose mask has bit t set. b.Keys, when
-// set, are the packed keys and hashes of every key group and lane as the
-// router computed them; when nil the key stage packs and hashes, lazily.
-// The block's first delivery prepares its holder's stage for them all.
-func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
+// processBlock applies set's programs to the lanes b.Lanes of one block
+// of 1..BlockSize records. b.Masks == nil means the shard owns every
+// target of those lanes (a partition's only shard, which masks could not
+// even represent beyond shard.MaxTargets programs, or the one owner of a
+// record with one key group); otherwise b.Masks[l] is record l's routing
+// mask, and target t sees exactly the lanes whose mask has bit t set.
+// b.Keys, when set, are the packed keys and hashes of every key group and
+// lane as the router computed them; when nil the key stage packs and
+// hashes, lazily. The block's first delivery prepares its holder's stage
+// for them all.
+func (sh *shardState) processBlock(d *Datapath, b *shard.Block, set *progSet) {
 	hp := d.hot
-	sc := &sh.scratch
+	sc := set.sc
 	recs, active := b.Recs, b.Lanes
-	sh.nBlockRecs += uint64(bits.OnesCount64(active))
-	st := d.stages[b.Holder]
+	if set.lead {
+		sh.nBlockRecs += uint64(bits.OnesCount64(active))
+	}
+	st := set.st
+	if st == nil {
+		st = d.stages[b.Holder]
+	}
 	if st.seq != b.Seq {
 		st.seq = b.Seq
-		st.prepare(hp, recs)
+		st.prepare(hp, set, recs)
 	}
 
 	// Transpose the per-lane routing masks into per-target lane masks.
@@ -92,7 +103,7 @@ func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
 	// target, the bit past the programs'): per-matched-lane column
 	// evaluation straight off the record (matches are sparse, so
 	// evaluating columns lane-wise would waste the non-matching lanes).
-	if selOwn := own[len(hp.progs)]; selOwn != 0 {
+	if selOwn := own[len(hp.progs)]; set.lead && selOwn != 0 {
 		for si := range hp.selects {
 			sel := &hp.selects[si]
 			for m := selOwn & st.sel[si]; m != 0; m &= m - 1 {
@@ -114,7 +125,7 @@ func (sh *shardState) processBlock(d *Datapath, b *shard.Block) {
 	// the router's, or packed and hashed here lazily per (group, lane),
 	// programs sharing a GROUPBY key sharing one computation — then one
 	// ProcessBlock call over the coefficient columns, ascending lanes.
-	for pi := range hp.progs {
+	for pi := set.lo; pi < set.hi; pi++ {
 		mask := own[pi] & st.match[pi]
 		if mask == 0 {
 			continue

@@ -53,16 +53,17 @@ type progHot struct {
 	always bool         // some member is unguarded: every record matches
 	// coefs, when the store merges exactly over a block-evaluable spec,
 	// is that spec: the stage computes the program's coefficient columns.
-	coefs *fold.LinearSpec
+	coefs  *fold.LinearSpec
+	fields uint32 // the raw fields its guards and coefficient columns read
 }
 
 // hotPath is the compiled per-block schedule, shared read-only by every
 // stage and shard.
 type hotPath struct {
-	fields  []trace.FieldID // dense-extraction list: what the stage's codes read
-	selects []selectHot
-	groups  []keyGroup
-	progs   []progHot
+	selFields uint32 // the raw fields the select WHEREs read
+	selects   []selectHot
+	groups    []keyGroup
+	progs     []progHot
 }
 
 // newHotPath builds the schedule for a compiled plan. The stage runs
@@ -72,20 +73,19 @@ type hotPath struct {
 // field references. exact: linear folds' stores merge exactly.
 func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage, exact bool) (*hotPath, error) {
 	hp := &hotPath{}
-	var mask uint32
-	addWhere := func(st *compiler.Stage, w *fold.Code) error {
+	addWhere := func(st *compiler.Stage, w *fold.Code, mask *uint32) error {
 		if w == nil {
 			return nil
 		}
 		if !w.Vectorizable() {
 			return fmt.Errorf("switchsim: stage %s: WHERE over the raw table is not block-evaluable", st.Name)
 		}
-		mask |= w.FieldMask()
+		*mask |= w.FieldMask()
 		return nil
 	}
 	for _, st := range selStgs {
 		sel := selectHot{where: st.WhereCode, cols: st.ColCodes}
-		if err := addWhere(st, sel.where); err != nil {
+		if err := addWhere(st, sel.where, &hp.selFields); err != nil {
 			return nil, err
 		}
 		hp.selects = append(hp.selects, sel)
@@ -93,7 +93,7 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage, exact bool) (*ho
 	for _, sp := range plan.Programs {
 		ph := progHot{wheres: sp.MemberWhere, group: -1}
 		for i, w := range ph.wheres {
-			if err := addWhere(sp.Members[i], w); err != nil {
+			if err := addWhere(sp.Members[i], w, &ph.fields); err != nil {
 				return nil, err
 			}
 			if w == nil {
@@ -103,7 +103,7 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage, exact bool) (*ho
 		if ls := sp.Fold.Linear; exact && sp.Fold.Merge == fold.MergeLinear && ls != nil {
 			if ok, _ := ls.BlockEvaluable(); ok {
 				ph.coefs = ls
-				mask |= ls.FieldMask()
+				ph.fields |= ls.FieldMask()
 			}
 		}
 		for g := range hp.groups {
@@ -122,7 +122,6 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage, exact bool) (*ho
 		}
 		hp.progs = append(hp.progs, ph)
 	}
-	hp.fields = fold.FieldIDs(mask)
 	return hp, nil
 }
 
@@ -190,24 +189,25 @@ func newStage(hp *hotPath) *stage {
 	return st
 }
 
-// prepare runs the stage over every lane of a block of 1..BlockSize
-// records; what it computes for lanes nobody applies is masked off.
-func (st *stage) prepare(hp *hotPath, recs []trace.Record) {
+// prepare runs set's part of the stage — its fields, guards, coefficient
+// columns and, for the lead, select WHEREs — over every lane of a block
+// of 1..BlockSize records; what nobody applies is masked off.
+func (st *stage) prepare(hp *hotPath, set *progSet, recs []trace.Record) {
 	n := len(recs)
 	full := ^uint64(0) >> (64 - uint(n))
-	for _, f := range hp.fields { // Record.Field's switch resolves once per column
+	for _, f := range set.fields { // Record.Field is not inlined: its switch runs per lane
 		lane := st.blk.Lane(f)
 		for l := 0; l < n; l++ {
 			lane[l] = float64(recs[l].Field(f))
 		}
 	}
-	for si := range hp.selects {
+	for si := 0; set.lead && si < len(hp.selects); si++ {
 		st.sel[si] = full
 		if w := hp.selects[si].where; w != nil {
 			st.sel[si] = w.EvalBoolBlock(&st.blk, n, &st.bregs)
 		}
 	}
-	for pi := range hp.progs {
+	for pi := set.lo; pi < set.hi; pi++ {
 		ph, match := &hp.progs[pi], full
 		if !ph.always {
 			match = 0
@@ -224,6 +224,34 @@ func (st *stage) prepare(hp *hotPath, recs []trace.Record) {
 	}
 	clear(st.gmask)
 	st.prepared++
+}
+
+// progSet is what one goroutine applies blocks with: programs [lo, hi)
+// of its shard, the stage it prepares their part of (its own holder; nil:
+// routed blocks, the holder's), its scratch and its in-place block. The
+// serial paths run the one set of every program; programSets splits a
+// long in-place run into several.
+type progSet struct {
+	lo, hi   int
+	lead     bool            // mirrors select-over-T rows and counts block records
+	fields   []trace.FieldID // what its codes read (the lead's: the select WHEREs too)
+	st       *stage
+	sc       *shardScratch
+	run      shard.Block
+	sincePub int // its blocks since the last periodic publish
+	panicked any // what runSets recovered from its last run
+}
+
+// newProgSet builds the set of programs [lo, hi) over st and sc.
+func newProgSet(hp *hotPath, lo, hi int, lead bool, st *stage, sc *shardScratch) *progSet {
+	var mask uint32
+	if lead {
+		mask = hp.selFields
+	}
+	for pi := lo; pi < hi; pi++ {
+		mask |= hp.progs[pi].fields
+	}
+	return &progSet{lo: lo, hi: hi, lead: lead, fields: fold.FieldIDs(mask), st: st, sc: sc}
 }
 
 // shardScratch is the per-shard mutable hot-path state: the Input sparse

@@ -10,11 +10,11 @@ import (
 // (non-atomic) counters — d.pkts, d.staged, per-shard block counters,
 // the kvstore/backing stat structs — and this file mirrors them into
 // striped atomic cells at batch boundaries: every pubBlocks blocks of
-// an in-place Feed, after every consumed ring slot on the sharded
-// path (shard.Config.AfterBatch), and at every Feed/Sync/Flush/
-// CloseWindow edge. The scraper reads only the mirrors, so enabling
-// metrics adds zero work per record and the whole surface is clean
-// under -race.
+// an in-place Feed (each program set its own programs), after every
+// consumed ring slot on the sharded path (shard.Config.AfterBatch), and
+// at every Feed/Sync/Flush/CloseWindow edge. The scraper reads only the
+// mirrors, so enabling metrics adds zero work per record and the whole
+// surface is clean under -race.
 
 // pubBlocks is the mirror cadence of a single-shard Feed: one publish
 // per 256 blocks ≈ one per 16k records.
@@ -121,16 +121,22 @@ func newDpObs(d *Datapath, reg *obs.Registry, labels []string, transport []*obs.
 // publishShard mirrors shard s's plain counters into its partition's
 // atomic cells. It must run on the goroutine that owns shard s (its ring
 // worker, or the feeder on the serial paths / after a barrier).
-func (d *Datapath) publishShard(s int) {
+func (d *Datapath) publishShard(s int) { d.publishProgs(s, d.shards[s].all) }
+
+// publishProgs mirrors what set writes of shard s — its programs' cache
+// and store counters, the lead's block records — and reads nothing else.
+func (d *Datapath) publishProgs(s int, set *progSet) {
 	o := d.obs
 	if o == nil {
 		return
 	}
 	sh := d.shards[s]
 	part, s := &o.parts[s/d.per], s%d.per
-	part.blockRecs.Store(s, sh.nBlockRecs)
-	for pi, ps := range sh.progs {
-		po := &part.progs[pi]
+	if set.lead {
+		part.blockRecs.Store(s, sh.nBlockRecs)
+	}
+	for pi := set.lo; pi < set.hi; pi++ {
+		ps, po := sh.progs[pi], &part.progs[pi]
 		cs := ps.cache.Stats()
 		po.accesses.Store(s, cs.Accesses)
 		po.hits.Store(s, cs.Hits)

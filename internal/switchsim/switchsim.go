@@ -80,9 +80,10 @@ type Config struct {
 	// after the backing store has consumed the batch it left the cache in.
 	// A key's evictions arrive in the order they happened; the order
 	// across keys, programs and shards is unspecified. With more than one
-	// shard batches come from concurrent workers; the datapath serializes
-	// the callbacks with an internal mutex, taken once per batch. ev is
-	// valid until the callback returns.
+	// shard batches come from concurrent workers, and with more than one
+	// program from concurrent program sets; the datapath serializes the
+	// callbacks with an internal mutex, taken once per batch. ev is valid
+	// until the callback returns.
 	OnEvict func(prog int, ev *kvstore.Eviction)
 	// Shards is the number of parallel shards per partition; values < 2
 	// give each partition a single owner.
@@ -132,11 +133,11 @@ type shardState struct {
 	selStgs []*compiler.Stage // the datapath's select-over-T stages, shared
 	selRows [][][]float64
 	scratch shardScratch
+	all     *progSet // the one set of every program its serial paths run
 
-	// Plain path-mix counter, owned by the shard's processing goroutine
-	// and mirrored by publishShard at batch boundaries.
+	// Plain path-mix counter, owned by the shard's processing goroutine (a
+	// program set's lead) and mirrored by publishShard at batch boundaries.
 	nBlockRecs uint64 // records the block loop has applied
-	sincePub   int    // blocks since the last periodic publish
 }
 
 // Datapath executes a plan's switch-resident stages.
@@ -156,9 +157,10 @@ type Datapath struct {
 
 	// stages holds each block holder's stateless stage (shard.Block.Holder):
 	// one per shard's ring worker and the feeder's last, or the feeder's
-	// alone when nothing is routed — run is then its block.
+	// alone when nothing is routed — then the stage of in-place runs and
+	// of program set 0 (the other sets hold their own).
 	stages []*stage
-	run    shard.Block
+	sets   []*progSet // the last in-place run's program sets (programSets)
 
 	// pool is the block router: inline (blocks run on the feeder) until
 	// Feed starts its ring workers, and again after EndFeed. nil: one
@@ -192,6 +194,7 @@ type Datapath struct {
 func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, evictMu *sync.Mutex) (*shardState, error) {
 	sh := &shardState{selStgs: d.selStgs, selRows: make([][][]float64, len(d.selStgs))}
 	sh.scratch.own = make([]uint64, len(d.hot.progs)+1)
+	sh.all = newProgSet(d.hot, 0, len(d.hot.progs), true, nil, &sh.scratch)
 	for i, sp := range d.plan.Programs {
 		ps := &progState{
 			sp:    sp,
@@ -220,13 +223,11 @@ func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, 
 				}
 				if evictMu != nil {
 					evictMu.Lock()
+					defer evictMu.Unlock() // an observer's panic must not hold up the other program sets
 				}
 				for l := 0; l < b.N; l++ {
 					b.Lane(l, &ps.ev)
 					cfg.OnEvict(idx, &ps.ev)
-				}
-				if evictMu != nil {
-					evictMu.Unlock()
 				}
 			},
 			Trace:       cfg.Trace,
@@ -276,7 +277,7 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 
 	geo := d.partGeo.Split(n)
 	var evictMu *sync.Mutex
-	if k*n > 1 && cfg.OnEvict != nil {
+	if (k*n > 1 || len(plan.Programs) > 1) && cfg.OnEvict != nil {
 		evictMu = &sync.Mutex{}
 	}
 	for s := 0; s < k*n; s++ {
@@ -315,6 +316,9 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 		}
 	} else {
 		d.pkts = make([]uint64, 1)
+	}
+	if d.pool == nil {
+		d.shards[0].all.st = d.stages[0] // in-place runs: the feeder's
 	}
 	if cfg.Metrics != nil {
 		// After the pool: the occupancy gauges read it at scrape time.
@@ -409,20 +413,81 @@ func (d *Datapath) flushPending() {
 }
 
 // route applies a run of records: through the block router when there is
-// one, else on the single shard in place.
+// one, else on the single shard in place (as program sets, programSets).
 func (d *Datapath) route(recs []trace.Record) {
 	if d.pool != nil {
 		d.pool.FeedRun(recs)
 		return
 	}
 	d.pkts[0] += uint64(len(recs))
-	d.shards[0].processBlocks(d, recs)
+	if sets := d.programSets(len(recs)); sets != nil {
+		d.runSets(recs, sets)
+	} else {
+		d.shards[0].processBlocks(d, recs, d.shards[0].all)
+	}
+}
+
+// setsMinRun is the shortest in-place run split into program sets: below
+// it a second core gains too little over the goroutine hand-off
+// (BenchmarkProgramSets, EXPERIMENTS.md "Program sets").
+const setsMinRun = 4096
+
+// programSets returns the sets a single-shard in-place run of n records
+// is split into (nil: one set, on the feeder): with two or more programs,
+// GOMAXPROCS ≥ 2 and n ≥ setsMinRun, min(programs, GOMAXPROCS) sets,
+// programs dealt in plan order, set 0 the lead. The first split is
+// journaled.
+func (d *Datapath) programSets(n int) []*progSet {
+	hp := d.hot
+	k := min(len(hp.progs), runtime.GOMAXPROCS(0))
+	if k < 2 || n < setsMinRun {
+		return nil
+	} else if len(d.sets) == k {
+		return d.sets
+	}
+	if d.sets == nil {
+		d.journal.Append(obs.EvProgramSets, int64(k), int64(len(hp.progs)), "in-place")
+	}
+	d.sets = make([]*progSet, k)
+	for i := range d.sets {
+		st, sc := d.stages[0], &d.shards[0].scratch // the lead's: the feeder's
+		if i > 0 {
+			st, sc = newStage(hp), &shardScratch{own: make([]uint64, len(hp.progs)+1)}
+		}
+		d.sets[i] = newProgSet(hp, i*len(hp.progs)/k, (i+1)*len(hp.progs)/k, i == 0, st, sc)
+	}
+	return d.sets
+}
+
+// runSets has every set apply its programs to every record of a run in
+// arrival order, as the serial path does: set 0 on the caller's goroutine,
+// each other on its own, all joined before a panic in any is re-panicked.
+func (d *Datapath) runSets(recs []trace.Record, sets []*progSet) {
+	var wg sync.WaitGroup
+	run := func(set *progSet) {
+		defer func() { set.panicked = recover() }()
+		d.shards[0].processBlocks(d, recs, set)
+	}
+	for _, set := range sets[1:] {
+		wg.Add(1)
+		go func(set *progSet) {
+			defer wg.Done()
+			run(set)
+		}(set)
+	}
+	run(sets[0])
+	wg.Wait()
+	for _, set := range sets {
+		if set.panicked != nil {
+			panic(set.panicked)
+		}
+	}
 }
 
 // runBlock is the pool's BlockFunc: shard s applies a block routed to it
 // — a ring slot's lanes on its worker, or the feeder's own block inline.
 func (d *Datapath) runBlock(s int, b *shard.Block) {
-	d.shards[s].processBlock(d, b)
+	d.shards[s].processBlock(d, b, d.shards[s].all)
 }
 
 // serialFeed reports whether a multi-shard stream should skip the worker
@@ -477,7 +542,9 @@ func (d *Datapath) Flush() {
 // Feed processes a run of records without ending the window — the
 // streaming half of the epoch runtime. A single unpartitioned shard runs
 // the slice through the block loop in place, behind anything Process has
-// pending. With several shards (and a second processor to run workers
+// pending — a long run of a plan with several programs as program sets,
+// one per core, all finished before Feed returns (programSets). With
+// several shards (and a second processor to run workers
 // on) the router's worker pool — one worker per shard of every partition
 // — is started lazily and the run is routed into its ring slots a block
 // at a time; call Sync to barrier at a window boundary and EndFeed when

@@ -72,8 +72,8 @@ func (m *Metrics) SetJournalSize(n int) {
 type Span = obs.SpanSnap
 
 // Event is one control-plane flight-recorder entry: window close/drop,
-// barrier sync, health flip, pool markdown or queue overflow, with a
-// gap-free sequence number.
+// barrier sync, health flip, pool markdown, queue overflow or a
+// datapath's first program-set split, with a gap-free sequence number.
 type Event = obs.Event
 
 // Spans copies out the currently retained sampled spans, oldest first.

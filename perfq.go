@@ -281,7 +281,8 @@ func WithWindow(spec WindowSpec) RunOption {
 // of ONE datapath is that datapath's own OnEvict mutex
 // (switchsim.Config.OnEvict's contract: observers never run
 // concurrently), taken around every eviction callback when the datapath
-// has more than one shard; switches of a fabric do not share it.
+// has more than one shard or more than one program (program sets);
+// switches of a fabric do not share it.
 func WithBackingPool(p *BackingPool) RunOption {
 	return func(c *runConfig) {
 		c.pool = p

@@ -30,6 +30,7 @@ import (
 	"perfq/internal/fold"
 	"perfq/internal/kvstore"
 	"perfq/internal/netsim"
+	"perfq/internal/obs"
 	"perfq/internal/queries"
 	"perfq/internal/switchsim"
 	"perfq/internal/topo"
@@ -224,6 +225,9 @@ func drawCase(t *testing.T, seed uint64) *sysCase {
 			cfg = tracegen.WANConfig(int64(seed), 2*time.Second)
 		}
 		cfg.MaxPackets = int64(1500 + rng.Intn(3000))
+		if c.shards == 1 {
+			cfg.MaxPackets *= 4 // fed as one slice, below
+		}
 		c.recs, err = trace.Collect(tracegen.New(cfg))
 	}
 	if err != nil {
@@ -252,6 +256,12 @@ func drawCase(t *testing.T, seed uint64) *sysCase {
 		return sysFeed{shape: rng.Intn(len(sysShapes)), runLen: sysRunLens[rng.Intn(len(sysRunLens))], procs: procs}
 	}
 	c.feed, c.alt = feed(), feed()
+	if c.shards == 1 && c.tp == nil {
+		// A single unpartitioned shard draws a trace four times longer
+		// and feeds it as one slice: runs long enough that a plan of two
+		// or more programs splits into program sets when procs allows.
+		c.feed.shape, c.feed.runLen = 0, 0
+	}
 	switch rng.Intn(3) {
 	case 0:
 		c.alt.procs = 5 - procs
@@ -290,6 +300,7 @@ type sysRun struct {
 	accs               [][2]int
 	stats              []kvstore.Stats
 	stores             []backing.Stats
+	split              bool // the datapath journaled a program-sets split
 }
 
 type sysWin struct {
@@ -311,12 +322,17 @@ func accsOf(n int, acc func(int) (int, int)) [][2]int {
 // slice runs.
 func (c *sysCase) run(t *testing.T, q *Query, f sysFeed, pool *BackingPool) (out sysRun) {
 	n := len(q.plan.Programs)
+	jr := obs.NewJournal(64)
+	defer func() {
+		out.split = slices.ContainsFunc(jr.Tail(64), func(ev obs.Event) bool { return ev.Kind == obs.EvProgramSets })
+	}()
 	atProcs(f.procs, func() {
 		if k := f.interleave; k != 0 {
 			var rc runConfig
 			for _, o := range c.options() {
 				o(&rc)
 			}
+			rc.sw.Journal = jr
 			dp, err := switchsim.New(q.plan, rc.sw)
 			if err != nil {
 				t.Fatal(err)
@@ -351,7 +367,7 @@ func (c *sysCase) run(t *testing.T, q *Query, f sysFeed, pool *BackingPool) (out
 		if f.runLen > 0 {
 			src = &rebatch{bs: trace.Batches(src), n: f.runLen}
 		}
-		opts := c.options()
+		opts := append(c.options(), func(rc *runConfig) { rc.journal = jr })
 		if pool != nil {
 			opts = append(opts, WithBackingPool(pool))
 		}
@@ -698,7 +714,7 @@ var sysCensusCases = []string{
 	"evict-in-tumbling-window", "invalid-under-carry", "empty-interval-window", "held-settled", "held-dropped",
 	"multi-owner-lane", "digest-key", "shards-in-fabric", "inline-router", "interleave", "interleave-sharded", "pool",
 	"shape/slice", "shape/pqt", "shape/next-only",
-	"run/0", "run/1", "run/63", "run/64", "run/65", "run/512",
+	"run/0", "run/1", "run/63", "run/64", "run/65", "run/512", "program-sets",
 }
 
 // What a pin expects of a run's capacity evictions.
@@ -750,10 +766,15 @@ func runSystemCase(t *testing.T, c *sysCase, churn int, cen sysCensus) {
 		cen.add(true, "fabric-global")
 	}
 	if c.alt != (sysFeed{}) {
+		// program-sets: a run split into program sets held bit for bit to
+		// one that was not (interleaved runs are too short to split).
 		alt := c.run(t, q, c.alt, nil)
 		requireSameRun(t, fmt.Sprintf("case %s, alt feed %+v", c.name, c.alt), alt, run)
+		cen.add(alt.split != run.split, "program-sets")
 		if c.alt.interleave > 0 { // and its cache and store statistics, which only a datapath reports
-			requireSameRun(t, fmt.Sprintf("case %s, alt feed %+v vs Run", c.name, c.alt), alt, c.run(t, q, sysFeed{interleave: -1, procs: c.feed.procs}, nil))
+			whole := c.run(t, q, sysFeed{interleave: -1, procs: c.feed.procs}, nil)
+			requireSameRun(t, fmt.Sprintf("case %s, alt feed %+v vs Run", c.name, c.alt), alt, whole)
+			cen.add(whole.split, "program-sets")
 		}
 	}
 	if pool != nil {
