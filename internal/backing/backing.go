@@ -147,13 +147,10 @@ func (s *Store) state(i int32) []float64 {
 // HandleEviction reconciles one eviction: HandleBatch over a batch of one
 // lane. It has the shape of the cache's per-eviction callback.
 func (s *Store) HandleEviction(ev *kvstore.Eviction) {
-	b := s.one
-	if b == nil {
-		b = &kvstore.EvictBatch{N: 1}
-		s.one = b
+	if s.one == nil {
+		s.one = new(kvstore.EvictBatch)
 	}
-	b.Keys[0], b.State[0], b.P[0], b.First[0] = ev.Key, ev.State, ev.P, ev.FirstRec
-	s.HandleBatch(b)
+	s.HandleBatch(s.one.One(ev))
 }
 
 // HandleBatch reconciles a batch of evictions, in lane order — the

@@ -170,6 +170,14 @@ func (b *EvictBatch) Lane(l int, ev *Eviction) {
 	}
 }
 
+// One makes b the one-lane batch of ev, the inverse of Lane, for the
+// entry points that take a single eviction, and returns b.
+func (b *EvictBatch) One(ev *Eviction) *EvictBatch {
+	b.N, b.Reason, b.Sampled = 1, ev.Reason, 1 // a zero span's hops are no-ops
+	b.Keys[0], b.State[0], b.P[0], b.First[0], b.Span[0] = ev.Key, ev.State, ev.P, ev.FirstRec, ev.Span
+	return b
+}
+
 // Config configures a cache.
 type Config struct {
 	Geometry Geometry

@@ -116,6 +116,8 @@ type Checked struct {
 	ByName  map[string]*CheckedQuery
 	// Results are the DAG sinks: queries no other query consumes.
 	Results []*CheckedQuery
+
+	params map[string]map[string]int // each fold's parameters (see foldScope)
 }
 
 // Check validates a parsed program and lowers its expressions to fold IR:
@@ -128,6 +130,7 @@ func Check(prog *Program) (*Checked, error) {
 		Consts: map[string]float64{},
 		Folds:  map[string]*FoldDecl{},
 		ByName: map[string]*CheckedQuery{},
+		params: map[string]map[string]int{},
 	}
 
 	for _, cd := range prog.Consts {
@@ -230,31 +233,41 @@ func (c *Checked) checkFold(fd *FoldDecl) error {
 	if _, dup := c.Folds[fd.Name]; dup {
 		return errf(fd.Pos, "fold %q redefined", fd.Name)
 	}
+	// The header's cost is bounded before the body is looked at: a body
+	// is lowered once per use, with every reference a map lookup.
+	if n := len(fd.StateParams); n > fold.MaxState {
+		return errf(fd.Pos, "fold %s: %d state variables (max %d)", fd.Name, n, fold.MaxState)
+	}
 	// A user fold may share a builtin aggregate's name (the paper's own
 	// example is "def ewma"); bare identifiers resolve to the user fold,
 	// call syntax with arguments to the builtin.
-	seen := map[string]string{}
-	for _, p := range fd.StateParams {
-		if prev, dup := seen[p]; dup {
-			return errf(fd.Pos, "parameter %q duplicated (%s)", p, prev)
+	params := make(map[string]int, len(fd.StateParams)+len(fd.RowParams))
+	for i, p := range fd.StateParams {
+		if _, dup := params[p]; dup {
+			return errf(fd.Pos, "parameter %q duplicated (state)", p)
 		}
-		seen[p] = "state"
+		params[p] = i
 	}
-	for _, p := range fd.RowParams {
-		if prev, dup := seen[p]; dup {
-			return errf(fd.Pos, "parameter %q duplicated (%s)", p, prev)
+	for i, p := range fd.RowParams {
+		if prev, dup := params[p]; dup {
+			kind := "row"
+			if prev >= 0 {
+				kind = "state"
+			}
+			return errf(fd.Pos, "parameter %q duplicated (%s)", p, kind)
 		}
-		seen[p] = "row"
+		params[p] = ^i
 	}
 	if len(fd.StateParams) == 0 {
 		return errf(fd.Pos, "fold %q needs at least one state variable", fd.Name)
 	}
+	c.params[fd.Name] = params
 	// Every declared fold is checked, used or not; a use lowers the body
 	// again with what its row parameters read.
 	binds := make([]fold.Expr, len(fd.RowParams))
 	for i := range binds {
 		binds[i] = fold.ColRef(i)
 	}
-	_, err := foldScope{c, fd, binds}.stmts(fd.Body)
+	_, err := foldScope{c, fd, params, binds}.stmts(fd.Body)
 	return err
 }

@@ -378,7 +378,7 @@ func (c *Checked) bindFold(sc rowScope, fd *FoldDecl, pos Pos) ([]fold.Stmt, err
 			return nil, errf(pos, "fold %s parameter %q: %v", fd.Name, p, err)
 		}
 	}
-	return foldScope{c, fd, binds}.stmts(fd.Body)
+	return foldScope{c, fd, c.params[fd.Name], binds}.stmts(fd.Body)
 }
 
 // checkJoin validates the restricted equi-join.

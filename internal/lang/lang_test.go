@@ -364,6 +364,16 @@ func TestCheckerCatchesSemanticErrors(t *testing.T) {
 	}
 }
 
+// TestFoldStateCountCheckedFirst: a fold with more state variables than
+// fold.MaxState is rejected at its header, before its body is lowered —
+// so a body naming an unknown identifier gets the state-count error.
+func TestFoldStateCountCheckedFirst(t *testing.T) {
+	src := "def f((a, b, c, d, e, g, h, i, j), tin):\n    a = nosuch\nSELECT 5tuple, f GROUPBY 5tuple\n"
+	if _, err := Check(MustParse(src)); err == nil || !strings.Contains(err.Error(), "fold f: 9 state variables (max 8)") {
+		t.Fatalf("Check: %v, want the state-count error", err)
+	}
+}
+
 func TestCheckedSchemas(t *testing.T) {
 	src := fig2Sources["per-flow loss rate"]
 	chk, err := Check(MustParse(src))

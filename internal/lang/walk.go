@@ -1,7 +1,6 @@
 package lang
 
 import (
-	"slices"
 	"strings"
 
 	"perfq/internal/fold"
@@ -237,18 +236,19 @@ func (s joinScope) call(e *CallExpr) (fold.Expr, error) {
 // foldScope resolves names inside a fold body: a state variable is its
 // word of the state vector, a row parameter what this use binds it to
 // (binds[i] for RowParams[i]), and anything else must be a constant.
+// params maps StateParams[i] to i and RowParams[i] to ^i.
 type foldScope struct {
-	c     *Checked
-	fd    *FoldDecl
-	binds []fold.Expr
+	c      *Checked
+	fd     *FoldDecl
+	params map[string]int
+	binds  []fold.Expr
 }
 
 func (s foldScope) ident(e *Ident) (fold.Expr, error) {
-	if i := slices.Index(s.fd.StateParams, e.Name); i >= 0 {
+	if i, ok := s.params[e.Name]; ok && i >= 0 {
 		return fold.StateRef(i), nil
-	}
-	if i := slices.Index(s.fd.RowParams, e.Name); i >= 0 {
-		return s.binds[i], nil
+	} else if ok {
+		return s.binds[^i], nil
 	}
 	if v, ok := s.c.Consts[e.Name]; ok {
 		return fold.Const(v), nil
@@ -273,9 +273,9 @@ func (s foldScope) stmts(stmts []Stmt) ([]fold.Stmt, error) {
 	for _, st := range stmts {
 		switch st := st.(type) {
 		case *AssignStmt:
-			dst := slices.Index(s.fd.StateParams, st.Name)
-			if dst < 0 {
-				if slices.Contains(s.fd.RowParams, st.Name) {
+			dst, ok := s.params[st.Name]
+			if !ok || dst < 0 {
+				if ok {
 					return nil, errf(st.Pos, "cannot assign to row parameter %q", st.Name)
 				}
 				return nil, errf(st.Pos, "assignment to %q, which is not a state variable of %s", st.Name, s.fd.Name)

@@ -61,6 +61,38 @@ func decodeEviction(op byte, body []byte, m int) (*evictionPayload, error) {
 	return ev, nil
 }
 
+// The one-eviction entry points the tests drive, each a call into the
+// batch code with a one-lane batch.
+
+// appendEvictionFrame appends one eviction's wire frame, as a chunk
+// holds it.
+func appendEvictionFrame(b []byte, m int, ev *kvstore.Eviction, kind fold.MergeKind) []byte {
+	return appendLaneFrame(b, m, ev.Key, ev.State, ev.P, ev.FirstRec, kind)
+}
+
+func (q *chunkQueue) offer(ev *kvstore.Eviction) (queued bool, dropped int) {
+	var one kvstore.EvictBatch
+	return q.offerBatch(one.One(ev), 1)
+}
+
+// Offer reports whether ev was queued.
+func (s *Shipper) Offer(ev *kvstore.Eviction) bool {
+	var one kvstore.EvictBatch
+	return s.offerBatch(one.One(ev), 1)
+}
+
+// decode decodes one eviction frame body into an emptied batch and
+// returns its lane.
+func (d *evictionDecoder) decode(op byte, body []byte) (*kvstore.Eviction, error) {
+	d.batch.N = 0
+	if err := d.add(op, body); err != nil {
+		return nil, err
+	}
+	ev := new(kvstore.Eviction)
+	d.batch.Lane(0, ev)
+	return ev, nil
+}
+
 // legacyFrame is the byte sequence the pre-chunk client put on the wire
 // for one eviction: writeFrame's 5-byte header, then encodeEviction's
 // payload, written out by hand so the test does not share a line with

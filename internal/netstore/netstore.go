@@ -25,8 +25,10 @@ import (
 	"fmt"
 	"math"
 
+	"perfq/internal/backing"
 	"perfq/internal/fold"
 	"perfq/internal/kvstore"
+	"perfq/internal/packet"
 	"perfq/internal/trace"
 )
 
@@ -154,75 +156,86 @@ func maxEvictionFrame(m int) int {
 	return frameHeader + 16 + 8*m + 8*m*m + trace.RecordSize
 }
 
-// appendEvictionFrame appends one eviction as a complete wire frame —
-// header, key, state and, by the fold's merge class, the coefficient
-// product and the epoch's first record. A run of such frames is what a
-// chunk is; the server cannot tell it from frames written one by one.
-func appendEvictionFrame(b []byte, m int, ev *kvstore.Eviction, mergeKind fold.MergeKind) []byte {
+// appendLaneFrame appends one eviction — key, state and, by the fold's
+// merge class, the coefficient product p and the epoch's first record —
+// as a complete wire frame. A run of such frames is what a chunk is; the
+// server cannot tell it from frames written one by one.
+func appendLaneFrame(b []byte, m int, key packet.Key128, state, p []float64, first *trace.Record, mergeKind fold.MergeKind) []byte {
 	op, n := byte(opAppend), 16+8*m
 	switch {
-	case mergeKind == fold.MergeLinear && ev.P != nil && ev.FirstRec != nil:
+	case mergeKind == fold.MergeLinear && p != nil && first != nil:
 		op, n = opMerge, n+8*m*m+trace.RecordSize
-	case mergeKind == fold.MergeLinear && ev.P != nil:
+	case mergeKind == fold.MergeLinear && p != nil:
 		op, n = opMergeP, n+8*m*m
 	case mergeKind == fold.MergeAssoc:
 		op = opCombine
 	}
 	b = appendFrameHeader(b, op, n)
-	b = append(b, ev.Key[:]...)
-	b = putFloats(b, ev.State[:m])
+	b = append(b, key[:]...)
+	b = putFloats(b, state[:m])
 	if op == opMerge || op == opMergeP {
-		b = putFloats(b, ev.P[:m*m])
+		b = putFloats(b, p[:m*m])
 	}
 	if op == opMerge {
 		b = append(b, make([]byte, trace.RecordSize)...)
-		trace.MarshalRecord(b[len(b)-trace.RecordSize:], ev.FirstRec)
+		trace.MarshalRecord(b[len(b)-trace.RecordSize:], first)
 	}
 	return b
 }
 
-// evictionDecoder decodes eviction frames of one m-wide program into
-// storage it owns, so a connection decodes every frame it ever receives
-// without allocating. The eviction it returns, and everything that
-// eviction points to, is overwritten by the next decode.
+// evictionDecoder decodes a connection's eviction frames, one m-wide
+// program's, into the lanes of a batch whose storage it owns, so a
+// connection decodes every frame it ever receives without allocating.
+// A batch is uniform: all its lanes come from frames of one op.
 type evictionDecoder struct {
+	op       byte // the op of the batch's lanes
 	state, p []float64
-	rec      trace.Record
-	ev       kvstore.Eviction
+	recs     [fold.BlockSize]trace.Record
+	batch    kvstore.EvictBatch
 }
 
 func newEvictionDecoder(m int) *evictionDecoder {
-	return &evictionDecoder{state: make([]float64, m), p: make([]float64, m*m)}
+	return &evictionDecoder{state: make([]float64, fold.BlockSize*m), p: make([]float64, fold.BlockSize*m*m)}
 }
 
-// decode parses one eviction frame body (the bytes after the header).
-func (d *evictionDecoder) decode(op byte, body []byte) (*kvstore.Eviction, error) {
+// add parses one eviction frame body (the bytes after the header) into
+// the batch's next lane; the caller applies a full batch first.
+func (d *evictionDecoder) add(op byte, body []byte) error {
+	b, l, m := &d.batch, d.batch.N, len(d.state)/fold.BlockSize
 	if len(body) < 16 {
-		return nil, ErrBadFrame
+		return ErrBadFrame
 	}
-	d.ev = kvstore.Eviction{State: d.state}
-	copy(d.ev.Key[:], body[:16])
-	body = body[16:]
-	var err error
-	if body, err = getFloats(body, d.state); err != nil {
-		return nil, err
+	copy(b.Keys[l][:], body[:16])
+	b.State[l], b.P[l], b.First[l] = d.state[l*m:(l+1)*m], nil, nil
+	body, err := getFloats(body[16:], b.State[l])
+	if err != nil {
+		return err
 	}
 	if op == opMerge || op == opMergeP {
-		if body, err = getFloats(body, d.p); err != nil {
-			return nil, err
+		b.P[l] = d.p[l*m*m : (l+1)*m*m]
+		if body, err = getFloats(body, b.P[l]); err != nil {
+			return err
 		}
-		d.ev.P = d.p
 	}
 	if op == opMerge {
 		if len(body) < trace.RecordSize {
-			return nil, ErrBadFrame
+			return ErrBadFrame
 		}
-		trace.UnmarshalRecord(body[:trace.RecordSize], &d.rec)
-		d.ev.FirstRec = &d.rec
+		trace.UnmarshalRecord(body[:trace.RecordSize], &d.recs[l])
+		b.First[l] = &d.recs[l]
 		body = body[trace.RecordSize:]
 	}
 	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(body))
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(body))
 	}
-	return &d.ev, nil
+	d.op, b.N = op, l+1
+	return nil
+}
+
+// apply hands the decoded lanes to store as one batch and empties it.
+func (d *evictionDecoder) apply(store *backing.Store) {
+	if d.batch.N > 0 {
+		store.HandleBatch(&d.batch)
+		d.batch.N = 0
+	}
 }

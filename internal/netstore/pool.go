@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,9 +35,8 @@ import (
 // dropped eviction is a missing epoch, exactly the failure mode the
 // paper's validity semantics already tolerate and report.
 //
-// HandleEviction and Sync are safe for concurrent use (the fabric runs
-// one datapath goroutine per switch); producers meet only at the owning
-// backend's queue lock.
+// HandleBatch, HandleEviction and Sync are safe for concurrent use;
+// producers meet only at the owning backend's queue lock.
 type Pool struct {
 	m   int
 	cfg PoolConfig
@@ -180,39 +180,68 @@ func score(keyHash, salt uint64) uint64 { return mix64(keyHash ^ salt) }
 // Owner returns the index of the healthy backend that owns key, or -1
 // when no backend is healthy.
 func (p *Pool) Owner(key packet.Key128) int {
-	h := key.Hash()
-	best, bestScore := -1, uint64(0)
-	for i, b := range p.backends {
-		if !b.health.healthy.Load() {
-			continue
-		}
-		if s := score(h, b.salt); best < 0 || s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
+	var owner [1]int
+	p.owners([]packet.Key128{key}, owner[:])
+	return owner[0]
 }
 
-// HandleEviction routes one eviction to its owning backend and encodes
-// it into that backend's open chunk. It never blocks and never dials: a
-// full queue drops the oldest queued chunk, no healthy backend drops
-// this eviction — both counted in DroppedEvictions. Matches the kvstore
-// OnEvict callback shape.
+// owners sets owner[l] to the owner of keys[l] — of at most
+// fold.BlockSize keys — reading each backend's health bit once.
+func (p *Pool) owners(keys []packet.Key128, owner []int) {
+	var hash, best [fold.BlockSize]uint64
+	for l, k := range keys {
+		hash[l], owner[l] = k.Hash(), -1
+	}
+	for i, be := range p.backends {
+		if !be.health.healthy.Load() {
+			continue
+		}
+		for l := range keys {
+			if s := score(hash[l], be.salt); owner[l] < 0 || s > best[l] {
+				owner[l], best[l] = i, s
+			}
+		}
+	}
+}
+
+// HandleEviction is HandleBatch over a one-lane batch. It never errors;
+// the error keeps the shape of a per-eviction callback.
 func (p *Pool) HandleEviction(ev *kvstore.Eviction) error {
-	owner := p.Owner(ev.Key)
-	if owner < 0 {
-		p.noBackend.Add(1)
-		ev.Span.Hop(obs.HopShip, obs.OutcomeNoBackend, 0)
-		return nil
-	}
-	// Sampled evicted keys get their ship hop here (a zero Span is a
-	// no-op): queued to the owner's shipper, or dropped on a closed one.
-	out := obs.OutcomeQueued
-	if !p.backends[owner].ship.Offer(ev) {
-		out = obs.OutcomeDropped
-	}
-	ev.Span.Hop(obs.HopShip, out, uint64(owner))
+	var one kvstore.EvictBatch
+	p.HandleBatch(one.One(ev))
 	return nil
+}
+
+// HandleBatch routes a batch of evictions to their owners in one pass
+// and encodes each backend's lanes into its open chunk under one lock.
+// It never blocks and never dials: a full queue drops its oldest chunks,
+// and a lane with no healthy backend is dropped, both counted in
+// DroppedEvictions. Sampled lanes get their ship hop here.
+func (p *Pool) HandleBatch(b *kvstore.EvictBatch) {
+	var owner [fold.BlockSize]int
+	p.owners(b.Keys[:b.N], owner[:])
+	var owned, queued uint64 // lane masks
+	for i, be := range p.backends {
+		var lanes uint64
+		for l, o := range owner[:b.N] {
+			if o == i {
+				lanes |= 1 << l
+			}
+		}
+		if owned |= lanes; lanes != 0 && be.ship.offerBatch(b, lanes) {
+			queued |= lanes
+		}
+	}
+	p.noBackend.Add(uint64(b.N - bits.OnesCount64(owned)))
+	for s := b.Sampled; s != 0; s &= s - 1 {
+		l, out := bits.TrailingZeros64(s), obs.OutcomeDropped // on a closed shipper
+		if owner[l] < 0 {
+			out = obs.OutcomeNoBackend
+		} else if queued>>l&1 != 0 {
+			out = obs.OutcomeQueued
+		}
+		b.Span[l].Hop(obs.HopShip, out, uint64(max(owner[l], 0)))
+	}
 }
 
 // Sync is a barrier: it returns once every eviction offered before the
@@ -331,7 +360,7 @@ func (p *Pool) Stats() []BackendStats {
 }
 
 // DroppedEvictions is the pool's headline degradation stat: every
-// eviction offered to HandleEviction that will never be applied by any
+// eviction offered to HandleBatch that will never be applied by any
 // backend — queue overflow, chunks refused by a down backend, frames
 // lost on a dead connection, and evictions with no healthy backend to
 // route to.

@@ -17,8 +17,10 @@ import (
 )
 
 // MaxConns caps a server's concurrent connections. Each holds two
-// 64 KiB buffers and a decoder (≈ 136 KiB), so the cap bounds what
-// peers can make the server allocate at ≈ 35 MiB; a pool uses two
+// 64 KiB buffers and a decoder of fold.BlockSize lanes, 11 KiB plus
+// 512·(m + m²) bytes (≈ 140 KiB in all at m = 1), so the cap bounds what
+// peers can make the server allocate at ≈ 36 MiB for m ≤ 2 (≈ 93 MiB at
+// m = 21, the widest state a frame carries); a pool uses two
 // long-lived connections per backend per program plus a short-lived
 // probe. A connection over the cap is closed before its HELLO is read
 // and counted in Rejected; that includes probes, so a server at its
@@ -182,21 +184,27 @@ func (s *Server) closing() bool {
 // applyRun applies the whole eviction frames at the front of b to store
 // and returns the bytes they occupied. It stops, without error, at the
 // first frame that is incomplete, ill-sized or not an eviction — the
-// caller's frame loop meets that one next — and allocates nothing: the
-// store retains none of what dec's eviction points to.
+// caller's frame loop meets that one next. The frames are decoded into
+// dec's batch and applied a batch at a time, so that a batch's index
+// probes overlap: when it holds fold.BlockSize lanes, when the op changes
+// (a batch is uniform), and before applyRun returns. It allocates
+// nothing: the store retains none of what dec's batch points to.
 func applyRun(b []byte, store *backing.Store, dec *evictionDecoder) (used int, err error) {
 	for {
 		op, body, size, perr := parseFrame(b[used:])
 		if perr != nil || size == 0 || !isEvictionOp(op) {
-			return used, nil
+			break
 		}
-		ev, err := dec.decode(op, body)
-		if err != nil {
-			return used, err
+		if op != dec.op || dec.batch.N == fold.BlockSize {
+			dec.apply(store)
 		}
-		store.HandleEviction(ev)
+		if err = dec.add(op, body); err != nil {
+			break
+		}
 		used += size
 	}
+	dec.apply(store)
+	return used, err
 }
 
 // serve handles one connection.

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -25,8 +26,10 @@ import (
 // server is already applying the next chunk. A partial chunk leaves the
 // producers only when the shipper has nothing else to do — it steals
 // it — so nothing waits on a timer and an idle pool ships every eviction
-// at once. Buffers circulate between the open chunk, the ring and the
-// shipper's spare, so steady state allocates nothing.
+// at once. Buffers circulate between the open chunk, the ring, the
+// shipper's spare and a LIFO free list that only an empty list makes
+// allocate, so steady state allocates nothing and a queue holds no more
+// buffers than its peak occupancy — a ring slot owns none.
 
 // DefaultQueueDepth bounds a backend's eviction queue, in evictions; on
 // overflow the OLDEST queued chunk is dropped (newest data wins, the
@@ -66,8 +69,9 @@ type chunkQueue struct {
 	perChunk int // frames in a full chunk
 	chunkCap int // bytes: perChunk largest frames and the marker
 
-	open chunk   // the producers' chunk, never full
-	ring []chunk // published full chunks, numbered [head, tail)
+	open chunk    // the producers' chunk, never full
+	ring []chunk  // published full chunks, numbered [head, tail)
+	free [][]byte // buffers no chunk holds, most recently freed last
 	head uint64
 	tail uint64
 
@@ -99,45 +103,49 @@ func newChunkQueue(f *fold.Func, depth, perChunk int) *chunkQueue {
 		ring:     make([]chunk, (depth+perChunk-1)/perChunk),
 		consPark: make(chan struct{}, 1),
 	}
-	q.open.buf = q.reuse(nil)
+	q.open.buf = q.take()
 	return q
 }
 
-// reuse readies a circulating buffer for the next open chunk; the
-// ring's slots start without one.
-func (q *chunkQueue) reuse(buf []byte) []byte {
-	if buf == nil {
-		return make([]byte, 0, q.chunkCap)
+// take hands out the most recently freed buffer for the next open
+// chunk, and allocates one only when none is free.
+func (q *chunkQueue) take() []byte {
+	if n := len(q.free); n > 0 {
+		buf := q.free[n-1]
+		q.free = q.free[:n-1]
+		return buf[:0]
 	}
-	return buf[:0]
+	return make([]byte, 0, q.chunkCap)
 }
 
-// offer encodes one eviction into the open chunk and publishes the
-// chunk if that filled it. queued is false once the queue is closed;
-// dropped is how many evictions left with the oldest chunk to make
-// room. Never blocks; wakes the consumer only if it is parked.
-func (q *chunkQueue) offer(ev *kvstore.Eviction) (queued bool, dropped int) {
+// offerBatch encodes the lanes of b set in lanes into the open chunk,
+// in lane order, and publishes each chunk they fill. queued is false once
+// the queue is closed; dropped is how many evictions left with the oldest
+// chunks to make room. Never blocks; wakes the consumer only if parked.
+func (q *chunkQueue) offerBatch(b *kvstore.EvictBatch, lanes uint64) (queued bool, dropped int) {
 	q.mu.Lock()
-	q.offered++
+	q.offered += uint64(bits.OnesCount64(lanes))
 	if q.closed {
 		q.mu.Unlock()
 		return false, 0
 	}
-	q.open.buf = appendEvictionFrame(q.open.buf, q.m, ev, q.merge)
-	q.open.frames++
-	q.queued++
-	if q.open.frames == q.perChunk {
-		n := uint64(len(q.ring))
-		if q.tail-q.head == n {
-			dropped = q.ring[q.head%n].frames
-			q.head++
-			q.queued -= dropped
-			q.overflow += uint64(dropped)
+	q.queued += bits.OnesCount64(lanes)
+	for n := uint64(len(q.ring)); lanes != 0; lanes &= lanes - 1 {
+		l := bits.TrailingZeros64(lanes)
+		q.open.buf = appendLaneFrame(q.open.buf, q.m, b.Keys[l], b.State[l], b.P[l], b.First[l], q.merge)
+		if q.open.frames++; q.open.frames < q.perChunk {
+			continue
 		}
-		slot := &q.ring[q.tail%n]
-		*slot, q.open = q.open, chunk{buf: q.reuse(slot.buf)}
+		if q.tail-q.head == n {
+			dropped += q.ring[q.head%n].frames
+			q.release(q.ring[q.head%n].buf)
+			q.head++
+		}
+		q.ring[q.tail%n], q.open = q.open, chunk{buf: q.take()}
 		q.tail++
 	}
+	q.queued -= dropped
+	q.overflow += uint64(dropped)
 	wake := q.consWait
 	q.consWait = false
 	q.mu.Unlock()
@@ -145,6 +153,13 @@ func (q *chunkQueue) offer(ev *kvstore.Eviction) (queued bool, dropped int) {
 		q.wake()
 	}
 	return true, dropped
+}
+
+// release puts a buffer no chunk holds any more on the free list.
+func (q *chunkQueue) release(buf []byte) {
+	if buf != nil {
+		q.free = append(q.free, buf)
+	}
 }
 
 func (q *chunkQueue) wake() {
@@ -163,14 +178,15 @@ type work struct {
 	closed bool
 }
 
-// next hands the consumer its next piece of work, taking spare in
-// exchange for a chunk's buffer. A due barrier comes before the chunks
-// behind it. When idle — the consumer has nothing in flight — an empty
-// ring gives up the open partial chunk, and an empty queue parks the
-// consumer until an offer, a barrier or close arrives; when not idle it
-// returns at once so the consumer can read the replies it is owed. (A
-// yield phase before parking, as on the shard rings, measured no
-// different here: a busy consumer waits in a reply read, not in park.)
+// next hands the consumer its next piece of work; handing out a chunk
+// takes spare, the buffer of the chunk before (nil at first), back onto
+// the free list. A due barrier comes before the chunks behind it. When
+// idle — the consumer has nothing in flight — an empty ring gives up the
+// open partial chunk, and an empty queue parks the consumer until an
+// offer, a barrier or close arrives; when not idle it returns at once so
+// the consumer can read the replies it is owed. (A yield phase before
+// parking, as on the shard rings, measured no different here: a busy
+// consumer waits in a reply read, not in park.)
 func (q *chunkQueue) next(spare []byte, idle bool) work {
 	for {
 		q.mu.Lock()
@@ -183,14 +199,16 @@ func (q *chunkQueue) next(spare []byte, idle bool) work {
 		case q.head != q.tail:
 			slot := &q.ring[q.head%uint64(len(q.ring))]
 			w := work{chunk: *slot}
-			slot.buf = spare[:0]
+			*slot = chunk{}
+			q.release(spare)
 			q.head++
 			q.queued -= w.frames
 			q.mu.Unlock()
 			return w
 		case idle && q.open.frames > 0:
 			w := work{chunk: q.open}
-			q.open = chunk{buf: spare[:0]}
+			q.release(spare)
+			q.open = chunk{buf: q.take()}
 			q.head++
 			q.tail++
 			q.queued -= w.frames
@@ -284,15 +302,14 @@ func newShipper(cl *Client, depth, batch int) *Shipper {
 	return s
 }
 
-// Offer hands one eviction to the shipper, which encodes it into the
-// open chunk. It never blocks: on overflow the oldest queued chunk is
-// dropped and its evictions counted. Safe for concurrent producers. It
-// reports whether THIS eviction was queued (false only once the shipper
-// is closed — an overflow drops the oldest chunk, not this eviction).
-func (s *Shipper) Offer(ev *kvstore.Eviction) bool {
-	queued, dropped := s.q.offer(ev)
+// offerBatch hands the shipper the lanes of b set in lanes, journaling
+// an overflow once per call. Safe for concurrent producers. It reports
+// whether THESE evictions were queued: false only once the shipper is
+// closed, as an overflow drops the oldest chunks, not these.
+func (s *Shipper) offerBatch(b *kvstore.EvictBatch, lanes uint64) bool {
+	queued, dropped := s.q.offerBatch(b, lanes)
 	if !queued {
-		s.refused.Add(1) // closed shipper: nothing will deliver it
+		s.refused.Add(uint64(bits.OnesCount64(lanes))) // closed shipper: nothing will deliver them
 		return false
 	}
 	if dropped > 0 {
@@ -310,7 +327,7 @@ func (s *Shipper) Offer(ev *kvstore.Eviction) bool {
 // dropped).
 func (s *Shipper) run() {
 	defer s.wg.Done()
-	spare := make([]byte, 0, s.q.chunkCap)
+	var spare []byte
 	for {
 		w := s.q.next(spare, s.cl.nmarks == 0)
 		switch {

@@ -27,8 +27,8 @@ import (
 // or across a whole run when program sets apply different programs on
 // different cores — which nothing observable depends on. A program's
 // evictions leave its cache once per block, as one batch that its store
-// reconciles before ProcessBlock returns; Config.OnEvict then sees the
-// batch's lanes, so a key's evictions reach it in order and nothing is
+// reconciles before ProcessBlock returns; Config.OnEvictBatch then sees
+// the batch, so a key's evictions reach it in order and nothing is
 // promised about the order across keys, programs or shards.
 
 // processBlocks applies set's programs to a run of records the caller

@@ -76,14 +76,17 @@ type Config struct {
 	// even for linear folds (evictions then degrade to epoch semantics) —
 	// the ablation knob for the paper's central mechanism.
 	DisableExactMerge bool
-	// OnEvict, when set, observes every eviction of every program, once,
-	// after the backing store has consumed the batch it left the cache in.
-	// A key's evictions arrive in the order they happened; the order
-	// across keys, programs and shards is unspecified. With more than one
-	// shard batches come from concurrent workers, and with more than one
-	// program from concurrent program sets; the datapath serializes the
-	// callbacks with an internal mutex, taken once per batch. ev is valid
-	// until the callback returns.
+	// OnEvictBatch, when set, observes every eviction batch of every
+	// program, once, after the program's backing store has consumed it. A
+	// key's evictions arrive in the order they happened; the order across
+	// keys, programs and shards is unspecified. With more than one shard
+	// batches come from concurrent workers, and with more than one program
+	// from concurrent program sets; the datapath serializes the callbacks
+	// with an internal mutex, taken once per batch. b is valid until the
+	// callback returns.
+	OnEvictBatch func(prog int, b *kvstore.EvictBatch)
+	// OnEvict is its per-eviction form: New walks each batch's lanes into
+	// it, after OnEvictBatch when both are set.
 	OnEvict func(prog int, ev *kvstore.Eviction)
 	// Shards is the number of parallel shards per partition; values < 2
 	// give each partition a single owner.
@@ -118,7 +121,6 @@ type progState struct {
 	// would use wider key SRAM; see DESIGN.md).
 	keyVals map[packet.Key128][]float64
 	exact   bool
-	ev      kvstore.Eviction // the observer's view of one batch lane
 	// batchLanes, when metrics are on, is the program's histogram of
 	// lanes per delivered eviction batch (see metrics.go).
 	batchLanes *obs.Hist
@@ -218,17 +220,12 @@ func newShardState(d *Datapath, geo kvstore.Geometry, cfg Config, shardIdx int, 
 				if ps.batchLanes != nil {
 					ps.batchLanes.Record(uint64(b.N))
 				}
-				if cfg.OnEvict == nil {
+				if cfg.OnEvictBatch == nil {
 					return
 				}
-				if evictMu != nil {
-					evictMu.Lock()
-					defer evictMu.Unlock() // an observer's panic must not hold up the other program sets
-				}
-				for l := 0; l < b.N; l++ {
-					b.Lane(l, &ps.ev)
-					cfg.OnEvict(idx, &ps.ev)
-				}
+				evictMu.Lock()
+				defer evictMu.Unlock() // an observer's panic must not hold up the other program sets
+				cfg.OnEvictBatch(idx, b)
 			},
 			Trace:       cfg.Trace,
 			TraceSpan:   &sh.scratch.spanSlot,
@@ -275,11 +272,20 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 		return nil, err
 	}
 
-	geo := d.partGeo.Split(n)
-	var evictMu *sync.Mutex
-	if (k*n > 1 || len(plan.Programs) > 1) && cfg.OnEvict != nil {
-		evictMu = &sync.Mutex{}
+	if onLane, onBatch := cfg.OnEvict, cfg.OnEvictBatch; onLane != nil {
+		ev := new(kvstore.Eviction) // one view: the callbacks never overlap
+		cfg.OnEvictBatch = func(prog int, b *kvstore.EvictBatch) {
+			if onBatch != nil {
+				onBatch(prog, b)
+			}
+			for l := 0; l < b.N; l++ {
+				b.Lane(l, ev)
+				onLane(prog, ev)
+			}
+		}
 	}
+	geo := d.partGeo.Split(n)
+	evictMu := new(sync.Mutex) // shared by every shard and program
 	for s := 0; s < k*n; s++ {
 		sh, err := newShardState(d, geo, cfg, s, evictMu)
 		if err != nil {

@@ -172,14 +172,14 @@ func (q *Query) DialBackingPool(addrs []string, cfg BackingPoolConfig) (*Backing
 	return bp, nil
 }
 
-// onEvict adapts the pools to the datapath's eviction callback: each
+// onEvict adapts the pools to the datapath's batch observer: each
 // program's evictions route to that program's pool keyspace. The queue
 // push never blocks the datapath.
-func (p *BackingPool) onEvict(prog int, ev *kvstore.Eviction) {
+func (p *BackingPool) onEvict(prog int, b *kvstore.EvictBatch) {
 	if prog < 0 || prog >= len(p.pools) {
 		return
 	}
-	p.pools[prog].HandleEviction(ev)
+	p.pools[prog].HandleBatch(b)
 }
 
 // Sync drains every backend queue of every program's pool so each

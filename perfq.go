@@ -271,26 +271,24 @@ func WithWindow(spec WindowSpec) RunOption {
 // WithBackingPool mirrors the run's switch-resident evictions into a
 // resilient pool of TCP backing stores (see Query.DialBackingPool): the
 // scale-out, failure-tolerant deployment of §3.2's split key-value
-// store. The datapath side is an encode into the owning backend's open
-// chunk — a slow or dead backend costs accuracy
+// store. The datapath hands the pool each eviction batch as it left the
+// cache, and the pool encodes each backend's lanes into that backend's
+// open chunk — a slow or dead backend costs accuracy
 // (BackingPool.DroppedEvictions), never feed latency. Call pool.Sync
 // after the run to settle the books. Composes with WithFabric and
-// WithShards: callbacks may then fire from concurrent datapaths, and the
-// pool is safe for that — it has no pool-wide lock, producers meet only
-// at the owning backend's queue lock. What still serialises the shards
-// of ONE datapath is that datapath's own OnEvict mutex
-// (switchsim.Config.OnEvict's contract: observers never run
-// concurrently), taken around every eviction callback when the datapath
-// has more than one shard or more than one program (program sets);
-// switches of a fabric do not share it.
+// WithShards: the pool has no pool-wide lock, producers meet only at the
+// owning backend's queue lock, and the datapath delivers batches under
+// its own eviction mutex, taken once per batch, so that observers never
+// run concurrently (switchsim.Config.OnEvictBatch's contract) whatever
+// its shards, switches or program sets.
 func WithBackingPool(p *BackingPool) RunOption {
 	return func(c *runConfig) {
 		c.pool = p
-		prev := c.sw.OnEvict
-		c.sw.OnEvict = func(prog int, ev *kvstore.Eviction) {
-			p.onEvict(prog, ev)
+		prev := c.sw.OnEvictBatch
+		c.sw.OnEvictBatch = func(prog int, b *kvstore.EvictBatch) {
+			p.onEvict(prog, b)
 			if prev != nil {
-				prev(prog, ev)
+				prev(prog, b)
 			}
 		}
 	}
@@ -607,7 +605,7 @@ type Results struct {
 	Evictions uint64
 	// Flushed counts the end-of-run cache flush evictions (the entries
 	// still resident when the stream ended). Evictions + Flushed is the
-	// total eviction stream an OnEvict observer — e.g. WithBackingPool —
+	// total eviction stream an eviction observer — e.g. WithBackingPool —
 	// saw during the run.
 	Flushed uint64
 	// ValidKeys/TotalKeys report backing-store accuracy summed over every
