@@ -1,7 +1,9 @@
 package backing
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"perfq/internal/fold"
@@ -115,6 +117,78 @@ func TestEvictionToBackingZeroAllocs(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+}
+
+// countBatch is a full batch of count evictions (m = 1, linear, P
+// covering the epoch) whose keys the caller fills in.
+func countBatch() *kvstore.EvictBatch {
+	b := &kvstore.EvictBatch{N: fold.BlockSize}
+	st, p := []float64{1}, []float64{1}
+	for l := range b.State {
+		b.State[l], b.P[l] = st, p
+	}
+	return b
+}
+
+// TestStoreBytesPerKey bounds what a fresh store allocates per distinct
+// key, filled through HandleBatch, by the layout it is meant to have: an
+// 8-byte index slot at load ≤ 3/4 — the table grew past S/2 slots, so S <
+// 8n/3, and doubling from the smallest table allocated under 2S slots in
+// all — a 32-byte entry and an 8m-byte state row.
+func TestStoreBytesPerKey(t *testing.T) {
+	const n, m = 1 << 17, 1
+	const slot, ent, row = 8, 32, 8 * m
+	bound := slot*2*8.0/3 + ent + row
+	b := countBatch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New(fold.Count())
+	for k := 0; k < n; k += fold.BlockSize {
+		for l := range b.Keys {
+			b.Keys[l] = keyN(k + l)
+		}
+		s.HandleBatch(b)
+	}
+	runtime.ReadMemStats(&after)
+	if s.Len() != n {
+		t.Fatalf("store holds %d keys, want %d", s.Len(), n)
+	}
+	perKey := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.1f B/key allocated, bound %.1f", perKey, bound)
+	if perKey > bound {
+		t.Fatalf("filling a store with %d keys allocated %.1f B/key, over the layout's %.1f", n, perKey, bound)
+	}
+}
+
+// BenchmarkStoreBatch prices HandleBatch alone: 64-lane count batches of
+// keys drawn at random from a store already holding every one of them, so
+// each lane is an index probe, an entry and a merge into its state row —
+// at key counts whose index and entries fit the caches (2^14), outgrow
+// them (2^17, about the benchmark's stores) and far outgrow them (2^20).
+func BenchmarkStoreBatch(b *testing.B) {
+	for _, n := range []int{1 << 14, 1 << 17, 1 << 20} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			s, batch := New(fold.Count()), countBatch()
+			for k := 0; k < n; k += fold.BlockSize {
+				for l := range batch.Keys {
+					batch.Keys[l] = keyN(k + l)
+				}
+				s.HandleBatch(batch)
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			seq := make([]packet.Key128, 1<<20)
+			for i := range seq {
+				seq[i] = keyN(rng.Intn(n))
+			}
+			b.ResetTimer()
+			for i, at := 0, 0; i < b.N; i++ {
+				copy(batch.Keys[:], seq[at:at+fold.BlockSize])
+				s.HandleBatch(batch)
+				at = (at + fold.BlockSize) % len(seq)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fold.BlockSize), "ns/evict")
 		})
 	}
 }

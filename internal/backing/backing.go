@@ -119,6 +119,7 @@ func New(f *fold.Func) *Store {
 	s0 := make([]float64, m)
 	f.Init(s0)
 	s := &Store{f: f, m: m, s0: s0, slab: rowArena{m: m}, erows: rowArena{m: m}, hvals: rowArena{m: m}}
+	s.ix.ents = &s.ents
 	s.ix.init(indexMinSize)
 	return s
 }
@@ -157,13 +158,12 @@ func (s *Store) HandleEviction(ev *kvstore.Eviction) {
 // cache's batch callback. Every lane walks index slot → entry → state
 // row, each a random line of a table far larger than the CPU's caches
 // once the key space is, and a lane at a time each of those misses waits
-// for the one before. So the batch goes through in three passes: hash
-// every key and load its home index slot (independent loads, whose misses
-// overlap); claim the entries in order, loading each entry and state row;
-// then merge in order. Claims and merges both keep lane order, so a key
-// that appears twice in a batch — even one new to the store — reconciles
-// exactly as it would one eviction at a time. Rows a flush held back are
-// settled first: a capacity eviction may carry one of their keys.
+// for the one before. So probe loads each of them for every lane in a
+// pass of its own, whose misses overlap. Claims and merges both keep
+// lane order, so a key that appears twice in a batch — even one new to
+// the store — reconciles exactly as it would one eviction at a time.
+// Rows a flush held back are settled first: a capacity eviction may
+// carry one of their keys.
 func (s *Store) HandleBatch(b *kvstore.EvictBatch) {
 	s.Settle()
 	kind := s.kind(b)
@@ -262,35 +262,37 @@ func (s *Store) kind(b *kvstore.EvictBatch) fold.MergeKind {
 }
 
 // probe returns every lane's entry id — claiming the keys new to the store
-// when claim is set, else -1 for them — after loading each lane's index
-// slot, entry and (merging kinds) state row in loops of their own, so that
+// when claim is set, else -1 for them — after loading each lane's home
+// index slot, the entry its fingerprint names (a key found there needs no
+// probe) and (merging kinds) state row in loops of their own, so that
 // nothing but loads sits between one lane's miss and the next lane's. It
 // points dst at the state rows it loaded.
 func (s *Store) probe(b *kvstore.EvictBatch, kind fold.MergeKind, claim bool) []int32 {
 	keys, hash, ids := b.Keys[:b.N], s.hash[:b.N], s.ids[:b.N]
-	warm := s.warm
+	ix, warm := &s.ix, s.warm
 	for l := range keys {
 		h := keys[l].Hash()
 		hash[l] = h
-		sl := &s.ix.slots[h&s.ix.mask]
-		warm += uint32(sl.key[0]) + sl.tag // both ends: a slot may straddle two lines
+		warm += ix.slots[h&ix.mask].tag
 	}
-	if claim {
-		for l := range keys {
-			ids[l] = s.slot(keys[l], hash[l])
-		}
-	} else {
-		for l := range keys {
-			i, ok := s.ix.id(s.ix.find(keys[l], hash[l]))
-			if !ok {
-				i = -1
-			}
-			ids[l] = i
-		}
+	for l, h := range hash {
+		ids[l] = ix.candidate(h)
 	}
 	for _, i := range ids {
 		if i >= 0 {
 			warm += s.ents.at(i).win
+		}
+	}
+	for l, i := range ids {
+		switch {
+		case i >= 0 && s.ents.at(i).key == keys[l]: // at its candidate
+		case claim:
+			ids[l] = s.slot(keys[l], hash[l])
+		default:
+			ids[l] = -1
+			if i, ok := ix.id(ix.find(keys[l], hash[l])); ok {
+				ids[l] = i
+			}
 		}
 	}
 	if kind != fold.MergeNone {

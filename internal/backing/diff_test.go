@@ -17,8 +17,7 @@ import (
 // and lookup against the map.
 func TestKeyIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	var ix keyIndex
-	ix.init(indexMinSize)
+	ix := newTestIndex()
 	ref := map[packet.Key128]int32{}
 
 	checkAll := func(round int, space []packet.Key128) {

@@ -4,22 +4,25 @@ import "perfq/internal/packet"
 
 // keyIndex is the store's key→entry index: an open-addressing hash table
 // over packet.Key128 with linear probing, reusing the word-mix
-// Key128.Hash the cache's bucket index uses.
+// Key128.Hash the cache's bucket index uses. It keeps no keys: each key
+// lives once, in its entry.
 //
-//   - A slot is one 20-byte record, key and tag together, so a probe that
-//     finds its key (or the end of its chain) in the home slot touches one
-//     cache line — two when the slot straddles a boundary — and an
-//     eviction batch can load every lane's home slot before it claims any.
+//   - A slot is 8 bytes, the key's fingerprint (its hash's upper 32 bits;
+//     the home slot comes from the low bits) and a tag. A probe compares
+//     fingerprints and, on a match, the key in the entry the tag names —
+//     the entry the caller loads next anyway, so a hit costs no extra line
+//     — and probes on past a false match. An eviction batch can load
+//     every lane's home slot, then every fingerprint match's entry,
+//     before it claims any.
 //   - Entry ids are dense (the i-th key claimed since the last reset is
 //     entry i) and a slot's tag is base + id + 1, where base counts the
 //     keys of every earlier window. A slot is live only while its tag is
 //     above base, so reset just moves base past the window's keys: it
 //     touches no slot and costs the same whatever the window held and
-//     however large an earlier window grew the table. Stale keys behind
-//     dead slots are unreachable.
+//     however large an earlier window grew the table.
 //   - Growth is tombstone-free by construction: keys are never deleted
 //     individually, so the table only ever rebuilds into a larger array —
-//     a straight reinsertion of the live slots.
+//     the entries' keys rehashed in id order.
 //
 // Load is kept at or below 3/4.
 type keyIndex struct {
@@ -27,10 +30,11 @@ type keyIndex struct {
 	mask  uint64
 	used  int
 	base  uint32
+	ents  *chunked[entry] // entry id → key; the caller creates entry id right after claiming it
 }
 
 type indexSlot struct {
-	key packet.Key128
+	fp  uint32 // the key's hash >> 32
 	tag uint32 // base + entry id + 1 when written; live while > base
 }
 
@@ -47,14 +51,25 @@ func (ix *keyIndex) init(size int) {
 // find probes for key, whose hash is h: the slot that holds it, or the
 // dead slot that ends its chain (where an insert would put it).
 func (ix *keyIndex) find(key packet.Key128, h uint64) *indexSlot {
-	i := h & ix.mask
-	for {
+	fp := uint32(h >> 32)
+	for i := h & ix.mask; ; i = (i + 1) & ix.mask {
 		sl := &ix.slots[i]
-		if sl.tag <= ix.base || sl.key == key {
+		if sl.tag <= ix.base || sl.fp == fp && ix.ents.at(int32(sl.tag-ix.base-1)).key == key {
 			return sl
 		}
-		i = (i + 1) & ix.mask
 	}
+}
+
+// candidate returns the entry id of the first slot on hash h's chain with
+// h's fingerprint, or -1 — reading slots only, no key.
+func (ix *keyIndex) candidate(h uint64) int32 {
+	fp := uint32(h >> 32)
+	for i := h & ix.mask; ix.slots[i].tag > ix.base; i = (i + 1) & ix.mask {
+		if ix.slots[i].fp == fp {
+			return int32(ix.slots[i].tag - ix.base - 1)
+		}
+	}
+	return -1
 }
 
 // id returns the entry index a slot holds, and whether the slot is live.
@@ -82,22 +97,20 @@ func (ix *keyIndex) claim(key packet.Key128, h uint64) (int32, bool) {
 		sl = ix.find(key, h)
 	}
 	id := ix.used
-	sl.key, sl.tag = key, ix.base+uint32(id)+1
+	sl.fp, sl.tag = uint32(h>>32), ix.base+uint32(id)+1
 	ix.used++
 	return int32(id), false
 }
 
-// grow rebuilds the table at double capacity. With no per-key deletion
-// there are no tombstones to migrate — every live slot reinserts into
-// the larger array and probe chains come out clean.
+// grow rebuilds the table at double capacity from the entries' keys,
+// rehashed in id order.
 func (ix *keyIndex) grow() {
-	old, used := ix.slots, ix.used
-	ix.init(len(old) * 2)
-	ix.used = used
-	for i := range old {
-		if sl := &old[i]; sl.tag > ix.base {
-			*ix.find(sl.key, sl.key.Hash()) = *sl
-		}
+	used := ix.used
+	ix.init(len(ix.slots) * 2)
+	for ; ix.used < used; ix.used++ {
+		k := &ix.ents.at(int32(ix.used)).key
+		h := k.Hash()
+		*ix.find(*k, h) = indexSlot{fp: uint32(h >> 32), tag: ix.base + uint32(ix.used) + 1}
 	}
 }
 

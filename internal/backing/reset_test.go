@@ -23,15 +23,14 @@ import (
 // base has used up half the tag space the reset clears the table instead,
 // and nothing an earlier window wrote comes back to life.
 func TestKeyIndexSparseReset(t *testing.T) {
-	var ix keyIndex
-	ix.init(indexMinSize)
+	ix := newTestIndex()
 	claim := func(k packet.Key128) (int32, bool) { return ix.claim(k, k.Hash()) }
 	for i := 0; i < 3000; i++ { // grow to 4096 slots
 		claim(keyN(i))
 	}
 	size := len(ix.slots)
-	if got := unsafe.Sizeof(ix.slots[0]); got != 20 {
-		t.Fatalf("an index slot is %d bytes, want 20: key and tag in one record, no wider than the two arrays were", got)
+	if got := unsafe.Sizeof(ix.slots[0]); got != 8 {
+		t.Fatalf("an index slot is %d bytes, want 8: fingerprint and tag, the key read from its entry", got)
 	}
 	ix.reset()
 

@@ -2,8 +2,10 @@ package netstore
 
 import (
 	"errors"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -326,4 +328,47 @@ func TestServerRestartMidStream(t *testing.T) {
 		t.Fatalf("restarted store holds %d keys, want %d", got, applied2)
 	}
 	t.Logf("restart: reconnects %d; applied %d+%d = acked; lost %d", cl.Reconnects(), applied1, applied2, cl.Lost())
+}
+
+// TestServerHelloOnlyConnBytes: a connection that says HELLO and hangs
+// up — every health probe's — costs the server no 64 KiB buffers, no
+// reply buffer and no eviction decoder, only buffers the size of a HELLO.
+// The count is everything one such connection allocates, net.Pipe and
+// the serving goroutine included; with the large buffers up front it was
+// ≈ 144 KiB.
+func TestServerHelloOnlyConnBytes(t *testing.T) {
+	srv, err := newServer([]*fold.Func{fold.Ewma(lat(), 0.25)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := appendFrame(nil, opHello, helloPayload(1, 0))
+	done := make(chan error, 1)
+	var resp [frameHeader]byte
+	probe := func() {
+		client, server := net.Pipe()
+		go func() { done <- srv.serve(server) }()
+		if _, err := client.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, resp[:]); err != nil || resp[4] != StatusOK {
+			t.Fatalf("HELLO reply %v, err %v", resp, err)
+		}
+		client.Close()
+		if err := <-done; !errors.Is(err, io.EOF) {
+			t.Fatalf("serve returned %v after the prober hung up, want EOF", err)
+		}
+	}
+	probe()
+	const n, budget = 64, 8 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		probe()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d B per HELLO-only connection", per)
+	if per > budget {
+		t.Fatalf("a HELLO-only connection allocates %d B, budget %d", per, budget)
+	}
 }

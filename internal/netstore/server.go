@@ -16,15 +16,18 @@ import (
 	"perfq/internal/packet"
 )
 
-// MaxConns caps a server's concurrent connections. Each holds two
-// 64 KiB buffers and a decoder of fold.BlockSize lanes, 11 KiB plus
-// 512·(m + m²) bytes (≈ 140 KiB in all at m = 1), so the cap bounds what
-// peers can make the server allocate at ≈ 36 MiB for m ≤ 2 (≈ 93 MiB at
-// m = 21, the widest state a frame carries); a pool uses two
-// long-lived connections per backend per program plus a short-lived
-// probe. A connection over the cap is closed before its HELLO is read
-// and counted in Rejected; that includes probes, so a server at its
-// cap reads as down to the pools probing it.
+// MaxConns caps a server's concurrent connections. One that has sent a
+// frame past its HELLO holds two 64 KiB buffers and a 4 KiB reply buffer,
+// and from its first eviction frame a decoder of fold.BlockSize lanes,
+// 11 KiB plus 512·(m + m²) bytes (≈ 144 KiB in all at m = 1), so the cap
+// bounds what peers can make the server allocate at ≈ 37 MiB for m ≤ 2
+// (≈ 94 MiB at m = 21, the widest state a frame carries). Until then it
+// holds buffers of one HELLO frame: a probe, which hangs up after its
+// HELLO, costs under 2 KiB in all (TestServerHelloOnlyConnBytes). A pool
+// uses two long-lived connections per backend per program plus a
+// short-lived probe. A connection over the cap is closed before its HELLO
+// is read and counted in Rejected; that includes probes, so a server at
+// its cap reads as down to the pools probing it.
 const MaxConns = 256
 
 // Server hosts the backing stores of one query's switch programs over
@@ -207,21 +210,28 @@ func applyRun(b []byte, store *backing.Store, dec *evictionDecoder) (used int, e
 	return used, err
 }
 
-// serve handles one connection.
-func (s *Server) serve(conn net.Conn) error {
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	defer conn.Close()
-	defer bw.Flush() // the reply to a rejected HELLO
+// helloFrame is the longest HELLO frame, the 16-byte form.
+const helloFrame = frameHeader + 16
 
-	// The connection binds to a program (store + decoder) at HELLO;
+// serve handles one connection. Its large buffers wait for a frame past
+// the HELLO, and its decoder for the first eviction frame, so a prober's
+// connection, which hangs up after its HELLO, reads and replies through
+// buffers one HELLO frame long.
+func (s *Server) serve(conn net.Conn) error {
+	br := bufio.NewReaderSize(conn, helloFrame)
+	bw := bufio.NewWriterSize(conn, frameHeader)
+	defer conn.Close()
+	defer func() { bw.Flush() }() // the reply to a rejected HELLO
+
+	// The connection binds to a program (store + state width) at HELLO;
 	// until then neither is used (HELLO must come first).
 	var (
 		store *backing.Store
+		m     int
 		dec   *evictionDecoder
+		reply []byte // reused across opGet/opStats responses
 	)
-	reply := make([]byte, 0, maxFrame) // reused across opGet/opStats responses
-	var rh [frameHeader]byte           // hoisted: bw.Write leaks its arg
+	var rh [frameHeader]byte // hoisted: bw.Write leaks its arg
 	respond := func(status byte, payload []byte) error {
 		if _, err := bw.Write(appendFrameHeader(rh[:0], status, len(payload))); err != nil {
 			return err
@@ -254,15 +264,22 @@ func (s *Server) serve(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
+		if store == nil && (hdr[4] != opHello || size > helloFrame) {
+			return fmt.Errorf("%w: first frame must be HELLO", ErrBadFrame)
+		}
+		if reply == nil && store != nil {
+			// A frame past the HELLO: this connection carries requests.
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			br, bw = bufio.NewReaderSize(br, 1<<16), bufio.NewWriterSize(conn, 1<<16)
+			reply = make([]byte, 0, maxFrame)
+		}
 		frame, err := peek(size)
 		if err != nil {
 			return fmt.Errorf("%w: truncated body", ErrBadFrame)
 		}
 		op, body := frame[4], frame[frameHeader:]
-
-		if store == nil && op != opHello {
-			return fmt.Errorf("%w: first frame must be HELLO", ErrBadFrame)
-		}
 
 		switch op {
 		case opHello:
@@ -288,13 +305,13 @@ func (s *Server) serve(conn net.Conn) error {
 				return fmt.Errorf("%w: program %d, server has %d",
 					ErrBadProgram, prog, len(s.fs))
 			}
-			m := s.fs[prog].StateLen()
+			m = s.fs[prog].StateLen()
 			if int(binary.LittleEndian.Uint32(body[8:12])) != m {
 				respond(StatusErr, nil)
 				return fmt.Errorf("%w: client %d, server %d",
 					ErrStateLen, binary.LittleEndian.Uint32(body[8:12]), m)
 			}
-			store, dec = s.stores[prog], newEvictionDecoder(m)
+			store, dec = s.stores[prog], nil
 			if err := respond(StatusOK, nil); err != nil {
 				return err
 			}
@@ -303,6 +320,9 @@ func (s *Server) serve(conn net.Conn) error {
 			// Fire-and-forget, no response: apply this frame and every
 			// whole eviction frame already buffered behind it, in place,
 			// under one lock.
+			if dec == nil {
+				dec = newEvictionDecoder(m)
+			}
 			buffered, _ := br.Peek(br.Buffered())
 			s.mu.Lock()
 			used, err := applyRun(buffered, store, dec)
