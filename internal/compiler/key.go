@@ -6,10 +6,11 @@
 package compiler
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 
+	"perfq/internal/fold"
 	"perfq/internal/packet"
 	"perfq/internal/trace"
 )
@@ -144,19 +145,17 @@ func (k *KeySpec) ValuesRow(row []float64, dst []float64) {
 	}
 }
 
-// Of extracts and packs a record's key in one step — the form the
-// per-packet datapath and the shard router want when they need only the
-// 128-bit key, not the component values. Packed field keys skip the
-// component vector entirely; the float64 round-trip is kept so the key
-// bytes are bit-identical to Pack(Values(rec)) — the collector compares
-// keys formed from float64 rows.
+// Of extracts and packs a record's key, Pack(Values(rec)) — the key the
+// shard router needs; the block stage packs from columns (PackBlock).
 func (k *KeySpec) Of(rec *trace.Record) packet.Key128 {
 	if k.fiveTuple {
 		// The generic path's bytes, from the header fields directly: all
 		// five values are ≤ 32 bits, so the float64 round-trip is lossless.
 		return rec.FiveTupleKey()
 	}
-	return k.ofGeneric(rec)
+	var kv [8]float64
+	k.Values(rec, kv[:len(k.Fields)])
+	return k.Pack(kv[:len(k.Fields)])
 }
 
 // IsFiveTuple reports whether this is the canonical 5-tuple key, for
@@ -164,49 +163,73 @@ func (k *KeySpec) Of(rec *trace.Record) packet.Key128 {
 // the Of call on a per-packet path.
 func (k *KeySpec) IsFiveTuple() bool { return k.fiveTuple }
 
-// ofGeneric is the non-5-tuple packing path.
-func (k *KeySpec) ofGeneric(rec *trace.Record) packet.Key128 {
-	if k.Packed && len(k.Fields) > 0 {
-		var k0, k1 uint64
-		for i, f := range k.Fields {
-			k0, k1 = k.comps[i].put(k0, k1, uint64(int64(float64(rec.Field(f)))))
-		}
-		return keyOfWords(k0, k1)
-	}
-	nk := k.NumComponents()
-	var kv [8]float64
-	k.Values(rec, kv[:nk])
-	return k.Pack(kv[:nk])
-}
+// The offsets and prime of digest mode's two FNV-1a streams.
+const (
+	digest0, digest1        = 14695981039346656037, 0xcbf29ce484222325 ^ 0x9e3779b97f4a7c15
+	fnvPrime         uint64 = 1099511628211
+)
 
 // Pack converts key component values into the cache key. Packed mode lays
 // components out at their natural widths; digest mode hashes the full
-// component vector into 16 bytes with two independent FNV-1a streams.
-func (k *KeySpec) Pack(vals []float64) packet.Key128 {
-	if k.Packed {
-		var k0, k1 uint64
-		for i, v := range vals {
+// component vector into 16 bytes with two FNV-1a streams.
+func (k *KeySpec) Pack(vals []float64) (key packet.Key128) {
+	k0, k1 := uint64(0), uint64(0)
+	if !k.Packed {
+		k0, k1 = digest0, digest1
+	}
+	for i, v := range vals {
+		if k.Packed {
 			k0, k1 = k.comps[i].put(k0, k1, uint64(int64(v)))
-		}
-		return keyOfWords(k0, k1)
-	}
-	var key packet.Key128
-	const (
-		off1, off2        = 14695981039346656037, 0xcbf29ce484222325 ^ 0x9e3779b97f4a7c15
-		prime      uint64 = 1099511628211
-	)
-	h1, h2 := uint64(off1), uint64(off2)
-	var b [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], uint64(int64(v)))
-		for _, x := range b {
-			h1 = (h1 ^ uint64(x)) * prime
-			h2 = (h2 ^ uint64(x)) * (prime + 2)
+		} else {
+			k0, k1 = fnv(k0, k1, uint64(int64(v)))
 		}
 	}
-	binary.LittleEndian.PutUint64(key[0:8], h1)
-	binary.LittleEndian.PutUint64(key[8:16], h2)
+	key.SetWords(k.words(k0, k1))
 	return key
+}
+
+// PackBlock sets keys[l] = Of(rec) and hashes[l] = keys[l].Hash() for the
+// lanes l in mask, bit for bit, from blk's columns (blk.Lane(f)[l] =
+// float64(rec.Field(f))): one loop over the lanes per component.
+func (k *KeySpec) PackBlock(blk *fold.InputBlock, mask uint64, keys []packet.Key128, hashes []uint64) {
+	var k0, k1 [fold.BlockSize]uint64
+	for l := 0; !k.Packed && l < fold.BlockSize; l++ {
+		k0[l], k1[l] = digest0, digest1
+	}
+	for i, f := range k.Fields {
+		vals, c := blk.Lane(f), k.comps[i]
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			if v := uint64(int64(vals[l])); k.Packed {
+				k0[l], k1[l] = c.put(k0[l], k1[l], v)
+			} else {
+				k0[l], k1[l] = fnv(k0[l], k1[l], v)
+			}
+		}
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		lo, hi := k.words(k0[l], k1[l])
+		keys[l].SetWords(lo, hi)
+		hashes[l] = packet.HashWords(lo, hi)
+	}
+}
+
+// fnv runs v's eight little-endian bytes through both FNV-1a streams.
+func fnv(h0, h1, v uint64) (uint64, uint64) {
+	for s := 0; s < 64; s += 8 {
+		h0, h1 = (h0^v>>s&0xff)*fnvPrime, (h1^v>>s&0xff)*(fnvPrime+2)
+	}
+	return h0, h1
+}
+
+// words turns the words components were folded into to the key's
+// (packet.Key128.SetWords): a packed key's bytes are big-endian.
+func (k *KeySpec) words(k0, k1 uint64) (lo, hi uint64) {
+	if k.Packed {
+		return bits.ReverseBytes64(k0), bits.ReverseBytes64(k1)
+	}
+	return k0, k1
 }
 
 // Unpack recovers key component values from a packed key given as its
@@ -244,13 +267,6 @@ func (c keyComp) put(k0, k1, v uint64) (uint64, uint64) {
 		return k0, k1 | v>>(c.at&63)
 	}
 	return k0 | v>>(c.at&63), k1 | v<<1<<((63-c.at)&63)
-}
-
-// keyOfWords is the key whose big-endian words are k0 and k1.
-func keyOfWords(k0, k1 uint64) (key packet.Key128) {
-	binary.BigEndian.PutUint64(key[0:8], k0)
-	binary.BigEndian.PutUint64(key[8:16], k1)
-	return key
 }
 
 // String describes the key layout.

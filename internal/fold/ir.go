@@ -95,8 +95,8 @@ func (f Fn) String() string {
 // Fields, when non-nil, is a dense vector indexed by trace.FieldID with
 // the record's field values pre-extracted; the bytecode VM reads it
 // instead of switching on Rec.Field per reference. A caller that sets it
-// must populate every field the code it runs reads (Code.FieldMask); the
-// datapath extracts the plan-wide union once per record.
+// must populate every field the code it runs reads (Code.FieldMask).
+// Only tests and the benchmark's replays set it; the datapath does not.
 type Input struct {
 	Rec    *trace.Record
 	Cols   []float64

@@ -521,6 +521,29 @@ func TestParseDepthLimit(t *testing.T) {
 	}
 }
 
+// TestParseStopsLexingAtError: the parser pulls tokens from the lexer as
+// it goes, so a 2 MB query rejected at MaxExprDepth has lexed only the
+// tokens up to that point (2 MB and 6 MB) — lexing the whole input
+// first allocated ≈ 504 MB for either of these before the depth error.
+func TestParseStopsLexingAtError(t *testing.T) {
+	const n = 1_000_000
+	for name, src := range map[string]string{
+		"parentheses": "SELECT " + strings.Repeat("(", n) + "tin" + strings.Repeat(")", n),
+		"chain":       "SELECT COUNT GROUPBY srcip WHERE 1" + strings.Repeat("+1", n) + " > 0",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), errTooDeep(Pos{}).Msg) {
+			t.Errorf("%s: got %v, want the depth error", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s: Parse allocated %d MB, want at most 16 MB", name, got>>20)
+		}
+	}
+}
+
 // TestPrinterLinearInDepth: every node prints through one builder, so a
 // deeper expression's text grows by the same bytes per level, and checking
 // it (which names the column by printing it) allocates in proportion.

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"math"
 	"strconv"
 	"strings"
 )
@@ -10,11 +11,16 @@ import (
 // indentation stack). Comments run from '#' to end of line. Newlines
 // inside parentheses are suppressed so expressions can wrap.
 func Lex(src string) ([]Token, error) {
-	lx := &lexer{src: src, line: 1, col: 1, indents: []int{0}}
-	if err := lx.run(); err != nil {
-		return nil, err
+	lx := newLexer(src)
+	lx.token(math.MaxInt) // the whole stream
+	if lx.err != nil {
+		return nil, lx.err
 	}
 	return lx.toks, nil
+}
+
+func newLexer(src string) *lexer {
+	return &lexer{src: src, line: 1, col: 1, indents: []int{0}}
 }
 
 type lexer struct {
@@ -25,7 +31,22 @@ type lexer struct {
 	toks    []Token
 	indents []int
 	parens  int
-	started bool // saw a non-blank line yet
+	started bool  // saw a non-blank line yet
+	done    bool  // the stream ends in its EOF
+	err     error // what stopped the lexing early
+}
+
+// token returns token i of the stream, lexing only as far as that: the
+// parser pulls its tokens through here, so lexing stops where parsing
+// does. Past the end, or once lexing failed (err), it is an EOF.
+func (lx *lexer) token(i int) Token {
+	for len(lx.toks) <= i && lx.err == nil && !lx.done {
+		lx.err = lx.step()
+	}
+	if i < len(lx.toks) {
+		return lx.toks[i]
+	}
+	return Token{Kind: EOF, Pos: lx.here()}
 }
 
 func (lx *lexer) peek() byte {
@@ -60,49 +81,46 @@ func (lx *lexer) emit(k Kind, text string, num float64, pos Pos) {
 	lx.toks = append(lx.toks, Token{Kind: k, Text: text, Num: num, Pos: pos})
 }
 
-func (lx *lexer) run() error {
-	for lx.pos < len(lx.src) {
-		// At line start (outside parens): handle indentation.
-		if lx.col == 1 && lx.parens == 0 {
-			if err := lx.lineStart(); err != nil {
-				return err
-			}
-			if lx.pos >= len(lx.src) {
-				break
-			}
+// step lexes one unit of the source — a line's indentation, a token, a
+// blank or a comment — or, at its end, closes the stream.
+func (lx *lexer) step() error {
+	if lx.pos >= len(lx.src) {
+		// Close the final line and any open blocks.
+		lx.emitNewlineIfNeeded()
+		for len(lx.indents) > 1 {
+			lx.indents = lx.indents[:len(lx.indents)-1]
+			lx.emit(DEDENT, "", 0, lx.here())
 		}
-		c := lx.peek()
-		switch {
-		case c == '#':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
-			}
-		case c == '\n':
-			lx.advance()
-			if lx.parens == 0 {
-				lx.emitNewlineIfNeeded()
-			}
-		case c == ' ' || c == '\t' || c == '\r':
-			lx.advance()
-		case isDigit(c):
-			if err := lx.lexNumber(); err != nil {
-				return err
-			}
-		case isIdentStart(c):
-			lx.lexIdent()
-		default:
-			if err := lx.lexOperator(); err != nil {
-				return err
-			}
+		lx.emit(EOF, "", 0, lx.here())
+		lx.done = true
+		return nil
+	}
+	// At line start (outside parens): handle indentation.
+	if lx.col == 1 && lx.parens == 0 {
+		if err := lx.lineStart(); err != nil || lx.pos >= len(lx.src) {
+			return err
 		}
 	}
-	// Close the final line and any open blocks.
-	lx.emitNewlineIfNeeded()
-	for len(lx.indents) > 1 {
-		lx.indents = lx.indents[:len(lx.indents)-1]
-		lx.emit(DEDENT, "", 0, lx.here())
+	c := lx.peek()
+	switch {
+	case c == '#':
+		for lx.pos < len(lx.src) && lx.peek() != '\n' {
+			lx.advance()
+		}
+	case c == '\n':
+		lx.advance()
+		if lx.parens == 0 {
+			lx.emitNewlineIfNeeded()
+		}
+	case c == ' ' || c == '\t' || c == '\r':
+		lx.advance()
+	case isDigit(c):
+		return lx.lexNumber()
+	case isIdentStart(c):
+		lx.lexIdent()
+	default:
+		return lx.lexOperator()
 	}
-	lx.emit(EOF, "", 0, lx.here())
 	return nil
 }
 

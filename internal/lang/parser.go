@@ -6,14 +6,16 @@ import (
 	"strings"
 )
 
-// Parse lexes and parses a query program.
+// Parse lexes and parses a query program. The parser pulls tokens from
+// the lexer as it goes, so a query is lexed only as far as it parses: the
+// first error of either kind ends the work.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: newLexer(src)}
+	prog, err := p.parseProgram()
+	if p.lx.err != nil {
+		return nil, p.lx.err
 	}
-	p := &parser{toks: toks}
-	return p.parseProgram()
+	return prog, err
 }
 
 // MaxExprDepth bounds how deep query text may nest: the height of an
@@ -26,8 +28,8 @@ func Parse(src string) (*Program, error) {
 const MaxExprDepth = 10000
 
 type parser struct {
-	toks []Token
-	pos  int
+	lx  *lexer
+	pos int
 	// depth is the nesting the parser is inside of; height is the
 	// syntax-tree height of the expression it returned last. Both are
 	// held to MaxExprDepth.
@@ -55,8 +57,8 @@ func (p *parser) grow(pos Pos, h int) error {
 	return nil
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() Token  { return p.lx.token(p.pos) }
+func (p *parser) next() Token { t := p.cur(); p.pos++; return t }
 
 func (p *parser) at(k Kind) bool { return p.cur().Kind == k }
 

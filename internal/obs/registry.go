@@ -38,8 +38,8 @@ type Sample struct {
 // series is one labeled instance inside a family. Reads go through
 // callbacks so the registry never owns state — it renders whatever the
 // instrumented structs hold at scrape time. Sample names are
-// precomputed at registration so Gather into a reused buffer is
-// allocation-free.
+// precomputed — a histogram's at its first scrape — so Gather into a
+// reused buffer is allocation-free.
 type series struct {
 	labels  string
 	readU   func() uint64
@@ -145,17 +145,23 @@ func (r *Registry) Hist(name, help, labels string, fn func(*HistSnap)) {
 	s.readH = fn
 	if s.scratch == nil {
 		s.scratch = new(HistSnap)
-		names := make([]string, 0, HistBuckets+2)
+	}
+}
+
+// histNames returns a histogram series' sample names (buckets, sum,
+// count), built at its first scrape: an unscraped run allocates none.
+func (s *series) histNames(name string) []string {
+	if s.names == nil {
 		for i := 0; i < HistBuckets; i++ {
 			le := "+Inf"
 			if i < HistBuckets-1 {
 				le = strconv.FormatUint(BucketBound(i), 10)
 			}
-			names = append(names, sampleName(name+"_bucket", JoinLabels(labels, `le="`+le+`"`)))
+			s.names = append(s.names, sampleName(name+"_bucket", JoinLabels(s.labels, `le="`+le+`"`)))
 		}
-		names = append(names, sampleName(name+"_sum", labels), sampleName(name+"_count", labels))
-		s.names = names
+		s.names = append(s.names, sampleName(name+"_sum", s.labels), sampleName(name+"_count", s.labels))
 	}
+	return s.names
 }
 
 // HistVal registers a single live Hist.
@@ -179,13 +185,14 @@ func (r *Registry) Gather(dst []Sample) []Sample {
 				dst = append(dst, Sample{s.names[0], s.readF()})
 			case s.readH != nil:
 				s.readH(s.scratch)
+				names := s.histNames(f.name)
 				var cum uint64
 				for i := 0; i < HistBuckets; i++ {
 					cum += s.scratch.Buckets[i]
-					dst = append(dst, Sample{s.names[i], float64(cum)})
+					dst = append(dst, Sample{names[i], float64(cum)})
 				}
-				dst = append(dst, Sample{s.names[HistBuckets], float64(s.scratch.Sum)})
-				dst = append(dst, Sample{s.names[HistBuckets+1], float64(s.scratch.Count)})
+				dst = append(dst, Sample{names[HistBuckets], float64(s.scratch.Sum)})
+				dst = append(dst, Sample{names[HistBuckets+1], float64(s.scratch.Count)})
 			}
 		}
 	}
@@ -266,13 +273,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				buf = appendSample(buf, s.names[0], s.readF())
 			case s.readH != nil:
 				s.readH(s.scratch)
+				names := s.histNames(f.name)
 				var cum uint64
 				for i := 0; i < HistBuckets; i++ {
 					cum += s.scratch.Buckets[i]
-					buf = appendSample(buf, s.names[i], float64(cum))
+					buf = appendSample(buf, names[i], float64(cum))
 				}
-				buf = appendSample(buf, s.names[HistBuckets], float64(s.scratch.Sum))
-				buf = appendSample(buf, s.names[HistBuckets+1], float64(s.scratch.Count))
+				buf = appendSample(buf, names[HistBuckets], float64(s.scratch.Sum))
+				buf = appendSample(buf, names[HistBuckets+1], float64(s.scratch.Count))
 			}
 		}
 		if _, err := w.Write(buf); err != nil {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"perfq/internal/fold"
-	"perfq/internal/packet"
 	"perfq/internal/shard"
 	"perfq/internal/trace"
 )
@@ -135,22 +134,8 @@ func (sh *shardState) processBlock(d *Datapath, b *shard.Block, set *progSet) {
 		keys, hashes := st.gkeys[g][:], st.ghash[g][:]
 		if b.Keys != nil {
 			keys, hashes = b.Keys[g], b.Hashes[g]
-		} else if need := mask &^ st.gmask[g]; need != 0 {
-			if kg.fiveTuple {
-				for m := need; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					lo, hi := recs[l].FiveTupleWords() // all three inline
-					keys[l].SetWords(lo, hi)
-					hashes[l] = packet.HashWords(lo, hi)
-				}
-			} else {
-				for m := need; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					keys[l] = kg.spec.Of(&recs[l])
-					hashes[l] = keys[l].Hash()
-				}
-			}
-			st.gmask[g] |= need
+		} else {
+			st.pack(hp, g, recs, mask)
 		}
 		ps := sh.progs[pi]
 		inserted := ps.cache.ProcessBlock(keys, hashes, recs, mask, st.coefs[pi])
@@ -164,9 +149,11 @@ func (sh *shardState) processBlock(d *Datapath, b *shard.Block, set *progSet) {
 				l := bits.TrailingZeros64(m)
 				key := keys[l]
 				if _, ok := ps.keyVals[key]; !ok {
-					var kv [8]float64
-					kg.spec.Values(&recs[l], kv[:kg.nk])
-					ps.keyVals[key] = sc.slab.copyOf(kv[:kg.nk])
+					row := sc.slab.take(len(kg.spec.Fields))
+					for i, f := range kg.spec.Fields {
+						row[i] = st.blk.Lane(f)[l]
+					}
+					ps.keyVals[key] = row
 				}
 			}
 		}

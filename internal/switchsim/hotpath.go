@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"perfq/internal/compiler"
 	"perfq/internal/fold"
@@ -21,15 +22,17 @@ import (
 //     coefficients and fold bodies run as fold bytecode and nothing else
 //     (the plan compiler lowers every expression or rejects the query).
 //   - One field extraction pass per field per block: the union of raw
-//     fields the stage's codes read is extracted into a field-major
-//     block that vectorized bytecode indexes directly.
+//     fields the stage's codes and non-five-tuple keys read is extracted,
+//     a column at a time (trace.Column), into a field-major block that
+//     vectorized bytecode indexes directly.
 //   - What is a function of the record alone — WHERE masks, and the A and
 //     B coefficients of block-evaluable linear folds — is computed once
 //     per block, before any cache is probed: the paper's stateless stages
 //     ahead of the stateful ALU. Every plan takes this one path.
 //   - One key computation per distinct GROUPBY key: programs sharing a
 //     key spec form a key group whose packed key is computed lazily, at
-//     most once per (group, lane).
+//     most once per (group, lane) — the five-tuple from the header
+//     fields inline, any other key from the block's field columns.
 
 // selectHot is one select-over-T stage, compiled.
 type selectHot struct {
@@ -40,7 +43,6 @@ type selectHot struct {
 // keyGroup is one distinct GROUPBY key spec shared by ≥1 programs.
 type keyGroup struct {
 	spec      *compiler.KeySpec
-	nk        int
 	fiveTuple bool // pack with Record.FiveTupleKey inline
 }
 
@@ -54,7 +56,7 @@ type progHot struct {
 	// coefs, when the store merges exactly over a block-evaluable spec,
 	// is that spec: the stage computes the program's coefficient columns.
 	coefs  *fold.LinearSpec
-	fields uint32 // the raw fields its guards and coefficient columns read
+	fields uint32 // the raw fields its guards, coefficient columns and non-five-tuple key read
 }
 
 // hotPath is the compiled per-block schedule, shared read-only by every
@@ -112,10 +114,12 @@ func newHotPath(plan *compiler.Plan, selStgs []*compiler.Stage, exact bool) (*ho
 				break
 			}
 		}
+		for i := 0; !sp.Key.IsFiveTuple() && i < len(sp.Key.Fields); i++ {
+			ph.fields |= 1 << sp.Key.Fields[i]
+		}
 		if ph.group < 0 {
 			hp.groups = append(hp.groups, keyGroup{
 				spec:      sp.Key,
-				nk:        sp.Key.NumComponents(),
 				fiveTuple: sp.Key.IsFiveTuple(),
 			})
 			ph.group = len(hp.groups) - 1
@@ -195,11 +199,8 @@ func newStage(hp *hotPath) *stage {
 func (st *stage) prepare(hp *hotPath, set *progSet, recs []trace.Record) {
 	n := len(recs)
 	full := ^uint64(0) >> (64 - uint(n))
-	for _, f := range set.fields { // Record.Field is not inlined: its switch runs per lane
-		lane := st.blk.Lane(f)
-		for l := 0; l < n; l++ {
-			lane[l] = float64(recs[l].Field(f))
-		}
+	for _, f := range set.fields {
+		trace.Column(recs, f, st.blk.Lane(f))
 	}
 	for si := 0; set.lead && si < len(hp.selects); si++ {
 		st.sel[si] = full
@@ -224,6 +225,24 @@ func (st *stage) prepare(hp *hotPath, set *progSet, recs []trace.Record) {
 	}
 	clear(st.gmask)
 	st.prepared++
+}
+
+// pack packs and hashes key group g's keys for the lanes of mask it has
+// not packed this block.
+func (st *stage) pack(hp *hotPath, g int, recs []trace.Record, mask uint64) {
+	need := mask &^ st.gmask[g]
+	keys, hashes := st.gkeys[g][:], st.ghash[g][:]
+	if kg := &hp.groups[g]; !kg.fiveTuple {
+		kg.spec.PackBlock(&st.blk, need, keys, hashes)
+	} else {
+		for m := need; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			lo, hi := recs[l].FiveTupleWords() // all three inline
+			keys[l].SetWords(lo, hi)
+			hashes[l] = packet.HashWords(lo, hi)
+		}
+	}
+	st.gmask[g] |= need
 }
 
 // progSet is what one goroutine applies blocks with: programs [lo, hi)
@@ -293,11 +312,4 @@ func (s *floatSlab) take(n int) []float64 {
 	off := len(s.cur)
 	s.cur = s.cur[: off+n : cap(s.cur)]
 	return s.cur[off : off+n : off+n]
-}
-
-// copyOf returns a slab-backed copy of vals.
-func (s *floatSlab) copyOf(vals []float64) []float64 {
-	row := s.take(len(vals))
-	copy(row, vals)
-	return row
 }

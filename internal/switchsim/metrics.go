@@ -50,10 +50,15 @@ type partObs struct {
 // dpObs is one datapath's mirror set: a partObs per partition, plus
 // what only a partitioned datapath has.
 type dpObs struct {
-	parts    []partObs
-	unrouted *obs.Counter // records no partition owned (feeder-owned)
-	mergeNs  obs.Hist     // wall time of one cross-partition reconcile
+	parts      []partObs
+	unrouted   *obs.Counter // records no partition owned (feeder-owned)
+	mergeNs    obs.Hist     // wall time of one cross-partition reconcile
+	closePhase [len(closePhases)]obs.Hist
 }
+
+// closePhases labels CloseWindow's phases in order; tables is the
+// gather, sort and row carve of every switch-resident table.
+var closePhases = [...]string{"sync", "flush", "tables", "collector", "reset"}
 
 // newDpObs builds the mirrors and registers every family, the
 // partitions' transport sets included, one series per partition under
@@ -66,6 +71,10 @@ func newDpObs(d *Datapath, reg *obs.Registry, labels []string, transport []*obs.
 			"Records whose switch ID is absent from the topology", "", o.unrouted)
 		reg.HistVal("perfq_fabric_merge_ns",
 			"Wall time of one network-wide collector reconciliation, nanoseconds", "", &o.mergeNs)
+	}
+	for i, phase := range closePhases {
+		reg.HistVal("perfq_window_close_phase_ns",
+			"Window close wall time by phase, nanoseconds", `phase="`+phase+`"`, &o.closePhase[i])
 	}
 	for p, label := range labels {
 		part := p

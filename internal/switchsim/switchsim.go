@@ -620,11 +620,23 @@ type Acc struct {
 //
 // The returned []Acc is borrowed from the datapath and valid only until
 // the next CloseWindow; callers that retain snapshots across closes must
-// copy (the window scheduler does).
+// copy (the window scheduler does). With metrics attached, each phase's
+// wall time is one observation of its perfq_window_close_phase_ns series:
+// one clock read per phase, and one to start.
 func (d *Datapath) CloseWindow(carry bool) (map[string]*exec.Table, []Acc, error) {
+	var t time.Time
+	lap := func(int) {}
+	if o := d.obs; o != nil {
+		t, lap = time.Now(), func(i int) { now := time.Now(); o.closePhase[i].Record(uint64(now.Sub(t))); t = now }
+	}
 	d.Sync()
+	lap(0)
 	d.Flush()
-	tables, err := d.Collect()
+	lap(1)
+	tabs := d.Tables()
+	lap(2)
+	tables, err := d.collect(tabs)
+	lap(3)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -644,6 +656,7 @@ func (d *Datapath) CloseWindow(carry bool) (map[string]*exec.Table, []Acc, error
 	// Re-publish after the boundary so the store-keys gauge reflects
 	// the reset rather than the pre-close state until the next batch.
 	d.PublishMetrics()
+	lap(4)
 	return tables, acc, nil
 }
 
@@ -703,8 +716,10 @@ func (d *Datapath) Tables() map[string]*exec.Table {
 // Collect runs the collector: downstream stages evaluated over the
 // switch-materialized tables, returning every stage's table (Tables' own
 // map, which callers only read, when every stage is switch-resident).
-func (d *Datapath) Collect() (map[string]*exec.Table, error) {
-	tabs := d.Tables()
+func (d *Datapath) Collect() (map[string]*exec.Table, error) { return d.collect(d.Tables()) }
+
+// collect is Collect over the switch-materialized tables tabs.
+func (d *Datapath) collect(tabs map[string]*exec.Table) (map[string]*exec.Table, error) {
 	if len(tabs) == len(d.plan.Stages) {
 		return tabs, nil
 	}

@@ -134,3 +134,56 @@ func (r *Record) Field(f FieldID) int64 {
 		return 0
 	}
 }
+
+// Column writes float64(recs[l].Field(f)) for every record into dst[l]:
+// one switch per column, where Field switches once per record.
+func Column(recs []Record, f FieldID, dst []float64) {
+	dst = dst[:len(recs)]
+	switch f {
+	case FieldSrcIP:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.SrcIP.Uint32()) })
+	case FieldDstIP:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.DstIP.Uint32()) })
+	case FieldSrcPort:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.SrcPort) })
+	case FieldDstPort:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.DstPort) })
+	case FieldProto:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.Proto) })
+	case FieldPktLen:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.PktLen) })
+	case FieldPayloadLen:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.PayloadLen) })
+	case FieldTCPSeq:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.TCPSeq) })
+	case FieldTCPFlags:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.TCPFlags) })
+	case FieldPktUniq:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.PktUniq) })
+	case FieldQID:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.QID) })
+	case FieldSwitch:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.QID.Switch()) })
+	case FieldQueue:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.QID.Queue()) })
+	case FieldTin:
+		fill(recs, dst, func(r *Record) int64 { return r.Tin })
+	case FieldTout:
+		fill(recs, dst, func(r *Record) int64 { return r.Tout })
+	case FieldQin:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.QSizeIn) })
+	case FieldQout:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.QSizeOut) })
+	case FieldPath:
+		fill(recs, dst, func(r *Record) int64 { return int64(r.Path) })
+	default:
+		clear(dst)
+	}
+}
+
+// fill is Column's loop; it and get inline into each case.
+func fill(recs []Record, dst []float64, get func(*Record) int64) {
+	for l := range recs {
+		dst[l] = float64(get(&recs[l]))
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"perfq/internal/queries"
 	"perfq/internal/trace"
 	"perfq/internal/tracegen"
 )
@@ -160,6 +161,42 @@ func TestObsScrapeWhileFeeding(t *testing.T) {
 	}
 	if doc.Extra["run"] != "scrape-while-feeding" {
 		t.Errorf("extra block = %v", doc.Extra)
+	}
+}
+
+// TestWindowClosePhases: with metrics attached every window close is
+// timed by phase — sync, flush, tables, collector, reset — one
+// observation per phase per close, and the phases add up to no more than
+// the close latency the window runtime measures around them.
+func TestWindowClosePhases(t *testing.T) {
+	recs, err := trace.Collect(tracegen.New(tracegen.WANConfig(7, 2*time.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics()
+	res, err := MustCompile(queries.LossByQueue).Run(Records(recs),
+		WithCache(1024, 8), WithWindow(WindowSpec{Count: 5000}), WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]float64{}
+	for _, s := range m.reg.Gather(nil) {
+		vals[s.Name] = s.Value
+	}
+	closes := vals["perfq_window_close_ns_count"]
+	if closes != float64(res.WindowCount()) || closes < 2 {
+		t.Fatalf("%.0f closes timed, %d windows", closes, res.WindowCount())
+	}
+	var sum float64
+	for _, phase := range []string{"sync", "flush", "tables", "collector", "reset"} {
+		name := `perfq_window_close_phase_ns_count{phase="` + phase + `"}`
+		if n, ok := vals[name]; !ok || n != closes {
+			t.Errorf("%s = %.0f (registered %v), want %.0f", name, n, ok, closes)
+		}
+		sum += vals[`perfq_window_close_phase_ns_sum{phase="`+phase+`"}`]
+	}
+	if total := vals["perfq_window_close_ns_sum"]; sum == 0 || sum > total {
+		t.Errorf("phases sum to %.0f ns, close latency to %.0f ns", sum, total)
 	}
 }
 
